@@ -42,6 +42,15 @@ def _parse_point(text):
         raise DescriptorError(f"expected a comma-separated integer tuple, got {text!r}")
 
 
+def _builtin(spec) -> GermDescriptor:
+    name, *params = spec.split(",")
+    try:
+        values = [int(p) for p in params]
+    except ValueError:
+        raise DescriptorError(f"builtin parameters must be integers, got {spec!r}")
+    return catalog_mod.get(name, *values)
+
+
 def _load_descriptor(args) -> GermDescriptor:
     if bool(args.germ) == bool(args.builtin):
         raise DescriptorError("exactly one of --germ FILE or --builtin NAME required")
@@ -52,8 +61,7 @@ def _load_descriptor(args) -> GermDescriptor:
         except OSError as exc:
             raise DescriptorError(f"cannot read {args.germ}: {exc}")
     else:
-        parts = args.builtin.split(",")
-        desc = catalog_mod.get(parts[0], *[int(p) for p in parts[1:]])
+        desc = _builtin(args.builtin)
     if args.bound:
         bound = _parse_point(args.bound)
         if len(bound) != desc.r:
@@ -215,7 +223,10 @@ def cmd_spectral(model, args):
             {"ell": list(ell), "k": k, "n": n, "rank": entry.rank, "kind": "e1"}
         )
     for spec in args.mincycle or []:
-        k, n = _parse_point(spec)
+        vals = _parse_point(spec)
+        if len(vals) != 2:
+            raise DescriptorError("--mincycle needs k,n")
+        k, n = vals
         group = minimal_spectral_cycles(model.weight, k, n)
         queries.append(
             {
@@ -320,8 +331,7 @@ def cmd_classify(model, args):
 
 def cmd_catalog(args):
     if args.builtin:
-        parts = args.builtin.split(",")
-        desc = catalog_mod.get(parts[0], *[int(p) for p in parts[1:]])
+        desc = _builtin(args.builtin)
         sys.stdout.write(desc.to_json())
         return
     listing = catalog_mod.list_entries()

@@ -3,10 +3,15 @@ homology.
 
 The ambient complex is the unit-cube decomposition of R(0, bound); a cube
 is (base, dirs) with dirs a bitmask of spanned axes, and it belongs to
-the sublevel complex S_n iff every vertex has weight <= n.  Homology is
-computed from sparse integer boundary matrices via Smith reduction;
-U-map ranks (induced by S_n into S_{n+1}) come from the long exact
-sequence of the pair, so only matrix ranks are ever needed.
+the sublevel complex S_n iff every vertex has weight <= n.
+
+The complexes S_n are nested, so ``lattice_homology`` reduces the whole
+filtered complex once (``snf.filtered_reduction``): a k-interval
+[birth, death) adds one to b_k(S_n) for birth <= n < death, and one to
+the rank of H_k(S_n) -> H_k(S_{n+1}) for birth <= n and death > n + 1.
+When every pivot is +-1 (the unit-pivot certificate) each H_k(S_n) is
+torsion-free; otherwise the torsion of each level comes from a Smith
+reduction of that level alone (``homology``).
 
 Everything is computed inside the conductor rectangle R(0, c): for
 n fixed, the inclusion of S_n cap R(0, c) into S_n is a homotopy
@@ -15,15 +20,13 @@ equivalence, so these finite complexes carry the full lattice homology.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EulerMismatch, MarginTooSmall
 from .lattice import Point, WeightGrid, leq, norm
-from .snf import smith_invariants
+from .snf import filtered_reduction, smith_invariants
 
 Cube = tuple[Point, int]  # (base point, direction bitmask)
 
@@ -57,11 +60,6 @@ class SublevelComplex:
 
     def n_cells(self, k: int) -> int:
         return len(self.cells.get(k, ()))
-
-    def is_subcomplex_of(self, other: "SublevelComplex") -> bool:
-        mine = self.cell_set()
-        theirs = other.cell_set()
-        return mine <= theirs
 
 
 def _cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
@@ -241,75 +239,86 @@ class HomologyReport:
         return out
 
 
-def _u_ranks_from_betti(b_low, b_high, b_rel, r):
-    """Ranks of H_k(X) -> H_k(Y) from absolute and relative Betti numbers
-    via the long exact sequence of the pair (Y, X)."""
-    out = [0] * (r + 2)
-    for k in range(r, -1, -1):
-        nxt = out[k + 1] if k + 1 <= r + 1 else 0
-        rel = b_rel[k + 1] if k + 1 < len(b_rel) else 0
-        hi = b_high[k + 1] if k + 1 < len(b_high) else 0
-        out[k] = b_low[k] - rel + hi - nxt
-    return out[: r + 1]
+def _conductor_values(w: WeightGrid) -> np.ndarray:
+    """w on R(0, c)."""
+    if w.conductor is None:
+        raise MarginTooSmall("weight grid has no conductor")
+    if not leq(w.conductor, w.bound):
+        raise MarginTooSmall(f"conductor {w.conductor} exceeds grid {w.bound}")
+    return w.values[tuple(slice(0, ci + 1) for ci in w.conductor)]
 
 
 def min_weight(w: WeightGrid) -> int:
     """min w over R(0, c), which equals the global minimum."""
-    if w.conductor is None:
-        raise MarginTooSmall("weight grid has no conductor")
-    sub = w.values[tuple(slice(0, ci + 1) for ci in w.conductor)]
-    return int(sub.min())
+    return int(_conductor_values(w).min())
 
 
 def max_weight_conductor_box(w: WeightGrid) -> int:
-    if w.conductor is None:
-        raise MarginTooSmall("weight grid has no conductor")
-    sub = w.values[tuple(slice(0, ci + 1) for ci in w.conductor)]
-    return int(sub.max())
+    return int(_conductor_values(w).max())
 
 
-def lattice_homology(w: WeightGrid, threads: int | None = None) -> HomologyReport:
-    """Homology of every sublevel complex plus U-map ranks.
+def _filtration(values: np.ndarray, r: int) -> list:
+    """Every cube of the box as (value, dim, base, mask), where value is
+    the max weight of its vertices, sorted; a face never comes after its
+    cofaces, so every prefix up to a value n is the complex S_n."""
+    cubes = []
+    for mask, table in _cube_max_tables(values, r).items():
+        k = bin(mask).count("1")
+        cubes.extend((int(v), k, base, mask) for base, v in np.ndenumerate(table))
+    cubes.sort()
+    return cubes
 
-    Levels are independent;  LATCURVE_THREADS (or ``threads``) > 1 runs
-    them on a thread pool, results assembled deterministically after the
-    join.
-    """
-    if threads is None:
-        threads = int(os.environ.get("LATCURVE_THREADS", "1") or "1")
-    n_min = min_weight(w)
-    n_top = max_weight_conductor_box(w)
-    levels = list(range(n_min, n_top + 1))
-    complexes = {n: sublevel_complex(w, n) for n in levels}
 
-    def absolute(n):
-        return homology(complexes[n])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(levels, pool.map(absolute, levels)))
-    else:
-        results = {n: absolute(n) for n in levels}
+def lattice_homology(w: WeightGrid) -> HomologyReport:
+    """Homology of every sublevel complex plus U-map ranks, from one
+    filtered reduction of the conductor rectangle."""
+    values = _conductor_values(w)
+    n_min, n_top = int(values.min()), int(values.max())
+    levels = range(n_min, n_top + 1)
+    r = w.r
+    cubes = _filtration(values, r)
+    index = {(base, mask): j for j, (_, _, base, mask) in enumerate(cubes)}
+    columns = [
+        {index[face]: s for face, s in boundary((base, mask))}
+        for _, _, base, mask in cubes
+    ]
+    pairs, unit_pivots = filtered_reduction(columns)
+    # (dim, birth, death) of every interval of positive length
+    intervals = [
+        (cubes[i][1], cubes[i][0], cubes[j][0])
+        for i, j in pairs
+        if cubes[i][0] < cubes[j][0]
+    ]
+    paired = {i for pair in pairs for i in pair}
+    intervals += [
+        (dim, birth, float("inf"))
+        for j, (birth, dim, _, _) in enumerate(cubes)
+        if j not in paired
+    ]
+    betti = {n: [0] * (r + 1) for n in levels}
+    u_ranks = {(k, n): 0 for n in levels[:-1] for k in range(r)}
+    for k, birth, death in intervals:
+        for n in range(birth, min(death, n_top + 1)):
+            betti[n][k] += 1
+            if (k, n) in u_ranks and death > n + 1:
+                u_ranks[(k, n)] += 1
     # stabilization guard; also b_k = 0 for k >= r on every level
-    top = results[n_top]
-    if top[0][0] != 1 or any(rank for rank, _ in top[1:]):
+    top = betti[n_top]
+    if top[0] != 1 or any(top[1:]):
         raise EulerMismatch(
             f"S_{n_top} is not contractible-like; weight data is inconsistent"
         )
-    for n, res in results.items():
-        if res[w.r][0] != 0 or res[w.r][1]:
-            raise EulerMismatch(f"H_{w.r}(S_{n}) nonzero; impossible in R^{w.r}")
-    u_ranks = {}
-    for n in levels[:-1]:
-        b_low = [rank for rank, _ in results[n]]
-        b_high = [rank for rank, _ in results[n + 1]]
-        rel = relative_homology(complexes[n + 1], complexes[n])
-        b_rel = [rank for rank, _ in rel]
-        ranks = _u_ranks_from_betti(b_low, b_high, b_rel, w.r)
-        for k in range(w.r):
-            u_ranks[(k, n)] = ranks[k]
-    table = {n: [(res[k][0], res[k][1]) for k in range(w.r)] for n, res in results.items()}
-    return HomologyReport(r=w.r, n_min=n_min, n_top=n_top, table=table, u_ranks=u_ranks)
+    for n, row in betti.items():
+        if row[r]:
+            raise EulerMismatch(f"H_{r}(S_{n}) nonzero; impossible in R^{r}")
+    table = {}
+    for n, row in betti.items():
+        if unit_pivots:
+            torsion = [[] for _ in range(r)]
+        else:
+            torsion = [tors for _, tors in homology(sublevel_complex(w, n))]
+        table[n] = [(row[k], torsion[k]) for k in range(r)]
+    return HomologyReport(r=r, n_min=n_min, n_top=n_top, table=table, u_ranks=u_ranks)
 
 
 def euler_characteristic(report: HomologyReport, w: WeightGrid) -> int:

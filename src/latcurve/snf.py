@@ -4,7 +4,8 @@ Boundary matrices of cubical complexes are extremely sparse with entries
 +-1, so almost all pivots are units and elimination stays integral.  The
 rare leftover block with no unit entries is finished with a dense
 textbook Smith reduction; diagonal entries are then normalized into the
-invariant-factor chain.
+invariant-factor chain.  ``filtered_reduction`` is the persistence
+column reduction of a whole filtered complex at once.
 
 Matrices are passed as a list of columns, each column a dict
 {row_index: coefficient}.
@@ -96,6 +97,51 @@ def smith_invariants(columns, nrows=None):
     rank += len(diag)
     factors = _invariant_factors(diag)
     return rank, [d for d in factors if d > 1]
+
+
+def filtered_reduction(columns):
+    """Lowest-one column reduction of a filtered boundary matrix over Z.
+
+    ``columns[j]`` is the boundary of cell j, with cells in filtration
+    order (every face before its cofaces, so all rows are < j).  Returns
+    ``(pairs, unit_pivots)``: ``pairs`` lists (i, j) where cell j kills
+    the class born with cell i; a cell in no pair starts a class that
+    never dies.  A column whose lowest row i is owned by an earlier
+    reduced column with pivot p is cleared by ``col_j <- p*col_j - a*col_i``
+    (a the entry at i, both divided by gcd(a, p) first).  That is exact
+    over Q, so the pairs always give the ranks over Q; with p = +-1 it is
+    also invertible over Z.  ``unit_pivots`` certifies that every pivot
+    is +-1; then each prefix of the reduced matrix is echelon with unit
+    pivots, and every sublevel complex has torsion-free homology.
+    """
+    pivot_col = {}  # lowest row -> reduced column that owns it
+    pairs = []
+    unit_pivots = True
+    for j, col in enumerate(columns):
+        col = {i: v for i, v in col.items() if v}
+        while col:
+            low = max(col)
+            other = pivot_col.get(low)
+            if other is None:
+                break
+            a, p = col[low], other[low]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            if p != 1:
+                col = {i: p * v for i, v in col.items()}
+            for i, v in other.items():
+                nv = col.get(i, 0) - a * v
+                if nv:
+                    col[i] = nv
+                else:
+                    del col[i]
+        if col:
+            low = max(col)
+            pivot_col[low] = col
+            pairs.append((low, j))
+            if col[low] not in (1, -1):
+                unit_pivots = False
+    return pairs, unit_pivots
 
 
 def integer_rank(columns, nrows=None) -> int:

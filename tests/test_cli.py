@@ -176,17 +176,18 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["invariants"]["delta"] == 4
 
 
-def test_threads_env_matches_serial(monkeypatch, capsys):
-    monkeypatch.setenv("LATCURVE_THREADS", "4")
-    code, out_threaded, _ = run_cli(
-        ["homology", "--builtin", "T,3,6", "--format", "json"], capsys
+def test_exit_code_non_integer_builtin_param(capsys):
+    code, _, err = run_cli(["invariants", "--builtin", "D,x"], capsys)
+    assert code == 2
+    assert "integer" in err
+
+
+def test_exit_code_short_mincycle_query(capsys):
+    code, _, err = run_cli(
+        ["spectral", "--builtin", "D,5", "--mincycle", "1"], capsys
     )
-    assert code == 0
-    monkeypatch.setenv("LATCURVE_THREADS", "1")
-    code, out_serial, _ = run_cli(
-        ["homology", "--builtin", "T,3,6", "--format", "json"], capsys
-    )
-    assert out_threaded == out_serial
+    assert code == 2
+    assert "--mincycle" in err
 
 
 def test_bound_override(capsys):

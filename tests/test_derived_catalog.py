@@ -11,12 +11,12 @@ These checks are quarantined from the exact reference-table suite: they
 validate the *provenance* of the shipped data.
 """
 
-from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from latcurve import build_model, get, get_entry
+from oracles import hilbert_by_valuations
 
 # branch models: ((cx, ex), (cy, ey)) meaning x = cx t^ex, y = cy t^ey
 MODELS = {
@@ -44,52 +44,6 @@ MODELS = {
         ((1, 1), (4, 1)),
     ],
 }
-
-
-def monomial_image(branch, a, b, trunc):
-    (cx, ex), (cy, ey) = branch
-    if (cx == 0 and a > 0) or (cy == 0 and b > 0):
-        return [0] * trunc
-    order = ex * a + ey * b
-    out = [0] * trunc
-    if order < trunc:
-        out[order] = (cx**a) * (cy**b)
-    return out
-
-
-def exact_rank(rows):
-    rows = [[Fraction(v) for v in row] for row in rows if any(row)]
-    ncols = len(rows[0]) if rows else 0
-    rank, col = 0, 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col]), None)
-        if piv is None:
-            col += 1
-            continue
-        prow = rows.pop(piv)
-        rank += 1
-        for r in rows:
-            if r[col]:
-                f = r[col] / prow[col]
-                for j in range(col, ncols):
-                    r[j] -= f * prow[j]
-        rows = [r for r in rows if any(r)]
-        col += 1
-    return rank
-
-
-def hilbert_by_valuations(branches, ell):
-    if not any(ell):
-        return 0
-    maxdeg = max(ell)
-    rows = []
-    for a in range(maxdeg + 1):
-        for b in range(maxdeg + 1 - a):
-            row = []
-            for br, tr in zip(branches, ell):
-                row.extend(monomial_image(br, a, b, tr))
-            rows.append(row)
-    return exact_rank(rows)
 
 
 @pytest.mark.parametrize("spec", sorted(MODELS), ids=lambda s: "_".join(map(str, s)))

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
 from latcurve import (
     EulerMismatch,
+    build_model,
     euler_characteristic,
     homology,
     lattice_homology,
@@ -10,6 +12,10 @@ from latcurve import (
     sublevel_complex,
 )
 from latcurve.homology import boundary, cube_vertices
+
+from germ_strategies import monomial_plane_germs
+from oracles import assert_same_homology, per_level_lattice_homology
+from test_catalog import ALL_SPECS
 
 
 def test_boundary_squares_to_zero(model_of):
@@ -200,3 +206,34 @@ def test_relative_pair_e7(model_of):
     b_cx, a_cx = _pair_complexes(m, m.multiplicity, 0)
     res = relative_homology(b_cx, a_cx)
     assert res[1] == (0, [])
+
+
+# ---------------------------------------------------------------------------
+# the filtered reduction against the per-level Smith engine it replaced
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_filtered_reduction_matches_per_level_engine(spec, model_of):
+    w = model_of(*spec).weight
+    assert_same_homology(lattice_homology(w), per_level_lattice_homology(w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(monomial_plane_germs())
+def test_filtered_reduction_on_random_multi_branch_germs(germ):
+    branches, conductor, desc = germ
+    m = build_model(desc)
+    assert m.conductor == conductor
+    rep = lattice_homology(m.weight)
+    assert_same_homology(rep, per_level_lattice_homology(m.weight))
+    assert euler_characteristic(rep, m.weight) == m.delta
+
+
+def test_torsion_from_smith_forms_without_unit_pivot_certificate(monkeypatch, model_of):
+    import importlib
+
+    hom = importlib.import_module("latcurve.homology")
+    real = hom.filtered_reduction
+    monkeypatch.setattr(hom, "filtered_reduction", lambda cols: (real(cols)[0], False))
+    w = model_of("D", 5).weight
+    assert_same_homology(hom.lattice_homology(w), per_level_lattice_homology(w))

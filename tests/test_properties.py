@@ -25,6 +25,9 @@ from latcurve.catalog import numerical_semigroup
 from latcurve.germ import GermDescriptor
 from latcurve.lattice import box, norm, padd, pmax, pmin, unit
 
+from germ_strategies import conductor_of, numerical_semigroups
+from oracles import assert_same_homology, per_level_lattice_homology
+
 CATALOG = [
     ("A", 0), ("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 7),
     ("E", 8), ("T", 4, 4), ("T", 3, 6), ("T", 3, 7), ("T", 5, 7),
@@ -161,36 +164,6 @@ def test_motivic_round_trips(model_of):
 # hypothesis: randomized single-branch germs
 
 
-@st.composite
-def numerical_semigroups(draw):
-    gens = draw(
-        st.lists(st.integers(min_value=2, max_value=11), min_size=2, max_size=4)
-    )
-    # force gcd 1 so a conductor exists
-    from math import gcd
-    from functools import reduce
-
-    if reduce(gcd, gens) != 1:
-        gens.append(draw(st.sampled_from([g + 1 for g in gens])))
-    if reduce(gcd, gens) != 1:
-        gens = gens + [2, 3]
-    return sorted(set(gens))
-
-
-def conductor_of(gens, horizon=200):
-    member = [False] * (horizon + 1)
-    member[0] = True
-    for v in range(1, horizon + 1):
-        member[v] = any(v >= g and member[v - g] for g in gens)
-    run = 0
-    for v in range(horizon, -1, -1):
-        if member[v]:
-            run += 1
-        else:
-            return v + 1
-    return 0
-
-
 @settings(max_examples=40, deadline=None)
 @given(numerical_semigroups())
 def test_random_single_branch_germ_invariants(gens):
@@ -209,13 +182,15 @@ def test_random_single_branch_germ_invariants(gens):
         assert h.h((ell,)) == sum(1 for s in members if s < ell)
     gaps = sum(1 for v in range(c) if v not in members)
     assert norm((c,)) - h.h((c,)) == gaps
-    # euler characteristic agrees with delta on every random germ
+    # euler characteristic agrees with delta on every random germ, and the
+    # filtered reduction agrees with the per-level Smith engine
     from latcurve.homology import euler_characteristic, lattice_homology
 
     desc = GermDescriptor(r=1, kind="semigroup", payload=((c,), elements))
     model = build_model(desc)
     rep = lattice_homology(model.weight)
     assert euler_characteristic(rep, model.weight) == gaps
+    assert_same_homology(rep, per_level_lattice_homology(model.weight))
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcurve.snf import integer_rank, smith_invariants
+from latcurve.snf import filtered_reduction, integer_rank, smith_invariants
 
 
 def to_columns(rows):
@@ -81,3 +81,40 @@ def test_hypothesis_vs_sympy(rows):
 def test_rank_only_helper():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert integer_rank(to_columns(rows)) == 2
+
+
+def test_filtered_reduction_filled_triangle():
+    # v0 v1 v2, edges v0v1 v1v2 v0v2, then the triangle: the edge v0v2
+    # closes a loop, which the triangle kills
+    columns = [{}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {2: 1, 0: -1},
+               {3: 1, 4: 1, 5: -1}]
+    pairs, unit_pivots = filtered_reduction(columns)
+    assert pairs == [(1, 3), (2, 4), (5, 6)]
+    assert unit_pivots
+
+
+def test_filtered_reduction_degree_two_cell():
+    # a vertex, a loop, a 2-cell attached by degree 2 (RP^2), and a second
+    # 2-cell attached by degree 3: over Q the loop dies at cell 2 and
+    # cell 3 is a 2-cycle; over Z, H_1 of the first three cells is Z/2
+    columns = [{}, {}, {1: 2}, {1: 3}]
+    pairs, unit_pivots = filtered_reduction(columns)
+    assert pairs == [(1, 2)]
+    assert not unit_pivots
+    assert smith_invariants(columns[:3]) == (1, [2])
+    # betti numbers over Q: unpaired cells by dimension
+    dims = [0, 1, 2, 2]
+    paired = {i for pair in pairs for i in pair}
+    assert sorted(dims[j] for j in range(4) if j not in paired) == [0, 2]
+
+
+def test_filtered_reduction_cross_multiplication_keeps_q_rank():
+    # two loops e2 (row 1) and e1 (row 2); the 2-cells have boundaries
+    # 2 e1 and 3 e1 + e2, so clearing the second against the first needs
+    # col <- 2 col - 3 col_first = 2 e2, which is a new non-unit pivot
+    columns = [{}, {}, {}, {2: 2}, {2: 3, 1: 1}]
+    pairs, unit_pivots = filtered_reduction(columns)
+    assert pairs == [(2, 3), (1, 4)]
+    assert not unit_pivots
+    assert len(pairs) == smith_invariants(columns)[0]
+    assert smith_invariants(columns) == (2, [2])
