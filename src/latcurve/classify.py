@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LatcurveError, RouteDisagreement, TruncationUnsound
-from .germ import GermDescriptor, GermModel, build_model
+from .germ import GermDescriptor, GermModel, build_model, canonical_bound
 from .lattice import WeightGrid, norm, ones, padd, psub, scale, unit
-from .motivic import omega_substitution, univariate_motivic
+from .motivic import LaurentSeries, QPoly, omega_substitution, univariate_motivic
 from .spectral import has_maximal_rank, minimal_spectral_cycles
 
 FINITE, TAME, WILD = "finite", "tame", "wild"
@@ -36,6 +36,8 @@ class Verdict:
     family: str | None
     routes: dict = field(repr=False)
     agreement: bool = True
+    # the model the routes finished on: the argument, or a grown copy
+    model: GermModel | None = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -198,70 +200,80 @@ def _route_homology(model: GermModel) -> dict:
 # route: motivic series
 
 
-def _omega_series(model: GermModel, depth: int = 0):
+def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermModel]:
+    """The omega series through omega^depth, and the model it was
+    certified on: the argument, or a copy grown by 4e at a time (at most
+    six times) until the truncation is certified."""
     for _ in range(6):
         try:
-            return omega_substitution(model.hilbert, model.weight, depth)
+            return omega_substitution(model.hilbert, model.weight, depth), model
         except TruncationUnsound:
-            model.ensure_bound(padd(model.bound, scale(4, ones(model.r))))
+            model = model.ensure_bound(padd(model.bound, scale(4, ones(model.r))))
     raise TruncationUnsound(
         f"omega series through {depth} not certifiable for {model.name}"
     )
 
 
-def _mu(model: GermModel) -> int:
+def _level(model: GermModel, d: int) -> tuple[QPoly, GermModel]:
+    """Univariate motivic level d, and the model grown to hold it."""
+    model = model.ensure_bound(scale(d + 1, ones(model.r)))
+    return univariate_motivic(model.hilbert, d), model
+
+
+def _mu(model: GermModel) -> tuple[int, GermModel]:
     """Smallest positive level with a nonzero univariate coefficient
     (always the total multiplicity |m|)."""
     for d in range(1, norm(model.multiplicity) + 1):
-        model.ensure_bound(scale(d + 1, ones(model.r)))
-        if not univariate_motivic(model.hilbert, d).is_zero():
-            return d
+        level, model = _level(model, d)
+        if not level.is_zero():
+            return d, model
     raise LatcurveError("no nonzero motivic level found up to |m|")
 
 
-def _pi(model: GermModel, d: int, j: int) -> int:
-    model.ensure_bound(scale(d + 1, ones(model.r)))
-    return univariate_motivic(model.hilbert, d).coeff(j)
+def _pi(model: GermModel, d: int, j: int) -> tuple[int, GermModel]:
+    level, model = _level(model, d)
+    return level.coeff(j), model
 
 
-def classify_motivic(model: GermModel) -> dict:
+def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
     """Full verdict fragment from the univariate motivic data of the germ
-    and its subcurves (Theorem 3 route).
+    and its subcurves (Theorem 3 route), and the model the probes
+    finished on (the argument, or a copy grown to reach them).
 
     Growth probes read the coefficient of q^(h+1) at level j|m|: level
     2|m| with exponent 3 when |m| = 3, level |m| with exponent 2 when
     |m| = 4 (the exponent tracks h(jm) + 1).
     """
-    f = _omega_series(model, depth=0)
+    f, model = certified_omega(model, 0)
     evidence: dict = {"ord f": f.order, "leading": f.leading()}
     if f.order >= -1:
         evidence["verdict"] = FINITE
         if f.order == 0:
             evidence["subtype"] = SUB_A
         else:
-            pi32 = _pi(model, 3, 2)
+            pi32, model = _pi(model, 3, 2)
             evidence["pi(3,2)"] = pi32
             evidence["subtype"] = SUB_D if pi32 != 0 else SUB_E
-        mu = _mu(model)
+        mu, model = _mu(model)
         evidence["mu"] = mu
         if (f.order == 0) != (mu <= 2):
             raise LatcurveError("ord f = 0 and mu <= 2 must agree")
-        return evidence
+        return evidence, model
     if f.order < -2:
         evidence["verdict"] = WILD
         evidence["conditions"] = {"a": False}
-        return evidence
+        return evidence, model
     # ord f = -2: test conditions (a)-(d)
-    mu = _mu(model)
+    mu, model = _mu(model)
     evidence["mu"] = mu
     conds: dict[str, bool] = {"a": True}
     if mu == 3:
-        pi = _pi(model, 6, 3)
+        pi, model = _pi(model, 6, 3)
         evidence["pi(6,3)"] = pi
         conds["b"] = pi < 0
         growth_finite = pi == -2
     elif mu == 4:
-        pi = _pi(model, 4, 2)
+        pi, model = _pi(model, 4, 2)
         evidence["pi(4,2)"] = pi
         conds["b"] = pi != 0
         growth_finite = pi == -3
@@ -270,7 +282,7 @@ def classify_motivic(model: GermModel) -> dict:
         growth_finite = False
     ok = True
     for i in range(1, model.r + 1):
-        fi = _omega_series(model.branch(i), depth=0)
+        fi, _ = certified_omega(model.branch(i), 0)
         ok = ok and fi.order == 0
     conds["c"] = ok
     if model.r == 1:
@@ -278,11 +290,10 @@ def classify_motivic(model: GermModel) -> dict:
     else:
         ok = True
         for i in range(1, model.r + 1):
-            hat = model.complement(i)
-            fh = _omega_series(hat, depth=0)
+            fh, hat = certified_omega(model.complement(i), 0)
             good = fh.order == 0
             if not good and fh.order == -1:
-                good = _pi(hat, 3, 2) != 0
+                good = _pi(hat, 3, 2)[0] != 0
             ok = ok and good
         conds["d"] = ok
     evidence["conditions"] = conds
@@ -291,7 +302,7 @@ def classify_motivic(model: GermModel) -> dict:
         evidence["growth"] = "finite" if growth_finite else "infinite"
     else:
         evidence["verdict"] = WILD
-    return evidence
+    return evidence, model
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +329,18 @@ def classify_unimodal_plane(
 
 
 def classify(germ: GermModel | GermDescriptor) -> Verdict:
-    """Run the three routes and assert their agreement."""
+    """Run the three routes and assert their agreement.  A model argument
+    is never changed; ``Verdict.model`` is the model the routes finished
+    on."""
     model = germ if isinstance(germ, GermModel) else build_model(germ)
     # probe points (2m + e and beyond) must be in-grid even when the
     # model was built with a tight user bound
-    model.ensure_bound(model.default_bound())
+    model = model.ensure_bound(canonical_bound(model.conductor, model.multiplicity))
     routes = {
         "weights": _route_weights(model),
         "homology": _route_homology(model),
-        "motivic": classify_motivic(model),
     }
+    routes["motivic"], model = classify_motivic(model)
     kinds = {name: ev["verdict"] for name, ev in routes.items()}
     if len(set(kinds.values())) != 1:
         raise RouteDisagreement(f"routes disagree on the CM type: {kinds}")
@@ -353,4 +366,5 @@ def classify(germ: GermModel | GermDescriptor) -> Verdict:
         family=family,
         routes=routes,
         agreement=True,
+        model=model,
     )

@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
+from dataclasses import replace
 
 from . import catalog as catalog_mod
-from .classify import classify
+from .classify import certified_omega, classify
 from .errors import (
     DescriptorError,
     LatcurveError,
@@ -28,8 +28,8 @@ from .errors import (
 )
 from .germ import GermDescriptor, build_model, descriptor_from_json
 from .homology import euler_characteristic, lattice_homology
-from .lattice import box
-from .motivic import omega_substitution, univariate_motivic
+from .lattice import box, ones, scale
+from .motivic import univariate_motivic
 from .spectral import e1_refined, minimal_spectral_cycles
 
 EXIT_OK, EXIT_PARSE, EXIT_MARGIN, EXIT_ROUTES = 0, 2, 3, 4
@@ -63,18 +63,7 @@ def _load_descriptor(args) -> GermDescriptor:
     else:
         desc = _builtin(args.builtin)
     if args.bound:
-        bound = _parse_point(args.bound)
-        if len(bound) != desc.r:
-            raise DescriptorError(f"--bound needs {desc.r} entries")
-        desc = GermDescriptor(
-            r=desc.r,
-            kind=desc.kind,
-            payload=desc.payload,
-            name=desc.name,
-            plane=desc.plane,
-            gorenstein=desc.gorenstein,
-            bound=bound,
-        )
+        desc = replace(desc, bound=_parse_point(args.bound))
     return desc
 
 
@@ -97,7 +86,6 @@ def _basic_header(model):
 
 
 def cmd_invariants(model, args):
-    started = time.perf_counter()
     report = _basic_header(model)
     hom = lattice_homology(model.weight)
     report["invariants"] = {
@@ -108,7 +96,6 @@ def cmd_invariants(model, args):
         "gorenstein": model.is_gorenstein,
         "euler_characteristic": euler_characteristic(hom, model.weight),
     }
-    elapsed = time.perf_counter() - started
 
     def render(rep):
         inv = rep["invariants"]
@@ -120,7 +107,6 @@ def cmd_invariants(model, args):
         print(f"min w         {inv['min_w']}")
         print(f"gorenstein    {inv['gorenstein']}")
         print(f"euler char    {inv['euler_characteristic']}")
-        print(f"[{elapsed:.3f}s]")
 
     _emit(report, args, render)
 
@@ -264,18 +250,10 @@ def cmd_motivic(model, args):
     report = _basic_header(model)
     levels = []
     for d in range(0, depth + 1):
-        model.ensure_bound(tuple(d + 1 for _ in range(model.r)))
+        model = model.ensure_bound(scale(d + 1, ones(model.r)))
         p = univariate_motivic(model.hilbert, d)
         levels.append({"d": d, "coeffs": {str(e): c for e, c in p.coeffs}})
-    series = None
-    for _ in range(6):
-        try:
-            series = omega_substitution(model.hilbert, model.weight, depth)
-            break
-        except MarginTooSmall:
-            model.ensure_bound(tuple(b + 4 for b in model.bound))
-    if series is None:
-        raise MarginTooSmall("omega series not certifiable at this depth")
+    series, _ = certified_omega(model, depth)
     report["motivic"] = {
         "levels": levels,
         "omega_order": series.order,
@@ -302,7 +280,7 @@ def cmd_motivic(model, args):
 
 def cmd_classify(model, args):
     verdict = classify(model)
-    report = _basic_header(model)
+    report = _basic_header(verdict.model)
     report["verdict"] = {
         "cmtype": verdict.cmtype,
         "subtype": verdict.subtype,

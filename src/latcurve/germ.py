@@ -9,9 +9,9 @@ A descriptor names the germ by exactly one source:
 * ``builtin``: a catalog name with parameters.
 
 Descriptors round-trip through a small JSON schema (see README).  The
-model owns the semigroup table, Hilbert grid and weight grid on a common
-bound, can enlarge that bound on demand, and extracts subcurve models by
-restriction to coordinate faces.
+model is an immutable value holding the semigroup table, Hilbert grid and
+weight grid on a common bound; growing the bound returns a new model, and
+subcurve models come from restriction to coordinate faces.
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DescriptorError, MarginTooSmall
+from .homology import min_weight
 from .lattice import (
     HilbertGrid,
     Point,
     SemigroupTable,
     WeightGrid,
+    box,
     delta as delta_of,
     extend_semigroup,
     gorenstein_symmetry,
@@ -47,12 +49,6 @@ SCHEMA_VERSION = 1
 _MAX_REBUILDS = 3
 
 
-def _box_points(hi: Point):
-    import itertools
-
-    return itertools.product(*[range(x + 1) for x in hi])
-
-
 @dataclass(frozen=True)
 class GermDescriptor:
     """Declarative description of a reduced curve germ."""
@@ -64,6 +60,15 @@ class GermDescriptor:
     plane: bool | None = None
     gorenstein: bool | None = None
     bound: Point | None = None
+
+    def __post_init__(self):
+        if self.bound is not None and not (
+            len(self.bound) == self.r
+            and all(isinstance(x, int) and x >= 0 for x in self.bound)
+        ):
+            raise DescriptorError(
+                f"bound needs {self.r} non-negative integers, got {self.bound!r}"
+            )
 
     def to_json_dict(self) -> dict:
         src: dict
@@ -115,6 +120,14 @@ def _expect(cond, msg):
 
 
 def descriptor_from_json_dict(doc: dict) -> GermDescriptor:
+    """Parse a descriptor document; any malformed one is a DescriptorError."""
+    try:
+        return _parse_descriptor(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DescriptorError(f"malformed descriptor: {type(exc).__name__}: {exc}")
+
+
+def _parse_descriptor(doc: dict) -> GermDescriptor:
     _expect(isinstance(doc, dict), "descriptor must be a JSON object")
     _expect(doc.get("version") == SCHEMA_VERSION, "unsupported descriptor version")
     r = doc.get("r")
@@ -146,12 +159,23 @@ def descriptor_from_json_dict(doc: dict) -> GermDescriptor:
     elif kind == "hilbert":
         _expect("bound" in src and "values" in src, "hilbert source needs bound and values")
         b = tuple(int(x) for x in src["bound"])
+        _expect(len(b) == r, "hilbert bound length != r")
         shape = tuple(x + 1 for x in b)
-        values = np.asarray(src["values"], dtype=np.int64).reshape(shape)
-        payload = (b, values)
+        values = np.asarray(src["values"], dtype=np.int64)
+        _expect(
+            values.size == int(np.prod(shape)),
+            f"hilbert values on R(0, {list(b)}) need {int(np.prod(shape))} "
+            f"entries, got {values.size}",
+        )
+        payload = (b, values.reshape(shape))
     elif kind == "builtin":
         _expect("name" in src, "builtin source needs a name")
-        payload = (str(src["name"]), tuple(src.get("params") or ()))
+        params = tuple(src.get("params") or ())
+        _expect(
+            all(isinstance(p, int) for p in params),
+            f"builtin parameters must be integers, got {list(params)}",
+        )
+        payload = (str(src["name"]), params)
     else:
         raise DescriptorError(f"unknown source kind {kind!r}")
     return GermDescriptor(
@@ -175,9 +199,14 @@ def descriptor_from_json(text: str) -> GermDescriptor:
     return descriptor_from_json_dict(doc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GermModel:
-    """All derived grids of one germ on a shared bound."""
+    """All derived grids of one germ on a shared bound.
+
+    A model is a value: growing it returns a new model, and its grids
+    are read-only.  The subcurve cache only memoizes models that are
+    themselves functions of the grids.
+    """
 
     descriptor: GermDescriptor
     r: int
@@ -185,8 +214,9 @@ class GermModel:
     hilbert: HilbertGrid
     weight: WeightGrid
     name: str | None = None
-    _subcurves: dict = field(default_factory=dict, repr=False)
-    _caches: dict = field(default_factory=dict, repr=False)
+    _subcurves: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # -- invariants ------------------------------------------------------
 
@@ -208,13 +238,7 @@ class GermModel:
 
     @property
     def min_w(self) -> int:
-        sub = self.weight.values[tuple(slice(0, c + 1) for c in self.conductor)]
-        return int(sub.min())
-
-    @property
-    def max_w_conductor_box(self) -> int:
-        sub = self.weight.values[tuple(slice(0, c + 1) for c in self.conductor)]
-        return int(sub.max())
+        return min_weight(self.weight)
 
     @property
     def is_gorenstein(self) -> bool:
@@ -226,26 +250,13 @@ class GermModel:
 
     # -- bound management ------------------------------------------------
 
-    def default_bound(self) -> Point:
-        c, m = self.conductor, self.multiplicity
-        return padd(pmax(c, scale(2, m)), scale(2, ones(self.r)))
-
     def ensure_bound(self, requested: Point) -> "GermModel":
-        """Grow the grids so the bound dominates ``requested``."""
+        """The model on a bound that dominates ``requested``: ``self`` when
+        its bound already does, otherwise a new model on grown grids
+        (``self`` is never changed)."""
         if leq(requested, self.bound):
             return self
-        new_bound = pmax(self.bound, requested)
-        table = extend_semigroup(self._low_table(), new_bound)
-        h = hilbert_from_semigroup(table)
-        w = weight_from_hilbert(h, semigroup=table)
-        self.semigroup, self.hilbert, self.weight = table, h, w
-        self._subcurves.clear()
-        self._caches.clear()
-        return self
-
-    def _low_table(self) -> SemigroupTable:
-        c = self.conductor
-        return semigroup_from_low_points(self.r, c, self.semigroup.low_points())
+        return _model_on(self.descriptor, self.semigroup, pmax(self.bound, requested))
 
     # -- subcurves ---------------------------------------------------------
 
@@ -292,31 +303,36 @@ class GermModel:
                 "(weight symmetry fails)"
             )
         outer = padd(self.conductor, ones(self.r))
-        self.ensure_bound(padd(outer, ones(self.r)))
+        grown = self.ensure_bound(padd(outer, ones(self.r)))
         coeffs = {}
-        for p in _box_points(outer):
-            coeffs[p] = motivic_coeff(self.hilbert, p)
+        for p in box(outer).points():
+            coeffs[p] = motivic_coeff(grown.hilbert, p)
         return gorenstein_functional_check(
             coeffs, self.conductor, self.delta, outer=outer
         )
 
 
-def _resolve_bound(desc: GermDescriptor, canonical: Point, c: Point, extra: Point | None) -> Point:
-    # user override wins but is never allowed below c + e; a programmatic
-    # minimum (classifier probes) is always honored
-    want = pmax(desc.bound, padd(c, ones(desc.r))) if desc.bound else canonical
-    if extra is not None:
-        want = pmax(want, extra)
-    return want
+def canonical_bound(c: Point, m: Point) -> Point:
+    """The default grid bound max(c, 2m) + 2e: room for the classifier's
+    probes at 2m + e and two stabilization layers above the conductor."""
+    return padd(pmax(c, scale(2, m)), scale(2, ones(len(c))))
 
 
-def _build_from_semigroup(desc: GermDescriptor, bound: Point | None) -> GermModel:
-    c, elements = desc.payload
-    small = semigroup_from_low_points(desc.r, c, elements)
-    m = small.multiplicity()
-    canonical = padd(pmax(c, scale(2, m)), scale(2, ones(desc.r)))
-    want = _resolve_bound(desc, canonical, c, bound)
-    table = extend_semigroup(small, want)
+def _resolve_bound(
+    desc: GermDescriptor, c: Point, m: Point, minimum: Point | None = None
+) -> Point:
+    # a user bound wins but is never allowed below c + e; a programmatic
+    # minimum (the grid of a hilbert source) is always honored
+    if desc.bound:
+        want = pmax(desc.bound, padd(c, ones(desc.r)))
+    else:
+        want = canonical_bound(c, m)
+    return pmax(want, minimum) if minimum is not None else want
+
+
+def _model_on(desc: GermDescriptor, table: SemigroupTable, bound: Point) -> GermModel:
+    """The model of ``table``'s semigroup (known on R(0, c)) on R(0, bound)."""
+    table = extend_semigroup(table, bound)
     h = hilbert_from_semigroup(table)
     w = weight_from_hilbert(h, semigroup=table)
     return GermModel(
@@ -324,36 +340,36 @@ def _build_from_semigroup(desc: GermDescriptor, bound: Point | None) -> GermMode
     )
 
 
-def _build_from_hilbert(desc: GermDescriptor, bound: Point | None) -> GermModel:
+def _build_from_semigroup(desc: GermDescriptor) -> GermModel:
+    c, elements = desc.payload
+    small = semigroup_from_low_points(desc.r, c, elements)
+    return _model_on(desc, small, _resolve_bound(desc, c, small.multiplicity()))
+
+
+def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
     b, values = desc.payload
-    h = HilbertGrid(r=desc.r, bound=b, values=np.asarray(values, dtype=np.int64))
+    h = HilbertGrid(r=desc.r, bound=b, values=np.array(values, dtype=np.int64))
     h.validate()
     table = semigroup_from_hilbert(h)
     # promote to the semigroup pipeline so the bound can grow on demand
-    low = semigroup_from_low_points(desc.r, table.conductor, table.low_points())
-    model = _build_from_semigroup(
-        replace(
-            desc,
-            kind="semigroup",
-            payload=(table.conductor, low.low_points()),
-        ),
-        bound=pmax(b, bound) if bound is not None else b,
+    small = semigroup_from_low_points(desc.r, table.conductor, table.low_points())
+    model = _model_on(
+        desc, small, _resolve_bound(desc, small.conductor, small.multiplicity(), b)
     )
     # the source grid must agree with the rebuilt one where both exist
     common = tuple(slice(0, min(a, c) + 1) for a, c in zip(b, model.bound))
     if not np.array_equal(model.hilbert.values[common], h.values[common]):
         raise DescriptorError("hilbert grid is inconsistent with its own semigroup")
-    model.descriptor = desc
     return model
 
 
-def _build_from_poincare(desc: GermDescriptor, bound: Point | None) -> GermModel:
+def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     """Expand the series on a growing grid until the detected conductor
     reaches a fixed point with three spare layers (a truncated grid can
     make a too-small candidate look stable, so one detection pass is
     never trusted)."""
     series = desc.payload
-    guess = desc.bound or bound or (8,) * desc.r
+    guess = desc.bound or (8,) * desc.r
     prev_c = None
     last_exc = None
     for _ in range(2 * _MAX_REBUILDS + 2):
@@ -365,10 +381,9 @@ def _build_from_poincare(desc: GermDescriptor, bound: Point | None) -> GermModel
             prev_c = None
             guess = tuple(2 * g + 1 for g in guess)
             continue
-        c, m = table.conductor, table.multiplicity()
-        canonical = padd(pmax(c, scale(2, m)), scale(2, ones(desc.r)))
+        c = table.conductor
         want = pmax(
-            _resolve_bound(desc, canonical, c, bound),
+            _resolve_bound(desc, c, table.multiplicity()),
             padd(c, scale(3, ones(desc.r))),
         )
         if leq(want, guess) and c == prev_c:
@@ -388,25 +403,24 @@ def _build_from_poincare(desc: GermDescriptor, bound: Point | None) -> GermModel
     )
 
 
-def build_model(desc: GermDescriptor, bound: Point | None = None) -> GermModel:
+def build_model(desc: GermDescriptor) -> GermModel:
     """Construct the grids for a descriptor (growing past margin errors)."""
     if desc.kind == "builtin":
         from . import catalog
 
         name, params = desc.payload
         entry = catalog.get_entry(name, *params)
-        inner = replace(
-            entry.descriptor,
-            bound=desc.bound or entry.descriptor.bound,
-            plane=desc.plane if desc.plane is not None else entry.descriptor.plane,
+        return build_model(
+            replace(
+                entry.descriptor,
+                bound=desc.bound or entry.descriptor.bound,
+                plane=desc.plane if desc.plane is not None else entry.descriptor.plane,
+            )
         )
-        model = build_model(inner, bound=bound)
-        model.descriptor = inner
-        return model
     if desc.kind == "semigroup":
-        return _build_from_semigroup(desc, bound)
+        return _build_from_semigroup(desc)
     if desc.kind == "hilbert":
-        return _build_from_hilbert(desc, bound)
+        return _build_from_hilbert(desc)
     if desc.kind == "poincare":
-        return _build_from_poincare(desc, bound)
+        return _build_from_poincare(desc)
     raise DescriptorError(f"unknown source kind {desc.kind!r}")

@@ -10,8 +10,8 @@ A germ is represented purely by discrete data living on the lattice N^r:
   homological invariants.
 
 Grids are numpy int arrays indexed by lattice points (tuples), covering a
-rectangle R(0, L).  All arithmetic is exact; grids are immutable after
-construction (treat the arrays as read-only).
+rectangle R(0, L).  All arithmetic is exact; grids are frozen values whose
+arrays are made read-only at construction, so they are safe to share.
 """
 
 from __future__ import annotations
@@ -99,6 +99,17 @@ def box(hi: Point) -> Rectangle:
     return Rectangle((0,) * len(hi), hi)
 
 
+def level_points(r: int, d: int, bound: Point):
+    """Points with |l| = d inside R(0, bound), in lexicographic order."""
+    if r == 1:
+        if d <= bound[0]:
+            yield (d,)
+        return
+    for head in range(min(d, bound[0]) + 1):
+        for tail in level_points(r - 1, d - head, bound[1:]):
+            yield (head,) + tail
+
+
 def _norm_array(shape) -> np.ndarray:
     """Array of |l| over the grid of the given shape."""
     total = np.zeros(shape, dtype=np.int64)
@@ -113,7 +124,7 @@ def _norm_array(shape) -> np.ndarray:
 # semigroup tables
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemigroupTable:
     """Membership table of the semigroup of values on R(0, bound).
 
@@ -125,6 +136,9 @@ class SemigroupTable:
     bound: Point
     conductor: Point
     mask: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.mask.flags.writeable = False
 
     def contains(self, p: Point) -> bool:
         if not leq(p, self.bound):
@@ -250,13 +264,16 @@ def extend_semigroup(small: SemigroupTable, bound: Point) -> SemigroupTable:
 # Hilbert and weight grids
 
 
-@dataclass
+@dataclass(frozen=True)
 class HilbertGrid:
     """Values of the Hilbert function h on R(0, bound)."""
 
     r: int
     bound: Point
     values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
     def h(self, p: Point) -> int:
         return int(self.values[p])
@@ -277,7 +294,7 @@ class HilbertGrid:
                 raise PathInconsistency(f"h step along axis {i} outside {{0,1}}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeightGrid:
     """Values of the weight function w(l) = 2h(l) - |l| on R(0, bound)."""
 
@@ -286,6 +303,9 @@ class WeightGrid:
     values: np.ndarray = field(repr=False)
     multiplicity: Point
     conductor: Point | None = None
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
     def w(self, p: Point) -> int:
         return int(self.values[p])
@@ -534,20 +554,9 @@ def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
 def validate_semigroup_consistency(table: SemigroupTable, h: HilbertGrid) -> bool:
     """Round-trip guard: semigroup(hilbert(S)) must reproduce S.
 
-    Returns False (after recording the first disagreeing point in
-    ``validate_semigroup_consistency.last_mismatch``) when the tables
-    disagree on the common grid.
+    Returns False when the tables disagree on the common grid.
     """
     back = semigroup_from_hilbert(h)
     common = pmin(back.bound, table.bound)
     sl = tuple(slice(0, ci + 1) for ci in common)
-    a, b = table.mask[sl], back.mask[sl]
-    if np.array_equal(a, b):
-        validate_semigroup_consistency.last_mismatch = None
-        return True
-    diff = np.argwhere(a != b)
-    validate_semigroup_consistency.last_mismatch = tuple(int(x) for x in diff[0])
-    return False
-
-
-validate_semigroup_consistency.last_mismatch = None
+    return bool(np.array_equal(table.mask[sl], back.mask[sl]))

@@ -29,6 +29,7 @@ from .lattice import (
     WeightGrid,
     box,
     leq,
+    level_points,
     norm,
     ones,
     padd,
@@ -115,18 +116,9 @@ def univariate_motivic(h: HilbertGrid, d: int) -> QPoly:
             f"level {d} needs every axis bound >= {d + 1}, grid is {h.bound}"
         )
     total = QPoly()
-    for ell in _level_points(h.r, d):
+    for ell in level_points(h.r, d, h.bound):
         total = total + motivic_coeff(h, ell)
     return total
-
-
-def _level_points(r: int, d: int):
-    if r == 1:
-        yield (d,)
-        return
-    for head in range(d + 1):
-        for tail in _level_points(r - 1, d - head):
-            yield (head,) + tail
 
 
 def certify_truncation(w: WeightGrid, depth: int) -> bool:
@@ -187,8 +179,8 @@ def pe_substitution_check(
     and the motivic coefficients on R(0, bounds).
 
     The substitution maps the rank at (l, n, k) to (-1)^k q^(h(l)+k) t^l.
-    On failure the first mismatching monomial is recorded in
-    ``pe_substitution_check.last_mismatch`` (and raised when strict).
+    Returns False on the first mismatching monomial, or raises
+    InconsistentInput naming it when strict.
     """
     per_point: dict[Point, dict[int, int]] = {}
     for (ell, n, k), rank in pe.items():
@@ -201,17 +193,12 @@ def pe_substitution_check(
         if lhs != rhs:
             le, re = lhs.as_dict(), rhs.as_dict()
             bad = sorted(e for e in set(le) | set(re) if le.get(e, 0) != re.get(e, 0))
-            pe_substitution_check.last_mismatch = (ell, bad[0])
             if strict:
                 raise InconsistentInput(
                     f"substitution identity fails at t^{ell} q^{bad[0]}"
                 )
             return False
-    pe_substitution_check.last_mismatch = None
     return True
-
-
-pe_substitution_check.last_mismatch = None
 
 
 def hilbert_from_motivic(

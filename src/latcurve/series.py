@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidSeries, MarginTooSmall
-from .lattice import HilbertGrid, Point, Rectangle, leq
+from .lattice import HilbertGrid, Point, leq
 
 Subset = tuple[int, ...]  # sorted 1-based branch indices
 
@@ -98,16 +98,8 @@ def geometric(r: int, *exps: Point) -> RationalSeries:
     return RationalSeries(numerator=poly(r, {(0,) * r: 1}), denominator=tuple(exps))
 
 
-def expand(series: RationalSeries, target: Rectangle | Point) -> np.ndarray:
-    """Exact power-series coefficients of the series on R(0, hi).
-
-    When a Rectangle with nonzero lo is given, the full box from the
-    origin is computed and the sub-box view returned.
-    """
-    if isinstance(target, Rectangle):
-        hi, lo = target.hi, target.lo
-    else:
-        hi, lo = tuple(target), (0,) * len(target)
+def expand(series: RationalSeries, hi: Point) -> np.ndarray:
+    """Exact power-series coefficients of the series on R(0, hi)."""
     r = series.r
     shape = tuple(x + 1 for x in hi)
     a = np.zeros(shape, dtype=np.int64)
@@ -130,8 +122,6 @@ def expand(series: RationalSeries, target: Rectangle | Point) -> np.ndarray:
                 if all(i >= x for i, x in zip(idx, v)):
                     prev = tuple(i - x for i, x in zip(idx, v))
                     a[idx] += a[prev]
-    if lo != (0,) * r:
-        return a[tuple(slice(l, None) for l in lo)]
     return a
 
 

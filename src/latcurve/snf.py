@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 
 
-def smith_invariants(columns, nrows=None):
+def smith_invariants(columns):
     """(rank, torsion) of an integer matrix over Z.
 
     ``torsion`` is the sorted list of invariant factors > 1.  Pivoting is
@@ -142,10 +142,6 @@ def filtered_reduction(columns):
             if col[low] not in (1, -1):
                 unit_pivots = False
     return pairs, unit_pivots
-
-
-def integer_rank(columns, nrows=None) -> int:
-    return smith_invariants(columns, nrows)[0]
 
 
 def _dense_smith_diagonal(a):

@@ -14,12 +14,11 @@ enforced, not assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
 from .errors import LatcurveError, MarginTooSmall, TorsionFound, UndefinedWeight
-from .lattice import Point, WeightGrid, leq, norm, ones, padd, scale
+from .lattice import Point, WeightGrid, box, leq, level_points, norm, ones, padd, scale
 from .snf import smith_invariants
 
 
@@ -124,25 +123,13 @@ def e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:
     return E1Entry(ell=ell, d=norm(ell), k=k, n=n, rank=rank)
 
 
-def _simplex(r: int, d: int, bound: Point):
-    """Points with |l| = d inside R(0, bound)."""
-    if r == 1:
-        if d <= bound[0]:
-            yield (d,)
-        return
-    for head in range(min(d, bound[0]) + 1):
-        for tail in _simplex(r - 1, d - head, bound[1:]):
-            yield (head,) + tail
-
-
 def e1_level(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
     """Level entry: sum of refined ranks over |l| = d."""
-    r = w.r
     inner = tuple(b - 1 for b in w.bound)
     if any(b < 0 for b in inner) or d > norm(inner):
         raise MarginTooSmall(f"level {d} reaches outside the grid {w.bound}")
     total = 0
-    for ell in _simplex(r, d, inner):
+    for ell in level_points(w.r, d, inner):
         total += e1_refined(w, ell, k, n).rank
     return E1Entry(ell=None, d=d, k=k, n=n, rank=total)
 
@@ -196,7 +183,7 @@ def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]
     if not leq(padd(bounds, ones(r)), w.bound):
         raise MarginTooSmall(f"bounds {bounds} + e exceed the grid {w.bound}")
     out = {}
-    for ell in itertools.product(*[range(b + 1) for b in bounds]):
+    for ell in box(bounds).points():
         for k in range(r):
             n = w.w(ell) + k
             rank = e1_refined(w, ell, k, n).rank

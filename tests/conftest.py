@@ -6,7 +6,8 @@ from latcurve import build_model, get, get_entry
 @pytest.fixture(scope="session")
 def model_of():
     """Session-cached builder for catalog germs; heavy grids are shared
-    across tests (grids are immutable, models only ever grow)."""
+    across tests (models are immutable values: growing one returns a new
+    model, and grid arrays are read-only)."""
     cache = {}
 
     def factory(name, *params):

@@ -20,11 +20,11 @@ from latcurve import (
     min_weight,
     minimal_spectral_cycles,
     motivic_coeff,
-    omega_substitution,
     pe_series,
     pe_substitution_check,
     validate_semigroup_consistency,
 )
+from latcurve.classify import certified_omega
 from latcurve.lattice import box, norm, padd, pmax, pmin, unit
 from latcurve.series import RationalSeries, expand, poly
 
@@ -145,14 +145,7 @@ def test_criterion_4_lattice_homology(model_of, report_of):
 
 
 def _omega_series_of(model, depth):
-    from latcurve.errors import TruncationUnsound
-
-    for _ in range(6):
-        try:
-            return omega_substitution(model.hilbert, model.weight, depth)
-        except TruncationUnsound:
-            model.ensure_bound(tuple(b + 4 for b in model.bound))
-    raise AssertionError("omega series did not certify")
+    return certified_omega(model, depth)[0]
 
 
 def _d4_motivic_formula_grid(bound):
@@ -187,7 +180,7 @@ def test_criterion_5_motivic(model_of, report_of):
         # (1 + 3w - 5w^2 + w^3) / (w (1-w)^2), i.e. 1/w + 5 + 4w + 4w^2 + ...
         # (independently re-derived below from the closed rational form;
         # the reference text prints a numerator with a typo)
-        d4.ensure_bound((8, 8, 8))
+        d4 = d4.ensure_bound((8, 8, 8))
         s = _omega_series_of(d4, 3)
         assert s.order == -1
         assert s.coeffs == (1, 5, 4, 4, 4)

@@ -73,7 +73,7 @@ def test_growth(model_of):
 
 
 def test_motivic_route_d4(model_of):
-    ev = classify_motivic(model_of("D", 4))
+    ev, _ = classify_motivic(model_of("D", 4))
     assert ev["verdict"] == "finite"
     assert ev["subtype"] == "D-dominating"
     assert ev["ord f"] == -1
@@ -81,7 +81,7 @@ def test_motivic_route_d4(model_of):
 
 
 def test_motivic_route_t44(model_of):
-    ev = classify_motivic(model_of("T", 4, 4))
+    ev, _ = classify_motivic(model_of("T", 4, 4))
     assert ev["verdict"] == "tame"
     assert ev["growth"] == "finite"
     assert ev["mu"] == 4
@@ -89,7 +89,7 @@ def test_motivic_route_t44(model_of):
 
 
 def test_motivic_route_smooth(model_of):
-    ev = classify_motivic(model_of("A", 0))
+    ev, _ = classify_motivic(model_of("A", 0))
     assert ev["verdict"] == "finite" and ev["subtype"] == "A"
     assert ev["ord f"] == 0
 
@@ -120,7 +120,7 @@ def test_route_disagreement_is_fatal(model_of, monkeypatch):
     cls = importlib.import_module("latcurve.classify")
     m = model_of("D", 5)
     monkeypatch.setattr(
-        cls, "classify_motivic", lambda model: {"verdict": "wild"}
+        cls, "classify_motivic", lambda model: ({"verdict": "wild"}, model)
     )
     with pytest.raises(RouteDisagreement):
         cls.classify(m)

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import latcurve
 from latcurve.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -133,7 +135,7 @@ def test_exit_code_route_disagreement(monkeypatch, capsys):
     cli = importlib.import_module("latcurve.cli")
     cls = importlib.import_module("latcurve.classify")
     monkeypatch.setattr(
-        cls, "classify_motivic", lambda model: {"verdict": "wild"}
+        cls, "classify_motivic", lambda model: ({"verdict": "wild"}, model)
     )
     code, _, err = run_cli(["classify", "--builtin", "D,5"], capsys)
     assert code == 4
@@ -166,11 +168,16 @@ def test_golden_descriptor(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same latcurve as this process, installed or not
+    src = str(Path(latcurve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "latcurve.cli", "invariants", "--builtin", "E,8",
          "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["invariants"]["delta"] == 4
@@ -199,3 +206,82 @@ def test_bound_override(capsys):
     doc = json.loads(out)
     assert doc["bound"] == [9]
     assert doc["invariants"]["delta"] == 1
+
+
+T37_SEMIGROUP = {
+    "version": 1,
+    "germ": "T_3_7",
+    "r": 2,
+    "source": {
+        "kind": "semigroup",
+        "conductor": [8, 4],
+        "elements": [[0, 0], [2, 1], [4, 2], [4, 3], [4, 4], [5, 2], [6, 3],
+                     [6, 4], [7, 3], [8, 4]],
+    },
+    "flags": {"plane": True, "gorenstein": None},
+    "bound": None,
+}
+
+
+def _write_descriptor(tmp_path, doc):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "r,source,bound",
+    [
+        (1, {"kind": "hilbert", "bound": [4], "values": [0, 1, 1]}, None),
+        (2, {"kind": "semigroup", "conductor": [4, 2],
+             "elements": [[0, 0], [2, 1], [2, 2], [3, 1], [4, 2]]}, "x"),
+        (1, {"kind": "semigroup", "conductor": [2], "elements": [[0], [2]]},
+         [1, 2, 3]),
+        (2, {"kind": "builtin", "name": "D", "params": ["x"]}, None),
+        (1, {"kind": "poincare", "series": {"1": {
+            "numerator": [{"exp": [0], "coeff": 1}], "denominator": [[0]]}}},
+         None),
+    ],
+    ids=["hilbert-values-length", "bound-not-a-list", "bound-length",
+         "builtin-params", "poincare-zero-denominator"],
+)
+def test_exit_code_malformed_descriptor(tmp_path, capsys, r, source, bound):
+    doc = {"version": 1, "germ": "bad", "r": r, "source": source,
+           "flags": {}, "bound": bound}
+    path = _write_descriptor(tmp_path, doc)
+    code, _, err = run_cli(["invariants", "--germ", path], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_exit_code_bound_length(capsys):
+    code, _, err = run_cli(["invariants", "--builtin", "D,5", "--bound", "9"], capsys)
+    assert code == 2
+    assert "bound needs 2" in err
+
+
+def test_invariants_table_has_no_timing_line(capsys):
+    code, out, _ = run_cli(["invariants", "--builtin", "D,5"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "euler char    3"
+    assert not any(line.endswith("s]") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "command,germ,bound",
+    [
+        ("classify", ["--builtin", "A,16", "--bound", "17"], [18]),
+        ("classify", ["--builtin", "E13", "--bound", "10,6"], [11, 7]),
+        ("classify", ["--germ", T37_SEMIGROUP], [10, 7]),
+        ("invariants", ["--germ", T37_SEMIGROUP], [10, 6]),
+    ],
+    ids=["A16-tight", "E13-tight", "T37-semigroup", "T37-invariants"],
+)
+def test_header_reports_the_bound_used(tmp_path, capsys, command, germ, bound):
+    # classify reports the bound its routes finished on, which can exceed
+    # the bound the model was built with
+    argv = [_write_descriptor(tmp_path, a) if isinstance(a, dict) else a for a in germ]
+    code, out, _ = run_cli([command, *argv, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["bound"] == bound

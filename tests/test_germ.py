@@ -1,0 +1,84 @@
+"""A germ model is a value: growing it returns a new model, and no
+computation changes a model it is given."""
+
+import argparse
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from latcurve import GermDescriptor, build_model, classify, get
+from latcurve.cli import cmd_motivic
+
+
+def _arrays(model):
+    return [model.semigroup.mask, model.hilbert.values, model.weight.values]
+
+
+def _snapshot(model):
+    return model.bound, [a.copy() for a in _arrays(model)]
+
+
+def _assert_unchanged(model, snapshot):
+    bound, arrays = snapshot
+    assert model.bound == bound
+    for now, before in zip(_arrays(model), arrays):
+        assert np.array_equal(now, before)
+
+
+@pytest.mark.parametrize(
+    "spec,bound,final",
+    [(("A", 16), (17,), (18,)), (("E13",), (10, 6), (11, 7)), (("D", 5), None, (8, 8))],
+)
+def test_classify_leaves_its_argument_unchanged(spec, bound, final):
+    m = build_model(replace(get(*spec), bound=bound))
+    snapshot = _snapshot(m)
+    verdict = classify(m)
+    _assert_unchanged(m, snapshot)
+    assert verdict.model.bound == final
+
+
+def test_grid_arrays_are_read_only(model_of):
+    m = model_of("D", 5)
+    for model in (m, m.branch(1), m.ensure_bound((9, 9))):
+        assert not any(a.flags.writeable for a in _arrays(model))
+    with pytest.raises(ValueError):
+        m.weight.values[0, 0] = 5
+    with pytest.raises(ValueError):
+        m.hilbert.values[tuple(slice(0, c + 1) for c in m.conductor)] += 1
+
+
+def test_ensure_bound_returns_a_new_model(model_of):
+    m = model_of("D", 5)
+    snapshot = _snapshot(m)
+    assert m.ensure_bound(m.bound) is m
+    grown = m.ensure_bound((9, 9))
+    assert grown is not m
+    assert grown.bound == (9, 9)
+    _assert_unchanged(m, snapshot)
+    inside = tuple(slice(0, b + 1) for b in m.bound)
+    assert np.array_equal(grown.weight.values[inside], m.weight.values)
+
+
+def test_motivic_command_leaves_the_model_unchanged(model_of, capsys):
+    m = model_of("D", 4)
+    snapshot = _snapshot(m)
+    cmd_motivic(m, argparse.Namespace(depth=8, format="json"))
+    assert '"omega_order":-1' in capsys.readouterr().out
+    _assert_unchanged(m, snapshot)
+
+
+def test_gorenstein_check_leaves_the_model_unchanged():
+    # D_5 from its semigroup on the tightest bound c + e; the check needs
+    # c + 2e, so it works on a grown copy
+    d5 = GermDescriptor(
+        r=2,
+        kind="semigroup",
+        payload=((4, 2), [(0, 0), (2, 1), (2, 2), (3, 1), (4, 2)]),
+        bound=(5, 3),
+    )
+    m = build_model(d5)
+    snapshot = _snapshot(m)
+    assert m.bound == (5, 3)
+    assert m.gorenstein_motivic_check()
+    _assert_unchanged(m, snapshot)

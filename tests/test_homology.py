@@ -11,7 +11,7 @@ from latcurve import (
     relative_homology,
     sublevel_complex,
 )
-from latcurve.homology import boundary, cube_vertices
+from latcurve.homology import boundary, cube_vertices, max_weight_conductor_box
 
 from germ_strategies import monomial_plane_germs
 from oracles import assert_same_homology, per_level_lattice_homology
@@ -70,7 +70,7 @@ def test_monotone_filtration(model_of):
 
 def test_homology_contractible_top(model_of):
     m = model_of("D", 5)
-    top = m.max_w_conductor_box
+    top = max_weight_conductor_box(m.weight)
     res = homology(sublevel_complex(m.weight, top))
     assert res[0][0] == 1
     assert all(rank == 0 for rank, _ in res[1:])

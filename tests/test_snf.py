@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcurve.snf import filtered_reduction, integer_rank, smith_invariants
+from latcurve.snf import filtered_reduction, smith_invariants
 
 
 def to_columns(rows):
@@ -76,11 +76,6 @@ def test_random_vs_sympy(seed):
 )
 def test_hypothesis_vs_sympy(rows):
     assert smith_invariants(to_columns(rows)) == sympy_reference(rows)
-
-
-def test_rank_only_helper():
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    assert integer_rank(to_columns(rows)) == 2
 
 
 def test_filtered_reduction_filled_triangle():

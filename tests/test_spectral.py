@@ -114,7 +114,7 @@ def test_spectvan_vanishing(model_of):
         for d in range(j * mm):
             assert e1_level(m.weight, d, k, n).rank == 0
         target = tuple(j * x for x in m.multiplicity)
-        m.ensure_bound(tuple(j * mm + 1 for _ in range(m.r)))
+        m = m.ensure_bound(tuple(j * mm + 1 for _ in range(m.r)))
         for ell in itertools.product(*[range(j * mm + 1)] * m.r):
             if norm(ell) != j * mm or ell == target:
                 continue
