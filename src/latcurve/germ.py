@@ -387,6 +387,7 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
             padd(c, scale(3, ones(desc.r))),
         )
         if leq(want, guess) and c == prev_c:
+            table.validate_additive_closure()
             w = weight_from_hilbert(h, semigroup=table)
             return GermModel(
                 descriptor=desc,

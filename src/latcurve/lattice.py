@@ -110,7 +110,7 @@ def level_points(r: int, d: int, bound: Point):
             yield (head,) + tail
 
 
-def _norm_array(shape) -> np.ndarray:
+def norm_array(shape) -> np.ndarray:
     """Array of |l| over the grid of the given shape."""
     total = np.zeros(shape, dtype=np.int64)
     for axis, n in enumerate(shape):
@@ -147,25 +147,22 @@ class SemigroupTable:
             return self.contains(pmin(p, self.conductor))
         return bool(self.mask[p])
 
-    def points(self):
-        for p in box(self.bound).points():
-            if self.mask[p]:
-                yield p
+    def points(self) -> list[Point]:
+        """Members on R(0, bound), in row-major (lexicographic) order."""
+        return _argwhere(self.mask)
 
     def low_points(self) -> list[Point]:
         """Members inside the conductor rectangle R(0, c), sorted."""
-        return [p for p in box(self.conductor).points() if self.mask[p]]
+        return _argwhere(self.mask[tuple(slice(0, ci + 1) for ci in self.conductor)])
 
     def multiplicity(self) -> Point:
         """Componentwise minimum of the nonzero members (which is itself
         a member for a valid table)."""
-        zero = (0,) * self.r
-        m = None
-        for p in self.points():
-            if p == zero:
-                continue
-            m = p if m is None else pmin(m, p)
-        if m is None:  # smooth r=1 germ with tiny bound
+        members = np.argwhere(self.mask)
+        nonzero = members[members.any(axis=1)]
+        if len(nonzero):
+            m = tuple(int(x) for x in nonzero.min(axis=0))
+        else:  # smooth r=1 germ with tiny bound
             m = ones(self.r)
         if not self.contains(m):
             raise InconsistentSemigroup(
@@ -189,40 +186,66 @@ class SemigroupTable:
 
     def _validate_min_closure(self) -> None:
         # Min-closure holds iff every up-set U(l) = {s in S : s >= l} has a
-        # unique minimal element.  Compute M(l) = componentwise min of U(l)
-        # by a reverse sweep and confirm it is always a member.
-        shape = self.mask.shape
-        big = max(self.bound) + 1
-        mins = np.full(shape + (self.r,), big, dtype=np.int64)
-        own = np.indices(shape).transpose(*range(1, self.r + 1), 0)
-        member = self.mask
-        for p in sorted(box(self.bound).points(), reverse=True):
-            best = None
-            for i in range(self.r):
-                if p[i] + 1 <= self.bound[i]:
-                    q = padd(p, unit(self.r, i))
-                    cand = mins[q]
-                    best = cand if best is None else np.minimum(best, cand)
-            if member[p]:
-                here = own[p]
-                best = here if best is None else np.minimum(best, here)
-            if best is not None:
-                mins[p] = best
-        for p in box(self.bound).points():
-            m = mins[p]
-            if m[0] >= big:
-                continue  # empty up-set (cannot happen with a conductor)
-            mp = tuple(int(x) for x in m)
-            if not member[mp]:
+        # unique minimal element, i.e. iff its componentwise minimum M(l)
+        # is a member (U(l) always holds the bound point once the
+        # conductor checks passed).  M comes from one array pass.
+        mins, p = upset_minima(self.mask)
+        if p is not None:
+            mp = tuple(int(x) for x in mins[p])
+            raise InconsistentSemigroup(
+                f"up-set of {p} has no unique minimal member (min {mp} absent)"
+            )
+
+    def validate_additive_closure(self) -> None:
+        """S + S inside S, checked on R(0, c) with sums clamped at c (the
+        extension rule makes l a member iff min(l, c) is)."""
+        c = self.conductor
+        low = self.mask[tuple(slice(0, ci + 1) for ci in c)]
+        for s in _argwhere(low):
+            idx = [np.minimum(np.arange(ci + 1) + si, ci) for si, ci in zip(s, c)]
+            missing = low & ~low[np.ix_(*idx)]
+            if missing.any():
+                t = _argwhere(missing)[0]
                 raise InconsistentSemigroup(
-                    f"up-set of {p} has no unique minimal member (min {mp} absent)"
+                    f"not closed under addition: {s} + {t} = {padd(s, t)} "
+                    "is not a member"
                 )
+
+
+def _argwhere(flags: np.ndarray) -> list[Point]:
+    """Points where ``flags`` is True, in row-major order."""
+    return [tuple(p) for p in np.argwhere(flags).tolist()]
+
+
+def upset_minima(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
+    """M[l] = componentwise minimum of {s : mask[s], s >= l}, and the
+    first l in row-major order whose up-set is empty or whose M[l] is not
+    in ``mask`` (None when every up-set has a unique minimal element).
+
+    M has shape ``mask.shape + (r,)``; where the up-set of l is empty
+    every component equals max(mask.shape).  M is a suffix minimum along
+    every axis, so each axis costs one reversed ``np.minimum.accumulate``
+    over the grid of own indices.
+    """
+    big = max(mask.shape)
+    own = np.moveaxis(np.indices(mask.shape, dtype=np.int64), 0, -1)
+    mins = np.where(mask[..., None], own, big)
+    for axis in range(mask.ndim):
+        mins = np.flip(
+            np.minimum.accumulate(np.flip(mins, axis=axis), axis=axis), axis=axis
+        )
+    nonempty = mins[..., 0] < big
+    held = np.zeros(mask.shape, dtype=bool)
+    held[nonempty] = mask[tuple(mins[nonempty].T)]
+    bad = _argwhere(~held)
+    return mins, (bad[0] if bad else None)
 
 
 def semigroup_from_low_points(
     r: int, conductor: Point, low_points, bound: Point | None = None
 ) -> SemigroupTable:
-    """Build the table on R(0, conductor) from an explicit member list."""
+    """Build the table on R(0, conductor) from an explicit member list,
+    checked for min-closure and additive closure."""
     c = tuple(conductor)
     mask = np.zeros(tuple(ci + 1 for ci in c), dtype=bool)
     for p in low_points:
@@ -231,9 +254,10 @@ def semigroup_from_low_points(
             raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
         mask[p] = True
     small = SemigroupTable(r=r, bound=c, conductor=c, mask=mask)
+    small.validate()
+    small.validate_additive_closure()
     if bound is not None:
         return extend_semigroup(small, bound)
-    small.validate()
     return small
 
 
@@ -312,14 +336,14 @@ class WeightGrid:
 
     def hilbert_values(self) -> np.ndarray:
         """Recover h = (w + |l|) / 2 (exact)."""
-        total = _norm_array(self.values.shape)
+        total = norm_array(self.values.shape)
         return (self.values + total) // 2
 
     def to_hilbert(self) -> HilbertGrid:
         return HilbertGrid(r=self.r, bound=self.bound, values=self.hilbert_values())
 
     def validate(self, source: HilbertGrid | None = None) -> None:
-        total = _norm_array(self.values.shape)
+        total = norm_array(self.values.shape)
         if source is not None:
             if not np.array_equal(self.values, 2 * source.values - total):
                 raise InconsistentSemigroup("w != 2h - |l| against source grid")
@@ -330,7 +354,7 @@ class WeightGrid:
         # w(l) = 2 - |l| on 0 < l <= m
         m = self.multiplicity
         sub = self.values[tuple(slice(0, mi + 1) for mi in m)]
-        expect = 2 - _norm_array(sub.shape)
+        expect = 2 - norm_array(sub.shape)
         expect[(0,) * self.r] = 0
         if not np.array_equal(sub, expect):
             raise InconsistentSemigroup("w != 2 - |l| below the multiplicity vector")
@@ -395,7 +419,7 @@ def weight_from_hilbert(
     Along axis i the identity w(k e_i) = 2 - k holds exactly for
     k <= m_i, so m is recovered without semigroup margin questions.
     """
-    total = _norm_array(h.values.shape)
+    total = norm_array(h.values.shape)
     values = 2 * h.values - total
     m = []
     for i in range(h.r):

@@ -2,13 +2,18 @@
 
 The coefficient of t^l is the q-polynomial
 
-    p_l(q) = sum over J of (-1)^(|J|+1) * (q^h(l) + ... + q^(h(l+e_J)-1)),
+    p_l(q) = sum over J of (-1)^(|J|+1) * (q^h(l) + ... + q^(h(l+e_J)-1)).
 
-each telescoped difference (q^a - q^b)/(1-q) expanded symbolically, so no
-rational arithmetic ever happens.  The omega substitution t_i -> 1/omega,
-q -> omega^2 sends the monomial q^(h(l)+k) t^l to omega^(w(l)+2k); its
-truncations are certified through the coordinatewise growth of w beyond
-the conductor.
+With D_J(l) = h(l+e_J) - h(l), the coefficient of q^(h(l)+i) is therefore
+
+    C[l, i] = sum over J of (-1)^(|J|+1) * [D_J(l) > i],    0 <= i < r,
+
+an exact int64 array over the grid, built from shifted slices of the
+Hilbert grid (``coefficient_array``); no rational arithmetic ever happens.
+``motivic_coeff`` reads the same polynomial at one point.  The omega
+substitution t_i -> 1/omega, q -> omega^2 sends the monomial
+q^(h(l)+i) t^l to omega^(w(l)+2i); its truncations are certified through
+the coordinatewise growth of w beyond the conductor.
 """
 
 from __future__ import annotations
@@ -29,12 +34,11 @@ from .lattice import (
     WeightGrid,
     box,
     leq,
-    level_points,
     norm,
+    norm_array,
     ones,
     padd,
-    pmin,
-    unit,
+    upset_minima,
 )
 
 
@@ -109,16 +113,53 @@ def motivic_coeff(h: HilbertGrid, ell: Point) -> QPoly:
     return QPoly.from_dict(acc)
 
 
+def coefficient_array(h: HilbertGrid, inner: Point) -> np.ndarray:
+    """C[l, i], the coefficient of q^(h(l)+i) in p_l(q), for l in
+    R(0, inner) and 0 <= i < r (int64, shape grid x r).  Needs inner + e
+    inside the grid.  Each entry is a signed count over the 2^r - 1
+    subsets J, so int64 is exact."""
+    r = h.r
+    if not leq(padd(inner, ones(r)), h.bound):
+        raise MarginTooSmall(f"need {inner} + e inside the grid {h.bound}")
+    base = h.values[_window(inner)]
+    steps = np.arange(r)
+    out = np.zeros(base.shape + (r,), dtype=np.int64)
+    for size in range(1, r + 1):
+        sign = 1 if size % 2 == 1 else -1
+        for J in itertools.combinations(range(r), size):
+            shift = [int(i in J) for i in range(r)]
+            top = h.values[tuple(slice(s, b + 1 + s) for s, b in zip(shift, inner))]
+            out += sign * ((top - base)[..., None] > steps)
+    return out
+
+
+def _window(inner: Point) -> tuple:
+    """Index of the box R(0, inner) in a grid array."""
+    return tuple(slice(0, b + 1) for b in inner)
+
+
+def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
+    """Exact integer sums of ``values`` grouped by ``keys`` (nonzero sums)."""
+    if keys.size == 0:
+        return {}
+    lo = int(keys.min())
+    acc = np.zeros(int(keys.max()) - lo + 1, dtype=np.int64)
+    np.add.at(acc, keys - lo, values)
+    return {lo + k: int(v) for k, v in enumerate(acc.tolist()) if v}
+
+
 def univariate_motivic(h: HilbertGrid, d: int) -> QPoly:
-    """Sum of the coefficient polynomials over |l| = d."""
+    """Sum of the coefficient polynomials over |l| = d, read from the
+    coefficient array on R(0, (d, ..., d))."""
     if any(d + 1 > b for b in h.bound):
         raise MarginTooSmall(
             f"level {d} needs every axis bound >= {d + 1}, grid is {h.bound}"
         )
-    total = QPoly()
-    for ell in level_points(h.r, d, h.bound):
-        total = total + motivic_coeff(h, ell)
-    return total
+    inner = (d,) * h.r
+    coeffs = coefficient_array(h, inner)
+    exponents = h.values[_window(inner)][..., None] + np.arange(h.r)
+    take = (norm_array(coeffs.shape[:-1]) == d)[..., None] & (coeffs != 0)
+    return QPoly.from_dict(_tally(exponents[take], coeffs[take]))
 
 
 def certify_truncation(w: WeightGrid, depth: int) -> bool:
@@ -135,7 +176,7 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
     if not leq(c, inner):
         return False
     boundary_min = None
-    sub = w.values[tuple(slice(0, b + 1) for b in inner)]
+    sub = w.values[_window(inner)]
     for i in range(w.r):
         face = sub[tuple(inner[j] if j == i else slice(None) for j in range(w.r))]
         m = int(face.min()) if face.size else 0
@@ -146,7 +187,8 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
 def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeries:
     """Coefficients of the substituted series through omega^depth.
 
-    The term of l at q^(h(l)+k) lands at order w(l) + 2k.  Raises
+    The term C[l, i] of l at q^(h(l)+i) lands at order w(l) + 2i, and the
+    series is the integer sum of the coefficient array by order.  Raises
     TruncationUnsound when the grid cannot certify the tail.
     """
     if not certify_truncation(w, depth):
@@ -154,22 +196,18 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
             f"grid {w.bound} cannot certify the omega-series through {depth}"
         )
     inner = tuple(b - 1 for b in w.bound)
-    acc: dict[int, int] = {}
-    for ell in box(inner).points():
-        p = motivic_coeff(h, ell)
-        if p.is_zero():
-            continue
-        ln = norm(ell)
-        for e, cval in p.coeffs:
-            order = 2 * e - ln
-            if order <= depth:
-                acc[order] = acc.get(order, 0) + cval
+    coeffs = coefficient_array(h, inner)
+    orders = w.values[_window(inner)][..., None] + 2 * np.arange(w.r)
+    take = (orders <= depth) & (coeffs != 0)
+    acc = _tally(orders[take], coeffs[take])
     if not acc:
         raise InconsistentInput("substituted series vanished entirely")
-    orders = [o for o, cval in acc.items() if cval]
-    lo = min(orders)
-    coeffs = tuple(acc.get(o, 0) for o in range(lo, depth + 1))
-    return LaurentSeries(order=lo, coeffs=coeffs, truncation=depth)
+    lo = min(acc)
+    return LaurentSeries(
+        order=lo,
+        coeffs=tuple(acc.get(o, 0) for o in range(lo, depth + 1)),
+        truncation=depth,
+    )
 
 
 def pe_substitution_check(
@@ -210,28 +248,22 @@ def hilbert_from_motivic(
     above l; the support must therefore be min-closed with a visible
     stable region, otherwise InconsistentInput.
     """
-    supp = {tuple(p) for p, q in coeffs.items() if not q.is_zero()}
-    if (0,) * r not in supp:
+    shape = tuple(b + 1 for b in bound)
+    supp = np.zeros(shape, dtype=bool)
+    orders = np.zeros(shape, dtype=np.int64)
+    for p, q in coeffs.items():
+        p = tuple(p)
+        if not q.is_zero() and leq(p, bound):
+            supp[p] = True
+            orders[p] = q.order()
+    if not supp[(0,) * r]:
         raise InconsistentInput("support must contain 0")
-    big = max(bound) + 1
-    mins: dict[Point, Point] = {}
-    for p in sorted(box(bound).points(), reverse=True):
-        best = (big,) * r
-        for i in range(r):
-            if p[i] + 1 <= bound[i]:
-                q = padd(p, unit(r, i))
-                best = pmin(best, mins[q])
-        if p in supp:
-            best = pmin(best, p)
-        mins[p] = best
-    values = np.zeros(tuple(b + 1 for b in bound), dtype=np.int64)
-    for p in box(bound).points():
-        s = mins[p]
-        if s[0] >= big or s not in supp:
-            raise InconsistentInput(
-                f"no unique minimal support point above {p}; support not min-closed"
-            )
-        values[p] = coeffs[s].order()
+    mins, p = upset_minima(supp)
+    if p is not None:
+        raise InconsistentInput(
+            f"no unique minimal support point above {p}; support not min-closed"
+        )
+    values = orders[tuple(np.moveaxis(mins, -1, 0))]
     grid = HilbertGrid(r=r, bound=tuple(bound), values=values)
     try:
         grid.validate()

@@ -8,12 +8,28 @@
   Hilbert function of a germ with monomial branches t -> (c_x t^a,
   c_y t^b), as the rank of the span of all monomial images in
   prod_i Q[t]/(t^(l_i)), in exact Fraction arithmetic.
+* ``reverse_sweep_min_closure``: the point-by-point reverse sweep that
+  ``SemigroupTable._validate_min_closure`` replaced.
+* ``omega_by_points`` / ``univariate_by_points``: the omega series and
+  the univariate levels summed from one scalar ``motivic_coeff`` call
+  per lattice point, the loops the coefficient array replaced.
 """
 
 from fractions import Fraction
 
-from latcurve import homology, relative_homology, sublevel_complex
+import numpy as np
+
+from latcurve import (
+    InconsistentInput,
+    InconsistentSemigroup,
+    homology,
+    motivic_coeff,
+    relative_homology,
+    sublevel_complex,
+)
 from latcurve.homology import HomologyReport, max_weight_conductor_box, min_weight
+from latcurve.lattice import box, level_points, norm, padd, unit
+from latcurve.motivic import LaurentSeries, QPoly
 
 # ---------------------------------------------------------------------------
 # lattice homology, one level at a time
@@ -104,3 +120,65 @@ def hilbert_by_valuations(branches, ell):
                 row.extend(monomial_image(br, a, b, tr))
             rows.append(row)
     return exact_rank(rows)
+
+
+# ---------------------------------------------------------------------------
+# semigroup min-closure, one point at a time
+
+
+def reverse_sweep_min_closure(table) -> None:
+    """Raise InconsistentSemigroup at the first point (row-major) whose
+    up-set minimum M(l) is not a member; M by a reverse sweep."""
+    shape = table.mask.shape
+    big = max(table.bound) + 1
+    mins = np.full(shape + (table.r,), big, dtype=np.int64)
+    own = np.indices(shape).transpose(*range(1, table.r + 1), 0)
+    member = table.mask
+    for p in sorted(box(table.bound).points(), reverse=True):
+        best = None
+        for i in range(table.r):
+            if p[i] + 1 <= table.bound[i]:
+                cand = mins[padd(p, unit(table.r, i))]
+                best = cand if best is None else np.minimum(best, cand)
+        if member[p]:
+            best = own[p] if best is None else np.minimum(best, own[p])
+        if best is not None:
+            mins[p] = best
+    for p in box(table.bound).points():
+        m = mins[p]
+        if m[0] >= big:
+            continue  # empty up-set
+        mp = tuple(int(x) for x in m)
+        if not member[mp]:
+            raise InconsistentSemigroup(
+                f"up-set of {p} has no unique minimal member (min {mp} absent)"
+            )
+
+
+# ---------------------------------------------------------------------------
+# motivic specializations, one motivic_coeff call per point
+
+
+def univariate_by_points(h, d) -> QPoly:
+    total = QPoly()
+    for ell in level_points(h.r, d, h.bound):
+        total = total + motivic_coeff(h, ell)
+    return total
+
+
+def omega_by_points(h, w, depth) -> LaurentSeries:
+    """The omega series through omega^depth on R(0, bound - e), without
+    the truncation certificate."""
+    inner = tuple(b - 1 for b in w.bound)
+    acc: dict[int, int] = {}
+    for ell in box(inner).points():
+        for e, cval in motivic_coeff(h, ell).coeffs:
+            order = 2 * e - norm(ell)
+            if order <= depth:
+                acc[order] = acc.get(order, 0) + cval
+    orders = [o for o, cval in acc.items() if cval]
+    if not orders:
+        raise InconsistentInput("substituted series vanished entirely")
+    lo = min(orders)
+    coeffs = tuple(acc.get(o, 0) for o in range(lo, depth + 1))
+    return LaurentSeries(order=lo, coeffs=coeffs, truncation=depth)

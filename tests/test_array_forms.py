@@ -1,0 +1,142 @@
+"""The array forms against the point-by-point code they replaced.
+
+* min-closure: ``SemigroupTable._validate_min_closure`` (suffix minima)
+  against ``oracles.reverse_sweep_min_closure``: same accept/reject and
+  the same message, hence the same first failing point.
+* motivic: ``omega_substitution`` and ``univariate_motivic`` (one
+  coefficient array) against sums of scalar ``motivic_coeff`` calls.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latcurve import (
+    InconsistentSemigroup,
+    build_model,
+    omega_substitution,
+    univariate_motivic,
+)
+from latcurve.classify import certified_omega
+from latcurve.lattice import SemigroupTable
+
+from germ_strategies import monomial_plane_germs
+from oracles import omega_by_points, reverse_sweep_min_closure, univariate_by_points
+from test_catalog import ALL_SPECS
+
+
+def _outcome(check, table):
+    """None when ``check`` accepts the table, else its message."""
+    try:
+        check(table)
+    except InconsistentSemigroup as exc:
+        return str(exc)
+    return None
+
+
+def assert_same_min_closure(table):
+    got = _outcome(SemigroupTable._validate_min_closure, table)
+    assert got == _outcome(reverse_sweep_min_closure, table)
+    return got
+
+
+def _low_table(table, drop=None):
+    """The table on R(0, c), optionally without the member ``drop``."""
+    c = table.conductor
+    mask = table.mask[tuple(slice(0, ci + 1) for ci in c)].copy()
+    if drop is not None:
+        mask[drop] = False
+    return SemigroupTable(r=table.r, bound=c, conductor=c, mask=mask)
+
+
+# ---------------------------------------------------------------------------
+# min-closure
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_min_closure_matches_sweep_on_catalog(spec, model_of):
+    table = model_of(*spec).semigroup
+    assert assert_same_min_closure(table) is None
+    # drop each member of R(0, c) but the conductor in turn; a member that
+    # is the minimum of two others leaves a table both checks reject
+    low = _low_table(table)
+    for p in low.low_points()[:-1]:
+        assert_same_min_closure(_low_table(table, drop=p))
+
+
+def test_min_closure_matches_sweep_on_hand_broken_tables():
+    cases = [
+        # min((1,2),(2,1)) = (1,1) missing
+        ((2, 2), [(0, 0), (1, 2), (2, 1), (2, 2)]),
+        # the up-set of (0,1) has (0,2) and (2,1) but not their min (0,1)
+        ((2, 2), [(0, 0), (0, 2), (2, 1), (2, 2)]),
+        # r = 3: min((1,1,2),(2,2,1)) = (1,1,1) missing
+        ((2, 2, 2), [(0, 0, 0), (1, 1, 2), (2, 2, 1), (2, 2, 2)]),
+    ]
+    for c, members in cases:
+        mask = np.zeros(tuple(ci + 1 for ci in c), dtype=bool)
+        for p in members:
+            mask[p] = True
+        table = SemigroupTable(r=len(c), bound=c, conductor=c, mask=mask)
+        assert assert_same_min_closure(table) is not None
+
+
+@st.composite
+def _random_tables(draw):
+    r = draw(st.integers(min_value=1, max_value=3))
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=r, max_size=r)))
+    bits = draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    mask = np.array(bits, dtype=bool).reshape(shape)
+    bound = tuple(n - 1 for n in shape)
+    mask[bound] = True  # as validate() guarantees: every up-set is nonempty
+    return SemigroupTable(r=r, bound=bound, conductor=bound, mask=mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_tables())
+def test_min_closure_matches_sweep_on_random_masks(table):
+    assert_same_min_closure(table)
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs(), st.data())
+def test_array_forms_on_random_multi_branch_germs(germ, data):
+    _, _, desc = germ
+    m = build_model(desc)
+    assert assert_same_min_closure(m.semigroup) is None
+    low = _low_table(m.semigroup)
+    drop = data.draw(st.sampled_from(low.low_points()[:-1] or [None]))
+    assert_same_min_closure(_low_table(m.semigroup, drop=drop))
+    assert omega_substitution(m.hilbert, m.weight, 0) == omega_by_points(
+        m.hilbert, m.weight, 0
+    )
+    for d in range(min(m.bound)):
+        assert univariate_motivic(m.hilbert, d) == univariate_by_points(m.hilbert, d)
+
+
+# ---------------------------------------------------------------------------
+# motivic coefficient array
+
+MOTIVIC_SPECS = [
+    ("A", 0), ("A", 4), ("D", 5), ("D", 6), ("E", 6), ("T", 3, 7),
+    ("T", 4, 4), ("Z11",), ("W1_0",),
+]
+
+
+@pytest.mark.parametrize("spec", MOTIVIC_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_motivic_array_matches_scalar_coefficients(spec, model_of):
+    m = model_of(*spec)
+    for depth in (0, 1, 3):
+        series, grown = certified_omega(m, depth)
+        assert series == omega_by_points(grown.hilbert, grown.weight, depth)
+    for d in range(min(m.bound)):
+        assert univariate_motivic(m.hilbert, d) == univariate_by_points(m.hilbert, d)
+
+
+def test_omega_array_matches_scalar_after_certified_retry(model_of):
+    m = model_of("D", 5)
+    series, grown = certified_omega(m, 8)
+    assert grown.bound != m.bound  # the canonical grid could not certify depth 8
+    assert series == omega_by_points(grown.hilbert, grown.weight, 8)

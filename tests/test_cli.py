@@ -254,6 +254,18 @@ def test_exit_code_malformed_descriptor(tmp_path, capsys, r, source, bound):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_semigroup_not_closed_under_addition_exits_1(tmp_path, capsys, command):
+    # {0, 2} with conductor 5 misses 2 + 2 = 4
+    doc = {"version": 1, "germ": "gap", "r": 1, "flags": {}, "bound": None,
+           "source": {"kind": "semigroup", "conductor": [5],
+                      "elements": [[0], [2], [5]]}}
+    code, out, err = run_cli([command, "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: not closed under addition: (2,) + (2,) = (4,) is not a member\n"
+
+
 def test_exit_code_bound_length(capsys):
     code, _, err = run_cli(["invariants", "--builtin", "D,5", "--bound", "9"], capsys)
     assert code == 2

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from latcurve import (
+    GermDescriptor,
     InconsistentSemigroup,
     MarginTooSmall,
+    build_model,
     delta,
     detect_conductor,
     extend_semigroup,
@@ -55,8 +57,29 @@ def test_extension_requires_bound_above_conductor():
 
 def test_min_closure_violation_detected():
     # min((1,2),(2,1)) = (1,1) missing
-    with pytest.raises(InconsistentSemigroup):
+    with pytest.raises(
+        InconsistentSemigroup, match=r"up-set of \(0, 1\) .* \(min \(1, 1\) absent\)"
+    ):
         semigroup_from_low_points(2, (2, 2), [(0, 0), (1, 2), (2, 1), (2, 2)])
+
+
+def test_additive_closure_violation_detected():
+    # {0, 2} with conductor 5 misses 2 + 2 = 4
+    with pytest.raises(InconsistentSemigroup, match=r"\(2,\) \+ \(2,\) = \(4,\)"):
+        semigroup_from_low_points(1, (5,), [(0,), (2,), (5,)])
+    # r = 2: (1,1) + (1,1) = (2,2) clamps to the conductor (2,2), a member
+    semigroup_from_low_points(2, (2, 2), [(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(InconsistentSemigroup, match="not closed under addition"):
+        semigroup_from_low_points(2, (3, 3), [(0, 0), (1, 1), (3, 3)])
+
+
+def test_additive_closure_checked_for_hilbert_sources():
+    # h of S = {0, 2, 5, 6, ...}: the hilbert source is promoted through
+    # the member list, so the same gap is caught
+    values = np.array([0, 1, 1, 2, 2, 2, 3, 4, 5], dtype=np.int64)
+    desc = GermDescriptor(r=1, kind="hilbert", payload=((8,), values))
+    with pytest.raises(InconsistentSemigroup, match="not closed under addition"):
+        build_model(desc)
 
 
 def test_hilbert_from_semigroup_a2():
@@ -169,7 +192,9 @@ def test_validation_catches_mutation(model_of):
     m = model_of("D", 5)
     table = m.semigroup
     # dropping (2,1) = min((2,2),(3,1)) breaks min-closure
-    with pytest.raises(InconsistentSemigroup):
+    with pytest.raises(
+        InconsistentSemigroup, match=r"up-set of \(0, 1\) .* \(min \(2, 1\) absent\)"
+    ):
         semigroup_from_low_points(
             2, table.conductor, [p for p in table.low_points() if p != (2, 1)]
         )

@@ -156,8 +156,9 @@ def test_hilbert_from_motivic_rejects_bad_support():
         (0,): QPoly.from_dict({0: 1}),
         (2,): QPoly.from_dict({1: 1}),
     }
-    with pytest.raises(InconsistentInput):
-        hilbert_from_motivic(coeffs, 1, (1,))  # support misses 0's successor
+    # support misses 0's successor: the up-set of (1,) is empty
+    with pytest.raises(InconsistentInput, match=r"above \(1,\)"):
+        hilbert_from_motivic(coeffs, 1, (1,))
 
 
 def test_gorenstein_functional_equation(model_of):
