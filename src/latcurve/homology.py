@@ -8,10 +8,18 @@ the sublevel complex S_n iff every vertex has weight <= n.
 The complexes S_n are nested, so ``lattice_homology`` reduces the whole
 filtered complex once (``snf.filtered_reduction``): a k-interval
 [birth, death) adds one to b_k(S_n) for birth <= n < death, and one to
-the rank of H_k(S_n) -> H_k(S_{n+1}) for birth <= n and death > n + 1.
-When every pivot is +-1 (the unit-pivot certificate) each H_k(S_n) is
-torsion-free; otherwise the torsion of each level comes from a Smith
-reduction of that level alone (``homology``).
+the rank of H_k(S_n) -> H_k(S_{n+1}) for birth <= n and death > n + 1;
+both counts are running sums over n of +1/-1 marks at the interval ends.
+The cubes are ordered by one ``np.lexsort`` and each cube's faces are
+read from per-mask arrays of filtration indices, so building the columns
+needs no Python loop over the cubes.  The reduction pairs the edges with a
+union-find (the elder rule) and the higher cubes top dimension first,
+skipping the cubes that are already pivot rows one dimension up
+(clearing); both shortcuts keep the pairs and every pivot of the plain
+reduction of all columns, so the unit-pivot certificate is unchanged.
+When every pivot is +-1 each H_k(S_n) is torsion-free; otherwise the
+torsion of each level comes from a Smith reduction of that level alone
+(``homology``).
 
 Everything is computed inside the conductor rectangle R(0, c): for
 n fixed, the inclusion of S_n cap R(0, c) into S_n is a homotopy
@@ -29,10 +37,6 @@ from .lattice import Point, WeightGrid, leq, norm
 from .snf import filtered_reduction, smith_invariants
 
 Cube = tuple[Point, int]  # (base point, direction bitmask)
-
-
-def cube_dim(cube: Cube) -> int:
-    return bin(cube[1]).count("1")
 
 
 def cube_vertices(cube: Cube):
@@ -257,16 +261,76 @@ def max_weight_conductor_box(w: WeightGrid) -> int:
     return int(_conductor_values(w).max())
 
 
-def _filtration(values: np.ndarray, r: int) -> list:
-    """Every cube of the box as (value, dim, base, mask), where value is
-    the max weight of its vertices, sorted; a face never comes after its
-    cofaces, so every prefix up to a value n is the complex S_n."""
-    cubes = []
-    for mask, table in _cube_max_tables(values, r).items():
-        k = bin(mask).count("1")
-        cubes.extend((int(v), k, base, mask) for base, v in np.ndenumerate(table))
-    cubes.sort()
-    return cubes
+def _cell_order(values: np.ndarray, r: int):
+    """Every cube of the box under ``values`` in filtration order.
+
+    Returns ``(value, dim, position)``: the max vertex weight and the
+    dimension of the j-th cube, and for each direction mask an array over
+    the bases of the cubes it spans holding their index j.  Cubes are
+    ordered by (value, dim, base, mask), bases compared as row-major flat
+    indices, that is lexicographically; a face never comes after its
+    cofaces, so every prefix up to a value n is the complex S_n.
+    """
+    tables = _cube_max_tables(values, r)
+    shapes = [t.shape for t in tables.values()]
+    sizes = [t.size for t in tables.values()]
+    flat = np.arange(values.size).reshape(values.shape)
+    value = np.concatenate([t.ravel() for t in tables.values()])
+    masks = np.repeat(list(tables), sizes)
+    dim = np.repeat([bin(mask).count("1") for mask in tables], sizes)
+    base = np.concatenate([flat[tuple(map(slice, shape))].ravel() for shape in shapes])
+    order = np.lexsort((masks, base, dim, value))
+    index = np.empty(order.size, dtype=np.int64)
+    index[order] = np.arange(order.size)
+    parts = np.split(index, np.cumsum(sizes)[:-1])
+    position = {
+        mask: part.reshape(shape) for mask, part, shape in zip(tables, parts, shapes)
+    }
+    return value[order], dim[order], position
+
+
+def _faces(position: dict, mask: int, r: int):
+    """(faces, coefficients) of every cube spanned by ``mask``, one row
+    per cube, with the signs of ``boundary``: per spanned axis, lowest
+    first, the upper face with sign s and the lower face with -s, s
+    alternating from +1."""
+    faces, signs, sign = [], [], 1
+    for axis in range(r):
+        if mask >> axis & 1:
+            rest = position[mask ^ (1 << axis)]
+            lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
+            hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
+            faces += [rest[hi].ravel(), rest[lo].ravel()]
+            signs += [sign, -sign]
+            sign = -sign
+    faces = np.stack(faces, axis=1)
+    return faces, np.broadcast_to(signs, faces.shape)
+
+
+def filtered_pairs(values: np.ndarray, r: int):
+    """``(value, dim, pairs, unit_pivots)`` of the filtered cubical
+    complex of the box under ``values``: the cubes in filtration order
+    and ``snf.filtered_reduction`` of their boundaries, which come from
+    index arrays, one per direction mask."""
+    value, dim, position = _cell_order(values, r)
+    groups = {k: [] for k in range(1, r + 1)}
+    for mask, cells in position.items():
+        if mask:
+            faces, coeffs = _faces(position, mask, r)
+            groups[bin(mask).count("1")].append((cells.ravel(), faces, coeffs))
+
+    def by_cell(k):
+        cells, faces, coeffs = (np.concatenate(part) for part in zip(*groups[k]))
+        order = np.argsort(cells)
+        return cells[order].tolist(), faces[order], coeffs[order]
+
+    columns = []
+    for k in range(r, 1, -1):
+        cells, faces, coeffs = by_cell(k)
+        columns.append(zip(cells, faces.tolist(), coeffs.tolist()))
+    cells, faces, _ = by_cell(1)
+    pairs, unit_pivots = filtered_reduction(zip(cells, *faces.T.tolist()), columns)
+    return value, dim, pairs, unit_pivots
 
 
 def lattice_homology(w: WeightGrid) -> HomologyReport:
@@ -276,32 +340,30 @@ def lattice_homology(w: WeightGrid) -> HomologyReport:
     n_min, n_top = int(values.min()), int(values.max())
     levels = range(n_min, n_top + 1)
     r = w.r
-    cubes = _filtration(values, r)
-    index = {(base, mask): j for j, (_, _, base, mask) in enumerate(cubes)}
-    columns = [
-        {index[face]: s for face, s in boundary((base, mask))}
-        for _, _, base, mask in cubes
-    ]
-    pairs, unit_pivots = filtered_reduction(columns)
-    # (dim, birth, death) of every interval of positive length
-    intervals = [
-        (cubes[i][1], cubes[i][0], cubes[j][0])
-        for i, j in pairs
-        if cubes[i][0] < cubes[j][0]
-    ]
-    paired = {i for pair in pairs for i in pair}
-    intervals += [
-        (dim, birth, float("inf"))
-        for j, (birth, dim, _, _) in enumerate(cubes)
-        if j not in paired
-    ]
-    betti = {n: [0] * (r + 1) for n in levels}
-    u_ranks = {(k, n): 0 for n in levels[:-1] for k in range(r)}
-    for k, birth, death in intervals:
-        for n in range(birth, min(death, n_top + 1)):
-            betti[n][k] += 1
-            if (k, n) in u_ranks and death > n + 1:
-                u_ranks[(k, n)] += 1
+    value, dim, pairs, unit_pivots = filtered_pairs(values, r)
+    # each cell that no pair names as its killer starts an interval
+    # [birth, death) of its dimension; one that never dies gets death
+    # n_top + 1, which counts it on every level and in every U-map up to
+    # n_top, as an infinite death would
+    born, killer = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    death = np.full(value.size, n_top + 1)
+    death[born] = value[killer]
+    starts = np.ones(value.size, dtype=bool)
+    starts[killer] = False
+    birth, death = value[starts] - n_min, death[starts] - n_min
+    # b_k(S_n) counts birth <= n < death, the U-rank birth <= n < death - 1
+    # (no n when death = birth): +1 where a run starts, -1 where it ends,
+    # then a running sum over n; block 0 holds b_k, block 1 the U-ranks
+    width = len(levels) + 1
+    size = (r + 1) * width
+    offset = dim[starts] * width
+    begins = np.concatenate([offset + birth, offset + birth + size])
+    ends = np.concatenate([offset + death, offset + np.maximum(death - 1, birth) + size])
+    runs = np.bincount(begins, minlength=2 * size)
+    runs -= np.bincount(ends, minlength=2 * size)
+    betti_kn, u_kn = np.cumsum(runs.reshape(2, r + 1, width), axis=2).tolist()
+    betti = {n: [betti_kn[k][n - n_min] for k in range(r + 1)] for n in levels}
+    u_ranks = {(k, n): u_kn[k][n - n_min] for n in levels[:-1] for k in range(r)}
     # stabilization guard; also b_k = 0 for k >= r on every level
     top = betti[n_top]
     if top[0] != 1 or any(top[1:]):

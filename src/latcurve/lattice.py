@@ -198,14 +198,21 @@ class SemigroupTable:
 
     def validate_additive_closure(self) -> None:
         """S + S inside S, checked on R(0, c) with sums clamped at c (the
-        extension rule makes l a member iff min(l, c) is)."""
+        extension rule makes l a member iff min(l, c) is).  All sums of
+        two members are formed in one broadcast, in blocks of s small
+        enough to keep each block near a million entries; the first
+        missing s + t in row-major order of (s, t) is reported."""
         c = self.conductor
         low = self.mask[tuple(slice(0, ci + 1) for ci in c)]
-        for s in _argwhere(low):
-            idx = [np.minimum(np.arange(ci + 1) + si, ci) for si, ci in zip(s, c)]
-            missing = low & ~low[np.ix_(*idx)]
+        members = np.argwhere(low)
+        block = max(1, (1 << 20) // (len(members) * self.r + 1))
+        for start in range(0, len(members), block):
+            s = members[start : start + block]
+            sums = np.minimum(s[:, None, :] + members[None, :, :], c)
+            missing = ~low[tuple(np.moveaxis(sums, -1, 0))]
             if missing.any():
-                t = _argwhere(missing)[0]
+                i, j = np.argwhere(missing)[0]
+                s, t = tuple(s[i].tolist()), tuple(members[j].tolist())
                 raise InconsistentSemigroup(
                     f"not closed under addition: {s} + {t} = {padd(s, t)} "
                     "is not a member"

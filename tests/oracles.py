@@ -3,19 +3,27 @@
 * ``per_level_lattice_homology``: lattice homology computed level by
   level, with one Smith reduction per sublevel complex and one per
   relative pair (S_{n+1}, S_n); U-ranks come from the long exact sequence
-  of the pair.  It is the engine ``lattice_homology`` replaced.
+  of the pair.  It is the engine the filtered reduction replaced.
+* ``column_pairs``: the filtered reduction as first written, one dict
+  column per cube from ``boundary`` and a sorted list of (value, dim,
+  base, mask) tuples, reduced by the plain lowest-one reduction over Z
+  with no clearing and no union-find (``plain_filtered_reduction``).
 * ``monomial_image`` / ``exact_rank`` / ``hilbert_by_valuations``: the
   Hilbert function of a germ with monomial branches t -> (c_x t^a,
   c_y t^b), as the rank of the span of all monomial images in
   prod_i Q[t]/(t^(l_i)), in exact Fraction arithmetic.
 * ``reverse_sweep_min_closure``: the point-by-point reverse sweep that
   ``SemigroupTable._validate_min_closure`` replaced.
+* ``additive_closure_by_members``: the loop over members, one gathered
+  shifted box each, that ``SemigroupTable.validate_additive_closure``
+  replaced.
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one scalar ``motivic_coeff`` call
   per lattice point, the loops the coefficient array replaced.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -27,7 +35,13 @@ from latcurve import (
     relative_homology,
     sublevel_complex,
 )
-from latcurve.homology import HomologyReport, max_weight_conductor_box, min_weight
+from latcurve.homology import (
+    HomologyReport,
+    _cube_max_tables,
+    boundary,
+    max_weight_conductor_box,
+    min_weight,
+)
 from latcurve.lattice import box, level_points, norm, padd, unit
 from latcurve.motivic import LaurentSeries, QPoly
 
@@ -70,6 +84,66 @@ def assert_same_homology(report, oracle):
     assert (report.n_min, report.n_top) == (oracle.n_min, oracle.n_top)
     assert report.table == oracle.table
     assert report.u_ranks == oracle.u_ranks
+
+
+# ---------------------------------------------------------------------------
+# the filtered reduction without clearing or union-find
+
+
+def plain_filtered_reduction(columns):
+    """Lowest-one reduction of all columns in order: ``columns[j]`` is the
+    boundary of cell j as {row: coefficient}, rows < j.  Returns
+    ``(pairs, unit_pivots)`` with ``pairs`` sorted by j."""
+    pivot_col = {}  # lowest row -> reduced column that owns it
+    pairs = []
+    unit_pivots = True
+    for j, col in enumerate(columns):
+        col = {i: v for i, v in col.items() if v}
+        while col:
+            low = max(col)
+            other = pivot_col.get(low)
+            if other is None:
+                break
+            a, p = col[low], other[low]
+            g = gcd(a, p)
+            a, p = a // g, p // g
+            if p != 1:
+                col = {i: p * v for i, v in col.items()}
+            for i, v in other.items():
+                nv = col.get(i, 0) - a * v
+                if nv:
+                    col[i] = nv
+                else:
+                    del col[i]
+        if col:
+            low = max(col)
+            pivot_col[low] = col
+            pairs.append((low, j))
+            if col[low] not in (1, -1):
+                unit_pivots = False
+    return pairs, unit_pivots
+
+
+def sorted_cubes(values, r):
+    """Every cube of the box as (value, dim, base, mask), sorted."""
+    cubes = []
+    for mask, table in _cube_max_tables(values, r).items():
+        k = bin(mask).count("1")
+        cubes.extend((int(v), k, base, mask) for base, v in np.ndenumerate(table))
+    cubes.sort()
+    return cubes
+
+
+def column_pairs(values, r):
+    """``(pairs, unit_pivots)`` of the plain reduction of every boundary
+    column of the box, cubes numbered as in ``sorted_cubes``."""
+    cubes = sorted_cubes(values, r)
+    index = {(base, mask): j for j, (_, _, base, mask) in enumerate(cubes)}
+    columns = [
+        {index[face]: s for face, s in boundary((base, mask))}
+        for _, _, base, mask in cubes
+    ]
+    return plain_filtered_reduction(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +197,7 @@ def hilbert_by_valuations(branches, ell):
 
 
 # ---------------------------------------------------------------------------
-# semigroup min-closure, one point at a time
+# semigroup closure checks, one point or one member at a time
 
 
 def reverse_sweep_min_closure(table) -> None:
@@ -152,6 +226,23 @@ def reverse_sweep_min_closure(table) -> None:
         if not member[mp]:
             raise InconsistentSemigroup(
                 f"up-set of {p} has no unique minimal member (min {mp} absent)"
+            )
+
+
+def additive_closure_by_members(table) -> None:
+    """Raise InconsistentSemigroup at the first member s (row-major), and
+    its first member t, with min(s + t, c) not a member; one gather of
+    the whole box R(0, c) shifted by s per member."""
+    c = table.conductor
+    low = table.mask[tuple(slice(0, ci + 1) for ci in c)]
+    for s in [tuple(p) for p in np.argwhere(low).tolist()]:
+        idx = [np.minimum(np.arange(ci + 1) + si, ci) for si, ci in zip(s, c)]
+        missing = low & ~low[np.ix_(*idx)]
+        if missing.any():
+            t = tuple(np.argwhere(missing)[0].tolist())
+            raise InconsistentSemigroup(
+                f"not closed under addition: {s} + {t} = {padd(s, t)} "
+                "is not a member"
             )
 
 

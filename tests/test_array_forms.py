@@ -3,6 +3,10 @@
 * min-closure: ``SemigroupTable._validate_min_closure`` (suffix minima)
   against ``oracles.reverse_sweep_min_closure``: same accept/reject and
   the same message, hence the same first failing point.
+* additive closure: ``SemigroupTable.validate_additive_closure`` (one
+  broadcast over all pairs of members) against
+  ``oracles.additive_closure_by_members``: same accept/reject and the
+  same message, hence the same first failing pair.
 * motivic: ``omega_substitution`` and ``univariate_motivic`` (one
   coefficient array) against sums of scalar ``motivic_coeff`` calls.
 """
@@ -22,7 +26,12 @@ from latcurve.classify import certified_omega
 from latcurve.lattice import SemigroupTable
 
 from germ_strategies import monomial_plane_germs
-from oracles import omega_by_points, reverse_sweep_min_closure, univariate_by_points
+from oracles import (
+    additive_closure_by_members,
+    omega_by_points,
+    reverse_sweep_min_closure,
+    univariate_by_points,
+)
 from test_catalog import ALL_SPECS
 
 
@@ -38,6 +47,12 @@ def _outcome(check, table):
 def assert_same_min_closure(table):
     got = _outcome(SemigroupTable._validate_min_closure, table)
     assert got == _outcome(reverse_sweep_min_closure, table)
+    return got
+
+
+def assert_same_additive_closure(table):
+    got = _outcome(SemigroupTable.validate_additive_closure, table)
+    assert got == _outcome(additive_closure_by_members, table)
     return got
 
 
@@ -100,15 +115,36 @@ def test_min_closure_matches_sweep_on_random_masks(table):
     assert_same_min_closure(table)
 
 
+# ---------------------------------------------------------------------------
+# additive closure
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_additive_closure_matches_loop_on_catalog(spec, model_of):
+    table = model_of(*spec).semigroup
+    assert assert_same_additive_closure(table) is None
+    low = _low_table(table)
+    for p in low.low_points()[:-1]:
+        assert_same_additive_closure(_low_table(table, drop=p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_tables())
+def test_additive_closure_matches_loop_on_random_masks(table):
+    assert_same_additive_closure(table)
+
+
 @settings(max_examples=15, deadline=None)
 @given(monomial_plane_germs(), st.data())
 def test_array_forms_on_random_multi_branch_germs(germ, data):
     _, _, desc = germ
     m = build_model(desc)
     assert assert_same_min_closure(m.semigroup) is None
+    assert assert_same_additive_closure(m.semigroup) is None
     low = _low_table(m.semigroup)
     drop = data.draw(st.sampled_from(low.low_points()[:-1] or [None]))
     assert_same_min_closure(_low_table(m.semigroup, drop=drop))
+    assert_same_additive_closure(_low_table(m.semigroup, drop=drop))
     assert omega_substitution(m.hilbert, m.weight, 0) == omega_by_points(
         m.hilbert, m.weight, 0
     )

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latcurve import (
     EulerMismatch,
@@ -11,10 +13,19 @@ from latcurve import (
     relative_homology,
     sublevel_complex,
 )
-from latcurve.homology import boundary, cube_vertices, max_weight_conductor_box
+from latcurve.homology import (
+    _cell_order,
+    _conductor_values,
+    _faces,
+    boundary,
+    cube_vertices,
+    filtered_pairs,
+    max_weight_conductor_box,
+)
+from latcurve.lattice import WeightGrid
 
 from germ_strategies import monomial_plane_germs
-from oracles import assert_same_homology, per_level_lattice_homology
+from oracles import assert_same_homology, column_pairs, per_level_lattice_homology
 from test_catalog import ALL_SPECS
 
 
@@ -30,6 +41,20 @@ def test_boundary_squares_to_zero(model_of):
                 for face2, s2 in boundary(face):
                     acc[face2] = acc.get(face2, 0) + s * s2
             assert all(v == 0 for v in acc.values())
+
+
+def test_face_arrays_match_boundary(model_of):
+    # the index arrays of the filtered reduction give every cube of the
+    # r = 4 conductor box the faces and signs of ``boundary``
+    w = model_of("T", 4, 4).weight
+    _, _, position = _cell_order(_conductor_values(w), w.r)
+    for mask in range(1, 1 << w.r):
+        faces, coeffs = _faces(position, mask, w.r)
+        bases = np.ndindex(position[mask].shape)  # row-major, as the rows
+        for base, row, signs in zip(bases, faces.tolist(), coeffs.tolist()):
+            cube = boundary((base, mask))
+            expected = {position[fm][fb]: sign for (fb, fm), sign in cube}
+            assert dict(zip(row, signs)) == expected
 
 
 def test_empty_below_min(model_of):
@@ -209,13 +234,22 @@ def test_relative_pair_e7(model_of):
 
 
 # ---------------------------------------------------------------------------
-# the filtered reduction against the per-level Smith engine it replaced
+# the filtered reduction against the per-level Smith engine it replaced, and
+# its pairs (cleared, union-find for H_0) against the plain reduction of
+# every boundary column
+
+
+def assert_same_pairs(w):
+    values = _conductor_values(w)
+    _, _, pairs, unit_pivots = filtered_pairs(values, w.r)
+    assert (pairs, unit_pivots) == column_pairs(values, w.r)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
 def test_filtered_reduction_matches_per_level_engine(spec, model_of):
     w = model_of(*spec).weight
     assert_same_homology(lattice_homology(w), per_level_lattice_homology(w))
+    assert_same_pairs(w)
 
 
 @settings(max_examples=20, deadline=None)
@@ -227,6 +261,33 @@ def test_filtered_reduction_on_random_multi_branch_germs(germ):
     rep = lattice_homology(m.weight)
     assert_same_homology(rep, per_level_lattice_homology(m.weight))
     assert euler_characteristic(rep, m.weight) == m.delta
+    assert_same_pairs(m.weight)
+
+
+@st.composite
+def _value_grids(draw):
+    """Random integer values on a small box, as a weight grid whose
+    conductor is its bound; not the weights of a germ, so any filtration
+    order, tie and interval pattern may occur."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=r, max_size=r)))
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    bound = tuple(n - 1 for n in shape)
+    return WeightGrid(
+        r=r,
+        bound=bound,
+        values=np.array(values, dtype=np.int64).reshape(shape),
+        multiplicity=(1,) * r,
+        conductor=bound,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_value_grids())
+def test_filtered_reduction_on_random_value_grids(w):
+    assert_same_homology(lattice_homology(w), per_level_lattice_homology(w))
+    assert_same_pairs(w)
 
 
 def test_torsion_from_smith_forms_without_unit_pivot_certificate(monkeypatch, model_of):
@@ -234,6 +295,8 @@ def test_torsion_from_smith_forms_without_unit_pivot_certificate(monkeypatch, mo
 
     hom = importlib.import_module("latcurve.homology")
     real = hom.filtered_reduction
-    monkeypatch.setattr(hom, "filtered_reduction", lambda cols: (real(cols)[0], False))
+    monkeypatch.setattr(
+        hom, "filtered_reduction", lambda *cells: (real(*cells)[0], False)
+    )
     w = model_of("D", 5).weight
     assert_same_homology(hom.lattice_homology(w), per_level_lattice_homology(w))

@@ -1,4 +1,5 @@
-"""The sparse Smith reduction against sympy's dense one."""
+"""The sparse Smith reduction against sympy's dense one, and the filtered
+reduction (clearing, union-find for the edges) against the plain one."""
 
 import random
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcurve.snf import filtered_reduction, smith_invariants
+
+from oracles import plain_filtered_reduction
 
 
 def to_columns(rows):
@@ -83,9 +86,13 @@ def test_filtered_reduction_filled_triangle():
     # closes a loop, which the triangle kills
     columns = [{}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {2: 1, 0: -1},
                {3: 1, 4: 1, 5: -1}]
-    pairs, unit_pivots = filtered_reduction(columns)
+    edges = [(3, 0, 1), (4, 1, 2), (5, 0, 2)]
+    pairs, unit_pivots = filtered_reduction(edges, [[(6, [3, 4, 5], [1, 1, -1])]])
     assert pairs == [(1, 3), (2, 4), (5, 6)]
     assert unit_pivots
+    # the same pairs as the plain reduction: union-find joins v1 and v2 to
+    # v0, and clearing skips the edge v0v2 that the triangle kills
+    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
 
 
 def test_filtered_reduction_degree_two_cell():
@@ -93,9 +100,12 @@ def test_filtered_reduction_degree_two_cell():
     # 2-cell attached by degree 3: over Q the loop dies at cell 2 and
     # cell 3 is a 2-cycle; over Z, H_1 of the first three cells is Z/2
     columns = [{}, {}, {1: 2}, {1: 3}]
-    pairs, unit_pivots = filtered_reduction(columns)
+    pairs, unit_pivots = filtered_reduction(
+        [(1, 0, 0)], [[(2, [1], [2]), (3, [1], [3])]]
+    )
     assert pairs == [(1, 2)]
     assert not unit_pivots
+    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
     assert smith_invariants(columns[:3]) == (1, [2])
     # betti numbers over Q: unpaired cells by dimension
     dims = [0, 1, 2, 2]
@@ -108,8 +118,11 @@ def test_filtered_reduction_cross_multiplication_keeps_q_rank():
     # 2 e1 and 3 e1 + e2, so clearing the second against the first needs
     # col <- 2 col - 3 col_first = 2 e2, which is a new non-unit pivot
     columns = [{}, {}, {}, {2: 2}, {2: 3, 1: 1}]
-    pairs, unit_pivots = filtered_reduction(columns)
+    pairs, unit_pivots = filtered_reduction(
+        [(1, 0, 0), (2, 0, 0)], [[(3, [2], [2]), (4, [2, 1], [3, 1])]]
+    )
     assert pairs == [(2, 3), (1, 4)]
     assert not unit_pivots
+    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
     assert len(pairs) == smith_invariants(columns)[0]
     assert smith_invariants(columns) == (2, [2])
