@@ -58,10 +58,6 @@ def numerical_semigroup(gens, conductor):
     return [(v,) for v in range(conductor + 1) if member[v]]
 
 
-def _two_gen_conductor(a, b):
-    return (a - 1) * (b - 1)
-
-
 def _verdict(cmtype, subtype=None, growth=None, family=None):
     return {"cmtype": cmtype, "subtype": subtype, "growth": growth, "family": family}
 

@@ -261,23 +261,24 @@ class GermModel:
     # -- subcurves ---------------------------------------------------------
 
     def subcurve(self, branches) -> "GermModel":
-        """Model of the union of the given branches (1-based indices)."""
+        """Model of the union of the given branches (1-based indices), built
+        on its canonical bound from the face of the Hilbert grid."""
         J = tuple(sorted(set(branches)))
         if J == tuple(range(1, self.r + 1)):
             return self
         if J in self._subcurves:
             return self._subcurves[J]
-        face_h = restrict_to_subcurve(self.hilbert, J)
-        table = semigroup_from_hilbert(face_h)
+        table = semigroup_from_hilbert(restrict_to_subcurve(self.hilbert, J))
+        table.validate_additive_closure()
         desc = GermDescriptor(
             r=len(J),
             kind="semigroup",
             payload=(table.conductor, table.low_points()),
             name=f"{self.name or 'germ'}|{','.join(map(str, J))}",
-            plane=None,
-            gorenstein=None,
         )
-        sub = build_model(desc)
+        sub = _model_on(
+            desc, table, canonical_bound(table.conductor, table.multiplicity())
+        )
         self._subcurves[J] = sub
         return sub
 
@@ -351,10 +352,9 @@ def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
     h = HilbertGrid(r=desc.r, bound=b, values=np.array(values, dtype=np.int64))
     h.validate()
     table = semigroup_from_hilbert(h)
-    # promote to the semigroup pipeline so the bound can grow on demand
-    small = semigroup_from_low_points(desc.r, table.conductor, table.low_points())
+    table.validate_additive_closure()
     model = _model_on(
-        desc, small, _resolve_bound(desc, small.conductor, small.multiplicity(), b)
+        desc, table, _resolve_bound(desc, table.conductor, table.multiplicity(), b)
     )
     # the source grid must agree with the rebuilt one where both exist
     common = tuple(slice(0, min(a, c) + 1) for a, c in zip(b, model.bound))
@@ -364,13 +364,12 @@ def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
 
 
 def _build_from_poincare(desc: GermDescriptor) -> GermModel:
-    """Expand the series on a growing grid until the detected conductor
-    reaches a fixed point with three spare layers (a truncated grid can
-    make a too-small candidate look stable, so one detection pass is
-    never trusted)."""
+    """Expand the series on a growing grid and accept the first grid that
+    holds the bound the detected conductor c asks for and three spare
+    layers above it (c + 3e).  The guess grows on every pass, so no grid
+    is expanded twice."""
     series = desc.payload
     guess = desc.bound or (8,) * desc.r
-    prev_c = None
     last_exc = None
     for _ in range(2 * _MAX_REBUILDS + 2):
         try:
@@ -378,7 +377,6 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
             table = semigroup_from_hilbert(h)
         except MarginTooSmall as exc:
             last_exc = exc
-            prev_c = None
             guess = tuple(2 * g + 1 for g in guess)
             continue
         c = table.conductor
@@ -386,7 +384,7 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
             _resolve_bound(desc, c, table.multiplicity()),
             padd(c, scale(3, ones(desc.r))),
         )
-        if leq(want, guess) and c == prev_c:
+        if leq(want, guess):
             table.validate_additive_closure()
             w = weight_from_hilbert(h, semigroup=table)
             return GermModel(
@@ -397,7 +395,6 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
                 weight=w,
                 name=desc.name,
             )
-        prev_c = c
         guess = pmax(guess, want)
     raise MarginTooSmall(
         f"could not stabilize the conductor after repeated rebuilds: {last_exc}"

@@ -39,17 +39,6 @@ from .snf import filtered_reduction, smith_invariants
 Cube = tuple[Point, int]  # (base point, direction bitmask)
 
 
-def cube_vertices(cube: Cube):
-    base, mask = cube
-    dirs = [i for i in range(len(base)) if mask >> i & 1]
-    for sub in range(1 << len(dirs)):
-        v = list(base)
-        for k, i in enumerate(dirs):
-            if sub >> k & 1:
-                v[i] += 1
-        yield tuple(v)
-
-
 @dataclass
 class SublevelComplex:
     """All cubes of weight <= level inside R(0, bound)."""
@@ -232,15 +221,6 @@ class HomologyReport:
         if n < self.n_min:
             return 0
         return self.u_ranks.get((k, n), 0)
-
-    def rank_table(self):
-        """Canonical comparable form: {(k, n): rank} with zeros dropped."""
-        out = {}
-        for n, row in self.table.items():
-            for k, (rank, _) in enumerate(row):
-                if rank:
-                    out[(k, n)] = rank
-        return out
 
 
 def _conductor_values(w: WeightGrid) -> np.ndarray:

@@ -248,9 +248,7 @@ def upset_minima(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
     return mins, (bad[0] if bad else None)
 
 
-def semigroup_from_low_points(
-    r: int, conductor: Point, low_points, bound: Point | None = None
-) -> SemigroupTable:
+def semigroup_from_low_points(r: int, conductor: Point, low_points) -> SemigroupTable:
     """Build the table on R(0, conductor) from an explicit member list,
     checked for min-closure and additive closure."""
     c = tuple(conductor)
@@ -263,8 +261,6 @@ def semigroup_from_low_points(
     small = SemigroupTable(r=r, bound=c, conductor=c, mask=mask)
     small.validate()
     small.validate_additive_closure()
-    if bound is not None:
-        return extend_semigroup(small, bound)
     return small
 
 

@@ -3,7 +3,7 @@ between subcurve Poincare series and the Hilbert grid.
 
 A rational series is carried exactly as numerator polynomial plus a list
 of denominator factors (1 - t^v); expansion on a rectangle is exact
-integer arithmetic, each factor contributing one running-sum pass.
+integer arithmetic, each factor contributing one strided running-sum pass.
 
 The reconstruction of the Hilbert series from the Poincare series of all
 subcurves is
@@ -99,29 +99,21 @@ def geometric(r: int, *exps: Point) -> RationalSeries:
 
 
 def expand(series: RationalSeries, hi: Point) -> np.ndarray:
-    """Exact power-series coefficients of the series on R(0, hi)."""
-    r = series.r
+    """Exact power-series coefficients of the series on R(0, hi); each
+    factor 1/(1 - t^v) runs a[l] += a[l - v] one layer at a time along the
+    first axis v moves, with the slices of the other axes clamped to the box."""
     shape = tuple(x + 1 for x in hi)
     a = np.zeros(shape, dtype=np.int64)
     for e, c in series.numerator.terms:
         if leq(e, hi):
             a[e] += c
     for v in series.denominator:
-        if sum(1 for x in v if x) == 1:
-            axis = next(i for i, x in enumerate(v) if x)
-            k = v[axis]
-            # multiply by sum_j t_axis^(j*k): strided running sum
-            n = shape[axis]
-            sl = [slice(None)] * r
-            for pos in range(k, n):
-                dst, src = list(sl), list(sl)
-                dst[axis], src[axis] = pos, pos - k
-                a[tuple(dst)] += a[tuple(src)]
-        else:
-            for idx in np.ndindex(shape):
-                if all(i >= x for i, x in zip(idx, v)):
-                    prev = tuple(i - x for i, x in zip(idx, v))
-                    a[idx] += a[prev]
+        axis = next(i for i, x in enumerate(v) if x)
+        dst = [slice(x, n) for x, n in zip(v, shape)]
+        src = [slice(0, max(n - x, 0)) for x, n in zip(v, shape)]
+        for pos in range(v[axis], shape[axis]):
+            dst[axis], src[axis] = pos, pos - v[axis]
+            a[tuple(dst)] += a[tuple(src)]
     return a
 
 

@@ -20,6 +20,13 @@
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one scalar ``motivic_coeff`` call
   per lattice point, the loops the coefficient array replaced.
+* ``two_branch_expand``: series expansion with a strided running sum for
+  a factor on one axis and a per-point loop for every other factor.
+* ``fixed_point_poincare_build`` / ``promoted_hilbert_build`` /
+  ``rebuilt_subcurve``: the germ builds as first written.  A ``poincare``
+  grid is accepted only when the next pass re-detects the same
+  conductor; a ``hilbert`` source and a subcurve go through their member
+  list and the ``semigroup`` build.
 """
 
 from fractions import Fraction
@@ -35,6 +42,15 @@ from latcurve import (
     relative_homology,
     sublevel_complex,
 )
+from latcurve.errors import DescriptorError, MarginTooSmall
+from latcurve.germ import (
+    _MAX_REBUILDS,
+    GermDescriptor,
+    GermModel,
+    _model_on,
+    _resolve_bound,
+    build_model,
+)
 from latcurve.homology import (
     HomologyReport,
     _cube_max_tables,
@@ -42,8 +58,24 @@ from latcurve.homology import (
     max_weight_conductor_box,
     min_weight,
 )
-from latcurve.lattice import box, level_points, norm, padd, unit
+from latcurve.lattice import (
+    HilbertGrid,
+    box,
+    leq,
+    level_points,
+    norm,
+    ones,
+    padd,
+    pmax,
+    restrict_to_subcurve,
+    scale,
+    semigroup_from_hilbert,
+    semigroup_from_low_points,
+    unit,
+    weight_from_hilbert,
+)
 from latcurve.motivic import LaurentSeries, QPoly
+from latcurve.series import hilbert_from_poincare
 
 # ---------------------------------------------------------------------------
 # lattice homology, one level at a time
@@ -273,3 +305,107 @@ def omega_by_points(h, w, depth) -> LaurentSeries:
     lo = min(orders)
     coeffs = tuple(acc.get(o, 0) for o in range(lo, depth + 1))
     return LaurentSeries(order=lo, coeffs=coeffs, truncation=depth)
+
+
+# ---------------------------------------------------------------------------
+# series expansion and germ builds as first written
+
+
+def two_branch_expand(series, hi) -> np.ndarray:
+    """Coefficients on R(0, hi): a factor (1 - t^v) with v on one axis is
+    a strided running sum, any other factor a loop over every point."""
+    r = series.r
+    shape = tuple(x + 1 for x in hi)
+    a = np.zeros(shape, dtype=np.int64)
+    for e, c in series.numerator.terms:
+        if leq(e, hi):
+            a[e] += c
+    for v in series.denominator:
+        if sum(1 for x in v if x) == 1:
+            axis = next(i for i, x in enumerate(v) if x)
+            k = v[axis]
+            n = shape[axis]
+            sl = [slice(None)] * r
+            for pos in range(k, n):
+                dst, src = list(sl), list(sl)
+                dst[axis], src[axis] = pos, pos - k
+                a[tuple(dst)] += a[tuple(src)]
+        else:
+            for idx in np.ndindex(shape):
+                if all(i >= x for i, x in zip(idx, v)):
+                    prev = tuple(i - x for i, x in zip(idx, v))
+                    a[idx] += a[prev]
+    return a
+
+
+def fixed_point_poincare_build(desc) -> GermModel:
+    """Grow the grid until the detected conductor repeats on the next pass
+    and the grid holds c + 3e and the bound c asks for."""
+    series = desc.payload
+    guess = desc.bound or (8,) * desc.r
+    prev_c = None
+    last_exc = None
+    for _ in range(2 * _MAX_REBUILDS + 2):
+        try:
+            h = hilbert_from_poincare(series, guess, desc.r)
+            table = semigroup_from_hilbert(h)
+        except MarginTooSmall as exc:
+            last_exc = exc
+            prev_c = None
+            guess = tuple(2 * g + 1 for g in guess)
+            continue
+        c = table.conductor
+        want = pmax(
+            _resolve_bound(desc, c, table.multiplicity()),
+            padd(c, scale(3, ones(desc.r))),
+        )
+        if leq(want, guess) and c == prev_c:
+            table.validate_additive_closure()
+            w = weight_from_hilbert(h, semigroup=table)
+            return GermModel(
+                descriptor=desc,
+                r=desc.r,
+                semigroup=table,
+                hilbert=h,
+                weight=w,
+                name=desc.name,
+            )
+        prev_c = c
+        guess = pmax(guess, want)
+    raise MarginTooSmall(
+        f"could not stabilize the conductor after repeated rebuilds: {last_exc}"
+    )
+
+
+def promoted_hilbert_build(desc) -> GermModel:
+    """A ``hilbert`` source rebuilt from the member list of its table."""
+    b, values = desc.payload
+    h = HilbertGrid(r=desc.r, bound=b, values=np.array(values, dtype=np.int64))
+    h.validate()
+    table = semigroup_from_hilbert(h)
+    small = semigroup_from_low_points(desc.r, table.conductor, table.low_points())
+    model = _model_on(
+        desc, small, _resolve_bound(desc, small.conductor, small.multiplicity(), b)
+    )
+    common = tuple(slice(0, min(a, c) + 1) for a, c in zip(b, model.bound))
+    if not np.array_equal(model.hilbert.values[common], h.values[common]):
+        raise DescriptorError("hilbert grid is inconsistent with its own semigroup")
+    return model
+
+
+def rebuilt_subcurve(model, branches) -> GermModel:
+    """The subcurve as a ``semigroup`` descriptor passed to ``build_model``
+    (no cache)."""
+    J = tuple(sorted(set(branches)))
+    if J == tuple(range(1, model.r + 1)):
+        return model
+    table = semigroup_from_hilbert(restrict_to_subcurve(model.hilbert, J))
+    desc = GermDescriptor(
+        r=len(J),
+        kind="semigroup",
+        payload=(table.conductor, table.low_points()),
+        name=f"{model.name or 'germ'}|{','.join(map(str, J))}",
+        plane=None,
+        gorenstein=None,
+    )
+    return build_model(desc)

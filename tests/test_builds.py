@@ -1,0 +1,176 @@
+"""Each germ model is built with one validation per source.  The builds
+equal the ones they replaced (kept in ``tests/oracles.py``) on every
+catalog spec, on large ladder rungs, on every subcurve of each, and on
+random germs rewritten as ``hilbert`` and ``poincare`` descriptors."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from latcurve import GermDescriptor, build_model, get, germ
+from latcurve.catalog import numerical_semigroup
+from latcurve.lattice import restrict_to_subcurve
+from latcurve.series import (
+    MultiPoly,
+    RationalSeries,
+    all_nonempty_subsets,
+    geometric,
+    hilbert_from_poincare,
+    poincare_from_hilbert,
+    poly,
+)
+
+from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
+from oracles import fixed_point_poincare_build, promoted_hilbert_build, rebuilt_subcurve
+from test_catalog import ALL_SPECS
+
+LARGE = [("A", 61), ("D", 69), ("T", 3, 67), ("T", 9, 13)]
+POINCARE_SPECS = [s for s in ALL_SPECS + LARGE if get(*s).kind == "poincare"]
+
+
+def _id(spec):
+    return "_".join(map(str, spec))
+
+
+def old_build(desc):
+    if desc.kind == "poincare":
+        return fixed_point_poincare_build(desc)
+    if desc.kind == "hilbert":
+        return promoted_hilbert_build(desc)
+    return build_model(desc)
+
+
+def assert_same_model(new, old):
+    assert new.descriptor.to_json() == old.descriptor.to_json()
+    assert new.name == old.name
+    assert (new.bound, new.conductor, new.multiplicity) == (
+        old.bound,
+        old.conductor,
+        old.multiplicity,
+    )
+    assert new.semigroup.bound == old.semigroup.bound
+    assert np.array_equal(new.semigroup.mask, old.semigroup.mask)
+    assert np.array_equal(new.hilbert.values, old.hilbert.values)
+    assert np.array_equal(new.weight.values, old.weight.values)
+    assert new.weight.conductor == old.weight.conductor
+
+
+def assert_same_subcurves(new, old):
+    for size in range(1, new.r):
+        for J in itertools.combinations(range(1, new.r + 1), size):
+            assert_same_model(new.subcurve(J), rebuilt_subcurve(old, J))
+
+
+def assert_builds_match(desc):
+    new, old = build_model(desc), old_build(desc)
+    assert_same_model(new, old)
+    assert_same_subcurves(new, old)
+    return new
+
+
+def hilbert_descriptor(model):
+    return GermDescriptor(
+        r=model.r,
+        kind="hilbert",
+        payload=(model.bound, model.hilbert.values),
+        name=model.name,
+    )
+
+
+def poincare_descriptor(model):
+    """Every subset's series from ``poincare_from_hilbert`` on the face of
+    the model's Hilbert grid; a branch's series is its numerator over
+    (1 - t), and its coefficients are exact on R(0, bound - e)."""
+    series = {}
+    for J in all_nonempty_subsets(model.r):
+        p = poincare_from_hilbert(restrict_to_subcurve(model.hilbert, J))
+        if len(J) == 1:
+            p = p.as_dict()
+            num = {
+                (k,): p.get((k,), 0) - p.get((k - 1,), 0)
+                for k in range(model.bound[J[0] - 1])
+            }
+            series[J] = RationalSeries(MultiPoly.from_dict(1, num), ((1,),))
+        else:
+            series[J] = RationalSeries(p)
+    return GermDescriptor(r=model.r, kind="poincare", payload=series, name=model.name)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + LARGE, ids=_id)
+def test_builds_match_the_old_builds(spec):
+    model = assert_builds_match(get(*spec))
+    assert_builds_match(hilbert_descriptor(model))
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs())
+def test_builds_match_on_random_plane_germs(germ_data):
+    _, c, desc = germ_data
+    model = assert_builds_match(desc)
+    assert model.conductor == c
+    assert assert_builds_match(poincare_descriptor(model)).conductor == c
+
+
+@settings(max_examples=30, deadline=None)
+@given(numerical_semigroups())
+def test_builds_match_on_random_branches(gens):
+    c = conductor_of(gens)
+    desc = GermDescriptor(
+        r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
+    )
+    model = build_model(desc)
+    assert assert_builds_match(hilbert_descriptor(model)).conductor == (c,)
+    series = poincare_descriptor(model)
+    grid = hilbert_from_poincare(series.payload, model.bound, 1)
+    assert np.array_equal(grid.values, model.hilbert.values)
+    assert_builds_match(series)
+
+
+@pytest.mark.parametrize("spec", POINCARE_SPECS, ids=_id)
+def test_each_guess_is_expanded_once(spec, monkeypatch):
+    guesses = []
+    expand_grid = germ.hilbert_from_poincare
+
+    def recording(series, bound, r=None):
+        guesses.append(tuple(bound))
+        return expand_grid(series, bound, r)
+
+    monkeypatch.setattr(germ, "hilbert_from_poincare", recording)
+    build_model(get(*spec))
+    assert guesses
+    assert len(set(guesses)) == len(guesses)
+
+
+_GAP = np.array([0, 1, 1, 2, 2, 2, 3, 4, 5], dtype=np.int64)  # S = {0, 2, 5, ...}
+_A1 = {(1,): geometric(1, (1,)), (2,): geometric(1, (1,))}
+_FIVE = RationalSeries(poly(2, {(0, 0): 5}))  # h(1, 1) = 5 breaks the unit steps
+# a valid Hilbert-function grid that its own semigroup does not reproduce
+_OFF_TABLE = np.array([[0, 1, 2, 2], [1, 1, 2, 3], [2, 2, 3, 4], [3, 3, 4, 5]])
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        GermDescriptor(r=1, kind="poincare", payload={(1,): geometric(1, (2,))}),
+        GermDescriptor(r=2, kind="poincare", payload={**_A1, (1, 2): _FIVE}),
+        GermDescriptor(r=2, kind="poincare", payload=_A1),
+        GermDescriptor(r=1, kind="hilbert", payload=((8,), _GAP)),
+        GermDescriptor(r=1, kind="hilbert", payload=((3,), np.array([0, 1, 1, 1]))),
+        GermDescriptor(r=1, kind="hilbert", payload=((3,), np.array([0, 0, 1, 2]))),
+        GermDescriptor(r=1, kind="hilbert", payload=((3,), np.array([1, 1, 2, 3]))),
+        GermDescriptor(r=2, kind="hilbert", payload=((3, 3), _OFF_TABLE)),
+    ],
+    ids=[
+        "no-conductor", "bad-series", "missing-subset",
+        "gap", "no-stable-region", "zero-missing", "h0", "not-its-own-table",
+    ],
+)
+def test_invalid_descriptors_fail_as_before(desc):
+    with pytest.raises(Exception) as new:
+        build_model(desc)
+    with pytest.raises(Exception) as old:
+        old_build(desc)
+    assert type(new.value) is type(old.value)
+    assert str(new.value) == str(old.value)

@@ -266,6 +266,22 @@ def test_semigroup_not_closed_under_addition_exits_1(tmp_path, capsys, command):
     assert err == "error: not closed under addition: (2,) + (2,) = (4,) is not a member\n"
 
 
+def test_poincare_loop_gives_up_with_exit_3(tmp_path, capsys):
+    # 1/(1 - t^2) enumerates <2>, which has no conductor: every guess
+    # fails conductor detection until the attempts run out
+    doc = {"version": 1, "germ": "even", "r": 1, "flags": {}, "bound": None,
+           "source": {"kind": "poincare", "series": {"1": {
+               "numerator": [{"exp": [0], "coeff": 1}], "denominator": [[2]]}}}}
+    path = _write_descriptor(tmp_path, doc)
+    code, out, err = run_cli(["invariants", "--germ", path], capsys)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("error: could not stabilize the conductor")
+    assert lines[1] == "hint: enlarge the grid with --bound"
+
+
 def test_exit_code_bound_length(capsys):
     code, _, err = run_cli(["invariants", "--builtin", "D,5", "--bound", "9"], capsys)
     assert code == 2

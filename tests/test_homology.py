@@ -18,7 +18,6 @@ from latcurve.homology import (
     _conductor_values,
     _faces,
     boundary,
-    cube_vertices,
     filtered_pairs,
     max_weight_conductor_box,
 )
@@ -183,11 +182,6 @@ def test_u_rank_bottom_level(model_of):
         m = model_of(*spec)
         rep = lattice_homology(m.weight)
         assert rep.u_rank(0, rep.n_min) >= 1
-
-
-def test_cube_vertices():
-    verts = set(cube_vertices(((1, 2), 0b11)))
-    assert verts == {(1, 2), (2, 2), (1, 3), (2, 3)}
 
 
 def _pair_complexes(m, base, level):

@@ -74,8 +74,8 @@ def test_additive_closure_violation_detected():
 
 
 def test_additive_closure_checked_for_hilbert_sources():
-    # h of S = {0, 2, 5, 6, ...}: the hilbert source is promoted through
-    # the member list, so the same gap is caught
+    # h of S = {0, 2, 5, 6, ...}: the table read off a hilbert source is
+    # checked for additive closure too, so the same gap is caught
     values = np.array([0, 1, 1, 2, 2, 2, 3, 4, 5], dtype=np.int64)
     desc = GermDescriptor(r=1, kind="hilbert", payload=((8,), values))
     with pytest.raises(InconsistentSemigroup, match="not closed under addition"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latcurve import (
     InvalidSeries,
@@ -8,7 +10,9 @@ from latcurve import (
     hilbert_from_poincare,
     poincare_from_hilbert,
 )
-from latcurve.series import geometric, poly
+from latcurve.series import MultiPoly, geometric, poly
+
+from oracles import two_branch_expand
 
 
 def test_expand_geometric():
@@ -34,6 +38,27 @@ def test_expand_diagonal_denominator():
     a = expand(s, (3, 3))
     assert all(a[i, i] == 1 for i in range(4))
     assert a[1, 0] == 0 and a[2, 1] == 0
+
+
+@st.composite
+def _series_on_boxes(draw):
+    """r = 1..4; exponents reach past the box, so numerator terms fall
+    outside it and factors pass it on any axis, not only the first."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    hi = tuple(draw(st.lists(st.integers(0, 4), min_size=r, max_size=r)))
+    exps = st.tuples(*[st.integers(0, 6)] * r)
+    terms = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))
+    den = draw(st.lists(exps.filter(any), max_size=3))
+    return RationalSeries(MultiPoly.from_dict(r, terms), tuple(den)), hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(_series_on_boxes())
+@example((geometric(2, (1, 5)), (3, 3)))
+@example((geometric(3, (0, 2, 7), (1, 1, 0)), (2, 4, 3)))
+def test_expand_matches_two_branch_expansion(case):
+    series, hi = case
+    assert np.array_equal(expand(series, hi), two_branch_expand(series, hi))
 
 
 def test_hilbert_from_poincare_a1():
