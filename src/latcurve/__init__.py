@@ -24,11 +24,8 @@ from .germ import GermDescriptor, GermModel, build_model, descriptor_from_json
 from .homology import (
     HomologyReport,
     euler_characteristic,
-    homology,
     lattice_homology,
     min_weight,
-    relative_homology,
-    sublevel_complex,
 )
 from .lattice import (
     HilbertGrid,

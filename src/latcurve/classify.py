@@ -22,7 +22,7 @@ from .errors import LatcurveError, RouteDisagreement, TruncationUnsound
 from .germ import GermDescriptor, GermModel, build_model, canonical_bound
 from .lattice import WeightGrid, norm, ones, padd, psub, scale, unit
 from .motivic import LaurentSeries, QPoly, omega_substitution, univariate_motivic
-from .spectral import has_maximal_rank, minimal_spectral_cycles
+from .spectral import minimal_spectral_cycles
 
 FINITE, TAME, WILD = "finite", "tame", "wild"
 SUB_A, SUB_D, SUB_E = "A", "D-dominating", "E-dominating"
@@ -117,17 +117,7 @@ def _route_weights(model: GermModel) -> dict:
 # route: lattice homology and spectral cycles
 
 
-def classify_finite_subtype(model: GermModel) -> str:
-    """A / D-dominating / E-dominating for a germ of finite CM type."""
-    if model.min_w == 0:
-        return SUB_A
-    group = minimal_spectral_cycles(model.weight, 1, 0)
-    return SUB_D if group.rank else SUB_E
-
-
-def classify_tame_homological(
-    model: GermModel, use_shortcuts: bool = True
-) -> tuple[bool, dict]:
+def classify_tame_homological(model: GermModel) -> tuple[bool, dict]:
     """Conditions (a)-(d): minimum weight -2, a minimal spectral 1-cycle
     of weight -1, branches of type A, complements of type A or D."""
     conds: dict[str, object] = {}
@@ -139,7 +129,7 @@ def classify_tame_homological(
     mm = norm(m)
     r = model.r
     group = minimal_spectral_cycles(w, 1, -1)
-    if use_shortcuts and mm == 4 and r > 2:
+    if mm == 4 and r > 2:
         # automatically satisfied here; the direct computation must agree
         if not group.rank:
             raise LatcurveError(
@@ -158,9 +148,11 @@ def classify_tame_homological(
     if r == 1:
         conds["d"] = True
     else:
+        # only the complement of a smooth branch of a germ with |m| = 4
+        # can fail condition (d)
         ok = True
         for i in range(1, r + 1):
-            if use_shortcuts and not (mm == 4 and m[i - 1] == 1):
+            if not (mm == 4 and m[i - 1] == 1):
                 continue
             hat = model.complement(i)
             good = hat.min_w == 0
@@ -172,25 +164,26 @@ def classify_tame_homological(
     return tame, {"conditions": conds}
 
 
-def classify_growth(model: GermModel) -> str:
-    """finite / infinite growth of an already-tame germ."""
-    group = minimal_spectral_cycles(model.weight, 1, -1)
-    return "finite" if has_maximal_rank(group, model.multiplicity) else "infinite"
-
-
 def _route_homology(model: GermModel) -> dict:
+    """Finite subtype from the group M(1, 0) (A when min w = 0, else
+    D-dominating iff M(1, 0) is nonzero); tame growth finite iff M(1, -1)
+    has the maximal rank C(|m| - 1, 1) = |m| - 1 of ``has_maximal_rank``."""
     evidence: dict = {"min_w": model.min_w}
     if model.min_w >= -1:
-        subtype = classify_finite_subtype(model)
-        evidence.update({"verdict": FINITE, "subtype": subtype})
-        if model.min_w == -1:
-            evidence["M(1,0) rank"] = minimal_spectral_cycles(model.weight, 1, 0).rank
+        evidence["verdict"] = FINITE
+        if model.min_w == 0:
+            evidence["subtype"] = SUB_A
+        else:
+            rank = minimal_spectral_cycles(model.weight, 1, 0).rank
+            evidence["subtype"] = SUB_D if rank else SUB_E
+            evidence["M(1,0) rank"] = rank
         return evidence
     tame, ev = classify_tame_homological(model)
     evidence.update(ev)
     if tame:
+        maximal = ev["conditions"]["M(1,-1) rank"] == norm(model.multiplicity) - 1
         evidence["verdict"] = TAME
-        evidence["growth"] = classify_growth(model)
+        evidence["growth"] = "finite" if maximal else "infinite"
     else:
         evidence["verdict"] = WILD
     return evidence

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DescriptorError, MarginTooSmall
+from .errors import DescriptorError, InconsistentSemigroup, MarginTooSmall
 from .homology import min_weight
 from .lattice import (
     HilbertGrid,
@@ -41,6 +41,7 @@ from .lattice import (
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
+    validate_semigroup_consistency,
     weight_from_hilbert,
 )
 from .series import MultiPoly, RationalSeries, hilbert_from_poincare
@@ -332,9 +333,18 @@ def _resolve_bound(
 
 
 def _model_on(desc: GermDescriptor, table: SemigroupTable, bound: Point) -> GermModel:
-    """The model of ``table``'s semigroup (known on R(0, c)) on R(0, bound)."""
+    """The model of ``table``'s semigroup (known on R(0, c)) on R(0, bound).
+
+    The extended table is round-trip checked through its Hilbert grid, so
+    a bad application of the extension rule fails loudly instead of
+    corrupting downstream grids.  The guard needs the re-detected
+    conductor to stabilize, that is two spare layers above c.
+    """
     table = extend_semigroup(table, bound)
     h = hilbert_from_semigroup(table)
+    if leq(padd(table.conductor, scale(2, ones(desc.r))), bound):
+        if not validate_semigroup_consistency(table, h):
+            raise InconsistentSemigroup("extension failed the round-trip check")
     w = weight_from_hilbert(h, semigroup=table)
     return GermModel(
         descriptor=desc, r=desc.r, semigroup=table, hilbert=h, weight=w, name=desc.name

@@ -1,7 +1,7 @@
-"""Sublevel cubical complexes of the weight function and their integer
-homology.
+"""Lattice homology: the integer homology of the sublevel cubical
+complexes of the weight function, and the U-maps between them.
 
-The ambient complex is the unit-cube decomposition of R(0, bound); a cube
+The ambient complex is the unit-cube decomposition of R(0, c); a cube
 is (base, dirs) with dirs a bitmask of spanned axes, and it belongs to
 the sublevel complex S_n iff every vertex has weight <= n.
 
@@ -17,9 +17,10 @@ union-find (the elder rule) and the higher cubes top dimension first,
 skipping the cubes that are already pivot rows one dimension up
 (clearing); both shortcuts keep the pairs and every pivot of the plain
 reduction of all columns, so the unit-pivot certificate is unchanged.
-When every pivot is +-1 each H_k(S_n) is torsion-free; otherwise the
-torsion of each level comes from a Smith reduction of that level alone
-(``homology``).
+When every pivot is +-1 each H_k(S_n) is torsion-free.  Otherwise the
+torsion of H_k(S_n) comes from a Smith reduction of the (k+1)-columns of
+S_n: every S_n is a prefix of the filtration order, so these columns are
+a prefix of the same boundary columns.
 
 Everything is computed inside the conductor rectangle R(0, c): for
 n fixed, the inclusion of S_n cap R(0, c) into S_n is a homotopy
@@ -33,26 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EulerMismatch, MarginTooSmall
-from .lattice import Point, WeightGrid, leq, norm
+from .lattice import WeightGrid, leq, norm
 from .snf import filtered_reduction, smith_invariants
-
-Cube = tuple[Point, int]  # (base point, direction bitmask)
-
-
-@dataclass
-class SublevelComplex:
-    """All cubes of weight <= level inside R(0, bound)."""
-
-    level: int
-    r: int
-    bound: Point
-    cells: dict = field(repr=False)  # dim -> list of Cube, lexicographic
-
-    def cell_set(self) -> set:
-        return {c for cubes in self.cells.values() for c in cubes}
-
-    def n_cells(self, k: int) -> int:
-        return len(self.cells.get(k, ()))
 
 
 def _cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
@@ -68,118 +51,6 @@ def _cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
         hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
         tables[mask] = np.maximum(prev[lo], prev[hi])
     return tables
-
-
-def sublevel_complex(w: WeightGrid, n: int, bound: Point | None = None) -> SublevelComplex:
-    """The full subcomplex S_n on the vertices of weight <= n.
-
-    ``bound`` defaults to the conductor rectangle when the grid knows its
-    conductor (valid because the inclusion into the full S_n is a
-    homotopy equivalence), else to the grid bound.
-    """
-    if bound is None:
-        bound = w.conductor if w.conductor is not None else w.bound
-    if not leq(bound, w.bound):
-        raise MarginTooSmall(f"requested bound {bound} exceeds grid {w.bound}")
-    r = w.r
-    values = w.values[tuple(slice(0, b + 1) for b in bound)]
-    tables = _cube_max_tables(values, r)
-    cells: dict[int, list[Cube]] = {}
-    for mask in range(1 << r):
-        k = bin(mask).count("1")
-        hits = np.argwhere(tables[mask] <= n)
-        if hits.size:
-            cells.setdefault(k, []).extend(
-                (tuple(int(x) for x in row), mask) for row in hits
-            )
-    for k in cells:
-        cells[k].sort()
-    return SublevelComplex(level=n, r=r, bound=bound, cells=cells)
-
-
-def boundary(cube: Cube):
-    """Signed faces of a cube: alternating signs along the sorted spanned
-    axes, upper face minus lower face."""
-    base, mask = cube
-    out = []
-    sign = 1
-    m = mask
-    while m:
-        low = m & (m - 1)
-        axis = (m ^ low).bit_length() - 1
-        rest = mask ^ (1 << axis)
-        upper = tuple(b + 1 if i == axis else b for i, b in enumerate(base))
-        out.append(((upper, rest), sign))
-        out.append(((base, rest), -sign))
-        sign = -sign
-        m = low
-    return out
-
-
-def _chain_data(cells: dict, dropped: set | None = None):
-    """Index maps and boundary columns for a (relative) chain complex."""
-    index = {}
-    for k, cubes in cells.items():
-        for pos, c in enumerate(cubes):
-            index[c] = (k, pos)
-    cols = {}
-    for k, cubes in cells.items():
-        if k == 0:
-            continue
-        mats = []
-        for c in cubes:
-            col = {}
-            for face, s in boundary(c):
-                if dropped is not None and face in dropped:
-                    continue
-                fk, fpos = index[face]
-                col[fpos] = col.get(fpos, 0) + s
-            mats.append(col)
-        cols[k] = mats
-    return cols
-
-
-def homology(cx: SublevelComplex):
-    """[(rank, torsion list)] for k = 0..r of a sublevel complex."""
-    cols = _chain_data(cx.cells)
-    ranks = {}
-    torsions = {}
-    for k, mats in cols.items():
-        rank, tors = smith_invariants(mats)
-        ranks[k] = rank
-        torsions[k] = tors
-    out = []
-    for k in range(cx.r + 1):
-        nk = cx.n_cells(k)
-        bk = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        out.append((bk, torsions.get(k + 1, [])))
-    return out
-
-
-def relative_homology(cx: SublevelComplex, sub: SublevelComplex):
-    """Homology of the relative chain complex of the pair (cx, sub)."""
-    sub_cells = sub.cell_set()
-    all_cells = cx.cell_set()
-    if not sub_cells <= all_cells:
-        raise ValueError("second complex is not a subcomplex of the first")
-    rel = {}
-    for k, cubes in cx.cells.items():
-        keep = [c for c in cubes if c not in sub_cells]
-        if keep:
-            rel[k] = keep
-    cols = _chain_data(rel, dropped=sub_cells)
-    ranks = {}
-    torsions = {}
-    for k, mats in cols.items():
-        rank, tors = smith_invariants(mats)
-        ranks[k] = rank
-        torsions[k] = tors
-    out = []
-    for k in range(cx.r + 1):
-        nk = len(rel.get(k, ()))
-        bk = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        out.append((bk, torsions.get(k + 1, [])))
-    return out
 
 
 @dataclass
@@ -225,8 +96,6 @@ class HomologyReport:
 
 def _conductor_values(w: WeightGrid) -> np.ndarray:
     """w on R(0, c)."""
-    if w.conductor is None:
-        raise MarginTooSmall("weight grid has no conductor")
     if not leq(w.conductor, w.bound):
         raise MarginTooSmall(f"conductor {w.conductor} exceeds grid {w.bound}")
     return w.values[tuple(slice(0, ci + 1) for ci in w.conductor)]
@@ -271,9 +140,8 @@ def _cell_order(values: np.ndarray, r: int):
 
 def _faces(position: dict, mask: int, r: int):
     """(faces, coefficients) of every cube spanned by ``mask``, one row
-    per cube, with the signs of ``boundary``: per spanned axis, lowest
-    first, the upper face with sign s and the lower face with -s, s
-    alternating from +1."""
+    per cube: per spanned axis, lowest first, the upper face with sign s
+    and the lower face with -s, s alternating from +1."""
     faces, signs, sign = [], [], 1
     for axis in range(r):
         if mask >> axis & 1:
@@ -288,29 +156,43 @@ def _faces(position: dict, mask: int, r: int):
 
 
 def filtered_pairs(values: np.ndarray, r: int):
-    """``(value, dim, pairs, unit_pivots)`` of the filtered cubical
-    complex of the box under ``values``: the cubes in filtration order
-    and ``snf.filtered_reduction`` of their boundaries, which come from
-    index arrays, one per direction mask."""
+    """``(value, dim, boundaries, pairs, unit_pivots)`` of the filtered
+    cubical complex of the box under ``values``: the cubes in filtration
+    order, their boundary columns, and ``snf.filtered_reduction`` of
+    those columns.  ``boundaries[k]`` is ``(cells, faces, coefficients)``
+    for the k-cubes, one row per cube in increasing filtration index,
+    read from index arrays, one per direction mask."""
     value, dim, position = _cell_order(values, r)
     groups = {k: [] for k in range(1, r + 1)}
     for mask, cells in position.items():
         if mask:
             faces, coeffs = _faces(position, mask, r)
             groups[bin(mask).count("1")].append((cells.ravel(), faces, coeffs))
-
-    def by_cell(k):
-        cells, faces, coeffs = (np.concatenate(part) for part in zip(*groups[k]))
+    boundaries = {}
+    for k, group in groups.items():
+        cells, faces, coeffs = (np.concatenate(part) for part in zip(*group))
         order = np.argsort(cells)
-        return cells[order].tolist(), faces[order], coeffs[order]
+        boundaries[k] = cells[order], faces[order], coeffs[order]
+    columns = [
+        zip(*(part.tolist() for part in boundaries[k])) for k in range(r, 1, -1)
+    ]
+    cells, faces, _ = boundaries[1]
+    pairs, unit_pivots = filtered_reduction(
+        zip(cells.tolist(), *faces.T.tolist()), columns
+    )
+    return value, dim, boundaries, pairs, unit_pivots
 
-    columns = []
-    for k in range(r, 1, -1):
-        cells, faces, coeffs = by_cell(k)
-        columns.append(zip(cells, faces.tolist(), coeffs.tolist()))
-    cells, faces, _ = by_cell(1)
-    pairs, unit_pivots = filtered_reduction(zip(cells, *faces.T.tolist()), columns)
-    return value, dim, pairs, unit_pivots
+
+def _level_torsion(boundaries: dict, cut: int) -> list:
+    """Torsion of H_k(S), k = 0..r-1, for the complex S of the cells with
+    filtration index below ``cut``: the Smith invariants of the
+    (k+1)-columns of S, a prefix of ``boundaries[k + 1]``."""
+    torsion = []
+    for cells, faces, coeffs in boundaries.values():  # k + 1 = 1..r
+        stop = int(np.searchsorted(cells, cut))
+        rows = zip(faces[:stop].tolist(), coeffs[:stop].tolist())
+        torsion.append(smith_invariants([dict(zip(*row)) for row in rows])[1])
+    return torsion
 
 
 def lattice_homology(w: WeightGrid) -> HomologyReport:
@@ -320,7 +202,7 @@ def lattice_homology(w: WeightGrid) -> HomologyReport:
     n_min, n_top = int(values.min()), int(values.max())
     levels = range(n_min, n_top + 1)
     r = w.r
-    value, dim, pairs, unit_pivots = filtered_pairs(values, r)
+    value, dim, boundaries, pairs, unit_pivots = filtered_pairs(values, r)
     # each cell that no pair names as its killer starts an interval
     # [birth, death) of its dimension; one that never dies gets death
     # n_top + 1, which counts it on every level and in every U-map up to
@@ -358,7 +240,8 @@ def lattice_homology(w: WeightGrid) -> HomologyReport:
         if unit_pivots:
             torsion = [[] for _ in range(r)]
         else:
-            torsion = [tors for _, tors in homology(sublevel_complex(w, n))]
+            cut = int(np.searchsorted(value, n, side="right"))
+            torsion = _level_torsion(boundaries, cut)
         table[n] = [(row[k], torsion[k]) for k in range(r)]
     return HomologyReport(r=r, n_min=n_min, n_top=n_top, table=table, u_ranks=u_ranks)
 
@@ -376,8 +259,6 @@ def euler_characteristic(report: HomologyReport, w: WeightGrid) -> int:
         for k in range(1, len(row)):
             eu += (-1) ** k * row[k][0]
     c = w.conductor
-    if c is None:
-        raise MarginTooSmall("weight grid has no conductor")
     d = (norm(c) - w.w(c)) // 2
     if eu != d:
         raise EulerMismatch(f"euler characteristic {eu} != delta {d}")

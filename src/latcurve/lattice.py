@@ -267,9 +267,9 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
 def extend_semigroup(small: SemigroupTable, bound: Point) -> SemigroupTable:
     """Extend a table known on R(0, c) to R(0, bound).
 
-    Extension rule: l is a member iff min(l, c) is.  The result is
-    round-trip checked through the Hilbert function, so a bad rule
-    application fails loudly instead of corrupting downstream grids.
+    Extension rule: l is a member iff min(l, c) is.  The model build
+    (``germ._model_on``) round-trip checks the result through the Hilbert
+    grid it builds from it.
     """
     c = small.conductor
     if not leq(c, bound):
@@ -278,12 +278,6 @@ def extend_semigroup(small: SemigroupTable, bound: Point) -> SemigroupTable:
     mask = small.mask[tuple(slice(0, ci + 1) for ci in c)][idx]
     table = SemigroupTable(r=small.r, bound=tuple(bound), conductor=c, mask=mask)
     table.validate()
-    # the round-trip guard needs the re-detected conductor to stabilize,
-    # i.e. two spare layers
-    if leq(padd(c, scale(2, ones(small.r))), bound):
-        h = hilbert_from_semigroup(table)
-        if not validate_semigroup_consistency(table, h):
-            raise InconsistentSemigroup("extension failed the round-trip check")
     return table
 
 
@@ -329,7 +323,7 @@ class WeightGrid:
     bound: Point
     values: np.ndarray = field(repr=False)
     multiplicity: Point
-    conductor: Point | None = None
+    conductor: Point
 
     def __post_init__(self):
         self.values.flags.writeable = False
@@ -414,9 +408,7 @@ def hilbert_from_semigroup(table: SemigroupTable) -> HilbertGrid:
     return grid
 
 
-def weight_from_hilbert(
-    h: HilbertGrid, semigroup: SemigroupTable | None = None
-) -> WeightGrid:
+def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid:
     """Pointwise w = 2h - |l|; multiplicity read off the axis rows.
 
     Along axis i the identity w(k e_i) = 2 - k holds exactly for
@@ -437,7 +429,7 @@ def weight_from_hilbert(
             raise MarginTooSmall(f"cannot read multiplicity along axis {i}")
         m.append(mi)
     m = tuple(m)
-    if semigroup is not None and semigroup.multiplicity() != m:
+    if semigroup.multiplicity() != m:
         raise InconsistentSemigroup(
             f"multiplicity {m} from w disagrees with semigroup {semigroup.multiplicity()}"
         )
@@ -446,7 +438,7 @@ def weight_from_hilbert(
         bound=h.bound,
         values=values,
         multiplicity=m,
-        conductor=semigroup.conductor if semigroup is not None else None,
+        conductor=semigroup.conductor,
     )
     grid.validate(source=h)
     return grid
@@ -543,8 +535,6 @@ def delta(h: HilbertGrid, conductor: Point) -> int:
 def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     """True iff w(l) = w(c - l) throughout R(0, c)."""
     c = conductor if conductor is not None else w.conductor
-    if c is None:
-        raise MarginTooSmall("no conductor available for the symmetry check")
     sub = w.values[tuple(slice(0, ci + 1) for ci in c)]
     rev = sub[(slice(None, None, -1),) * w.r]
     return bool(np.array_equal(sub, rev))

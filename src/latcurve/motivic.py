@@ -169,11 +169,8 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
     Uses: w strictly increases along axis i from any point with
     l_i >= c_i, so omitted points dominate boundary points by at least 1.
     """
-    c = w.conductor
-    if c is None:
-        return False
     inner = tuple(b - 1 for b in w.bound)
-    if not leq(c, inner):
+    if not leq(w.conductor, inner):
         return False
     boundary_min = None
     sub = w.values[_window(inner)]

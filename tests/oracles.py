@@ -1,9 +1,14 @@
 """Reference implementations that the package's engines are tested against.
 
+* ``sublevel_complex`` / ``boundary`` / ``homology`` /
+  ``relative_homology``: the per-level cube engine.  Each sublevel
+  complex S_n is enumerated on its own as a dict of cubes, and its
+  homology (or that of a pair) is read from Smith forms of dict columns.
 * ``per_level_lattice_homology``: lattice homology computed level by
-  level, with one Smith reduction per sublevel complex and one per
-  relative pair (S_{n+1}, S_n); U-ranks come from the long exact sequence
-  of the pair.  It is the engine the filtered reduction replaced.
+  level with that engine, with one Smith reduction per sublevel complex
+  and one per relative pair (S_{n+1}, S_n); U-ranks come from the long
+  exact sequence of the pair.  It is the engine the filtered reduction
+  replaced, torsion fallback included.
 * ``column_pairs``: the filtered reduction as first written, one dict
   column per cube from ``boundary`` and a sorted list of (value, dim,
   base, mask) tuples, reduced by the plain lowest-one reduction over Z
@@ -20,6 +25,11 @@
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one scalar ``motivic_coeff`` call
   per lattice point, the loops the coefficient array replaced.
+* ``tame_conditions_without_shortcuts``: the tameness conditions
+  (a)-(d) of the homology route with every group computed, where
+  ``classify_tame_homological`` takes condition (b) as given for
+  |m| = 4, r > 2 and checks condition (d) only on the complements of
+  smooth branches when |m| = 4.
 * ``two_branch_expand``: series expansion with a strided running sum for
   a factor on one axis and a per-point loop for every other factor.
 * ``fixed_point_poincare_build`` / ``promoted_hilbert_build`` /
@@ -29,6 +39,7 @@
   list and the ``semigroup`` build.
 """
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -37,10 +48,8 @@ import numpy as np
 from latcurve import (
     InconsistentInput,
     InconsistentSemigroup,
-    homology,
+    minimal_spectral_cycles,
     motivic_coeff,
-    relative_homology,
-    sublevel_complex,
 )
 from latcurve.errors import DescriptorError, MarginTooSmall
 from latcurve.germ import (
@@ -54,12 +63,13 @@ from latcurve.germ import (
 from latcurve.homology import (
     HomologyReport,
     _cube_max_tables,
-    boundary,
     max_weight_conductor_box,
     min_weight,
 )
 from latcurve.lattice import (
     HilbertGrid,
+    Point,
+    WeightGrid,
     box,
     leq,
     level_points,
@@ -76,9 +86,141 @@ from latcurve.lattice import (
 )
 from latcurve.motivic import LaurentSeries, QPoly
 from latcurve.series import hilbert_from_poincare
+from latcurve.snf import smith_invariants
 
 # ---------------------------------------------------------------------------
 # lattice homology, one level at a time
+
+Cube = tuple[Point, int]  # (base point, direction bitmask)
+
+
+@dataclass
+class SublevelComplex:
+    """All cubes of weight <= level inside R(0, bound)."""
+
+    level: int
+    r: int
+    bound: Point
+    cells: dict = field(repr=False)  # dim -> list of Cube, lexicographic
+
+    def cell_set(self) -> set:
+        return {c for cubes in self.cells.values() for c in cubes}
+
+    def n_cells(self, k: int) -> int:
+        return len(self.cells.get(k, ()))
+
+
+def sublevel_complex(w: WeightGrid, n: int, bound: Point | None = None) -> SublevelComplex:
+    """The full subcomplex S_n on the vertices of weight <= n.
+
+    ``bound`` defaults to the conductor rectangle when the grid knows its
+    conductor (valid because the inclusion into the full S_n is a
+    homotopy equivalence), else to the grid bound.
+    """
+    if bound is None:
+        bound = w.conductor if w.conductor is not None else w.bound
+    if not leq(bound, w.bound):
+        raise MarginTooSmall(f"requested bound {bound} exceeds grid {w.bound}")
+    r = w.r
+    values = w.values[tuple(slice(0, b + 1) for b in bound)]
+    tables = _cube_max_tables(values, r)
+    cells: dict[int, list[Cube]] = {}
+    for mask in range(1 << r):
+        k = bin(mask).count("1")
+        hits = np.argwhere(tables[mask] <= n)
+        if hits.size:
+            cells.setdefault(k, []).extend(
+                (tuple(int(x) for x in row), mask) for row in hits
+            )
+    for k in cells:
+        cells[k].sort()
+    return SublevelComplex(level=n, r=r, bound=bound, cells=cells)
+
+
+def boundary(cube: Cube):
+    """Signed faces of a cube: alternating signs along the sorted spanned
+    axes, upper face minus lower face."""
+    base, mask = cube
+    out = []
+    sign = 1
+    m = mask
+    while m:
+        low = m & (m - 1)
+        axis = (m ^ low).bit_length() - 1
+        rest = mask ^ (1 << axis)
+        upper = tuple(b + 1 if i == axis else b for i, b in enumerate(base))
+        out.append(((upper, rest), sign))
+        out.append(((base, rest), -sign))
+        sign = -sign
+        m = low
+    return out
+
+
+def _chain_data(cells: dict, dropped: set | None = None):
+    """Index maps and boundary columns for a (relative) chain complex."""
+    index = {}
+    for k, cubes in cells.items():
+        for pos, c in enumerate(cubes):
+            index[c] = (k, pos)
+    cols = {}
+    for k, cubes in cells.items():
+        if k == 0:
+            continue
+        mats = []
+        for c in cubes:
+            col = {}
+            for face, s in boundary(c):
+                if dropped is not None and face in dropped:
+                    continue
+                fk, fpos = index[face]
+                col[fpos] = col.get(fpos, 0) + s
+            mats.append(col)
+        cols[k] = mats
+    return cols
+
+
+def homology(cx: SublevelComplex):
+    """[(rank, torsion list)] for k = 0..r of a sublevel complex."""
+    cols = _chain_data(cx.cells)
+    ranks = {}
+    torsions = {}
+    for k, mats in cols.items():
+        rank, tors = smith_invariants(mats)
+        ranks[k] = rank
+        torsions[k] = tors
+    out = []
+    for k in range(cx.r + 1):
+        nk = cx.n_cells(k)
+        bk = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        out.append((bk, torsions.get(k + 1, [])))
+    return out
+
+
+def relative_homology(cx: SublevelComplex, sub: SublevelComplex):
+    """Homology of the relative chain complex of the pair (cx, sub)."""
+    sub_cells = sub.cell_set()
+    all_cells = cx.cell_set()
+    if not sub_cells <= all_cells:
+        raise ValueError("second complex is not a subcomplex of the first")
+    rel = {}
+    for k, cubes in cx.cells.items():
+        keep = [c for c in cubes if c not in sub_cells]
+        if keep:
+            rel[k] = keep
+    cols = _chain_data(rel, dropped=sub_cells)
+    ranks = {}
+    torsions = {}
+    for k, mats in cols.items():
+        rank, tors = smith_invariants(mats)
+        ranks[k] = rank
+        torsions[k] = tors
+    out = []
+    for k in range(cx.r + 1):
+        nk = len(rel.get(k, ()))
+        bk = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        out.append((bk, torsions.get(k + 1, [])))
+    return out
+
 
 
 def u_ranks_from_betti(b_low, b_high, b_rel, r):
@@ -409,3 +551,31 @@ def rebuilt_subcurve(model, branches) -> GermModel:
         gorenstein=None,
     )
     return build_model(desc)
+
+
+# ---------------------------------------------------------------------------
+# tameness conditions of the homology route, every group computed
+
+
+def tame_conditions_without_shortcuts(model) -> tuple[bool, dict]:
+    """Conditions (a)-(d): minimum weight -2, a minimal spectral 1-cycle
+    of weight -1, branches of type A, complements of type A or D; (b)
+    read from the rank of M(1, -1) for every |m|, (d) checked on every
+    branch complement."""
+    conds: dict[str, object] = {"a": model.min_w == -2}
+    if not conds["a"]:
+        return False, {"conditions": conds}
+    rank = minimal_spectral_cycles(model.weight, 1, -1).rank
+    conds["b"] = rank != 0
+    conds["M(1,-1) rank"] = rank
+    conds["c"] = all(model.branch(i).min_w == 0 for i in range(1, model.r + 1))
+    conds["d"] = True
+    if model.r > 1:
+        for i in range(1, model.r + 1):
+            hat = model.complement(i)
+            good = hat.min_w == 0
+            if not good and hat.min_w == -1:
+                good = minimal_spectral_cycles(hat.weight, 1, 0).rank != 0
+            conds["d"] = conds["d"] and good
+    tame = bool(conds["a"] and conds["b"] and conds["c"] and conds["d"])
+    return tame, {"conditions": conds}

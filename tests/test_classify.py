@@ -2,13 +2,14 @@ import pytest
 
 from latcurve import RouteDisagreement, classify, classify_unimodal_plane
 from latcurve.classify import (
+    _route_homology,
     classify_finite_pointwise,
-    classify_finite_subtype,
-    classify_growth,
     classify_motivic,
     classify_tame_homological,
     classify_tame_weights,
 )
+
+from oracles import tame_conditions_without_shortcuts
 
 
 def test_finite_pointwise(model_of):
@@ -27,9 +28,11 @@ def test_finite_pointwise_matches_min_weight(model_of):
 
 
 def test_finite_subtypes(model_of):
-    assert classify_finite_subtype(model_of("A", 3)) == "A"
-    assert classify_finite_subtype(model_of("D", 4)) == "D-dominating"
-    assert classify_finite_subtype(model_of("E", 7)) == "E-dominating"
+    assert _route_homology(model_of("A", 3))["subtype"] == "A"
+    d4 = _route_homology(model_of("D", 4))
+    assert d4["subtype"] == "D-dominating" and d4["M(1,0) rank"] == 2
+    e7 = _route_homology(model_of("E", 7))
+    assert e7["subtype"] == "E-dominating" and e7["M(1,0) rank"] == 0
 
 
 def test_tame_weights_t36(model_of):
@@ -61,15 +64,15 @@ def test_tame_homological(model_of):
 def test_tame_homological_shortcuts_agree(model_of):
     for spec in [("T", 4, 4), ("T", 3, 6), ("T", 5, 7), ("E13",), ("W1_0",), ("Z12",)]:
         m = model_of(*spec)
-        fast = classify_tame_homological(m, use_shortcuts=True)
-        slow = classify_tame_homological(m, use_shortcuts=False)
+        fast = classify_tame_homological(m)
+        slow = tame_conditions_without_shortcuts(m)
         assert fast[0] == slow[0], spec
 
 
 def test_growth(model_of):
-    assert classify_growth(model_of("T", 4, 4)) == "finite"
-    assert classify_growth(model_of("T", 3, 6)) == "finite"
-    assert classify_growth(model_of("T", 3, 7)) == "infinite"
+    assert _route_homology(model_of("T", 4, 4))["growth"] == "finite"
+    assert _route_homology(model_of("T", 3, 6))["growth"] == "finite"
+    assert _route_homology(model_of("T", 3, 7))["growth"] == "infinite"
 
 
 def test_motivic_route_d4(model_of):

@@ -7,24 +7,29 @@ from latcurve import (
     EulerMismatch,
     build_model,
     euler_characteristic,
-    homology,
     lattice_homology,
     min_weight,
-    relative_homology,
-    sublevel_complex,
 )
 from latcurve.homology import (
     _cell_order,
     _conductor_values,
     _faces,
-    boundary,
     filtered_pairs,
     max_weight_conductor_box,
 )
 from latcurve.lattice import WeightGrid
 
 from germ_strategies import monomial_plane_germs
-from oracles import assert_same_homology, column_pairs, per_level_lattice_homology
+from oracles import (
+    SublevelComplex,
+    assert_same_homology,
+    boundary,
+    column_pairs,
+    homology,
+    per_level_lattice_homology,
+    relative_homology,
+    sublevel_complex,
+)
 from test_catalog import ALL_SPECS
 
 
@@ -187,8 +192,6 @@ def test_u_rank_bottom_level(model_of):
 def _pair_complexes(m, base, level):
     """S_level intersected with B = R(base, base+e), and with A = B minus
     the open star of the base vertex."""
-    from latcurve.homology import SublevelComplex
-
     r = m.r
     full = sublevel_complex(m.weight, level, bound=m.bound)
     inside = {
@@ -235,7 +238,7 @@ def test_relative_pair_e7(model_of):
 
 def assert_same_pairs(w):
     values = _conductor_values(w)
-    _, _, pairs, unit_pivots = filtered_pairs(values, w.r)
+    _, _, _, pairs, unit_pivots = filtered_pairs(values, w.r)
     assert (pairs, unit_pivots) == column_pairs(values, w.r)
 
 
@@ -294,3 +297,69 @@ def test_torsion_from_smith_forms_without_unit_pivot_certificate(monkeypatch, mo
     )
     w = model_of("D", 5).weight
     assert_same_homology(hom.lattice_homology(w), per_level_lattice_homology(w))
+
+
+# ---------------------------------------------------------------------------
+# the torsion fallback: with the unit-pivot certificate forced off, each
+# level's torsion comes from the Smith forms of its prefix of the columns
+
+
+def homology_without_certificate(w):
+    """``lattice_homology`` with ``filtered_reduction`` patched as in the
+    D_5 test above, so that ``unit_pivots`` reads False."""
+    import importlib
+
+    hom = importlib.import_module("latcurve.homology")
+    real = hom.filtered_reduction
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            hom, "filtered_reduction", lambda *cells: (real(*cells)[0], False)
+        )
+        return hom.lattice_homology(w)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_torsion_fallback_matches_per_level_engine(spec, model_of):
+    w = model_of(*spec).weight
+    assert_same_homology(homology_without_certificate(w), per_level_lattice_homology(w))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_value_grids())
+def test_torsion_fallback_on_random_value_grids(w):
+    assert_same_homology(homology_without_certificate(w), per_level_lattice_homology(w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(monomial_plane_germs())
+def test_torsion_fallback_on_random_multi_branch_germs(germ):
+    m = build_model(germ[2])
+    rep = homology_without_certificate(m.weight)
+    assert_same_homology(rep, per_level_lattice_homology(m.weight))
+
+
+def test_torsion_fallback_reduces_each_level_prefix(monkeypatch, model_of):
+    # report each Smith reduction's column count as its torsion: the one
+    # for H_k(S_n) must see exactly the (k+1)-cubes of S_n
+    import importlib
+
+    hom = importlib.import_module("latcurve.homology")
+    monkeypatch.setattr(hom, "smith_invariants", lambda columns: (0, [len(columns)]))
+    for spec in [("D", 5), ("T", 3, 6), ("T", 4, 4)]:
+        w = model_of(*spec).weight
+        for n, row in homology_without_certificate(w).table.items():
+            cx = sublevel_complex(w, n)
+            assert [tors for _, tors in row] == [[cx.n_cells(k + 1)] for k in range(w.r)]
+
+
+def test_level_torsion_reads_a_prefix_of_the_columns():
+    # vertices 0, 1; edges 2, 3 from 0 to 1, so 2 - 3 is a cycle; a
+    # 2-cell 4 with boundary 2(2 - 3) makes H_1 = Z/2 once it is present
+    from latcurve.homology import _level_torsion
+
+    boundaries = {
+        1: (np.array([2, 3]), np.array([[1, 0], [1, 0]]), np.array([[1, -1], [1, -1]])),
+        2: (np.array([4]), np.array([[2, 3]]), np.array([[2, -2]])),
+    }
+    assert _level_torsion(boundaries, 4) == [[], []]
+    assert _level_torsion(boundaries, 5) == [[], [2]]

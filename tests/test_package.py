@@ -1,0 +1,42 @@
+"""The package surface: every name that the tests, the README and the
+benchmark take from ``latcurve`` itself still imports from it."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def names_imported_by_tests() -> set:
+    """Names of every ``from latcurve import ...`` in ``tests/``, module
+    level or inside a function."""
+    names = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module == "latcurve":
+                    names.update(alias.name for alias in node.names)
+    return names
+
+
+def names_read_as_lc(path: Path) -> set:
+    """Names read as ``lc.<name>`` after ``import latcurve as lc``."""
+    return set(re.findall(r"\blc\.(\w+)", path.read_text()))
+
+
+def test_every_used_name_imports_from_the_package():
+    readme = names_read_as_lc(ROOT / "README.md")
+    bench = set().union(*map(names_read_as_lc, (ROOT / "perfbench").glob("*.py")))
+    tests = names_imported_by_tests()
+    # the scans must see the quick tour and the imports, not nothing
+    assert {"build_model", "lattice_homology", "classify"} <= readme
+    assert {"build_model", "get_entry", "euler_characteristic"} <= bench
+    assert {"build_model", "lattice_homology", "minimal_spectral_cycles"} <= tests
+    missing = []
+    for name in sorted(readme | bench | tests):
+        try:
+            exec(f"from latcurve import {name}", {})
+        except ImportError:
+            missing.append(name)
+    assert not missing
