@@ -204,6 +204,8 @@ def cmd_spectral(model, args):
         if len(vals) != model.r + 2:
             raise DescriptorError(f"--e1 needs l1..l{model.r},k,n")
         ell, k, n = vals[: model.r], vals[model.r], vals[model.r + 1]
+        if min(ell) < 0:
+            raise DescriptorError(f"--e1 point {ell} has a negative coordinate")
         entry = e1_refined(model.weight, ell, k, n)
         queries.append(
             {"ell": list(ell), "k": k, "n": n, "rank": entry.rank, "kind": "e1"}

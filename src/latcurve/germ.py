@@ -412,23 +412,31 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
 
 
 def build_model(desc: GermDescriptor) -> GermModel:
-    """Construct the grids for a descriptor (growing past margin errors)."""
+    """Construct the grids for a descriptor (growing past margin errors)
+    and check its flags against them."""
     if desc.kind == "builtin":
         from . import catalog
 
         name, params = desc.payload
-        entry = catalog.get_entry(name, *params)
-        return build_model(
-            replace(
-                entry.descriptor,
-                bound=desc.bound or entry.descriptor.bound,
-                plane=desc.plane if desc.plane is not None else entry.descriptor.plane,
-            )
-        )
+        entry = catalog.get_entry(name, *params).descriptor
+        # the descriptor's bound and flags override the entry's where set
+        given = dict(bound=desc.bound, plane=desc.plane, gorenstein=desc.gorenstein)
+        given = {key: value for key, value in given.items() if value is not None}
+        return build_model(replace(entry, **given))
     if desc.kind == "semigroup":
-        return _build_from_semigroup(desc)
-    if desc.kind == "hilbert":
-        return _build_from_hilbert(desc)
-    if desc.kind == "poincare":
-        return _build_from_poincare(desc)
-    raise DescriptorError(f"unknown source kind {desc.kind!r}")
+        model = _build_from_semigroup(desc)
+    elif desc.kind == "hilbert":
+        model = _build_from_hilbert(desc)
+    elif desc.kind == "poincare":
+        model = _build_from_poincare(desc)
+    else:
+        raise DescriptorError(f"unknown source kind {desc.kind!r}")
+    # a plane curve is a complete intersection, hence Gorenstein
+    if desc.plane and not model.is_gorenstein:
+        raise DescriptorError("flag plane is True, but the germ is not Gorenstein")
+    if desc.gorenstein is not None and desc.gorenstein != model.is_gorenstein:
+        raise DescriptorError(
+            f"flag gorenstein is {desc.gorenstein}, "
+            f"but the weights give {model.is_gorenstein}"
+        )
+    return model

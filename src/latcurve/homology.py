@@ -34,23 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EulerMismatch, MarginTooSmall
-from .lattice import WeightGrid, leq, norm
+from .lattice import WeightGrid, cube_max_tables, leq, norm
 from .snf import filtered_reduction, smith_invariants
-
-
-def _cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
-    """tables[mask] = max of w over the corners of the cube (base, mask),
-    indexed by base; the array shape shrinks by one along each spanned
-    axis."""
-    tables = {0: values}
-    for mask in range(1, 1 << r):
-        low = mask & (mask - 1)
-        axis = (mask ^ low).bit_length() - 1
-        prev = tables[low]
-        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
-        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
-        tables[mask] = np.maximum(prev[lo], prev[hi])
-    return tables
 
 
 @dataclass
@@ -120,7 +105,7 @@ def _cell_order(values: np.ndarray, r: int):
     indices, that is lexicographically; a face never comes after its
     cofaces, so every prefix up to a value n is the complex S_n.
     """
-    tables = _cube_max_tables(values, r)
+    tables = cube_max_tables(values, r)
     shapes = [t.shape for t in tables.values()]
     sizes = [t.size for t in tables.values()]
     flat = np.arange(values.size).reshape(values.shape)

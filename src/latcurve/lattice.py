@@ -99,15 +99,19 @@ def box(hi: Point) -> Rectangle:
     return Rectangle((0,) * len(hi), hi)
 
 
-def level_points(r: int, d: int, bound: Point):
-    """Points with |l| = d inside R(0, bound), in lexicographic order."""
-    if r == 1:
-        if d <= bound[0]:
-            yield (d,)
-        return
-    for head in range(min(d, bound[0]) + 1):
-        for tail in level_points(r - 1, d - head, bound[1:]):
-            yield (head,) + tail
+def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
+    """tables[mask] = max of ``values`` over the corners of the cube
+    (base, mask), indexed by base; the array shape shrinks by one along
+    each spanned axis."""
+    tables = {0: values}
+    for mask in range(1, 1 << r):
+        low = mask & (mask - 1)
+        axis = (mask ^ low).bit_length() - 1
+        prev = tables[low]
+        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
+        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
+        tables[mask] = np.maximum(prev[lo], prev[hi])
+    return tables
 
 
 def norm_array(shape) -> np.ndarray:

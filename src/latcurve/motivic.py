@@ -100,6 +100,8 @@ def motivic_coeff(h: HilbertGrid, ell: Point) -> QPoly:
     semigroup value."""
     r = h.r
     ell = tuple(ell)
+    if min(ell) < 0:
+        raise MarginTooSmall(f"l={ell} has a negative coordinate")
     if not leq(padd(ell, ones(r)), h.bound):
         raise MarginTooSmall(f"need {ell} + e inside the grid {h.bound}")
     base = h.h(ell)

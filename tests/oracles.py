@@ -22,6 +22,14 @@
 * ``additive_closure_by_members``: the loop over members, one gathered
   shifted box each, that ``SemigroupTable.validate_additive_closure``
   replaced.
+* ``admissible_subsets`` / ``scalar_e1_refined``: the scalar E1 engine
+  that ``spectral`` replaced.  Each query builds a dict of the 2^r
+  vertex weights and of the cube maxima, lists the admissible subsets,
+  and Smith-reduces the subset complex in every dimension, whatever the
+  degree asked for.  ``e1_level_by_points``, ``pe_series_by_points`` and
+  ``minimal_spectral_cycles_by_points`` are the loops over it: one
+  scalar query per lattice point, and one level query per level below
+  j*|m| for the vanishing check.
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one scalar ``motivic_coeff`` call
   per lattice point, the loops the coefficient array replaced.
@@ -41,7 +49,7 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -51,7 +59,13 @@ from latcurve import (
     minimal_spectral_cycles,
     motivic_coeff,
 )
-from latcurve.errors import DescriptorError, MarginTooSmall
+from latcurve.errors import (
+    DescriptorError,
+    LatcurveError,
+    MarginTooSmall,
+    TorsionFound,
+    UndefinedWeight,
+)
 from latcurve.germ import (
     _MAX_REBUILDS,
     GermDescriptor,
@@ -60,19 +74,14 @@ from latcurve.germ import (
     _resolve_bound,
     build_model,
 )
-from latcurve.homology import (
-    HomologyReport,
-    _cube_max_tables,
-    max_weight_conductor_box,
-    min_weight,
-)
+from latcurve.homology import HomologyReport, max_weight_conductor_box, min_weight
 from latcurve.lattice import (
     HilbertGrid,
     Point,
     WeightGrid,
     box,
+    cube_max_tables,
     leq,
-    level_points,
     norm,
     ones,
     padd,
@@ -87,6 +96,7 @@ from latcurve.lattice import (
 from latcurve.motivic import LaurentSeries, QPoly
 from latcurve.series import hilbert_from_poincare
 from latcurve.snf import smith_invariants
+from latcurve.spectral import E1Entry, MinimalCycleGroup
 
 # ---------------------------------------------------------------------------
 # lattice homology, one level at a time
@@ -123,7 +133,7 @@ def sublevel_complex(w: WeightGrid, n: int, bound: Point | None = None) -> Suble
         raise MarginTooSmall(f"requested bound {bound} exceeds grid {w.bound}")
     r = w.r
     values = w.values[tuple(slice(0, b + 1) for b in bound)]
-    tables = _cube_max_tables(values, r)
+    tables = cube_max_tables(values, r)
     cells: dict[int, list[Cube]] = {}
     for mask in range(1 << r):
         k = bin(mask).count("1")
@@ -301,7 +311,7 @@ def plain_filtered_reduction(columns):
 def sorted_cubes(values, r):
     """Every cube of the box as (value, dim, base, mask), sorted."""
     cubes = []
-    for mask, table in _cube_max_tables(values, r).items():
+    for mask, table in cube_max_tables(values, r).items():
         k = bin(mask).count("1")
         cubes.extend((int(v), k, base, mask) for base, v in np.ndenumerate(table))
     cubes.sort()
@@ -421,13 +431,151 @@ def additive_closure_by_members(table) -> None:
 
 
 # ---------------------------------------------------------------------------
+# refined E1 entries, one point at a time
+
+
+def admissible_subsets(w: WeightGrid, ell: Point, n: int) -> list[int]:
+    """Bitmasks I with max vertex weight of the cube (l, I) at most n."""
+    r = w.r
+    vals = {}
+    for sub in range(1 << r):
+        p = tuple(ell[i] + (1 if sub >> i & 1 else 0) for i in range(r))
+        vals[sub] = w.w(p)
+    cube_max = {0: vals[0]}
+    good = [0] if vals[0] <= n else []
+    for mask in range(1, 1 << r):
+        best = vals[mask]
+        m = mask
+        while m:
+            low = m & (m - 1)
+            best = max(best, cube_max[mask ^ (m ^ low)])
+            m = low
+        cube_max[mask] = best
+        if best <= n:
+            good.append(mask)
+    return good
+
+
+def scalar_e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:
+    """Rank of the refined E1 entry at l; degree q = |l| + k."""
+    r = w.r
+    ell = tuple(ell)
+    if not leq(padd(ell, ones(r)), w.bound):
+        raise MarginTooSmall(f"need {ell} + e inside the grid {w.bound}")
+    good = admissible_subsets(w, ell, n)
+    if k < 0 or k > r:
+        return E1Entry(ell=ell, d=norm(ell), k=k, n=n, rank=0)
+    by_dim: dict[int, list[int]] = {}
+    for mask in good:
+        by_dim.setdefault(bin(mask).count("1"), []).append(mask)
+    for masks in by_dim.values():
+        masks.sort()
+    index = {}
+    for dim, masks in by_dim.items():
+        for pos, mask in enumerate(masks):
+            index[mask] = pos
+    ranks = {}
+    torsions = {}
+    for dim, masks in by_dim.items():
+        if dim == 0:
+            continue
+        cols = []
+        for mask in masks:
+            col = {}
+            sign = 1
+            m = mask
+            while m:
+                low = m & (m - 1)
+                bit = m ^ low
+                face = mask ^ bit
+                if face in index:
+                    col[index[face]] = col.get(index[face], 0) + sign
+                sign = -sign
+                m = low
+            cols.append(col)
+        rank, tors = smith_invariants(cols)
+        ranks[dim] = rank
+        torsions[dim] = tors
+    nk = len(by_dim.get(k, ()))
+    rank = nk - ranks.get(k, 0) - ranks.get(k + 1, 0)
+    if torsions.get(k + 1):
+        raise TorsionFound(
+            f"E1 entry at l={ell}, k={k}, n={n} has torsion {torsions[k + 1]}"
+        )
+    if rank and n != w.w(ell) + k:
+        raise LatcurveError(
+            f"support law violated: nonzero entry at l={ell}, k={k}, n={n} "
+            f"but w(l)+k = {w.w(ell) + k}"
+        )
+    return E1Entry(ell=ell, d=norm(ell), k=k, n=n, rank=rank)
+
+
+def e1_level_by_points(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
+    """Level entry: sum of refined ranks over |l| = d."""
+    inner = tuple(b - 1 for b in w.bound)
+    if any(b < 0 for b in inner) or d > norm(inner):
+        raise MarginTooSmall(f"level {d} reaches outside the grid {w.bound}")
+    total = 0
+    for ell in box(inner).points():
+        if norm(ell) == d:
+            total += scalar_e1_refined(w, ell, k, n).rank
+    return E1Entry(ell=None, d=d, k=k, n=n, rank=total)
+
+
+def minimal_spectral_cycles_by_points(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
+    """The group of minimal spectral k-cycles of weight n, with the
+    vanishing below level j*|m| checked one level entry at a time."""
+    m = w.multiplicity
+    mm = norm(m)
+    if mm < 3:
+        raise UndefinedWeight(f"minimal spectral cycles need |m| >= 3, got {mm}")
+    num = k - n
+    if num < 0 or num % (mm - 2) != 0:
+        raise UndefinedWeight(
+            f"no natural j solves n = (2-|m|)j + k for k={k}, n={n}, |m|={mm}"
+        )
+    j = num // (mm - 2)
+    ell = scale(j, m)
+    entry = scalar_e1_refined(w, ell, k, n)
+    for d in range(j * mm):
+        low = e1_level_by_points(w, d, k, n)
+        if low.rank:
+            raise LatcurveError(
+                f"vanishing below level {j * mm} fails at d={d} (rank {low.rank})"
+            )
+    bound = comb(w.r - 1, k) if 0 <= k <= w.r - 1 else 0
+    if entry.rank > bound:
+        raise LatcurveError(
+            f"minimal cycle rank {entry.rank} exceeds the bound C({w.r - 1},{k})"
+        )
+    return MinimalCycleGroup(k=k, n=n, j=j, rank=entry.rank)
+
+
+def pe_series_by_points(w: WeightGrid, bounds: Point) -> dict:
+    """(l, n, k) -> rank over l in R(0, bounds), k = 0..r-1, n = w(l) + k,
+    zero ranks dropped."""
+    r = w.r
+    if not leq(padd(bounds, ones(r)), w.bound):
+        raise MarginTooSmall(f"bounds {bounds} + e exceed the grid {w.bound}")
+    out = {}
+    for ell in box(bounds).points():
+        for k in range(r):
+            n = w.w(ell) + k
+            rank = scalar_e1_refined(w, ell, k, n).rank
+            if rank:
+                out[(ell, n, k)] = rank
+    return out
+
+
+# ---------------------------------------------------------------------------
 # motivic specializations, one motivic_coeff call per point
 
 
 def univariate_by_points(h, d) -> QPoly:
     total = QPoly()
-    for ell in level_points(h.r, d, h.bound):
-        total = total + motivic_coeff(h, ell)
+    for ell in box(h.bound).points():
+        if norm(ell) == d:
+            total = total + motivic_coeff(h, ell)
     return total
 
 

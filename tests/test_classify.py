@@ -1,14 +1,26 @@
 import pytest
+from hypothesis import given, settings
 
-from latcurve import RouteDisagreement, classify, classify_unimodal_plane
+from latcurve import (
+    RouteDisagreement,
+    build_model,
+    classify,
+    classify_unimodal_plane,
+    euler_characteristic,
+    lattice_homology,
+)
+from latcurve.catalog import numerical_semigroup
 from latcurve.classify import (
+    SUB_D,
     _route_homology,
     classify_finite_pointwise,
     classify_motivic,
     classify_tame_homological,
     classify_tame_weights,
 )
+from latcurve.germ import GermDescriptor
 
+from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from oracles import tame_conditions_without_shortcuts
 
 
@@ -164,3 +176,33 @@ def test_t44_complements_are_d4_type(model_of):
         hat = m.complement(i)
         assert hat.min_w == -1
         assert minimal_spectral_cycles(hat.weight, 1, 0).rank == 2
+
+
+# ---------------------------------------------------------------------------
+# hypothesis: classify random germs; a disagreement of the routes raises
+
+
+def classify_checked(model):
+    """classify, plus the Euler characteristic against delta."""
+    verdict = classify(model)
+    assert verdict.agreement
+    hom = lattice_homology(model.weight)
+    assert euler_characteristic(hom, model.weight) == model.delta
+    return verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_plane_germs())
+def test_classify_random_plane_germs(germ):
+    model = build_model(germ[2])
+    classify_checked(model)
+    assert model.is_gorenstein  # a plane curve is a complete intersection
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerical_semigroups())
+def test_classify_random_single_branch_germs(gens):
+    c = conductor_of(gens)
+    elements = numerical_semigroup(gens, c)
+    desc = GermDescriptor(r=1, kind="semigroup", payload=((c,), elements))
+    assert classify_checked(build_model(desc)).subtype != SUB_D

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import latcurve
+from latcurve import get
 from latcurve.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -280,6 +281,42 @@ def test_poincare_loop_gives_up_with_exit_3(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("error: could not stabilize the conductor")
     assert lines[1] == "hint: enlarge the grid with --bound"
+
+
+SEMIGROUP_345 = {"kind": "semigroup", "conductor": [3], "elements": [[0], [3]]}
+
+
+@pytest.mark.parametrize(
+    "r,source,flags,code",
+    [
+        (1, SEMIGROUP_345, {"plane": True}, 2),
+        (1, SEMIGROUP_345, {"gorenstein": True}, 2),
+        (1, SEMIGROUP_345, {"gorenstein": False}, 0),
+        (2, get("D", 5).to_json_dict()["source"], {"gorenstein": False}, 2),
+        (2, {"kind": "builtin", "name": "D", "params": [5]}, {"gorenstein": False}, 2),
+    ],
+    ids=["345-plane", "345-gorenstein", "345-not-gorenstein", "D5-not-gorenstein",
+         "D5-builtin-not-gorenstein"],
+)
+def test_descriptor_flags_are_checked_against_the_model(
+    tmp_path, capsys, r, source, flags, code
+):
+    doc = {"version": 1, "germ": "flagged", "r": r, "source": source,
+           "flags": flags, "bound": None}
+    path = _write_descriptor(tmp_path, doc)
+    got, out, err = run_cli(["invariants", "--germ", path], capsys)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith(f"error: flag {next(iter(flags))} is ")
+        assert len(err.splitlines()) == 1
+
+
+def test_negative_e1_point_is_a_parse_error(capsys):
+    code, out, err = run_cli(["spectral", "--builtin", "D,5", "--e1=-2,3,0,4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --e1 point (-2, 3) has a negative coordinate\n"
 
 
 def test_exit_code_bound_length(capsys):

@@ -1,0 +1,183 @@
+"""The E1 engine against the scalar engine it replaced.
+
+``spectral`` reads the admissible-subset bitmask of one base directly
+(``_pattern``) and of a whole window from the cube-max tables
+(``_patterns``), and reduces each distinct bitmask once per call.  The
+reference is ``oracles.scalar_e1_refined``: one dict of cube maxima and
+one Smith form per dimension at every point, with ``e1_level``,
+``pe_series`` and ``minimal_spectral_cycles`` as loops over it.  Every
+query gives the same rank, or raises the same exception class; a point
+or level query also gives the same message.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from latcurve import LatcurveError, MarginTooSmall, build_model, motivic_coeff
+from latcurve import spectral
+from latcurve.lattice import WeightGrid, box, norm, pmin
+
+from germ_strategies import monomial_plane_germs
+from oracles import (
+    admissible_subsets,
+    e1_level_by_points,
+    minimal_spectral_cycles_by_points,
+    pe_series_by_points,
+    scalar_e1_refined,
+)
+from test_catalog import ALL_SPECS
+from test_homology import _value_grids
+
+# (k, n) of the level and minimal-cycle queries: the weights where the
+# classifier and the acceptance tables read them, and their neighbours
+LEVEL_QUERIES = [(0, 0), (1, -1), (1, 0), (2, -1)]
+CYCLE_QUERIES = [(0, 0), (1, -1), (1, 0), (1, -2), (2, -1), (0, -2), (1, 2)]
+
+
+def outcome(f, *args, message=True):
+    """f's result, or its exception class (and message)."""
+    try:
+        return f(*args)
+    except Exception as exc:  # every class the engines raise is compared
+        return (type(exc), str(exc)) if message else type(exc)
+
+
+def inner_of(w):
+    return tuple(b - 1 for b in w.bound)
+
+
+def assert_same_points(w, points):
+    """e1_refined at every point, k = -1..r+1, n = w(l) + k - 1..w(l) + k + 1."""
+    for ell in points:
+        for k in range(-1, w.r + 2):
+            for n in range(w.w(ell) + k - 1, w.w(ell) + k + 2):
+                got = outcome(lambda *a: spectral.e1_refined(*a).rank, w, ell, k, n)
+                want = outcome(lambda *a: scalar_e1_refined(*a).rank, w, ell, k, n)
+                assert got == want, (ell, k, n)
+
+
+def assert_same_patterns(w, ns):
+    """Window, scalar and reference bitmasks agree at every base."""
+    inner = inner_of(w)
+    points = list(box(inner).points())
+    for n in ns:
+        patterns, index = spectral._patterns(w, inner, tuple(np.array(points).T), n)
+        for ell, i in zip(points, index):
+            want = sum(1 << sub for sub in admissible_subsets(w, ell, n))
+            assert patterns[i] == spectral._pattern(w, ell, n) == want
+
+
+def assert_same_windows(w, levels, bounds):
+    """e1_level, minimal_spectral_cycles and pe_series."""
+    for k, n in LEVEL_QUERIES:
+        for d in levels:
+            assert outcome(spectral.e1_level, w, d, k, n) == outcome(
+                e1_level_by_points, w, d, k, n
+            )
+    for k, n in CYCLE_QUERIES:
+        got = outcome(spectral.minimal_spectral_cycles, w, k, n, message=False)
+        assert got == outcome(minimal_spectral_cycles_by_points, w, k, n, message=False)
+    got = outcome(spectral.pe_series, w, bounds, message=False)
+    assert got == outcome(pe_series_by_points, w, bounds, message=False)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_e1_matches_scalar_engine_on_catalog(spec, model_of):
+    m = model_of(*spec)
+    w = m.weight
+    inner = inner_of(w)
+    assert_same_points(w, box(pmin(m.conductor, inner)).points())
+    assert_same_patterns(w, range(-2, 3))
+    assert_same_windows(w, range(norm(inner) + 2), m.conductor)
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs())
+def test_e1_matches_scalar_engine_on_random_multi_branch_germs(germ):
+    _, _, desc = germ
+    m = build_model(desc)
+    w = m.weight
+    inner = inner_of(w)
+    assert_same_points(w, box(pmin(m.conductor, inner)).points())
+    assert_same_patterns(w, range(-2, 3))
+    assert_same_windows(w, range(norm(inner) + 2), m.conductor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_value_grids())
+def test_e1_matches_scalar_engine_on_random_value_grids(w):
+    """Values that are no germ's weights: the support law, the vanishing
+    check and the grid margins all fail somewhere."""
+    inner = inner_of(w)
+    if min(inner) < 0:  # no base has l + e inside the grid
+        assert_same_windows(w, range(2), w.bound)
+        return
+    assert_same_points(w, box(inner).points())
+    assert_same_patterns(w, range(-3, 4))
+    assert_same_windows(w, range(norm(inner) + 2), inner)
+
+
+def test_pe_series_reduces_each_distinct_pattern_once_per_degree(
+    model_of, monkeypatch
+):
+    """pe_series(T_{4,4}) reduces the boundaries of degrees k and k + 1
+    once for each distinct admissible bitmask met in degree k."""
+    w = model_of("T", 4, 4).weight
+    c = model_of("T", 4, 4).conductor
+    calls = []
+    real = spectral.smith_invariants
+    monkeypatch.setattr(
+        spectral, "smith_invariants", lambda cols: calls.append(1) or real(cols)
+    )
+    table = spectral.pe_series(w, c)
+    assert table == pe_series_by_points(w, c)
+    want = 0
+    for k in range(w.r):
+        distinct = {
+            frozenset(admissible_subsets(w, ell, w.w(ell) + k))
+            for ell in box(c).points()
+        }
+        for subsets in distinct:
+            sizes = {bin(sub).count("1") for sub in subsets}
+            want += len(sizes & {k, k + 1} - {0})
+    assert len(calls) == want
+
+
+def test_failures_on_a_value_grid_name_the_first_level_and_point():
+    """Values (no germ's weights) whose level entries below j*|m| = 3 do
+    not vanish.  For (k, n) = (0, -1) the support law also fails, on level
+    2: the scan, one window, reports that entry check, where the loop over
+    levels reported the vanishing on level 1 first.  On level 1 at
+    (k, n) = (1, 1) the support law fails at (0, 0, 1) and at (0, 1, 0)."""
+    values = [-1, -1, 0, -1, 0, 2, 2, 0, -1, 0, 0, -1, -2, 2, 1, 1, 0, -1,
+              -1, -1, 1, 1, -2, -2, -1, 1, -2]
+    w = WeightGrid(
+        r=3,
+        bound=(2, 2, 2),
+        values=np.array(values).reshape(3, 3, 3),
+        multiplicity=(1, 1, 1),
+        conductor=(2, 2, 2),
+    )
+    want = "vanishing below level 3 fails at d=0 (rank 1)"
+    for engine in (spectral.minimal_spectral_cycles, minimal_spectral_cycles_by_points):
+        with pytest.raises(LatcurveError, match=re.escape(want)):
+            engine(w, 2, 1)
+    with pytest.raises(LatcurveError, match=r"vanishing .* d=1 \(rank 1\)"):
+        minimal_spectral_cycles_by_points(w, 0, -1)
+    with pytest.raises(LatcurveError, match=r"support law violated: .* l=\(1, 1, 0\)"):
+        spectral.minimal_spectral_cycles(w, 0, -1)
+    want = "support law violated: nonzero entry at l=(0, 0, 1), k=1, n=1"
+    for engine in (spectral.e1_level, e1_level_by_points):
+        with pytest.raises(LatcurveError, match=re.escape(want)):
+            engine(w, 1, 1, 1)
+
+
+def test_negative_points_are_outside_the_lattice(model_of):
+    m = model_of("D", 5)
+    with pytest.raises(MarginTooSmall, match="negative coordinate"):
+        spectral.e1_refined(m.weight, (-2, 3), 0, 4)
+    with pytest.raises(MarginTooSmall, match="negative coordinate"):
+        motivic_coeff(m.hilbert, (-2, 3))

@@ -18,7 +18,6 @@ from latcurve import (
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
-from latcurve.lattice import box, level_points
 
 
 def build_r1(gens, conductor, bound):
@@ -204,11 +203,3 @@ def test_multiplicity_readoff(model_of):
     assert model_of("D", 5).multiplicity == (2, 1)
     assert model_of("Z11").multiplicity == (3, 1)
     assert model_of("A", 0).multiplicity == (1,)
-
-
-@pytest.mark.parametrize(
-    "d,bound", [(3, (5,)), (4, (3, 6)), (5, (2, 2, 4)), (8, (2, 2, 4)), (9, (2, 2, 4))]
-)
-def test_level_points_enumerate_one_level_of_the_box(d, bound):
-    want = [p for p in box(bound).points() if sum(p) == d]
-    assert list(level_points(len(bound), d, bound)) == want

@@ -40,3 +40,23 @@ def test_every_used_name_imports_from_the_package():
         except ImportError:
             missing.append(name)
     assert not missing
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    """A decision two modules share (such as the cube-max tables of
+    ``homology`` and ``spectral``) is public in one module."""
+    package = ROOT / "src" / "latcurve"
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    private = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("latcurve")
+            ):
+                private += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert not private
