@@ -33,8 +33,6 @@ from .lattice import (
     SemigroupTable,
     WeightGrid,
     delta,
-    detect_conductor,
-    extend_semigroup,
     gorenstein_symmetry,
     hilbert_from_semigroup,
     restrict_to_subcurve,

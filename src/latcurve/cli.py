@@ -251,8 +251,8 @@ def cmd_motivic(model, args):
     depth = args.depth if args.depth is not None else 3
     report = _basic_header(model)
     levels = []
+    model = model.ensure_bound(scale(depth + 1, ones(model.r)))
     for d in range(0, depth + 1):
-        model = model.ensure_bound(scale(d + 1, ones(model.r)))
         p = univariate_motivic(model.hilbert, d)
         levels.append({"d": d, "coeffs": {str(e): c for e, c in p.coeffs}})
     series, _ = certified_omega(model, depth)

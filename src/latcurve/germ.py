@@ -9,9 +9,10 @@ A descriptor names the germ by exactly one source:
 * ``builtin``: a catalog name with parameters.
 
 Descriptors round-trip through a small JSON schema (see README).  The
-model is an immutable value holding the semigroup table, Hilbert grid and
-weight grid on a common bound; growing the bound returns a new model, and
-subcurve models come from restriction to coordinate faces.
+model is an immutable value holding the semigroup table on R(0, c) and
+the Hilbert and weight grids on a common bound; growing the bound
+returns a new model on the same table, and subcurve models come from
+restriction to coordinate faces.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DescriptorError, InconsistentSemigroup, MarginTooSmall
+from .errors import DescriptorError, MarginTooSmall
 from .homology import min_weight
 from .lattice import (
     HilbertGrid,
@@ -30,19 +31,19 @@ from .lattice import (
     WeightGrid,
     box,
     delta as delta_of,
-    extend_semigroup,
     gorenstein_symmetry,
     hilbert_from_semigroup,
     leq,
     ones,
     padd,
     pmax,
+    pmin,
     restrict_to_subcurve,
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
-    validate_semigroup_consistency,
     weight_from_hilbert,
+    window,
 )
 from .series import MultiPoly, RationalSeries, hilbert_from_poincare
 
@@ -274,7 +275,7 @@ class GermModel:
         desc = GermDescriptor(
             r=len(J),
             kind="semigroup",
-            payload=(table.conductor, table.low_points()),
+            payload=(table.conductor, table.points()),
             name=f"{self.name or 'germ'}|{','.join(map(str, J))}",
         )
         sub = _model_on(
@@ -333,18 +334,8 @@ def _resolve_bound(
 
 
 def _model_on(desc: GermDescriptor, table: SemigroupTable, bound: Point) -> GermModel:
-    """The model of ``table``'s semigroup (known on R(0, c)) on R(0, bound).
-
-    The extended table is round-trip checked through its Hilbert grid, so
-    a bad application of the extension rule fails loudly instead of
-    corrupting downstream grids.  The guard needs the re-detected
-    conductor to stabilize, that is two spare layers above c.
-    """
-    table = extend_semigroup(table, bound)
-    h = hilbert_from_semigroup(table)
-    if leq(padd(table.conductor, scale(2, ones(desc.r))), bound):
-        if not validate_semigroup_consistency(table, h):
-            raise InconsistentSemigroup("extension failed the round-trip check")
+    """The model of ``table``'s semigroup on R(0, bound)."""
+    h = hilbert_from_semigroup(table, bound)
     w = weight_from_hilbert(h, semigroup=table)
     return GermModel(
         descriptor=desc, r=desc.r, semigroup=table, hilbert=h, weight=w, name=desc.name
@@ -353,8 +344,8 @@ def _model_on(desc: GermDescriptor, table: SemigroupTable, bound: Point) -> Germ
 
 def _build_from_semigroup(desc: GermDescriptor) -> GermModel:
     c, elements = desc.payload
-    small = semigroup_from_low_points(desc.r, c, elements)
-    return _model_on(desc, small, _resolve_bound(desc, c, small.multiplicity()))
+    table = semigroup_from_low_points(desc.r, c, elements)
+    return _model_on(desc, table, _resolve_bound(desc, c, table.multiplicity()))
 
 
 def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
@@ -367,7 +358,7 @@ def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
         desc, table, _resolve_bound(desc, table.conductor, table.multiplicity(), b)
     )
     # the source grid must agree with the rebuilt one where both exist
-    common = tuple(slice(0, min(a, c) + 1) for a, c in zip(b, model.bound))
+    common = window(pmin(b, model.bound))
     if not np.array_equal(model.hilbert.values[common], h.values[common]):
         raise DescriptorError("hilbert grid is inconsistent with its own semigroup")
     return model

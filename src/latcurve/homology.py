@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EulerMismatch, MarginTooSmall
-from .lattice import WeightGrid, cube_max_tables, leq, norm
+from .lattice import WeightGrid, cube_max_tables, leq, norm, window
 from .snf import filtered_reduction, smith_invariants
 
 
@@ -83,7 +83,7 @@ def _conductor_values(w: WeightGrid) -> np.ndarray:
     """w on R(0, c)."""
     if not leq(w.conductor, w.bound):
         raise MarginTooSmall(f"conductor {w.conductor} exceeds grid {w.bound}")
-    return w.values[tuple(slice(0, ci + 1) for ci in w.conductor)]
+    return w.values[window(w.conductor)]
 
 
 def min_weight(w: WeightGrid) -> int:

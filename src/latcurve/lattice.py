@@ -3,15 +3,18 @@
 A germ is represented purely by discrete data living on the lattice N^r:
 
 * the semigroup of values S (min-closed, 0 in S, stable above the
-  conductor c),
+  conductor c), held as a membership table on R(0, c): the conductor
+  decides the rest, since l is in S iff min(l, c) is,
 * the Hilbert function h, with h(0) = 0 and unit steps
   h(l + e_i) - h(l) in {0, 1},
 * the weight function w(l) = 2*h(l) - |l|, whose sublevel sets drive the
   homological invariants.
 
-Grids are numpy int arrays indexed by lattice points (tuples), covering a
-rectangle R(0, L).  All arithmetic is exact; grids are frozen values whose
-arrays are made read-only at construction, so they are safe to share.
+The h and w grids are numpy int arrays indexed by lattice points (tuples),
+covering a rectangle R(0, L) with L >= c; ``hilbert_from_semigroup`` is
+the one place that reads a table past c.  All arithmetic is exact; tables
+and grids are frozen values whose arrays are made read-only at
+construction, so they are safe to share.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ def box(hi: Point) -> Rectangle:
     return Rectangle((0,) * len(hi), hi)
 
 
+def window(hi: Point) -> tuple:
+    """Index of the box R(0, hi) in a grid array."""
+    return tuple(slice(0, b + 1) for b in hi)
+
+
 def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
     """tables[mask] = max of ``values`` over the corners of the cube
     (base, mask), indexed by base; the array shape shrinks by one along
@@ -130,14 +138,15 @@ def norm_array(shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SemigroupTable:
-    """Membership table of the semigroup of values on R(0, bound).
+    """Membership table of the semigroup of values, held on R(0, c).
 
-    ``mask[l]`` is True iff l is a value of the germ.  The table always
-    stores the conductor; everything >= c is a member.
+    ``mask[l]`` is True iff l is a value of the germ, for l in R(0, c).
+    The conductor decides every other point: l is a member iff min(l, c)
+    is (the extension rule).  A table is validated once, by the function
+    that makes it.
     """
 
     r: int
-    bound: Point
     conductor: Point
     mask: np.ndarray = field(repr=False)
 
@@ -145,29 +154,22 @@ class SemigroupTable:
         self.mask.flags.writeable = False
 
     def contains(self, p: Point) -> bool:
-        if not leq(p, self.bound):
-            # above the conductor in every visible sense: membership is
-            # decided by the extension rule
-            return self.contains(pmin(p, self.conductor))
-        return bool(self.mask[p])
+        if min(p) < 0:
+            raise MarginTooSmall(f"l={tuple(p)} has a negative coordinate")
+        return bool(self.mask[pmin(p, self.conductor)])
 
     def points(self) -> list[Point]:
-        """Members on R(0, bound), in row-major (lexicographic) order."""
+        """Members on R(0, c), in row-major (lexicographic) order."""
         return _argwhere(self.mask)
-
-    def low_points(self) -> list[Point]:
-        """Members inside the conductor rectangle R(0, c), sorted."""
-        return _argwhere(self.mask[tuple(slice(0, ci + 1) for ci in self.conductor)])
 
     def multiplicity(self) -> Point:
         """Componentwise minimum of the nonzero members (which is itself
-        a member for a valid table)."""
-        members = np.argwhere(self.mask)
+        a member for a valid table).  Read on R(0, c + e): below every
+        nonzero member s lies the nonzero member min(s, c + e)."""
+        c = self.conductor
+        members = np.argwhere(_clamped(self.mask, c, padd(c, ones(self.r))))
         nonzero = members[members.any(axis=1)]
-        if len(nonzero):
-            m = tuple(int(x) for x in nonzero.min(axis=0))
-        else:  # smooth r=1 germ with tiny bound
-            m = ones(self.r)
+        m = tuple(int(x) for x in nonzero.min(axis=0))
         if not self.contains(m):
             raise InconsistentSemigroup(
                 f"componentwise min {m} of nonzero members is not a member"
@@ -175,30 +177,7 @@ class SemigroupTable:
         return m
 
     def validate(self) -> None:
-        zero = (0,) * self.r
-        if not self.mask[zero]:
-            raise InconsistentSemigroup("0 must be a member")
-        c = self.conductor
-        if not leq(c, self.bound):
-            raise MarginTooSmall(f"conductor {c} outside table bound {self.bound}")
-        upper = tuple(slice(ci, None) for ci in c)
-        if not bool(self.mask[upper].all()):
-            raise InconsistentSemigroup("a point above the conductor is missing")
-        if not self.mask[c]:
-            raise InconsistentSemigroup("conductor itself must be a member")
-        self._validate_min_closure()
-
-    def _validate_min_closure(self) -> None:
-        # Min-closure holds iff every up-set U(l) = {s in S : s >= l} has a
-        # unique minimal element, i.e. iff its componentwise minimum M(l)
-        # is a member (U(l) always holds the bound point once the
-        # conductor checks passed).  M comes from one array pass.
-        mins, p = upset_minima(self.mask)
-        if p is not None:
-            mp = tuple(int(x) for x in mins[p])
-            raise InconsistentSemigroup(
-                f"up-set of {p} has no unique minimal member (min {mp} absent)"
-            )
+        _validate_members(self.mask, self.conductor)
 
     def validate_additive_closure(self) -> None:
         """S + S inside S, checked on R(0, c) with sums clamped at c (the
@@ -207,13 +186,12 @@ class SemigroupTable:
         enough to keep each block near a million entries; the first
         missing s + t in row-major order of (s, t) is reported."""
         c = self.conductor
-        low = self.mask[tuple(slice(0, ci + 1) for ci in c)]
-        members = np.argwhere(low)
+        members = np.argwhere(self.mask)
         block = max(1, (1 << 20) // (len(members) * self.r + 1))
         for start in range(0, len(members), block):
             s = members[start : start + block]
             sums = np.minimum(s[:, None, :] + members[None, :, :], c)
-            missing = ~low[tuple(np.moveaxis(sums, -1, 0))]
+            missing = ~self.mask[tuple(np.moveaxis(sums, -1, 0))]
             if missing.any():
                 i, j = np.argwhere(missing)[0]
                 s, t = tuple(s[i].tolist()), tuple(members[j].tolist())
@@ -221,6 +199,44 @@ class SemigroupTable:
                     f"not closed under addition: {s} + {t} = {padd(s, t)} "
                     "is not a member"
                 )
+
+
+def _validate_members(mask: np.ndarray, c: Point) -> None:
+    """The table axioms on the box R(0, b) that ``mask`` covers: 0, c and
+    every point of R(c, b) are members, and min-closure."""
+    r = len(c)
+    if not mask[(0,) * r]:
+        raise InconsistentSemigroup("0 must be a member")
+    bound = tuple(n - 1 for n in mask.shape)
+    if not leq(c, bound):
+        raise MarginTooSmall(f"conductor {c} outside table bound {bound}")
+    upper = tuple(slice(ci, None) for ci in c)
+    if not bool(mask[upper].all()):
+        raise InconsistentSemigroup("a point above the conductor is missing")
+    if not mask[c]:
+        raise InconsistentSemigroup("conductor itself must be a member")
+    _validate_min_closure(mask)
+
+
+def _validate_min_closure(mask: np.ndarray) -> None:
+    # Min-closure holds iff every up-set U(l) = {s in S : s >= l} has a
+    # unique minimal element, i.e. iff its componentwise minimum M(l)
+    # is a member (U(l) always holds the bound point once the
+    # conductor checks passed).  M comes from one array pass.
+    mins, p = upset_minima(mask)
+    if p is not None:
+        mp = tuple(int(x) for x in mins[p])
+        raise InconsistentSemigroup(
+            f"up-set of {p} has no unique minimal member (min {mp} absent)"
+        )
+
+
+def _clamped(mask: np.ndarray, c: Point, bound: Point) -> np.ndarray:
+    """mask[min(l, c)] for every l in R(0, bound): a table read past its
+    conductor by the extension rule, one axis at a time."""
+    for axis, (b, ci) in enumerate(zip(bound, c)):
+        mask = mask.take(np.minimum(np.arange(b + 1), ci), axis=axis)
+    return mask
 
 
 def _argwhere(flags: np.ndarray) -> list[Point]:
@@ -262,31 +278,23 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
         if not leq(p, c):
             raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
         mask[p] = True
-    small = SemigroupTable(r=r, bound=c, conductor=c, mask=mask)
-    small.validate()
-    small.validate_additive_closure()
-    return small
-
-
-def extend_semigroup(small: SemigroupTable, bound: Point) -> SemigroupTable:
-    """Extend a table known on R(0, c) to R(0, bound).
-
-    Extension rule: l is a member iff min(l, c) is.  The model build
-    (``germ._model_on``) round-trip checks the result through the Hilbert
-    grid it builds from it.
-    """
-    c = small.conductor
-    if not leq(c, bound):
-        raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
-    idx = np.ix_(*[np.minimum(np.arange(b + 1), ci) for b, ci in zip(bound, c)])
-    mask = small.mask[tuple(slice(0, ci + 1) for ci in c)][idx]
-    table = SemigroupTable(r=small.r, bound=tuple(bound), conductor=c, mask=mask)
+    table = SemigroupTable(r=r, conductor=c, mask=mask)
     table.validate()
+    table.validate_additive_closure()
     return table
 
 
 # ---------------------------------------------------------------------------
 # Hilbert and weight grids
+
+
+def _read(values: np.ndarray, bound: Point, p: Point) -> int:
+    """values[p] for p in R(0, bound); MarginTooSmall elsewhere."""
+    if min(p) < 0:
+        raise MarginTooSmall(f"l={tuple(p)} has a negative coordinate")
+    if not leq(p, bound):
+        raise MarginTooSmall(f"l={tuple(p)} lies outside the grid R(0, {bound})")
+    return int(values[p])
 
 
 @dataclass(frozen=True)
@@ -301,7 +309,7 @@ class HilbertGrid:
         self.values.flags.writeable = False
 
     def h(self, p: Point) -> int:
-        return int(self.values[p])
+        return _read(self.values, self.bound, p)
 
     def validate(self) -> None:
         zero = (0,) * self.r
@@ -333,54 +341,56 @@ class WeightGrid:
         self.values.flags.writeable = False
 
     def w(self, p: Point) -> int:
-        return int(self.values[p])
+        return _read(self.values, self.bound, p)
 
     def hilbert_values(self) -> np.ndarray:
         """Recover h = (w + |l|) / 2 (exact)."""
         total = norm_array(self.values.shape)
         return (self.values + total) // 2
 
-    def to_hilbert(self) -> HilbertGrid:
-        return HilbertGrid(r=self.r, bound=self.bound, values=self.hilbert_values())
-
-    def validate(self, source: HilbertGrid | None = None) -> None:
+    def validate(self) -> None:
         total = norm_array(self.values.shape)
-        if source is not None:
-            if not np.array_equal(self.values, 2 * source.values - total):
-                raise InconsistentSemigroup("w != 2h - |l| against source grid")
         if np.any(np.abs(self.values) > total):
             raise InconsistentSemigroup("|w(l)| <= |l| violated")
-        if np.any((self.values - total) % 2 != 0):
-            raise InconsistentSemigroup("w(l) = |l| mod 2 violated")
         # w(l) = 2 - |l| on 0 < l <= m
-        m = self.multiplicity
-        sub = self.values[tuple(slice(0, mi + 1) for mi in m)]
+        sub = self.values[window(self.multiplicity)]
         expect = 2 - norm_array(sub.shape)
         expect[(0,) * self.r] = 0
         if not np.array_equal(sub, expect):
             raise InconsistentSemigroup("w != 2 - |l| below the multiplicity vector")
 
 
-def hilbert_from_semigroup(table: SemigroupTable) -> HilbertGrid:
-    """Hilbert grid on the table's rectangle.
+def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
+    """Hilbert grid of the table's semigroup on R(0, bound), bound >= c.
 
-    The unit increment along axis i at l is 1 iff some member s has
-    s_i = l_i and s_j >= l_j for j != i; by min-closure a witness always
-    exists inside R(0, max(l, c)), so the in-grid search is complete.
-    Increments are integrated along axis 0 and then checked against every
-    axis, so path dependence in bad input raises instead of corrupting.
+    The table is read past c by the extension rule.  The unit increment
+    along axis i at l is 1 iff some member s has s_i = l_i and s_j >= l_j
+    for j != i; by min-closure a witness always exists inside
+    R(0, max(l, c)), so the in-grid search is complete.  Round trip: the
+    points where all r increments are 1 must be exactly the members, or
+    InconsistentSemigroup.  Increments are integrated along axis 0 and
+    then checked against every axis, so path dependence in bad input
+    raises instead of corrupting.  With that check passed, the forward
+    differences of h are the increments, so the members are exactly the
+    table ``semigroup_from_hilbert`` reads off the grid.
     """
-    r, bound = table.r, table.bound
-    shape = table.mask.shape
+    r, c = table.r, table.conductor
+    bound = tuple(bound)
+    if not leq(c, bound):
+        raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
+    mask = _clamped(table.mask, c, bound)
+    shape = mask.shape
     # inc[i][l] = 1 iff the step l -> l + e_i raises h
     inc = []
     for i in range(r):
-        a = table.mask.copy()
+        a = mask
         for j in range(r):
             if j == i:
                 continue
             a = np.flip(np.logical_or.accumulate(np.flip(a, axis=j), axis=j), axis=j)
         inc.append(a)
+    if not np.array_equal(np.logical_and.reduce(inc), mask):
+        raise InconsistentSemigroup("extension failed the round-trip check")
     # integrate increments axis by axis: axis t fills the slab
     # {l_j = 0 for j > t} from the already-filled slab {l_t = 0 too}
     h = np.zeros(shape, dtype=np.int64)
@@ -444,54 +454,40 @@ def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid
         multiplicity=m,
         conductor=semigroup.conductor,
     )
-    grid.validate(source=h)
+    grid.validate()
     return grid
 
 
 def semigroup_from_hilbert(h: HilbertGrid) -> SemigroupTable:
-    """Members are the points where all r forward increments equal 1.
+    """The table read off a Hilbert grid, on R(0, c).
 
-    The test needs l + e in-grid, so the result lives on R(0, bound - e);
-    MarginTooSmall if the conductor does not stabilize inside that box.
+    Members are the points where all r forward increments equal 1.  The
+    test needs l + e in-grid, so it reads the window R(0, bound - e),
+    detects the conductor there, and checks the window as a table and
+    against the extension rule before cutting it to R(0, c);
+    MarginTooSmall if the conductor does not stabilize inside the window.
     """
     r = h.r
     if any(b < 1 for b in h.bound):
         raise MarginTooSmall("grid too small to test any point")
     inner = tuple(b - 1 for b in h.bound)
     mask = np.ones(tuple(b + 1 for b in inner), dtype=bool)
-    core = tuple(slice(0, b + 1) for b in inner)
     for i in range(r):
-        lo = tuple(
-            slice(0, inner[j] + 1) if j != i else slice(0, inner[i] + 1)
-            for j in range(r)
-        )
         hi = tuple(
-            slice(0, inner[j] + 1) if j != i else slice(1, inner[i] + 2)
-            for j in range(r)
+            slice(1, b + 2) if j == i else slice(0, b + 1) for j, b in enumerate(inner)
         )
-        mask &= (h.values[hi] - h.values[lo]) == 1
+        mask &= (h.values[hi] - h.values[window(inner)]) == 1
     c = detect_conductor_mask(mask, inner, r)
-    table = SemigroupTable(r=r, bound=inner, conductor=c, mask=mask)
-    table.validate()
-    if not extension_rule_consistent(table):
+    _validate_members(mask, c)
+    # l in S iff min(l, c) in S across the window: a genuine value
+    # semigroup always passes, so a failure means the detection was
+    # fooled by a too-small grid (or the input is not a value semigroup)
+    if not np.array_equal(mask, _clamped(mask, c, inner)):
         raise MarginTooSmall(
             "membership table is inconsistent with its detected conductor; "
             "the true conductor lies outside the grid"
         )
-    return table
-
-
-def extension_rule_consistent(table: SemigroupTable) -> bool:
-    """Check l in S iff min(l, c) in S across the whole visible window.
-
-    Genuine value semigroups always satisfy this; a failure means the
-    conductor detection was fooled by a too-small grid (or the input is
-    not a value semigroup)."""
-    c = table.conductor
-    idx = np.ix_(
-        *[np.minimum(np.arange(b + 1), ci) for b, ci in zip(table.bound, c)]
-    )
-    return bool(np.array_equal(table.mask, table.mask[idx]))
+    return SemigroupTable(r=r, conductor=c, mask=mask[window(c)].copy())
 
 
 def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
@@ -518,17 +514,6 @@ def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
     return c
 
 
-def detect_conductor(obj) -> Point:
-    """Conductor of a SemigroupTable or a WeightGrid."""
-    if isinstance(obj, SemigroupTable):
-        return detect_conductor_mask(obj.mask, obj.bound, obj.r)
-    if isinstance(obj, WeightGrid):
-        h = obj.to_hilbert()
-        table = semigroup_from_hilbert(h)
-        return table.conductor
-    raise TypeError(f"cannot detect a conductor on {type(obj).__name__}")
-
-
 def delta(h: HilbertGrid, conductor: Point) -> int:
     """delta = |c| - h(c), the number of missing values."""
     if not leq(conductor, h.bound):
@@ -539,7 +524,7 @@ def delta(h: HilbertGrid, conductor: Point) -> int:
 def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     """True iff w(l) = w(c - l) throughout R(0, c)."""
     c = conductor if conductor is not None else w.conductor
-    sub = w.values[tuple(slice(0, ci + 1) for ci in c)]
+    sub = w.values[window(c)]
     rev = sub[(slice(None, None, -1),) * w.r]
     return bool(np.array_equal(sub, rev))
 
@@ -575,9 +560,10 @@ def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
 def validate_semigroup_consistency(table: SemigroupTable, h: HilbertGrid) -> bool:
     """Round-trip guard: semigroup(hilbert(S)) must reproduce S.
 
-    Returns False when the tables disagree on the common grid.
+    Returns False when the table read off ``h`` has another conductor or
+    other members.
     """
     back = semigroup_from_hilbert(h)
-    common = pmin(back.bound, table.bound)
-    sl = tuple(slice(0, ci + 1) for ci in common)
-    return bool(np.array_equal(table.mask[sl], back.mask[sl]))
+    return back.conductor == table.conductor and bool(
+        np.array_equal(back.mask, table.mask)
+    )

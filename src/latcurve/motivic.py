@@ -39,6 +39,7 @@ from .lattice import (
     ones,
     padd,
     upset_minima,
+    window,
 )
 
 
@@ -123,7 +124,7 @@ def coefficient_array(h: HilbertGrid, inner: Point) -> np.ndarray:
     r = h.r
     if not leq(padd(inner, ones(r)), h.bound):
         raise MarginTooSmall(f"need {inner} + e inside the grid {h.bound}")
-    base = h.values[_window(inner)]
+    base = h.values[window(inner)]
     steps = np.arange(r)
     out = np.zeros(base.shape + (r,), dtype=np.int64)
     for size in range(1, r + 1):
@@ -133,11 +134,6 @@ def coefficient_array(h: HilbertGrid, inner: Point) -> np.ndarray:
             top = h.values[tuple(slice(s, b + 1 + s) for s, b in zip(shift, inner))]
             out += sign * ((top - base)[..., None] > steps)
     return out
-
-
-def _window(inner: Point) -> tuple:
-    """Index of the box R(0, inner) in a grid array."""
-    return tuple(slice(0, b + 1) for b in inner)
 
 
 def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
@@ -159,7 +155,7 @@ def univariate_motivic(h: HilbertGrid, d: int) -> QPoly:
         )
     inner = (d,) * h.r
     coeffs = coefficient_array(h, inner)
-    exponents = h.values[_window(inner)][..., None] + np.arange(h.r)
+    exponents = h.values[window(inner)][..., None] + np.arange(h.r)
     take = (norm_array(coeffs.shape[:-1]) == d)[..., None] & (coeffs != 0)
     return QPoly.from_dict(_tally(exponents[take], coeffs[take]))
 
@@ -175,7 +171,7 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
     if not leq(w.conductor, inner):
         return False
     boundary_min = None
-    sub = w.values[_window(inner)]
+    sub = w.values[window(inner)]
     for i in range(w.r):
         face = sub[tuple(inner[j] if j == i else slice(None) for j in range(w.r))]
         m = int(face.min()) if face.size else 0
@@ -196,7 +192,7 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
         )
     inner = tuple(b - 1 for b in w.bound)
     coeffs = coefficient_array(h, inner)
-    orders = w.values[_window(inner)][..., None] + 2 * np.arange(w.r)
+    orders = w.values[window(inner)][..., None] + 2 * np.arange(w.r)
     take = (orders <= depth) & (coeffs != 0)
     acc = _tally(orders[take], coeffs[take])
     if not acc:

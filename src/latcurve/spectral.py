@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 from .errors import LatcurveError, MarginTooSmall, TorsionFound, UndefinedWeight
-from .lattice import Point, WeightGrid, cube_max_tables, norm, norm_array, scale
+from .lattice import Point, WeightGrid, cube_max_tables, norm, norm_array, scale, window
 from .snf import smith_invariants
 
 
@@ -216,7 +216,7 @@ def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]
     """
     if min(bounds) < 0 or any(x >= b for x, b in zip(bounds, w.bound)):
         raise MarginTooSmall(f"need R(0, {bounds}) + e inside the grid {w.bound}")
-    weights = w.values[tuple(slice(0, b + 1) for b in bounds)]
+    weights = w.values[window(bounds)]
     every = np.ones(weights.shape, dtype=bool)
     ranks = [_window(w, k, weights + k, every) for k in range(w.r)]
     ranks = np.stack(ranks, axis=-1).reshape(weights.shape + (w.r,))

@@ -388,21 +388,22 @@ def reverse_sweep_min_closure(table) -> None:
     """Raise InconsistentSemigroup at the first point (row-major) whose
     up-set minimum M(l) is not a member; M by a reverse sweep."""
     shape = table.mask.shape
-    big = max(table.bound) + 1
+    bound = tuple(n - 1 for n in shape)
+    big = max(bound) + 1
     mins = np.full(shape + (table.r,), big, dtype=np.int64)
     own = np.indices(shape).transpose(*range(1, table.r + 1), 0)
     member = table.mask
-    for p in sorted(box(table.bound).points(), reverse=True):
+    for p in sorted(box(bound).points(), reverse=True):
         best = None
         for i in range(table.r):
-            if p[i] + 1 <= table.bound[i]:
+            if p[i] + 1 <= bound[i]:
                 cand = mins[padd(p, unit(table.r, i))]
                 best = cand if best is None else np.minimum(best, cand)
         if member[p]:
             best = own[p] if best is None else np.minimum(best, own[p])
         if best is not None:
             mins[p] = best
-    for p in box(table.bound).points():
+    for p in box(bound).points():
         m = mins[p]
         if m[0] >= big:
             continue  # empty up-set
@@ -673,7 +674,7 @@ def promoted_hilbert_build(desc) -> GermModel:
     h = HilbertGrid(r=desc.r, bound=b, values=np.array(values, dtype=np.int64))
     h.validate()
     table = semigroup_from_hilbert(h)
-    small = semigroup_from_low_points(desc.r, table.conductor, table.low_points())
+    small = semigroup_from_low_points(desc.r, table.conductor, table.points())
     model = _model_on(
         desc, small, _resolve_bound(desc, small.conductor, small.multiplicity(), b)
     )
@@ -693,7 +694,7 @@ def rebuilt_subcurve(model, branches) -> GermModel:
     desc = GermDescriptor(
         r=len(J),
         kind="semigroup",
-        payload=(table.conductor, table.low_points()),
+        payload=(table.conductor, table.points()),
         name=f"{model.name or 'germ'}|{','.join(map(str, J))}",
         plane=None,
         gorenstein=None,

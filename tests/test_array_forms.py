@@ -1,6 +1,6 @@
 """The array forms against the point-by-point code they replaced.
 
-* min-closure: ``SemigroupTable._validate_min_closure`` (suffix minima)
+* min-closure: ``lattice._validate_min_closure`` (suffix minima)
   against ``oracles.reverse_sweep_min_closure``: same accept/reject and
   the same message, hence the same first failing point.
 * additive closure: ``SemigroupTable.validate_additive_closure`` (one
@@ -23,7 +23,7 @@ from latcurve import (
     univariate_motivic,
 )
 from latcurve.classify import certified_omega
-from latcurve.lattice import SemigroupTable
+from latcurve.lattice import SemigroupTable, _validate_min_closure
 
 from germ_strategies import monomial_plane_germs
 from oracles import (
@@ -45,7 +45,7 @@ def _outcome(check, table):
 
 
 def assert_same_min_closure(table):
-    got = _outcome(SemigroupTable._validate_min_closure, table)
+    got = _outcome(lambda t: _validate_min_closure(t.mask), table)
     assert got == _outcome(reverse_sweep_min_closure, table)
     return got
 
@@ -56,13 +56,13 @@ def assert_same_additive_closure(table):
     return got
 
 
-def _low_table(table, drop=None):
-    """The table on R(0, c), optionally without the member ``drop``."""
-    c = table.conductor
-    mask = table.mask[tuple(slice(0, ci + 1) for ci in c)].copy()
+def _without(table, drop):
+    """A copy of the table without the member ``drop`` (None drops
+    nothing)."""
+    mask = table.mask.copy()
     if drop is not None:
         mask[drop] = False
-    return SemigroupTable(r=table.r, bound=c, conductor=c, mask=mask)
+    return SemigroupTable(r=table.r, conductor=table.conductor, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +75,8 @@ def test_min_closure_matches_sweep_on_catalog(spec, model_of):
     assert assert_same_min_closure(table) is None
     # drop each member of R(0, c) but the conductor in turn; a member that
     # is the minimum of two others leaves a table both checks reject
-    low = _low_table(table)
-    for p in low.low_points()[:-1]:
-        assert_same_min_closure(_low_table(table, drop=p))
+    for p in table.points()[:-1]:
+        assert_same_min_closure(_without(table, p))
 
 
 def test_min_closure_matches_sweep_on_hand_broken_tables():
@@ -93,7 +92,7 @@ def test_min_closure_matches_sweep_on_hand_broken_tables():
         mask = np.zeros(tuple(ci + 1 for ci in c), dtype=bool)
         for p in members:
             mask[p] = True
-        table = SemigroupTable(r=len(c), bound=c, conductor=c, mask=mask)
+        table = SemigroupTable(r=len(c), conductor=c, mask=mask)
         assert assert_same_min_closure(table) is not None
 
 
@@ -106,7 +105,7 @@ def _random_tables(draw):
     mask = np.array(bits, dtype=bool).reshape(shape)
     bound = tuple(n - 1 for n in shape)
     mask[bound] = True  # as validate() guarantees: every up-set is nonempty
-    return SemigroupTable(r=r, bound=bound, conductor=bound, mask=mask)
+    return SemigroupTable(r=r, conductor=bound, mask=mask)
 
 
 @settings(max_examples=150, deadline=None)
@@ -123,9 +122,8 @@ def test_min_closure_matches_sweep_on_random_masks(table):
 def test_additive_closure_matches_loop_on_catalog(spec, model_of):
     table = model_of(*spec).semigroup
     assert assert_same_additive_closure(table) is None
-    low = _low_table(table)
-    for p in low.low_points()[:-1]:
-        assert_same_additive_closure(_low_table(table, drop=p))
+    for p in table.points()[:-1]:
+        assert_same_additive_closure(_without(table, p))
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,10 +139,9 @@ def test_array_forms_on_random_multi_branch_germs(germ, data):
     m = build_model(desc)
     assert assert_same_min_closure(m.semigroup) is None
     assert assert_same_additive_closure(m.semigroup) is None
-    low = _low_table(m.semigroup)
-    drop = data.draw(st.sampled_from(low.low_points()[:-1] or [None]))
-    assert_same_min_closure(_low_table(m.semigroup, drop=drop))
-    assert_same_additive_closure(_low_table(m.semigroup, drop=drop))
+    drop = data.draw(st.sampled_from(m.semigroup.points()[:-1] or [None]))
+    assert_same_min_closure(_without(m.semigroup, drop))
+    assert_same_additive_closure(_without(m.semigroup, drop))
     assert omega_substitution(m.hilbert, m.weight, 0) == omega_by_points(
         m.hilbert, m.weight, 0
     )

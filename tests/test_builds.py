@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from latcurve import GermDescriptor, build_model, get, germ
+from latcurve import GermDescriptor, build_model, get, germ, lattice
 from latcurve.catalog import numerical_semigroup
-from latcurve.lattice import restrict_to_subcurve
+from latcurve.lattice import box, restrict_to_subcurve
 from latcurve.series import (
     MultiPoly,
     RationalSeries,
@@ -50,7 +50,7 @@ def assert_same_model(new, old):
         old.conductor,
         old.multiplicity,
     )
-    assert new.semigroup.bound == old.semigroup.bound
+    assert new.semigroup.conductor == old.semigroup.conductor
     assert np.array_equal(new.semigroup.mask, old.semigroup.mask)
     assert np.array_equal(new.hilbert.values, old.hilbert.values)
     assert np.array_equal(new.weight.values, old.weight.values)
@@ -141,6 +141,68 @@ def test_each_guess_is_expanded_once(spec, monkeypatch):
     build_model(get(*spec))
     assert guesses
     assert len(set(guesses)) == len(guesses)
+
+
+def increment_members(model):
+    """Members on R(0, bound - e), read off the Hilbert grid: the points
+    where every forward step of h is 1."""
+    h, r = model.hilbert, model.r
+    inner = tuple(b - 1 for b in model.bound)
+    return {
+        p
+        for p in box(inner).points()
+        if all(h.h(tuple(x + (i == j) for j, x in enumerate(p))) - h.h(p) == 1
+               for i in range(r))
+    }
+
+
+def assert_table_on_conductor_box(model):
+    table = model.semigroup
+    assert table.mask.shape == tuple(ci + 1 for ci in model.conductor)
+    inner = tuple(b - 1 for b in model.bound)
+    assert {p for p in box(inner).points() if table.contains(p)} == (
+        increment_members(model)
+    )
+
+
+TABLE_SOURCES = {
+    "semigroup": lambda: get("E13"),
+    "hilbert": lambda: hilbert_descriptor(build_model(get("D", 6))),
+    "poincare": lambda: get("D", 5),
+    "builtin": lambda: GermDescriptor(r=4, kind="builtin", payload=("T", (4, 4))),
+}
+
+
+@pytest.mark.parametrize("source", sorted(TABLE_SOURCES))
+def test_every_table_holds_the_conductor_box(source):
+    model = build_model(TABLE_SOURCES[source]())
+    assert_table_on_conductor_box(model)
+    for size in range(1, model.r):
+        for J in itertools.combinations(range(1, model.r + 1), size):
+            assert_table_on_conductor_box(model.subcurve(J))
+    grown = model.ensure_bound(tuple(b + 3 for b in model.bound))
+    assert grown.semigroup is model.semigroup
+    assert_table_on_conductor_box(grown)
+
+
+def test_min_closure_runs_once_per_table(monkeypatch):
+    calls = []
+    upset_minima = lattice.upset_minima
+
+    def counting(mask):
+        calls.append(mask.shape)
+        return upset_minima(mask)
+
+    monkeypatch.setattr(lattice, "upset_minima", counting)
+    model = build_model(get("Z11"))  # a semigroup source
+    assert len(calls) == 1
+    build_model(hilbert_descriptor(model))
+    assert len(calls) == 2
+    model.subcurve((1,))
+    assert len(calls) == 3
+    model.ensure_bound(tuple(b + 5 for b in model.bound))
+    model.subcurve((1,)).ensure_bound((40,))
+    assert len(calls) == 3
 
 
 _GAP = np.array([0, 1, 1, 2, 2, 2, 3, 4, 5], dtype=np.int64)  # S = {0, 2, 5, ...}

@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latcurve import GermDescriptor, build_model, classify, get
-from latcurve.cli import cmd_motivic
+from latcurve import GermDescriptor, build_model, classify, germ, get
+from latcurve.cli import cmd_motivic, main
 
 
 def _arrays(model):
@@ -66,6 +66,22 @@ def test_motivic_command_leaves_the_model_unchanged(model_of, capsys):
     cmd_motivic(m, argparse.Namespace(depth=8, format="json"))
     assert '"omega_order":-1' in capsys.readouterr().out
     _assert_unchanged(m, snapshot)
+
+
+def test_motivic_command_grows_once_for_its_levels(monkeypatch, capsys):
+    bounds = []
+    model_on = germ._model_on
+
+    def recording(desc, table, bound):
+        bounds.append(bound)
+        return model_on(desc, table, bound)
+
+    monkeypatch.setattr(germ, "_model_on", recording)
+    assert main(["motivic", "--builtin", "D,5", "--depth", "9"]) == 0
+    # D_5 is a poincare source built on (8, 8): one growth to (depth + 1)e
+    # for the levels, one for the certified omega series
+    assert bounds == [(10, 10), (14, 14)]
+    assert "p_9(q)" in capsys.readouterr().out
 
 
 def test_gorenstein_check_leaves_the_model_unchanged():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from latcurve import (
     MarginTooSmall,
     build_model,
     delta,
-    detect_conductor,
-    extend_semigroup,
     gorenstein_symmetry,
     hilbert_from_semigroup,
     restrict_to_subcurve,
@@ -18,40 +18,54 @@ from latcurve import (
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
+from latcurve.lattice import SemigroupTable, box
 
 
-def build_r1(gens, conductor, bound):
-    small = semigroup_from_low_points(
+def build_r1(gens, conductor):
+    return semigroup_from_low_points(
         1, (conductor,), numerical_semigroup(gens, conductor)
     )
-    return extend_semigroup(small, (bound,))
+
+
+def members_on(table, bound):
+    return {p for p in box(bound).points() if table.contains(p)}
 
 
 def test_extend_semigroup_a2():
-    table = build_r1([2, 3], 2, 6)
-    members = sorted(p[0] for p in table.points())
-    assert members == [0, 2, 3, 4, 5, 6]
+    table = build_r1([2, 3], 2)
+    assert sorted(p[0] for p in members_on(table, (6,))) == [0, 2, 3, 4, 5, 6]
 
 
 def test_extend_semigroup_smooth():
-    small = semigroup_from_low_points(1, (0,), [(0,)])
-    table = extend_semigroup(small, (5,))
-    assert sorted(p[0] for p in table.points()) == [0, 1, 2, 3, 4, 5]
+    table = semigroup_from_low_points(1, (0,), [(0,)])
+    assert sorted(p[0] for p in members_on(table, (5,))) == [0, 1, 2, 3, 4, 5]
 
 
 def test_extend_semigroup_a1():
     # two transverse lines: brute-force valuations of g = a*x + b*y + ...
     # give S = {0} union {l >= (1,1)}
-    small = semigroup_from_low_points(2, (1, 1), [(0, 0), (1, 1)])
-    table = extend_semigroup(small, (3, 3))
+    table = semigroup_from_low_points(2, (1, 1), [(0, 0), (1, 1)])
     expected = {(0, 0)} | {(i, j) for i in range(1, 4) for j in range(1, 4)}
-    assert set(table.points()) == expected
+    assert members_on(table, (3, 3)) == expected
 
 
 def test_extension_requires_bound_above_conductor():
     small = semigroup_from_low_points(1, (4,), numerical_semigroup([2, 5], 4))
     with pytest.raises(MarginTooSmall):
-        extend_semigroup(small, (3,))
+        hilbert_from_semigroup(small, (3,))
+
+
+def test_round_trip_guard_fires_on_a_table_built_directly():
+    # min((1,2),(2,1)) = (1,1) is missing, but every step out of (1,1)
+    # has a witness, so the increments claim (1,1) as a member
+    mask = np.zeros((3, 3), dtype=bool)
+    for p in [(0, 0), (1, 2), (2, 1), (2, 2)]:
+        mask[p] = True
+    table = SemigroupTable(r=2, conductor=(2, 2), mask=mask)
+    with pytest.raises(
+        InconsistentSemigroup, match="extension failed the round-trip check"
+    ):
+        hilbert_from_semigroup(table, (4, 4))
 
 
 def test_min_closure_violation_detected():
@@ -82,8 +96,8 @@ def test_additive_closure_checked_for_hilbert_sources():
 
 
 def test_hilbert_from_semigroup_a2():
-    table = build_r1([2, 3], 2, 6)
-    h = hilbert_from_semigroup(table)
+    table = build_r1([2, 3], 2)
+    h = hilbert_from_semigroup(table, (6,))
     assert [h.h((i,)) for i in range(5)] == [0, 1, 1, 2, 3]
     assert h.h((0,)) == 0
 
@@ -92,6 +106,26 @@ def test_hilbert_d5_value(model_of):
     m = model_of("D", 5)
     assert m.hilbert.h((2, 1)) == 1
     assert m.weight.w((2, 1)) == -1
+
+
+def test_reads_outside_the_grid_are_rejected(model_of):
+    m = model_of("D", 5)
+    assert m.bound == (8, 8)
+    for read, p in [
+        (m.weight.w, (-1, 0)),
+        (m.hilbert.h, (-2, 3)),
+        (m.semigroup.contains, (-1, 2)),
+    ]:
+        with pytest.raises(MarginTooSmall, match=re.escape(f"l={p} has a negative")):
+            read(p)
+    for read, p in [(m.weight.w, (9, 0)), (m.hilbert.h, (0, 9))]:
+        with pytest.raises(
+            MarginTooSmall, match=re.escape(f"l={p} lies outside the grid R(0, (8, 8))")
+        ):
+            read(p)
+    # above the conductor (4, 2) membership is read at min(l, c)
+    assert m.semigroup.contains((100, 0)) == m.semigroup.contains((4, 0))
+    assert m.semigroup.contains((2, 100)) and not m.semigroup.contains((3, 100))
 
 
 def test_weight_from_hilbert_rows(model_of):
@@ -112,7 +146,8 @@ def test_semigroup_from_hilbert_examples(model_of):
 
 
 def test_detect_conductor():
-    assert detect_conductor(build_r1([2, 3], 2, 6)) == (2,)
+    h = hilbert_from_semigroup(build_r1([2, 3], 2), (6,))
+    assert semigroup_from_hilbert(h).conductor == (2,)
 
 
 def test_detect_conductor_examples(model_of):
@@ -123,8 +158,7 @@ def test_detect_conductor_examples(model_of):
 
 def test_detect_conductor_needs_margin():
     small = semigroup_from_low_points(1, (4,), numerical_semigroup([2, 5], 4))
-    table = extend_semigroup(small, (5,))
-    h = hilbert_from_semigroup(table)
+    h = hilbert_from_semigroup(small, (5,))
     # semigroup_from_hilbert lands on bound (4,) = c with no spare layer
     with pytest.raises(MarginTooSmall):
         semigroup_from_hilbert(h)
@@ -144,8 +178,8 @@ def test_gorenstein_symmetry(model_of):
 def test_non_gorenstein_germ():
     # the germ with semigroup {0, 3, 4, 5, ...}: the w row on R(0,c) is
     # not palindromic (h = [0,1,1,1] gives w = [0,1,0,-1] vs [-1,0,1,0])
-    table = build_r1([3, 4, 5], 3, 8)
-    h = hilbert_from_semigroup(table)
+    table = build_r1([3, 4, 5], 3)
+    h = hilbert_from_semigroup(table, (8,))
     w = weight_from_hilbert(h, semigroup=table)
     assert [w.w((i,)) for i in range(4)] == [0, 1, 0, -1]
     assert not gorenstein_symmetry(w, (3,))
@@ -195,7 +229,7 @@ def test_validation_catches_mutation(model_of):
         InconsistentSemigroup, match=r"up-set of \(0, 1\) .* \(min \(2, 1\) absent\)"
     ):
         semigroup_from_low_points(
-            2, table.conductor, [p for p in table.low_points() if p != (2, 1)]
+            2, table.conductor, [p for p in table.points() if p != (2, 1)]
         )
 
 
