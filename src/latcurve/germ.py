@@ -150,12 +150,23 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         series = {}
         _expect(isinstance(src.get("series"), dict), "poincare source needs 'series'")
         for key, body in src["series"].items():
-            J = tuple(int(x) for x in key.split(","))
+            J = tuple(sorted(int(x) for x in key.split(",")))
+            _expect(
+                len(set(J)) == len(J) and 1 <= J[0] and J[-1] <= r,
+                f"series key {key!r} must name distinct branches in 1..{r}",
+            )
+            _expect(J not in series, f"series key {key!r} repeats the subset {J}")
             terms = {
                 tuple(t["exp"]): int(t["coeff"]) for t in body.get("numerator", [])
             }
-            num = MultiPoly.from_dict(len(J), terms)
             den = tuple(tuple(int(x) for x in v) for v in body.get("denominator", []))
+            for e in (*terms, *den):
+                _expect(
+                    len(e) == len(J),
+                    f"series {key!r}: exponent {list(e)} has {len(e)} entries, "
+                    f"not {len(J)}",
+                )
+            num = MultiPoly.from_dict(len(J), terms)
             series[J] = RationalSeries(numerator=num, denominator=den)
         payload = series
     elif kind == "hilbert":

@@ -203,7 +203,8 @@ class SemigroupTable:
 
 def _validate_members(mask: np.ndarray, c: Point) -> None:
     """The table axioms on the box R(0, b) that ``mask`` covers: 0, c and
-    every point of R(c, b) are members, and min-closure."""
+    every point of R(c, b) are members, no c_i is 0 when r >= 2, and
+    min-closure."""
     r = len(c)
     if not mask[(0,) * r]:
         raise InconsistentSemigroup("0 must be a member")
@@ -215,6 +216,10 @@ def _validate_members(mask: np.ndarray, c: Point) -> None:
         raise InconsistentSemigroup("a point above the conductor is missing")
     if not mask[c]:
         raise InconsistentSemigroup("conductor itself must be a member")
+    # a member s with s_i = 0 is a unit, so with r >= 2 branches 0 is
+    # the only member on the coordinate hyperplanes
+    if r >= 2 and min(c) == 0:
+        raise InconsistentSemigroup(f"conductor {c} has a zero coordinate")
     _validate_min_closure(mask)
 
 
@@ -372,7 +377,8 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     then checked against every axis, so path dependence in bad input
     raises instead of corrupting.  With that check passed, the forward
     differences of h are the increments, so the members are exactly the
-    table ``semigroup_from_hilbert`` reads off the grid.
+    table ``semigroup_from_hilbert`` reads off the grid, and h, which
+    starts at h(0) = 0 and steps by 0 or 1, is a valid Hilbert grid.
     """
     r, c = table.r, table.conductor
     bound = tuple(bound)
@@ -417,9 +423,7 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
             raise PathInconsistency(
                 f"monotone paths disagree along axis {i}; input semigroup invalid"
             )
-    grid = HilbertGrid(r=r, bound=bound, values=h)
-    grid.validate()
-    return grid
+    return HilbertGrid(r=r, bound=bound, values=h)
 
 
 def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid:

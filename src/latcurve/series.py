@@ -9,10 +9,13 @@ The reconstruction of the Hilbert series from the Poincare series of all
 subcurves is
 
     H(t) = [ sum over nonempty J of (-1)^(|J|-1) t^(e_J) P_J(t_J) ]
-           / prod_i (1 - t_i),
+           / prod_i (1 - t_i).
 
-and the inverse direction recovers the Poincare coefficients as the
-alternating sum p(l) = sum_J (-1)^(|J|+1) h(l + e_J).
+Each P_J lives on the J-face: it is expanded in its own |J| variables on
+the face box R(0, bound_J - e) and added into the numerator grid at e_J,
+every coordinate outside J being 0; the division is one cumulative sum
+per axis.  The inverse direction recovers the Poincare coefficients as
+the alternating sum p(l) = sum_J (-1)^(|J|+1) h(l + e_J).
 """
 
 from __future__ import annotations
@@ -49,44 +52,23 @@ class MultiPoly:
     def as_dict(self) -> dict[Point, int]:
         return dict(self.terms)
 
-    def embed(self, positions: Subset, r: int) -> "MultiPoly":
-        """View a |J|-variable polynomial inside N^r at the given 1-based
-        coordinate positions."""
-        out = {}
-        for e, c in self.terms:
-            full = [0] * r
-            for x, j in zip(e, positions):
-                full[j - 1] = x
-            out[tuple(full)] = c
-        return MultiPoly.from_dict(r, out)
-
 
 @dataclass(frozen=True)
 class RationalSeries:
-    """numerator / prod (1 - t^v) with each v a nonzero exponent vector."""
+    """numerator / prod (1 - t^v) with each v a nonzero exponent vector
+    in the numerator's r variables."""
 
     numerator: MultiPoly
     denominator: tuple = ()  # tuple of Points
 
     def __post_init__(self):
         for v in self.denominator:
-            if all(x == 0 for x in v) or any(x < 0 for x in v):
+            if len(v) != self.r or all(x == 0 for x in v) or any(x < 0 for x in v):
                 raise ValueError(f"bad denominator exponent {v}")
 
     @property
     def r(self) -> int:
         return self.numerator.r
-
-    def embed(self, positions: Subset, r: int) -> "RationalSeries":
-        num = self.numerator.embed(positions, r)
-        den = tuple(
-            tuple(
-                sum(x for x, j in zip(v, positions) if j - 1 == i)
-                for i in range(r)
-            )
-            for v in self.denominator
-        )
-        return RationalSeries(numerator=num, denominator=den)
 
 
 def poly(r: int, d: dict) -> MultiPoly:
@@ -126,7 +108,7 @@ def hilbert_from_poincare(
     subseries: dict[Subset, RationalSeries], bound: Point, r: int | None = None
 ) -> HilbertGrid:
     """Hilbert grid on R(0, bound) from the Poincare series of every
-    nonempty branch subset.
+    nonempty branch subset, each expanded on its own face.
 
     Raises InvalidSeries when the inputs are inconsistent (the resulting
     grid violates a Hilbert-function invariant).
@@ -137,16 +119,12 @@ def hilbert_from_poincare(
     missing = [J for J in all_nonempty_subsets(r) if J not in table]
     if missing:
         raise InvalidSeries(f"missing subcurve series for branch subsets {missing}")
-    shape = tuple(b + 1 for b in bound)
-    num = np.zeros(shape, dtype=np.int64)
+    num = np.zeros(tuple(b + 1 for b in bound), dtype=np.int64)
     for J in all_nonempty_subsets(r):
-        s = table[J]
-        coeffs = expand(s.embed(J, r), bound)
-        sign = -1 if len(J) % 2 == 0 else 1
-        shift = tuple(1 if (i + 1) in J else 0 for i in range(r))
-        dst = tuple(slice(x, None) for x in shift)
-        src = tuple(slice(0, shape[i] - shift[i]) for i in range(r))
-        num[dst] += sign * coeffs[src]
+        # a face with a zero bound gives an empty box and adds nothing
+        coeffs = expand(table[J], tuple(bound[j - 1] - 1 for j in J))
+        at = tuple(slice(1, None) if i in J else 0 for i in range(1, r + 1))
+        num[at] += coeffs if len(J) % 2 else -coeffs
     # divide by prod (1 - t_i): cumulative sums
     for axis in range(r):
         np.cumsum(num, axis=axis, out=num)

@@ -40,6 +40,10 @@
   smooth branches when |m| = 4.
 * ``two_branch_expand``: series expansion with a strided running sum for
   a factor on one axis and a per-point loop for every other factor.
+* ``embed_series`` / ``embedded_hilbert_from_poincare``: the Hilbert grid
+  from the subcurve series with each P_J embedded in N^r and expanded on
+  the whole box R(0, bound), the path ``hilbert_from_poincare`` replaced
+  by one expansion per face.
 * ``fixed_point_poincare_build`` / ``promoted_hilbert_build`` /
   ``rebuilt_subcurve``: the germ builds as first written.  A ``poincare``
   grid is accepted only when the next pass re-detects the same
@@ -61,6 +65,7 @@ from latcurve import (
 )
 from latcurve.errors import (
     DescriptorError,
+    InvalidSeries,
     LatcurveError,
     MarginTooSmall,
     TorsionFound,
@@ -94,7 +99,13 @@ from latcurve.lattice import (
     weight_from_hilbert,
 )
 from latcurve.motivic import LaurentSeries, QPoly
-from latcurve.series import hilbert_from_poincare
+from latcurve.series import (
+    MultiPoly,
+    RationalSeries,
+    all_nonempty_subsets,
+    expand,
+    hilbert_from_poincare,
+)
 from latcurve.snf import smith_invariants
 from latcurve.spectral import E1Entry, MinimalCycleGroup
 
@@ -627,6 +638,50 @@ def two_branch_expand(series, hi) -> np.ndarray:
                     prev = tuple(i - x for i, x in zip(idx, v))
                     a[idx] += a[prev]
     return a
+
+
+def embed_series(series, positions, r) -> RationalSeries:
+    """A |J|-variable series viewed inside N^r at the given 1-based
+    coordinate positions."""
+    num = {}
+    for e, c in series.numerator.terms:
+        full = [0] * r
+        for x, j in zip(e, positions):
+            full[j - 1] = x
+        num[tuple(full)] = c
+    den = tuple(
+        tuple(sum(x for x, j in zip(v, positions) if j - 1 == i) for i in range(r))
+        for v in series.denominator
+    )
+    return RationalSeries(MultiPoly.from_dict(r, num), den)
+
+
+def embedded_hilbert_from_poincare(subseries, bound, r=None) -> HilbertGrid:
+    """H = sum_J (-1)^(|J|-1) t^(e_J) P_J / prod (1 - t_i) with every P_J
+    embedded in N^r and expanded on all of R(0, bound)."""
+    table = {tuple(sorted(k)): v for k, v in subseries.items()}
+    if r is None:
+        r = len(max(table, key=len))
+    missing = [J for J in all_nonempty_subsets(r) if J not in table]
+    if missing:
+        raise InvalidSeries(f"missing subcurve series for branch subsets {missing}")
+    shape = tuple(b + 1 for b in bound)
+    num = np.zeros(shape, dtype=np.int64)
+    for J in all_nonempty_subsets(r):
+        coeffs = expand(embed_series(table[J], J, r), bound)
+        sign = -1 if len(J) % 2 == 0 else 1
+        shift = tuple(1 if (i + 1) in J else 0 for i in range(r))
+        dst = tuple(slice(x, None) for x in shift)
+        src = tuple(slice(0, shape[i] - shift[i]) for i in range(r))
+        num[dst] += sign * coeffs[src]
+    for axis in range(r):
+        np.cumsum(num, axis=axis, out=num)
+    grid = HilbertGrid(r=r, bound=tuple(bound), values=num)
+    try:
+        grid.validate()
+    except Exception as exc:
+        raise InvalidSeries(f"series inputs produce an invalid Hilbert grid: {exc}")
+    return grid
 
 
 def fixed_point_poincare_build(desc) -> GermModel:

@@ -230,6 +230,12 @@ def _write_descriptor(tmp_path, doc):
     return str(path)
 
 
+def _a1_series(**changes):
+    """The subcurve series of A_1 with the given keys replaced or added."""
+    series = get("A", 1).to_json_dict()["source"]["series"]
+    return {"kind": "poincare", "series": {**series, **changes}}
+
+
 @pytest.mark.parametrize(
     "r,source,bound",
     [
@@ -242,17 +248,39 @@ def _write_descriptor(tmp_path, doc):
         (1, {"kind": "poincare", "series": {"1": {
             "numerator": [{"exp": [0], "coeff": 1}], "denominator": [[0]]}}},
          None),
+        (2, _a1_series(**{"1": {"numerator": [{"exp": [0], "coeff": 1}],
+                                 "denominator": [[0, 1]]}}), None),
+        (2, _a1_series(**{"1,3": {"numerator": [{"exp": [0, 0], "coeff": 1}]}}),
+         None),
+        (2, _a1_series(**{"2,1": {"numerator": [{"exp": [0, 0], "coeff": 5}]}}),
+         None),
     ],
     ids=["hilbert-values-length", "bound-not-a-list", "bound-length",
-         "builtin-params", "poincare-zero-denominator"],
+         "builtin-params", "poincare-zero-denominator",
+         "poincare-denominator-length", "poincare-branch-outside-r",
+         "poincare-repeated-subset"],
 )
 def test_exit_code_malformed_descriptor(tmp_path, capsys, r, source, bound):
     doc = {"version": 1, "germ": "bad", "r": r, "source": source,
            "flags": {}, "bound": bound}
     path = _write_descriptor(tmp_path, doc)
-    code, _, err = run_cli(["invariants", "--germ", path], capsys)
+    code, out, err = run_cli(["invariants", "--germ", path], capsys)
     assert code == 2
-    assert err.startswith("error: ")
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "conductor,elements", [([0, 0], [[0, 0]]), ([0, 2], [[0, 0], [0, 2]])]
+)
+def test_zero_conductor_coordinate_exits_1(tmp_path, capsys, conductor, elements):
+    # with two branches only 0 has a zero coordinate, so every c_i >= 1
+    doc = {"version": 1, "germ": "flat", "r": 2, "flags": {}, "bound": None,
+           "source": {"kind": "semigroup", "conductor": conductor,
+                      "elements": elements}}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    c = tuple(conductor)
+    assert (code, out, err) == (1, "", f"error: conductor {c} has a zero coordinate\n")
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])

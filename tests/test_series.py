@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,13 +8,18 @@ from hypothesis import strategies as st
 from latcurve import (
     InvalidSeries,
     RationalSeries,
+    build_model,
     expand,
+    get,
+    germ,
     hilbert_from_poincare,
     poincare_from_hilbert,
 )
-from latcurve.series import MultiPoly, geometric, poly
+from latcurve.series import MultiPoly, all_nonempty_subsets, geometric, poly
 
-from oracles import two_branch_expand
+from oracles import embedded_hilbert_from_poincare, two_branch_expand
+from test_builds import LARGE, poincare_descriptor
+from test_catalog import ALL_SPECS
 
 
 def test_expand_geometric():
@@ -102,6 +109,101 @@ def test_hilbert_from_poincare_invalid_inputs():
     }
     with pytest.raises(InvalidSeries):
         hilbert_from_poincare(series, (4, 4))
+
+
+def _outcome(build, series, bound, r):
+    """The grid values, or the class and message of what was raised."""
+    try:
+        return build(series, bound, r).values.tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_face_expansion_matches(series, bound, r):
+    got = _outcome(hilbert_from_poincare, series, bound, r)
+    assert got == _outcome(embedded_hilbert_from_poincare, series, bound, r)
+    return got
+
+
+@lru_cache(maxsize=None)
+def _poincare_source(spec):
+    """The catalog series, or those read off the model's faces."""
+    desc = get(*spec)
+    return desc if desc.kind == "poincare" else poincare_descriptor(build_model(desc))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + LARGE, ids=lambda s: "_".join(map(str, s)))
+def test_face_expansion_matches_the_embedded_expansion(spec, monkeypatch):
+    """On every grid the build loop tries, on the grid it settles on with
+    one axis cut to 0, and on the one-point grid."""
+    desc = _poincare_source(spec)
+    guesses = []
+    expand_grid = germ.hilbert_from_poincare
+
+    def recording(series, bound, r=None):
+        guesses.append(tuple(bound))
+        return expand_grid(series, bound, r)
+
+    monkeypatch.setattr(germ, "hilbert_from_poincare", recording)
+    bound = build_model(desc).bound
+    for b in guesses + [(0, *bound[1:]), (0,) * desc.r]:
+        assert_face_expansion_matches(desc.payload, b, desc.r)
+
+
+def _times_one_minus(num, v):
+    """num * (1 - t^v) on exponent -> coefficient dicts."""
+    out = dict(num)
+    for e, c in num.items():
+        shifted = tuple(x + y for x, y in zip(e, v))
+        out[shifted] = out.get(shifted, 0) - c
+    return out
+
+
+@st.composite
+def _subcurve_series(draw):
+    """(series, bound, r, exact) for r = 1..4.  An exact draw rewrites the
+    series of a catalog germ without changing it: each |J| >= 2 series
+    may gain a diagonal factor (1 - t^v) above and below, and numerator
+    terms past its face box.  Any other draw is random.  Bounds may have
+    zero coordinates."""
+    exact = draw(st.booleans())
+    if exact:
+        spec = draw(st.sampled_from([("A", 2), ("E", 6), ("A", 5), ("D", 5),
+                                     ("D", 4), ("T", 3, 6), ("Z12",), ("T", 4, 4)]))
+        source = _poincare_source(spec)
+        r, base = source.r, source.payload
+    else:
+        r = draw(st.integers(min_value=1, max_value=4))
+    bound = tuple(draw(st.lists(st.integers(0, 9 - r), min_size=r, max_size=r)))
+    series = {}
+    for J in all_nonempty_subsets(r):
+        k = len(J)
+        exps = st.tuples(*[st.integers(0, 6)] * k)
+        if exact:
+            num, den = base[J].numerator.as_dict(), list(base[J].denominator)
+            if k >= 2 and draw(st.booleans()):
+                v = tuple(draw(st.lists(st.integers(1, 3), min_size=k, max_size=k)))
+                num, den = _times_one_minus(num, v), den + [v]
+            for e in draw(st.lists(exps, max_size=2)):
+                i = draw(st.integers(0, k - 1))
+                e = e[:i] + (bound[J[i] - 1] + e[i],) + e[i + 1 :]
+                num[e] = num.get(e, 0) + draw(st.integers(-3, 3))
+        else:
+            num = draw(st.dictionaries(exps, st.integers(-3, 3), max_size=3))
+            den = draw(st.lists(exps.filter(any), max_size=2))
+            if k >= 2 and draw(st.booleans()):
+                den.append((draw(st.integers(1, 3)),) * k)
+        series[J] = RationalSeries(MultiPoly.from_dict(k, num), tuple(den))
+    return series, bound, r, exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(_subcurve_series())
+def test_face_expansion_matches_on_random_series(case):
+    series, bound, r, exact = case
+    got = assert_face_expansion_matches(series, bound, r)
+    if exact:  # a rewritten catalog series still gives a Hilbert grid
+        assert isinstance(got, list)
 
 
 def test_poincare_from_hilbert_smooth(model_of):
