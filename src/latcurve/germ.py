@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DescriptorError, MarginTooSmall
+from .errors import DescriptorError, InvalidSeries, MarginTooSmall
 from .homology import min_weight
 from .lattice import (
     HilbertGrid,
@@ -30,7 +30,9 @@ from .lattice import (
     SemigroupTable,
     WeightGrid,
     box,
+    cut_at_conductor,
     delta as delta_of,
+    detect_conductor_mask,
     gorenstein_symmetry,
     hilbert_from_semigroup,
     leq,
@@ -42,10 +44,18 @@ from .lattice import (
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
+    stable_points,
+    unit_step_members,
     weight_from_hilbert,
     window,
 )
-from .series import MultiPoly, RationalSeries, hilbert_from_poincare
+from .series import (
+    MultiPoly,
+    RationalSeries,
+    conductor_bound,
+    hilbert_from_poincare,
+    require_polynomials,
+)
 
 SCHEMA_VERSION = 1
 _MAX_REBUILDS = 3
@@ -64,9 +74,11 @@ class GermDescriptor:
     bound: Point | None = None
 
     def __post_init__(self):
+        if not (_is_int(self.r) and self.r >= 1):
+            raise DescriptorError(f"r must be a positive integer, got {self.r!r}")
         if self.bound is not None and not (
             len(self.bound) == self.r
-            and all(isinstance(x, int) and x >= 0 for x in self.bound)
+            and all(_is_int(x) and x >= 0 for x in self.bound)
         ):
             raise DescriptorError(
                 f"bound needs {self.r} non-negative integers, got {self.bound!r}"
@@ -121,30 +133,56 @@ def _expect(cond, msg):
         raise DescriptorError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int(x, what: str) -> int:
+    _expect(_is_int(x), f"{what} must be an integer, got {json.dumps(x, default=repr)}")
+    return x
+
+
+def _ints(xs, what: str) -> tuple[int, ...]:
+    _expect(
+        isinstance(xs, list) and all(map(_is_int, xs)),
+        f"{what} must be a list of integers, got {json.dumps(xs, default=repr)}",
+    )
+    return tuple(xs)
+
+
 def descriptor_from_json_dict(doc: dict) -> GermDescriptor:
     """Parse a descriptor document; any malformed one is a DescriptorError."""
     try:
         return _parse_descriptor(doc)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DescriptorError(f"malformed descriptor: {type(exc).__name__}: {exc}")
 
 
 def _parse_descriptor(doc: dict) -> GermDescriptor:
     _expect(isinstance(doc, dict), "descriptor must be a JSON object")
-    _expect(doc.get("version") == SCHEMA_VERSION, "unsupported descriptor version")
+    version = doc.get("version")
+    _expect(_is_int(version) and version == SCHEMA_VERSION, "unsupported descriptor version")
     r = doc.get("r")
-    _expect(isinstance(r, int) and r >= 1, "field 'r' must be a positive integer")
+    _expect(_is_int(r) and r >= 1, "field 'r' must be a positive integer")
     src = doc.get("source")
     _expect(isinstance(src, dict) and "kind" in src, "missing source.kind")
     kind = src["kind"]
     flags = doc.get("flags") or {}
-    bound = tuple(doc["bound"]) if doc.get("bound") else None
+    for flag in ("plane", "gorenstein"):
+        _expect(
+            flags.get(flag) is None or isinstance(flags.get(flag), bool),
+            f"flag {flag} must be true, false or null, "
+            f"got {json.dumps(flags.get(flag), default=repr)}",
+        )
+    bound = _ints(doc["bound"], "bound") if doc.get("bound") else None
     name = doc.get("germ")
     if kind == "semigroup":
         _expect("conductor" in src and "elements" in src, "semigroup source needs conductor and elements")
-        c = tuple(int(x) for x in src["conductor"])
+        c = _ints(src["conductor"], "conductor")
         _expect(len(c) == r, "conductor length != r")
-        elements = [tuple(int(x) for x in p) for p in src["elements"]]
+        _expect(isinstance(src["elements"], list), "elements must be a list of points")
+        elements = [_ints(p, "element") for p in src["elements"]]
         payload = (c, elements)
     elif kind == "poincare":
         series = {}
@@ -157,9 +195,15 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
             )
             _expect(J not in series, f"series key {key!r} repeats the subset {J}")
             terms = {
-                tuple(t["exp"]): int(t["coeff"]) for t in body.get("numerator", [])
+                _ints(t["exp"], f"series {key!r}: exp"): _int(
+                    t["coeff"], f"series {key!r}: coeff"
+                )
+                for t in body.get("numerator", [])
             }
-            den = tuple(tuple(int(x) for x in v) for v in body.get("denominator", []))
+            den = tuple(
+                _ints(v, f"series {key!r}: denominator vector")
+                for v in body.get("denominator", [])
+            )
             for e in (*terms, *den):
                 _expect(
                     len(e) == len(J),
@@ -171,23 +215,19 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         payload = series
     elif kind == "hilbert":
         _expect("bound" in src and "values" in src, "hilbert source needs bound and values")
-        b = tuple(int(x) for x in src["bound"])
+        b = _ints(src["bound"], "hilbert bound")
         _expect(len(b) == r, "hilbert bound length != r")
         shape = tuple(x + 1 for x in b)
-        values = np.asarray(src["values"], dtype=np.int64)
+        values = _ints(src["values"], "hilbert values")
         _expect(
-            values.size == int(np.prod(shape)),
+            len(values) == int(np.prod(shape)),
             f"hilbert values on R(0, {list(b)}) need {int(np.prod(shape))} "
-            f"entries, got {values.size}",
+            f"entries, got {len(values)}",
         )
-        payload = (b, values.reshape(shape))
+        payload = (b, np.array(values, dtype=np.int64).reshape(shape))
     elif kind == "builtin":
         _expect("name" in src, "builtin source needs a name")
-        params = tuple(src.get("params") or ())
-        _expect(
-            all(isinstance(p, int) for p in params),
-            f"builtin parameters must be integers, got {list(params)}",
-        )
+        params = _ints(src.get("params") or [], "builtin params")
         payload = (str(src["name"]), params)
     else:
         raise DescriptorError(f"unknown source kind {kind!r}")
@@ -376,41 +416,131 @@ def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
 
 
 def _build_from_poincare(desc: GermDescriptor) -> GermModel:
-    """Expand the series on a growing grid and accept the first grid that
-    holds the bound the detected conductor c asks for and three spare
-    layers above it (c + 3e).  The guess grows on every pass, so no grid
-    is expanded twice."""
-    series = desc.payload
-    guess = desc.bound or (8,) * desc.r
-    last_exc = None
-    for _ in range(2 * _MAX_REBUILDS + 2):
-        try:
-            h = hilbert_from_poincare(series, guess, desc.r)
-            table = semigroup_from_hilbert(h)
-        except MarginTooSmall as exc:
-            last_exc = exc
-            guess = tuple(2 * g + 1 for g in guess)
-            continue
-        c = table.conductor
-        want = pmax(
-            _resolve_bound(desc, c, table.multiplicity()),
-            padd(c, scale(3, ones(desc.r))),
+    """Expand the series once, on a box that holds the conductor bound U
+    of ``conductor_bound`` and one more layer, and read the exact
+    conductor and the table there.  The bound of the model is the one the
+    growing-grid loop of earlier releases accepted, replayed on that
+    table (``_replayed_bound``).  The model grid is a window of the one
+    expansion when the bound fits in the box, and is extended from the
+    table otherwise."""
+    series, r = desc.payload, desc.r
+    first = desc.bound or (8,) * r
+    cap = _largest_guess(first)
+    U = conductor_bound(series, r)
+    box_bound = pmax(first, padd(U, ones(r)))
+    if not leq(box_bound, cap):
+        raise MarginTooSmall(
+            "could not stabilize the conductor after repeated rebuilds: "
+            f"the conductor bound {U} needs a grid past {cap}"
         )
-        if leq(want, guess):
-            table.validate_additive_closure()
-            w = weight_from_hilbert(h, semigroup=table)
-            return GermModel(
-                descriptor=desc,
-                r=desc.r,
-                semigroup=table,
-                hilbert=h,
-                weight=w,
-                name=desc.name,
-            )
-        guess = pmax(guess, want)
+    require_polynomials(series)
+    h = hilbert_from_poincare(series, box_bound, r)
+    table = _certified_table(h, U)
+    bound = _replayed_bound(desc, table, first)
+    if not leq(bound, box_bound):
+        return _model_on(desc, table, bound)
+    h = HilbertGrid(r=r, bound=bound, values=h.values[window(bound)].copy())
+    w = weight_from_hilbert(h, semigroup=table)
+    return GermModel(
+        descriptor=desc, r=r, semigroup=table, hilbert=h, weight=w, name=desc.name
+    )
+
+
+def _largest_guess(first: Point) -> Point:
+    """A bound on every grid the growing-grid loop expands: it makes
+    2 * _MAX_REBUILDS + 2 passes, and each grows a guess g to at most
+    2g + 2e (2g + e on a margin error; pmax(g, want) otherwise, where the
+    detected c' + e fits in g - e and m' <= max(c', e))."""
+    return tuple(((g + 2) << (2 * _MAX_REBUILDS + 1)) - 2 for g in first)
+
+
+def _certified_table(h: HilbertGrid, U: Point) -> SemigroupTable:
+    """The table of a ``poincare`` source, read off its grid on R(0, U).
+
+    The members on R(0, U) are the points whose r unit steps are all 1,
+    and c is the least p such that every point of the window above p is
+    a member.  That is exact once U >= c: for any p in the window with
+    p_i < c_i, the point max(p, c - e_i) lies in the window above p, and
+    it is no member, because its minimum with c is c - e_i (were c - e_i
+    a member, so would every point above it be, against the minimality
+    of c).  The table is validated on R(0, c) as every table is, and the
+    window must follow the extension rule; InvalidSeries otherwise.
+    """
+    members = unit_step_members(h, U)
+    ok = stable_points(members)
+    hits = np.argwhere(ok)
+    c = tuple(int(x) for x in hits.min(axis=0)) if len(hits) else None
+    if c is None or not ok[c]:
+        raise InvalidSeries(f"the series give no conductor inside R(0, {list(U)})")
+    table = SemigroupTable(r=h.r, conductor=c, mask=members[window(c)].copy())
+    table.validate()
+    table.validate_additive_closure()
+    if not np.array_equal(members, table.members_on(U)):
+        raise InvalidSeries(
+            f"members on R(0, {list(U)}) break the extension rule of conductor {c}"
+        )
+    return table
+
+
+def _replayed_bound(desc: GermDescriptor, table: SemigroupTable, first: Point) -> Point:
+    """The bound the growing-grid loop of earlier releases accepted.
+
+    That loop expanded a guess g, starting from ``first``, and accepted
+    the first g that held want = pmax(the bound c' asks for, c' + 3e),
+    where c' was the conductor detected on g.  Otherwise it grew g to
+    2g + e after a margin error and to pmax(g, want) after a detection.
+    The detection is replayed on the table (``_detected``), so no guess
+    is expanded.  Where the loop accepted a conductor c' != c, which a
+    run of members reaching the edge of a small grid can fake, the
+    replay grows to the want of c instead; at every other guess it takes
+    the old step, so every bound the old loop got right stays the same.
+    """
+    r, c = desc.r, table.conductor
+    exact = (c, table.multiplicity())
+
+    def want(conductor, multiplicity):
+        return pmax(
+            _resolve_bound(desc, conductor, multiplicity),
+            padd(conductor, scale(3, ones(r))),
+        )
+
+    guess, last_exc = first, None
+    for _ in range(2 * _MAX_REBUILDS + 2):
+        # from guess >= c + 2e on, the window R(0, guess - e) holds c and
+        # its stabilization layer, and the detection is exact
+        if leq(padd(c, scale(2, ones(r))), guess):
+            seen = exact
+        else:
+            try:
+                seen = _detected(table, guess)
+            except MarginTooSmall as exc:
+                last_exc = exc
+                guess = tuple(2 * g + 1 for g in guess)
+                continue
+        ask = want(*seen)
+        if leq(ask, guess):
+            if seen == exact:
+                return guess
+            ask = want(*exact)
+        guess = pmax(guess, ask)
     raise MarginTooSmall(
         f"could not stabilize the conductor after repeated rebuilds: {last_exc}"
     )
+
+
+def _detected(table: SemigroupTable, guess: Point) -> tuple[Point, Point]:
+    """The conductor and multiplicity that ``semigroup_from_hilbert``
+    detects on the grid R(0, guess) of the table's semigroup, or its
+    MarginTooSmall.  The window R(0, guess - e) is read off the table by
+    the extension rule; min-closure needs no check, as any window of a
+    min-closed set is min-closed."""
+    if min(guess) < 1:
+        raise MarginTooSmall("grid too small to test any point")
+    r = table.r
+    inner = tuple(g - 1 for g in guess)
+    members = table.members_on(inner)
+    seen = cut_at_conductor(members, detect_conductor_mask(members, inner, r))
+    return seen.conductor, seen.multiplicity()
 
 
 def build_model(desc: GermDescriptor) -> GermModel:

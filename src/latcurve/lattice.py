@@ -162,12 +162,15 @@ class SemigroupTable:
         """Members on R(0, c), in row-major (lexicographic) order."""
         return _argwhere(self.mask)
 
+    def members_on(self, bound: Point) -> np.ndarray:
+        """Membership on R(0, bound), read past c by the extension rule."""
+        return _clamped(self.mask, self.conductor, bound)
+
     def multiplicity(self) -> Point:
         """Componentwise minimum of the nonzero members (which is itself
         a member for a valid table).  Read on R(0, c + e): below every
         nonzero member s lies the nonzero member min(s, c + e)."""
-        c = self.conductor
-        members = np.argwhere(_clamped(self.mask, c, padd(c, ones(self.r))))
+        members = np.argwhere(self.members_on(padd(self.conductor, ones(self.r))))
         nonzero = members[members.any(axis=1)]
         m = tuple(int(x) for x in nonzero.min(axis=0))
         if not self.contains(m):
@@ -384,7 +387,7 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     bound = tuple(bound)
     if not leq(c, bound):
         raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
-    mask = _clamped(table.mask, c, bound)
+    mask = table.members_on(bound)
     shape = mask.shape
     # inc[i][l] = 1 iff the step l -> l + e_i raises h
     inc = []
@@ -471,27 +474,53 @@ def semigroup_from_hilbert(h: HilbertGrid) -> SemigroupTable:
     against the extension rule before cutting it to R(0, c);
     MarginTooSmall if the conductor does not stabilize inside the window.
     """
-    r = h.r
     if any(b < 1 for b in h.bound):
         raise MarginTooSmall("grid too small to test any point")
     inner = tuple(b - 1 for b in h.bound)
+    mask = unit_step_members(h, inner)
+    c = detect_conductor_mask(mask, inner, h.r)
+    _validate_members(mask, c)
+    return cut_at_conductor(mask, c)
+
+
+def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
+    """The points of R(0, inner) where all r unit steps of h are 1; the
+    grid must hold R(0, inner + e)."""
     mask = np.ones(tuple(b + 1 for b in inner), dtype=bool)
-    for i in range(r):
+    for i in range(h.r):
         hi = tuple(
             slice(1, b + 2) if j == i else slice(0, b + 1) for j, b in enumerate(inner)
         )
         mask &= (h.values[hi] - h.values[window(inner)]) == 1
-    c = detect_conductor_mask(mask, inner, r)
-    _validate_members(mask, c)
-    # l in S iff min(l, c) in S across the window: a genuine value
-    # semigroup always passes, so a failure means the detection was
-    # fooled by a too-small grid (or the input is not a value semigroup)
-    if not np.array_equal(mask, _clamped(mask, c, inner)):
+    return mask
+
+
+def cut_at_conductor(mask: np.ndarray, c: Point) -> SemigroupTable:
+    """The table with conductor c cut from the members on a window
+    R(0, b) that holds c.
+
+    l in S iff min(l, c) in S across the window: a genuine value
+    semigroup always passes, so a failure means the detection was fooled
+    by a too-small grid (or the input is not a value semigroup), and
+    raises MarginTooSmall.
+    """
+    bound = tuple(n - 1 for n in mask.shape)
+    if not np.array_equal(mask, _clamped(mask, c, bound)):
         raise MarginTooSmall(
             "membership table is inconsistent with its detected conductor; "
             "the true conductor lies outside the grid"
         )
-    return SemigroupTable(r=r, conductor=c, mask=mask[window(c)].copy())
+    return SemigroupTable(r=len(c), conductor=c, mask=mask[window(c)].copy())
+
+
+def stable_points(mask: np.ndarray) -> np.ndarray:
+    """ok[p] is True iff every point >= p of the mask's box is in the mask
+    (a suffix AND along every axis: a prefix AND of the reversed mask)."""
+    reverse = (slice(None, None, -1),) * mask.ndim
+    ok = mask[reverse]
+    for i in range(mask.ndim):
+        ok = np.logical_and.accumulate(ok, axis=i)
+    return ok[reverse]
 
 
 def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
@@ -500,9 +529,7 @@ def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
     Requires one full stabilization layer above c inside the grid,
     otherwise the detection is not trustworthy and we fail loudly.
     """
-    ok = mask.copy()
-    for i in range(r):
-        ok = np.flip(np.logical_and.accumulate(np.flip(ok, axis=i), axis=i), axis=i)
+    ok = stable_points(mask)
     if not ok[bound]:
         raise MarginTooSmall("no stable region: bound does not dominate the conductor")
     hits = np.argwhere(ok)

@@ -254,11 +254,12 @@ def _a1_series(**changes):
          None),
         (2, _a1_series(**{"2,1": {"numerator": [{"exp": [0, 0], "coeff": 5}]}}),
          None),
+        (1, {"kind": "hilbert", "bound": [3], "values": [0, 1, 2, 10**30]}, None),
     ],
     ids=["hilbert-values-length", "bound-not-a-list", "bound-length",
          "builtin-params", "poincare-zero-denominator",
          "poincare-denominator-length", "poincare-branch-outside-r",
-         "poincare-repeated-subset"],
+         "poincare-repeated-subset", "hilbert-value-overflow"],
 )
 def test_exit_code_malformed_descriptor(tmp_path, capsys, r, source, bound):
     doc = {"version": 1, "germ": "bad", "r": r, "source": source,
@@ -296,11 +297,12 @@ def test_semigroup_not_closed_under_addition_exits_1(tmp_path, capsys, command):
 
 
 def test_poincare_loop_gives_up_with_exit_3(tmp_path, capsys):
-    # 1/(1 - t^2) enumerates <2>, which has no conductor: every guess
-    # fails conductor detection until the attempts run out
-    doc = {"version": 1, "germ": "even", "r": 1, "flags": {}, "bound": None,
-           "source": {"kind": "poincare", "series": {"1": {
-               "numerator": [{"exp": [0], "coeff": 1}], "denominator": [[2]]}}}}
+    # a numerator exponent of 10^9 puts the conductor bound past every grid
+    # the rebuilds reach, so the build gives up before it expands anything
+    huge = {"numerator": [{"exp": [0, 0], "coeff": 1},
+                          {"exp": [10**9, 10**9], "coeff": 1}]}
+    doc = {"version": 1, "germ": "far", "r": 2, "flags": {}, "bound": None,
+           "source": _a1_series(**{"1,2": huge})}
     path = _write_descriptor(tmp_path, doc)
     code, out, err = run_cli(["invariants", "--germ", path], capsys)
     assert code == 3
@@ -309,6 +311,108 @@ def test_poincare_loop_gives_up_with_exit_3(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[0].startswith("error: could not stabilize the conductor")
     assert lines[1] == "hint: enlarge the grid with --bound"
+
+
+def _series_doc(r, series):
+    return {"version": 1, "germ": "series", "r": r, "flags": {}, "bound": None,
+            "source": {"kind": "poincare", "series": series}}
+
+
+def test_series_without_a_conductor_exits_1(tmp_path, capsys):
+    # 1/(1 - t^2) enumerates <2>, which has no conductor; no grid helps
+    doc = _series_doc(1, {"1": {"numerator": [{"exp": [0], "coeff": 1}],
+                                "denominator": [[2]]}})
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: series '1' does not divide out: (1 - t) times it is not a polynomial\n"
+    )
+
+
+def test_subcurve_series_that_does_not_divide_exits_1(tmp_path, capsys):
+    # 1 + t^(40,40) / (1 - t^(1,1)) agrees with A_1's series 1 below
+    # (40, 40), so every grid of the first guesses reads A_1
+    tail = {"numerator": [{"exp": [0, 0], "coeff": 1}, {"exp": [1, 1], "coeff": -1},
+                          {"exp": [40, 40], "coeff": 1}],
+            "denominator": [[1, 1]]}
+    doc = {**_series_doc(2, {}), "source": _a1_series(**{"1,2": tail})}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: series '1,2' does not divide out: it is not a polynomial\n"
+
+
+def test_poincare_branch_with_a_short_run_at_the_grid_edge(tmp_path, capsys):
+    # <4, 7> has conductor 18; on the grid (17,) its members 14, 15, 16
+    # reach the edge, a run shorter than the multiplicity 4
+    members = [s for s in range(19) if any((s - 7 * b) % 4 == 0 and s >= 7 * b
+                                           for b in range(3))]
+    assert 17 not in members and 18 in members
+    terms = {}
+    for s in members[:-1]:
+        terms[s] = terms.get(s, 0) + 1
+        terms[s + 1] = terms.get(s + 1, 0) - 1
+    terms[18] = terms.get(18, 0) + 1
+    numerator = [{"exp": [e], "coeff": c} for e, c in sorted(terms.items()) if c]
+    doc = _series_doc(1, {"1": {"numerator": numerator, "denominator": [[1]]}})
+    path = _write_descriptor(tmp_path, doc)
+    code, out, _ = run_cli(["invariants", "--germ", path, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    inv = doc["invariants"]
+    assert (inv["conductor"], inv["delta"], inv["gorenstein"]) == ([18], 9, True)
+    assert inv["multiplicity"] == [4]
+    assert doc["bound"] == [21]
+
+
+D5 = get("D", 5).to_json_dict()
+D5_SEMIGROUP = {**D5, "source": {"kind": "semigroup", "conductor": [4, 2],
+                                "elements": [[0, 0], [2, 1], [2, 2], [3, 1], [4, 2]]}}
+A0_HILBERT = {"version": 1, "germ": "A_0", "r": 1, "flags": {}, "bound": None,
+              "source": {"kind": "hilbert", "bound": [3], "values": [0, 1, 2, 3]}}
+A1_BUILTIN = {"version": 1, "germ": "A_1", "r": 2, "flags": {}, "bound": None,
+              "source": {"kind": "builtin", "name": "A", "params": [1]}}
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _replaced(D5_SEMIGROUP, ["version"], True),
+        _replaced(A0_HILBERT, ["r"], True),
+        _replaced(D5_SEMIGROUP, ["source", "conductor"], [4.9, 2]),
+        _replaced(D5_SEMIGROUP, ["source", "elements", 1], [2.0, 1]),
+        _replaced(D5, ["source", "series", "1", "numerator", 0, "exp"], [0.5]),
+        _replaced(D5, ["source", "series", "1", "numerator", 0, "coeff"], 1.0),
+        _replaced(D5, ["source", "series", "1", "denominator", 0], [2.0]),
+        _replaced(A0_HILBERT, ["source", "bound"], [3.0]),
+        _replaced(A0_HILBERT, ["source", "values"], [0, 0.9, 1, 1.5]),
+        _replaced(D5_SEMIGROUP, ["bound"], [True, 9]),
+        _replaced(A1_BUILTIN, ["source", "params"], [True]),
+    ],
+    ids=["version", "r", "conductor", "elements", "exp", "coeff", "denominator",
+         "hilbert-bound", "hilbert-values", "bound", "builtin-params"],
+)
+def test_descriptor_numbers_must_be_json_integers(tmp_path, capsys, doc):
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["plane", "gorenstein"])
+def test_descriptor_flags_must_be_booleans(tmp_path, capsys, flag):
+    doc = _replaced(D5_SEMIGROUP, ["flags", flag], "no")
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f'error: flag {flag} must be true, false or null, got "no"\n'
 
 
 SEMIGROUP_345 = {"kind": "semigroup", "conductor": [3], "elements": [[0], [3]]}

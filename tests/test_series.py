@@ -15,7 +15,14 @@ from latcurve import (
     hilbert_from_poincare,
     poincare_from_hilbert,
 )
-from latcurve.series import MultiPoly, all_nonempty_subsets, geometric, poly
+from latcurve.series import (
+    MultiPoly,
+    all_nonempty_subsets,
+    conductor_bound,
+    geometric,
+    poly,
+    require_polynomials,
+)
 
 from oracles import embedded_hilbert_from_poincare, two_branch_expand
 from test_builds import LARGE, poincare_descriptor
@@ -237,3 +244,60 @@ def test_round_trip_poincare(spec, model_of, entry_of):
     inner = tuple(b - 1 for b in m.bound)
     for ell in np.ndindex(tuple(b + 1 for b in inner)):
         assert got.get(tuple(ell), 0) == int(reference[tuple(ell)])
+
+
+def _times_one_minus(terms: dict, v: tuple) -> dict:
+    """terms * (1 - t^v)."""
+    out = dict(terms)
+    for e, c in terms.items():
+        shifted = tuple(x + y for x, y in zip(e, v))
+        out[shifted] = out.get(shifted, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def _divisible_series(draw):
+    """A nonzero polynomial Q in |J| = 1..3 variables and factors v; the
+    series Q * prod (1 - t^v) over prod (1 - t^v) is the polynomial Q."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    q = draw(st.dictionaries(exps, st.integers(-2, 2).filter(bool), min_size=1, max_size=4))
+    den = draw(st.lists(exps.filter(any), max_size=3))
+    num = q
+    for v in den:
+        num = _times_one_minus(num, v)
+    return q, num, tuple(den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_divisible_series(), st.data())
+def test_exact_division_reads_polynomials_and_their_degrees(case, data):
+    q, num, den = case
+    n = len(next(iter(q)))
+    J = tuple(range(1, n + 1))
+    series = RationalSeries(MultiPoly.from_dict(n, num), den)
+    if n == 1:
+        # a branch: (1 - t) P must divide out; over an extra factor (1 - t)
+        # it is Q itself, and its degree is the branch conductor
+        branch = RationalSeries(series.numerator, den + ((1,),))
+        require_polynomials({J: branch})
+        assert conductor_bound({J: branch}, 1) == (max(0, max(e[0] for e in q)),)
+    else:
+        require_polynomials({J: series})
+        subsets = {K: geometric(1, (1,)) for K in all_nonempty_subsets(n) if len(K) == 1}
+        subsets.update({K: RationalSeries(poly(len(K), {(0,) * len(K): 1}))
+                        for K in all_nonempty_subsets(n) if len(K) > 1})
+        subsets[J] = series
+        degree = [max(e[k] for e in q) for k in range(n)]
+        assert conductor_bound(subsets, n) == tuple(d + 1 for d in degree)
+    # one more monomial leaves no polynomial quotient when there is a factor
+    # to divide by (for a branch, besides the (1 - t) that (1 - t) P cancels)
+    extra = data.draw(st.tuples(*[st.integers(0, 6)] * n))
+    broken = dict(num)
+    broken[extra] = broken.get(extra, 0) + 1
+    bad = RationalSeries(MultiPoly.from_dict(n, broken), branch.denominator if n == 1 else den)
+    if den:
+        with pytest.raises(InvalidSeries, match="does not divide out"):
+            require_polynomials({J: bad})
+    else:
+        require_polynomials({J: bad})
