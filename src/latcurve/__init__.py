@@ -8,6 +8,7 @@ from .errors import (
     BadParams,
     DescriptorError,
     EulerMismatch,
+    GridTooLarge,
     InconsistentInput,
     InconsistentSemigroup,
     InvalidSeries,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .errors import BadParams, UnknownGerm
 from .germ import GermDescriptor
+from .lattice import require_grid
 from .series import RationalSeries, geometric, poly
 
 
@@ -72,6 +73,7 @@ def _entry_A(n):
     label = f"A_{n}"
     if n % 2 == 0:
         c = n
+        require_grid((c,), f"the conductor box of {label}")
         elements = numerical_semigroup([2, n + 1], c) if n else [(0,)]
         desc = _sg_descriptor(label, 1, (c,), elements)
         expected = {
@@ -83,6 +85,7 @@ def _entry_A(n):
         }
     else:
         k = (n + 1) // 2
+        require_grid((k, k), f"the conductor box of {label}")
         series = {
             (1,): geometric(1, (1,)),
             (2,): geometric(1, (1,)),
@@ -119,6 +122,7 @@ def _entry_D(n):
         }
     else:
         k = n // 2
+        require_grid((k, k, 2), f"the conductor box of {label}")
         series = {
             (1,): geometric(1, (1,)),
             (2,): geometric(1, (1,)),

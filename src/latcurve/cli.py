@@ -7,8 +7,12 @@
 
 Reports are deterministic for a fixed input: JSON output carries no
 timestamps and sorts its keys, so golden files diff cleanly.  Exit
-codes: 0 success, 2 parse error, 3 margin/bound error, 4 route
-disagreement.
+codes: 0 success; 1 invalid input that no grid bound mends, such as germ
+data that is no germ or a grid past ``lattice.MAX_GRID_POINTS``; 2 parse
+error (a malformed descriptor or argument, a negative ``--depth`` or
+``--e1`` point); 3 margin/bound error; 4 route disagreement.  Every
+failure prints one ``error: `` line (a margin error adds a hint line) to
+stderr and nothing to stdout.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from .lattice import box, ones, scale
 from .motivic import univariate_motivic
 from .spectral import e1_refined, minimal_spectral_cycles
 
-EXIT_OK, EXIT_PARSE, EXIT_MARGIN, EXIT_ROUTES = 0, 2, 3, 4
+EXIT_OK, EXIT_INVALID, EXIT_PARSE, EXIT_MARGIN, EXIT_ROUTES = 0, 1, 2, 3, 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a DescriptorError, reported like any other."""
+
+    def error(self, message):
+        raise DescriptorError(message)
 
 
 def _parse_point(text):
@@ -324,7 +335,7 @@ def cmd_catalog(args):
 
 
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latcurve",
         description="lattice, spectral, and motivic invariants of curve germs",
     )
@@ -353,8 +364,10 @@ def make_parser():
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
+        if args.depth is not None and args.depth < 0:
+            raise DescriptorError(f"--depth must be >= 0, got {args.depth}")
         if args.command == "catalog":
             cmd_catalog(args)
             return EXIT_OK
@@ -383,7 +396,7 @@ def main(argv=None) -> int:
         return EXIT_ROUTES
     except LatcurveError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

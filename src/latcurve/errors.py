@@ -29,6 +29,10 @@ class TruncationUnsound(MarginTooSmall):
     """A series truncation cannot be certified on the current grid."""
 
 
+class GridTooLarge(LatcurveError):
+    """A grid would hold more points than ``lattice.MAX_GRID_POINTS``."""
+
+
 class InconsistentSemigroup(LatcurveError):
     """Semigroup table fails a structural invariant or round-trip check."""
 

@@ -18,13 +18,15 @@ restriction to coordinate faces.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DescriptorError, InvalidSeries, MarginTooSmall
+from .errors import DescriptorError, GridTooLarge, InvalidSeries, MarginTooSmall
 from .homology import min_weight
 from .lattice import (
+    MAX_GRID_POINTS,
     HilbertGrid,
     Point,
     SemigroupTable,
@@ -40,6 +42,7 @@ from .lattice import (
     padd,
     pmax,
     pmin,
+    require_grid,
     restrict_to_subcurve,
     scale,
     semigroup_from_hilbert,
@@ -76,6 +79,13 @@ class GermDescriptor:
     def __post_init__(self):
         if not (_is_int(self.r) and self.r >= 1):
             raise DescriptorError(f"r must be a positive integer, got {self.r!r}")
+        # with r >= 2 branches no conductor coordinate is 0, so every grid
+        # of the germ holds R(0, e) and its 2^r points
+        if self.r >= MAX_GRID_POINTS.bit_length():
+            raise GridTooLarge(
+                f"a germ with r = {self.r} branches needs grids of 2^{self.r} "
+                f"points or more, more than the limit of {MAX_GRID_POINTS}"
+            )
         if self.bound is not None and not (
             len(self.bound) == self.r
             and all(_is_int(x) and x >= 0 for x in self.bound)
@@ -143,12 +153,27 @@ def _int(x, what: str) -> int:
     return x
 
 
+def _int64(x, what: str) -> int:
+    _expect(
+        _is_int(x) and -(1 << 63) <= x < 1 << 63,
+        f"{what} must be a 64-bit integer, got {json.dumps(x, default=repr)}",
+    )
+    return x
+
+
 def _ints(xs, what: str) -> tuple[int, ...]:
     _expect(
         isinstance(xs, list) and all(map(_is_int, xs)),
         f"{what} must be a list of integers, got {json.dumps(xs, default=repr)}",
     )
     return tuple(xs)
+
+
+def _point(xs, what: str) -> tuple[int, ...]:
+    """A lattice point: a list of non-negative integers."""
+    p = _ints(xs, what)
+    _expect(min(p, default=0) >= 0, f"{what} {list(p)} has a negative coordinate")
+    return p
 
 
 def descriptor_from_json_dict(doc: dict) -> GermDescriptor:
@@ -179,10 +204,10 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
     name = doc.get("germ")
     if kind == "semigroup":
         _expect("conductor" in src and "elements" in src, "semigroup source needs conductor and elements")
-        c = _ints(src["conductor"], "conductor")
+        c = _point(src["conductor"], "conductor")
         _expect(len(c) == r, "conductor length != r")
         _expect(isinstance(src["elements"], list), "elements must be a list of points")
-        elements = [_ints(p, "element") for p in src["elements"]]
+        elements = [_point(p, "element") for p in src["elements"]]
         payload = (c, elements)
     elif kind == "poincare":
         series = {}
@@ -195,7 +220,7 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
             )
             _expect(J not in series, f"series key {key!r} repeats the subset {J}")
             terms = {
-                _ints(t["exp"], f"series {key!r}: exp"): _int(
+                _ints(t["exp"], f"series {key!r}: exp"): _int64(
                     t["coeff"], f"series {key!r}: coeff"
                 )
                 for t in body.get("numerator", [])
@@ -215,15 +240,16 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         payload = series
     elif kind == "hilbert":
         _expect("bound" in src and "values" in src, "hilbert source needs bound and values")
-        b = _ints(src["bound"], "hilbert bound")
+        b = _point(src["bound"], "hilbert bound")
         _expect(len(b) == r, "hilbert bound length != r")
         shape = tuple(x + 1 for x in b)
         values = _ints(src["values"], "hilbert values")
         _expect(
-            len(values) == int(np.prod(shape)),
-            f"hilbert values on R(0, {list(b)}) need {int(np.prod(shape))} "
+            len(values) == math.prod(shape),
+            f"hilbert values on R(0, {list(b)}) need {math.prod(shape)} "
             f"entries, got {len(values)}",
         )
+        require_grid(b, "hilbert grid")
         payload = (b, np.array(values, dtype=np.int64).reshape(shape))
     elif kind == "builtin":
         _expect("name" in src, "builtin source needs a name")
@@ -315,13 +341,23 @@ class GermModel:
 
     def subcurve(self, branches) -> "GermModel":
         """Model of the union of the given branches (1-based indices), built
-        on its canonical bound from the face of the Hilbert grid."""
+        on its canonical bound from the face of the Hilbert grid.
+
+        The face is read on R(0, min(face bound, c_J + 2e)) only, c_J the
+        conductor restricted to the axes of J.  The subcurve's conductor
+        is <= c_J: its semigroup is the projection of S to the axes of J,
+        and each l_J >= c_J is the projection of the member (l_J, c_K) >= c,
+        K the other axes.  ``semigroup_from_hilbert`` detects a conductor
+        with one stabilization layer above it inside R(0, face bound - e),
+        so c_J + 2e is enough, and a larger face gives the same table.
+        """
         J = tuple(sorted(set(branches)))
         if J == tuple(range(1, self.r + 1)):
             return self
         if J in self._subcurves:
             return self._subcurves[J]
-        table = semigroup_from_hilbert(restrict_to_subcurve(self.hilbert, J))
+        face = tuple(min(self.bound[j - 1], self.conductor[j - 1] + 2) for j in J)
+        table = semigroup_from_hilbert(restrict_to_subcurve(self.hilbert, J, face))
         table.validate_additive_closure()
         desc = GermDescriptor(
             r=len(J),
@@ -433,6 +469,7 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
             "could not stabilize the conductor after repeated rebuilds: "
             f"the conductor bound {U} needs a grid past {cap}"
         )
+    require_grid(box_bound, "expansion box")
     require_polynomials(series)
     h = hilbert_from_poincare(series, box_bound, r)
     table = _certified_table(h, U)
@@ -536,6 +573,7 @@ def _detected(table: SemigroupTable, guess: Point) -> tuple[Point, Point]:
     min-closed set is min-closed."""
     if min(guess) < 1:
         raise MarginTooSmall("grid too small to test any point")
+    require_grid(guess)
     r = table.r
     inner = tuple(g - 1 for g in guess)
     members = table.members_on(inner)

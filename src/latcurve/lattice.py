@@ -11,26 +11,50 @@ A germ is represented purely by discrete data living on the lattice N^r:
   homological invariants.
 
 The h and w grids are numpy int arrays indexed by lattice points (tuples),
-covering a rectangle R(0, L) with L >= c; ``hilbert_from_semigroup`` is
-the one place that reads a table past c.  All arithmetic is exact; tables
-and grids are frozen values whose arrays are made read-only at
-construction, so they are safe to share.
+covering a rectangle R(0, L) with L >= c.  Past c every unit step raises
+h, so h(l) = h(min(l, c)) + |l - min(l, c)|, and w obeys the same closed
+form.  So every check runs on R(0, c) and covers every grid:
+``hilbert_from_semigroup``, the one place that reads a table past c,
+integrates and checks on R(0, c) and writes the rest in closed form, and
+``WeightGrid.validate`` checks |w| <= |l| on R(0, c).  No grid may hold
+more than ``MAX_GRID_POINTS`` points (``require_grid``).  All arithmetic
+is exact; tables and grids are frozen values whose arrays are made
+read-only at construction, so they are safe to share.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    GridTooLarge,
     InconsistentSemigroup,
     MarginTooSmall,
     PathInconsistency,
 )
 
 Point = tuple[int, ...]
+
+# The most points a grid R(0, L) may hold: 2^22, about 4.2 million.  The
+# largest grid of the catalog, the benchmark ladders and the tests is
+# D_40's 36^3 = 46656 points.  At the limit an int64 array takes 34 MB,
+# and the model, its minima and its motivic arrays hold a few per axis.
+MAX_GRID_POINTS = 1 << 22
+
+
+def require_grid(bound: Point, what: str = "grid") -> None:
+    """GridTooLarge unless R(0, bound) has at most MAX_GRID_POINTS points;
+    called before a grid of that box is allocated."""
+    points = math.prod(max(b + 1, 0) for b in bound)
+    if points > MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"{what} R(0, {list(bound)}) would hold {points} points, "
+            f"more than the limit of {MAX_GRID_POINTS}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +263,13 @@ def _validate_min_closure(mask: np.ndarray) -> None:
         )
 
 
-def _clamped(mask: np.ndarray, c: Point, bound: Point) -> np.ndarray:
-    """mask[min(l, c)] for every l in R(0, bound): a table read past its
-    conductor by the extension rule, one axis at a time."""
+def _clamped(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
+    """values[min(l, c)] for every l in R(0, bound), given on R(0, c): a
+    table read past its conductor by the extension rule, one axis at a
+    time."""
     for axis, (b, ci) in enumerate(zip(bound, c)):
-        mask = mask.take(np.minimum(np.arange(b + 1), ci), axis=axis)
-    return mask
+        values = values.take(np.minimum(np.arange(b + 1), ci), axis=axis)
+    return values
 
 
 def _argwhere(flags: np.ndarray) -> list[Point]:
@@ -280,10 +305,13 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
     """Build the table on R(0, conductor) from an explicit member list,
     checked for min-closure and additive closure."""
     c = tuple(conductor)
+    if min(c) < 0:
+        raise InconsistentSemigroup(f"conductor {c} has a negative coordinate")
+    require_grid(c, "semigroup table")
     mask = np.zeros(tuple(ci + 1 for ci in c), dtype=bool)
     for p in low_points:
         p = tuple(p)
-        if not leq(p, c):
+        if min(p) < 0 or not leq(p, c):
             raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
         mask[p] = True
     table = SemigroupTable(r=r, conductor=c, mask=mask)
@@ -357,8 +385,14 @@ class WeightGrid:
         return (self.values + total) // 2
 
     def validate(self) -> None:
-        total = norm_array(self.values.shape)
-        if np.any(np.abs(self.values) > total):
+        """|w(l)| <= |l| on R(0, c), and w = 2 - |l| on 0 < l <= m.
+
+        Past c the first bound follows from the closed form
+        w(l) = w(l') + |l - l'|, l' = min(l, c), of a grid made by
+        ``hilbert_from_semigroup``: -|l| <= -|l'| + |l - l'| <= w(l) and
+        w(l) <= |l'| + |l - l'| = |l|."""
+        sub = self.values[window(self.conductor)]
+        if np.any(np.abs(sub) > norm_array(sub.shape)):
             raise InconsistentSemigroup("|w(l)| <= |l| violated")
         # w(l) = 2 - |l| on 0 < l <= m
         sub = self.values[window(self.multiplicity)]
@@ -371,23 +405,38 @@ class WeightGrid:
 def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     """Hilbert grid of the table's semigroup on R(0, bound), bound >= c.
 
-    The table is read past c by the extension rule.  The unit increment
-    along axis i at l is 1 iff some member s has s_i = l_i and s_j >= l_j
-    for j != i; by min-closure a witness always exists inside
-    R(0, max(l, c)), so the in-grid search is complete.  Round trip: the
-    points where all r increments are 1 must be exactly the members, or
-    InconsistentSemigroup.  Increments are integrated along axis 0 and
-    then checked against every axis, so path dependence in bad input
-    raises instead of corrupting.  With that check passed, the forward
-    differences of h are the increments, so the members are exactly the
-    table ``semigroup_from_hilbert`` reads off the grid, and h, which
-    starts at h(0) = 0 and steps by 0 or 1, is a valid Hilbert grid.
+    The unit increment along axis i at l is 1 iff some member s has
+    s_i = l_i and s_j >= l_j for j != i.  The increments are found,
+    integrated and checked on R(0, c) only, and h is written past c in
+    closed form, h(l) = h(l') + |l - l'| with l' = min(l, c).
+
+    * On R(0, c) the search is complete: min(s, c) is a member and a
+      witness whenever s is, so a witness lies in R(0, c).
+    * Past c: from l with l_i >= c_i the step along axis i raises h, with
+      witness max(l, c) with coordinate i set to l_i (a member, as it is
+      >= c and c is a member).  From l with l_i < c_i the step equals the
+      step from l' (both are read at min(s, c) by the extension rule), so
+      h(l) - h(l') = |l - l'| along any path from l' up to l.  Likewise
+      membership at l is membership at l', and all r increments at l are
+      1 iff they are at l' (each increment along an axis with l'_i = c_i
+      is 1).
+
+    So the round trip (the points where all r increments are 1 must be
+    exactly the members, or InconsistentSemigroup) and the path check
+    (the forward differences of h, integrated along axis 0 first, must
+    equal the increments along every axis, or PathInconsistency) hold on
+    R(0, bound) iff they hold on R(0, c), for any table whose conductor
+    is a member.  With both passed, the members are exactly the table
+    ``semigroup_from_hilbert`` reads off the grid, and h, which starts at
+    h(0) = 0 and steps by 0 or 1, is a valid Hilbert grid.  GridTooLarge
+    when R(0, bound) is past ``MAX_GRID_POINTS``.
     """
     r, c = table.r, table.conductor
     bound = tuple(bound)
     if not leq(c, bound):
         raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
-    mask = table.members_on(bound)
+    require_grid(bound)
+    mask = table.mask
     shape = mask.shape
     # inc[i][l] = 1 iff the step l -> l + e_i raises h
     inc = []
@@ -426,7 +475,21 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
             raise PathInconsistency(
                 f"monotone paths disagree along axis {i}; input semigroup invalid"
             )
-    return HilbertGrid(r=r, bound=bound, values=h)
+    if not mask[c]:
+        raise InconsistentSemigroup("conductor itself must be a member")
+    return HilbertGrid(r=r, bound=bound, values=_past_conductor(h, c, bound))
+
+
+def _past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
+    """values[l'] + |l - l'|, l' = min(l, c), for every l in R(0, bound),
+    given ``values`` on R(0, c): the closed form of h, and of w, past c."""
+    out = _clamped(values, c, bound)
+    r = len(c)
+    for axis, (b, ci) in enumerate(zip(bound, c)):
+        if b > ci:
+            excess = np.maximum(np.arange(b + 1, dtype=np.int64) - ci, 0)
+            out += excess.reshape(tuple(-1 if j == axis else 1 for j in range(r)))
+    return out
 
 
 def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid:
@@ -560,13 +623,16 @@ def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     return bool(np.array_equal(sub, rev))
 
 
-def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
+def restrict_to_subcurve(
+    grid, branches, bound: Point | None = None
+) -> "HilbertGrid | WeightGrid":
     """Restrict a grid to the coordinate face of the branch subset.
 
     ``branches`` is a nonempty iterable of 1-based branch indices J; the
     result is the subcurve's own grid on N^{|J|} (h restricts on the nose,
-    hence w does too).  For a WeightGrid the subcurve conductor is
-    re-detected inside the face.
+    hence w does too), on the face R(0, bound) when a ``bound`` with one
+    entry per branch of J is given, else on the whole face.  For a
+    WeightGrid the subcurve conductor is re-detected inside the face.
     """
     J = sorted(set(branches))
     if not J:
@@ -575,8 +641,11 @@ def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
     if any(j < 1 or j > r for j in J):
         raise ValueError(f"branch indices {J} outside 1..{r}")
     axes = [j - 1 for j in J]
-    take = tuple(slice(None) if i in axes else 0 for i in range(r))
-    sub_bound = tuple(grid.bound[i] for i in axes)
+    sub_bound = tuple(grid.bound[i] for i in axes) if bound is None else tuple(bound)
+    if not leq(sub_bound, tuple(grid.bound[i] for i in axes)):
+        raise MarginTooSmall(f"face bound {sub_bound} lies outside the grid {grid.bound}")
+    at = dict(zip(axes, sub_bound))
+    take = tuple(slice(0, at[i] + 1) if i in at else 0 for i in range(r))
     if isinstance(grid, HilbertGrid):
         return HilbertGrid(r=len(axes), bound=sub_bound, values=grid.values[take].copy())
     if isinstance(grid, WeightGrid):

@@ -28,6 +28,7 @@ from .errors import (
     MarginTooSmall,
     TruncationUnsound,
 )
+from .homology import min_weight
 from .lattice import (
     HilbertGrid,
     Point,
@@ -185,16 +186,25 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
     The term C[l, i] of l at q^(h(l)+i) lands at order w(l) + 2i, and the
     series is the integer sum of the coefficient array by order.  Raises
     TruncationUnsound when the grid cannot certify the tail.
+
+    The sum runs over R(0, min(bound - e, c + (depth - min_w) e)) only.
+    A point l past that box has l_i - c_i > depth - min_w on some axis,
+    so with l' = min(l, c) the closed form w(l) = w(l') + |l - l'| of
+    ``hilbert_from_semigroup`` gives w(l) >= min_w + |l - l'| > depth,
+    and every order w(l) + 2i of l lies past the truncation.
     """
     if not certify_truncation(w, depth):
         raise TruncationUnsound(
             f"grid {w.bound} cannot certify the omega-series through {depth}"
         )
-    inner = tuple(b - 1 for b in w.bound)
-    coeffs = coefficient_array(h, inner)
-    orders = w.values[window(inner)][..., None] + 2 * np.arange(w.r)
-    take = (orders <= depth) & (coeffs != 0)
-    acc = _tally(orders[take], coeffs[take])
+    reach = depth - min_weight(w)
+    inner = tuple(min(b - 1, ci + reach) for b, ci in zip(w.bound, w.conductor))
+    acc = {}
+    if reach >= 0:
+        coeffs = coefficient_array(h, inner)
+        orders = w.values[window(inner)][..., None] + 2 * np.arange(w.r)
+        take = (orders <= depth) & (coeffs != 0)
+        acc = _tally(orders[take], coeffs[take])
     if not acc:
         raise InconsistentInput("substituted series vanished entirely")
     lo = min(acc)

@@ -482,3 +482,141 @@ def test_header_reports_the_bound_used(tmp_path, capsys, command, germ, bound):
     code, out, _ = run_cli([command, *argv, "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["bound"] == bound
+
+
+@pytest.mark.parametrize("depth", ["-1", "-3"])
+def test_negative_depth_is_a_parse_error(capsys, depth):
+    code, out, err = run_cli(["motivic", "--builtin", "D,5", f"--depth={depth}"], capsys)
+    assert (code, out, err) == (2, "", f"error: --depth must be >= 0, got {depth}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (["motivic", "--builtin", "D,5", "--depth", "1.5"],
+         "argument --depth: invalid int value: '1.5'"),
+        (["table", "--builtin", "D,5", "--format", "xml"],
+         "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
+    ],
+    ids=["no-command", "float-depth", "bad-format"],
+)
+def test_argument_errors_are_parse_errors(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.fixture
+def refuse_huge_arrays(monkeypatch):
+    """Make numpy refuse an array past the grid limit (a few arrays of one
+    grid are fine), so a missing size check fails fast instead of
+    allocating."""
+    import numpy as np
+
+    from latcurve.lattice import MAX_GRID_POINTS
+
+    def guarded(make):
+        def call(shape, *args, **kwargs):
+            size = int(np.prod(shape, dtype=object)) if np.ndim(shape) else shape
+            assert size <= 8 * MAX_GRID_POINTS, "huge array"
+            return make(shape, *args, **kwargs)
+        return call
+
+    for name in ("zeros", "ones", "empty"):
+        monkeypatch.setattr(np, name, guarded(getattr(np, name)))
+
+
+def test_huge_semigroup_conductor_exits_1(tmp_path, capsys, refuse_huge_arrays):
+    # 10^12 + 1 table entries: refused before the table is allocated
+    doc = {"version": 1, "germ": "huge", "r": 1, "flags": {}, "bound": None,
+           "source": {"kind": "semigroup", "conductor": [10**12],
+                      "elements": [[0], [10**12]]}}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: semigroup table R(0, [1000000000000]) would hold 1000000000001 "
+        "points, more than the limit of 4194304\n"
+    )
+
+
+SMOOTH_HILBERT = {"kind": "hilbert", "bound": [10001], "values": list(range(10002))}
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["invariants", "--bound", "20000"], {"r": 1, "source": {
+            "kind": "semigroup", "conductor": [2], "elements": [[0], [2]]}}),
+        (["invariants"], {"r": 1, "source": SMOOTH_HILBERT}),
+        (["invariants", "--builtin", "D,5", "--bound", "200,200"], None),
+        (["invariants"], {"r": 2, "bound": [200, 200],
+                          "source": get("A", 1).to_json_dict()["source"]}),
+        (["motivic", "--builtin", "D,5", "--depth", "150"], None),
+        (["invariants", "--builtin", "A,10002"], None),
+        (["invariants", "--builtin", "A,201"], None),
+        (["invariants", "--builtin", "D,200"], None),
+    ],
+    ids=["semigroup-bound", "hilbert-bound", "poincare-bound-flag",
+         "poincare-bound-field", "motivic-depth", "builtin-A-even", "builtin-A-odd",
+         "builtin-D-even"],
+)
+def test_grid_past_the_limit_exits_1(tmp_path, capsys, monkeypatch, argv, doc):
+    # the same checks under a limit of 10^4 points, so no input is large
+    from latcurve import lattice
+
+    monkeypatch.setattr(lattice, "MAX_GRID_POINTS", 10**4)
+    if doc is not None:
+        doc = {"version": 1, "germ": "big", "flags": {}, "bound": None, **doc}
+        argv = argv + ["--germ", _write_descriptor(tmp_path, doc)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(
+        "points, more than the limit of 10000\n"
+    )
+    assert err.count("\n") == 1
+
+
+def test_too_many_branches_exit_1(tmp_path, capsys):
+    # with r >= 2 every grid holds R(0, e), so r = 23 needs 2^23 points
+    doc = {"version": 1, "germ": "bush", "r": 23, "flags": {}, "bound": None,
+           "source": {"kind": "builtin", "name": "A", "params": [1]}}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: a germ with r = 23 branches needs grids of 2^23 points or more, "
+        "more than the limit of 4194304\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ({"kind": "semigroup", "conductor": [-2], "elements": [[0]]},
+         "conductor [-2] has a negative coordinate"),
+        ({"kind": "semigroup", "conductor": [2], "elements": [[0], [-1], [2]]},
+         "element [-1] has a negative coordinate"),
+        ({"kind": "hilbert", "bound": [-1], "values": []},
+         "hilbert bound [-1] has a negative coordinate"),
+        ({"kind": "poincare", "series": {"1": {
+            "numerator": [{"exp": [0], "coeff": 10**30}], "denominator": [[1]]}}},
+         "series '1': coeff must be a 64-bit integer, got "
+         "1000000000000000000000000000000"),
+    ],
+    ids=["negative-conductor", "negative-element", "negative-hilbert-bound",
+         "coefficient-past-int64"],
+)
+def test_descriptor_points_and_coefficients_are_checked(tmp_path, capsys, source, message):
+    doc = {"version": 1, "germ": "bad", "r": 1, "flags": {}, "bound": None,
+           "source": source}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_grid_limit_admits_exactly_its_points():
+    from latcurve.lattice import MAX_GRID_POINTS, require_grid
+
+    require_grid((MAX_GRID_POINTS - 1,))
+    require_grid((2047, 2047))
+    for bound in [(MAX_GRID_POINTS,), (2048, 2047)]:
+        with pytest.raises(latcurve.GridTooLarge):
+            require_grid(bound)

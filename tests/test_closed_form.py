@@ -1,0 +1,149 @@
+"""Reading past the conductor in closed form, against the whole-grid code
+it replaced (``tests/oracles.py``).
+
+* ``hilbert_from_semigroup`` finds, integrates and checks the increments
+  on R(0, c) only and writes h(l) = h(min(l, c)) + |l - min(l, c)| past
+  c; ``oracles.full_grid_hilbert_from_semigroup`` does all of it on the
+  whole grid.  Same values on valid tables, same exception class and
+  message on invalid ones.
+* ``GermModel.subcurve`` reads the face on R(0, c_J + 2e);
+  ``oracles.full_face_table`` reads the whole face.
+* ``omega_substitution`` sums the coefficient array on
+  R(0, c + (depth - min_w) e); ``oracles.omega_by_points`` sums every
+  point of R(0, bound - e).
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latcurve import (
+    InconsistentInput,
+    InconsistentSemigroup,
+    LatcurveError,
+    build_model,
+    get,
+    hilbert_from_semigroup,
+    omega_substitution,
+)
+from latcurve.catalog import numerical_semigroup
+from latcurve.classify import certified_omega
+from latcurve.germ import GermDescriptor
+from latcurve.lattice import SemigroupTable, ones, padd, scale
+
+from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
+from oracles import full_face_table, full_grid_hilbert_from_semigroup, omega_by_points
+from test_catalog import ALL_SPECS
+from test_identity import ladder_keys
+
+
+def _outcome(fn, *args):
+    """The grid values, or the exception class and message."""
+    try:
+        return fn(*args).values.tolist()
+    except LatcurveError as exc:
+        return type(exc), str(exc)
+
+
+def assert_grids_match(table, bound):
+    got = _outcome(hilbert_from_semigroup, table, bound)
+    assert got == _outcome(full_grid_hilbert_from_semigroup, table, bound)
+    return got
+
+
+def assert_model_matches(model):
+    """The grid of the model's table on its bound and on bounds around c,
+    and every proper subcurve, against the whole-grid oracles."""
+    c, e = model.conductor, ones(model.r)
+    for bound in (model.bound, c, padd(c, e), padd(model.bound, scale(3, e))):
+        assert not isinstance(assert_grids_match(model.semigroup, bound), tuple)
+    for size in range(1, model.r):
+        for J in itertools.combinations(range(1, model.r + 1), size):
+            sub, table = model.subcurve(J), full_face_table(model, J)
+            assert sub.conductor == table.conductor
+            assert np.array_equal(sub.semigroup.mask, table.mask)
+            oracle = full_grid_hilbert_from_semigroup(table, sub.bound)
+            assert np.array_equal(sub.hilbert.values, oracle.values)
+
+
+def _semigroup_model(gens):
+    c = conductor_of(gens)
+    return build_model(
+        GermDescriptor(
+            r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
+        )
+    )
+
+
+@pytest.mark.parametrize("key", ladder_keys())
+def test_closed_form_matches_the_full_grid_on_the_ladders(key):
+    name, *params = key.split(",")
+    assert_model_matches(build_model(get(name, *map(int, params))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_plane_germs())
+def test_closed_form_matches_the_full_grid_on_random_plane_germs(germ):
+    assert_model_matches(build_model(germ[2]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(numerical_semigroups(), st.integers(0, 6))
+def test_closed_form_matches_the_full_grid_on_random_branches(gens, extra):
+    model = _semigroup_model(gens)
+    assert_model_matches(model)
+    assert_grids_match(model.semigroup, (model.conductor[0] + extra,))
+
+
+@st.composite
+def _tables(draw):
+    """A random mask on R(0, c) with 0 and c members, so neither the
+    round trip nor the path check need hold, and a bound >= c."""
+    r = draw(st.integers(1, 3))
+    c = tuple(draw(st.lists(st.integers(1, 3), min_size=r, max_size=r)))
+    size = int(np.prod([x + 1 for x in c]))
+    flags = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    mask = np.array(flags, dtype=bool).reshape(tuple(x + 1 for x in c))
+    mask[(0,) * r] = mask[c] = True
+    extra = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+    return SemigroupTable(r=r, conductor=c, mask=mask), padd(c, tuple(extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_closed_form_matches_the_full_grid_on_random_tables(case):
+    # valid or not, both paths give the same grid or the same error
+    assert_grids_match(*case)
+
+
+def test_closed_form_refuses_a_table_without_its_conductor():
+    # {0} with "conductor" 2: the whole-grid code returned a constant h
+    table = SemigroupTable(r=1, conductor=(2,), mask=np.array([True, False, False]))
+    with pytest.raises(InconsistentSemigroup, match="conductor itself must be a member"):
+        hilbert_from_semigroup(table, (5,))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_omega_window_matches_every_point(spec, model_of):
+    model = model_of(*spec)
+    # below min_w no term is left, past it the window is what binds
+    for depth in range(model.min_w - 1, 4):
+        if depth < model.min_w:
+            for series_of in (omega_substitution, omega_by_points):
+                with pytest.raises(InconsistentInput, match="vanished entirely"):
+                    series_of(model.hilbert, model.weight, depth)
+            continue
+        series, grown = certified_omega(model, depth)
+        assert series == omega_by_points(grown.hilbert, grown.weight, depth)
+
+
+@settings(max_examples=20, deadline=None)
+@given(monomial_plane_germs(), st.integers(0, 5))
+def test_omega_window_matches_every_point_on_random_germs(germ, depth):
+    model = build_model(germ[2])
+    series, grown = certified_omega(model, depth)
+    assert series == omega_by_points(grown.hilbert, grown.weight, depth)
+    assert omega_substitution(grown.hilbert, grown.weight, depth) == series
