@@ -390,7 +390,8 @@ class WeightGrid:
         Past c the first bound follows from the closed form
         w(l) = w(l') + |l - l'|, l' = min(l, c), of a grid made by
         ``hilbert_from_semigroup``: -|l| <= -|l'| + |l - l'| <= w(l) and
-        w(l) <= |l'| + |l - l'| = |l|."""
+        w(l) <= |l'| + |l - l'| = |l|.  (On any grid whose h starts at 0
+        and steps by 0 or 1 it holds everywhere, as 0 <= h(l) <= |l|.)"""
         sub = self.values[window(self.conductor)]
         if np.any(np.abs(sub) > norm_array(sub.shape)):
             raise InconsistentSemigroup("|w(l)| <= |l| violated")
@@ -482,14 +483,17 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
 
 def _past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
     """values[l'] + |l - l'|, l' = min(l, c), for every l in R(0, bound),
-    given ``values`` on R(0, c): the closed form of h, and of w, past c."""
-    out = _clamped(values, c, bound)
+    given ``values`` on R(0, c): the closed form of h, and of w, past c.
+    Each axis is read at min(l_i, c_i) and gains l_i - c_i past c_i."""
     r = len(c)
     for axis, (b, ci) in enumerate(zip(bound, c)):
         if b > ci:
-            excess = np.maximum(np.arange(b + 1, dtype=np.int64) - ci, 0)
-            out += excess.reshape(tuple(-1 if j == axis else 1 for j in range(r)))
-    return out
+            steps = np.arange(b + 1)
+            values = values.take(np.minimum(steps, ci), axis=axis)
+            values += np.maximum(steps - ci, 0).reshape(
+                [-1 if j == axis else 1 for j in range(r)]
+            )
+    return values
 
 
 def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid:

@@ -33,6 +33,11 @@
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one scalar ``motivic_coeff`` call
   per lattice point, the loops the coefficient array replaced.
+* ``full_grid_hilbert_from_semigroup`` / ``full_face_table``: the grid of
+  a table found, integrated and checked on all of R(0, bound), the path
+  ``hilbert_from_semigroup`` replaced by checks on R(0, c) and a closed
+  form past c; and the subcurve table read off the whole face of the
+  Hilbert grid, where ``GermModel.subcurve`` reads R(0, c_J + 2e) of it.
 * ``tame_conditions_without_shortcuts``: the tameness conditions
   (a)-(d) of the homology route with every group computed, where
   ``classify_tame_homological`` takes condition (b) as given for
@@ -49,11 +54,6 @@
   grid is accepted only when the next pass re-detects the same
   conductor; a ``hilbert`` source and a subcurve go through their member
   list and the ``semigroup`` build.
-* ``full_grid_hilbert_from_semigroup`` / ``full_face_table``: the grid of
-  a table found, integrated and checked on all of R(0, bound), the path
-  ``hilbert_from_semigroup`` replaced by checks on R(0, c) and a closed
-  form past c; and the subcurve table read off the whole face of the
-  Hilbert grid, where ``GermModel.subcurve`` reads R(0, c_J + 2e) of it.
 """
 
 from dataclasses import dataclass, field
@@ -616,6 +616,62 @@ def omega_by_points(h, w, depth) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
+# semigroup tables read on the whole grid
+
+
+def full_grid_hilbert_from_semigroup(table, bound) -> HilbertGrid:
+    """The Hilbert grid on R(0, bound): increments from the table read past
+    c by the extension rule, the round trip, the integration along axis 0
+    first and the path check, each on the whole grid."""
+    r, c = table.r, table.conductor
+    bound = tuple(bound)
+    if not leq(c, bound):
+        raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
+    mask = table.members_on(bound)
+    shape = mask.shape
+    inc = []
+    for i in range(r):
+        a = mask
+        for j in range(r):
+            if j == i:
+                continue
+            a = np.flip(np.logical_or.accumulate(np.flip(a, axis=j), axis=j), axis=j)
+        inc.append(a)
+    if not np.array_equal(np.logical_and.reduce(inc), mask):
+        raise InconsistentSemigroup("extension failed the round-trip check")
+    h = np.zeros(shape, dtype=np.int64)
+    for axis in range(r):
+        if shape[axis] < 2:
+            continue
+        dst = tuple(
+            slice(1, None) if j == axis else (slice(0, 1) if j > axis else slice(None))
+            for j in range(r)
+        )
+        src = tuple(slice(0, 1) if j >= axis else slice(None) for j in range(r))
+        stp = tuple(
+            slice(0, -1) if j == axis else (slice(0, 1) if j > axis else slice(None))
+            for j in range(r)
+        )
+        h[dst] = h[src] + np.cumsum(inc[axis][stp].astype(np.int64), axis=axis)
+    for i in range(r):
+        lo = tuple(slice(0, -1) if j == i else slice(None) for j in range(r))
+        hi = tuple(slice(1, None) if j == i else slice(None) for j in range(r))
+        if not np.array_equal(h[hi] - h[lo], inc[i][lo].astype(np.int64)):
+            raise PathInconsistency(
+                f"monotone paths disagree along axis {i}; input semigroup invalid"
+            )
+    return HilbertGrid(r=r, bound=bound, values=h)
+
+
+def full_face_table(model, branches):
+    """The subcurve's table, read off the whole face of the Hilbert grid
+    and checked for additive closure."""
+    table = semigroup_from_hilbert(restrict_to_subcurve(model.hilbert, branches))
+    table.validate_additive_closure()
+    return table
+
+
+# ---------------------------------------------------------------------------
 # series expansion and germ builds as first written
 
 
@@ -789,59 +845,3 @@ def tame_conditions_without_shortcuts(model) -> tuple[bool, dict]:
             conds["d"] = conds["d"] and good
     tame = bool(conds["a"] and conds["b"] and conds["c"] and conds["d"])
     return tame, {"conditions": conds}
-
-
-# ---------------------------------------------------------------------------
-# semigroup tables read on the whole grid
-
-
-def full_grid_hilbert_from_semigroup(table, bound) -> HilbertGrid:
-    """The Hilbert grid on R(0, bound): increments from the table read past
-    c by the extension rule, the round trip, the integration along axis 0
-    first and the path check, each on the whole grid."""
-    r, c = table.r, table.conductor
-    bound = tuple(bound)
-    if not leq(c, bound):
-        raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
-    mask = table.members_on(bound)
-    shape = mask.shape
-    inc = []
-    for i in range(r):
-        a = mask
-        for j in range(r):
-            if j == i:
-                continue
-            a = np.flip(np.logical_or.accumulate(np.flip(a, axis=j), axis=j), axis=j)
-        inc.append(a)
-    if not np.array_equal(np.logical_and.reduce(inc), mask):
-        raise InconsistentSemigroup("extension failed the round-trip check")
-    h = np.zeros(shape, dtype=np.int64)
-    for axis in range(r):
-        if shape[axis] < 2:
-            continue
-        dst = tuple(
-            slice(1, None) if j == axis else (slice(0, 1) if j > axis else slice(None))
-            for j in range(r)
-        )
-        src = tuple(slice(0, 1) if j >= axis else slice(None) for j in range(r))
-        stp = tuple(
-            slice(0, -1) if j == axis else (slice(0, 1) if j > axis else slice(None))
-            for j in range(r)
-        )
-        h[dst] = h[src] + np.cumsum(inc[axis][stp].astype(np.int64), axis=axis)
-    for i in range(r):
-        lo = tuple(slice(0, -1) if j == i else slice(None) for j in range(r))
-        hi = tuple(slice(1, None) if j == i else slice(None) for j in range(r))
-        if not np.array_equal(h[hi] - h[lo], inc[i][lo].astype(np.int64)):
-            raise PathInconsistency(
-                f"monotone paths disagree along axis {i}; input semigroup invalid"
-            )
-    return HilbertGrid(r=r, bound=bound, values=h)
-
-
-def full_face_table(model, branches):
-    """The subcurve's table, read off the whole face of the Hilbert grid
-    and checked for additive closure."""
-    table = semigroup_from_hilbert(restrict_to_subcurve(model.hilbert, branches))
-    table.validate_additive_closure()
-    return table
