@@ -148,11 +148,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _int(x, what: str) -> int:
-    _expect(_is_int(x), f"{what} must be an integer, got {json.dumps(x, default=repr)}")
-    return x
-
-
 def _int64(x, what: str) -> int:
     _expect(
         _is_int(x) and -(1 << 63) <= x < 1 << 63,

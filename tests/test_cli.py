@@ -543,25 +543,33 @@ SMOOTH_HILBERT = {"kind": "hilbert", "bound": [10001], "values": list(range(1000
 
 
 @pytest.mark.parametrize(
-    "argv,doc",
+    "argv,doc,grid",
     [
         (["invariants", "--bound", "20000"], {"r": 1, "source": {
-            "kind": "semigroup", "conductor": [2], "elements": [[0], [2]]}}),
-        (["invariants"], {"r": 1, "source": SMOOTH_HILBERT}),
-        (["invariants", "--builtin", "D,5", "--bound", "200,200"], None),
+            "kind": "semigroup", "conductor": [2], "elements": [[0], [2]]}},
+         "grid R(0, [20000])"),
+        (["invariants"], {"r": 1, "source": SMOOTH_HILBERT}, "hilbert grid R(0, [10001])"),
+        (["invariants", "--builtin", "D,5", "--bound", "200,200"], None,
+         "expansion box R(0, [200, 200])"),
         (["invariants"], {"r": 2, "bound": [200, 200],
-                          "source": get("A", 1).to_json_dict()["source"]}),
-        (["motivic", "--builtin", "D,5", "--depth", "150"], None),
-        (["invariants", "--builtin", "A,10002"], None),
-        (["invariants", "--builtin", "A,201"], None),
-        (["invariants", "--builtin", "D,200"], None),
+                          "source": get("A", 1).to_json_dict()["source"]},
+         "expansion box R(0, [200, 200])"),
+        (["invariants", "--builtin", "A,1", "--bound", "0,3000"], None,
+         "grid R(0, [1, 6001])"),
+        (["motivic", "--builtin", "D,5", "--depth", "150"], None, "grid R(0, [151, 151])"),
+        (["invariants", "--builtin", "A,10002"], None,
+         "the conductor box of A_10002 R(0, [10002])"),
+        (["invariants", "--builtin", "A,201"], None,
+         "the conductor box of A_201 R(0, [101, 101])"),
+        (["invariants", "--builtin", "D,200"], None,
+         "the conductor box of D_200 R(0, [100, 100, 2])"),
     ],
     ids=["semigroup-bound", "hilbert-bound", "poincare-bound-flag",
-         "poincare-bound-field", "motivic-depth", "builtin-A-even", "builtin-A-odd",
-         "builtin-D-even"],
+         "poincare-bound-field", "poincare-replayed-guess", "motivic-depth",
+         "builtin-A-even", "builtin-A-odd", "builtin-D-even"],
 )
-def test_grid_past_the_limit_exits_1(tmp_path, capsys, monkeypatch, argv, doc):
-    # the same checks under a limit of 10^4 points, so no input is large
+def test_grid_past_the_limit_exits_1(tmp_path, capsys, monkeypatch, argv, doc, grid):
+    # each check under a limit of 10^4 points, so no input is large
     from latcurve import lattice
 
     monkeypatch.setattr(lattice, "MAX_GRID_POINTS", 10**4)
@@ -570,9 +578,8 @@ def test_grid_past_the_limit_exits_1(tmp_path, capsys, monkeypatch, argv, doc):
         argv = argv + ["--germ", _write_descriptor(tmp_path, doc)]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.endswith(
-        "points, more than the limit of 10000\n"
-    )
+    assert err.startswith(f"error: {grid} would hold ")
+    assert err.endswith(" points, more than the limit of 10000\n")
     assert err.count("\n") == 1
 
 
