@@ -12,7 +12,7 @@ Descriptors round-trip through a small JSON schema (see README).  The
 model is an immutable value holding the semigroup table on R(0, c) and
 the Hilbert and weight grids on a common bound; growing the bound
 returns a new model on the same table, and subcurve models come from
-restriction to coordinate faces.
+the projection of the table to the axes of the subcurve.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ from .lattice import (
     detect_conductor_mask,
     gorenstein_symmetry,
     hilbert_from_semigroup,
+    least_conductor,
     leq,
     ones,
     padd,
+    past_conductor,
     pmax,
     pmin,
     require_grid,
-    restrict_to_subcurve,
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
-    stable_points,
     unit_step_members,
     weight_from_hilbert,
     window,
@@ -336,24 +336,26 @@ class GermModel:
 
     def subcurve(self, branches) -> "GermModel":
         """Model of the union of the given branches (1-based indices), built
-        on its canonical bound from the face of the Hilbert grid.
+        on its canonical bound from the projection of the table.
 
-        The face is read on R(0, min(face bound, c_J + 2e)) only, c_J the
-        conductor restricted to the axes of J.  The subcurve's conductor
-        is <= c_J: its semigroup is the projection of S to the axes of J,
-        and each l_J >= c_J is the projection of the member (l_J, c_K) >= c,
-        K the other axes.  ``semigroup_from_hilbert`` detects a conductor
-        with one stabilization layer above it inside R(0, face bound - e),
-        so c_J + 2e is enough, and a larger face gives the same table.
+        The subcurve's semigroup S_J is the projection of S to the axes of
+        J; c_J and c_K are the conductor on the axes of J and on the other
+        axes K.  The table's projection, ``mask.any`` over K, is S_J on
+        R(0, c_J): for s in S with s_J <= c_J, min(s, c) is a member (the
+        extension rule) in R(0, c) with the same J-part.  The subcurve's
+        conductor is <= c_J, as each l_J >= c_J is the J-part of the member
+        (l_J, c_K) >= c.  So ``_certified_table`` reads the exact table off
+        that window, as it reads the window of a ``poincare`` expansion.
         """
         J = tuple(sorted(set(branches)))
+        if not J or J[0] < 1 or J[-1] > self.r:
+            raise ValueError(f"branch indices {list(J)} outside 1..{self.r}")
         if J == tuple(range(1, self.r + 1)):
             return self
         if J in self._subcurves:
             return self._subcurves[J]
-        face = tuple(min(self.bound[j - 1], self.conductor[j - 1] + 2) for j in J)
-        table = semigroup_from_hilbert(restrict_to_subcurve(self.hilbert, J, face))
-        table.validate_additive_closure()
+        others = tuple(i for i in range(self.r) if i + 1 not in J)
+        table = _certified_table(self.semigroup.mask.any(axis=others))
         desc = GermDescriptor(
             r=len(J),
             kind="semigroup",
@@ -451,9 +453,9 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     of ``conductor_bound`` and one more layer, and read the exact
     conductor and the table there.  The bound of the model is the one the
     growing-grid loop of earlier releases accepted, replayed on that
-    table (``_replayed_bound``).  The model grid is a window of the one
-    expansion when the bound fits in the box, and is extended from the
-    table otherwise."""
+    table (``_replayed_bound``).  The model grid is the expansion on
+    R(0, c) written past c in closed form, and must equal the expansion
+    where both exist (InvalidSeries otherwise)."""
     series, r = desc.payload, desc.r
     first = desc.bound or (8,) * r
     cap = _largest_guess(first)
@@ -467,11 +469,13 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     require_grid(box_bound, "expansion box")
     require_polynomials(series)
     h = hilbert_from_poincare(series, box_bound, r)
-    table = _certified_table(h, U)
-    bound = _replayed_bound(desc, table, first)
-    if not leq(bound, box_bound):
-        return _model_on(desc, table, bound)
-    h = HilbertGrid(r=r, bound=bound, values=h.values[window(bound)].copy())
+    table = _certified_table(unit_step_members(h, U))
+    bound, c = _replayed_bound(desc, table, first), table.conductor
+    values = past_conductor(h.values[window(c)], c, bound)
+    common = window(pmin(bound, box_bound))
+    if not np.array_equal(values[common], h.values[common]):
+        raise InvalidSeries(f"the series break the closed form of h past c = {c}")
+    h = HilbertGrid(r=r, bound=bound, values=values)
     w = weight_from_hilbert(h, semigroup=table)
     return GermModel(
         descriptor=desc, r=r, semigroup=table, hilbert=h, weight=w, name=desc.name
@@ -486,25 +490,25 @@ def _largest_guess(first: Point) -> Point:
     return tuple(((g + 2) << (2 * _MAX_REBUILDS + 1)) - 2 for g in first)
 
 
-def _certified_table(h: HilbertGrid, U: Point) -> SemigroupTable:
-    """The table of a ``poincare`` source, read off its grid on R(0, U).
+def _certified_table(members: np.ndarray) -> SemigroupTable:
+    """The table read off the members on a window R(0, U) that holds the
+    conductor: the points whose r unit steps are all 1 of a ``poincare``
+    expansion, U from ``conductor_bound``, or a subcurve's projection.
 
-    The members on R(0, U) are the points whose r unit steps are all 1,
-    and c is the least p such that every point of the window above p is
-    a member.  That is exact once U >= c: for any p in the window with
-    p_i < c_i, the point max(p, c - e_i) lies in the window above p, and
-    it is no member, because its minimum with c is c - e_i (were c - e_i
-    a member, so would every point above it be, against the minimality
-    of c).  The table is validated on R(0, c) as every table is, and the
-    window must follow the extension rule; InvalidSeries otherwise.
+    c is the least p such that every point of the window above p is a
+    member (``least_conductor``).  That is exact once U >= c: for any p
+    in the window with p_i < c_i, the point max(p, c - e_i) lies in the
+    window above p, and it is no member, because its minimum with c is
+    c - e_i (were c - e_i a member, so would every point above it be,
+    against the minimality of c).  The table is validated on R(0, c) as
+    every table is, and the window must follow the extension rule;
+    InvalidSeries otherwise.
     """
-    members = unit_step_members(h, U)
-    ok = stable_points(members)
-    hits = np.argwhere(ok)
-    c = tuple(int(x) for x in hits.min(axis=0)) if len(hits) else None
-    if c is None or not ok[c]:
+    U = tuple(n - 1 for n in members.shape)
+    c, least = least_conductor(members)
+    if not least:
         raise InvalidSeries(f"the series give no conductor inside R(0, {list(U)})")
-    table = SemigroupTable(r=h.r, conductor=c, mask=members[window(c)].copy())
+    table = SemigroupTable(r=members.ndim, conductor=c, mask=members[window(c)].copy())
     table.validate()
     table.validate_additive_closure()
     if not np.array_equal(members, table.members_on(U)):

@@ -478,10 +478,10 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
             )
     if not mask[c]:
         raise InconsistentSemigroup("conductor itself must be a member")
-    return HilbertGrid(r=r, bound=bound, values=_past_conductor(h, c, bound))
+    return HilbertGrid(r=r, bound=bound, values=past_conductor(h, c, bound))
 
 
-def _past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
+def past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
     """values[l'] + |l - l'|, l' = min(l, c), for every l in R(0, bound),
     given ``values`` on R(0, c): the closed form of h, and of w, past c.
     Each axis is read at min(l_i, c_i) and gains l_i - c_i past c_i."""
@@ -580,14 +580,19 @@ def cut_at_conductor(mask: np.ndarray, c: Point) -> SemigroupTable:
     return SemigroupTable(r=len(c), conductor=c, mask=mask[window(c)].copy())
 
 
-def stable_points(mask: np.ndarray) -> np.ndarray:
-    """ok[p] is True iff every point >= p of the mask's box is in the mask
-    (a suffix AND along every axis: a prefix AND of the reversed mask)."""
-    reverse = (slice(None, None, -1),) * mask.ndim
-    ok = mask[reverse]
-    for i in range(mask.ndim):
+def least_conductor(members: np.ndarray) -> tuple[Point | None, bool]:
+    """The componentwise minimum c of the points p of the window such
+    that every point >= p of the window is a member (None when there is
+    none), and whether c is itself such a point: then c is the least
+    conductor the window allows.  Those points are a suffix AND along
+    every axis, a prefix AND of the reversed window."""
+    reverse = (slice(None, None, -1),) * members.ndim
+    ok = members[reverse]
+    for i in range(members.ndim):
         ok = np.logical_and.accumulate(ok, axis=i)
-    return ok[reverse]
+    hits = np.argwhere(ok[reverse])
+    c = tuple(int(x) for x in hits.min(axis=0)) if len(hits) else None
+    return c, c is not None and bool(ok[reverse][c])
 
 
 def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
@@ -596,12 +601,11 @@ def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
     Requires one full stabilization layer above c inside the grid,
     otherwise the detection is not trustworthy and we fail loudly.
     """
-    ok = stable_points(mask)
-    if not ok[bound]:
+    # the corner is stable iff any point is, so no c means a missing corner
+    c, least = least_conductor(mask)
+    if c is None:
         raise MarginTooSmall("no stable region: bound does not dominate the conductor")
-    hits = np.argwhere(ok)
-    c = tuple(int(x) for x in hits.min(axis=0))
-    if not ok[c]:
+    if not least:
         raise MarginTooSmall(
             f"stable region has no unique minimal point near {c}; enlarge the grid"
         )
@@ -627,38 +631,28 @@ def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     return bool(np.array_equal(sub, rev))
 
 
-def restrict_to_subcurve(
-    grid, branches, bound: Point | None = None
-) -> "HilbertGrid | WeightGrid":
+def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
     """Restrict a grid to the coordinate face of the branch subset.
 
     ``branches`` is a nonempty iterable of 1-based branch indices J; the
-    result is the subcurve's own grid on N^{|J|} (h restricts on the nose,
-    hence w does too), on the face R(0, bound) when a ``bound`` with one
-    entry per branch of J is given, else on the whole face.  For a
-    WeightGrid the subcurve conductor is re-detected inside the face.
+    result is the subcurve's own grid on the whole face of N^{|J|} (h
+    restricts on the nose, hence w does too).  For a WeightGrid the
+    subcurve conductor is re-detected inside the face.  Models take their
+    subcurves from the projection of the table instead
+    (``GermModel.subcurve``); on a valid grid both give the same h.
     """
     J = sorted(set(branches))
-    if not J:
-        raise ValueError("subcurve needs a nonempty branch subset")
     r = grid.r
-    if any(j < 1 or j > r for j in J):
+    if not J or J[0] < 1 or J[-1] > r:
         raise ValueError(f"branch indices {J} outside 1..{r}")
-    axes = [j - 1 for j in J]
-    sub_bound = tuple(grid.bound[i] for i in axes) if bound is None else tuple(bound)
-    if not leq(sub_bound, tuple(grid.bound[i] for i in axes)):
-        raise MarginTooSmall(f"face bound {sub_bound} lies outside the grid {grid.bound}")
-    at = dict(zip(axes, sub_bound))
-    take = tuple(slice(0, at[i] + 1) if i in at else 0 for i in range(r))
-    if isinstance(grid, HilbertGrid):
-        return HilbertGrid(r=len(axes), bound=sub_bound, values=grid.values[take].copy())
     if isinstance(grid, WeightGrid):
-        h = HilbertGrid(
-            r=len(axes), bound=sub_bound, values=grid.hilbert_values()[take].copy()
-        )
-        table = semigroup_from_hilbert(h)
-        return weight_from_hilbert(h, semigroup=table)
-    raise TypeError(f"cannot restrict {type(grid).__name__}")
+        h = restrict_to_subcurve(HilbertGrid(r, grid.bound, grid.hilbert_values()), J)
+        return weight_from_hilbert(h, semigroup=semigroup_from_hilbert(h))
+    if not isinstance(grid, HilbertGrid):
+        raise TypeError(f"cannot restrict {type(grid).__name__}")
+    take = tuple(slice(None) if i + 1 in J else 0 for i in range(r))
+    bound = tuple(grid.bound[j - 1] for j in J)
+    return HilbertGrid(r=len(J), bound=bound, values=grid.values[take].copy())
 
 
 def validate_semigroup_consistency(table: SemigroupTable, h: HilbertGrid) -> bool:

@@ -10,10 +10,10 @@ With D_J(l) = h(l+e_J) - h(l), the coefficient of q^(h(l)+i) is therefore
 
 an exact int64 array over the grid, built from shifted slices of the
 Hilbert grid (``coefficient_array``); no rational arithmetic ever happens.
-``motivic_coeff`` reads the same polynomial at one point.  The omega
-substitution t_i -> 1/omega, q -> omega^2 sends the monomial
-q^(h(l)+i) t^l to omega^(w(l)+2i); its truncations are certified through
-the coordinatewise growth of w beyond the conductor.
+``motivic_coeff`` reads the same array on the cube R(l, l + e) of one
+point.  The omega substitution t_i -> 1/omega, q -> omega^2 sends the
+monomial q^(h(l)+i) t^l to omega^(w(l)+2i); its truncations are certified
+through the coordinatewise growth of w beyond the conductor.
 """
 
 from __future__ import annotations
@@ -98,23 +98,19 @@ class LaurentSeries:
 
 
 def motivic_coeff(h: HilbertGrid, ell: Point) -> QPoly:
-    """The coefficient polynomial of t^l; zero exactly when l is not a
-    semigroup value."""
+    """The coefficient polynomial of t^l, read off ``coefficient_array``
+    on the cube R(l, l + e); zero exactly when l is not a semigroup
+    value."""
     r = h.r
     ell = tuple(ell)
     if min(ell) < 0:
         raise MarginTooSmall(f"l={ell} has a negative coordinate")
     if not leq(padd(ell, ones(r)), h.bound):
         raise MarginTooSmall(f"need {ell} + e inside the grid {h.bound}")
-    base = h.h(ell)
-    acc: dict[int, int] = {}
-    for size in range(1, r + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for J in itertools.combinations(range(r), size):
-            top = h.h(tuple(x + (1 if i in J else 0) for i, x in enumerate(ell)))
-            for e in range(base, top):
-                acc[e] = acc.get(e, 0) + sign
-    return QPoly.from_dict(acc)
+    cube = h.values[tuple(slice(x, x + 2) for x in ell)]
+    cube = HilbertGrid(r=r, bound=ones(r), values=cube)
+    row = coefficient_array(cube, (0,) * r)[(0,) * r].tolist()
+    return QPoly.from_dict({h.h(ell) + i: c for i, c in enumerate(row)})
 
 
 def coefficient_array(h: HilbertGrid, inner: Point) -> np.ndarray:

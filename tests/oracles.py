@@ -30,14 +30,19 @@
   ``minimal_spectral_cycles_by_points`` are the loops over it: one
   scalar query per lattice point, and one level query per level below
   j*|m| for the vanishing check.
+* ``motivic_coeff_by_subsets``: the coefficient polynomial of t^l from
+  a loop over the 2^r - 1 subsets J and over the q-exponents of each
+  h(l + e_J) - h(l), the loop ``motivic_coeff`` replaced by reading the
+  coefficient array on the cube R(l, l + e).
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
-  the univariate levels summed from one scalar ``motivic_coeff`` call
-  per lattice point, the loops the coefficient array replaced.
+  the univariate levels summed from one ``motivic_coeff_by_subsets``
+  call per lattice point, the loops the coefficient array replaced.
 * ``full_grid_hilbert_from_semigroup`` / ``full_face_table``: the grid of
   a table found, integrated and checked on all of R(0, bound), the path
   ``hilbert_from_semigroup`` replaced by checks on R(0, c) and a closed
   form past c; and the subcurve table read off the whole face of the
-  Hilbert grid, where ``GermModel.subcurve`` reads R(0, c_J + 2e) of it.
+  Hilbert grid, where ``GermModel.subcurve`` projects the germ's table
+  on R(0, c) to the axes of the subcurve.
 * ``tame_conditions_without_shortcuts``: the tameness conditions
   (a)-(d) of the homology route with every group computed, where
   ``classify_tame_homological`` takes condition (b) as given for
@@ -66,7 +71,6 @@ from latcurve import (
     InconsistentInput,
     InconsistentSemigroup,
     minimal_spectral_cycles,
-    motivic_coeff,
 )
 from latcurve.errors import (
     DescriptorError,
@@ -586,14 +590,32 @@ def pe_series_by_points(w: WeightGrid, bounds: Point) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# motivic specializations, one motivic_coeff call per point
+# motivic specializations, one scalar coefficient per point
+
+
+def motivic_coeff_by_subsets(h, ell) -> QPoly:
+    """p_l(q) = sum over J of (-1)^(|J|+1) (q^h(l) + ... + q^(h(l+e_J)-1))."""
+    r = h.r
+    ell = tuple(ell)
+    if min(ell) < 0:
+        raise MarginTooSmall(f"l={ell} has a negative coordinate")
+    if not leq(padd(ell, ones(r)), h.bound):
+        raise MarginTooSmall(f"need {ell} + e inside the grid {h.bound}")
+    base = h.h(ell)
+    acc: dict[int, int] = {}
+    for J in all_nonempty_subsets(r):
+        sign = 1 if len(J) % 2 == 1 else -1
+        top = h.h(tuple(x + (1 if i + 1 in J else 0) for i, x in enumerate(ell)))
+        for e in range(base, top):
+            acc[e] = acc.get(e, 0) + sign
+    return QPoly.from_dict(acc)
 
 
 def univariate_by_points(h, d) -> QPoly:
     total = QPoly()
     for ell in box(h.bound).points():
         if norm(ell) == d:
-            total = total + motivic_coeff(h, ell)
+            total = total + motivic_coeff_by_subsets(h, ell)
     return total
 
 
@@ -603,7 +625,7 @@ def omega_by_points(h, w, depth) -> LaurentSeries:
     inner = tuple(b - 1 for b in w.bound)
     acc: dict[int, int] = {}
     for ell in box(inner).points():
-        for e, cval in motivic_coeff(h, ell).coeffs:
+        for e, cval in motivic_coeff_by_subsets(h, ell).coeffs:
             order = 2 * e - norm(ell)
             if order <= depth:
                 acc[order] = acc.get(order, 0) + cval

@@ -8,7 +8,9 @@
   ``oracles.additive_closure_by_members``: same accept/reject and the
   same message, hence the same first failing pair.
 * motivic: ``omega_substitution`` and ``univariate_motivic`` (one
-  coefficient array) against sums of scalar ``motivic_coeff`` calls.
+  coefficient array) against sums of the scalar loop over subsets,
+  ``oracles.motivic_coeff_by_subsets``; and ``motivic_coeff`` (the array
+  on one cube) against that loop point by point, errors included.
 """
 
 import numpy as np
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 
 from latcurve import (
     InconsistentSemigroup,
+    MarginTooSmall,
     build_model,
+    motivic_coeff,
     omega_substitution,
     univariate_motivic,
 )
@@ -28,6 +32,7 @@ from latcurve.lattice import SemigroupTable, _validate_min_closure
 from germ_strategies import monomial_plane_germs
 from oracles import (
     additive_closure_by_members,
+    motivic_coeff_by_subsets,
     omega_by_points,
     reverse_sweep_min_closure,
     univariate_by_points,
@@ -173,3 +178,29 @@ def test_omega_array_matches_scalar_after_certified_retry(model_of):
     series, grown = certified_omega(m, 8)
     assert grown.bound != m.bound  # the canonical grid could not certify depth 8
     assert series == omega_by_points(grown.hilbert, grown.weight, 8)
+
+
+def assert_same_coefficients(h):
+    """``motivic_coeff`` against the subset loop on every point of
+    R(0, bound - e), and the same MarginTooSmall message off it."""
+    inner = tuple(b - 1 for b in h.bound)
+    for ell in np.ndindex(*(b + 1 for b in inner)):
+        assert motivic_coeff(h, ell) == motivic_coeff_by_subsets(h, ell)
+    for ell in (tuple(b + 1 for b in inner), (-1,) + inner[1:]):
+        messages = []
+        for coeff in (motivic_coeff, motivic_coeff_by_subsets):
+            with pytest.raises(MarginTooSmall) as exc:
+                coeff(h, ell)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("spec", MOTIVIC_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_scalar_coefficient_matches_the_subset_loop(spec, model_of):
+    assert_same_coefficients(model_of(*spec).hilbert)
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs())
+def test_scalar_coefficient_matches_the_subset_loop_on_random_germs(germ):
+    assert_same_coefficients(build_model(germ[2]).hilbert)

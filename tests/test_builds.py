@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from latcurve import GermDescriptor, build_model, get, germ, lattice
+from latcurve import GermDescriptor, build_model, cli, get, germ, lattice
 from latcurve.catalog import numerical_semigroup
 from latcurve.errors import InvalidSeries
 from latcurve.lattice import box, leq, restrict_to_subcurve
@@ -26,7 +26,13 @@ from latcurve.series import (
     poly,
 )
 
-from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
+from germ_strategies import (
+    _branch_conductor,
+    _intersection,
+    conductor_of,
+    monomial_plane_germs,
+    numerical_semigroups,
+)
 from oracles import fixed_point_poincare_build, promoted_hilbert_build, rebuilt_subcurve
 from test_catalog import ALL_SPECS
 
@@ -321,3 +327,46 @@ def test_invalid_descriptors_fail_as_before(desc, request):
         old_build(desc)
     assert type(new.value) is type(old.value)
     assert str(new.value) == str(old.value)
+
+
+def test_poincare_grid_must_follow_the_closed_form(monkeypatch, capsys):
+    """An expansion that leaves the closed form past c, with the same
+    members on R(0, U), is refused; it was printed as the model's grid."""
+    expand = germ.hilbert_from_poincare
+
+    def lowered(series, bound, r):
+        h = expand(series, bound, r)
+        values = h.values.copy()
+        values[tuple(bound)] -= 1  # the steps into the far corner drop to 0
+        grid = lattice.HilbertGrid(r=r, bound=h.bound, values=values)
+        grid.validate()
+        U = conductor_bound(series, r)
+        assert leq(lattice.padd(U, lattice.ones(r)), bound)
+        assert np.array_equal(
+            lattice.unit_step_members(grid, U), lattice.unit_step_members(h, U)
+        )
+        return grid
+
+    monkeypatch.setattr(germ, "hilbert_from_poincare", lowered)
+    with pytest.raises(InvalidSeries, match="break the closed form of h past c"):
+        build_model(get("D", 5))
+    code = cli.main(["invariants", "--builtin", "D,5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_plane_germs())
+def test_subcurve_delta_is_hironakas_sum(germ_data):
+    """delta_J = sum of delta_i over J plus sum of C_i . C_j over i < j in
+    J, for every subcurve J of a plane germ: the branch delta is half its
+    conductor, and C_i . C_j the order of C_j's equation along C_i."""
+    branches, _, desc = germ_data
+    model = build_model(desc)
+    for J in all_nonempty_subsets(model.r):
+        picked = [branches[j - 1] for j in J]
+        expected = sum(_branch_conductor(b) for b in picked) // 2 + sum(
+            _intersection(bi, bj) for bi, bj in itertools.combinations(picked, 2)
+        )
+        assert model.subcurve(J).delta == expected

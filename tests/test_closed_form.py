@@ -6,8 +6,9 @@ it replaced (``tests/oracles.py``).
   c; ``oracles.full_grid_hilbert_from_semigroup`` does all of it on the
   whole grid.  Same values on valid tables, same exception class and
   message on invalid ones.
-* ``GermModel.subcurve`` reads the face on R(0, c_J + 2e);
-  ``oracles.full_face_table`` reads the whole face.
+* ``GermModel.subcurve`` projects the germ's table on R(0, c) to the
+  axes of the subcurve; ``oracles.full_face_table`` reads the whole face
+  of the Hilbert grid.
 * ``omega_substitution`` sums the coefficient array on
   R(0, c + (depth - min_w) e); ``oracles.omega_by_points`` sums every
   point of R(0, bound - e).

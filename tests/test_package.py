@@ -60,3 +60,30 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert not private
+
+
+def test_no_module_keeps_an_unused_import():
+    """Every name a module imports is read in it, so a deletion takes
+    its imports along.  ``__init__`` imports to re-export, and
+    ``from __future__ import annotations`` binds no name."""
+    package = ROOT / "src" / "latcurve"
+    modules = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) > 5
+    unused = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(
+                    (alias.asname or alias.name).split(".")[0]
+                    for alias in node.names
+                    if alias.name != "annotations"
+                )
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unused
