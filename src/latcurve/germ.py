@@ -338,11 +338,10 @@ class GermModel:
         """Model of the union of the given branches (1-based indices), built
         on its canonical bound from the projection of the table.
 
-        The subcurve's semigroup S_J is the projection of S to the axes of
-        J; c_J and c_K are the conductor on the axes of J and on the other
-        axes K.  The table's projection, ``mask.any`` over K, is S_J on
-        R(0, c_J): for s in S with s_J <= c_J, min(s, c) is a member (the
-        extension rule) in R(0, c) with the same J-part.  The subcurve's
+        With c_J and c_K the conductor on the axes of J and of the others
+        K, the projection of S to J is ``mask.any`` over K on R(0, c_J):
+        for s in S with s_J <= c_J, min(s, c) is a member (the extension
+        rule) in R(0, c) with the same J-part.  The subcurve's
         conductor is <= c_J, as each l_J >= c_J is the J-part of the member
         (l_J, c_K) >= c.  So ``_certified_table`` reads the exact table off
         that window, as it reads the window of a ``poincare`` expansion.
@@ -455,7 +454,12 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     growing-grid loop of earlier releases accepted, replayed on that
     table (``_replayed_bound``).  The model grid is the expansion on
     R(0, c) written past c in closed form, and must equal the expansion
-    where both exist (InvalidSeries otherwise)."""
+    where both exist (InvalidSeries otherwise).  Then the grid is H(S):
+    both start at 0, step by 0 or 1, have the members S on R(0, c) and
+    step by 1 out of R(0, c).  Read the steps D(l) down from c: for axes
+    i, j below c at l, D_i(l) - D_j(l) = D_i(l + e_j) - D_j(l + e_i) is
+    read already; a nonzero one fixes D(l) in {0, 1}^r, and where all
+    are 0, whether l is a member does.  So both have the same steps."""
     series, r = desc.payload, desc.r
     first = desc.bound or (8,) * r
     cap = _largest_guess(first)

@@ -430,13 +430,12 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     is a member.  With both passed, the members are exactly the table
     ``semigroup_from_hilbert`` reads off the grid, and h, which starts at
     h(0) = 0 and steps by 0 or 1, is a valid Hilbert grid.  GridTooLarge
-    when R(0, bound) is past ``MAX_GRID_POINTS``.
+    when R(0, bound) is past ``MAX_GRID_POINTS`` (``past_conductor``).
     """
     r, c = table.r, table.conductor
     bound = tuple(bound)
     if not leq(c, bound):
         raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
-    require_grid(bound)
     mask = table.mask
     shape = mask.shape
     # inc[i][l] = 1 iff the step l -> l + e_i raises h
@@ -484,7 +483,9 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
 def past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
     """values[l'] + |l - l'|, l' = min(l, c), for every l in R(0, bound),
     given ``values`` on R(0, c): the closed form of h, and of w, past c.
-    Each axis is read at min(l_i, c_i) and gains l_i - c_i past c_i."""
+    Each axis is read at min(l_i, c_i) and gains l_i - c_i past c_i.
+    ``require_grid(bound)`` comes before anything is allocated."""
+    require_grid(bound)
     r = len(c)
     for axis, (b, ci) in enumerate(zip(bound, c)):
         if b > ci:

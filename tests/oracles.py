@@ -43,6 +43,9 @@
   form past c; and the subcurve table read off the whole face of the
   Hilbert grid, where ``GermModel.subcurve`` projects the germ's table
   on R(0, c) to the axes of the subcurve.
+* ``hilbert_forced_by_members``: h on R(0, c) as the members alone force
+  it, step by step down from c (the proof in
+  ``germ._build_from_poincare`` that a ``poincare`` grid is H(S)).
 * ``tame_conditions_without_shortcuts``: the tameness conditions
   (a)-(d) of the homology route with every group computed, where
   ``classify_tame_homological`` takes condition (b) as given for
@@ -683,6 +686,44 @@ def full_grid_hilbert_from_semigroup(table, bound) -> HilbertGrid:
                 f"monotone paths disagree along axis {i}; input semigroup invalid"
             )
     return HilbertGrid(r=r, bound=bound, values=h)
+
+
+def hilbert_forced_by_members(table) -> np.ndarray:
+    """h on R(0, c) from the members alone, for a grid that starts at 0,
+    steps by 0 or 1 and steps by 1 out of R(0, c).  The steps D(l) are
+    read down from c: the steps at l + e_i fix every D_i(l) - D_a(l) by
+    D_i(l) - D_a(l) = D_i(l + e_a) - D_a(l + e_i) (i, a below c); a
+    nonzero difference fixes D(l) in {0, 1}^r, and where all are 0,
+    membership of l does.  AssertionError where nothing fits."""
+    r, c, mask = table.r, table.conductor, table.mask
+    steps = np.ones(mask.shape + (r,), dtype=np.int64)
+
+    def up(l, i):
+        return l[:i] + (l[i] + 1,) + l[i + 1:]
+
+    for l in sorted(np.ndindex(mask.shape), key=sum, reverse=True):
+        below = [i for i in range(r) if l[i] < c[i]]
+        if not below:
+            continue
+        a = below[0]
+        diff = {i: int(steps[up(l, a)][i] - steps[up(l, i)][a]) for i in below[1:]}
+        diff[a] = 0
+        lo, hi = min(diff.values()), max(diff.values())
+        assert hi - lo <= 1, f"steps at {l} differ by more than 1"
+        if hi > lo:
+            assert not mask[l], f"member {l} with a 0 step"
+            base = -lo
+        else:
+            base = 1 if mask[l] else 0
+        for i in below:
+            steps[l][i] = diff[i] + base
+    h = np.zeros(mask.shape, dtype=np.int64)
+    for l in sorted(np.ndindex(mask.shape), key=sum):
+        i = next((i for i in range(r) if l[i] > 0), None)
+        if i is not None:
+            prev = l[:i] + (l[i] - 1,) + l[i + 1:]
+            h[l] = h[prev] + steps[prev][i]
+    return h
 
 
 def full_face_table(model, branches):

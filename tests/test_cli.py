@@ -563,10 +563,13 @@ SMOOTH_HILBERT = {"kind": "hilbert", "bound": [10001], "values": list(range(1000
          "the conductor box of A_201 R(0, [101, 101])"),
         (["invariants", "--builtin", "D,200"], None,
          "the conductor box of D_200 R(0, [100, 100, 2])"),
+        # the box (21, 21, 8) and the guesses 8e, 17e fit; the bound does not
+        (["invariants", "--builtin", "D,40"], None, "grid R(0, [35, 35, 35])"),
     ],
     ids=["semigroup-bound", "hilbert-bound", "poincare-bound-flag",
          "poincare-bound-field", "poincare-replayed-guess", "motivic-depth",
-         "builtin-A-even", "builtin-A-odd", "builtin-D-even"],
+         "builtin-A-even", "builtin-A-odd", "builtin-D-even",
+         "poincare-replayed-bound"],
 )
 def test_grid_past_the_limit_exits_1(tmp_path, capsys, monkeypatch, argv, doc, grid):
     # each check under a limit of 10^4 points, so no input is large

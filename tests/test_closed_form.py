@@ -9,6 +9,9 @@ it replaced (``tests/oracles.py``).
 * ``GermModel.subcurve`` projects the germ's table on R(0, c) to the
   axes of the subcurve; ``oracles.full_face_table`` reads the whole face
   of the Hilbert grid.
+* A ``poincare`` grid is the expansion on R(0, c) written past c; its
+  R(0, c) block is what the members alone force
+  (``oracles.hilbert_forced_by_members``), and so H(S).
 * ``omega_substitution`` sums the coefficient array on
   R(0, c + (depth - min_w) e); ``oracles.omega_by_points`` sums every
   point of R(0, bound - e).
@@ -36,7 +39,12 @@ from latcurve.germ import GermDescriptor
 from latcurve.lattice import SemigroupTable, ones, padd, scale
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
-from oracles import full_face_table, full_grid_hilbert_from_semigroup, omega_by_points
+from oracles import (
+    full_face_table,
+    full_grid_hilbert_from_semigroup,
+    hilbert_forced_by_members,
+    omega_by_points,
+)
 from test_catalog import ALL_SPECS
 from test_identity import ladder_keys
 
@@ -97,6 +105,30 @@ def test_closed_form_matches_the_full_grid_on_random_branches(gens, extra):
     model = _semigroup_model(gens)
     assert_model_matches(model)
     assert_grids_match(model.semigroup, (model.conductor[0] + extra,))
+
+
+def assert_forced_by_members(model):
+    """The model's R(0, c) block is the one its members force, and
+    ``hilbert_from_semigroup`` of its table."""
+    c, table = model.conductor, model.semigroup
+    forced = hilbert_forced_by_members(table)
+    assert np.array_equal(model.hilbert.values[tuple(slice(x + 1) for x in c)], forced)
+    assert np.array_equal(hilbert_from_semigroup(table, c).values, forced)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_members_force_the_grid_on_the_catalog(spec, model_of):
+    model = model_of(*spec)
+    assert_forced_by_members(model)
+    for J in itertools.combinations(range(1, model.r + 1), model.r - 1):
+        if J:
+            assert_forced_by_members(model.subcurve(J))
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_plane_germs())
+def test_members_force_the_grid_on_random_plane_germs(germ):
+    assert_forced_by_members(build_model(germ[2]))
 
 
 @st.composite
