@@ -1,6 +1,15 @@
 """Combinatorial, homological, and motivic invariants of reduced
 complex-analytic curve germs, with a three-route Cohen-Macaulay type
-classifier."""
+classifier.
+
+The model layer (``lattice``, ``series``, ``germ``, ``catalog``) and the
+classifier are imported with the package.  The reading layers
+(``homology`` with ``snf``, ``spectral``, ``motivic``) are imported the
+first time one of their names is read from the package (PEP 562), so a
+process compiles only the layers it uses.
+"""
+
+from importlib import import_module
 
 from .catalog import get, get_entry, list_entries
 from .classify import Verdict, classify, classify_unimodal_plane
@@ -22,12 +31,6 @@ from .errors import (
     UnknownGerm,
 )
 from .germ import GermDescriptor, GermModel, build_model, descriptor_from_json
-from .homology import (
-    HomologyReport,
-    euler_characteristic,
-    lattice_homology,
-    min_weight,
-)
 from .lattice import (
     HilbertGrid,
     Rectangle,
@@ -36,21 +39,11 @@ from .lattice import (
     delta,
     gorenstein_symmetry,
     hilbert_from_semigroup,
-    restrict_to_subcurve,
+    min_weight,
     semigroup_from_hilbert,
     semigroup_from_low_points,
     validate_semigroup_consistency,
     weight_from_hilbert,
-)
-from .motivic import (
-    LaurentSeries,
-    QPoly,
-    gorenstein_functional_check,
-    hilbert_from_motivic,
-    motivic_coeff,
-    omega_substitution,
-    pe_substitution_check,
-    univariate_motivic,
 )
 from .series import (
     MultiPoly,
@@ -59,15 +52,58 @@ from .series import (
     hilbert_from_poincare,
     poincare_from_hilbert,
 )
-from .spectral import (
-    E1Entry,
-    MinimalCycleGroup,
-    e1_level,
-    e1_refined,
-    has_maximal_rank,
-    minimal_spectral_cycles,
-    pe_series,
-    pe_univariate,
-)
 
 __version__ = "0.1.0"
+
+# reading layer -> the names the package exports from it, imported on first read
+_LAZY = {
+    "homology": ("HomologyReport", "euler_characteristic", "lattice_homology"),
+    "motivic": (
+        "LaurentSeries", "QPoly", "gorenstein_functional_check",
+        "hilbert_from_motivic", "motivic_coeff", "omega_substitution",
+        "pe_substitution_check", "univariate_motivic",
+    ),
+    "spectral": (
+        "E1Entry", "MinimalCycleGroup", "e1_level", "e1_refined",
+        "has_maximal_rank", "minimal_spectral_cycles", "pe_series",
+        "pe_univariate",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
+
+__all__ = [
+    # catalog and classify
+    "get", "get_entry", "list_entries",
+    "Verdict", "classify", "classify_unimodal_plane",
+    # errors
+    "BadParams", "DescriptorError", "EulerMismatch", "GridTooLarge",
+    "InconsistentInput", "InconsistentSemigroup", "InvalidSeries",
+    "LatcurveError", "MarginTooSmall", "PathInconsistency",
+    "RouteDisagreement", "TorsionFound", "TruncationUnsound",
+    "UndefinedWeight", "UnknownGerm",
+    # germ
+    "GermDescriptor", "GermModel", "build_model", "descriptor_from_json",
+    # lattice
+    "HilbertGrid", "Rectangle", "SemigroupTable", "WeightGrid", "delta",
+    "gorenstein_symmetry", "hilbert_from_semigroup", "min_weight",
+    "semigroup_from_hilbert", "semigroup_from_low_points",
+    "validate_semigroup_consistency", "weight_from_hilbert",
+    # series
+    "MultiPoly", "RationalSeries", "expand", "hilbert_from_poincare",
+    "poincare_from_hilbert",
+    # reading layers
+    *_LAYER_OF,
+]
+
+
+def __getattr__(name):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{layer}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -11,18 +11,21 @@
 
 The routes are provably equivalent, so any disagreement is an
 implementation or data defect and raises RouteDisagreement instead of
-being resolved silently.
+being resolved silently.  The spectral and motivic layers are imported
+by the functions that read them, so importing this module loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import LatcurveError, RouteDisagreement, TruncationUnsound
 from .germ import GermDescriptor, GermModel, build_model, canonical_bound
 from .lattice import WeightGrid, norm, ones, padd, psub, scale, unit
-from .motivic import LaurentSeries, QPoly, omega_substitution, univariate_motivic
-from .spectral import minimal_spectral_cycles
+
+if TYPE_CHECKING:
+    from .motivic import LaurentSeries, QPoly
 
 FINITE, TAME, WILD = "finite", "tame", "wild"
 SUB_A, SUB_D, SUB_E = "A", "D-dominating", "E-dominating"
@@ -120,6 +123,8 @@ def _route_weights(model: GermModel) -> dict:
 def classify_tame_homological(model: GermModel) -> tuple[bool, dict]:
     """Conditions (a)-(d): minimum weight -2, a minimal spectral 1-cycle
     of weight -1, branches of type A, complements of type A or D."""
+    from .spectral import minimal_spectral_cycles
+
     conds: dict[str, object] = {}
     conds["a"] = model.min_w == -2
     if not conds["a"]:
@@ -168,6 +173,8 @@ def _route_homology(model: GermModel) -> dict:
     """Finite subtype from the group M(1, 0) (A when min w = 0, else
     D-dominating iff M(1, 0) is nonzero); tame growth finite iff M(1, -1)
     has the maximal rank C(|m| - 1, 1) = |m| - 1 of ``has_maximal_rank``."""
+    from .spectral import minimal_spectral_cycles
+
     evidence: dict = {"min_w": model.min_w}
     if model.min_w >= -1:
         evidence["verdict"] = FINITE
@@ -197,6 +204,8 @@ def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermMo
     """The omega series through omega^depth, and the model it was
     certified on: the argument, or a copy grown by 4e at a time (at most
     six times) until the truncation is certified."""
+    from .motivic import omega_substitution
+
     for _ in range(6):
         try:
             return omega_substitution(model.hilbert, model.weight, depth), model
@@ -209,6 +218,8 @@ def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermMo
 
 def _level(model: GermModel, d: int) -> tuple[QPoly, GermModel]:
     """Univariate motivic level d, and the model grown to hold it."""
+    from .motivic import univariate_motivic
+
     model = model.ensure_bound(scale(d + 1, ones(model.r)))
     return univariate_motivic(model.hilbert, d), model
 

@@ -13,6 +13,13 @@ error (a malformed descriptor or argument, a negative ``--depth`` or
 ``--e1`` point); 3 margin/bound error; 4 route disagreement.  Every
 failure prints one ``error: `` line (a margin error adds a hint line) to
 stderr and nothing to stdout.
+
+Each command handler imports the reading layer it reads, so a process
+loads only what its command needs on top of the model layer: ``table``
+and ``catalog`` load no reading layer, ``invariants`` and ``homology``
+load ``homology`` (with ``snf``), ``spectral`` loads ``spectral`` (with
+``snf``), ``motivic`` loads ``motivic``, and ``classify`` loads
+``motivic`` and ``spectral``.
 """
 
 from __future__ import annotations
@@ -31,10 +38,7 @@ from .errors import (
     RouteDisagreement,
 )
 from .germ import GermDescriptor, build_model, descriptor_from_json
-from .homology import euler_characteristic, lattice_homology
 from .lattice import box, ones, scale
-from .motivic import univariate_motivic
-from .spectral import e1_refined, minimal_spectral_cycles
 
 EXIT_OK, EXIT_INVALID, EXIT_PARSE, EXIT_MARGIN, EXIT_ROUTES = 0, 1, 2, 3, 4
 
@@ -97,6 +101,8 @@ def _basic_header(model):
 
 
 def cmd_invariants(model, args):
+    from .homology import euler_characteristic, lattice_homology
+
     report = _basic_header(model)
     hom = lattice_homology(model.weight)
     report["invariants"] = {
@@ -175,6 +181,8 @@ def cmd_table(model, args):
 
 
 def cmd_homology(model, args):
+    from .homology import euler_characteristic, lattice_homology
+
     report = _basic_header(model)
     hom = lattice_homology(model.weight)
     rows = []
@@ -208,6 +216,8 @@ def cmd_homology(model, args):
 
 
 def cmd_spectral(model, args):
+    from .spectral import e1_refined, minimal_spectral_cycles, pe_series
+
     report = _basic_header(model)
     queries = []
     for spec in args.e1 or []:
@@ -237,8 +247,6 @@ def cmd_spectral(model, args):
             }
         )
     if not queries:
-        from .spectral import pe_series
-
         table = pe_series(model.weight, model.conductor)
         for (ell, n, k), rank in sorted(table.items()):
             queries.append(
@@ -259,6 +267,8 @@ def cmd_spectral(model, args):
 
 
 def cmd_motivic(model, args):
+    from .motivic import univariate_motivic
+
     depth = args.depth if args.depth is not None else 3
     report = _basic_header(model)
     levels = []

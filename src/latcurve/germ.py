@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DescriptorError, GridTooLarge, InvalidSeries, MarginTooSmall
-from .homology import min_weight
 from .lattice import (
     MAX_GRID_POINTS,
     HilbertGrid,
@@ -39,6 +38,7 @@ from .lattice import (
     hilbert_from_semigroup,
     least_conductor,
     leq,
+    min_weight,
     ones,
     padd,
     past_conductor,

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EulerMismatch, MarginTooSmall
-from .lattice import WeightGrid, cube_max_tables, leq, norm, window
+from .errors import EulerMismatch
+from .lattice import WeightGrid, conductor_values, cube_max_tables, min_weight, norm
 from .snf import filtered_reduction, smith_invariants
 
 
@@ -79,20 +79,8 @@ class HomologyReport:
         return self.u_ranks.get((k, n), 0)
 
 
-def _conductor_values(w: WeightGrid) -> np.ndarray:
-    """w on R(0, c)."""
-    if not leq(w.conductor, w.bound):
-        raise MarginTooSmall(f"conductor {w.conductor} exceeds grid {w.bound}")
-    return w.values[window(w.conductor)]
-
-
-def min_weight(w: WeightGrid) -> int:
-    """min w over R(0, c), which equals the global minimum."""
-    return int(_conductor_values(w).min())
-
-
 def max_weight_conductor_box(w: WeightGrid) -> int:
-    return int(_conductor_values(w).max())
+    return int(conductor_values(w).max())
 
 
 def _cell_order(values: np.ndarray, r: int):
@@ -183,8 +171,8 @@ def _level_torsion(boundaries: dict, cut: int) -> list:
 def lattice_homology(w: WeightGrid) -> HomologyReport:
     """Homology of every sublevel complex plus U-map ranks, from one
     filtered reduction of the conductor rectangle."""
-    values = _conductor_values(w)
-    n_min, n_top = int(values.min()), int(values.max())
+    values = conductor_values(w)
+    n_min, n_top = min_weight(w), int(values.max())
     levels = range(n_min, n_top + 1)
     r = w.r
     value, dim, boundaries, pairs, unit_pivots = filtered_pairs(values, r)

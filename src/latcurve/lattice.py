@@ -624,36 +624,24 @@ def delta(h: HilbertGrid, conductor: Point) -> int:
     return norm(conductor) - h.h(conductor)
 
 
+def conductor_values(w: WeightGrid) -> np.ndarray:
+    """w on R(0, c)."""
+    if not leq(w.conductor, w.bound):
+        raise MarginTooSmall(f"conductor {w.conductor} exceeds grid {w.bound}")
+    return w.values[window(w.conductor)]
+
+
+def min_weight(w: WeightGrid) -> int:
+    """min w over R(0, c), which equals the global minimum."""
+    return int(conductor_values(w).min())
+
+
 def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     """True iff w(l) = w(c - l) throughout R(0, c)."""
     c = conductor if conductor is not None else w.conductor
     sub = w.values[window(c)]
     rev = sub[(slice(None, None, -1),) * w.r]
     return bool(np.array_equal(sub, rev))
-
-
-def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
-    """Restrict a grid to the coordinate face of the branch subset.
-
-    ``branches`` is a nonempty iterable of 1-based branch indices J; the
-    result is the subcurve's own grid on the whole face of N^{|J|} (h
-    restricts on the nose, hence w does too).  For a WeightGrid the
-    subcurve conductor is re-detected inside the face.  Models take their
-    subcurves from the projection of the table instead
-    (``GermModel.subcurve``); on a valid grid both give the same h.
-    """
-    J = sorted(set(branches))
-    r = grid.r
-    if not J or J[0] < 1 or J[-1] > r:
-        raise ValueError(f"branch indices {J} outside 1..{r}")
-    if isinstance(grid, WeightGrid):
-        h = restrict_to_subcurve(HilbertGrid(r, grid.bound, grid.hilbert_values()), J)
-        return weight_from_hilbert(h, semigroup=semigroup_from_hilbert(h))
-    if not isinstance(grid, HilbertGrid):
-        raise TypeError(f"cannot restrict {type(grid).__name__}")
-    take = tuple(slice(None) if i + 1 in J else 0 for i in range(r))
-    bound = tuple(grid.bound[j - 1] for j in J)
-    return HilbertGrid(r=len(J), bound=bound, values=grid.values[take].copy())
 
 
 def validate_semigroup_consistency(table: SemigroupTable, h: HilbertGrid) -> bool:

@@ -28,13 +28,13 @@ from .errors import (
     MarginTooSmall,
     TruncationUnsound,
 )
-from .homology import min_weight
 from .lattice import (
     HilbertGrid,
     Point,
     WeightGrid,
     box,
     leq,
+    min_weight,
     norm,
     norm_array,
     ones,

@@ -37,12 +37,13 @@
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one ``motivic_coeff_by_subsets``
   call per lattice point, the loops the coefficient array replaced.
-* ``full_grid_hilbert_from_semigroup`` / ``full_face_table``: the grid of
-  a table found, integrated and checked on all of R(0, bound), the path
-  ``hilbert_from_semigroup`` replaced by checks on R(0, c) and a closed
-  form past c; and the subcurve table read off the whole face of the
-  Hilbert grid, where ``GermModel.subcurve`` projects the germ's table
-  on R(0, c) to the axes of the subcurve.
+* ``full_grid_hilbert_from_semigroup`` / ``restrict_to_subcurve`` /
+  ``full_face_table``: the grid of a table found, integrated and checked
+  on all of R(0, bound), the path ``hilbert_from_semigroup`` replaced by
+  checks on R(0, c) and a closed form past c; and the subcurve grid and
+  table read off the whole face of the Hilbert grid, where
+  ``GermModel.subcurve`` projects the germ's table on R(0, c) to the
+  axes of the subcurve.
 * ``hilbert_forced_by_members``: h on R(0, c) as the members alone force
   it, step by step down from c (the proof in
   ``germ._build_from_poincare`` that a ``poincare`` grid is H(S)).
@@ -104,7 +105,6 @@ from latcurve.lattice import (
     ones,
     padd,
     pmax,
-    restrict_to_subcurve,
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
@@ -724,6 +724,28 @@ def hilbert_forced_by_members(table) -> np.ndarray:
             prev = l[:i] + (l[i] - 1,) + l[i + 1:]
             h[l] = h[prev] + steps[prev][i]
     return h
+
+
+def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
+    """Restrict a grid to the coordinate face of the branch subset.
+
+    ``branches`` is a nonempty iterable of 1-based branch indices J; the
+    result is the subcurve's own grid on the whole face of N^{|J|} (h
+    restricts on the nose, hence w does too).  For a WeightGrid the
+    subcurve conductor is re-detected inside the face.
+    """
+    J = sorted(set(branches))
+    r = grid.r
+    if not J or J[0] < 1 or J[-1] > r:
+        raise ValueError(f"branch indices {J} outside 1..{r}")
+    if isinstance(grid, WeightGrid):
+        h = restrict_to_subcurve(HilbertGrid(r, grid.bound, grid.hilbert_values()), J)
+        return weight_from_hilbert(h, semigroup=semigroup_from_hilbert(h))
+    if not isinstance(grid, HilbertGrid):
+        raise TypeError(f"cannot restrict {type(grid).__name__}")
+    take = tuple(slice(None) if i + 1 in J else 0 for i in range(r))
+    bound = tuple(grid.bound[j - 1] for j in J)
+    return HilbertGrid(r=len(J), bound=bound, values=grid.values[take].copy())
 
 
 def full_face_table(model, branches):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from latcurve import GermDescriptor, build_model, cli, get, germ, lattice
 from latcurve.catalog import numerical_semigroup
 from latcurve.errors import InvalidSeries
-from latcurve.lattice import box, leq, restrict_to_subcurve
+from latcurve.lattice import box, leq
 from latcurve.series import (
     MultiPoly,
     RationalSeries,
@@ -33,7 +33,12 @@ from germ_strategies import (
     monomial_plane_germs,
     numerical_semigroups,
 )
-from oracles import fixed_point_poincare_build, promoted_hilbert_build, rebuilt_subcurve
+from oracles import (
+    fixed_point_poincare_build,
+    promoted_hilbert_build,
+    rebuilt_subcurve,
+    restrict_to_subcurve,
+)
 from test_catalog import ALL_SPECS
 
 LARGE = [("A", 61), ("D", 69), ("T", 3, 67), ("T", 9, 13)]

@@ -12,12 +12,11 @@ from latcurve import (
 )
 from latcurve.homology import (
     _cell_order,
-    _conductor_values,
     _faces,
     filtered_pairs,
     max_weight_conductor_box,
 )
-from latcurve.lattice import WeightGrid
+from latcurve.lattice import WeightGrid, conductor_values
 
 from germ_strategies import monomial_plane_germs
 from oracles import (
@@ -51,7 +50,7 @@ def test_face_arrays_match_boundary(model_of):
     # the index arrays of the filtered reduction give every cube of the
     # r = 4 conductor box the faces and signs of ``boundary``
     w = model_of("T", 4, 4).weight
-    _, _, position = _cell_order(_conductor_values(w), w.r)
+    _, _, position = _cell_order(conductor_values(w), w.r)
     for mask in range(1, 1 << w.r):
         faces, coeffs = _faces(position, mask, w.r)
         bases = np.ndindex(position[mask].shape)  # row-major, as the rows
@@ -237,7 +236,7 @@ def test_relative_pair_e7(model_of):
 
 
 def assert_same_pairs(w):
-    values = _conductor_values(w)
+    values = conductor_values(w)
     _, _, _, pairs, unit_pivots = filtered_pairs(values, w.r)
     assert (pairs, unit_pivots) == column_pairs(values, w.r)
 

@@ -11,7 +11,6 @@ from latcurve import (
     delta,
     gorenstein_symmetry,
     hilbert_from_semigroup,
-    restrict_to_subcurve,
     semigroup_from_hilbert,
     semigroup_from_low_points,
     validate_semigroup_consistency,
@@ -19,6 +18,8 @@ from latcurve import (
 )
 from latcurve.catalog import numerical_semigroup
 from latcurve.lattice import SemigroupTable, box
+
+from oracles import restrict_to_subcurve
 
 
 def build_r1(gens, conductor):

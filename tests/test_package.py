@@ -1,11 +1,67 @@
 """The package surface: every name that the tests, the README and the
-benchmark take from ``latcurve`` itself still imports from it."""
+benchmark take from ``latcurve`` itself still imports from it, the
+reading layers load when a name of theirs is first read, and each CLI
+command loads only the layers it reads."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import latcurve
+
 ROOT = Path(__file__).resolve().parent.parent
+
+# every name ``latcurve`` exported before its reading layers became lazy
+EXPORTS = (
+    "BadParams", "DescriptorError", "E1Entry", "EulerMismatch",
+    "GermDescriptor", "GermModel", "GridTooLarge", "HilbertGrid",
+    "HomologyReport", "InconsistentInput", "InconsistentSemigroup",
+    "InvalidSeries", "LatcurveError", "LaurentSeries", "MarginTooSmall",
+    "MinimalCycleGroup", "MultiPoly", "PathInconsistency", "QPoly",
+    "RationalSeries", "Rectangle", "RouteDisagreement", "SemigroupTable",
+    "TorsionFound", "TruncationUnsound", "UndefinedWeight", "UnknownGerm",
+    "Verdict", "WeightGrid", "build_model", "classify",
+    "classify_unimodal_plane", "delta", "descriptor_from_json", "e1_level",
+    "e1_refined", "euler_characteristic", "expand", "get", "get_entry",
+    "gorenstein_functional_check", "gorenstein_symmetry", "has_maximal_rank",
+    "hilbert_from_motivic", "hilbert_from_poincare", "hilbert_from_semigroup",
+    "lattice_homology", "list_entries", "min_weight", "minimal_spectral_cycles",
+    "motivic_coeff", "omega_substitution", "pe_series", "pe_substitution_check",
+    "pe_univariate", "poincare_from_hilbert", "semigroup_from_hilbert",
+    "semigroup_from_low_points", "univariate_motivic",
+    "validate_semigroup_consistency", "weight_from_hilbert",
+)
+
+# the model layer and the classifier, which every process loads
+MODEL_LAYER = {"catalog", "classify", "errors", "germ", "lattice", "series"}
+
+# command -> the reading layers its process loads besides the model layer
+LAYERS_OF_COMMAND = {
+    "table": set(),
+    "catalog": set(),
+    "invariants": {"homology", "snf"},
+    "homology": {"homology", "snf"},
+    "spectral": {"spectral", "snf"},
+    "motivic": {"motivic"},
+    "classify": {"motivic", "spectral", "snf"},
+}
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a new interpreter that imports ``latcurve`` from
+    ``src/``, and return the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def names_imported_by_tests() -> set:
@@ -87,3 +143,70 @@ def test_no_module_keeps_an_unused_import():
         }
         unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert not unused
+
+
+@pytest.mark.parametrize("command", sorted(LAYERS_OF_COMMAND))
+def test_each_command_loads_only_the_layers_it_reads(command):
+    argv = [command] if command == "catalog" else [command, "--builtin", "D,5"]
+    loaded = run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from latcurve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "names = [m for m in sys.modules if m.startswith('latcurve.')]\n"
+        "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in names)]))"
+    )
+    want = MODEL_LAYER | {"cli"} | LAYERS_OF_COMMAND[command]
+    assert loaded == [0, sorted(want)]
+
+
+def test_every_export_reads_from_a_fresh_package():
+    """Each name imports, reads as an attribute and is listed by ``dir``,
+    starting from an interpreter that has loaded no reading layer; and
+    ``import latcurve`` loads numpy, which the benchmark worker reads."""
+    failures = run_fresh(
+        "import json, sys\n"
+        "import latcurve\n"
+        "numpy = 'numpy' in sys.modules\n"
+        "fresh = 'latcurve.homology' not in sys.modules\n"
+        "listed = set(dir(latcurve))\n"
+        "bad = []\n"
+        f"for name in {EXPORTS!r}:\n"
+        "    try:\n"
+        "        scope = {}\n"
+        "        exec(f'from latcurve import {name}', scope)\n"
+        "        ok = scope[name] is getattr(latcurve, name) and name in listed\n"
+        "    except (ImportError, AttributeError):\n"
+        "        ok = False\n"
+        "    if not ok:\n"
+        "        bad.append(name)\n"
+        "print(json.dumps([numpy, fresh, bad]))"
+    )
+    assert failures == [True, True, []]
+
+
+def test_star_import_binds_every_export():
+    bound = run_fresh(
+        "import json\n"
+        "from latcurve import *\n"
+        "print(json.dumps(sorted(n for n in dir() if not n.startswith('_'))))"
+    )
+    assert set(EXPORTS) <= set(bound)
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        latcurve.no_such_name
+    with pytest.raises(ImportError):
+        exec("from latcurve import no_such_name", {})
+
+
+def test_classify_stays_the_function_after_its_module_is_imported():
+    kinds = run_fresh(
+        "import json, types\n"
+        "import latcurve.classify\n"
+        "from latcurve.classify import certified_omega\n"
+        "from latcurve import classify\n"
+        "print(json.dumps([callable(classify), isinstance(classify, types.ModuleType)]))"
+    )
+    assert kinds == [True, False]
