@@ -173,14 +173,14 @@ def _route_homology(model: GermModel) -> dict:
     """Finite subtype from the group M(1, 0) (A when min w = 0, else
     D-dominating iff M(1, 0) is nonzero); tame growth finite iff M(1, -1)
     has the maximal rank C(|m| - 1, 1) = |m| - 1 of ``has_maximal_rank``."""
-    from .spectral import minimal_spectral_cycles
-
     evidence: dict = {"min_w": model.min_w}
     if model.min_w >= -1:
         evidence["verdict"] = FINITE
         if model.min_w == 0:
             evidence["subtype"] = SUB_A
         else:
+            from .spectral import minimal_spectral_cycles
+
             rank = minimal_spectral_cycles(model.weight, 1, 0).rank
             evidence["subtype"] = SUB_D if rank else SUB_E
             evidence["M(1,0) rank"] = rank
@@ -204,11 +204,16 @@ def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermMo
     """The omega series through omega^depth, and the model it was
     certified on: the argument, or a copy grown by 4e at a time (at most
     six times) until the truncation is certified."""
-    from .motivic import omega_substitution
+    from . import motivic
 
+    return _certified(motivic, model, depth)
+
+
+def _certified(motivic, model: GermModel, depth: int):
+    """``certified_omega`` on the route's one import of ``motivic``."""
     for _ in range(6):
         try:
-            return omega_substitution(model.hilbert, model.weight, depth), model
+            return motivic.omega_substitution(model.hilbert, model.weight, depth), model
         except TruncationUnsound:
             model = model.ensure_bound(padd(model.bound, scale(4, ones(model.r))))
     raise TruncationUnsound(
@@ -216,27 +221,20 @@ def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermMo
     )
 
 
-def _level(model: GermModel, d: int) -> tuple[QPoly, GermModel]:
+def _level(motivic, model: GermModel, d: int) -> tuple[QPoly, GermModel]:
     """Univariate motivic level d, and the model grown to hold it."""
-    from .motivic import univariate_motivic
-
     model = model.ensure_bound(scale(d + 1, ones(model.r)))
-    return univariate_motivic(model.hilbert, d), model
+    return motivic.univariate_motivic(model.hilbert, d), model
 
 
-def _mu(model: GermModel) -> tuple[int, GermModel]:
+def _mu(motivic, model: GermModel) -> tuple[int, GermModel]:
     """Smallest positive level with a nonzero univariate coefficient
     (always the total multiplicity |m|)."""
     for d in range(1, norm(model.multiplicity) + 1):
-        level, model = _level(model, d)
+        level, model = _level(motivic, model, d)
         if not level.is_zero():
             return d, model
     raise LatcurveError("no nonzero motivic level found up to |m|")
-
-
-def _pi(model: GermModel, d: int, j: int) -> tuple[int, GermModel]:
-    level, model = _level(model, d)
-    return level.coeff(j), model
 
 
 def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
@@ -248,17 +246,19 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
     2|m| with exponent 3 when |m| = 3, level |m| with exponent 2 when
     |m| = 4 (the exponent tracks h(jm) + 1).
     """
-    f, model = certified_omega(model, 0)
+    from . import motivic
+
+    f, model = _certified(motivic, model, 0)
     evidence: dict = {"ord f": f.order, "leading": f.leading()}
     if f.order >= -1:
         evidence["verdict"] = FINITE
         if f.order == 0:
             evidence["subtype"] = SUB_A
         else:
-            pi32, model = _pi(model, 3, 2)
-            evidence["pi(3,2)"] = pi32
+            level, model = _level(motivic, model, 3)
+            pi32 = evidence["pi(3,2)"] = level.coeff(2)
             evidence["subtype"] = SUB_D if pi32 != 0 else SUB_E
-        mu, model = _mu(model)
+        mu, model = _mu(motivic, model)
         evidence["mu"] = mu
         if (f.order == 0) != (mu <= 2):
             raise LatcurveError("ord f = 0 and mu <= 2 must agree")
@@ -268,17 +268,17 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
         evidence["conditions"] = {"a": False}
         return evidence, model
     # ord f = -2: test conditions (a)-(d)
-    mu, model = _mu(model)
+    mu, model = _mu(motivic, model)
     evidence["mu"] = mu
     conds: dict[str, bool] = {"a": True}
     if mu == 3:
-        pi, model = _pi(model, 6, 3)
-        evidence["pi(6,3)"] = pi
+        level, model = _level(motivic, model, 6)
+        pi = evidence["pi(6,3)"] = level.coeff(3)
         conds["b"] = pi < 0
         growth_finite = pi == -2
     elif mu == 4:
-        pi, model = _pi(model, 4, 2)
-        evidence["pi(4,2)"] = pi
+        level, model = _level(motivic, model, 4)
+        pi = evidence["pi(4,2)"] = level.coeff(2)
         conds["b"] = pi != 0
         growth_finite = pi == -3
     else:
@@ -286,7 +286,7 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
         growth_finite = False
     ok = True
     for i in range(1, model.r + 1):
-        fi, _ = certified_omega(model.branch(i), 0)
+        fi, _ = _certified(motivic, model.branch(i), 0)
         ok = ok and fi.order == 0
     conds["c"] = ok
     if model.r == 1:
@@ -294,10 +294,10 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
     else:
         ok = True
         for i in range(1, model.r + 1):
-            fh, hat = certified_omega(model.complement(i), 0)
+            fh, hat = _certified(motivic, model.complement(i), 0)
             good = fh.order == 0
             if not good and fh.order == -1:
-                good = _pi(hat, 3, 2)[0] != 0
+                good = _level(motivic, hat, 3)[0].coeff(2) != 0
             ok = ok and good
         conds["d"] = ok
     evidence["conditions"] = conds

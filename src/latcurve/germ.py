@@ -30,7 +30,6 @@ from .lattice import (
     Point,
     SemigroupTable,
     WeightGrid,
-    box,
     cut_at_conductor,
     delta as delta_of,
     detect_conductor_mask,
@@ -381,7 +380,7 @@ class GermModel:
         weight table is not symmetric is rejected outright.
         """
         from .errors import InconsistentInput
-        from .motivic import gorenstein_functional_check, motivic_coeff
+        from .motivic import QPoly, coefficient_array, gorenstein_functional_check
 
         if not self.is_gorenstein:
             raise InconsistentInput(
@@ -389,10 +388,12 @@ class GermModel:
                 "(weight symmetry fails)"
             )
         outer = padd(self.conductor, ones(self.r))
-        grown = self.ensure_bound(padd(outer, ones(self.r)))
-        coeffs = {}
-        for p in box(outer).points():
-            coeffs[p] = motivic_coeff(grown.hilbert, p)
+        h = self.ensure_bound(padd(outer, ones(self.r))).hilbert
+        rows = coefficient_array(h, outer)  # row l: q^h(l), ..., q^(h(l)+r-1)
+        coeffs = {
+            p: QPoly.from_dict(dict(enumerate(rows[p].tolist(), h.h(p))))
+            for p in np.ndindex(rows.shape[:-1])
+        }
         return gorenstein_functional_check(
             coeffs, self.conductor, self.delta, outer=outer
         )

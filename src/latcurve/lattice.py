@@ -134,7 +134,11 @@ def window(hi: Point) -> tuple:
 def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
     """tables[mask] = max of ``values`` over the corners of the cube
     (base, mask), indexed by base; the array shape shrinks by one along
-    each spanned axis."""
+    each spanned axis.  The cubes, prod(2 n_i - 1) for n_i points per axis,
+    are the points 2 base + mask of the doubled box, held to the grid
+    budget (GridTooLarge); at the limit homology holds ~730 B a cube, ~3 GB."""
+    hi = [n - 1 for n in values.shape]
+    require_grid(tuple(2 * b for b in hi), f"the cubes of R(0, {hi}), as the grid")
     tables = {0: values}
     for mask in range(1, 1 << r):
         low = mask & (mask - 1)

@@ -11,14 +11,13 @@ With D_J(l) = h(l+e_J) - h(l), the coefficient of q^(h(l)+i) is therefore
 an exact int64 array over the grid, built from shifted slices of the
 Hilbert grid (``coefficient_array``); no rational arithmetic ever happens.
 ``motivic_coeff`` reads the same array on the cube R(l, l + e) of one
-point.  The omega substitution t_i -> 1/omega, q -> omega^2 sends the
-monomial q^(h(l)+i) t^l to omega^(w(l)+2i); its truncations are certified
-through the coordinatewise growth of w beyond the conductor.
+point and the identities read it whole.  The substitution t_i -> 1/omega,
+q -> omega^2 sends q^(h(l)+i) t^l to omega^(w(l)+2i); its truncations are
+certified through the coordinatewise growth of w beyond the conductor.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +31,12 @@ from .lattice import (
     HilbertGrid,
     Point,
     WeightGrid,
-    box,
     leq,
     min_weight,
-    norm,
     norm_array,
     ones,
     padd,
+    require_grid,
     upset_minima,
     window,
 )
@@ -124,12 +122,10 @@ def coefficient_array(h: HilbertGrid, inner: Point) -> np.ndarray:
     base = h.values[window(inner)]
     steps = np.arange(r)
     out = np.zeros(base.shape + (r,), dtype=np.int64)
-    for size in range(1, r + 1):
-        sign = 1 if size % 2 == 1 else -1
-        for J in itertools.combinations(range(r), size):
-            shift = [int(i in J) for i in range(r)]
-            top = h.values[tuple(slice(s, b + 1 + s) for s, b in zip(shift, inner))]
-            out += sign * ((top - base)[..., None] > steps)
+    for J in range(1, 1 << r):  # the subsets J as bitmasks
+        shift = [J >> i & 1 for i in range(r)]
+        top = h.values[tuple(slice(s, b + 1 + s) for s, b in zip(shift, inner))]
+        out += (-1) ** (sum(shift) + 1) * ((top - base)[..., None] > steps)
     return out
 
 
@@ -167,13 +163,8 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
     inner = tuple(b - 1 for b in w.bound)
     if not leq(w.conductor, inner):
         return False
-    boundary_min = None
     sub = w.values[window(inner)]
-    for i in range(w.r):
-        face = sub[tuple(inner[j] if j == i else slice(None) for j in range(w.r))]
-        m = int(face.min()) if face.size else 0
-        boundary_min = m if boundary_min is None else min(boundary_min, m)
-    return boundary_min is not None and boundary_min >= depth
+    return min(int(sub.take(-1, axis=i).min()) for i in range(w.r)) >= depth
 
 
 def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeries:
@@ -217,27 +208,52 @@ def pe_substitution_check(
     """Monomial-by-monomial identity between the substituted rank table
     and the motivic coefficients on R(0, bounds).
 
-    The substitution maps the rank at (l, n, k) to (-1)^k q^(h(l)+k) t^l.
+    The substitution maps the rank at (l, n, k) to (-1)^k q^(h(l)+k) t^l,
+    so the table summed per (l, k) must equal ``coefficient_array`` (and
+    vanish for k outside 0..r-1); l past R(0, bounds) is not compared.
     Returns False on the first mismatching monomial, or raises
     InconsistentInput naming it when strict.
     """
-    per_point: dict[Point, dict[int, int]] = {}
-    for (ell, n, k), rank in pe.items():
-        d = per_point.setdefault(tuple(ell), {})
-        e = h.h(tuple(ell)) + k
-        d[e] = d.get(e, 0) + (rank if k % 2 == 0 else -rank)
-    for ell in box(bounds).points():
-        lhs = QPoly.from_dict(per_point.get(ell, {}))
-        rhs = motivic_coeff(h, ell)
-        if lhs != rhs:
-            le, re = lhs.as_dict(), rhs.as_dict()
-            bad = sorted(e for e in set(le) | set(re) if le.get(e, 0) != re.get(e, 0))
-            if strict:
-                raise InconsistentInput(
-                    f"substitution identity fails at t^{ell} q^{bad[0]}"
-                )
-            return False
-    return True
+    r = h.r
+    cells = np.array([(*ell, k) for ell, _, k in pe], dtype=np.int64).reshape(-1, r + 1)
+    off = ((cells[:, :r] < 0) | (cells[:, :r] > h.bound)).any(axis=1)
+    if off.any():  # MarginTooSmall naming the first such l
+        h.h(tuple(list(pe)[off.argmax()][0]))
+    rhs = coefficient_array(h, bounds)
+    signed = np.array(list(pe.values()), dtype=np.int64) * (1 - 2 * (cells[:, r] % 2))
+    inside = (cells[:, :r] <= bounds).all(axis=1)
+    both = np.concatenate([cells[inside], np.argwhere(rhs)])  # table, then array
+    cells, index = np.unique(both, axis=0, return_inverse=True)
+    diff = np.zeros(len(cells), dtype=np.int64)
+    np.add.at(diff, index.reshape(-1), np.concatenate([signed[inside], -rhs[rhs != 0]]))
+    bad = cells[diff != 0].tolist()  # sorted by (l, k)
+    if bad and strict:
+        ell = tuple(bad[0][:r])
+        raise InconsistentInput(
+            f"substitution identity fails at t^{ell} q^{h.h(ell) + bad[0][r]}"
+        )
+    return not bad
+
+
+def _dense(coeffs: dict[Point, QPoly], r: int, bound: Point, factors: int = 0):
+    """The table as A[l, e - lo] on R(0, bound), and lo, its least exponent,
+    times (1 - t_i q) for the first ``factors`` axes i: each factor
+    subtracts the array shifted by e_i and by one power of q, into one
+    more zero column on top.  Points outside R(0, bound) are not read; an
+    array past the grid budget is a GridTooLarge."""
+    terms = [(*p, e, c) for p, q in coeffs.items() for e, c in q.coeffs]
+    terms = np.array(terms, dtype=np.int64).reshape(-1, r + 2)
+    terms = terms[((terms[:, :r] >= 0) & (terms[:, :r] <= bound)).all(axis=1)]
+    lo, hi = (terms[:, r].min(), terms[:, r].max()) if len(terms) else (0, -1)
+    shape = (*bound, int(hi - lo) + factors)
+    require_grid(shape, "dense coefficient table")
+    out = np.zeros([b + 1 for b in shape], dtype=np.int64)
+    out[(*terms[:, :r].T, terms[:, r] - lo)] = terms[:, r + 1]
+    for axis in range(factors):
+        up = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
+        down = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
+        out[up + (slice(1, None),)] -= out[down + (slice(0, -1),)]
+    return out, int(lo)
 
 
 def hilbert_from_motivic(
@@ -249,14 +265,8 @@ def hilbert_from_motivic(
     above l; the support must therefore be min-closed with a visible
     stable region, otherwise InconsistentInput.
     """
-    shape = tuple(b + 1 for b in bound)
-    supp = np.zeros(shape, dtype=bool)
-    orders = np.zeros(shape, dtype=np.int64)
-    for p, q in coeffs.items():
-        p = tuple(p)
-        if not q.is_zero() and leq(p, bound):
-            supp[p] = True
-            orders[p] = q.order()
+    table, lo = _dense(coeffs, r, bound)
+    supp = table.any(axis=-1)
     if not supp[(0,) * r]:
         raise InconsistentInput("support must contain 0")
     mins, p = upset_minima(supp)
@@ -264,7 +274,7 @@ def hilbert_from_motivic(
         raise InconsistentInput(
             f"no unique minimal support point above {p}; support not min-closed"
         )
-    values = orders[tuple(np.moveaxis(mins, -1, 0))]
+    values = (lo + (table != 0).argmax(axis=-1))[tuple(np.moveaxis(mins, -1, 0))]
     grid = HilbertGrid(r=r, bound=tuple(bound), values=values)
     try:
         grid.validate()
@@ -276,25 +286,9 @@ def hilbert_from_motivic(
 def numerator_coeffs(coeffs: dict[Point, QPoly], r: int, bound: Point) -> dict:
     """Coefficients of P^m * prod(1 - t_i q) (the polynomial numerator)
     as {(l, j): int} on R(0, bound)."""
-    out: dict[tuple[Point, int], int] = {}
-    for p in box(bound).points():
-        for size in range(r + 1):
-            for J in itertools.combinations(range(r), size):
-                q = tuple(x - (1 if i in J else 0) for i, x in enumerate(p))
-                if any(x < 0 for x in q):
-                    continue
-                poly = coeffs.get(q)
-                if poly is None:
-                    continue
-                sign = 1 if size % 2 == 0 else -1
-                for e, cval in poly.coeffs:
-                    key = (p, e + size)
-                    v = out.get(key, 0) + sign * cval
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-    return out
+    num, lo = _dense(coeffs, r, bound, factors=r)
+    terms = zip(np.argwhere(num).tolist(), num[num != 0].tolist())
+    return {(tuple(p[:r]), lo + p[r]): v for p, v in terms}
 
 
 def gorenstein_functional_check(
@@ -305,16 +299,15 @@ def gorenstein_functional_check(
 
     ``coeffs`` must cover R(0, outer or c); when ``outer`` strictly
     dominates c the numerator is additionally required to vanish outside
-    R(0, c), which the equation implicitly asserts.
+    R(0, c), which the equation implicitly asserts.  One gather reads the
+    mirror of every term, as 0 off the array or past c.
     """
     c = tuple(conductor)
     r = len(c)
-    region = tuple(outer) if outer is not None else c
-    num = numerator_coeffs(coeffs, r, region)
-    for (p, j), v in num.items():
-        if not leq(p, c):
-            return False
-        mirror = (tuple(ci - x for ci, x in zip(c, p)), j + delta - norm(p))
-        if num.get(mirror, 0) != v:
-            return False
-    return True
+    num, _ = _dense(coeffs, r, tuple(outer) if outer is not None else c, factors=r)
+    at = np.argwhere(num)
+    q, y = c - at[:, :r], at[:, r] + delta - at[:, :r].sum(axis=1)
+    seen = ((q >= 0) & (q < num.shape[:r])).all(axis=1) & (y >= 0) & (y < num.shape[r])
+    mirror = np.zeros(len(at), dtype=np.int64)
+    mirror[seen] = num[(*q[seen].T, y[seen])]
+    return bool(np.array_equal(mirror, num[num != 0]))

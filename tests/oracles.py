@@ -37,6 +37,13 @@
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one ``motivic_coeff_by_subsets``
   call per lattice point, the loops the coefficient array replaced.
+* ``pe_substitution_check_by_points`` / ``numerator_coeffs_by_points`` /
+  ``gorenstein_functional_check_by_points`` /
+  ``hilbert_from_motivic_by_points`` /
+  ``gorenstein_motivic_check_by_points``: the motivic identities with
+  one coefficient polynomial per point (one ``motivic_coeff`` call each,
+  or one dict entry per point and subset), the loops that the dense
+  coefficient and numerator arrays of ``motivic`` replaced.
 * ``full_grid_hilbert_from_semigroup`` / ``restrict_to_subcurve`` /
   ``full_face_table``: the grid of a table found, integrated and checked
   on all of R(0, bound), the path ``hilbert_from_semigroup`` replaced by
@@ -65,6 +72,7 @@
   list and the ``semigroup`` build.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
@@ -109,9 +117,10 @@ from latcurve.lattice import (
     semigroup_from_hilbert,
     semigroup_from_low_points,
     unit,
+    upset_minima,
     weight_from_hilbert,
 )
-from latcurve.motivic import LaurentSeries, QPoly
+from latcurve.motivic import LaurentSeries, QPoly, motivic_coeff
 from latcurve.series import (
     MultiPoly,
     RationalSeries,
@@ -930,3 +939,137 @@ def tame_conditions_without_shortcuts(model) -> tuple[bool, dict]:
             conds["d"] = conds["d"] and good
     tame = bool(conds["a"] and conds["b"] and conds["c"] and conds["d"])
     return tame, {"conditions": conds}
+
+
+# ---------------------------------------------------------------------------
+# the motivic identities, one coefficient polynomial per point
+
+
+def pe_substitution_check_by_points(
+    pe: dict, h: HilbertGrid, bounds: Point, strict: bool = False
+) -> bool:
+    """Monomial-by-monomial identity between the substituted rank table
+    and the motivic coefficients on R(0, bounds).
+
+    The substitution maps the rank at (l, n, k) to (-1)^k q^(h(l)+k) t^l.
+    Returns False on the first mismatching monomial, or raises
+    InconsistentInput naming it when strict.
+    """
+    per_point: dict[Point, dict[int, int]] = {}
+    for (ell, n, k), rank in pe.items():
+        d = per_point.setdefault(tuple(ell), {})
+        e = h.h(tuple(ell)) + k
+        d[e] = d.get(e, 0) + (rank if k % 2 == 0 else -rank)
+    for ell in box(bounds).points():
+        lhs = QPoly.from_dict(per_point.get(ell, {}))
+        rhs = motivic_coeff(h, ell)
+        if lhs != rhs:
+            le, re = lhs.as_dict(), rhs.as_dict()
+            bad = sorted(e for e in set(le) | set(re) if le.get(e, 0) != re.get(e, 0))
+            if strict:
+                raise InconsistentInput(
+                    f"substitution identity fails at t^{ell} q^{bad[0]}"
+                )
+            return False
+    return True
+
+
+def hilbert_from_motivic_by_points(
+    coeffs: dict[Point, QPoly], r: int, bound: Point
+) -> HilbertGrid:
+    """Recover the Hilbert grid from the coefficient table.
+
+    h(l) is the q-order of the coefficient at the minimal support point
+    above l; the support must therefore be min-closed with a visible
+    stable region, otherwise InconsistentInput.
+    """
+    shape = tuple(b + 1 for b in bound)
+    supp = np.zeros(shape, dtype=bool)
+    orders = np.zeros(shape, dtype=np.int64)
+    for p, q in coeffs.items():
+        p = tuple(p)
+        if not q.is_zero() and leq(p, bound):
+            supp[p] = True
+            orders[p] = q.order()
+    if not supp[(0,) * r]:
+        raise InconsistentInput("support must contain 0")
+    mins, p = upset_minima(supp)
+    if p is not None:
+        raise InconsistentInput(
+            f"no unique minimal support point above {p}; support not min-closed"
+        )
+    values = orders[tuple(np.moveaxis(mins, -1, 0))]
+    grid = HilbertGrid(r=r, bound=tuple(bound), values=values)
+    try:
+        grid.validate()
+    except Exception as exc:
+        raise InconsistentInput(f"recovered grid invalid: {exc}")
+    return grid
+
+
+def numerator_coeffs_by_points(coeffs: dict[Point, QPoly], r: int, bound: Point) -> dict:
+    """Coefficients of P^m * prod(1 - t_i q) (the polynomial numerator)
+    as {(l, j): int} on R(0, bound)."""
+    out: dict[tuple[Point, int], int] = {}
+    for p in box(bound).points():
+        for size in range(r + 1):
+            for J in itertools.combinations(range(r), size):
+                q = tuple(x - (1 if i in J else 0) for i, x in enumerate(p))
+                if any(x < 0 for x in q):
+                    continue
+                poly = coeffs.get(q)
+                if poly is None:
+                    continue
+                sign = 1 if size % 2 == 0 else -1
+                for e, cval in poly.coeffs:
+                    key = (p, e + size)
+                    v = out.get(key, 0) + sign * cval
+                    if v:
+                        out[key] = v
+                    elif key in out:
+                        del out[key]
+    return out
+
+
+def gorenstein_functional_check_by_points(
+    coeffs: dict[Point, QPoly], conductor: Point, delta: int, outer: Point | None = None
+) -> bool:
+    """Functional equation of the numerator for Gorenstein germs:
+    coefficient at (p, j) equals coefficient at (c - p, j + delta - |p|).
+
+    ``coeffs`` must cover R(0, outer or c); when ``outer`` strictly
+    dominates c the numerator is additionally required to vanish outside
+    R(0, c), which the equation implicitly asserts.
+    """
+    c = tuple(conductor)
+    r = len(c)
+    region = tuple(outer) if outer is not None else c
+    num = numerator_coeffs_by_points(coeffs, r, region)
+    for (p, j), v in num.items():
+        if not leq(p, c):
+            return False
+        mirror = (tuple(ci - x for ci, x in zip(c, p)), j + delta - norm(p))
+        if num.get(mirror, 0) != v:
+            return False
+    return True
+
+
+def gorenstein_motivic_check_by_points(model) -> bool:
+    """Functional equation of the motivic numerator.
+
+    Gated: only meaningful for Gorenstein germs, so a germ whose
+    weight table is not symmetric is rejected outright.
+    """
+    if not model.is_gorenstein:
+        raise InconsistentInput(
+            "precondition unmet: the germ is not Gorenstein "
+            "(weight symmetry fails)"
+        )
+    outer = padd(model.conductor, ones(model.r))
+    grown = model.ensure_bound(padd(outer, ones(model.r)))
+    coeffs = {}
+    for p in box(outer).points():
+        coeffs[p] = motivic_coeff(grown.hilbert, p)
+    return gorenstein_functional_check_by_points(
+        coeffs, model.conductor, model.delta, outer=outer
+    )

@@ -11,6 +11,12 @@
   coefficient array) against sums of the scalar loop over subsets,
   ``oracles.motivic_coeff_by_subsets``; and ``motivic_coeff`` (the array
   on one cube) against that loop point by point, errors included.
+* motivic identities: ``pe_substitution_check``, ``numerator_coeffs``,
+  ``gorenstein_functional_check``, ``hilbert_from_motivic`` and
+  ``GermModel.gorenstein_motivic_check`` (dense arrays) against the
+  per-point loops they replaced (``oracles.*_by_points``), on the
+  catalog, on random germs and on mutated inputs: the same values, the
+  same exception types and the same messages.
 """
 
 import numpy as np
@@ -19,25 +25,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcurve import (
+    GridTooLarge,
     InconsistentSemigroup,
     MarginTooSmall,
+    QPoly,
     build_model,
+    get,
+    gorenstein_functional_check,
+    hilbert_from_motivic,
     motivic_coeff,
     omega_substitution,
+    pe_series,
+    pe_substitution_check,
     univariate_motivic,
 )
+from latcurve.catalog import numerical_semigroup
 from latcurve.classify import certified_omega
-from latcurve.lattice import SemigroupTable, _validate_min_closure
+from latcurve.germ import GermDescriptor
+from latcurve.lattice import SemigroupTable, _validate_min_closure, box, ones, padd
+from latcurve.motivic import numerator_coeffs
 
-from germ_strategies import monomial_plane_germs
+from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from oracles import (
     additive_closure_by_members,
+    gorenstein_functional_check_by_points,
+    gorenstein_motivic_check_by_points,
+    hilbert_from_motivic_by_points,
     motivic_coeff_by_subsets,
+    numerator_coeffs_by_points,
     omega_by_points,
+    pe_substitution_check_by_points,
     reverse_sweep_min_closure,
     univariate_by_points,
 )
 from test_catalog import ALL_SPECS
+from test_identity import ladder_keys
 
 
 def _outcome(check, table):
@@ -204,3 +226,152 @@ def test_scalar_coefficient_matches_the_subset_loop(spec, model_of):
 @given(monomial_plane_germs())
 def test_scalar_coefficient_matches_the_subset_loop_on_random_germs(germ):
     assert_same_coefficients(build_model(germ[2]).hilbert)
+
+
+# ---------------------------------------------------------------------------
+# motivic identities
+
+
+def _returns(call, *args, **kwargs):
+    """("ok", the value) or (the exception type, its message); a Hilbert
+    grid is compared by its bound and values."""
+    try:
+        value = call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if hasattr(value, "values"):
+        value = (value.bound, value.values.tolist())
+    return "ok", value
+
+
+def assert_same_substitution(pe, h, bounds):
+    """``pe_substitution_check`` against its oracle, plain and strict."""
+    for strict in (False, True):
+        got = _returns(pe_substitution_check, pe, h, bounds, strict)
+        assert got == _returns(pe_substitution_check_by_points, pe, h, bounds, strict)
+    return got
+
+
+def assert_same_identities(m):
+    """Every motivic identity against its per-point oracle on one model:
+    the substitution on R(0, c), the numerator and the functional equation
+    (true and shifted delta, with and without ``outer``) on R(0, c + e),
+    the Hilbert grid recovered from the coefficients, also with one
+    support point dropped and with every exponent raised by one, and the
+    model's Gorenstein check."""
+    assert assert_same_substitution(
+        pe_series(m.weight, m.conductor), m.hilbert, m.conductor
+    ) == ("ok", True)
+    outer = padd(m.conductor, ones(m.r))
+    grown = m.ensure_bound(padd(outer, ones(m.r)))
+    coeffs = {p: motivic_coeff(grown.hilbert, p) for p in box(outer).points()}
+    num = numerator_coeffs(coeffs, m.r, outer)
+    assert num == numerator_coeffs_by_points(coeffs, m.r, outer)
+    for delta in (m.delta, m.delta + 1):
+        for region in (None, outer):
+            args = (coeffs, m.conductor, delta, region)
+            assert gorenstein_functional_check(*args) == (
+                gorenstein_functional_check_by_points(*args)
+            )
+    members = [p for p, q in coeffs.items() if not q.is_zero()]
+    dropped = {p: q for p, q in coeffs.items() if p != members[len(members) // 2]}
+    shifted = {
+        p: QPoly.from_dict({e + 1: c for e, c in q.coeffs}) for p, q in coeffs.items()
+    }
+    for table in (coeffs, dropped, shifted):
+        got = _returns(hilbert_from_motivic, table, m.r, outer)
+        assert got == _returns(hilbert_from_motivic_by_points, table, m.r, outer)
+    assert _returns(m.gorenstein_motivic_check) == _returns(
+        gorenstein_motivic_check_by_points, m
+    )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_motivic_identities_match_the_point_loops_on_catalog(spec, model_of):
+    assert_same_identities(model_of(*spec))
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs())
+def test_motivic_identities_match_the_point_loops_on_random_plane_germs(germ):
+    assert_same_identities(build_model(germ[2]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(numerical_semigroups())
+def test_motivic_identities_match_the_point_loops_on_random_semigroups(gens):
+    c = conductor_of(gens)
+    desc = GermDescriptor(
+        r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
+    )
+    assert_same_identities(build_model(desc))
+
+
+# D_5: r = 2, c = (4, 2), grid (8, 8); (2, 1) is a member
+@pytest.mark.parametrize(
+    "extra,want",
+    [
+        ({((2, 1), 0, -1): 1}, "fails"),  # k below 0
+        ({((2, 1), 0, 2): 1}, "fails"),  # k = r
+        ({((2, 1), 0, 5): 1, ((2, 1), 1, 5): -1}, "holds"),  # strays that cancel
+        ({((2, 1), 0, 1): 7}, "fails"),  # a rank changed
+        ({((6, 6), 0, 0): 5}, "holds"),  # past R(0, c), inside the grid
+        ({((9, 0), 0, 0): 1}, MarginTooSmall),  # past the grid
+        ({((-1, 0), 0, 0): 1}, MarginTooSmall),  # a negative coordinate
+    ],
+    ids=["k-negative", "k-past-r", "strays-cancel", "rank", "past-bounds",
+         "past-grid", "negative"],
+)
+def test_substitution_on_mutated_tables(extra, want, model_of):
+    m = model_of("D", 5)
+    pe = {**pe_series(m.weight, m.conductor), **extra}
+    got = assert_same_substitution(pe, m.hilbert, m.conductor)
+    if want == "holds":
+        assert got == ("ok", True)
+    elif want == "fails":
+        assert got[1].startswith("substitution identity fails at t^(2, 1) q^")
+    else:
+        assert got[0] is want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitution_on_random_mutations(data):
+    spec = data.draw(st.sampled_from([("A", 4), ("D", 5), ("E", 6), ("T", 4, 4)]))
+    m = build_model(get(*spec))
+    pe = pe_series(m.weight, m.conductor)
+    keys = sorted(pe)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if keys and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(keys))
+            pe[key] = data.draw(st.integers(-2, 2))
+        else:
+            ell = tuple(data.draw(st.integers(-1, b + 1)) for b in m.bound)
+            k = data.draw(st.integers(-2, m.r + 1))
+            pe[(ell, data.draw(st.integers(-3, 3)), k)] = data.draw(st.integers(-2, 2))
+    assert_same_substitution(pe, m.hilbert, m.conductor)
+
+
+def test_substitution_identity_on_every_ladder_germ():
+    for key in ladder_keys():
+        name, *params = key.split(",")
+        m = build_model(get(name, *map(int, params)))
+        pe = pe_series(m.weight, m.conductor)
+        assert pe_substitution_check(pe, m.hilbert, m.conductor, strict=True), key
+
+
+def test_identities_on_hand_tables():
+    # P = 1 + q t: the numerator (1 + q t)(1 - q t) = 1 - q^2 t^2 on R(0, 2)
+    coeffs = {(0,): QPoly.from_dict({0: 1}), (1,): QPoly.from_dict({1: 1})}
+    want = {((0,), 0): 1, ((2,), 2): -1}
+    assert numerator_coeffs(coeffs, 1, (2,)) == want
+    assert numerator_coeffs_by_points(coeffs, 1, (2,)) == want
+    # a numerator term at t^2, past c = 1, is its own mirror modulo the
+    # array's length (delta = |p| = 2): it fails all the same
+    lone = {(2,): QPoly.from_dict({0: 1})}
+    for check in (gorenstein_functional_check, gorenstein_functional_check_by_points):
+        assert not check(lone, (1,), 2, outer=(2,))
+    # a dense table 10^12 exponents wide is refused before it is allocated
+    wide = {(0,): QPoly.from_dict({0: 1, 10**12: 1})}
+    with pytest.raises(GridTooLarge, match=r"R\(0, \[2, 1000000000001\]\)"):
+        numerator_coeffs(wide, 1, (2,))

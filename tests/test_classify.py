@@ -11,6 +11,7 @@ from latcurve import (
 )
 from latcurve.catalog import numerical_semigroup
 from latcurve.classify import (
+    FINITE,
     SUB_D,
     _route_homology,
     classify_finite_pointwise,
@@ -206,3 +207,24 @@ def test_classify_random_single_branch_germs(gens):
     elements = numerical_semigroup(gens, c)
     desc = GermDescriptor(r=1, kind="semigroup", payload=((c,), elements))
     assert classify_checked(build_model(desc)).subtype != SUB_D
+
+
+@settings(max_examples=40, deadline=None)
+@given(numerical_semigroups())
+def test_finite_monomial_curves_are_greuel_knoerrer(gens):
+    """k[[t^S]] has finite CM type iff it dominates a simple curve
+    (Greuel-Knoerrer, Math. Ann. 1985).  The unibranch simple curves are
+    A_2k = <2, 2k + 1>, E_6 = <3, 4> and E_8 = <3, 5>, so the type is
+    finite iff m <= 2, or m = 3 with 4 or 5 in S.  Membership is read from
+    the whole semigroup: <3, 4, 5> has c = 3 and holds 4 and 5."""
+    members = {0}
+    for v in range(1, 6):
+        if any(v - g in members for g in gens):
+            members.add(v)
+    m = min(gens)
+    finite = m <= 2 or (m == 3 and bool({4, 5} & members))
+    c = conductor_of(gens)
+    desc = GermDescriptor(
+        r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
+    )
+    assert (classify(build_model(desc)).cmtype == FINITE) == finite, gens

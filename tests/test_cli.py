@@ -565,11 +565,17 @@ SMOOTH_HILBERT = {"kind": "hilbert", "bound": [10001], "values": list(range(1000
          "the conductor box of D_200 R(0, [100, 100, 2])"),
         # the box (21, 21, 8) and the guesses 8e, 17e fit; the bound does not
         (["invariants", "--builtin", "D,40"], None, "grid R(0, [35, 35, 35])"),
+        # a 5003-point grid whose conductor box has 10001 cubes, and whose
+        # E1 window R(0, c + e) has 10003
+        (["homology", "--builtin", "A,5000"], None,
+         "the cubes of R(0, [5000]), as the grid R(0, [10000])"),
+        (["spectral", "--builtin", "A,5000"], None,
+         "the cubes of R(0, [5001]), as the grid R(0, [10002])"),
     ],
     ids=["semigroup-bound", "hilbert-bound", "poincare-bound-flag",
          "poincare-bound-field", "poincare-replayed-guess", "motivic-depth",
          "builtin-A-even", "builtin-A-odd", "builtin-D-even",
-         "poincare-replayed-bound"],
+         "poincare-replayed-bound", "homology-cubes", "spectral-cubes"],
 )
 def test_grid_past_the_limit_exits_1(tmp_path, capsys, monkeypatch, argv, doc, grid):
     # each check under a limit of 10^4 points, so no input is large

@@ -145,6 +145,35 @@ def test_no_module_keeps_an_unused_import():
     assert not unused
 
 
+def _called_name(node) -> str | None:
+    """The name a call calls: ``f`` for ``f(...)`` and for ``x.f(...)``."""
+    func = node.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def test_only_the_cli_loops_over_points():
+    """No module but ``cli`` (which renders the weight table point by
+    point) iterates ``box(...).points()`` or calls ``motivic_coeff``: the
+    motivic identities read one coefficient array."""
+    package = ROOT / "src" / "latcurve"
+    loops = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _called_name(node)
+            inner = node.func.value if isinstance(node.func, ast.Attribute) else None
+            if name == "motivic_coeff" or (
+                name == "points"
+                and isinstance(inner, ast.Call)
+                and _called_name(inner) == "box"
+            ):
+                loops.append(f"{path.name}:{node.lineno}: {name}")
+    # the scan must see the weight table, not nothing
+    assert [loop for loop in loops if loop.startswith("cli.py:")]
+    assert [loop for loop in loops if not loop.startswith("cli.py:")] == []
+
+
 @pytest.mark.parametrize("command", sorted(LAYERS_OF_COMMAND))
 def test_each_command_loads_only_the_layers_it_reads(command):
     argv = [command] if command == "catalog" else [command, "--builtin", "D,5"]
