@@ -33,7 +33,6 @@ from .errors import (
 from .germ import GermDescriptor, GermModel, build_model, descriptor_from_json
 from .lattice import (
     HilbertGrid,
-    Rectangle,
     SemigroupTable,
     WeightGrid,
     delta,
@@ -84,7 +83,7 @@ __all__ = [
     # germ
     "GermDescriptor", "GermModel", "build_model", "descriptor_from_json",
     # lattice
-    "HilbertGrid", "Rectangle", "SemigroupTable", "WeightGrid", "delta",
+    "HilbertGrid", "SemigroupTable", "WeightGrid", "delta",
     "gorenstein_symmetry", "hilbert_from_semigroup", "min_weight",
     "semigroup_from_hilbert", "semigroup_from_low_points",
     "validate_semigroup_consistency", "weight_from_hilbert",

@@ -5,6 +5,10 @@
              [--bound L1,..,Lr] [--format table|json] [--depth D]
              [--e1 l1,..,lr,k,n]... [--mincycle k,n]...
 
+One parser serves every command, and its options may come before or
+after the command; ``--e1`` and ``--mincycle`` are spectral-only, and
+any other command refuses them as a parse error.
+
 Reports are deterministic for a fixed input: JSON output carries no
 timestamps and sorts its keys, so golden files diff cleanly.  Exit
 codes: 0 success; 1 invalid input that no grid bound mends, such as germ
@@ -151,7 +155,7 @@ def render_weight_table(model, out=print):
         out("l:  " + " ".join(str(x).rjust(width) for x in range(c[0] + 1)))
         out("w:  " + " ".join(t.rjust(width) for t in cells))
         return
-    blocks = [()] if r == 2 else list(box(c[2:]).points())
+    blocks = [()] if r == 2 else list(box(c[2:]))
     for rest in blocks:
         if rest:
             label = ",".join(f"l{i + 3}={v}" for i, v in enumerate(rest))
@@ -344,32 +348,33 @@ def cmd_catalog(args):
             print(f"{name:6s} {detail}")
 
 
+# command -> handler of a model; ``catalog`` reads no model
+_HANDLERS = {
+    "invariants": cmd_invariants,
+    "table": cmd_table,
+    "homology": cmd_homology,
+    "spectral": cmd_spectral,
+    "motivic": cmd_motivic,
+    "classify": cmd_classify,
+}
+
+
 def make_parser():
+    """One parser for every command, each option declared once."""
     parser = _Parser(
         prog="latcurve",
         description="lattice, spectral, and motivic invariants of curve germs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "invariants",
-        "table",
-        "homology",
-        "spectral",
-        "motivic",
-        "classify",
-        "catalog",
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--germ", help="descriptor JSON file")
-        p.add_argument("--builtin", help="catalog germ, e.g. D,5 or T,4,4 or E12")
-        p.add_argument("--bound", help="grid bound override L1,..,Lr")
-        p.add_argument(
-            "--format", choices=("table", "json"), default="table"
-        )
-        p.add_argument("--depth", type=int, default=None, help="truncation depth")
-        if name == "spectral":
-            p.add_argument("--e1", action="append", help="refined query l1,..,lr,k,n")
-            p.add_argument("--mincycle", action="append", help="query k,n")
+    parser.add_argument("command", choices=(*_HANDLERS, "catalog"))
+    parser.add_argument("--germ", help="descriptor JSON file")
+    parser.add_argument("--builtin", help="catalog germ, e.g. D,5 or T,4,4 or E12")
+    parser.add_argument("--bound", help="grid bound override L1,..,Lr")
+    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.add_argument("--depth", type=int, default=None, help="truncation depth")
+    parser.add_argument(
+        "--e1", action="append", help="spectral only: refined query l1,..,lr,k,n"
+    )
+    parser.add_argument("--mincycle", action="append", help="spectral only: query k,n")
     return parser
 
 
@@ -378,20 +383,17 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         if args.depth is not None and args.depth < 0:
             raise DescriptorError(f"--depth must be >= 0, got {args.depth}")
+        if args.command != "spectral":
+            for option, value in (("--e1", args.e1), ("--mincycle", args.mincycle)):
+                if value is not None:
+                    raise DescriptorError(
+                        f"argument {option}: only the spectral command takes it"
+                    )
         if args.command == "catalog":
             cmd_catalog(args)
             return EXIT_OK
-        desc = _load_descriptor(args)
-        model = build_model(desc)
-        handler = {
-            "invariants": cmd_invariants,
-            "table": cmd_table,
-            "homology": cmd_homology,
-            "spectral": cmd_spectral,
-            "motivic": cmd_motivic,
-            "classify": cmd_classify,
-        }[args.command]
-        handler(model, args)
+        model = build_model(_load_descriptor(args))
+        _HANDLERS[args.command](model, args)
         return EXIT_OK
     except DescriptorError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -272,13 +272,14 @@ def descriptor_from_json(text: str) -> GermDescriptor:
     return descriptor_from_json_dict(doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GermModel:
     """All derived grids of one germ on a shared bound.
 
     A model is a value: growing it returns a new model, and its grids
-    are read-only.  The subcurve cache only memoizes models that are
-    themselves functions of the grids.
+    are read-only.  Like its grids it compares and hashes by identity.
+    The subcurve cache only memoizes models that are themselves
+    functions of the grids.
     """
 
     descriptor: GermDescriptor
@@ -287,9 +288,7 @@ class GermModel:
     hilbert: HilbertGrid
     weight: WeightGrid
     name: str | None = None
-    _subcurves: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _subcurves: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- invariants ------------------------------------------------------
 

@@ -19,7 +19,8 @@ integrates and checks on R(0, c) and writes the rest in closed form, and
 ``WeightGrid.validate`` checks |w| <= |l| on R(0, c).  No grid may hold
 more than ``MAX_GRID_POINTS`` points (``require_grid``).  All arithmetic
 is exact; tables and grids are frozen values whose arrays are made
-read-only at construction, so they are safe to share.
+read-only at construction, so they are safe to share.  They compare and
+hash by identity (``eq=False``): an array has no single truth value.
 """
 
 from __future__ import annotations
@@ -99,31 +100,9 @@ def scale(k: int, a: Point) -> Point:
     return tuple(k * x for x in a)
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """Axis-aligned box R(lo, hi) = {lo <= l <= hi} in N^r."""
-
-    lo: Point
-    hi: Point
-
-    def __post_init__(self):
-        if not leq(self.lo, self.hi):
-            raise ValueError(f"rectangle needs lo <= hi, got {self.lo} > {self.hi}")
-
-    @property
-    def r(self) -> int:
-        return len(self.lo)
-
-    def points(self):
-        ranges = [range(a, b + 1) for a, b in zip(self.lo, self.hi)]
-        return itertools.product(*ranges)
-
-    def contains(self, p: Point) -> bool:
-        return leq(self.lo, p) and leq(p, self.hi)
-
-
-def box(hi: Point) -> Rectangle:
-    return Rectangle((0,) * len(hi), hi)
+def box(hi: Point):
+    """The points of R(0, hi), in row-major (lexicographic) order."""
+    return itertools.product(*(range(b + 1) for b in hi))
 
 
 def window(hi: Point) -> tuple:
@@ -164,7 +143,7 @@ def norm_array(shape) -> np.ndarray:
 # semigroup tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SemigroupTable:
     """Membership table of the semigroup of values, held on R(0, c).
 
@@ -337,7 +316,7 @@ def _read(values: np.ndarray, bound: Point, p: Point) -> int:
     return int(values[p])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HilbertGrid:
     """Values of the Hilbert function h on R(0, bound)."""
 
@@ -367,7 +346,7 @@ class HilbertGrid:
                 raise PathInconsistency(f"h step along axis {i} outside {{0,1}}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightGrid:
     """Values of the weight function w(l) = 2h(l) - |l| on R(0, bound)."""
 

@@ -426,7 +426,7 @@ def reverse_sweep_min_closure(table) -> None:
     mins = np.full(shape + (table.r,), big, dtype=np.int64)
     own = np.indices(shape).transpose(*range(1, table.r + 1), 0)
     member = table.mask
-    for p in sorted(box(bound).points(), reverse=True):
+    for p in sorted(box(bound), reverse=True):
         best = None
         for i in range(table.r):
             if p[i] + 1 <= bound[i]:
@@ -436,7 +436,7 @@ def reverse_sweep_min_closure(table) -> None:
             best = own[p] if best is None else np.minimum(best, own[p])
         if best is not None:
             mins[p] = best
-    for p in box(bound).points():
+    for p in box(bound):
         m = mins[p]
         if m[0] >= big:
             continue  # empty up-set
@@ -550,7 +550,7 @@ def e1_level_by_points(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
     if any(b < 0 for b in inner) or d > norm(inner):
         raise MarginTooSmall(f"level {d} reaches outside the grid {w.bound}")
     total = 0
-    for ell in box(inner).points():
+    for ell in box(inner):
         if norm(ell) == d:
             total += scalar_e1_refined(w, ell, k, n).rank
     return E1Entry(ell=None, d=d, k=k, n=n, rank=total)
@@ -592,7 +592,7 @@ def pe_series_by_points(w: WeightGrid, bounds: Point) -> dict:
     if not leq(padd(bounds, ones(r)), w.bound):
         raise MarginTooSmall(f"bounds {bounds} + e exceed the grid {w.bound}")
     out = {}
-    for ell in box(bounds).points():
+    for ell in box(bounds):
         for k in range(r):
             n = w.w(ell) + k
             rank = scalar_e1_refined(w, ell, k, n).rank
@@ -625,7 +625,7 @@ def motivic_coeff_by_subsets(h, ell) -> QPoly:
 
 def univariate_by_points(h, d) -> QPoly:
     total = QPoly()
-    for ell in box(h.bound).points():
+    for ell in box(h.bound):
         if norm(ell) == d:
             total = total + motivic_coeff_by_subsets(h, ell)
     return total
@@ -636,7 +636,7 @@ def omega_by_points(h, w, depth) -> LaurentSeries:
     the truncation certificate."""
     inner = tuple(b - 1 for b in w.bound)
     acc: dict[int, int] = {}
-    for ell in box(inner).points():
+    for ell in box(inner):
         for e, cval in motivic_coeff_by_subsets(h, ell).coeffs:
             order = 2 * e - norm(ell)
             if order <= depth:
@@ -960,7 +960,7 @@ def pe_substitution_check_by_points(
         d = per_point.setdefault(tuple(ell), {})
         e = h.h(tuple(ell)) + k
         d[e] = d.get(e, 0) + (rank if k % 2 == 0 else -rank)
-    for ell in box(bounds).points():
+    for ell in box(bounds):
         lhs = QPoly.from_dict(per_point.get(ell, {}))
         rhs = motivic_coeff(h, ell)
         if lhs != rhs:
@@ -1011,7 +1011,7 @@ def numerator_coeffs_by_points(coeffs: dict[Point, QPoly], r: int, bound: Point)
     """Coefficients of P^m * prod(1 - t_i q) (the polynomial numerator)
     as {(l, j): int} on R(0, bound)."""
     out: dict[tuple[Point, int], int] = {}
-    for p in box(bound).points():
+    for p in box(bound):
         for size in range(r + 1):
             for J in itertools.combinations(range(r), size):
                 q = tuple(x - (1 if i in J else 0) for i, x in enumerate(p))
@@ -1068,7 +1068,7 @@ def gorenstein_motivic_check_by_points(model) -> bool:
     outer = padd(model.conductor, ones(model.r))
     grown = model.ensure_bound(padd(outer, ones(model.r)))
     coeffs = {}
-    for p in box(outer).points():
+    for p in box(outer):
         coeffs[p] = motivic_coeff(grown.hilbert, p)
     return gorenstein_functional_check_by_points(
         coeffs, model.conductor, model.delta, outer=outer

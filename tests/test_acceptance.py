@@ -197,7 +197,7 @@ def test_criterion_5_motivic(model_of, report_of):
         # closed-form oracle for the full motivic grid of the same germ
         inner = (3, 3, 3)
         grid = _d4_motivic_formula_grid(tuple(x + 1 for x in inner))
-        for ell in box(inner).points():
+        for ell in box(inner):
             got = motivic_coeff(d4.hilbert, ell).as_dict()
             ref = {
                 q: int(grid[ell + (q,)])
@@ -255,7 +255,7 @@ def test_criterion_7_property_suites(model_of):
             # path independence of h across every axis pair (spot grid)
             h = m.hilbert
             inner = tuple(b - 1 for b in m.bound)
-            pts = list(box(inner).points())
+            pts = list(box(inner))
             for ell in rng.sample(pts, min(40, len(pts))):
                 for i in range(m.r):
                     for j in range(i + 1, m.r):
@@ -266,12 +266,12 @@ def test_criterion_7_property_suites(model_of):
                             h.h(lj) - h.h(ell)
                         ) + (h.h(lij) - h.h(lj))
             # matroid inequality on 1000 random in-grid pairs
-            all_pts = list(box(m.bound).points())
+            all_pts = list(box(m.bound))
             for _ in range(1000):
                 a, b = rng.choice(all_pts), rng.choice(all_pts)
                 assert h.h(a) + h.h(b) >= h.h(pmin(a, b)) + h.h(pmax(a, b))
             # multiplicity box weights
-            for ell in box(m.multiplicity).points():
+            for ell in box(m.multiplicity):
                 if any(ell):
                     assert m.weight.w(ell) == 2 - norm(ell)
             # Gorenstein symmetry for all (plane) entries
@@ -282,7 +282,7 @@ def test_criterion_7_property_suites(model_of):
         for spec in [("D", 4), ("D", 5), ("E", 7), ("T", 3, 6), ("T", 4, 4)]:
             m = model_of(*spec)
             inner = tuple(b - 1 for b in m.bound)
-            for ell in box(inner).points():
+            for ell in box(inner):
                 for k in range(m.r):
                     n = m.weight.w(ell) + k
                     e1_refined(m.weight, ell, k, n)  # raises on torsion

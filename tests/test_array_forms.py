@@ -264,7 +264,7 @@ def assert_same_identities(m):
     ) == ("ok", True)
     outer = padd(m.conductor, ones(m.r))
     grown = m.ensure_bound(padd(outer, ones(m.r)))
-    coeffs = {p: motivic_coeff(grown.hilbert, p) for p in box(outer).points()}
+    coeffs = {p: motivic_coeff(grown.hilbert, p) for p in box(outer)}
     num = numerator_coeffs(coeffs, m.r, outer)
     assert num == numerator_coeffs_by_points(coeffs, m.r, outer)
     for delta in (m.delta, m.delta + 1):

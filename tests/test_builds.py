@@ -239,7 +239,7 @@ def increment_members(model):
     inner = tuple(b - 1 for b in model.bound)
     return {
         p
-        for p in box(inner).points()
+        for p in box(inner)
         if all(h.h(tuple(x + (i == j) for j, x in enumerate(p))) - h.h(p) == 1
                for i in range(r))
     }
@@ -249,7 +249,7 @@ def assert_table_on_conductor_box(model):
     table = model.semigroup
     assert table.mask.shape == tuple(ci + 1 for ci in model.conductor)
     inner = tuple(b - 1 for b in model.bound)
-    assert {p for p in box(inner).points() if table.contains(p)} == (
+    assert {p for p in box(inner) if table.contains(p)} == (
         increment_members(model)
     )
 

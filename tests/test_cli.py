@@ -498,12 +498,49 @@ def test_negative_depth_is_a_parse_error(capsys, depth):
          "argument --depth: invalid int value: '1.5'"),
         (["table", "--builtin", "D,5", "--format", "xml"],
          "argument --format: invalid choice: 'xml' (choose from 'table', 'json')"),
+        (["tables", "--builtin", "D,5"],
+         "argument command: invalid choice: 'tables' (choose from 'invariants', "
+         "'table', 'homology', 'spectral', 'motivic', 'classify', 'catalog')"),
+        (["table", "--builtin", "D,5", "--e1", "1,1,0,0"],
+         "argument --e1: only the spectral command takes it"),
+        (["--mincycle", "1,0", "classify", "--builtin", "D,5"],
+         "argument --mincycle: only the spectral command takes it"),
     ],
-    ids=["no-command", "float-depth", "bad-format"],
+    ids=["no-command", "float-depth", "bad-format", "bad-command", "e1-on-table",
+         "mincycle-on-classify"],
 )
 def test_argument_errors_are_parse_errors(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_help_names_every_command_and_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    commands = ("invariants", "table", "homology", "spectral", "motivic", "classify",
+                "catalog")
+    options = ("--germ", "--builtin", "--bound", "--format", "--depth", "--e1",
+               "--mincycle")
+    assert "{" + ",".join(commands) + "}" in out
+    assert all(option in out for option in options)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--builtin", "D,5", "--format", "json"],
+        ["spectral", "--builtin", "D,5", "--mincycle", "1,0", "--e1", "2,1,0,0"],
+        ["catalog", "--builtin", "D,5"],
+    ],
+    ids=["table", "spectral", "catalog"],
+)
+def test_options_may_come_before_the_command(capsys, argv):
+    after = run_cli(argv, capsys)
+    before = run_cli(argv[1:] + argv[:1], capsys)
+    assert after[0] == 0 and after[1]
+    assert before == after
 
 
 @pytest.fixture

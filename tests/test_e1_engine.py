@@ -62,7 +62,7 @@ def assert_same_points(w, points):
 def assert_same_patterns(w, ns):
     """Window, scalar and reference bitmasks agree at every base."""
     inner = inner_of(w)
-    points = list(box(inner).points())
+    points = list(box(inner))
     for n in ns:
         patterns, index = spectral._patterns(w, inner, tuple(np.array(points).T), n)
         for ell, i in zip(points, index):
@@ -89,7 +89,7 @@ def test_e1_matches_scalar_engine_on_catalog(spec, model_of):
     m = model_of(*spec)
     w = m.weight
     inner = inner_of(w)
-    assert_same_points(w, box(pmin(m.conductor, inner)).points())
+    assert_same_points(w, box(pmin(m.conductor, inner)))
     assert_same_patterns(w, range(-2, 3))
     assert_same_windows(w, range(norm(inner) + 2), m.conductor)
 
@@ -101,7 +101,7 @@ def test_e1_matches_scalar_engine_on_random_multi_branch_germs(germ):
     m = build_model(desc)
     w = m.weight
     inner = inner_of(w)
-    assert_same_points(w, box(pmin(m.conductor, inner)).points())
+    assert_same_points(w, box(pmin(m.conductor, inner)))
     assert_same_patterns(w, range(-2, 3))
     assert_same_windows(w, range(norm(inner) + 2), m.conductor)
 
@@ -115,7 +115,7 @@ def test_e1_matches_scalar_engine_on_random_value_grids(w):
     if min(inner) < 0:  # no base has l + e inside the grid
         assert_same_windows(w, range(2), w.bound)
         return
-    assert_same_points(w, box(inner).points())
+    assert_same_points(w, box(inner))
     assert_same_patterns(w, range(-3, 4))
     assert_same_windows(w, range(norm(inner) + 2), inner)
 
@@ -138,7 +138,7 @@ def test_pe_series_reduces_each_distinct_pattern_once_per_degree(
     for k in range(w.r):
         distinct = {
             frozenset(admissible_subsets(w, ell, w.w(ell) + k))
-            for ell in box(c).points()
+            for ell in box(c)
         }
         for subsets in distinct:
             sizes = {bin(sub).count("1") for sub in subsets}

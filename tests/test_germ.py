@@ -48,6 +48,21 @@ def test_grid_arrays_are_read_only(model_of):
         m.hilbert.values[tuple(slice(0, c + 1) for c in m.conductor)] += 1
 
 
+def test_models_and_grids_compare_and_hash_by_identity():
+    """Two builds of one germ are two values: ``==`` is identity and
+    ``hash`` works, where comparing or hashing the arrays would raise."""
+    desc = get("D", 5)
+    a, b = build_model(desc), build_model(desc)
+    pairs = [(a, b)] + [
+        (getattr(a, name), getattr(b, name))
+        for name in ("semigroup", "hilbert", "weight")
+    ]
+    for x, y in pairs:
+        assert (x == y) is False
+        assert x == x and x != y
+        assert hash(x) == hash(x) and len({x, x, y}) == 2
+
+
 def test_ensure_bound_returns_a_new_model(model_of):
     m = model_of("D", 5)
     snapshot = _snapshot(m)

@@ -29,7 +29,7 @@ def build_r1(gens, conductor):
 
 
 def members_on(table, bound):
-    return {p for p in box(bound).points() if table.contains(p)}
+    return {p for p in box(bound) if table.contains(p)}
 
 
 def test_extend_semigroup_a2():

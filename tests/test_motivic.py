@@ -18,7 +18,7 @@ from latcurve.lattice import box
 
 def coeff_grid(model, bound):
     return {
-        ell: motivic_coeff(model.hilbert, ell) for ell in box(bound).points()
+        ell: motivic_coeff(model.hilbert, ell) for ell in box(bound)
     }
 
 
@@ -50,7 +50,7 @@ def test_support_is_semigroup(model_of):
     for spec in [("D", 5), ("E", 7), ("T", 3, 6), ("W1_0",)]:
         m = model_of(*spec)
         inner = tuple(b - 1 for b in m.bound)
-        for ell in box(inner).points():
+        for ell in box(inner):
             assert (not motivic_coeff(m.hilbert, ell).is_zero()) == (
                 m.semigroup.contains(ell)
             )
@@ -63,7 +63,7 @@ def test_limit_q_to_one_is_poincare(model_of):
         m = model_of(*spec)
         p = poincare_from_hilbert(m.hilbert, conductor=m.conductor).as_dict()
         inner = tuple(b - 1 for b in m.bound)
-        for ell in box(inner).points():
+        for ell in box(inner):
             assert motivic_coeff(m.hilbert, ell).at_one() == p.get(ell, 0)
 
 
@@ -147,7 +147,7 @@ def test_hilbert_from_motivic_round_trip(model_of):
         sl = tuple(slice(0, b + 1) for b in inner)
         assert np.array_equal(back.values, m.hilbert.values[sl])
         support = {p for p, q in coeffs.items() if not q.is_zero()}
-        members = {p for p in box(inner).points() if m.semigroup.contains(p)}
+        members = {p for p in box(inner) if m.semigroup.contains(p)}
         assert support == members
 
 

@@ -51,11 +51,11 @@ def test_path_independence(spec, model_of):
     m = model_of(*spec)
     if m.r == 1:
         return
-    members = [p for p in box(m.bound).points() if m.semigroup.contains(p)]
+    members = [p for p in box(m.bound) if m.semigroup.contains(p)]
     rng = random.Random(hash(spec) & 0xFFFF)
     # witness confinement needs max(l + e, c) inside the member list
     inner = tuple(b - 1 for b in m.bound)
-    pts = list(box(inner).points())
+    pts = list(box(inner))
     for ell in rng.sample(pts, min(60, len(pts))):
         for i in range(m.r):
             for j in range(i + 1, m.r):
@@ -77,7 +77,7 @@ def test_path_independence(spec, model_of):
 def test_matroid_inequality_random_pairs(spec, model_of):
     m = model_of(*spec)
     rng = random.Random(20240817)
-    pts = list(box(m.bound).points())
+    pts = list(box(m.bound))
     for _ in range(1000):
         a = rng.choice(pts)
         b = rng.choice(pts)
@@ -88,7 +88,7 @@ def test_matroid_inequality_random_pairs(spec, model_of):
 @pytest.mark.parametrize("spec", CATALOG, ids=lambda s: "_".join(map(str, s)))
 def test_multiplicity_box_weights(spec, model_of):
     m = model_of(*spec)
-    for ell in box(m.multiplicity).points():
+    for ell in box(m.multiplicity):
         if any(ell):
             assert m.weight.w(ell) == 2 - norm(ell)
 
@@ -97,7 +97,7 @@ def test_weight_increases_beyond_conductor(model_of):
     for spec in [("D", 5), ("T", 3, 6), ("E13",)]:
         m = model_of(*spec)
         c = m.conductor
-        for ell in box(tuple(b - 1 for b in m.bound)).points():
+        for ell in box(tuple(b - 1 for b in m.bound)):
             if not all(x >= ci for x, ci in zip(ell, c)):
                 continue
             for i in range(m.r):
@@ -126,7 +126,7 @@ def test_e1_support_law_and_torsion_freeness(spec, model_of):
     m = model_of(*spec)
     inner = tuple(b - 1 for b in m.bound)
     rng = random.Random(7)
-    for ell in box(inner).points():
+    for ell in box(inner):
         for k in range(m.r):
             base = m.weight.w(ell) + k
             entry = e1_refined(m.weight, ell, k, base)
@@ -153,7 +153,7 @@ def test_motivic_round_trips(model_of):
     for spec in [("D", 5), ("E", 7), ("T", 3, 6)]:
         m = model_of(*spec)
         inner = tuple(b - 1 for b in m.bound)
-        coeffs = {p: motivic_coeff(m.hilbert, p) for p in box(inner).points()}
+        coeffs = {p: motivic_coeff(m.hilbert, p) for p in box(inner)}
         back = hilbert_from_motivic(coeffs, m.r, inner)
         sl = tuple(slice(0, b + 1) for b in inner)
         assert np.array_equal(back.values, m.hilbert.values[sl])
