@@ -379,7 +379,7 @@ class GermModel:
         weight table is not symmetric is rejected outright.
         """
         from .errors import InconsistentInput
-        from .motivic import QPoly, coefficient_array, gorenstein_functional_check
+        from .motivic import coefficient_array, gorenstein_array_check
 
         if not self.is_gorenstein:
             raise InconsistentInput(
@@ -388,13 +388,8 @@ class GermModel:
             )
         outer = padd(self.conductor, ones(self.r))
         h = self.ensure_bound(padd(outer, ones(self.r))).hilbert
-        rows = coefficient_array(h, outer)  # row l: q^h(l), ..., q^(h(l)+r-1)
-        coeffs = {
-            p: QPoly.from_dict(dict(enumerate(rows[p].tolist(), h.h(p))))
-            for p in np.ndindex(rows.shape[:-1])
-        }
-        return gorenstein_functional_check(
-            coeffs, self.conductor, self.delta, outer=outer
+        return gorenstein_array_check(
+            h, coefficient_array(h, outer), self.conductor, self.delta
         )
 
 

@@ -142,15 +142,34 @@ def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
 def univariate_motivic(h: HilbertGrid, d: int) -> QPoly:
     """Sum of the coefficient polynomials over |l| = d, read from the
     coefficient array on R(0, (d, ..., d))."""
-    if any(d + 1 > b for b in h.bound):
+    return _levels(h, d, (d,))[0]
+
+
+def univariate_levels(h: HilbertGrid, depth: int) -> list[QPoly]:
+    """``univariate_motivic(h, d)`` for d = 0..depth, all read from one
+    coefficient array on R(0, depth e).  A point with |l| = d lies in
+    R(0, d e), inside that box, and its row C[l, .] reads h on R(l, l + e)
+    only, so it is the same row in either array."""
+    return _levels(h, depth, range(depth + 1))
+
+
+def _levels(h: HilbertGrid, depth: int, levels) -> list[QPoly]:
+    """The level sums over |l| = d for each d in ``levels`` (each at most
+    depth), from the coefficient array on R(0, depth e)."""
+    if any(depth + 1 > b for b in h.bound):
         raise MarginTooSmall(
-            f"level {d} needs every axis bound >= {d + 1}, grid is {h.bound}"
+            f"level {depth} needs every axis bound >= {depth + 1}, grid is {h.bound}"
         )
-    inner = (d,) * h.r
+    inner = (depth,) * h.r
     coeffs = coefficient_array(h, inner)
     exponents = h.values[window(inner)][..., None] + np.arange(h.r)
-    take = (norm_array(coeffs.shape[:-1]) == d)[..., None] & (coeffs != 0)
-    return QPoly.from_dict(_tally(exponents[take], coeffs[take]))
+    norms = norm_array(coeffs.shape[:-1])[..., None]
+    nonzero = coeffs != 0
+    polys = []
+    for d in levels:
+        take = (norms == d) & nonzero
+        polys.append(QPoly.from_dict(_tally(exponents[take], coeffs[take])))
+    return polys
 
 
 def certify_truncation(w: WeightGrid, depth: int) -> bool:
@@ -235,14 +254,18 @@ def pe_substitution_check(
     return not bad
 
 
-def _dense(coeffs: dict[Point, QPoly], r: int, bound: Point, factors: int = 0):
-    """The table as A[l, e - lo] on R(0, bound), and lo, its least exponent,
-    times (1 - t_i q) for the first ``factors`` axes i: each factor
-    subtracts the array shifted by e_i and by one power of q, into one
-    more zero column on top.  Points outside R(0, bound) are not read; an
-    array past the grid budget is a GridTooLarge."""
+def _terms(coeffs: dict[Point, QPoly], r: int) -> np.ndarray:
+    """The table as int64 rows (l_1, ..., l_r, exponent, coefficient)."""
     terms = [(*p, e, c) for p, q in coeffs.items() for e, c in q.coeffs]
-    terms = np.array(terms, dtype=np.int64).reshape(-1, r + 2)
+    return np.array(terms, dtype=np.int64).reshape(-1, r + 2)
+
+
+def _dense(terms: np.ndarray, r: int, bound: Point, factors: int = 0):
+    """The ``_terms`` rows as A[l, e - lo] on R(0, bound), and lo, their
+    least exponent, times (1 - t_i q) for the first ``factors`` axes i:
+    each factor subtracts the array shifted by e_i and by one power of q,
+    into one more zero column on top.  Points outside R(0, bound) are not
+    read; an array past the grid budget is a GridTooLarge."""
     terms = terms[((terms[:, :r] >= 0) & (terms[:, :r] <= bound)).all(axis=1)]
     lo, hi = (terms[:, r].min(), terms[:, r].max()) if len(terms) else (0, -1)
     shape = (*bound, int(hi - lo) + factors)
@@ -265,7 +288,7 @@ def hilbert_from_motivic(
     above l; the support must therefore be min-closed with a visible
     stable region, otherwise InconsistentInput.
     """
-    table, lo = _dense(coeffs, r, bound)
+    table, lo = _dense(_terms(coeffs, r), r, bound)
     supp = table.any(axis=-1)
     if not supp[(0,) * r]:
         raise InconsistentInput("support must contain 0")
@@ -286,7 +309,7 @@ def hilbert_from_motivic(
 def numerator_coeffs(coeffs: dict[Point, QPoly], r: int, bound: Point) -> dict:
     """Coefficients of P^m * prod(1 - t_i q) (the polynomial numerator)
     as {(l, j): int} on R(0, bound)."""
-    num, lo = _dense(coeffs, r, bound, factors=r)
+    num, lo = _dense(_terms(coeffs, r), r, bound, factors=r)
     terms = zip(np.argwhere(num).tolist(), num[num != 0].tolist())
     return {(tuple(p[:r]), lo + p[r]): v for p, v in terms}
 
@@ -299,12 +322,33 @@ def gorenstein_functional_check(
 
     ``coeffs`` must cover R(0, outer or c); when ``outer`` strictly
     dominates c the numerator is additionally required to vanish outside
-    R(0, c), which the equation implicitly asserts.  One gather reads the
-    mirror of every term, as 0 off the array or past c.
+    R(0, c), which the equation implicitly asserts.
     """
     c = tuple(conductor)
+    outer = tuple(outer) if outer is not None else c
+    return _functional_equation(_terms(coeffs, len(c)), c, delta, outer)
+
+
+def gorenstein_array_check(
+    h: HilbertGrid, coeffs: np.ndarray, conductor: Point, delta: int
+) -> bool:
+    """``gorenstein_functional_check`` on ``coeffs = coefficient_array(h,
+    outer)``, read without building a polynomial per point: the nonzero
+    C[l, i] are the terms q^(h(l)+i) t^l of the table on R(0, outer)."""
+    r = h.r
+    at = np.argwhere(coeffs)
+    exponents = h.values[tuple(at[:, :r].T)] + at[:, r]
+    terms = np.column_stack([at[:, :r], exponents, coeffs[coeffs != 0]])
+    outer = tuple(n - 1 for n in coeffs.shape[:r])
+    return _functional_equation(terms, tuple(conductor), delta, outer)
+
+
+def _functional_equation(terms: np.ndarray, c: Point, delta: int, outer: Point) -> bool:
+    """The functional equation on the ``_terms`` rows of R(0, outer): one
+    gather reads the mirror of every numerator term, as 0 off the array
+    or past c."""
     r = len(c)
-    num, _ = _dense(coeffs, r, tuple(outer) if outer is not None else c, factors=r)
+    num, _ = _dense(terms, r, outer, factors=r)
     at = np.argwhere(num)
     q, y = c - at[:, :r], at[:, r] + delta - at[:, :r].sum(axis=1)
     seen = ((q >= 0) & (q < num.shape[:r])).all(axis=1) & (y >= 0) & (y < num.shape[r])

@@ -9,14 +9,19 @@
   same message, hence the same first failing pair.
 * motivic: ``omega_substitution`` and ``univariate_motivic`` (one
   coefficient array) against sums of the scalar loop over subsets,
-  ``oracles.motivic_coeff_by_subsets``; and ``motivic_coeff`` (the array
-  on one cube) against that loop point by point, errors included.
+  ``oracles.motivic_coeff_by_subsets``; ``univariate_levels`` (one array
+  for every level) against ``univariate_motivic`` level by level; and
+  ``motivic_coeff`` (the array on one cube) against that loop point by
+  point, errors included.
 * motivic identities: ``pe_substitution_check``, ``numerator_coeffs``,
   ``gorenstein_functional_check``, ``hilbert_from_motivic`` and
   ``GermModel.gorenstein_motivic_check`` (dense arrays) against the
   per-point loops they replaced (``oracles.*_by_points``), on the
   catalog, on random germs and on mutated inputs: the same values, the
-  same exception types and the same messages.
+  same exception types and the same messages; and
+  ``gorenstein_array_check`` (the coefficient array, no polynomial per
+  point) against the dict path of ``gorenstein_functional_check`` on
+  every catalog germ.
 """
 
 import numpy as np
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 
 from latcurve import (
     GridTooLarge,
+    InconsistentInput,
     InconsistentSemigroup,
     MarginTooSmall,
     QPoly,
@@ -43,7 +49,12 @@ from latcurve.catalog import numerical_semigroup
 from latcurve.classify import certified_omega
 from latcurve.germ import GermDescriptor
 from latcurve.lattice import SemigroupTable, _validate_min_closure, box, ones, padd
-from latcurve.motivic import numerator_coeffs
+from latcurve.motivic import (
+    coefficient_array,
+    gorenstein_array_check,
+    numerator_coeffs,
+    univariate_levels,
+)
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from oracles import (
@@ -195,6 +206,18 @@ def test_motivic_array_matches_scalar_coefficients(spec, model_of):
         assert univariate_motivic(m.hilbert, d) == univariate_by_points(m.hilbert, d)
 
 
+@pytest.mark.parametrize("spec", MOTIVIC_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_univariate_levels_match_each_level(spec, model_of):
+    m = model_of(*spec)
+    depth = min(m.bound) - 1
+    assert univariate_levels(m.hilbert, depth) == [
+        univariate_motivic(m.hilbert, d) for d in range(depth + 1)
+    ]
+    assert _returns(univariate_levels, m.hilbert, depth + 1) == _returns(
+        univariate_motivic, m.hilbert, depth + 1
+    )
+
+
 def test_omega_array_matches_scalar_after_certified_retry(model_of):
     m = model_of("D", 5)
     series, grown = certified_omega(m, 8)
@@ -289,6 +312,39 @@ def assert_same_identities(m):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
 def test_motivic_identities_match_the_point_loops_on_catalog(spec, model_of):
     assert_same_identities(model_of(*spec))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_gorenstein_array_check_matches_the_dict_path(spec, model_of):
+    """Every catalog germ is plane, hence Gorenstein; the wrong delta and
+    a changed coefficient must fail on both paths alike."""
+    m = model_of(*spec)
+    assert m.is_gorenstein
+    outer = padd(m.conductor, ones(m.r))
+    h = m.ensure_bound(padd(outer, ones(m.r))).hilbert
+    rows = coefficient_array(h, outer)
+    changed = rows.copy()
+    changed[m.conductor] += 1
+    for array in (rows, changed):
+        coeffs = {
+            p: QPoly.from_dict(dict(enumerate(array[p].tolist(), h.h(p))))
+            for p in np.ndindex(array.shape[:-1])
+        }
+        for delta in (m.delta, m.delta + 1):
+            got = gorenstein_array_check(h, array, m.conductor, delta)
+            assert got == gorenstein_functional_check(coeffs, m.conductor, delta, outer)
+            assert got == (array is rows and delta == m.delta)
+    assert m.gorenstein_motivic_check()
+
+
+def test_gorenstein_gate_message_is_unchanged():
+    desc = GermDescriptor(
+        r=1, kind="semigroup", payload=((3,), [(0,), (3,)]), name="t3t4t5"
+    )
+    assert _returns(build_model(desc).gorenstein_motivic_check) == (
+        InconsistentInput,
+        "precondition unmet: the germ is not Gorenstein (weight symmetry fails)",
+    )
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,8 @@
+import ast
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +81,30 @@ def test_motivic_depth(capsys):
     assert doc["motivic"]["omega_coeffs"] == [1, 5, 4, 4, 4]
     level3 = next(l for l in doc["motivic"]["levels"] if l["d"] == 3)
     assert level3["coeffs"] == {"1": 1, "2": -2}
+
+
+def test_motivic_levels_read_one_coefficient_array(monkeypatch, capsys):
+    from latcurve import motivic
+
+    boxes = []
+    real = motivic.coefficient_array
+
+    def counted(h, inner):
+        boxes.append(tuple(inner))
+        return real(h, inner)
+
+    monkeypatch.setattr(motivic, "coefficient_array", counted)
+    code, out, _ = run_cli(
+        ["motivic", "--builtin", "T,4,4", "--format", "json", "--depth", "3"], capsys
+    )
+    assert code == 0
+    # one array for the levels 0..3, one for the omega window
+    assert boxes == [(3, 3, 3, 3), (7, 7, 7, 7)]
+    monkeypatch.undo()
+    model = latcurve.build_model(get("T", 4, 4))
+    levels = [motivic.univariate_motivic(model.hilbert, d) for d in range(4)]
+    want = [{str(e): c for e, c in p.coeffs} for p in levels]
+    assert [level["coeffs"] for level in json.loads(out)["motivic"]["levels"]] == want
 
 
 def test_catalog_listing(capsys):
@@ -182,6 +209,85 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["invariants"]["delta"] == 4
+
+
+def fresh_cli(args, tmp_path):
+    """Run ``python -m latcurve.cli args`` in a new interpreter whose
+    ``sitecustomize`` registers an atexit probe; the probe, which runs
+    after every other handler, writes ``gc.get_freeze_count()`` to
+    stderr as its last line."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write("
+        "f'freeze count {gc.get_freeze_count()}\\n'))\n",
+        encoding="utf-8",
+    )
+    src = str(Path(latcurve.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(tmp_path), src, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "latcurve.cli", *args], capture_output=True, env=env
+    )
+
+
+def freeze_count(proc) -> int:
+    last = proc.stderr.decode().splitlines()[-1]
+    assert last.startswith("freeze count ")
+    return int(last.split()[-1])
+
+
+def test_the_process_entry_freezes_the_heap_before_exit(tmp_path):
+    proc = fresh_cli(["table", "--builtin", "D,5", "--format", "json"], tmp_path)
+    assert proc.returncode == 0
+    assert freeze_count(proc) > 0
+    assert proc.stdout == (FIXTURES / "D_5" / "table.json").read_bytes()
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    assert gc.get_freeze_count() == 0
+    code, out, _ = run_cli(["table", "--builtin", "D,5", "--format", "json"], capsys)
+    assert code == 0
+    assert out == (FIXTURES / "D_5" / "table.json").read_text(encoding="utf-8")
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize(
+    "source,want",
+    [
+        ("D,x", 2),
+        ({"kind": "hilbert", "bound": [2], "values": [0, 1, 1]}, 3),
+        ({"kind": "semigroup", "conductor": [5], "elements": [[0], [2], [5]]}, 1),
+    ],
+    ids=["parse", "margin", "invalid"],
+)
+def test_the_process_entry_keeps_each_exit_code(tmp_path, capsys, source, want):
+    if isinstance(source, str):
+        args = ["invariants", "--builtin", source]
+    else:
+        doc = {"version": 1, "germ": "bad", "r": 1, "flags": {}, "bound": None,
+               "source": source}
+        args = ["invariants", "--germ", _write_descriptor(tmp_path, doc)]
+    code, out, err = run_cli(args, capsys)
+    proc = fresh_cli(args, tmp_path)
+    assert code == proc.returncode == want
+    assert proc.stdout == out.encode() == b""
+    assert proc.stderr.decode().splitlines()[:-1] == err.splitlines()
+    assert freeze_count(proc) > 0
+
+
+def test_the_console_script_and_the_main_block_run_one_function():
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    (script,) = re.findall(r'^latcurve = "latcurve\.cli:(\w+)"$', pyproject, re.M)
+    tree = ast.parse((root / "src" / "latcurve" / "cli.py").read_text(encoding="utf-8"))
+    (block,) = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    called = [node.func.id for node in ast.walk(block) if isinstance(node, ast.Call)]
+    assert called == [script] == ["run"]
 
 
 def test_exit_code_non_integer_builtin_param(capsys):
