@@ -2,16 +2,18 @@
 complex-analytic curve germs, with a three-route Cohen-Macaulay type
 classifier.
 
-The model layer (``lattice``, ``series``, ``germ``, ``catalog``) and the
-classifier are imported with the package.  The reading layers
-(``homology`` with ``snf``, ``spectral``, ``motivic``) are imported the
-first time one of their names is read from the package (PEP 562), so a
-process compiles only the layers it uses.
+The model layer (``errors``, ``lattice``, ``germ``) and the classifier
+are imported with the package.  ``catalog`` and ``series`` (which a
+``poincare`` source reads) and the reading layers (``homology`` with
+``snf``, ``spectral``, ``motivic``) are imported the first time one of
+their names is read from the package (PEP 562), so a process compiles
+only the modules it uses.  ``classify`` stays eager: importing a
+submodule binds it on the package, and ``latcurve.classify`` must stay
+the function.
 """
 
 from importlib import import_module
 
-from .catalog import get, get_entry, list_entries
 from .classify import Verdict, classify, classify_unimodal_plane
 from .errors import (
     BadParams,
@@ -44,23 +46,21 @@ from .lattice import (
     validate_semigroup_consistency,
     weight_from_hilbert,
 )
-from .series import (
-    MultiPoly,
-    RationalSeries,
-    expand,
-    hilbert_from_poincare,
-    poincare_from_hilbert,
-)
 
 __version__ = "0.1.0"
 
-# reading layer -> the names the package exports from it, imported on first read
+# module -> the names the package exports from it, imported on first read
 _LAZY = {
+    "catalog": ("get", "get_entry", "list_entries"),
     "homology": ("HomologyReport", "euler_characteristic", "lattice_homology"),
     "motivic": (
         "LaurentSeries", "QPoly", "gorenstein_functional_check",
         "hilbert_from_motivic", "motivic_coeff", "omega_substitution",
         "pe_substitution_check", "univariate_motivic",
+    ),
+    "series": (
+        "MultiPoly", "RationalSeries", "expand", "hilbert_from_poincare",
+        "poincare_from_hilbert",
     ),
     "spectral": (
         "E1Entry", "MinimalCycleGroup", "e1_level", "e1_refined",
@@ -71,8 +71,7 @@ _LAZY = {
 _LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
 
 __all__ = [
-    # catalog and classify
-    "get", "get_entry", "list_entries",
+    # classify
     "Verdict", "classify", "classify_unimodal_plane",
     # errors
     "BadParams", "DescriptorError", "EulerMismatch", "GridTooLarge",
@@ -87,10 +86,7 @@ __all__ = [
     "gorenstein_symmetry", "hilbert_from_semigroup", "min_weight",
     "semigroup_from_hilbert", "semigroup_from_low_points",
     "validate_semigroup_consistency", "weight_from_hilbert",
-    # series
-    "MultiPoly", "RationalSeries", "expand", "hilbert_from_poincare",
-    "poincare_from_hilbert",
-    # reading layers
+    # catalog, series and the reading layers
     *_LAYER_OF,
 ]
 

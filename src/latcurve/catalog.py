@@ -16,20 +16,21 @@ every frozen table from scratch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import BadParams, UnknownGerm
 from .germ import GermDescriptor
-from .lattice import require_grid
+from .lattice import Record, require_grid
 from .series import RationalSeries, geometric, poly
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    params: tuple
-    descriptor: GermDescriptor
-    expected: dict
+class CatalogEntry(Record):
+    """A catalog germ: its family name and parameters, its descriptor and
+    the metadata the test suite checks against recomputation."""
+
+    _fields = ("name", "params", "descriptor", "expected")
+
+    def __init__(self, name: str, params: tuple, descriptor: GermDescriptor, expected: dict):
+        vars(self).update(name=name, params=params, descriptor=descriptor, expected=expected)
 
 
 def _sg_descriptor(name, r, conductor, elements, **kw):

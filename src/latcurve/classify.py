@@ -17,12 +17,11 @@ by the functions that read them, so importing this module loads neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import LatcurveError, RouteDisagreement, TruncationUnsound
 from .germ import GermDescriptor, GermModel, build_model, canonical_bound
-from .lattice import WeightGrid, norm, ones, padd, psub, scale, unit
+from .lattice import Record, WeightGrid, norm, ones, padd, psub, scale, unit
 
 if TYPE_CHECKING:
     from .motivic import LaurentSeries, QPoly
@@ -31,16 +30,28 @@ FINITE, TAME, WILD = "finite", "tame", "wild"
 SUB_A, SUB_D, SUB_E = "A", "D-dominating", "E-dominating"
 
 
-@dataclass
-class Verdict:
-    cmtype: str
-    subtype: str | None
-    growth: str | None
-    family: str | None
-    routes: dict = field(repr=False)
-    agreement: bool = True
-    # the model the routes finished on: the argument, or a grown copy
-    model: GermModel | None = field(default=None, repr=False, compare=False)
+class Verdict(Record, frozen=False):
+    """The CM type, the evidence of each route and whether they agree;
+    ``model`` is the model the routes finished on (the argument, or a
+    grown copy), left out of the repr and of ``==``."""
+
+    _fields = ("cmtype", "subtype", "growth", "family", "routes", "agreement")
+    _hidden = ("routes",)
+
+    def __init__(
+        self,
+        cmtype: str,
+        subtype: str | None,
+        growth: str | None,
+        family: str | None,
+        routes: dict,
+        agreement: bool = True,
+        model: GermModel | None = None,
+    ):
+        vars(self).update(
+            cmtype=cmtype, subtype=subtype, growth=growth, family=family,
+            routes=routes, agreement=agreement, model=model,
+        )
 
 
 # ---------------------------------------------------------------------------

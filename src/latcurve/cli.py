@@ -6,8 +6,10 @@
              [--e1 l1,..,lr,k,n]... [--mincycle k,n]...
 
 One parser serves every command, and its options may come before or
-after the command; ``--e1`` and ``--mincycle`` are spectral-only, and
-any other command refuses them as a parse error.
+after the command.  A command refuses, as a parse error, an option it
+does not read: ``--e1`` and ``--mincycle`` are spectral-only,
+``--depth`` is motivic-only, and ``catalog`` takes no ``--germ`` or
+``--bound``.
 
 Reports are deterministic for a fixed input: JSON output carries no
 timestamps and sorts its keys, so golden files diff cleanly.  Exit
@@ -19,11 +21,14 @@ failure prints one ``error: `` line (a margin error adds a hint line) to
 stderr and nothing to stdout.
 
 Each command handler imports the reading layer it reads, so a process
-loads only what its command needs on top of the model layer: ``table``
-and ``catalog`` load no reading layer, ``invariants`` and ``homology``
-load ``homology`` (with ``snf``), ``spectral`` loads ``spectral`` (with
-``snf``), ``motivic`` loads ``motivic``, and ``classify`` loads
-``motivic`` and ``spectral``.
+loads only what its command needs on top of the model layer (``errors``,
+``lattice``, ``germ``) and ``classify``: ``table`` and ``catalog`` load
+no reading layer, ``invariants`` and ``homology`` load ``homology``
+(with ``snf``), ``spectral`` loads ``spectral`` (with ``snf``),
+``motivic`` loads ``motivic``, and ``classify`` loads ``motivic`` and
+``spectral``.  The source decides the rest: ``--builtin`` and the
+``catalog`` command load ``catalog`` (with ``series``), a ``poincare``
+file loads ``series``, and a ``semigroup`` or ``hilbert`` file neither.
 
 ``run`` is the process entry (the ``latcurve`` console script and
 ``python -m latcurve.cli``): it calls ``main``, then ``gc.freeze()``,
@@ -44,7 +49,6 @@ import json
 import sys
 from dataclasses import replace
 
-from . import catalog as catalog_mod
 from .classify import certified_omega, classify
 from .errors import (
     DescriptorError,
@@ -73,12 +77,14 @@ def _parse_point(text):
 
 
 def _builtin(spec) -> GermDescriptor:
+    from .catalog import get
+
     name, *params = spec.split(",")
     try:
         values = [int(p) for p in params]
     except ValueError:
         raise DescriptorError(f"builtin parameters must be integers, got {spec!r}")
-    return catalog_mod.get(name, *values)
+    return get(name, *values)
 
 
 def _load_descriptor(args) -> GermDescriptor:
@@ -346,11 +352,13 @@ def cmd_classify(model, args):
 
 
 def cmd_catalog(args):
+    from .catalog import list_entries
+
     if args.builtin:
         desc = _builtin(args.builtin)
         sys.stdout.write(desc.to_json())
         return
-    listing = catalog_mod.list_entries()
+    listing = list_entries()
     if args.format == "json":
         doc = {"version": 1, "entries": [{"name": n, "params": d} for n, d in listing]}
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -369,6 +377,9 @@ _HANDLERS = {
     "classify": cmd_classify,
 }
 
+# option -> the one command that reads it
+_OWNER = {"--depth": "motivic", "--e1": "spectral", "--mincycle": "spectral"}
+
 
 def make_parser():
     """One parser for every command, each option declared once."""
@@ -381,7 +392,7 @@ def make_parser():
     parser.add_argument("--builtin", help="catalog germ, e.g. D,5 or T,4,4 or E12")
     parser.add_argument("--bound", help="grid bound override L1,..,Lr")
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--depth", type=int, default=None, help="truncation depth")
+    parser.add_argument("--depth", type=int, default=None, help="motivic only: truncation depth")
     parser.add_argument(
         "--e1", action="append", help="spectral only: refined query l1,..,lr,k,n"
     )
@@ -394,13 +405,17 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         if args.depth is not None and args.depth < 0:
             raise DescriptorError(f"--depth must be >= 0, got {args.depth}")
-        if args.command != "spectral":
-            for option, value in (("--e1", args.e1), ("--mincycle", args.mincycle)):
-                if value is not None:
-                    raise DescriptorError(
-                        f"argument {option}: only the spectral command takes it"
-                    )
+        for option, owner in _OWNER.items():
+            if getattr(args, option[2:]) is not None and args.command != owner:
+                raise DescriptorError(
+                    f"argument {option}: only the {owner} command takes it"
+                )
         if args.command == "catalog":
+            for option in ("--germ", "--bound"):
+                if getattr(args, option[2:]) is not None:
+                    raise DescriptorError(
+                        f"argument {option}: the catalog command does not take it"
+                    )
             cmd_catalog(args)
             return EXIT_OK
         model = build_model(_load_descriptor(args))

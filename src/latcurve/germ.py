@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .lattice import (
     MAX_GRID_POINTS,
     HilbertGrid,
     Point,
+    Record,
     SemigroupTable,
     WeightGrid,
     cut_at_conductor,
@@ -50,13 +51,6 @@ from .lattice import (
     unit_step_members,
     weight_from_hilbert,
     window,
-)
-from .series import (
-    MultiPoly,
-    RationalSeries,
-    conductor_bound,
-    hilbert_from_poincare,
-    require_polynomials,
 )
 
 SCHEMA_VERSION = 1
@@ -204,6 +198,8 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         elements = [_point(p, "element") for p in src["elements"]]
         payload = (c, elements)
     elif kind == "poincare":
+        from .series import MultiPoly, RationalSeries
+
         series = {}
         _expect(isinstance(src.get("series"), dict), "poincare source needs 'series'")
         for key, body in src["series"].items():
@@ -272,8 +268,7 @@ def descriptor_from_json(text: str) -> GermDescriptor:
     return descriptor_from_json_dict(doc)
 
 
-@dataclass(frozen=True, eq=False)
-class GermModel:
+class GermModel(Record, eq=False):
     """All derived grids of one germ on a shared bound.
 
     A model is a value: growing it returns a new model, and its grids
@@ -282,13 +277,21 @@ class GermModel:
     functions of the grids.
     """
 
-    descriptor: GermDescriptor
-    r: int
-    semigroup: SemigroupTable
-    hilbert: HilbertGrid
-    weight: WeightGrid
-    name: str | None = None
-    _subcurves: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("descriptor", "r", "semigroup", "hilbert", "weight", "name")
+
+    def __init__(
+        self,
+        descriptor: GermDescriptor,
+        r: int,
+        semigroup: SemigroupTable,
+        hilbert: HilbertGrid,
+        weight: WeightGrid,
+        name: str | None = None,
+    ):
+        vars(self).update(
+            descriptor=descriptor, r=r, semigroup=semigroup, hilbert=hilbert,
+            weight=weight, name=name, _subcurves={},
+        )
 
     # -- invariants ------------------------------------------------------
 
@@ -455,6 +458,8 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     i, j below c at l, D_i(l) - D_j(l) = D_i(l + e_j) - D_j(l + e_i) is
     read already; a nonzero one fixes D(l) in {0, 1}^r, and where all
     are 0, whether l is a member does.  So both have the same steps."""
+    from .series import conductor_bound, hilbert_from_poincare, require_polynomials
+
     series, r = desc.payload, desc.r
     first = desc.bound or (8,) * r
     cap = _largest_guess(first)

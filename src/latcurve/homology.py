@@ -29,17 +29,14 @@ equivalence, so these finite complexes carry the full lattice homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import EulerMismatch
-from .lattice import WeightGrid, conductor_values, cube_max_tables, min_weight, norm
+from .lattice import Record, WeightGrid, conductor_values, cube_max_tables, min_weight, norm
 from .snf import filtered_reduction, smith_invariants
 
 
-@dataclass
-class HomologyReport:
+class HomologyReport(Record, frozen=False):
     """Per-level homology of the weight filtration.
 
     ``table[n]`` lists (free rank, torsion) for k = 0..r-1; levels run
@@ -48,11 +45,11 @@ class HomologyReport:
     map H_k(S_n) -> H_k(S_{n+1}).
     """
 
-    r: int
-    n_min: int
-    n_top: int
-    table: dict = field(repr=False)
-    u_ranks: dict = field(repr=False)
+    _fields = ("r", "n_min", "n_top", "table", "u_ranks")
+    _hidden = ("table", "u_ranks")
+
+    def __init__(self, r: int, n_min: int, n_top: int, table: dict, u_ranks: dict):
+        vars(self).update(r=r, n_min=n_min, n_top=n_top, table=table, u_ranks=u_ranks)
 
     def betti(self, k: int, n: int) -> int:
         if n < self.n_min or k >= self.r:

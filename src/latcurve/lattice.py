@@ -20,14 +20,14 @@ integrates and checks on R(0, c) and writes the rest in closed form, and
 more than ``MAX_GRID_POINTS`` points (``require_grid``).  All arithmetic
 is exact; tables and grids are frozen values whose arrays are made
 read-only at construction, so they are safe to share.  They compare and
-hash by identity (``eq=False``): an array has no single truth value.
+hash by identity: an array has no single truth value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -56,6 +56,58 @@ def require_grid(bound: Point, what: str = "grid") -> None:
             f"{what} R(0, {list(bound)}) would hold {points} points, "
             f"more than the limit of {MAX_GRID_POINTS}"
         )
+
+
+class Record:
+    """Base of the record classes, each written out with its own
+    ``__init__``: ``@dataclass`` generates its methods with ``exec``, about
+    1 ms a class in every process, since cached bytecode does not hold
+    generated code.
+
+    ``_fields`` names the fields in order: ``==`` and ``hash`` compare them
+    as one tuple, and the repr shows those not in ``_hidden``.  A record is
+    frozen: ``__init__`` fills ``vars(self)``, and any later assignment or
+    deletion raises FrozenInstanceError.  The class keywords mean what
+    they mean to ``@dataclass``: ``frozen=False`` leaves the record
+    assignable and unhashable, ``eq=False`` makes it compare and hash by
+    identity.
+    """
+
+    _fields: tuple = ()
+    _hidden: tuple = ()
+
+    def __init_subclass__(cls, frozen=True, eq=True):
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        elif not frozen:
+            cls.__hash__ = None
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        shown = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self._fields
+            if name not in self._hidden
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +195,7 @@ def norm_array(shape) -> np.ndarray:
 # semigroup tables
 
 
-@dataclass(frozen=True, eq=False)
-class SemigroupTable:
+class SemigroupTable(Record, eq=False):
     """Membership table of the semigroup of values, held on R(0, c).
 
     ``mask[l]`` is True iff l is a value of the germ, for l in R(0, c).
@@ -153,12 +204,12 @@ class SemigroupTable:
     that makes it.
     """
 
-    r: int
-    conductor: Point
-    mask: np.ndarray = field(repr=False)
+    _fields = ("r", "conductor", "mask")
+    _hidden = ("mask",)
 
-    def __post_init__(self):
-        self.mask.flags.writeable = False
+    def __init__(self, r: int, conductor: Point, mask: np.ndarray):
+        vars(self).update(r=r, conductor=conductor, mask=mask)
+        mask.flags.writeable = False
 
     def contains(self, p: Point) -> bool:
         if min(p) < 0:
@@ -316,16 +367,15 @@ def _read(values: np.ndarray, bound: Point, p: Point) -> int:
     return int(values[p])
 
 
-@dataclass(frozen=True, eq=False)
-class HilbertGrid:
+class HilbertGrid(Record, eq=False):
     """Values of the Hilbert function h on R(0, bound)."""
 
-    r: int
-    bound: Point
-    values: np.ndarray = field(repr=False)
+    _fields = ("r", "bound", "values")
+    _hidden = ("values",)
 
-    def __post_init__(self):
-        self.values.flags.writeable = False
+    def __init__(self, r: int, bound: Point, values: np.ndarray):
+        vars(self).update(r=r, bound=bound, values=values)
+        values.flags.writeable = False
 
     def h(self, p: Point) -> int:
         return _read(self.values, self.bound, p)
@@ -346,18 +396,25 @@ class HilbertGrid:
                 raise PathInconsistency(f"h step along axis {i} outside {{0,1}}")
 
 
-@dataclass(frozen=True, eq=False)
-class WeightGrid:
+class WeightGrid(Record, eq=False):
     """Values of the weight function w(l) = 2h(l) - |l| on R(0, bound)."""
 
-    r: int
-    bound: Point
-    values: np.ndarray = field(repr=False)
-    multiplicity: Point
-    conductor: Point
+    _fields = ("r", "bound", "values", "multiplicity", "conductor")
+    _hidden = ("values",)
 
-    def __post_init__(self):
-        self.values.flags.writeable = False
+    def __init__(
+        self,
+        r: int,
+        bound: Point,
+        values: np.ndarray,
+        multiplicity: Point,
+        conductor: Point,
+    ):
+        vars(self).update(
+            r=r, bound=bound, values=values, multiplicity=multiplicity,
+            conductor=conductor,
+        )
+        values.flags.writeable = False
 
     def w(self, p: Point) -> int:
         return _read(self.values, self.bound, p)

@@ -18,8 +18,6 @@ certified through the coordinatewise growth of w beyond the conductor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -30,6 +28,7 @@ from .errors import (
 from .lattice import (
     HilbertGrid,
     Point,
+    Record,
     WeightGrid,
     leq,
     min_weight,
@@ -42,11 +41,14 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class QPoly:
+class QPoly(Record):
     """Integer polynomial in q, sparse and normalized."""
 
-    coeffs: tuple = ()  # tuple of (exponent, coefficient), sorted
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple = ()):
+        # coeffs: a tuple of (exponent, coefficient), sorted
+        vars(self).update(coeffs=coeffs)
 
     @staticmethod
     def from_dict(d: dict[int, int]) -> "QPoly":
@@ -76,13 +78,14 @@ class QPoly:
         return QPoly.from_dict(d)
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Record):
     """Integer Laurent series known exactly up to a truncation order."""
 
-    order: int
-    coeffs: tuple  # coefficients for omega^order .. omega^truncation
-    truncation: int
+    _fields = ("order", "coeffs", "truncation")
+
+    def __init__(self, order: int, coeffs: tuple, truncation: int):
+        # coeffs: the coefficients of omega^order .. omega^truncation
+        vars(self).update(order=order, coeffs=coeffs, truncation=truncation)
 
     def coeff(self, n: int) -> int:
         if n > self.truncation:

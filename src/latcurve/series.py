@@ -26,22 +26,23 @@ their (1 - t^v) factors (``require_polynomials``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidSeries, MarginTooSmall
-from .lattice import HilbertGrid, Point, leq
+from .lattice import HilbertGrid, Point, Record, leq
 
 Subset = tuple[int, ...]  # sorted 1-based branch indices
 
 
-@dataclass(frozen=True)
-class MultiPoly:
+class MultiPoly(Record):
     """Integer polynomial in r variables, sparse exponent -> coefficient."""
 
-    r: int
-    terms: tuple = field(default=())  # tuple of (exponent Point, coeff)
+    _fields = ("r", "terms")
+
+    def __init__(self, r: int, terms: tuple = ()):
+        # terms: a tuple of (exponent Point, coeff)
+        vars(self).update(r=r, terms=terms)
 
     @staticmethod
     def from_dict(r: int, d: dict[Point, int]) -> "MultiPoly":
@@ -58,15 +59,15 @@ class MultiPoly:
         return dict(self.terms)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """numerator / prod (1 - t^v) with each v a nonzero exponent vector
     in the numerator's r variables."""
 
-    numerator: MultiPoly
-    denominator: tuple = ()  # tuple of Points
+    _fields = ("numerator", "denominator")
 
-    def __post_init__(self):
+    def __init__(self, numerator: MultiPoly, denominator: tuple = ()):
+        # denominator: a tuple of Points
+        vars(self).update(numerator=numerator, denominator=denominator)
         for v in self.denominator:
             if len(v) != self.r or all(x == 0 for x in v) or any(x < 0 for x in v):
                 raise ValueError(f"bad denominator exponent {v}")

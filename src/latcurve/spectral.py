@@ -20,36 +20,34 @@ enforced, not assumed, at every point a query reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .errors import LatcurveError, MarginTooSmall, TorsionFound, UndefinedWeight
-from .lattice import Point, WeightGrid, cube_max_tables, norm, norm_array, scale, window
+from .lattice import Point, Record, WeightGrid, cube_max_tables, norm, norm_array, scale, window
 from .snf import smith_invariants
 
 
-@dataclass(frozen=True)
-class E1Entry:
-    """One graded summand of the (refined) E1 page."""
+class E1Entry(Record):
+    """One graded summand of the (refined) E1 page: the refined location
+    ``ell`` (None for a level-summed entry), the level d = |l|, the
+    homological degree k, the weight n and the rank."""
 
-    ell: Point | None  # refined location; None for a level-summed entry
-    d: int  # level |l|
-    k: int  # homological degree
-    n: int  # weight
-    rank: int
+    _fields = ("ell", "d", "k", "n", "rank")
+
+    def __init__(self, ell: Point | None, d: int, k: int, n: int, rank: int):
+        vars(self).update(ell=ell, d=d, k=k, n=n, rank=rank)
 
 
-@dataclass(frozen=True)
-class MinimalCycleGroup:
+class MinimalCycleGroup(Record):
     """Group of minimal spectral k-cycles of weight n (free of the given
     rank, located at l = j*m)."""
 
-    k: int
-    n: int
-    j: int
-    rank: int
+    _fields = ("k", "n", "j", "rank")
+
+    def __init__(self, k: int, n: int, j: int, rank: int):
+        vars(self).update(k=k, n=n, j=j, rank=rank)
 
     def __bool__(self) -> bool:
         return self.rank != 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from latcurve import GermDescriptor, build_model, cli, get, germ, lattice
+from latcurve import GermDescriptor, build_model, cli, get, lattice
 from latcurve.catalog import numerical_semigroup
 from latcurve.errors import InvalidSeries
 from latcurve.lattice import box, leq
@@ -221,13 +221,13 @@ def test_conductor_bound_holds_on_the_catalog_and_the_ladders():
 def test_each_guess_is_expanded_once(spec, monkeypatch):
     # one expansion per build: the guesses are replayed on its table
     guesses = []
-    expand_grid = germ.hilbert_from_poincare
+    expand_grid = hilbert_from_poincare
 
     def recording(series, bound, r=None):
         guesses.append(tuple(bound))
         return expand_grid(series, bound, r)
 
-    monkeypatch.setattr(germ, "hilbert_from_poincare", recording)
+    monkeypatch.setattr("latcurve.series.hilbert_from_poincare", recording)
     build_model(get(*spec))
     assert len(guesses) == 1
 
@@ -337,7 +337,7 @@ def test_invalid_descriptors_fail_as_before(desc, request):
 def test_poincare_grid_must_follow_the_closed_form(monkeypatch, capsys):
     """An expansion that leaves the closed form past c, with the same
     members on R(0, U), is refused; it was printed as the model's grid."""
-    expand = germ.hilbert_from_poincare
+    expand = hilbert_from_poincare
 
     def lowered(series, bound, r):
         h = expand(series, bound, r)
@@ -352,7 +352,7 @@ def test_poincare_grid_must_follow_the_closed_form(monkeypatch, capsys):
         )
         return grid
 
-    monkeypatch.setattr(germ, "hilbert_from_poincare", lowered)
+    monkeypatch.setattr("latcurve.series.hilbert_from_poincare", lowered)
     with pytest.raises(InvalidSeries, match="break the closed form of h past c"):
         build_model(get("D", 5))
     code = cli.main(["invariants", "--builtin", "D,5"])

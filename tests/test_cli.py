@@ -611,9 +611,23 @@ def test_negative_depth_is_a_parse_error(capsys, depth):
          "argument --e1: only the spectral command takes it"),
         (["--mincycle", "1,0", "classify", "--builtin", "D,5"],
          "argument --mincycle: only the spectral command takes it"),
+        (["table", "--builtin", "D,5", "--depth", "3"],
+         "argument --depth: only the motivic command takes it"),
+        (["classify", "--depth=0", "--builtin", "D,5"],
+         "argument --depth: only the motivic command takes it"),
+        (["catalog", "--germ", "germ.json"],
+         "argument --germ: the catalog command does not take it"),
+        (["catalog", "--bound", "3,3"],
+         "argument --bound: the catalog command does not take it"),
+        (["catalog", "--builtin", "D,5", "--bound", "3,3"],
+         "argument --bound: the catalog command does not take it"),
+        (["catalog", "--depth", "3"],
+         "argument --depth: only the motivic command takes it"),
     ],
     ids=["no-command", "float-depth", "bad-format", "bad-command", "e1-on-table",
-         "mincycle-on-classify"],
+         "mincycle-on-classify", "depth-on-table", "depth-on-classify",
+         "germ-on-catalog", "bound-on-catalog", "bound-on-catalog-builtin",
+         "depth-on-catalog"],
 )
 def test_argument_errors_are_parse_errors(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import latcurve
+from latcurve import build_model, get
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,7 +40,10 @@ EXPORTS = (
 )
 
 # the model layer and the classifier, which every process loads
-MODEL_LAYER = {"catalog", "classify", "errors", "germ", "lattice", "series"}
+MODEL_LAYER = {"classify", "errors", "germ", "lattice"}
+
+# what a process that reads the catalog loads besides the model layer
+CATALOG = {"catalog", "series"}
 
 # command -> the reading layers its process loads besides the model layer
 LAYERS_OF_COMMAND = {
@@ -51,6 +55,19 @@ LAYERS_OF_COMMAND = {
     "motivic": {"motivic"},
     "classify": {"motivic", "spectral", "snf"},
 }
+
+
+def loaded_by_cli(argv) -> list:
+    """Run ``cli.main(argv)`` in a fresh interpreter and return its exit
+    code and the ``latcurve`` modules it loaded."""
+    return run_fresh(
+        "import contextlib, io, json, sys\n"
+        "from latcurve import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "names = [m for m in sys.modules if m.startswith('latcurve.')]\n"
+        "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in names)]))"
+    )
 
 
 def run_fresh(code: str):
@@ -172,16 +189,93 @@ def test_only_the_cli_loops_over_points():
 @pytest.mark.parametrize("command", sorted(LAYERS_OF_COMMAND))
 def test_each_command_loads_only_the_layers_it_reads(command):
     argv = [command] if command == "catalog" else [command, "--builtin", "D,5"]
-    loaded = run_fresh(
-        "import contextlib, io, json, sys\n"
-        "from latcurve import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main({argv!r})\n"
-        "names = [m for m in sys.modules if m.startswith('latcurve.')]\n"
-        "print(json.dumps([code, sorted(m.split('.', 1)[1] for m in names)]))"
-    )
-    want = MODEL_LAYER | {"cli"} | LAYERS_OF_COMMAND[command]
+    want = MODEL_LAYER | CATALOG | {"cli"} | LAYERS_OF_COMMAND[command]
+    assert loaded_by_cli(argv) == [0, sorted(want)]
+
+
+def _source_file(tmp_path, kind) -> str:
+    """A descriptor file of the given source kind: E_6 as a semigroup,
+    D_5 as its catalog series or as its Hilbert grid."""
+    doc = get("D", 5).to_json_dict()
+    if kind == "semigroup":
+        doc = get("E", 6).to_json_dict()
+    elif kind == "hilbert":
+        model = build_model(get("D", 5))
+        doc["source"] = {
+            "kind": "hilbert",
+            "bound": list(model.bound),
+            "values": model.hilbert.values.reshape(-1).tolist(),
+        }
+    assert doc["source"]["kind"] == kind
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "kind,command,loads",
+    [
+        ("semigroup", "table", set()),
+        ("hilbert", "table", set()),
+        ("semigroup", "classify", set()),
+        ("poincare", "table", {"series"}),
+        ("poincare", "invariants", {"series"}),
+    ],
+)
+def test_a_germ_file_loads_the_catalog_and_series_only_if_it_reads_them(
+    tmp_path, kind, command, loads
+):
+    loaded = loaded_by_cli([command, "--germ", _source_file(tmp_path, kind)])
+    want = MODEL_LAYER | {"cli"} | LAYERS_OF_COMMAND[command] | loads
     assert loaded == [0, sorted(want)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--builtin", "E6"], ["catalog", "--builtin", "E6"]],
+    ids=["builtin", "catalog-builtin"],
+)
+def test_reading_the_catalog_loads_it(argv):
+    assert loaded_by_cli(argv) == [0, sorted(MODEL_LAYER | CATALOG | {"cli"})]
+
+
+def test_the_package_builds_one_dataclass_and_loads_no_catalog():
+    """``import latcurve.cli`` builds ``GermDescriptor`` (whose
+    ``dataclasses.replace`` is public) and no other dataclass, and loads
+    neither the catalog nor ``series``."""
+    built = run_fresh(
+        "import dataclasses, json, sys\n"
+        "import latcurve.cli\n"
+        "mods = [m for name, m in sys.modules.items() if name.startswith('latcurve')]\n"
+        "built = sorted(\n"
+        "    f'{m.__name__}.{name}' for m in mods for name, obj in vars(m).items()\n"
+        "    if isinstance(obj, type) and dataclasses.is_dataclass(obj)\n"
+        "    and obj.__module__ == m.__name__\n"
+        ")\n"
+        "lazy = [m for m in ('latcurve.catalog', 'latcurve.series') if m in sys.modules]\n"
+        "print(json.dumps([built, lazy]))"
+    )
+    assert built == [["latcurve.germ.GermDescriptor"], []]
+
+
+def test_only_the_descriptor_is_a_dataclass_and_nothing_runs_generated_code():
+    """Records are written out on ``lattice.Record`` (``@dataclass`` runs
+    ``exec`` for each class it builds), and no module calls ``exec`` or
+    ``eval``."""
+    package = ROOT / "src" / "latcurve"
+    dataclasses, calls = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if name == "dataclass":
+                        dataclasses.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Call) and _called_name(node) in ("exec", "eval"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert dataclasses == ["germ.GermDescriptor"]
+    assert calls == []
 
 
 def test_every_export_reads_from_a_fresh_package():

@@ -11,7 +11,6 @@ from latcurve import (
     build_model,
     expand,
     get,
-    germ,
     hilbert_from_poincare,
     poincare_from_hilbert,
 )
@@ -145,13 +144,13 @@ def test_face_expansion_matches_the_embedded_expansion(spec, monkeypatch):
     one axis cut to 0, and on the one-point grid."""
     desc = _poincare_source(spec)
     guesses = []
-    expand_grid = germ.hilbert_from_poincare
+    expand_grid = hilbert_from_poincare
 
     def recording(series, bound, r=None):
         guesses.append(tuple(bound))
         return expand_grid(series, bound, r)
 
-    monkeypatch.setattr(germ, "hilbert_from_poincare", recording)
+    monkeypatch.setattr("latcurve.series.hilbert_from_poincare", recording)
     bound = build_model(desc).bound
     for b in guesses + [(0, *bound[1:]), (0,) * desc.r]:
         assert_face_expansion_matches(desc.payload, b, desc.r)
