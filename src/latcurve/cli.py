@@ -9,7 +9,9 @@ One parser serves every command, and its options may come before or
 after the command.  A command refuses, as a parse error, an option it
 does not read: ``--e1`` and ``--mincycle`` are spectral-only,
 ``--depth`` is motivic-only, and ``catalog`` takes no ``--germ`` or
-``--bound``.
+``--bound``.  Without ``--format`` a command prints its table;
+``catalog --builtin`` prints its descriptor JSON and refuses
+``--format table``.
 
 Reports are deterministic for a fixed input: JSON output carries no
 timestamps and sorts its keys, so golden files diff cleanly.  Exit
@@ -24,11 +26,12 @@ Each command handler imports the reading layer it reads, so a process
 loads only what its command needs on top of the model layer (``errors``,
 ``lattice``, ``germ``) and ``classify``: ``table`` and ``catalog`` load
 no reading layer, ``invariants`` and ``homology`` load ``homology``
-(with ``snf``), ``spectral`` loads ``spectral`` (with ``snf``),
-``motivic`` loads ``motivic``, and ``classify`` loads ``motivic`` and
-``spectral``.  The source decides the rest: ``--builtin`` and the
-``catalog`` command load ``catalog`` (with ``series``), a ``poincare``
-file loads ``series``, and a ``semigroup`` or ``hilbert`` file neither.
+(and ``snf`` only for a torsion fallback), ``spectral`` loads
+``spectral`` (with ``snf``), ``motivic`` loads ``motivic``, and
+``classify`` loads ``motivic`` and ``spectral``.  The source decides
+the rest: ``--builtin`` and the ``catalog`` command load ``catalog``
+(with ``series``), a ``poincare`` file loads ``series``, and a
+``semigroup`` or ``hilbert`` file neither.
 
 ``run`` is the process entry (the ``latcurve`` console script and
 ``python -m latcurve.cli``): it calls ``main``, then ``gc.freeze()``,
@@ -391,7 +394,11 @@ def make_parser():
     parser.add_argument("--germ", help="descriptor JSON file")
     parser.add_argument("--builtin", help="catalog germ, e.g. D,5 or T,4,4 or E12")
     parser.add_argument("--bound", help="grid bound override L1,..,Lr")
-    parser.add_argument("--format", choices=("table", "json"), default="table")
+    parser.add_argument(
+        "--format",
+        choices=("table", "json"),
+        help="table when not given; catalog --builtin prints JSON only",
+    )
     parser.add_argument("--depth", type=int, default=None, help="motivic only: truncation depth")
     parser.add_argument(
         "--e1", action="append", help="spectral only: refined query l1,..,lr,k,n"
@@ -416,6 +423,10 @@ def main(argv=None) -> int:
                     raise DescriptorError(
                         f"argument {option}: the catalog command does not take it"
                     )
+            if args.builtin and args.format == "table":
+                raise DescriptorError(
+                    "argument --format: catalog --builtin prints JSON only"
+                )
             cmd_catalog(args)
             return EXIT_OK
         model = build_model(_load_descriptor(args))

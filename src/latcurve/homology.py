@@ -6,17 +6,21 @@ is (base, dirs) with dirs a bitmask of spanned axes, and it belongs to
 the sublevel complex S_n iff every vertex has weight <= n.
 
 The complexes S_n are nested, so ``lattice_homology`` reduces the whole
-filtered complex once (``snf.filtered_reduction``): a k-interval
+filtered complex once (``filtered_reduction``): a k-interval
 [birth, death) adds one to b_k(S_n) for birth <= n < death, and one to
 the rank of H_k(S_n) -> H_k(S_{n+1}) for birth <= n and death > n + 1;
 both counts are running sums over n of +1/-1 marks at the interval ends.
 The cubes are ordered by one ``np.lexsort`` and each cube's faces are
 read from per-mask arrays of filtration indices, so building the columns
-needs no Python loop over the cubes.  The reduction pairs the edges with a
-union-find (the elder rule) and the higher cubes top dimension first,
-skipping the cubes that are already pivot rows one dimension up
-(clearing); both shortcuts keep the pairs and every pivot of the plain
-reduction of all columns, so the unit-pivot certificate is unchanged.
+needs no Python loop over the cubes.  The reduction reads those arrays
+as they are.  It pairs the edges with a union-find (the elder rule) and
+the higher cubes top dimension first, skipping the cubes that are
+already pivot rows one dimension up (clearing).  In each dimension the
+apparent pairs, a column and its lowest row when no earlier column
+claims that row, are found in numpy; a Python loop reduces only the few
+columns whose lowest rows collide.  These shortcuts keep the pairs and
+every pivot of the plain reduction of all columns, so the unit-pivot
+certificate is unchanged.
 When every pivot is +-1 each H_k(S_n) is torsion-free.  Otherwise the
 torsion of H_k(S_n) comes from a Smith reduction of the (k+1)-columns of
 S_n: every S_n is a prefix of the filtration order, so these columns are
@@ -29,11 +33,13 @@ equivalence, so these finite complexes carry the full lattice homology.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from math import gcd
+
 import numpy as np
 
 from .errors import EulerMismatch
 from .lattice import Record, WeightGrid, conductor_values, cube_max_tables, min_weight, norm
-from .snf import filtered_reduction, smith_invariants
 
 
 class HomologyReport(Record, frozen=False):
@@ -88,75 +94,212 @@ def _cell_order(values: np.ndarray, r: int):
     the bases of the cubes it spans holding their index j.  Cubes are
     ordered by (value, dim, base, mask), bases compared as row-major flat
     indices, that is lexicographically; a face never comes after its
-    cofaces, so every prefix up to a value n is the complex S_n.
+    cofaces, so every prefix up to a value n is the complex S_n.  The
+    last three keys are sorted as one, dim * M + base * 2^r + mask with
+    M = 2^r * (number of points).  A germ's grid holds at most 2^22
+    points and at least 2^r, so that key, below (r + 1) M, fits int64;
+    ``cube_max_tables`` holds the cubes to 2^22 as well, so j is int32.
     """
     tables = cube_max_tables(values, r)
-    shapes = [t.shape for t in tables.values()]
     sizes = [t.size for t in tables.values()]
     flat = np.arange(values.size).reshape(values.shape)
     value = np.concatenate([t.ravel() for t in tables.values()])
-    masks = np.repeat(list(tables), sizes)
-    dim = np.repeat([bin(mask).count("1") for mask in tables], sizes)
-    base = np.concatenate([flat[tuple(map(slice, shape))].ravel() for shape in shapes])
-    order = np.lexsort((masks, base, dim, value))
-    index = np.empty(order.size, dtype=np.int64)
-    index[order] = np.arange(order.size)
-    parts = np.split(index, np.cumsum(sizes)[:-1])
-    position = {
-        mask: part.reshape(shape) for mask, part, shape in zip(tables, parts, shapes)
-    }
-    return value[order], dim[order], position
+    base = np.concatenate([flat[tuple(map(slice, t.shape))].ravel() for t in tables.values()])
+    shift = values.size << r
+    tags = [mask + bin(mask).count("1") * shift for mask in tables]
+    key = (base << r) + np.repeat(tags, sizes)
+    order = np.lexsort((key, value))
+    index = np.empty(order.size, dtype=np.int32)
+    index[order] = np.arange(order.size, dtype=np.int32)
+    position, start = {}, 0
+    for mask, t in tables.items():
+        position[mask] = index[start : start + t.size].reshape(t.shape)
+        start += t.size
+    return value[order], key[order] // shift, position
 
 
-def _faces(position: dict, mask: int, r: int):
-    """(faces, coefficients) of every cube spanned by ``mask``, one row
-    per cube: per spanned axis, lowest first, the upper face with sign s
-    and the lower face with -s, s alternating from +1."""
-    faces, signs, sign = [], [], 1
+def _faces(position: dict, mask: int, r: int) -> np.ndarray:
+    """Faces of every cube spanned by ``mask``, one row per cube: per
+    spanned axis, lowest first, the upper face and the lower face.  Their
+    coefficients are ``_signs(k)`` for every k-cube."""
+    faces = []
     for axis in range(r):
         if mask >> axis & 1:
             rest = position[mask ^ (1 << axis)]
             lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
             hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
-            faces += [rest[hi].ravel(), rest[lo].ravel()]
-            signs += [sign, -sign]
-            sign = -sign
-    faces = np.stack(faces, axis=1)
-    return faces, np.broadcast_to(signs, faces.shape)
+            faces += [rest[hi], rest[lo]]
+    return np.array(faces).reshape(len(faces), -1).T
+
+
+def _signs(k: int) -> np.ndarray:
+    """The boundary coefficients of a k-cube in the order of ``_faces``:
+    per spanned axis s on the upper face and -s on the lower one, s
+    alternating from +1."""
+    return np.array([(-1) ** (t // 2 + t % 2) for t in range(2 * k)], dtype=np.int8)
 
 
 def filtered_pairs(values: np.ndarray, r: int):
-    """``(value, dim, boundaries, pairs, unit_pivots)`` of the filtered
-    cubical complex of the box under ``values``: the cubes in filtration
-    order, their boundary columns, and ``snf.filtered_reduction`` of
-    those columns.  ``boundaries[k]`` is ``(cells, faces, coefficients)``
-    for the k-cubes, one row per cube in increasing filtration index,
-    read from index arrays, one per direction mask."""
+    """``(value, dim, boundaries, born, killer, unit_pivots)`` of the
+    filtered cubical complex of the box under ``values``: the cubes in
+    filtration order, their boundary columns, and ``filtered_reduction``
+    of those columns.  ``boundaries[k]`` is ``(cells, faces,
+    coefficients)`` for the k-cubes, one row per cube in increasing
+    filtration index, read from index arrays, one per direction mask;
+    the coefficients are one row, ``_signs(k)``, broadcast to every cube."""
     value, dim, position = _cell_order(values, r)
     groups = {k: [] for k in range(1, r + 1)}
     for mask, cells in position.items():
         if mask:
-            faces, coeffs = _faces(position, mask, r)
-            groups[bin(mask).count("1")].append((cells.ravel(), faces, coeffs))
+            groups[bin(mask).count("1")].append((cells.ravel(), _faces(position, mask, r)))
     boundaries = {}
     for k, group in groups.items():
-        cells, faces, coeffs = (np.concatenate(part) for part in zip(*group))
+        cells, faces = (np.concatenate(part) for part in zip(*group))
         order = np.argsort(cells)
-        boundaries[k] = cells[order], faces[order], coeffs[order]
-    columns = [
-        zip(*(part.tolist() for part in boundaries[k])) for k in range(r, 1, -1)
-    ]
+        faces = faces[order]
+        boundaries[k] = cells[order], faces, np.broadcast_to(_signs(k), faces.shape)
+    return (value, dim, boundaries, *filtered_reduction(boundaries))
+
+
+def filtered_reduction(boundaries: dict):
+    """Persistence pairs of a filtered cell complex over Z.
+
+    Cells are numbered in filtration order (every face before its
+    cofaces).  ``boundaries[k]``, k = 1..top, is ``(cells, faces,
+    coefficients)`` for the k-cells: ``cells`` increasing, and row m of
+    the two (n, 2k) arrays the boundary of cell ``cells[m]`` on distinct
+    (k-1)-cells, a zero coefficient meaning no entry.  An edge has
+    boundary +-(v - u) on its two faces u, v (u = v for a loop).
+
+    Returns ``(born, killer, unit_pivots)``, in no particular order:
+    cell ``killer[m]`` kills the class born with cell ``born[m]``; a cell
+    in no pair starts a class that never dies.  The pairs are those of
+    the lowest-one reduction of the whole boundary matrix, column by
+    column in filtration order, found with three shortcuts:
+
+    * Clearing (Chen-Kerber's twist): dimensions run from the top down,
+      and a cell that is already the pivot row of a column one dimension
+      up is skipped, since its own column would reduce to zero.  A zero
+      column stores no pivot and changes no other column, so the pairs
+      and every stored pivot value stay as without clearing.
+    * Apparent pairs (Bauer's Ripser): a column that is not cleared and
+      is the first, in filtration order, whose lowest row is i owns i
+      unreduced, unless an earlier column reduces onto i.  These owners
+      are found in numpy; only the other columns are reduced, in
+      filtration order, with their dicts built on demand.  A reduced
+      column that takes the row of a later owner sends that owner to the
+      reduction as well.
+    * Union-find for H_0: edge columns only ever reduce to +-(v_a - v_b),
+      so pairing them needs only the components.  An edge joining two
+      components kills the younger one, whose oldest vertex is the
+      pivot row (the elder rule of Edelsbrunner-Letscher-Zomorodian);
+      its pivot is +-1.
+
+    A column of dimension >= 2 whose lowest row i is owned by an earlier
+    column with pivot p is cleared by ``col_j <- p*col_j - a*col_i`` (a
+    the entry at i, both divided by gcd(a, p) first).  That is exact
+    over Q, so the pairs always give the ranks over Q; with p = +-1 it is
+    also invertible over Z.  ``unit_pivots`` certifies that every pivot
+    is +-1; then each prefix of the reduced matrix is echelon with unit
+    pivots, and every sublevel complex has torsion-free homology.  Edge
+    pivots are always +-1, so the certificate rests on the higher
+    columns alone.
+    """
+    size = 1 + max((int(c[-1]) for c, _, _ in boundaries.values() if c.size), default=-1)
+    pivot_row = np.zeros(size, dtype=bool)  # rows owned one dimension up
+    # row -> position of the first column of its dimension to claim it, which
+    # owns it unreduced unless an earlier reduced column takes it; size: none
+    owner = np.full(size, size)
+    born, killer = [], []
+    unit_pivots = True
+    for k in range(max(boundaries), 1, -1):
+        cells, faces, coeffs = boundaries[k]
+
+        def column(j):
+            return {i: v for i, v in zip(faces[j].tolist(), coeffs[j].tolist()) if v}
+
+        live = faces if coeffs.all() else np.where(coeffs != 0, faces, -1)
+        low = live.max(axis=1)  # -1 on a zero column
+        todo = np.flatnonzero(~pivot_row[cells] & (low >= 0))
+        claimed = low[todo]
+        np.minimum.at(owner, claimed, todo)
+        claims = owner[claimed] == todo
+        apparent = todo[claims]
+        pivots = coeffs[apparent, live[apparent].argmax(axis=1)]
+        unit_pivots = unit_pivots and bool((np.abs(pivots) == 1).all())
+        queue = todo[~claims].tolist()  # increasing, so already a heap
+        reduced = {}  # lowest row -> reduced column that owns it
+        taken = []  # positions of the reduced columns, in order of their rows
+        while queue:
+            j = heappop(queue)
+            col = column(j)
+            while col:
+                low_j = max(col)
+                other = reduced.get(low_j)
+                if other is None:
+                    o = int(owner[low_j])
+                    if o == size:
+                        break
+                    if o > j:  # j reaches the row first: o is reduced later
+                        owner[low_j] = size
+                        heappush(queue, o)
+                        break
+                    other = column(o)
+                a, p = col[low_j], other[low_j]
+                if p != 1 and p != -1:
+                    g = gcd(a, p)
+                    a, p = a // g, p // g
+                if p != 1:
+                    col = {i: p * v for i, v in col.items()}
+                for i, v in other.items():
+                    nv = col.get(i, 0) - a * v
+                    if nv:
+                        col[i] = nv
+                    else:
+                        del col[i]
+            if col:
+                reduced[low_j] = col
+                taken.append(j)
+                if col[low_j] not in (1, -1):
+                    unit_pivots = False
+        apparent = apparent[owner[low[apparent]] == apparent]
+        rows = np.concatenate([low[apparent], np.fromiter(reduced, dtype=np.int64)])
+        pivot_row[rows] = True
+        born.append(rows)
+        killer += [cells[apparent], cells[taken]]
     cells, faces, _ = boundaries[1]
-    pairs, unit_pivots = filtered_reduction(
-        zip(cells.tolist(), *faces.T.tolist()), columns
-    )
-    return value, dim, boundaries, pairs, unit_pivots
+    keep = ~pivot_row[cells]
+    edges = zip(cells[keep].tolist(), faces[keep, 0].tolist(), faces[keep, 1].tolist())
+    parent = {}  # vertex -> an older vertex of its component
+    pairs = []
+    for j, u, v in edges:
+        ru = u
+        while ru in parent:
+            ru = parent[ru]
+        while u != ru:  # path compression
+            parent[u], u = ru, parent[u]
+        rv = v
+        while rv in parent:
+            rv = parent[rv]
+        while v != rv:
+            parent[v], v = rv, parent[v]
+        if ru != rv:
+            if ru < rv:
+                ru, rv = rv, ru
+            parent[ru] = rv  # the younger root joins the elder
+            pairs.append((ru, j))
+    edge_pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    born.append(edge_pairs[0])
+    killer.append(edge_pairs[1])
+    return np.concatenate(born), np.concatenate(killer), unit_pivots
 
 
 def _level_torsion(boundaries: dict, cut: int) -> list:
     """Torsion of H_k(S), k = 0..r-1, for the complex S of the cells with
     filtration index below ``cut``: the Smith invariants of the
     (k+1)-columns of S, a prefix of ``boundaries[k + 1]``."""
+    from .snf import smith_invariants
+
     torsion = []
     for cells, faces, coeffs in boundaries.values():  # k + 1 = 1..r
         stop = int(np.searchsorted(cells, cut))
@@ -172,12 +315,11 @@ def lattice_homology(w: WeightGrid) -> HomologyReport:
     n_min, n_top = min_weight(w), int(values.max())
     levels = range(n_min, n_top + 1)
     r = w.r
-    value, dim, boundaries, pairs, unit_pivots = filtered_pairs(values, r)
+    value, dim, boundaries, born, killer, unit_pivots = filtered_pairs(values, r)
     # each cell that no pair names as its killer starts an interval
     # [birth, death) of its dimension; one that never dies gets death
     # n_top + 1, which counts it on every level and in every U-map up to
     # n_top, as an infinite death would
-    born, killer = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     death = np.full(value.size, n_top + 1)
     death[born] = value[killer]
     starts = np.ones(value.size, dtype=bool)

@@ -167,7 +167,7 @@ def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
     (base, mask), indexed by base; the array shape shrinks by one along
     each spanned axis.  The cubes, prod(2 n_i - 1) for n_i points per axis,
     are the points 2 base + mask of the doubled box, held to the grid
-    budget (GridTooLarge); at the limit homology holds ~730 B a cube, ~3 GB."""
+    budget (GridTooLarge); at the limit homology holds ~100 B a cube, ~400 MB."""
     hi = [n - 1 for n in values.shape]
     require_grid(tuple(2 * b for b in hi), f"the cubes of R(0, {hi}), as the grid")
     tables = {0: values}

@@ -1,22 +1,20 @@
-"""Sparse integer matrix reduction for homology computations.
+"""Sparse integer Smith reduction for homology computations.
 
 Boundary matrices of cubical complexes are extremely sparse with entries
 +-1, so almost all pivots are units and elimination stays integral.  The
 rare leftover block with no unit entries is finished with a dense
 textbook Smith reduction; diagonal entries are then normalized into the
-invariant-factor chain.  ``filtered_reduction`` pairs the cells of a
-whole filtered complex at once (persistence), with clearing and a
-union-find for the edges.
+invariant-factor chain.
 
 ``smith_invariants`` takes a matrix as a list of columns, each column a
-dict {row_index: coefficient}; ``filtered_reduction`` takes the cells of
-a filtered complex as documented there.
+dict {row_index: coefficient}.  ``spectral`` reads it for every E1
+entry; ``homology`` only for the torsion of a sublevel complex whose
+filtered reduction met a pivot other than +-1.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import itemgetter
 
 
 def smith_invariants(columns):
@@ -100,99 +98,6 @@ def smith_invariants(columns):
     rank += len(diag)
     factors = _invariant_factors(diag)
     return rank, [d for d in factors if d > 1]
-
-
-def filtered_reduction(edges, columns):
-    """Persistence pairs of a filtered cell complex over Z.
-
-    Cells are numbered in filtration order (every face before its
-    cofaces).  ``edges`` lists the 1-cells as (j, u, v) in increasing j:
-    cell j has boundary +-(v - u) on the vertices u, v < j.  ``columns``
-    holds the higher cells one dimension at a time, from the top
-    dimension down to 2; each is an iterable of (j, rows, coefficients)
-    in increasing j, the boundary of cell j on distinct rows (cells of
-    one dimension lower) with nonzero coefficients.
-
-    Returns ``(pairs, unit_pivots)``, ``pairs`` sorted by j: (i, j) means
-    cell j kills the class born with cell i; a cell in no pair starts a
-    class that never dies.  The pairs are those of the lowest-one
-    reduction of the whole boundary matrix, found with two shortcuts:
-
-    * Clearing (Chen-Kerber's twist): dimensions run from the top down,
-      and a cell that is already the pivot row of a column one dimension
-      up is skipped, since its own column would reduce to zero.  A zero
-      column stores no pivot and changes no other column, so the pairs
-      and every stored pivot value stay as without clearing.
-    * Union-find for H_0: edge columns only ever reduce to +-(v_a - v_b),
-      so pairing them needs only the components.  An edge joining two
-      components kills the younger one, whose oldest vertex is the
-      pivot row (the elder rule of Edelsbrunner-Letscher-Zomorodian);
-      its pivot is +-1.
-
-    A column of dimension >= 2 whose lowest row i is owned by an earlier
-    reduced column with pivot p is cleared by ``col_j <- p*col_j - a*col_i``
-    (a the entry at i, both divided by gcd(a, p) first).  That is exact
-    over Q, so the pairs always give the ranks over Q; with p = +-1 it is
-    also invertible over Z.  ``unit_pivots`` certifies that every pivot
-    is +-1; then each prefix of the reduced matrix is echelon with unit
-    pivots, and every sublevel complex has torsion-free homology.  Edge
-    pivots are always +-1, so the certificate rests on the higher
-    columns alone.
-    """
-    pairs = []
-    unit_pivots = True
-    cleared = set()
-    for group in columns:
-        pivot_col = {}  # lowest row -> reduced column that owns it
-        for j, rows, coeffs in group:
-            if j in cleared:
-                continue
-            col = dict(zip(rows, coeffs))
-            while col:
-                low = max(col)
-                other = pivot_col.get(low)
-                if other is None:
-                    break
-                a, p = col[low], other[low]
-                if p != 1 and p != -1:
-                    g = gcd(a, p)
-                    a, p = a // g, p // g
-                if p != 1:
-                    col = {i: p * v for i, v in col.items()}
-                for i, v in other.items():
-                    nv = col.get(i, 0) - a * v
-                    if nv:
-                        col[i] = nv
-                    else:
-                        del col[i]
-            if col:
-                low = max(col)
-                pivot_col[low] = col
-                pairs.append((low, j))
-                if col[low] not in (1, -1):
-                    unit_pivots = False
-        cleared = pivot_col.keys()
-    parent = {}  # vertex -> an older vertex of its component
-    for j, u, v in edges:
-        if j in cleared:
-            continue
-        ru = u
-        while ru in parent:
-            ru = parent[ru]
-        while u != ru:  # path compression
-            parent[u], u = ru, parent[u]
-        rv = v
-        while rv in parent:
-            rv = parent[rv]
-        while v != rv:
-            parent[v], v = rv, parent[v]
-        if ru != rv:
-            if ru < rv:
-                ru, rv = rv, ru
-            parent[ru] = rv  # the younger root joins the elder
-            pairs.append((ru, j))
-    pairs.sort(key=itemgetter(1))
-    return pairs, unit_pivots
 
 
 def _dense_smith_diagonal(a):

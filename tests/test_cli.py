@@ -623,11 +623,13 @@ def test_negative_depth_is_a_parse_error(capsys, depth):
          "argument --bound: the catalog command does not take it"),
         (["catalog", "--depth", "3"],
          "argument --depth: only the motivic command takes it"),
+        (["catalog", "--builtin", "A,2", "--format", "table"],
+         "argument --format: catalog --builtin prints JSON only"),
     ],
     ids=["no-command", "float-depth", "bad-format", "bad-command", "e1-on-table",
          "mincycle-on-classify", "depth-on-table", "depth-on-classify",
          "germ-on-catalog", "bound-on-catalog", "bound-on-catalog-builtin",
-         "depth-on-catalog"],
+         "depth-on-catalog", "table-format-on-catalog-builtin"],
 )
 def test_argument_errors_are_parse_errors(capsys, argv, message):
     code, out, err = run_cli(argv, capsys)

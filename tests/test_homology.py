@@ -7,29 +7,35 @@ from latcurve import (
     EulerMismatch,
     build_model,
     euler_characteristic,
+    get,
     lattice_homology,
     min_weight,
 )
 from latcurve.homology import (
     _cell_order,
     _faces,
+    _signs,
     filtered_pairs,
     max_weight_conductor_box,
 )
 from latcurve.lattice import WeightGrid, conductor_values
 
 from germ_strategies import monomial_plane_germs
+from line_arrangements import line_arrangement
 from oracles import (
     SublevelComplex,
+    as_pairs,
     assert_same_homology,
     boundary,
     column_pairs,
     homology,
     per_level_lattice_homology,
+    reference_pairs,
     relative_homology,
     sublevel_complex,
 )
 from test_catalog import ALL_SPECS
+from test_identity import ladder_keys
 
 
 def test_boundary_squares_to_zero(model_of):
@@ -52,9 +58,9 @@ def test_face_arrays_match_boundary(model_of):
     w = model_of("T", 4, 4).weight
     _, _, position = _cell_order(conductor_values(w), w.r)
     for mask in range(1, 1 << w.r):
-        faces, coeffs = _faces(position, mask, w.r)
+        signs = _signs(bin(mask).count("1")).tolist()
         bases = np.ndindex(position[mask].shape)  # row-major, as the rows
-        for base, row, signs in zip(bases, faces.tolist(), coeffs.tolist()):
+        for base, row in zip(bases, _faces(position, mask, w.r).tolist()):
             cube = boundary((base, mask))
             expected = {position[fm][fb]: sign for (fb, fm), sign in cube}
             assert dict(zip(row, signs)) == expected
@@ -231,14 +237,17 @@ def test_relative_pair_e7(model_of):
 
 # ---------------------------------------------------------------------------
 # the filtered reduction against the per-level Smith engine it replaced, and
-# its pairs (cleared, union-find for H_0) against the plain reduction of
-# every boundary column
+# its pairs (cleared, apparent pairs in numpy, union-find for H_0) against
+# the dict-per-column engine before it and the plain reduction of every
+# boundary column
 
 
 def assert_same_pairs(w):
     values = conductor_values(w)
-    _, _, _, pairs, unit_pivots = filtered_pairs(values, w.r)
-    assert (pairs, unit_pivots) == column_pairs(values, w.r)
+    _, _, boundaries, born, killer, unit_pivots = filtered_pairs(values, w.r)
+    pairs = (as_pairs(born, killer), unit_pivots)
+    assert pairs == reference_pairs(boundaries)
+    assert pairs == column_pairs(values, w.r)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
@@ -260,13 +269,33 @@ def test_filtered_reduction_on_random_multi_branch_germs(germ):
     assert_same_pairs(m.weight)
 
 
+def test_filtered_reduction_on_every_ladder_germ():
+    for key in ladder_keys():
+        name, *params = key.split(",")
+        assert_same_pairs(build_model(get(name, *map(int, params))).weight)
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_filtered_reduction_on_line_arrangements(r):
+    # the ordinary r-fold point: 7^4 and 9^5 cubes, against the
+    # dict-per-column engine, and the Euler characteristic is delta
+    m = build_model(line_arrangement(r))
+    values = conductor_values(m.weight)
+    _, _, boundaries, born, killer, unit_pivots = filtered_pairs(values, r)
+    assert (as_pairs(born, killer), unit_pivots) == reference_pairs(boundaries)
+    rep = lattice_homology(m.weight)
+    assert euler_characteristic(rep, m.weight) == m.delta == r * (r - 1) // 2
+
+
 @st.composite
 def _value_grids(draw):
     """Random integer values on a small box, as a weight grid whose
     conductor is its bound; not the weights of a germ, so any filtration
-    order, tie and interval pattern may occur."""
-    r = draw(st.integers(min_value=1, max_value=3))
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=r, max_size=r)))
+    order, tie and interval pattern may occur.  Up to 4 points per axis
+    for r <= 3, up to 3 for r = 4."""
+    r = draw(st.integers(min_value=1, max_value=4))
+    side = 4 if r < 4 else 3
+    shape = tuple(draw(st.lists(st.integers(1, side), min_size=r, max_size=r)))
     size = int(np.prod(shape))
     values = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
     bound = tuple(n - 1 for n in shape)
@@ -292,7 +321,7 @@ def test_torsion_from_smith_forms_without_unit_pivot_certificate(monkeypatch, mo
     hom = importlib.import_module("latcurve.homology")
     real = hom.filtered_reduction
     monkeypatch.setattr(
-        hom, "filtered_reduction", lambda *cells: (real(*cells)[0], False)
+        hom, "filtered_reduction", lambda boundaries: (*real(boundaries)[:2], False)
     )
     w = model_of("D", 5).weight
     assert_same_homology(hom.lattice_homology(w), per_level_lattice_homology(w))
@@ -312,7 +341,7 @@ def homology_without_certificate(w):
     real = hom.filtered_reduction
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            hom, "filtered_reduction", lambda *cells: (real(*cells)[0], False)
+            hom, "filtered_reduction", lambda boundaries: (*real(boundaries)[:2], False)
         )
         return hom.lattice_homology(w)
 
@@ -342,8 +371,8 @@ def test_torsion_fallback_reduces_each_level_prefix(monkeypatch, model_of):
     # for H_k(S_n) must see exactly the (k+1)-cubes of S_n
     import importlib
 
-    hom = importlib.import_module("latcurve.homology")
-    monkeypatch.setattr(hom, "smith_invariants", lambda columns: (0, [len(columns)]))
+    snf = importlib.import_module("latcurve.snf")
+    monkeypatch.setattr(snf, "smith_invariants", lambda columns: (0, [len(columns)]))
     for spec in [("D", 5), ("T", 3, 6), ("T", 4, 4)]:
         w = model_of(*spec).weight
         for n, row in homology_without_certificate(w).table.items():

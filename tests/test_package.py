@@ -49,8 +49,8 @@ CATALOG = {"catalog", "series"}
 LAYERS_OF_COMMAND = {
     "table": set(),
     "catalog": set(),
-    "invariants": {"homology", "snf"},
-    "homology": {"homology", "snf"},
+    "invariants": {"homology"},
+    "homology": {"homology"},
     "spectral": {"spectral", "snf"},
     "motivic": {"motivic"},
     "classify": {"motivic", "spectral", "snf"},

@@ -1,15 +1,30 @@
 """The sparse Smith reduction against sympy's dense one, and the filtered
-reduction (clearing, union-find for the edges) against the plain one."""
+reduction (clearing, apparent pairs, union-find for the edges) against
+the plain one on hand-built complexes."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latcurve.snf import filtered_reduction, smith_invariants
+from latcurve.homology import filtered_reduction
+from latcurve.snf import smith_invariants
 
-from oracles import plain_filtered_reduction
+from oracles import as_pairs, plain_filtered_reduction, reference_pairs
+
+
+def boundary_arrays(cells):
+    """``filtered_reduction`` input from {k: [(j, rows, coefficients)]},
+    the cells of each dimension in increasing j."""
+    return {k: tuple(map(np.array, zip(*column))) for k, column in cells.items()}
+
+
+def reduction_of(cells):
+    """(pairs, unit_pivots) of ``filtered_reduction``, pairs sorted by j."""
+    born, killer, unit_pivots = filtered_reduction(boundary_arrays(cells))
+    return as_pairs(born, killer), unit_pivots
 
 
 def to_columns(rows):
@@ -86,13 +101,17 @@ def test_filtered_reduction_filled_triangle():
     # closes a loop, which the triangle kills
     columns = [{}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {2: 1, 0: -1},
                {3: 1, 4: 1, 5: -1}]
-    edges = [(3, 0, 1), (4, 1, 2), (5, 0, 2)]
-    pairs, unit_pivots = filtered_reduction(edges, [[(6, [3, 4, 5], [1, 1, -1])]])
+    cells = {
+        1: [(3, [1, 0], [1, -1]), (4, [2, 1], [1, -1]), (5, [2, 0], [1, -1])],
+        2: [(6, [3, 4, 5], [1, 1, -1])],
+    }
+    pairs, unit_pivots = reduction_of(cells)
     assert pairs == [(1, 3), (2, 4), (5, 6)]
     assert unit_pivots
     # the same pairs as the plain reduction: union-find joins v1 and v2 to
     # v0, and clearing skips the edge v0v2 that the triangle kills
     assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+    assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
 
 
 def test_filtered_reduction_degree_two_cell():
@@ -100,8 +119,8 @@ def test_filtered_reduction_degree_two_cell():
     # 2-cell attached by degree 3: over Q the loop dies at cell 2 and
     # cell 3 is a 2-cycle; over Z, H_1 of the first three cells is Z/2
     columns = [{}, {}, {1: 2}, {1: 3}]
-    pairs, unit_pivots = filtered_reduction(
-        [(1, 0, 0)], [[(2, [1], [2]), (3, [1], [3])]]
+    pairs, unit_pivots = reduction_of(
+        {1: [(1, [0, 0], [1, -1])], 2: [(2, [1], [2]), (3, [1], [3])]}
     )
     assert pairs == [(1, 2)]
     assert not unit_pivots
@@ -116,13 +135,68 @@ def test_filtered_reduction_degree_two_cell():
 def test_filtered_reduction_cross_multiplication_keeps_q_rank():
     # two loops e2 (row 1) and e1 (row 2); the 2-cells have boundaries
     # 2 e1 and 3 e1 + e2, so clearing the second against the first needs
-    # col <- 2 col - 3 col_first = 2 e2, which is a new non-unit pivot
+    # col <- 2 col - 3 col_first = 2 e2, which is a new non-unit pivot;
+    # the first 2-cell's row 1 has coefficient 0, to fill the array
     columns = [{}, {}, {}, {2: 2}, {2: 3, 1: 1}]
-    pairs, unit_pivots = filtered_reduction(
-        [(1, 0, 0), (2, 0, 0)], [[(3, [2], [2]), (4, [2, 1], [3, 1])]]
-    )
+    pairs, unit_pivots = reduction_of({
+        1: [(1, [0, 0], [1, -1]), (2, [0, 0], [1, -1])],
+        2: [(3, [2, 1], [2, 0]), (4, [2, 1], [3, 1])],
+    })
     assert pairs == [(2, 3), (1, 4)]
     assert not unit_pivots
     assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
     assert len(pairs) == smith_invariants(columns)[0]
     assert smith_invariants(columns) == (2, [2])
+
+
+def test_filtered_reduction_lowest_row_already_owned():
+    # a square v0 v1 v2 v3 with the diagonal v0v2 (cell 8), filled by the
+    # triangles 9 = (v0, v1, v2) and 10 = (v0, v2, v3); both have the
+    # diagonal as lowest row, so 9 owns it and 10 is reduced against 9,
+    # down to the edge v0v3 (cell 7)
+    columns = [{}, {}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {3: 1, 2: -1},
+               {3: 1, 0: -1}, {2: 1, 0: -1}, {4: 1, 5: 1, 8: -1},
+               {8: 1, 6: 1, 7: -1}]
+    cells = {
+        1: [(4, [1, 0], [1, -1]), (5, [2, 1], [1, -1]), (6, [3, 2], [1, -1]),
+            (7, [3, 0], [1, -1]), (8, [2, 0], [1, -1])],
+        2: [(9, [4, 5, 8], [1, 1, -1]), (10, [8, 6, 7], [1, 1, -1])],
+    }
+    pairs, unit_pivots = reduction_of(cells)
+    assert pairs == [(1, 4), (2, 5), (3, 6), (8, 9), (7, 10)]
+    assert unit_pivots
+    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+    assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
+
+
+def test_filtered_reduction_reduced_column_takes_a_later_claim():
+    # a vertex and four loops e1..e4 (cells 1..4); the 2-cells are
+    # 5 = e2 + e4, 6 = e3 + e4 and 7 = e1 + e3.  Cell 7 is the first to
+    # have e3 as lowest row, but 6 reduces to e3 - e2 first and takes it;
+    # then 7 is reduced against 6, to e1 + e2, and pairs with e2
+    columns = [{}, {}, {}, {}, {}, {2: 1, 4: 1}, {3: 1, 4: 1}, {1: 1, 3: 1}]
+    cells = {
+        1: [(j, [0, 0], [1, -1]) for j in range(1, 5)],
+        2: [(5, [2, 4], [1, 1]), (6, [3, 4], [1, 1]), (7, [1, 3], [1, 1])],
+    }
+    pairs, unit_pivots = reduction_of(cells)
+    assert pairs == [(4, 5), (3, 6), (2, 7)]
+    assert unit_pivots
+    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+    assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
+
+
+def test_filtered_reduction_ignores_a_zero_coefficient():
+    # the filled triangle with a second edge v0v2 (cell 6) that the
+    # triangle names with coefficient 0: its lowest row is the edge 5,
+    # and the edge 6 closes a loop that never dies
+    columns = [{}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {2: 1, 0: -1},
+               {2: 1, 0: -1}, {3: 1, 4: 1, 5: -1, 6: 0}]
+    pairs, unit_pivots = reduction_of({
+        1: [(3, [1, 0], [1, -1]), (4, [2, 1], [1, -1]), (5, [2, 0], [1, -1]),
+            (6, [2, 0], [1, -1])],
+        2: [(7, [3, 4, 5, 6], [1, 1, -1, 0])],
+    })
+    assert pairs == [(1, 3), (2, 4), (5, 7)]
+    assert unit_pivots
+    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
