@@ -215,16 +215,11 @@ def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermMo
     """The omega series through omega^depth, and the model it was
     certified on: the argument, or a copy grown by 4e at a time (at most
     six times) until the truncation is certified."""
-    from . import motivic
+    from .motivic import omega_substitution
 
-    return _certified(motivic, model, depth)
-
-
-def _certified(motivic, model: GermModel, depth: int):
-    """``certified_omega`` on the route's one import of ``motivic``."""
     for _ in range(6):
         try:
-            return motivic.omega_substitution(model.hilbert, model.weight, depth), model
+            return omega_substitution(model.hilbert, model.weight, depth), model
         except TruncationUnsound:
             model = model.ensure_bound(padd(model.bound, scale(4, ones(model.r))))
     raise TruncationUnsound(
@@ -232,19 +227,27 @@ def _certified(motivic, model: GermModel, depth: int):
     )
 
 
-def _level(motivic, model: GermModel, d: int) -> tuple[QPoly, GermModel]:
+def _level(model: GermModel, d: int) -> tuple[QPoly, GermModel]:
     """Univariate motivic level d, and the model grown to hold it."""
+    from .motivic import univariate_motivic
+
     model = model.ensure_bound(scale(d + 1, ones(model.r)))
-    return motivic.univariate_motivic(model.hilbert, d), model
+    return univariate_motivic(model.hilbert, d), model
 
 
-def _mu(motivic, model: GermModel) -> tuple[int, GermModel]:
-    """Smallest positive level with a nonzero univariate coefficient
-    (always the total multiplicity |m|)."""
-    for d in range(1, norm(model.multiplicity) + 1):
-        level, model = _level(motivic, model, d)
-        if not level.is_zero():
-            return d, model
+def _mu(model: GermModel) -> tuple[int, QPoly, GermModel]:
+    """Smallest positive level with a nonzero univariate coefficient, that
+    level, and the model grown to hold it.  The levels 0..|m| are read
+    at once: the level is always |m|, as a nonzero value of the
+    semigroup is >= m, and m is the only one with norm |m|."""
+    from .motivic import univariate_levels
+
+    mm = norm(model.multiplicity)
+    model = model.ensure_bound(scale(mm + 1, ones(model.r)))
+    levels = univariate_levels(model.hilbert, mm)
+    for d in range(1, mm + 1):
+        if not levels[d].is_zero():
+            return d, levels[d], model
     raise LatcurveError("no nonzero motivic level found up to |m|")
 
 
@@ -257,19 +260,18 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
     2|m| with exponent 3 when |m| = 3, level |m| with exponent 2 when
     |m| = 4 (the exponent tracks h(jm) + 1).
     """
-    from . import motivic
-
-    f, model = _certified(motivic, model, 0)
+    f, model = certified_omega(model, 0)
     evidence: dict = {"ord f": f.order, "leading": f.leading()}
     if f.order >= -1:
         evidence["verdict"] = FINITE
+        mu, level, model = _mu(model)
         if f.order == 0:
             evidence["subtype"] = SUB_A
         else:
-            level, model = _level(motivic, model, 3)
+            if mu != 3:
+                level, model = _level(model, 3)
             pi32 = evidence["pi(3,2)"] = level.coeff(2)
             evidence["subtype"] = SUB_D if pi32 != 0 else SUB_E
-        mu, model = _mu(motivic, model)
         evidence["mu"] = mu
         if (f.order == 0) != (mu <= 2):
             raise LatcurveError("ord f = 0 and mu <= 2 must agree")
@@ -279,16 +281,15 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
         evidence["conditions"] = {"a": False}
         return evidence, model
     # ord f = -2: test conditions (a)-(d)
-    mu, model = _mu(motivic, model)
+    mu, level, model = _mu(model)
     evidence["mu"] = mu
     conds: dict[str, bool] = {"a": True}
     if mu == 3:
-        level, model = _level(motivic, model, 6)
+        level, model = _level(model, 6)
         pi = evidence["pi(6,3)"] = level.coeff(3)
         conds["b"] = pi < 0
         growth_finite = pi == -2
     elif mu == 4:
-        level, model = _level(motivic, model, 4)
         pi = evidence["pi(4,2)"] = level.coeff(2)
         conds["b"] = pi != 0
         growth_finite = pi == -3
@@ -296,19 +297,22 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
         conds["b"] = False
         growth_finite = False
     ok = True
+    omega = {}  # per subcurve model; when r = 2 the complements are branches
     for i in range(1, model.r + 1):
-        fi, _ = _certified(motivic, model.branch(i), 0)
-        ok = ok and fi.order == 0
+        sub = model.branch(i)
+        omega[sub] = certified_omega(sub, 0)
+        ok = ok and omega[sub][0].order == 0
     conds["c"] = ok
     if model.r == 1:
         conds["d"] = True
     else:
         ok = True
         for i in range(1, model.r + 1):
-            fh, hat = _certified(motivic, model.complement(i), 0)
+            hat = model.complement(i)
+            fh, hat = omega[hat] if hat in omega else certified_omega(hat, 0)
             good = fh.order == 0
             if not good and fh.order == -1:
-                good = _level(motivic, hat, 3)[0].coeff(2) != 0
+                good = _level(hat, 3)[0].coeff(2) != 0
             ok = ok and good
         conds["d"] = ok
     evidence["conditions"] = conds

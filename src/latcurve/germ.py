@@ -382,7 +382,7 @@ class GermModel(Record, eq=False):
         weight table is not symmetric is rejected outright.
         """
         from .errors import InconsistentInput
-        from .motivic import coefficient_array, gorenstein_array_check
+        from .motivic import gorenstein_array_check
 
         if not self.is_gorenstein:
             raise InconsistentInput(
@@ -391,9 +391,7 @@ class GermModel(Record, eq=False):
             )
         outer = padd(self.conductor, ones(self.r))
         h = self.ensure_bound(padd(outer, ones(self.r))).hilbert
-        return gorenstein_array_check(
-            h, coefficient_array(h, outer), self.conductor, self.delta
-        )
+        return gorenstein_array_check(h, outer, self.conductor, self.delta)
 
 
 def canonical_bound(c: Point, m: Point) -> Point:

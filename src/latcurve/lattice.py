@@ -385,13 +385,7 @@ class HilbertGrid(Record, eq=False):
         if int(self.values[zero]) != 0:
             raise PathInconsistency("h(0) must be 0")
         for i in range(self.r):
-            lo = tuple(
-                slice(0, -1) if j == i else slice(None) for j in range(self.r)
-            )
-            hi = tuple(
-                slice(1, None) if j == i else slice(None) for j in range(self.r)
-            )
-            step = self.values[hi] - self.values[lo]
+            step = np.diff(self.values, axis=i)
             if step.size and (step.min() < 0 or step.max() > 1):
                 raise PathInconsistency(f"h step along axis {i} outside {{0,1}}")
 
@@ -510,8 +504,7 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     # full path-independence check: every axis must reproduce its increments
     for i in range(r):
         lo = tuple(slice(0, -1) if j == i else slice(None) for j in range(r))
-        hi = tuple(slice(1, None) if j == i else slice(None) for j in range(r))
-        if not np.array_equal(h[hi] - h[lo], inc[i][lo].astype(np.int64)):
+        if not np.array_equal(np.diff(h, axis=i), inc[i][lo]):
             raise PathInconsistency(
                 f"monotone paths disagree along axis {i}; input semigroup invalid"
             )

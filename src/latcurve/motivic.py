@@ -8,15 +8,17 @@ With D_J(l) = h(l+e_J) - h(l), the coefficient of q^(h(l)+i) is therefore
 
     C[l, i] = sum over J of (-1)^(|J|+1) * [D_J(l) > i],    0 <= i < r,
 
-an exact int64 array over the grid, built from shifted slices of the
-Hilbert grid (``coefficient_array``); no rational arithmetic ever happens.
-``motivic_coeff`` reads the same array on the cube R(l, l + e) of one
-point and the identities read it whole.  The substitution t_i -> 1/omega,
-q -> omega^2 sends q^(h(l)+i) t^l to omega^(w(l)+2i); its truncations are
-certified through the coordinatewise growth of w beyond the conductor.
+a signed count.  ``coefficient_terms`` reads it at the points a caller
+sums, and only there, as exact int64 rows (l, e, c) of the nonzero
+terms c q^e t^l; no rational arithmetic ever happens.  The substitution
+t_i -> 1/omega, q -> omega^2 sends q^e t^l to omega^(2e - |l|); its
+truncations are certified through the coordinatewise growth of w beyond
+the conductor.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,8 +35,6 @@ from .lattice import (
     leq,
     min_weight,
     norm_array,
-    ones,
-    padd,
     require_grid,
     upset_minima,
     window,
@@ -99,37 +99,39 @@ class LaurentSeries(Record):
 
 
 def motivic_coeff(h: HilbertGrid, ell: Point) -> QPoly:
-    """The coefficient polynomial of t^l, read off ``coefficient_array``
-    on the cube R(l, l + e); zero exactly when l is not a semigroup
-    value."""
-    r = h.r
+    """The coefficient polynomial of t^l; zero exactly when l is not a
+    semigroup value.  A cube R(l, l + e) past the grid budget is a
+    GridTooLarge, which no grid bound mends."""
     ell = tuple(ell)
     if min(ell) < 0:
         raise MarginTooSmall(f"l={ell} has a negative coordinate")
-    if not leq(padd(ell, ones(r)), h.bound):
+    require_grid(tuple(x + 1 for x in ell), f"the cube at l={ell}, as the grid")
+    if any(x >= b for x, b in zip(ell, h.bound)):
         raise MarginTooSmall(f"need {ell} + e inside the grid {h.bound}")
-    cube = h.values[tuple(slice(x, x + 2) for x in ell)]
-    cube = HilbertGrid(r=r, bound=ones(r), values=cube)
-    row = coefficient_array(cube, (0,) * r)[(0,) * r].tolist()
-    return QPoly.from_dict({h.h(ell) + i: c for i, c in enumerate(row)})
+    terms = coefficient_terms(h, np.array([ell], dtype=np.int64))
+    return QPoly(tuple(zip(terms[:, h.r].tolist(), terms[:, h.r + 1].tolist())))
 
 
-def coefficient_array(h: HilbertGrid, inner: Point) -> np.ndarray:
-    """C[l, i], the coefficient of q^(h(l)+i) in p_l(q), for l in
-    R(0, inner) and 0 <= i < r (int64, shape grid x r).  Needs inner + e
-    inside the grid.  Each entry is a signed count over the 2^r - 1
-    subsets J, so int64 is exact."""
-    r = h.r
-    if not leq(padd(inner, ones(r)), h.bound):
-        raise MarginTooSmall(f"need {inner} + e inside the grid {h.bound}")
-    base = h.values[window(inner)]
-    steps = np.arange(r)
-    out = np.zeros(base.shape + (r,), dtype=np.int64)
-    for J in range(1, 1 << r):  # the subsets J as bitmasks
-        shift = [J >> i & 1 for i in range(r)]
-        top = h.values[tuple(slice(s, b + 1 + s) for s, b in zip(shift, inner))]
-        out += (-1) ** (sum(shift) + 1) * ((top - base)[..., None] > steps)
-    return out
+def coefficient_terms(h: HilbertGrid, at: np.ndarray) -> np.ndarray:
+    """The nonzero terms c q^e t^l of p_l(q) for each point l, a row of
+    the int64 array ``at``, as int64 rows (l_1, ..., l_r, e, c), by point
+    and then by exponent.  The row of l gathers h at each l + e_J through
+    flat offsets, so every l + e must lie in the grid.  Each c is a signed
+    count over the 2^r - 1 subsets J, so int64 is exact."""
+    r, shape = h.r, h.values.shape
+    offsets, signs = [0], [-1]  # per subset J as a bitmask; J = 0 counts nothing
+    for i in range(r):  # the subsets with bit i follow those without it
+        offsets += [o + math.prod(shape[i + 1:]) for o in offsets]
+        signs += [-x for x in signs]
+    strides = np.array([offsets[1 << i] for i in range(r)])
+    offsets, signs = np.array(offsets), np.array(signs)
+    tops = h.values.ravel()[(at @ strides)[:, None] + offsets]
+    rise = tops - tops[:, :1]  # D_J(l), one column per subset J
+    counts = np.zeros((len(at), r), dtype=np.int64)
+    for i in range(r):
+        counts[:, i] = (rise > i) @ signs
+    row, i = counts.nonzero()
+    return np.column_stack([at[row], tops[row, 0] + i, counts[row, i]])
 
 
 def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
@@ -143,36 +145,32 @@ def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
 
 
 def univariate_motivic(h: HilbertGrid, d: int) -> QPoly:
-    """Sum of the coefficient polynomials over |l| = d, read from the
-    coefficient array on R(0, (d, ..., d))."""
-    return _levels(h, d, (d,))[0]
+    """Sum of the coefficient polynomials over |l| = d."""
+    return _levels(h, d, True)[0]
 
 
 def univariate_levels(h: HilbertGrid, depth: int) -> list[QPoly]:
-    """``univariate_motivic(h, d)`` for d = 0..depth, all read from one
-    coefficient array on R(0, depth e).  A point with |l| = d lies in
-    R(0, d e), inside that box, and its row C[l, .] reads h on R(l, l + e)
-    only, so it is the same row in either array."""
-    return _levels(h, depth, range(depth + 1))
+    """``univariate_motivic(h, d)`` for d = 0..depth, from one terms read."""
+    return _levels(h, depth, False)
 
 
-def _levels(h: HilbertGrid, depth: int, levels) -> list[QPoly]:
-    """The level sums over |l| = d for each d in ``levels`` (each at most
-    depth), from the coefficient array on R(0, depth e)."""
+def _levels(h: HilbertGrid, depth: int, top_only: bool) -> list[QPoly]:
+    """The level sums over |l| = d for d = depth (``top_only``) or for
+    each d = 0..depth, from the terms of those points only."""
+    r = h.r
     if any(depth + 1 > b for b in h.bound):
         raise MarginTooSmall(
             f"level {depth} needs every axis bound >= {depth + 1}, grid is {h.bound}"
         )
-    inner = (depth,) * h.r
-    coeffs = coefficient_array(h, inner)
-    exponents = h.values[window(inner)][..., None] + np.arange(h.r)
-    norms = norm_array(coeffs.shape[:-1])[..., None]
-    nonzero = coeffs != 0
-    polys = []
-    for d in levels:
-        take = (norms == d) & nonzero
-        polys.append(QPoly.from_dict(_tally(exponents[take], coeffs[take])))
-    return polys
+    norms = norm_array((depth + 1,) * r)
+    at = np.argwhere(norms == depth if top_only else norms <= depth)
+    terms = coefficient_terms(h, at)
+    span = depth + r  # every e = h(l) + i <= |l| + r - 1 is below it
+    sums = _tally(terms[:, :r].sum(axis=1) * span + terms[:, r], terms[:, r + 1])
+    levels = {d: {} for d in range(depth if top_only else 0, depth + 1)}
+    for key, c in sums.items():
+        levels[key // span][key % span] = c
+    return [QPoly.from_dict(level) for level in levels.values()]
 
 
 def certify_truncation(w: WeightGrid, depth: int) -> bool:
@@ -192,28 +190,26 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
 def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeries:
     """Coefficients of the substituted series through omega^depth.
 
-    The term C[l, i] of l at q^(h(l)+i) lands at order w(l) + 2i, and the
-    series is the integer sum of the coefficient array by order.  Raises
-    TruncationUnsound when the grid cannot certify the tail.
+    The term c q^e t^l lands at order 2e - |l| = w(l) + 2i for
+    e = h(l) + i, so the series sums by order the ``coefficient_terms`` of
+    the points with w(l) <= depth only.  Raises TruncationUnsound when the
+    grid cannot certify the tail.
 
-    The sum runs over R(0, min(bound - e, c + (depth - min_w) e)) only.
-    A point l past that box has l_i - c_i > depth - min_w on some axis,
-    so with l' = min(l, c) the closed form w(l) = w(l') + |l - l'| of
-    ``hilbert_from_semigroup`` gives w(l) >= min_w + |l - l'| > depth,
-    and every order w(l) + 2i of l lies past the truncation.
+    Those points lie in R(0, min(bound - e, c + max(depth - min_w, 0) e)):
+    a point l past it has l_i - c_i > depth - min_w on some axis, so with
+    l' = min(l, c) the closed form w(l) = w(l') + |l - l'| of
+    ``hilbert_from_semigroup`` gives w(l) >= min_w + |l - l'| > depth.
     """
     if not certify_truncation(w, depth):
         raise TruncationUnsound(
             f"grid {w.bound} cannot certify the omega-series through {depth}"
         )
-    reach = depth - min_weight(w)
+    r = w.r
+    reach = max(depth - min_weight(w), 0)
     inner = tuple(min(b - 1, ci + reach) for b, ci in zip(w.bound, w.conductor))
-    acc = {}
-    if reach >= 0:
-        coeffs = coefficient_array(h, inner)
-        orders = w.values[window(inner)][..., None] + 2 * np.arange(w.r)
-        take = (orders <= depth) & (coeffs != 0)
-        acc = _tally(orders[take], coeffs[take])
+    terms = coefficient_terms(h, np.argwhere(w.values[window(inner)] <= depth))
+    orders = 2 * terms[:, r] - terms[:, :r].sum(axis=1)
+    acc = {o: c for o, c in _tally(orders, terms[:, r + 1]).items() if o <= depth}
     if not acc:
         raise InconsistentInput("substituted series vanished entirely")
     lo = min(acc)
@@ -224,6 +220,14 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
     )
 
 
+def _box_terms(h: HilbertGrid, bounds: Point) -> np.ndarray:
+    """The ``coefficient_terms`` of R(0, bounds), which needs bounds + e."""
+    if any(x >= b for x, b in zip(bounds, h.bound)):
+        raise MarginTooSmall(f"need {tuple(bounds)} + e inside the grid {h.bound}")
+    at = np.indices([b + 1 for b in bounds]).reshape(h.r, -1).T
+    return coefficient_terms(h, at)
+
+
 def pe_substitution_check(
     pe: dict, h: HilbertGrid, bounds: Point, strict: bool = False
 ) -> bool:
@@ -231,23 +235,24 @@ def pe_substitution_check(
     and the motivic coefficients on R(0, bounds).
 
     The substitution maps the rank at (l, n, k) to (-1)^k q^(h(l)+k) t^l,
-    so the table summed per (l, k) must equal ``coefficient_array`` (and
-    vanish for k outside 0..r-1); l past R(0, bounds) is not compared.
-    Returns False on the first mismatching monomial, or raises
-    InconsistentInput naming it when strict.
+    so the table summed per (l, k) must equal the ``coefficient_terms``
+    of R(0, bounds) at k = e - h(l) (and vanish for k outside 0..r-1); l
+    past R(0, bounds) is not compared.  Returns False on the first
+    mismatching monomial, or raises InconsistentInput naming it when strict.
     """
     r = h.r
     cells = np.array([(*ell, k) for ell, _, k in pe], dtype=np.int64).reshape(-1, r + 1)
     off = ((cells[:, :r] < 0) | (cells[:, :r] > h.bound)).any(axis=1)
     if off.any():  # MarginTooSmall naming the first such l
         h.h(tuple(list(pe)[off.argmax()][0]))
-    rhs = coefficient_array(h, bounds)
+    terms = _box_terms(h, bounds)
+    terms[:, r] -= h.values[tuple(terms[:, :r].T)]
     signed = np.array(list(pe.values()), dtype=np.int64) * (1 - 2 * (cells[:, r] % 2))
     inside = (cells[:, :r] <= bounds).all(axis=1)
-    both = np.concatenate([cells[inside], np.argwhere(rhs)])  # table, then array
+    both = np.concatenate([cells[inside], terms[:, : r + 1]])  # table, then terms
     cells, index = np.unique(both, axis=0, return_inverse=True)
     diff = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(diff, index.reshape(-1), np.concatenate([signed[inside], -rhs[rhs != 0]]))
+    np.add.at(diff, index.reshape(-1), np.concatenate([signed[inside], -terms[:, r + 1]]))
     bad = cells[diff != 0].tolist()  # sorted by (l, k)
     if bad and strict:
         ell = tuple(bad[0][:r])
@@ -333,17 +338,12 @@ def gorenstein_functional_check(
 
 
 def gorenstein_array_check(
-    h: HilbertGrid, coeffs: np.ndarray, conductor: Point, delta: int
+    h: HilbertGrid, outer: Point, conductor: Point, delta: int
 ) -> bool:
-    """``gorenstein_functional_check`` on ``coeffs = coefficient_array(h,
-    outer)``, read without building a polynomial per point: the nonzero
-    C[l, i] are the terms q^(h(l)+i) t^l of the table on R(0, outer)."""
-    r = h.r
-    at = np.argwhere(coeffs)
-    exponents = h.values[tuple(at[:, :r].T)] + at[:, r]
-    terms = np.column_stack([at[:, :r], exponents, coeffs[coeffs != 0]])
-    outer = tuple(n - 1 for n in coeffs.shape[:r])
-    return _functional_equation(terms, tuple(conductor), delta, outer)
+    """``gorenstein_functional_check`` on the coefficient table of
+    R(0, outer), read from h as ``coefficient_terms`` without building a
+    polynomial per point; needs outer + e inside the grid."""
+    return _functional_equation(_box_terms(h, outer), conductor, delta, outer)
 
 
 def _functional_equation(terms: np.ndarray, c: Point, delta: int, outer: Point) -> bool:

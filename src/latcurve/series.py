@@ -272,9 +272,7 @@ def poincare_from_hilbert(h: HilbertGrid, conductor: Point | None = None) -> Mul
     # p = (-1)^(r+1) * (forward difference in every axis)
     diff = h.values.astype(np.int64)
     for axis in range(r):
-        lo = tuple(slice(0, -1) if j == axis else slice(None) for j in range(r))
-        hi = tuple(slice(1, None) if j == axis else slice(None) for j in range(r))
-        diff = diff[hi] - diff[lo]
+        diff = np.diff(diff, axis=axis)
     out = {}
     for idx in np.argwhere(diff):
         p = tuple(int(x) for x in idx)

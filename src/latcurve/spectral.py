@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import LatcurveError, MarginTooSmall, TorsionFound, UndefinedWeight
 from .lattice import Point, Record, WeightGrid, cube_max_tables, norm, norm_array, scale, window
+from .lattice import require_grid
 from .snf import smith_invariants
 
 
@@ -142,10 +143,13 @@ def _window(w: WeightGrid, k: int, n: np.ndarray, read: np.ndarray) -> np.ndarra
 
 
 def e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:
-    """Rank of the refined E1 entry at l; degree q = |l| + k."""
+    """Rank of the refined E1 entry at l; degree q = |l| + k.  A cube
+    R(l, l + e) past the grid budget is a GridTooLarge, which no grid
+    bound mends."""
     ell = tuple(ell)
     if min(ell) < 0:
         raise MarginTooSmall(f"l={ell} has a negative coordinate")
+    require_grid(tuple(x + 1 for x in ell), f"the cube at l={ell}, as the grid")
     if any(x >= b for x, b in zip(ell, w.bound)):
         raise MarginTooSmall(f"need {ell} + e inside the grid {w.bound}")
     rank, torsion = _rank(_pattern(w, ell, n), w.r, k)

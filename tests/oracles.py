@@ -36,11 +36,12 @@
   j*|m| for the vanishing check.
 * ``motivic_coeff_by_subsets``: the coefficient polynomial of t^l from
   a loop over the 2^r - 1 subsets J and over the q-exponents of each
-  h(l + e_J) - h(l), the loop ``motivic_coeff`` replaced by reading the
-  coefficient array on the cube R(l, l + e).
+  h(l + e_J) - h(l), the loop ``motivic.coefficient_terms`` replaced by
+  one gather per subset over every point it reads.
 * ``omega_by_points`` / ``univariate_by_points``: the omega series and
   the univariate levels summed from one ``motivic_coeff_by_subsets``
-  call per lattice point, the loops the coefficient array replaced.
+  call per lattice point, the loops that one ``coefficient_terms`` call
+  at the summed points replaced.
 * ``pe_substitution_check_by_points`` / ``numerator_coeffs_by_points`` /
   ``gorenstein_functional_check_by_points`` /
   ``hilbert_from_motivic_by_points`` /

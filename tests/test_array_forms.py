@@ -7,19 +7,25 @@
   broadcast over all pairs of members) against
   ``oracles.additive_closure_by_members``: same accept/reject and the
   same message, hence the same first failing pair.
-* motivic: ``omega_substitution`` and ``univariate_motivic`` (one
-  coefficient array) against sums of the scalar loop over subsets,
-  ``oracles.motivic_coeff_by_subsets``; ``univariate_levels`` (one array
-  for every level) against ``univariate_motivic`` level by level; and
-  ``motivic_coeff`` (the array on one cube) against that loop point by
-  point, errors included.
+* motivic: ``coefficient_terms`` (the one reader, at the points a
+  caller sums) against the scalar loop over subsets,
+  ``oracles.motivic_coeff_by_subsets``, and ``univariate_levels`` and
+  ``omega_substitution`` against the per-point sums
+  ``oracles.univariate_by_points`` and ``oracles.omega_by_points``, on
+  the catalog, the benchmark ladders, random multi-branch germs and the
+  4-fold point; ``univariate_levels`` (one call for every level)
+  against ``univariate_motivic`` level by level; and ``motivic_coeff``
+  (the terms of one point) against that loop point by point, errors
+  included.  The verdict and the depth-0 omega series of the 5- and
+  6-fold points are pinned to the values the box reader computed
+  before it was replaced.
 * motivic identities: ``pe_substitution_check``, ``numerator_coeffs``,
   ``gorenstein_functional_check``, ``hilbert_from_motivic`` and
   ``GermModel.gorenstein_motivic_check`` (dense arrays) against the
   per-point loops they replaced (``oracles.*_by_points``), on the
   catalog, on random germs and on mutated inputs: the same values, the
   same exception types and the same messages; and
-  ``gorenstein_array_check`` (the coefficient array, no polynomial per
+  ``gorenstein_array_check`` (the terms read from h, no polynomial per
   point) against the dict path of ``gorenstein_functional_check`` on
   every catalog germ.
 """
@@ -36,6 +42,7 @@ from latcurve import (
     MarginTooSmall,
     QPoly,
     build_model,
+    classify,
     get,
     gorenstein_functional_check,
     hilbert_from_motivic,
@@ -48,15 +55,26 @@ from latcurve import (
 from latcurve.catalog import numerical_semigroup
 from latcurve.classify import certified_omega
 from latcurve.germ import GermDescriptor
-from latcurve.lattice import SemigroupTable, _validate_min_closure, box, ones, padd
+from latcurve.lattice import (
+    SemigroupTable,
+    _validate_min_closure,
+    box,
+    norm,
+    ones,
+    padd,
+    window,
+)
 from latcurve.motivic import (
-    coefficient_array,
+    LaurentSeries,
+    _functional_equation,
+    coefficient_terms,
     gorenstein_array_check,
     numerator_coeffs,
     univariate_levels,
 )
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
+from line_arrangements import line_arrangement
 from oracles import (
     additive_closure_by_members,
     gorenstein_functional_check_by_points,
@@ -188,12 +206,115 @@ def test_array_forms_on_random_multi_branch_germs(germ, data):
 
 
 # ---------------------------------------------------------------------------
-# motivic coefficient array
+# motivic terms
 
 MOTIVIC_SPECS = [
     ("A", 0), ("A", 4), ("D", 5), ("D", 6), ("E", 6), ("T", 3, 7),
     ("T", 4, 4), ("Z11",), ("W1_0",),
 ]
+
+
+def terms_by_subsets(h, at) -> np.ndarray:
+    """``coefficient_terms`` from the subset loop, one point at a time."""
+    rows = [
+        (*ell, e, c)
+        for ell in at.tolist()
+        for e, c in motivic_coeff_by_subsets(h, ell).coeffs
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, h.r + 2)
+
+
+def assert_same_terms(h, at):
+    got = coefficient_terms(h, np.asarray(at, dtype=np.int64).reshape(-1, h.r))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, terms_by_subsets(h, np.asarray(at).reshape(-1, h.r)))
+
+
+def assert_reader_matches_oracles(m):
+    """The terms at every point of R(0, bound - e), the levels below
+    min(bound) and the omega series through omega^0 and omega^2 against
+    the per-point oracles."""
+    h = m.hilbert
+    inner = tuple(b - 1 for b in h.bound)
+    assert_same_terms(h, list(box(inner)))
+    assert_same_terms(h, [])
+    depth = min(m.bound) - 1
+    assert univariate_levels(h, depth) == [
+        univariate_by_points(h, d) for d in range(depth + 1)
+    ]
+    for depth in (0, 2):
+        series, grown = certified_omega(m, depth)
+        assert series == omega_by_points(grown.hilbert, grown.weight, depth)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_terms_match_the_oracles_on_catalog(spec, model_of):
+    assert_reader_matches_oracles(model_of(*spec))
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs())
+def test_terms_match_the_oracles_on_random_multi_branch_germs(germ):
+    assert_reader_matches_oracles(build_model(germ[2]))
+
+
+def test_terms_match_the_oracles_on_the_four_fold_point():
+    assert_reader_matches_oracles(build_model(line_arrangement(4)))
+
+
+def test_terms_match_the_oracles_on_every_ladder_germ():
+    """On the ladder, the points ``classify`` reads: the levels up to |m|
+    against ``univariate_by_points``, and the terms at the points with
+    w(l) <= 0 of the model the depth-0 omega series is certified on.
+    Every other point has w(l) > 0, so its terms land past omega^0 (at
+    order w(l) + 2i), and the series is the oracle's sum over these."""
+    for key in ladder_keys():
+        name, *params = key.split(",")
+        m = build_model(get(name, *map(int, params)))
+        mu = norm(m.multiplicity)
+        grown = m.ensure_bound((mu + 1,) * m.r)
+        assert univariate_levels(grown.hilbert, mu) == [
+            univariate_by_points(grown.hilbert, d) for d in range(mu + 1)
+        ], key
+        series, grown = certified_omega(m, 0)
+        inner = tuple(b - 1 for b in grown.bound)
+        at = np.argwhere(grown.weight.values[window(inner)] <= 0)
+        assert_same_terms(grown.hilbert, at)
+        acc = {}
+        for ell in at.tolist():
+            for e, c in motivic_coeff_by_subsets(grown.hilbert, ell).coeffs:
+                if 2 * e - sum(ell) <= 0:
+                    acc[2 * e - sum(ell)] = acc.get(2 * e - sum(ell), 0) + c
+        lo = min(o for o, c in acc.items() if c)
+        want = tuple(acc.get(o, 0) for o in range(lo, 1))
+        assert series == LaurentSeries(order=lo, coeffs=want, truncation=0), key
+
+
+# r -> (the omega series through omega^0 and its model's bound, the
+# motivic route), recorded with the box reader that ``coefficient_terms``
+# replaced; every route of both points says wild.
+LINE_ARRANGEMENTS = {
+    5: ((-4, (1, 7, 21, 17, 18), 10),
+        {"ord f": -4, "leading": 1, "verdict": "wild", "conditions": {"a": False}}),
+    6: ((-6, (2, 12, 34, 44, 34, 32, 34), 11),
+        {"ord f": -6, "leading": 2, "verdict": "wild", "conditions": {"a": False}}),
+}
+
+
+@pytest.mark.parametrize("r", sorted(LINE_ARRANGEMENTS))
+def test_line_arrangements_keep_their_verdict_and_omega_series(r):
+    (order, coeffs, side), route = LINE_ARRANGEMENTS[r]
+    m = build_model(line_arrangement(r))
+    series, grown = certified_omega(m, 0)
+    assert series == LaurentSeries(order=order, coeffs=coeffs, truncation=0)
+    assert grown.bound == (side,) * r
+    verdict = classify(m)
+    assert (verdict.cmtype, verdict.subtype, verdict.growth, verdict.family) == (
+        "wild", None, None, None
+    )
+    assert {ev["verdict"] for ev in verdict.routes.values()} == {"wild"}
+    assert verdict.routes["motivic"] == route
+    assert verdict.model.bound == (side,) * r
 
 
 @pytest.mark.parametrize("spec", MOTIVIC_SPECS, ids=lambda s: "_".join(map(str, s)))
@@ -317,23 +438,27 @@ def test_motivic_identities_match_the_point_loops_on_catalog(spec, model_of):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
 def test_gorenstein_array_check_matches_the_dict_path(spec, model_of):
     """Every catalog germ is plane, hence Gorenstein; the wrong delta and
-    a changed coefficient must fail on both paths alike."""
+    a changed coefficient must fail on both paths alike.  The changed
+    table reaches the equation through ``_functional_equation``, the one
+    reader ``gorenstein_array_check`` feeds."""
     m = model_of(*spec)
     assert m.is_gorenstein
     outer = padd(m.conductor, ones(m.r))
     h = m.ensure_bound(padd(outer, ones(m.r))).hilbert
-    rows = coefficient_array(h, outer)
-    changed = rows.copy()
-    changed[m.conductor] += 1
-    for array in (rows, changed):
-        coeffs = {
-            p: QPoly.from_dict(dict(enumerate(array[p].tolist(), h.h(p))))
-            for p in np.ndindex(array.shape[:-1])
-        }
-        for delta in (m.delta, m.delta + 1):
-            got = gorenstein_array_check(h, array, m.conductor, delta)
-            assert got == gorenstein_functional_check(coeffs, m.conductor, delta, outer)
-            assert got == (array is rows and delta == m.delta)
+    coeffs = {p: motivic_coeff_by_subsets(h, p) for p in box(outer)}
+    changed = dict(coeffs)
+    changed[m.conductor] = coeffs[m.conductor] + QPoly.from_dict({h.h(m.conductor): 1})
+    for delta in (m.delta, m.delta + 1):
+        got = gorenstein_array_check(h, outer, m.conductor, delta)
+        assert got == gorenstein_functional_check(coeffs, m.conductor, delta, outer)
+        assert got == (delta == m.delta)
+        bumped = terms_by_subsets(h, np.array(list(box(outer))))
+        row = (bumped[:, : m.r + 1] == (*m.conductor, h.h(m.conductor))).all(axis=1)
+        assert row.sum() == 1  # c is a member: its term at q^h(c) is q^h(c)
+        bumped[row, -1] += 1
+        got = _functional_equation(bumped, m.conductor, delta, outer)
+        assert got == gorenstein_functional_check(changed, m.conductor, delta, outer)
+        assert not got
     assert m.gorenstein_motivic_check()
 
 

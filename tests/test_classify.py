@@ -104,6 +104,30 @@ def test_motivic_route_t44(model_of):
     assert ev["pi(4,2)"] == -3
 
 
+@pytest.mark.parametrize(
+    "spec,reads",
+    [(("D", 5), [("levels", 3)]), (("E", 7), [("levels", 3)]),
+     (("A", 4), [("levels", 2)]), (("T", 3, 7), [("levels", 3), ("level", 6)]),
+     (("T", 4, 4), [("levels", 4)] + [("level", 3)] * 4)],
+    ids=["D_5", "E_7", "A_4", "T_3_7", "T_4_4"],
+)
+def test_motivic_route_reads_each_level_once_per_model(spec, reads, model_of, monkeypatch):
+    """The levels 0..|m| come from one read, and level |m| serves the
+    pi(3,2) and pi(4,2) probes; T_{3,7} reads level 6 for pi(6,3), and
+    T_{4,4} reads level 3 once on each of its four complements."""
+    from latcurve import motivic
+
+    seen = []
+    for name, tag in (("univariate_levels", "levels"), ("univariate_motivic", "level")):
+        def counted(h, d, real=getattr(motivic, name), tag=tag):
+            seen.append((tag, d))
+            return real(h, d)
+
+        monkeypatch.setattr(motivic, name, counted)
+    classify_motivic(model_of(*spec))
+    assert seen == reads
+
+
 def test_motivic_route_smooth(model_of):
     ev, _ = classify_motivic(model_of("A", 0))
     assert ev["verdict"] == "finite" and ev["subtype"] == "A"

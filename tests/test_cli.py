@@ -12,6 +12,7 @@ import pytest
 import latcurve
 from latcurve import get
 from latcurve.cli import main
+from latcurve.lattice import box
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -83,25 +84,34 @@ def test_motivic_depth(capsys):
     assert level3["coeffs"] == {"1": 1, "2": -2}
 
 
-def test_motivic_levels_read_one_coefficient_array(monkeypatch, capsys):
+def test_motivic_levels_read_one_terms_call(monkeypatch, capsys):
+    """``motivic --depth 3`` reads the motivic terms twice: once at the
+    points with |l| <= 3 for every level, once at the points of the omega
+    window with w(l) <= 3; and the levels are those of one level a call."""
     from latcurve import motivic
+    from latcurve.classify import certified_omega
 
-    boxes = []
-    real = motivic.coefficient_array
+    calls = []
+    real = motivic.coefficient_terms
 
-    def counted(h, inner):
-        boxes.append(tuple(inner))
-        return real(h, inner)
+    def counted(h, at):
+        calls.append(at.tolist())
+        return real(h, at)
 
-    monkeypatch.setattr(motivic, "coefficient_array", counted)
+    monkeypatch.setattr(motivic, "coefficient_terms", counted)
     code, out, _ = run_cli(
         ["motivic", "--builtin", "T,4,4", "--format", "json", "--depth", "3"], capsys
     )
     assert code == 0
-    # one array for the levels 0..3, one for the omega window
-    assert boxes == [(3, 3, 3, 3), (7, 7, 7, 7)]
     monkeypatch.undo()
+    assert len(calls) == 2
+    assert sorted(calls[0]) == [list(p) for p in box((3,) * 4) if sum(p) <= 3]
     model = latcurve.build_model(get("T", 4, 4))
+    _, grown = certified_omega(model.ensure_bound((4,) * 4), 3)
+    inner = tuple(b - 1 for b in grown.bound)
+    assert calls[1] == [
+        list(p) for p in box(inner) if grown.weight.w(p) <= 3
+    ]
     levels = [motivic.univariate_motivic(model.hilbert, d) for d in range(4)]
     want = [{str(e): c for e, c in p.coeffs} for p in levels]
     assert [level["coeffs"] for level in json.loads(out)["motivic"]["levels"]] == want
@@ -155,6 +165,30 @@ def test_exit_code_margin(tmp_path, capsys):
     code, _, err = run_cli(["invariants", "--germ", str(path)], capsys)
     assert code == 3
     assert "hint" in err
+
+
+@pytest.mark.parametrize(
+    "query,ell",
+    [(["--mincycle", "1,-100000"], "(200002, 100001)"),
+     (["--e1", "3000,3000,0,0"], "(3000, 3000)")],
+    ids=["mincycle", "e1"],
+)
+def test_a_point_past_every_grid_exits_1_without_a_hint(capsys, query, ell):
+    """A query whose cube R(l, l + e) needs a grid past MAX_GRID_POINTS is
+    invalid input that no --bound mends: exit 1, one error line."""
+    code, out, err = run_cli(["spectral", "--builtin", "D,5", *query], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: the cube at l={ell}, as the grid R(0, [")
+    assert len(err.splitlines()) == 1
+
+
+def test_a_point_past_the_grid_still_exits_3_with_the_hint(capsys):
+    code, out, err = run_cli(["spectral", "--builtin", "D,5", "--e1", "9,9,0,0"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: need (9, 9) + e inside the grid (8, 8)\n"
+        "hint: enlarge the grid with --bound\n"
+    )
 
 
 def test_exit_code_route_disagreement(monkeypatch, capsys):

@@ -12,9 +12,9 @@ it replaced (``tests/oracles.py``).
 * A ``poincare`` grid is the expansion on R(0, c) written past c; its
   R(0, c) block is what the members alone force
   (``oracles.hilbert_forced_by_members``), and so H(S).
-* ``omega_substitution`` sums the coefficient array on
-  R(0, c + (depth - min_w) e); ``oracles.omega_by_points`` sums every
-  point of R(0, bound - e).
+* ``omega_substitution`` sums the terms of the points of
+  R(0, bound - e) with w(l) <= depth; ``oracles.omega_by_points`` sums
+  every point of R(0, bound - e).
 """
 
 import itertools

@@ -171,7 +171,8 @@ def _called_name(node) -> str | None:
 def test_only_the_cli_loops_over_points():
     """No module but ``cli`` (which renders the weight table point by
     point) iterates the points of ``box(...)`` or calls ``motivic_coeff``:
-    the motivic identities read one coefficient array."""
+    the motivic callers pass every point they sum to one
+    ``coefficient_terms`` call."""
     package = ROOT / "src" / "latcurve"
     loops = []
     for path in sorted(package.glob("*.py")):
