@@ -512,7 +512,6 @@ def _certified_table(members: np.ndarray) -> SemigroupTable:
         raise InvalidSeries(f"the series give no conductor inside R(0, {list(U)})")
     table = SemigroupTable(r=members.ndim, conductor=c, mask=members[window(c)].copy())
     table.validate()
-    table.validate_additive_closure()
     if not np.array_equal(members, table.members_on(U)):
         raise InvalidSeries(
             f"members on R(0, {list(U)}) break the extension rule of conductor {c}"

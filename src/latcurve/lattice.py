@@ -238,7 +238,9 @@ class SemigroupTable(Record, eq=False):
         return m
 
     def validate(self) -> None:
+        """The table axioms (``_validate_members``) and additive closure."""
         _validate_members(self.mask, self.conductor)
+        self.validate_additive_closure()
 
     def validate_additive_closure(self) -> None:
         """S + S inside S, checked on R(0, c) with sums clamped at c (the
@@ -331,8 +333,9 @@ def upset_minima(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
     nonempty = mins[..., 0] < big
     held = np.zeros(mask.shape, dtype=bool)
     held[nonempty] = mask[tuple(mins[nonempty].T)]
-    bad = _argwhere(~held)
-    return mins, (bad[0] if bad else None)
+    if held.all():
+        return mins, None
+    return mins, tuple(int(x) for x in np.unravel_index(np.argmin(held), held.shape))
 
 
 def semigroup_from_low_points(r: int, conductor: Point, low_points) -> SemigroupTable:
@@ -350,7 +353,6 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
         mask[p] = True
     table = SemigroupTable(r=r, conductor=c, mask=mask)
     table.validate()
-    table.validate_additive_closure()
     return table
 
 

@@ -1,10 +1,18 @@
 """Sparse integer Smith reduction for homology computations.
 
-Boundary matrices of cubical complexes are extremely sparse with entries
-+-1, so almost all pivots are units and elimination stays integral.  The
-rare leftover block with no unit entries is finished with a dense
-textbook Smith reduction; diagonal entries are then normalized into the
-invariant-factor chain.
+One loop reduces every matrix, held as row and column dicts.  It takes
+the entry p of least |value| as pivot, then least fill-in, then lowest
+(col, row).  Row operations take from every other row the multiple of
+the pivot row that leaves in p's column only the remainder, smaller
+than |p|; with a unit pivot or one that divides its column this is the
+Schur complement, exact in integers.  Once the column is clear, column
+operations do the same to the pivot row, changing nothing else.  A
+pivot alone in its row and column is eliminated; where a remainder is
+left the loop picks again, and since the least |entry| strictly falls,
+the loop ends.  Boundary matrices of cubical complexes have entries
++-1, so almost all pivots are units.  The rare non-unit pivots need not
+form a divisibility chain (diag(2, 3) gives [6]), so only they are
+normalized into invariant factors.
 
 ``smith_invariants`` takes a matrix as a list of columns, each column a
 dict {row_index: coefficient}.  ``spectral`` reads it for every E1
@@ -43,125 +51,47 @@ def smith_invariants(columns):
         if not cols[j]:
             del cols[j]
 
-    def set_entry(i, j, v):
+    def add_to(i, j, v):
+        v += rows.get(i, {}).get(j, 0)
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, {})[i] = v
         elif i in rows and j in rows[i]:
             kill(i, j)
 
-    # phase 1: unit pivots only
-    while True:
+    while cols:
         best = None
         for j, col in cols.items():
             for i, v in col.items():
-                if v == 1 or v == -1:
-                    fill = (len(col) - 1) * (len(rows[i]) - 1)
-                    key = (fill, j, i)
-                    if best is None or key < best[0]:
-                        best = (key, i, j, v)
-        if best is None:
-            break
-        _, pi, pj, pv = best
+                key = (abs(v), (len(col) - 1) * (len(rows[i]) - 1), j, i)
+                if best is None or key < best:
+                    best = key
+        _, _, pj, pi = best
+        pv = rows[pi][pj]
+        # clear column pj down to remainders smaller than |pv| by row
+        # operations, then row pi by column operations, which on a clear
+        # column change nothing else
+        prow = list(rows[pi].items())
+        for i, v in list(cols[pj].items()):
+            if i != pi:
+                q = v // pv
+                for j, vj in prow:
+                    add_to(i, j, -q * vj)
+        if len(cols[pj]) > 1:
+            continue
+        for j, v in prow:
+            if j != pj:
+                add_to(pi, j, -(v // pv) * pv)
+        if len(rows[pi]) > 1:
+            continue
         rank += 1
-        prow = dict(rows[pi])
-        pcol = dict(cols[pj])
-        for j in prow:
-            kill(pi, j)
-        for i in pcol:
-            if i in rows and pj in rows.get(i, {}):
-                kill(i, pj)
-        for i, ci in pcol.items():
-            if i == pi:
-                continue
-            f = ci * pv  # ci / pv since pv in {1,-1}
-            for j, vj in prow.items():
-                if j == pj:
-                    continue
-                cur = rows.get(i, {}).get(j, 0)
-                set_entry(i, j, cur - f * vj)
+        if pv != 1 and pv != -1:
+            diag.append(abs(pv))
+        kill(pi, pj)
 
-    if not cols:
+    if not diag:
         return rank, []
-
-    # phase 2: dense Smith reduction of the small leftover block
-    row_ids = sorted(rows)
-    col_ids = sorted(cols)
-    ri = {i: a for a, i in enumerate(row_ids)}
-    ci = {j: b for b, j in enumerate(col_ids)}
-    m, n = len(row_ids), len(col_ids)
-    a = [[0] * n for _ in range(m)]
-    for j, col in cols.items():
-        for i, v in col.items():
-            a[ri[i]][ci[j]] = v
-    diag.extend(_dense_smith_diagonal(a))
-    rank += len(diag)
-    factors = _invariant_factors(diag)
-    return rank, [d for d in factors if d > 1]
-
-
-def _dense_smith_diagonal(a):
-    """Nonzero diagonal of a Smith form of the dense matrix a."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    top = 0
-    while True:
-        pivot = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        while True:
-            p = a[top][top]
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    q = a[i][top] // p
-                    for j in range(top, n):
-                        a[i][j] -= q * a[top][j]
-                    if a[i][top]:
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    q = a[top][j] // p
-                    for i in range(top, m):
-                        a[i][j] -= q * a[i][top]
-                    if a[top][j]:
-                        for i in range(m):
-                            a[i][top], a[i][j] = a[i][j], a[i][top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot must divide the remaining block for a true Smith chain
-            bad = None
-            for i in range(top + 1, m):
-                for j in range(top + 1, n):
-                    if a[i][j] % p:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            for j in range(top, n):
-                a[top][j] += a[bad][j]
-        diag.append(abs(a[top][top]))
-        top += 1
-        if top >= m or top >= n:
-            break
-    return diag
+    return rank, [d for d in _invariant_factors(diag) if d > 1]
 
 
 def _invariant_factors(diag):

@@ -77,6 +77,25 @@ def test_min_closure_violation_detected():
         semigroup_from_low_points(2, (2, 2), [(0, 0), (1, 2), (2, 1), (2, 2)])
 
 
+def test_min_closure_reports_the_first_failure_in_row_major_order():
+    # 0, c and the edges l_0 = 60, l_1 = 60: every point off the edges
+    # but 0 fails, and (0, 1) comes first
+    c = 60
+    edges = [(c, j) for j in range(1, c + 1)] + [(i, c) for i in range(1, c + 1)]
+    with pytest.raises(
+        InconsistentSemigroup, match=r"up-set of \(0, 1\) .* \(min \(1, 1\) absent\)"
+    ):
+        semigroup_from_low_points(2, (c, c), [(0, 0), *edges])
+
+
+def test_validate_checks_additive_closure():
+    # {0, 2} with conductor 5 is min-closed but misses 2 + 2 = 4
+    mask = np.array([True, False, True, False, False, True])
+    table = SemigroupTable(r=1, conductor=(5,), mask=mask)
+    with pytest.raises(InconsistentSemigroup, match=r"\(2,\) \+ \(2,\) = \(4,\)"):
+        table.validate()
+
+
 def test_additive_closure_violation_detected():
     # {0, 2} with conductor 5 misses 2 + 2 = 4
     with pytest.raises(InconsistentSemigroup, match=r"\(2,\) \+ \(2,\) = \(4,\)"):

@@ -1,6 +1,8 @@
-"""The sparse Smith reduction against sympy's dense one, and the filtered
-reduction (clearing, apparent pairs, union-find for the edges) against
-the plain one on hand-built complexes."""
+"""The sparse Smith reduction against sympy's dense one (on hand-built
+and sparse random matrices that need non-unit pivots; the catalog's E1
+queries need none), and the filtered reduction (clearing, apparent
+pairs, union-find for the edges) against the plain one on hand-built
+complexes."""
 
 import random
 
@@ -9,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latcurve import classify, snf, spectral
 from latcurve.homology import filtered_reduction
 from latcurve.snf import smith_invariants
+from latcurve.spectral import pe_series
 
 from oracles import as_pairs, plain_filtered_reduction, reference_pairs
+from test_catalog import ALL_SPECS
 
 
 def boundary_arrays(cells):
@@ -94,6 +99,57 @@ def test_random_vs_sympy(seed):
 )
 def test_hypothesis_vs_sympy(rows):
     assert smith_invariants(to_columns(rows)) == sympy_reference(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        ([[2], [3]], (1, [])),  # the pivot 2 does not divide its column
+        ([[2, 3]], (1, [])),  # nor its row
+        ([[2, 3], [3, 0]], (2, [9])),  # nor either
+        ([[2, 0], [0, 3]], (2, [6])),  # pivots 2 and 3 normalize to [1, 6]
+        ([[0, 4, 0], [6, 0, 0], [0, 0, 10]], (3, [2, 2, 60])),
+    ],
+)
+def test_non_unit_pivots_vs_sympy(rows, expected):
+    assert smith_invariants(to_columns(rows)) == expected == sympy_reference(rows)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Up to 10 x 10, at least half of the entries 0, the rest in -4..4."""
+    nrows, ncols = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    cells = [(i, j) for i in range(nrows) for j in range(ncols)]
+    filled = draw(
+        st.lists(st.sampled_from(cells), max_size=len(cells) // 2, unique=True)
+    )
+    rows = [[0] * ncols for _ in range(nrows)]
+    for i, j in filled:
+        rows[i][j] = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows())
+def test_sparse_hypothesis_vs_sympy(rows):
+    assert smith_invariants(to_columns(rows)) == sympy_reference(rows)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_catalog_e1_traffic_has_unit_pivots_only(spec, model_of, monkeypatch):
+    # every Smith reduction of pe_series and classify eliminates only +-1
+    # pivots, so none reaches _invariant_factors, which normalizes the rest
+    calls, normalized = [], []
+    real = spectral.smith_invariants
+    monkeypatch.setattr(
+        spectral, "smith_invariants", lambda cols: calls.append(1) or real(cols)
+    )
+    monkeypatch.setattr(snf, "_invariant_factors", normalized.append)
+    model = model_of(*spec)
+    pe_series(model.weight, model.conductor)
+    classify(model)
+    assert spec == ("A", 0) or calls
+    assert not normalized
 
 
 def test_filtered_reduction_filled_triangle():
