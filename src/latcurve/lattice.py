@@ -32,6 +32,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 
 from .errors import (
+    DescriptorError,
     GridTooLarge,
     InconsistentSemigroup,
     MarginTooSmall,
@@ -56,6 +57,26 @@ def require_grid(bound: Point, what: str = "grid") -> None:
             f"{what} R(0, {list(bound)}) would hold {points} points, "
             f"more than the limit of {MAX_GRID_POINTS}"
         )
+
+
+def require_length(p: Point, r: int) -> None:
+    """DescriptorError unless the point p has r coordinates."""
+    if len(p) != r:
+        raise DescriptorError(f"l={tuple(p)} has {len(p)} coordinates, not r = {r}")
+
+
+def require_cube(ell: Point, bound: Point) -> Point:
+    """l as a tuple, for a query on the cube R(l, l + e): r coordinates
+    (DescriptorError), none negative, R(0, l + e) within the budget (which
+    no grid bound mends), and l + e inside R(0, bound) (MarginTooSmall)."""
+    ell = tuple(ell)
+    require_length(ell, len(bound))
+    if min(ell) < 0:
+        raise MarginTooSmall(f"l={ell} has a negative coordinate")
+    require_grid(tuple(x + 1 for x in ell), f"the cube at l={ell}, as the grid")
+    if any(x >= b for x, b in zip(ell, bound)):
+        raise MarginTooSmall(f"need {ell} + e inside the grid {bound}")
+    return ell
 
 
 class Record:
@@ -162,12 +183,25 @@ def window(hi: Point) -> tuple:
     return tuple(slice(0, b + 1) for b in hi)
 
 
+def corner_values(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """values[l + e_J] for each row l of the int64 array ``at`` and each
+    subset J of the axes, column J with bit i for axis i: one gather
+    through flat offsets taken from the grid's shape.  Every l + e must
+    lie in the grid."""
+    steps = [math.prod(values.shape[i + 1:]) for i in range(values.ndim)]  # of each e_i
+    offsets = [0]
+    for step in steps:  # the subsets with bit i follow those without it
+        offsets += [o + step for o in offsets]
+    return values.ravel()[np.add.outer(at @ steps, offsets)]
+
+
 def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
     """tables[mask] = max of ``values`` over the corners of the cube
     (base, mask), indexed by base; the array shape shrinks by one along
-    each spanned axis.  The cubes, prod(2 n_i - 1) for n_i points per axis,
-    are the points 2 base + mask of the doubled box, held to the grid
-    budget (GridTooLarge); at the limit homology holds ~100 B a cube, ~400 MB."""
+    each spanned axis; they serve ``lattice_homology``.  The cubes,
+    prod(2 n_i - 1) for n_i points per axis, are the points 2 base + mask
+    of the doubled box, held to the grid budget (GridTooLarge); at the
+    limit homology holds ~100 B a cube, ~400 MB."""
     hi = [n - 1 for n in values.shape]
     require_grid(tuple(2 * b for b in hi), f"the cubes of R(0, {hi}), as the grid")
     tables = {0: values}
@@ -212,6 +246,7 @@ class SemigroupTable(Record, eq=False):
         mask.flags.writeable = False
 
     def contains(self, p: Point) -> bool:
+        require_length(p, self.r)
         if min(p) < 0:
             raise MarginTooSmall(f"l={tuple(p)} has a negative coordinate")
         return bool(self.mask[pmin(p, self.conductor)])
@@ -362,6 +397,7 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
 
 def _read(values: np.ndarray, bound: Point, p: Point) -> int:
     """values[p] for p in R(0, bound); MarginTooSmall elsewhere."""
+    require_length(p, len(bound))
     if min(p) < 0:
         raise MarginTooSmall(f"l={tuple(p)} has a negative coordinate")
     if not leq(p, bound):

@@ -18,8 +18,6 @@ the conductor.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import (
@@ -32,10 +30,13 @@ from .lattice import (
     Point,
     Record,
     WeightGrid,
+    corner_values,
     leq,
     min_weight,
     norm_array,
+    require_cube,
     require_grid,
+    require_length,
     upset_minima,
     window,
 )
@@ -100,14 +101,8 @@ class LaurentSeries(Record):
 
 def motivic_coeff(h: HilbertGrid, ell: Point) -> QPoly:
     """The coefficient polynomial of t^l; zero exactly when l is not a
-    semigroup value.  A cube R(l, l + e) past the grid budget is a
-    GridTooLarge, which no grid bound mends."""
-    ell = tuple(ell)
-    if min(ell) < 0:
-        raise MarginTooSmall(f"l={ell} has a negative coordinate")
-    require_grid(tuple(x + 1 for x in ell), f"the cube at l={ell}, as the grid")
-    if any(x >= b for x, b in zip(ell, h.bound)):
-        raise MarginTooSmall(f"need {ell} + e inside the grid {h.bound}")
+    semigroup value.  Checked by ``lattice.require_cube``."""
+    ell = require_cube(ell, h.bound)
     terms = coefficient_terms(h, np.array([ell], dtype=np.int64))
     return QPoly(tuple(zip(terms[:, h.r].tolist(), terms[:, h.r + 1].tolist())))
 
@@ -115,20 +110,14 @@ def motivic_coeff(h: HilbertGrid, ell: Point) -> QPoly:
 def coefficient_terms(h: HilbertGrid, at: np.ndarray) -> np.ndarray:
     """The nonzero terms c q^e t^l of p_l(q) for each point l, a row of
     the int64 array ``at``, as int64 rows (l_1, ..., l_r, e, c), by point
-    and then by exponent.  The row of l gathers h at each l + e_J through
-    flat offsets, so every l + e must lie in the grid.  Each c is a signed
-    count over the 2^r - 1 subsets J, so int64 is exact."""
-    r, shape = h.r, h.values.shape
-    offsets, signs = [0], [-1]  # per subset J as a bitmask; J = 0 counts nothing
-    for i in range(r):  # the subsets with bit i follow those without it
-        offsets += [o + math.prod(shape[i + 1:]) for o in offsets]
-        signs += [-x for x in signs]
-    strides = np.array([offsets[1 << i] for i in range(r)])
-    offsets, signs = np.array(offsets), np.array(signs)
-    tops = h.values.ravel()[(at @ strides)[:, None] + offsets]
+    and then by exponent.  The row of l reads h at each l + e_J
+    (``lattice.corner_values``), so every l + e must lie in the grid.
+    Each c is a signed count over the 2^r - 1 subsets J, so int64 is exact."""
+    signs = np.array([(-1) ** (bin(J).count("1") + 1) for J in range(1 << h.r)])
+    tops = corner_values(h.values, at)
     rise = tops - tops[:, :1]  # D_J(l), one column per subset J
-    counts = np.zeros((len(at), r), dtype=np.int64)
-    for i in range(r):
+    counts = np.zeros((len(at), h.r), dtype=np.int64)
+    for i in range(h.r):
         counts[:, i] = (rise > i) @ signs
     row, i = counts.nonzero()
     return np.column_stack([at[row], tops[row, 0] + i, counts[row, i]])
@@ -222,6 +211,7 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
 
 def _box_terms(h: HilbertGrid, bounds: Point) -> np.ndarray:
     """The ``coefficient_terms`` of R(0, bounds), which needs bounds + e."""
+    require_length(bounds, h.r)
     if any(x >= b for x, b in zip(bounds, h.bound)):
         raise MarginTooSmall(f"need {tuple(bounds)} + e inside the grid {h.bound}")
     at = np.indices([b + 1 for b in bounds]).reshape(h.r, -1).T

@@ -9,10 +9,11 @@ except l.  The relative chain complex collapses to the subset complex on
 so each query touches at most 2^r cells.
 
 That family is a down-set, held as a 2^r-bit mask (bit I for subset I).
-A point query reads its mask from the corners of its cube; a window of
-points (a level, a ``pe_series`` table, the vanishing scan) reads every
-mask from one set of ``lattice.cube_max_tables`` and reduces each
-distinct mask once per call.
+Every query makes one read (``_ranks``) of the rows l it needs: one
+point, a level, the points below level j*|m| and j*m, or a
+``pe_series`` box (one read per degree).  The read gathers the 2^r
+corners of every row at once (``lattice.corner_values``), within the
+grid budget, and reduces each distinct mask once.
 
 Entries are torsion-free and vanish unless n = w(l) + k; both facts are
 enforced, not assumed, at every point a query reads.
@@ -25,8 +26,8 @@ from math import comb
 import numpy as np
 
 from .errors import LatcurveError, MarginTooSmall, TorsionFound, UndefinedWeight
-from .lattice import Point, Record, WeightGrid, cube_max_tables, norm, norm_array, scale, window
-from .lattice import require_grid
+from .lattice import Point, Record, WeightGrid, corner_values, norm, norm_array, scale
+from .lattice import require_cube, require_grid, require_length
 from .snf import smith_invariants
 
 
@@ -52,33 +53,6 @@ class MinimalCycleGroup(Record):
 
     def __bool__(self) -> bool:
         return self.rank != 0
-
-
-def _pattern(w: WeightGrid, ell: Point, n: int) -> int:
-    """The mask of one base l: the vertices l + e_I of weight <= n, closed
-    downward one axis at a time (I with bit i set stays if I - e_i does)."""
-    # corners[I] = w(l + e_I): the transposed 2 x ... x 2 block, row-major
-    corners = w.values[tuple(slice(x, x + 2) for x in ell)].T.ravel().tolist()
-    pattern = sum(1 << sub for sub, value in enumerate(corners) if value <= n)
-    full = (1 << len(corners)) - 1
-    for i in range(w.r):
-        s = 1 << i
-        upper = full // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)  # bit i set
-        pattern &= ~upper | pattern << s
-    return pattern
-
-
-def _patterns(w: WeightGrid, hi: Point, at, n) -> tuple[list[int], np.ndarray]:
-    """The masks at weight n of the bases ``at`` (index arrays into R(0, hi),
-    n an int or an array along them), from one set of cube-max tables:
-    the distinct masks, and each base's index among them.  Needs hi + e
-    inside the grid."""
-    values = w.values[tuple(slice(0, b + 2) for b in hi)]
-    admissible = [t[at] <= n for t in cube_max_tables(values, w.r).values()]
-    bits = np.packbits(np.stack(admissible, axis=-1), axis=1, bitorder="little")
-    rows = bits.view(f"V{bits.shape[1]}").ravel()  # 1-d: faster than axis=0
-    keys, index = np.unique(rows, return_inverse=True)
-    return [int.from_bytes(key.tobytes(), "little") for key in keys], index.reshape(-1)
 
 
 def _rank(pattern: int, r: int, k: int) -> tuple[int, list]:
@@ -111,49 +85,60 @@ def _rank(pattern: int, r: int, k: int) -> tuple[int, list]:
     return len(cells.get(k, ())) - boundary(k)[0] - rank_up, torsion
 
 
-def _check(w: WeightGrid, ell: Point, k: int, n: int, rank: int, torsion: list):
-    """The checks on every refined entry: no torsion, and the support law."""
-    if torsion:
-        raise TorsionFound(f"E1 entry at l={ell}, k={k}, n={n} has torsion {torsion}")
-    if rank and n != w.w(ell) + k:
+def _masks(corners: np.ndarray, n, r: int) -> tuple[list[int], np.ndarray]:
+    """The masks at weight n (an int, or an (N, 1) column) of the N rows
+    of ``corners``, the weights at l + e_J (column J): the distinct masks,
+    and each row's index among them.  A subset I is admissible if every
+    J inside it has w(l + e_J) <= n, so the vertices of weight <= n are
+    ANDed down the subsets one axis at a time."""
+    down = corners <= n
+    for i in range(r):
+        halves = down.reshape(-1, 2, 1 << i)  # J without, and with, bit i
+        halves[:, 1] &= halves[:, 0]
+    bits = np.packbits(down, axis=1, bitorder="little")
+    if len(bits) == 1:  # one row: nothing to sort
+        return [int.from_bytes(bits.tobytes(), "little")], np.zeros(1, dtype=np.intp)
+    rows = bits.view(f"V{bits.shape[1]}").ravel()  # 1-d: faster than axis=0
+    keys, index = np.unique(rows, return_inverse=True)
+    return [int.from_bytes(key.tobytes(), "little") for key in keys], index.reshape(-1)
+
+
+def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:
+    """Refined ranks in degree k at weight n (an int, or an (N, 1) column)
+    at the N rows l of the int64 array ``at``, each with l + e inside the
+    grid.  The N 2^r corners it gathers are held to the grid budget
+    (GridTooLarge), and each distinct mask is reduced once.  No entry may
+    have torsion, and a nonzero entry needs n = w(l) + k; the first
+    failing row in order of (|l|, l) raises, so rows of one |l| must come
+    in lexicographic order."""
+    r = w.r
+    require_grid((len(at) - 1, (1 << r) - 1), f"the corners of {len(at)} E1 rows, as the grid")
+    corners = corner_values(w.values, at)
+    masks, index = _masks(corners, n, r)
+    reduced = [_rank(mask, r, k) for mask in masks]
+    rank = np.array([rk for rk, _ in reduced], dtype=np.int64)[index]
+    torsion = np.array([bool(t) for _, t in reduced])[index]
+    off = corners[:, :1] + k != n  # the support law, as a column
+    bad = np.flatnonzero(torsion | (rank != 0) & off[:, 0])
+    if len(bad):
+        i = bad[np.argmin(at[bad].sum(axis=1))]
+        ell, n = tuple(at[i].tolist()), int(np.broadcast_to(n, off.shape)[i, 0])
+        if torsion[i]:
+            raise TorsionFound(
+                f"E1 entry at l={ell}, k={k}, n={n} has torsion {reduced[index[i]][1]}"
+            )
         raise LatcurveError(
             f"support law violated: nonzero entry at l={ell}, k={k}, n={n} "
-            f"but w(l)+k = {w.w(ell) + k}"
+            f"but w(l)+k = {corners[i, 0] + k}"
         )
-
-
-def _window(w: WeightGrid, k: int, n: np.ndarray, read: np.ndarray) -> np.ndarray:
-    """Refined ranks in degree k at the bases of R(0, hi) where ``read``
-    holds, in row-major order, at the weights ``n``; both arrays are over
-    R(0, hi).  Each distinct mask among those bases is reduced once.  The
-    checks of ``e1_refined`` run at every such base, and the first
-    failure in order of (|l|, l) raises."""
-    points = np.argwhere(read)
-    at = tuple(points.T)
-    n = n[at]
-    patterns, index = _patterns(w, tuple(b - 1 for b in read.shape), at, n)
-    reduced = [_rank(pattern, w.r, k) for pattern in patterns]
-    rank = np.array([rk for rk, _ in reduced], dtype=np.int64)[index]
-    torsion = np.array([bool(t) for _, t in reduced], dtype=bool)[index]
-    bad = np.flatnonzero(torsion | (rank != 0) & (w.values[at] + k != n))
-    if len(bad):
-        i = bad[np.argmin(points[bad].sum(axis=1))]
-        _check(w, tuple(points[i].tolist()), k, int(n[i]), *reduced[index[i]])
     return rank
 
 
 def e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:
-    """Rank of the refined E1 entry at l; degree q = |l| + k.  A cube
-    R(l, l + e) past the grid budget is a GridTooLarge, which no grid
-    bound mends."""
-    ell = tuple(ell)
-    if min(ell) < 0:
-        raise MarginTooSmall(f"l={ell} has a negative coordinate")
-    require_grid(tuple(x + 1 for x in ell), f"the cube at l={ell}, as the grid")
-    if any(x >= b for x, b in zip(ell, w.bound)):
-        raise MarginTooSmall(f"need {ell} + e inside the grid {w.bound}")
-    rank, torsion = _rank(_pattern(w, ell, n), w.r, k)
-    _check(w, ell, k, n, rank, torsion)
+    """Rank of the refined E1 entry at l; degree q = |l| + k.  Checked by
+    ``lattice.require_cube``."""
+    ell = require_cube(ell, w.bound)
+    rank = int(_ranks(w, np.array([ell], dtype=np.int64), k, n)[0])
     return E1Entry(ell=ell, d=norm(ell), k=k, n=n, rank=rank)
 
 
@@ -163,8 +148,8 @@ def e1_level(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
     if any(b < 0 for b in inner) or d > norm(inner):
         raise MarginTooSmall(f"level {d} reaches outside the grid {w.bound}")
     on = norm_array(tuple(max(1, min(b, d + 1)) for b in w.bound)) == d
-    rank = int(_window(w, k, np.full(on.shape, n), on).sum())
-    return E1Entry(ell=None, d=d, k=k, n=n, rank=rank)
+    rank = _ranks(w, np.argwhere(on), k, n).sum()
+    return E1Entry(ell=None, d=d, k=k, n=n, rank=int(rank))
 
 
 def minimal_spectral_cycles(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
@@ -172,8 +157,9 @@ def minimal_spectral_cycles(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
 
     Defined when |m| >= 3 and n = (2 - |m|) j + k for a natural j; the
     group is the refined entry at l = j*m, and the vanishing of every
-    level entry below j*|m| is assert-checked, on one window whose entry
-    checks all come before the vanishing check.
+    level entry below j*|m| is assert-checked.  One read takes the points
+    of the grid below level j*|m| and then j*m, so every entry check
+    comes before the vanishing check.
     """
     m = w.multiplicity
     mm = norm(m)
@@ -185,23 +171,22 @@ def minimal_spectral_cycles(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
             f"no natural j solves n = (2-|m|)j + k for k={k}, n={n}, |m|={mm}"
         )
     j = num // (mm - 2)
-    entry = e1_refined(w, scale(j, m), k, n)
+    ell = require_cube(scale(j, m), w.bound)
     top = j * mm
-    if top:  # j*m + e lies inside the grid, so every level below top does
-        level = norm_array(tuple(min(b, top) for b in w.bound))
-        rank = _window(w, k, np.full(level.shape, n), level < top)
-        low = np.bincount(level[level < top], rank)  # entry checks came first
-        if low.any():
-            d = int(np.flatnonzero(low)[0])
-            raise LatcurveError(
-                f"vanishing below level {top} fails at d={d} (rank {int(low[d])})"
-            )
-    bound = comb(w.r - 1, k) if 0 <= k <= w.r - 1 else 0
-    if entry.rank > bound:
+    level = norm_array(tuple(min(b, top) for b in w.bound))
+    rank = _ranks(w, np.vstack([np.argwhere(level < top), [ell]]), k, n)
+    low = np.bincount(level[level < top], rank[:-1])
+    if low.any():
+        d = int(np.flatnonzero(low)[0])
         raise LatcurveError(
-            f"minimal cycle rank {entry.rank} exceeds the bound C({w.r - 1},{k})"
+            f"vanishing below level {top} fails at d={d} (rank {int(low[d])})"
         )
-    return MinimalCycleGroup(k=k, n=n, j=j, rank=entry.rank)
+    bound = comb(w.r - 1, k) if 0 <= k <= w.r - 1 else 0
+    if rank[-1] > bound:
+        raise LatcurveError(
+            f"minimal cycle rank {rank[-1]} exceeds the bound C({w.r - 1},{k})"
+        )
+    return MinimalCycleGroup(k=k, n=n, j=j, rank=int(rank[-1]))
 
 
 def has_maximal_rank(group: MinimalCycleGroup, m: Point) -> bool:
@@ -216,17 +201,16 @@ def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]
     n = w(l) + k (the only weight where the entry can be nonzero); zero
     ranks are dropped.
     """
+    require_length(bounds, w.r)
     if min(bounds) < 0 or any(x >= b for x, b in zip(bounds, w.bound)):
         raise MarginTooSmall(f"need R(0, {bounds}) + e inside the grid {w.bound}")
-    weights = w.values[window(bounds)]
-    every = np.ones(weights.shape, dtype=bool)
-    ranks = [_window(w, k, weights + k, every) for k in range(w.r)]
-    ranks = np.stack(ranks, axis=-1).reshape(weights.shape + (w.r,))
+    at = np.indices([b + 1 for b in bounds]).reshape(w.r, -1).T  # row-major
+    weights = w.values[tuple(at.T)]
+    ranks = np.stack([_ranks(w, at, k, weights[:, None] + k) for k in range(w.r)], axis=-1)
     hits = np.argwhere(ranks)  # (l, k) in lexicographic order
-    ells, ks = hits[:, :-1], hits[:, -1]
-    ns = weights[tuple(ells.T)] + ks
-    keys = zip(map(tuple, ells.tolist()), ns.tolist(), ks.tolist())
-    return dict(zip(keys, ranks[tuple(hits.T)].tolist()))
+    rows, ks = hits[:, 0], hits[:, 1]
+    keys = zip(map(tuple, at[rows].tolist()), (weights[rows] + ks).tolist(), ks.tolist())
+    return dict(zip(keys, ranks[rows, ks].tolist()))
 
 
 def pe_univariate(pe: dict) -> dict[tuple[int, int, int], int]:

@@ -759,11 +759,11 @@ SMOOTH_HILBERT = {"kind": "hilbert", "bound": [10001], "values": list(range(1000
         # the box (21, 21, 8) and the guesses 8e, 17e fit; the bound does not
         (["invariants", "--builtin", "D,40"], None, "grid R(0, [35, 35, 35])"),
         # a 5003-point grid whose conductor box has 10001 cubes, and whose
-        # E1 window R(0, c + e) has 10003
+        # E1 table on R(0, c) gathers 5001 rows of 2 corners, 10002 reads
         (["homology", "--builtin", "A,5000"], None,
          "the cubes of R(0, [5000]), as the grid R(0, [10000])"),
         (["spectral", "--builtin", "A,5000"], None,
-         "the cubes of R(0, [5001]), as the grid R(0, [10002])"),
+         "the corners of 5001 E1 rows, as the grid R(0, [5000, 1])"),
     ],
     ids=["semigroup-bound", "hilbert-bound", "poincare-bound-flag",
          "poincare-bound-field", "poincare-replayed-guess", "motivic-depth",

@@ -1,13 +1,18 @@
 """The E1 engine against the scalar engine it replaced.
 
-``spectral`` reads the admissible-subset bitmask of one base directly
-(``_pattern``) and of a whole window from the cube-max tables
-(``_patterns``), and reduces each distinct bitmask once per call.  The
-reference is ``oracles.scalar_e1_refined``: one dict of cube maxima and
+``spectral`` answers every query with one read of the rows it needs: it
+gathers the 2^r corners of each row (``lattice.corner_values``), ANDs
+the admissible-subset bitmasks down the subsets (``_masks``), and
+reduces each distinct bitmask once per read.  The reference is
+``oracles.scalar_e1_refined``: one dict of cube maxima and
 one Smith form per dimension at every point, with ``e1_level``,
 ``pe_series`` and ``minimal_spectral_cycles`` as loops over it.  Every
 query gives the same rank, or raises the same exception class; a point
-or level query also gives the same message.
+or level query also gives the same message.  The 5- and 6-fold points
+take the engine to r = 5 and 6, where the reference answers a level, a
+minimal-cycle group or a small table in seconds.  Each query makes one
+corner gather (one per degree for ``pe_series``), and every point reader
+refuses a point of the wrong length as a ``DescriptorError``.
 """
 
 import re
@@ -16,11 +21,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from latcurve import LatcurveError, MarginTooSmall, build_model, motivic_coeff
-from latcurve import spectral
-from latcurve.lattice import WeightGrid, box, norm, pmin
+from latcurve import DescriptorError, LatcurveError, MarginTooSmall, build_model
+from latcurve import motivic, motivic_coeff, spectral
+from latcurve.lattice import WeightGrid, box, corner_values, norm, ones, pmin
 
 from germ_strategies import monomial_plane_germs
+from line_arrangements import line_arrangement
 from oracles import (
     admissible_subsets,
     e1_level_by_points,
@@ -60,14 +66,14 @@ def assert_same_points(w, points):
 
 
 def assert_same_patterns(w, ns):
-    """Window, scalar and reference bitmasks agree at every base."""
-    inner = inner_of(w)
-    points = list(box(inner))
+    """The reader's bitmasks agree with the reference at every base."""
+    points = list(box(inner_of(w)))
+    corners = corner_values(w.values, np.array(points, dtype=np.int64))
     for n in ns:
-        patterns, index = spectral._patterns(w, inner, tuple(np.array(points).T), n)
+        patterns, index = spectral._masks(corners, n, w.r)
         for ell, i in zip(points, index):
             want = sum(1 << sub for sub in admissible_subsets(w, ell, n))
-            assert patterns[i] == spectral._pattern(w, ell, n) == want
+            assert patterns[i] == want
 
 
 def assert_same_windows(w, levels, bounds):
@@ -181,3 +187,79 @@ def test_negative_points_are_outside_the_lattice(model_of):
         spectral.e1_refined(m.weight, (-2, 3), 0, 4)
     with pytest.raises(MarginTooSmall, match="negative coordinate"):
         motivic_coeff(m.hilbert, (-2, 3))
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_e1_matches_scalar_engine_on_the_ordinary_fold_points(r):
+    """r general lines through 0: the levels up to 6, the minimal cycles
+    (M(1, 3 - r) has rank r - 1, the ceiling C(|m| - 1, 1)), a table on
+    R(0, e) against the reference, and the table on R(0, c) against the
+    motivic coefficients."""
+    m = build_model(line_arrangement(r))
+    w = m.weight
+    for k, n in LEVEL_QUERIES:
+        for d in range(7):
+            assert outcome(spectral.e1_level, w, d, k, n) == outcome(
+                e1_level_by_points, w, d, k, n
+            )
+    for k, n in CYCLE_QUERIES + [(1, 3 - r)]:
+        got = outcome(spectral.minimal_spectral_cycles, w, k, n)
+        assert got == outcome(minimal_spectral_cycles_by_points, w, k, n)
+    assert spectral.minimal_spectral_cycles(w, 1, 3 - r).rank == r - 1
+    assert spectral.pe_series(w, ones(r)) == pe_series_by_points(w, ones(r))
+    table = spectral.pe_series(w, m.conductor)
+    assert motivic.pe_substitution_check(table, m.hilbert, m.conductor, strict=True)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_each_query_gathers_its_corners_once(model_of, monkeypatch):
+    """One gather per E1 query (one per degree for ``pe_series``), with
+    no separate point read for the minimal-cycle entry, and one per
+    ``coefficient_terms`` call."""
+    m = model_of("T", 4, 4)
+    w = m.weight
+    reads = count_calls(monkeypatch, spectral, "corner_values")
+    points = count_calls(monkeypatch, spectral, "e1_refined")
+    assert spectral.minimal_spectral_cycles(w, 1, -1).rank == 3
+    assert (len(reads), len(points)) == (1, 0)
+    spectral.e1_level(w, 3, 1, -1)
+    assert len(reads) == 2
+    spectral.pe_series(w, m.conductor)
+    assert len(reads) == 2 + w.r
+    gathers = count_calls(monkeypatch, motivic, "corner_values")
+    terms = count_calls(monkeypatch, motivic, "coefficient_terms")
+    motivic_coeff(m.hilbert, (2, 1, 1, 0))
+    motivic.univariate_levels(m.hilbert, 3)
+    motivic.omega_substitution(m.hilbert, w, 0)
+    motivic.pe_substitution_check({}, m.hilbert, (1, 1, 1, 1))
+    assert len(gathers) == len(terms) == 4
+
+
+D5_READERS = {
+    "e1_refined": lambda m, p: spectral.e1_refined(m.weight, p, 1, 0),
+    "motivic_coeff": lambda m, p: motivic_coeff(m.hilbert, p),
+    "pe_series": lambda m, p: spectral.pe_series(m.weight, p),
+    "pe_substitution_check": lambda m, p: motivic.pe_substitution_check(
+        {}, m.hilbert, p
+    ),
+    "gorenstein_array_check": lambda m, p: motivic.gorenstein_array_check(
+        m.hilbert, p, m.conductor, m.delta
+    ),
+    "WeightGrid.w": lambda m, p: m.weight.w(p),
+    "HilbertGrid.h": lambda m, p: m.hilbert.h(p),
+    "SemigroupTable.contains": lambda m, p: m.semigroup.contains(p),
+}
+
+
+@pytest.mark.parametrize("point", [(2,), (2, 1, 0)], ids=["short", "long"])
+@pytest.mark.parametrize("reader", D5_READERS.values(), ids=D5_READERS.keys())
+def test_a_point_of_the_wrong_length_is_a_descriptor_error(model_of, reader, point):
+    with pytest.raises(DescriptorError, match=re.escape(f"l={point} has {len(point)} "
+                                                        "coordinates, not r = 2")):
+        reader(model_of("D", 5), point)

@@ -17,7 +17,7 @@ from latcurve import (
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
-from latcurve.lattice import SemigroupTable, box
+from latcurve.lattice import SemigroupTable, box, corner_values
 
 from oracles import restrict_to_subcurve
 
@@ -257,3 +257,22 @@ def test_multiplicity_readoff(model_of):
     assert model_of("D", 5).multiplicity == (2, 1)
     assert model_of("Z11").multiplicity == (3, 1)
     assert model_of("A", 0).multiplicity == (1,)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_corner_values_reads_every_corner_of_each_row(r):
+    """values[l + e_J] at column J (bit i for axis i), against one read per
+    corner, on random grids with rows up to the last layer."""
+    rng = np.random.default_rng(r)
+    for _ in range(10):
+        shape = tuple(rng.integers(2, 6, size=r).tolist())
+        values = rng.integers(-50, 50, size=shape)
+        last = [b - 2 for b in shape]
+        at = np.vstack([rng.integers(0, np.array(shape) - 1, size=(20, r)), [last]])
+        got = corner_values(values, at)
+        for row, ell in zip(got.tolist(), at.tolist()):
+            corners = [
+                values[tuple(x + (J >> i & 1) for i, x in enumerate(ell))]
+                for J in range(1 << r)
+            ]
+            assert row == corners

@@ -116,8 +116,8 @@ def test_every_used_name_imports_from_the_package():
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
-    """A decision two modules share (such as the cube-max tables of
-    ``homology`` and ``spectral``) is public in one module."""
+    """A decision two modules share (such as the corner gather of
+    ``spectral`` and ``motivic``) is public in one module."""
     package = ROOT / "src" / "latcurve"
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 5
