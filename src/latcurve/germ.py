@@ -157,10 +157,11 @@ def _ints(xs, what: str) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def _point(xs, what: str) -> tuple[int, ...]:
-    """A lattice point: a list of non-negative integers."""
+def _point(xs, what: str, r: int) -> tuple[int, ...]:
+    """A lattice point of N^r: a list of r non-negative integers."""
     p = _ints(xs, what)
     _expect(min(p, default=0) >= 0, f"{what} {list(p)} has a negative coordinate")
+    _expect(len(p) == r, f"{what} {list(p)} has {len(p)} coordinates, not r = {r}")
     return p
 
 
@@ -192,10 +193,9 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
     name = doc.get("germ")
     if kind == "semigroup":
         _expect("conductor" in src and "elements" in src, "semigroup source needs conductor and elements")
-        c = _point(src["conductor"], "conductor")
-        _expect(len(c) == r, "conductor length != r")
+        c = _point(src["conductor"], "conductor", r)
         _expect(isinstance(src["elements"], list), "elements must be a list of points")
-        elements = [_point(p, "element") for p in src["elements"]]
+        elements = [_point(p, "element", r) for p in src["elements"]]
         payload = (c, elements)
     elif kind == "poincare":
         from .series import MultiPoly, RationalSeries
@@ -230,8 +230,7 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         payload = series
     elif kind == "hilbert":
         _expect("bound" in src and "values" in src, "hilbert source needs bound and values")
-        b = _point(src["bound"], "hilbert bound")
-        _expect(len(b) == r, "hilbert bound length != r")
+        b = _point(src["bound"], "hilbert bound", r)
         shape = tuple(x + 1 for x in b)
         values = _ints(src["values"], "hilbert values")
         _expect(

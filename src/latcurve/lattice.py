@@ -221,7 +221,7 @@ def norm_array(shape) -> np.ndarray:
     for axis, n in enumerate(shape):
         idx = [None] * len(shape)
         idx[axis] = slice(None)
-        total = total + np.arange(n, dtype=np.int64)[tuple(idx)]
+        total += np.arange(n, dtype=np.int64)[tuple(idx)]
     return total
 
 
@@ -235,7 +235,8 @@ class SemigroupTable(Record, eq=False):
     ``mask[l]`` is True iff l is a value of the germ, for l in R(0, c).
     The conductor decides every other point: l is a member iff min(l, c)
     is (the extension rule).  A table is validated once, by the function
-    that makes it.
+    that makes it.  Its multiplicity, once found, is stored outside
+    ``_fields``, so the repr and the identity do not show it.
     """
 
     _fields = ("r", "conductor", "mask")
@@ -260,16 +261,21 @@ class SemigroupTable(Record, eq=False):
         return _clamped(self.mask, self.conductor, bound)
 
     def multiplicity(self) -> Point:
-        """Componentwise minimum of the nonzero members (which is itself
-        a member for a valid table).  Read on R(0, c + e): below every
-        nonzero member s lies the nonzero member min(s, c + e)."""
-        members = np.argwhere(self.members_on(padd(self.conductor, ones(self.r))))
-        nonzero = members[members.any(axis=1)]
-        m = tuple(int(x) for x in nonzero.min(axis=0))
-        if not self.contains(m):
-            raise InconsistentSemigroup(
-                f"componentwise min {m} of nonzero members is not a member"
-            )
+        """Componentwise minimum m of the nonzero members (which is itself
+        a member for a valid table), found and checked on the first call
+        and stored: every later call returns the same tuple.  Read on
+        R(0, c + e): below every nonzero member s lies the nonzero member
+        min(s, c + e)."""
+        m = vars(self).get("_multiplicity")
+        if m is None:
+            members = np.argwhere(self.members_on(padd(self.conductor, ones(self.r))))
+            nonzero = members[members.any(axis=1)]
+            m = tuple(int(x) for x in nonzero.min(axis=0))
+            if not self.contains(m):
+                raise InconsistentSemigroup(
+                    f"componentwise min {m} of nonzero members is not a member"
+                )
+            vars(self)["_multiplicity"] = m
         return m
 
     def validate(self) -> None:
@@ -301,8 +307,8 @@ class SemigroupTable(Record, eq=False):
 
 def _validate_members(mask: np.ndarray, c: Point) -> None:
     """The table axioms on the box R(0, b) that ``mask`` covers: 0, c and
-    every point of R(c, b) are members, no c_i is 0 when r >= 2, and
-    min-closure."""
+    every point of R(c, b) are members, when r >= 2 no c_i is 0 and no
+    nonzero member has a zero coordinate, and min-closure."""
     r = len(c)
     if not mask[(0,) * r]:
         raise InconsistentSemigroup("0 must be a member")
@@ -316,8 +322,15 @@ def _validate_members(mask: np.ndarray, c: Point) -> None:
         raise InconsistentSemigroup("conductor itself must be a member")
     # a member s with s_i = 0 is a unit, so with r >= 2 branches 0 is
     # the only member on the coordinate hyperplanes
-    if r >= 2 and min(c) == 0:
-        raise InconsistentSemigroup(f"conductor {c} has a zero coordinate")
+    if r >= 2:
+        if min(c) == 0:
+            raise InconsistentSemigroup(f"conductor {c} has a zero coordinate")
+        planes = mask.copy()
+        planes[(slice(1, None),) * r] = False
+        planes[(0,) * r] = False
+        if planes.any():
+            p = tuple(int(x) for x in np.argwhere(planes)[0])
+            raise InconsistentSemigroup(f"nonzero member {p} has a zero coordinate")
     _validate_min_closure(mask)
 
 
@@ -374,18 +387,27 @@ def upset_minima(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
 
 
 def semigroup_from_low_points(r: int, conductor: Point, low_points) -> SemigroupTable:
-    """Build the table on R(0, conductor) from an explicit member list,
-    checked for min-closure and additive closure."""
+    """Build the table on R(0, conductor) from an explicit member list;
+    the conductor and each point have r coordinates (DescriptorError),
+    and the table is checked for its axioms and additive closure."""
     c = tuple(conductor)
+    require_length(c, r)
     if min(c) < 0:
         raise InconsistentSemigroup(f"conductor {c} has a negative coordinate")
     require_grid(c, "semigroup table")
+    points = list(low_points)
+    wrong = [p for p in points if len(p) != r]
+    if wrong:
+        require_length(wrong[0], r)
+    # Python ints until the bounds check: a coordinate past int64 is
+    # outside the box, not an overflow
+    at = np.array(points, dtype=object).reshape(-1, r)
+    outside = np.any((at < 0) | (at > c), axis=1)
+    if outside.any():
+        p = tuple(int(x) for x in at[np.argmax(outside)])
+        raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
     mask = np.zeros(tuple(ci + 1 for ci in c), dtype=bool)
-    for p in low_points:
-        p = tuple(p)
-        if min(p) < 0 or not leq(p, c):
-            raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
-        mask[p] = True
+    mask[tuple(at.astype(np.int64).T)] = True
     table = SemigroupTable(r=r, conductor=c, mask=mask)
     table.validate()
     return table
@@ -457,22 +479,31 @@ class WeightGrid(Record, eq=False):
         return (self.values + total) // 2
 
     def validate(self) -> None:
-        """|w(l)| <= |l| on R(0, c), and w = 2 - |l| on 0 < l <= m.
+        """w against its conductor c and multiplicity m: |w(l)| <= |l| on
+        R(0, c), w = 2 - |l| on 0 < l <= m, and w((m_i + 1) e_i) != 1 - m_i
+        where the grid holds that point; a grid without m is MarginTooSmall.
 
         Past c the first bound follows from the closed form
         w(l) = w(l') + |l - l'|, l' = min(l, c), of a grid made by
         ``hilbert_from_semigroup``: -|l| <= -|l'| + |l - l'| <= w(l) and
         w(l) <= |l'| + |l - l'| = |l|.  (On any grid whose h starts at 0
         and steps by 0 or 1 it holds everywhere, as 0 <= h(l) <= |l|.)"""
-        sub = self.values[window(self.conductor)]
-        if np.any(np.abs(sub) > norm_array(sub.shape)):
+        m, c = self.multiplicity, self.conductor
+        if not leq(m, self.bound):
+            raise MarginTooSmall(f"grid R(0, {self.bound}) does not hold m = {m}")
+        sub = self.values[window(pmax(c, m))]
+        total = norm_array(sub.shape)
+        if np.any(np.abs(sub[window(c)]) > total[window(c)]):
             raise InconsistentSemigroup("|w(l)| <= |l| violated")
-        # w(l) = 2 - |l| on 0 < l <= m
-        sub = self.values[window(self.multiplicity)]
-        expect = 2 - norm_array(sub.shape)
+        expect = 2 - total[window(m)]
         expect[(0,) * self.r] = 0
-        if not np.array_equal(sub, expect):
+        if not np.array_equal(sub[window(m)], expect):
             raise InconsistentSemigroup("w != 2 - |l| below the multiplicity vector")
+        # m_i is the last k of the axis row with w(k e_i) = 2 - k
+        held = np.array(m) < self.bound
+        past = np.diag(np.array(m) + 1)[held]
+        if np.any(self.values[tuple(past.T)] == 2 - past.sum(axis=1)):
+            raise InconsistentSemigroup(f"w(k e_i) = 2 - k goes on past m = {m}")
 
 
 def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
@@ -569,35 +600,14 @@ def past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
 
 
 def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid:
-    """Pointwise w = 2h - |l|; multiplicity read off the axis rows.
-
-    Along axis i the identity w(k e_i) = 2 - k holds exactly for
-    k <= m_i, so m is recovered without semigroup margin questions.
-    """
-    total = norm_array(h.values.shape)
-    values = 2 * h.values - total
-    m = []
-    for i in range(h.r):
-        axis_vals = values[tuple(0 if j != i else slice(None) for j in range(h.r))]
-        mi = 0
-        for k in range(1, len(axis_vals)):
-            if int(axis_vals[k]) == 2 - k:
-                mi = k
-            else:
-                break
-        if mi == 0:
-            raise MarginTooSmall(f"cannot read multiplicity along axis {i}")
-        m.append(mi)
-    m = tuple(m)
-    if semigroup.multiplicity() != m:
-        raise InconsistentSemigroup(
-            f"multiplicity {m} from w disagrees with semigroup {semigroup.multiplicity()}"
-        )
+    """Pointwise w = 2h - |l| on the grid of ``h``, which must be the
+    grid of ``semigroup``: the conductor and multiplicity come from the
+    table, and ``WeightGrid.validate`` checks w against them."""
     grid = WeightGrid(
         r=h.r,
         bound=h.bound,
-        values=values,
-        multiplicity=m,
+        values=2 * h.values - norm_array(h.values.shape),
+        multiplicity=semigroup.multiplicity(),
         conductor=semigroup.conductor,
     )
     grid.validate()

@@ -3,7 +3,7 @@
 * ``numerical_semigroups``: generator sets of single-branch germs.
 * ``monomial_plane_germs``: plane germs whose 2 or 3 branches are
   monomial, t -> (c_x t^a, c_y t^b), as ``hilbert`` descriptors whose
-  grid comes from the exact valuation oracle.
+  grid comes from the exact valuation oracle (``plane_germ``).
 """
 
 from fractions import Fraction
@@ -109,11 +109,19 @@ def monomial_plane_germs(draw):
     branches = draw(
         st.lists(_branches(shapes), min_size=r, max_size=r, unique_by=_curve_key)
     )
+    return plane_germ(branches)
+
+
+def plane_germ(branches):
+    """(branches, conductor, hilbert descriptor) of the plane germ with
+    the given distinct monomial branches."""
     c = plane_conductor(branches)
     # two layers past c: conductor detection needs l + e stable in the grid
     bound = tuple(ci + 2 for ci in c)
     values = np.zeros(tuple(b + 1 for b in bound), dtype=np.int64)
     for ell in product(*[range(b + 1) for b in bound]):
         values[ell] = hilbert_by_valuations(branches, ell)
-    desc = GermDescriptor(r=r, kind="hilbert", payload=(bound, values), plane=True)
+    desc = GermDescriptor(
+        r=len(branches), kind="hilbert", payload=(bound, values), plane=True
+    )
     return branches, c, desc

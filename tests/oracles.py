@@ -26,6 +26,10 @@
 * ``additive_closure_by_members``: the loop over members, one gathered
   shifted box each, that ``SemigroupTable.validate_additive_closure``
   replaced.
+* ``multiplicity_by_axis_rows``: m read off the weights alone, axis by
+  axis, as the largest k with w(j e_i) = 2 - j for 1 <= j <= k: the
+  read that ``weight_from_hilbert`` made before it took m from the
+  table.
 * ``admissible_subsets`` / ``scalar_e1_refined``: the scalar E1 engine
   that ``spectral`` replaced.  Each query builds a dict of the 2^r
   vertex weights and of the cube maxima, lists the admissible subsets,
@@ -580,6 +584,21 @@ def additive_closure_by_members(table) -> None:
                 f"not closed under addition: {s} + {t} = {padd(s, t)} "
                 "is not a member"
             )
+
+
+def multiplicity_by_axis_rows(values: np.ndarray) -> Point:
+    """m_i = the largest k such that w(j e_i) = 2 - j for 1 <= j <= k,
+    walking each axis row of the weight array ``values`` until it first
+    leaves 2 - j (or the grid ends); 0 where w(e_i) != 1 already."""
+    r = values.ndim
+    m = []
+    for i in range(r):
+        row = values[tuple(slice(None) if j == i else 0 for j in range(r))]
+        k = 0
+        while k + 1 < len(row) and int(row[k + 1]) == 2 - (k + 1):
+            k += 1
+        m.append(k)
+    return tuple(m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@
   broadcast over all pairs of members) against
   ``oracles.additive_closure_by_members``: same accept/reject and the
   same message, hence the same first failing pair.
+* multiplicity: ``SemigroupTable.multiplicity`` (one minimum over the
+  nonzero members, stored on the table) against
+  ``oracles.multiplicity_by_axis_rows``, the per-axis read off w that
+  ``weight_from_hilbert`` made before, on the catalog, the benchmark
+  ladders and random germs of one, two and three branches; the weight
+  grid carries the table's tuple itself.
 * motivic: ``coefficient_terms`` (the one reader, at the points a
   caller sums) against the scalar loop over subsets,
   ``oracles.motivic_coeff_by_subsets``, and ``univariate_levels`` and
@@ -81,6 +87,7 @@ from oracles import (
     gorenstein_motivic_check_by_points,
     hilbert_from_motivic_by_points,
     motivic_coeff_by_subsets,
+    multiplicity_by_axis_rows,
     numerator_coeffs_by_points,
     omega_by_points,
     pe_substitution_check_by_points,
@@ -203,6 +210,47 @@ def test_array_forms_on_random_multi_branch_germs(germ, data):
     )
     for d in range(min(m.bound)):
         assert univariate_motivic(m.hilbert, d) == univariate_by_points(m.hilbert, d)
+
+
+# ---------------------------------------------------------------------------
+# multiplicity
+
+
+def assert_multiplicity_matches_axis_rows(m, key=None):
+    got = m.semigroup.multiplicity()
+    assert got == multiplicity_by_axis_rows(m.weight.values), key
+    assert m.weight.multiplicity is got, key
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_multiplicity_matches_the_axis_rows_on_catalog(spec, model_of):
+    assert_multiplicity_matches_axis_rows(model_of(*spec))
+
+
+def test_multiplicity_matches_the_axis_rows_on_every_ladder_germ():
+    for key in ladder_keys():
+        name, *params = key.split(",")
+        assert_multiplicity_matches_axis_rows(
+            build_model(get(name, *map(int, params))), key
+        )
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_plane_germs())
+def test_multiplicity_matches_the_axis_rows_on_random_plane_germs(germ):
+    assert_multiplicity_matches_axis_rows(build_model(germ[2]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(numerical_semigroups())
+def test_multiplicity_matches_the_axis_rows_on_random_semigroups(gens):
+    c = conductor_of(gens)
+    desc = GermDescriptor(
+        r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
+    )
+    m = build_model(desc)
+    assert_multiplicity_matches_axis_rows(m)
+    assert m.multiplicity == (min(gens),)
 
 
 # ---------------------------------------------------------------------------

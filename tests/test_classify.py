@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +14,9 @@ from latcurve import (
 from latcurve.catalog import numerical_semigroup
 from latcurve.classify import (
     FINITE,
+    SUB_A,
     SUB_D,
+    SUB_E,
     _route_homology,
     classify_finite_pointwise,
     classify_motivic,
@@ -21,7 +25,14 @@ from latcurve.classify import (
 )
 from latcurve.germ import GermDescriptor
 
-from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
+from germ_strategies import (
+    X_AXIS,
+    Y_AXIS,
+    conductor_of,
+    monomial_plane_germs,
+    numerical_semigroups,
+    plane_germ,
+)
 from oracles import tame_conditions_without_shortcuts
 
 
@@ -252,3 +263,81 @@ def test_finite_monomial_curves_are_greuel_knoerrer(gens):
         r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
     )
     assert (classify(build_model(desc)).cmtype == FINITE) == finite, gens
+
+
+# ---------------------------------------------------------------------------
+# ground truth for plane germs, the finite half
+
+
+def _tangent(branch):
+    """The tangent line of t -> (c_x t^a, c_y t^b), as the slope y/x of
+    its leading terms (None for the y-axis)."""
+    (cx, a), (cy, b) = branch
+    if cy == 0 or (cx != 0 and a < b):
+        return Fraction(0)
+    if cx == 0 or b < a:
+        return None
+    return Fraction(cy, cx)
+
+
+def ade_type(branches, conductor):
+    """(cmtype, subtype) of a plane germ from its branches alone, or None
+    when the type is not finite.
+
+    The simple plane curve singularities are the ADE germs (Arnold), and
+    a plane curve has finite CM type iff it is simple (Greuel-Knoerrer,
+    Math. Ann. 1985).  By the normal forms, multiplicity <= 2 is A_k;
+    multiplicity 3 whose cubic tangent cone is not a triple line is D_k;
+    multiplicity 3 with one tangent line is E_6, E_7, E_8 (mu <= 8) or
+    not simple (J_10 and beyond, mu >= 10); multiplicity >= 4 is never
+    simple.  The multiplicity is the sum over the branches of
+    min(a, b) (1 for an axis), and mu = 2 delta - r + 1 (Milnor), with
+    2 delta = |c| for a plane curve, c from the intersection numbers."""
+    mult = sum(min(e for coeff, e in branch if coeff) for branch in branches)
+    lines = len({_tangent(branch) for branch in branches})
+    mu = sum(conductor) - len(branches) + 1
+    if mult <= 2:
+        return FINITE, SUB_A
+    if mult == 3 and lines >= 2:
+        return FINITE, SUB_D
+    if mult == 3 and mu <= 8:
+        return FINITE, SUB_E
+    return None
+
+
+def assert_ade_type(germ):
+    branches, c, desc = germ
+    verdict = classify(build_model(desc))
+    want = ade_type(branches, c)
+    if want is None:
+        assert verdict.cmtype != FINITE, branches
+    else:
+        assert (verdict.cmtype, verdict.subtype) == want, branches
+
+
+CUSP, SLOPED = ((1, 2), (1, 3)), ((1, 1), (2, 1))
+
+
+@pytest.mark.parametrize(
+    "branches,want",
+    [
+        ([X_AXIS, Y_AXIS], (FINITE, SUB_A)),  # A_1
+        ([X_AXIS, ((1, 1), (1, 2))], (FINITE, SUB_A)),  # A_3
+        ([X_AXIS, Y_AXIS, SLOPED], (FINITE, SUB_D)),  # D_4
+        ([Y_AXIS, CUSP], (FINITE, SUB_D)),  # D_5
+        ([X_AXIS, CUSP], (FINITE, SUB_E)),  # E_7, mu = 7
+        ([X_AXIS, ((1, 1), (1, 2)), ((2, 1), (1, 2))], None),  # J_10, mu = 10
+        ([CUSP, ((1, 3), (1, 2))], None),  # multiplicity 4
+    ],
+    ids=["A1", "A3", "D4", "D5", "E7", "J10", "mult-4"],
+)
+def test_named_plane_germs_have_their_ade_type(branches, want):
+    germ = plane_germ(branches)
+    assert ade_type(branches, germ[1]) == want
+    assert_ade_type(germ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomial_plane_germs())
+def test_random_plane_germs_have_their_ade_type(germ):
+    assert_ade_type(germ)

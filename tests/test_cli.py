@@ -424,6 +424,37 @@ def test_zero_conductor_coordinate_exits_1(tmp_path, capsys, conductor, elements
     assert (code, out, err) == (1, "", f"error: conductor {c} has a zero coordinate\n")
 
 
+def _z13_with_element(element):
+    doc = get("Z13").to_json_dict()
+    doc["source"]["elements"].append(element)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_z13_with_element([3, 1, 5]), "element [3, 1, 5] has 3 coordinates, not r = 2"),
+        ({"version": 1, "germ": "short", "r": 2, "flags": {}, "bound": None,
+          "source": {"kind": "semigroup", "conductor": [1, 1],
+                     "elements": [[0, 0], [1, 1], [1]]}},
+         "element [1] has 1 coordinates, not r = 2"),
+    ],
+    ids=["long-element", "short-element"],
+)
+def test_semigroup_element_of_the_wrong_length_exits_2(tmp_path, capsys, doc, message):
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_nonzero_member_on_a_coordinate_hyperplane_exits_1(tmp_path, capsys):
+    # with two branches only 0 has a zero coordinate, so (1, 0) is no value
+    doc = {"version": 1, "germ": "plane", "r": 2, "flags": {}, "bound": None,
+           "source": {"kind": "semigroup", "conductor": [1, 1],
+                      "elements": [[0, 0], [1, 0], [1, 1]]}}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out, err) == (1, "", "error: nonzero member (1, 0) has a zero coordinate\n")
+
+
 @pytest.mark.parametrize("command", ["invariants", "classify"])
 def test_semigroup_not_closed_under_addition_exits_1(tmp_path, capsys, command):
     # {0, 2} with conductor 5 misses 2 + 2 = 4

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latcurve import (
+    DescriptorError,
     GermDescriptor,
     InconsistentSemigroup,
     MarginTooSmall,
@@ -17,7 +18,7 @@ from latcurve import (
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
-from latcurve.lattice import SemigroupTable, box, corner_values
+from latcurve.lattice import SemigroupTable, WeightGrid, box, corner_values
 
 from oracles import restrict_to_subcurve
 
@@ -257,6 +258,106 @@ def test_multiplicity_readoff(model_of):
     assert model_of("D", 5).multiplicity == (2, 1)
     assert model_of("Z11").multiplicity == (3, 1)
     assert model_of("A", 0).multiplicity == (1,)
+
+
+def test_multiplicity_is_found_once_and_stored(model_of):
+    table = semigroup_from_low_points(2, (4, 2), model_of("D", 5).semigroup.points())
+    first = table.multiplicity()
+    assert first == (2, 1)
+    assert table.multiplicity() is first
+    # the stored value is no field: the repr and the identity ignore it
+    assert repr(table) == "SemigroupTable(r=2, conductor=(4, 2))"
+    assert "_multiplicity" not in table._fields
+    # a model build takes m from its table, for the bound and the weights
+    m = model_of("T", 4, 4)
+    assert m.weight.multiplicity is m.semigroup.multiplicity()
+
+
+def _weights_of(model, multiplicity, bound=None):
+    """The weights of ``model`` on R(0, bound), with the given m."""
+    bound = bound or model.bound
+    values = model.weight.values[tuple(slice(0, b + 1) for b in bound)].copy()
+    return WeightGrid(
+        r=model.r, bound=bound, values=values, multiplicity=multiplicity,
+        conductor=model.conductor,
+    )
+
+
+def test_weight_validate_rejects_an_axis_row_past_m(model_of):
+    """With m too small on one axis, w = 2 - |l| still holds on
+    0 < l <= m, but the axis row goes on as 2 - k past it."""
+    e6 = model_of("E", 6)  # w = 0, 1, 0, -1, 0, ... and m = (3,)
+    _weights_of(e6, (3,)).validate()
+    with pytest.raises(
+        InconsistentSemigroup, match=re.escape("w(k e_i) = 2 - k goes on past m = (2,)")
+    ):
+        _weights_of(e6, (2,)).validate()
+    # D_5 has m = (2, 1): w(2, 0) = 0 = 1 - 1, while w(0, 2) = 2
+    d5 = model_of("D", 5)
+    with pytest.raises(
+        InconsistentSemigroup, match=re.escape("w(k e_i) = 2 - k goes on past m = (1, 1)")
+    ):
+        _weights_of(d5, (1, 1)).validate()
+    # a grid that ends at m_i has no point past it to read
+    _weights_of(e6, (3,), bound=(3,)).validate()
+
+
+def test_weight_validate_needs_a_grid_that_holds_m(model_of):
+    d5 = model_of("D", 5)
+    with pytest.raises(
+        MarginTooSmall, match=re.escape("grid R(0, (1, 8)) does not hold m = (2, 1)")
+    ):
+        _weights_of(d5, (2, 1), bound=(1, 8)).validate()
+    with pytest.raises(InconsistentSemigroup, match="below the multiplicity vector"):
+        _weights_of(d5, (2, 2)).validate()
+
+
+def test_a_point_of_the_wrong_length_is_a_descriptor_error():
+    for point in [(1,), (1, 1, 1)]:
+        with pytest.raises(
+            DescriptorError,
+            match=re.escape(f"l={point} has {len(point)} coordinates, not r = 2"),
+        ):
+            semigroup_from_low_points(2, (1, 1), [(0, 0), (1, 1), point])
+    with pytest.raises(
+        DescriptorError, match=re.escape("l=(3,) has 1 coordinates, not r = 2")
+    ):
+        semigroup_from_low_points(2, (3,), [(0,), (3,)])
+
+
+def test_the_first_low_point_outside_the_box_is_named():
+    with pytest.raises(
+        InconsistentSemigroup, match=re.escape("low point (3, 1) outside R(0, (2, 2))")
+    ):
+        semigroup_from_low_points(2, (2, 2), [(0, 0), (3, 1), (1, -1), (2, 2)])
+    with pytest.raises(
+        InconsistentSemigroup, match=re.escape("low point (1, -1) outside R(0, (2, 2))")
+    ):
+        semigroup_from_low_points(2, (2, 2), [(0, 0), (1, -1), (3, 1), (2, 2)])
+    # a coordinate past int64 is outside the box too, not an OverflowError
+    with pytest.raises(
+        InconsistentSemigroup, match=re.escape(f"low point ({10**30},) outside R(0, (4,))")
+    ):
+        semigroup_from_low_points(1, (4,), [(0,), (10**30,), (4,)])
+
+
+def test_only_zero_lies_on_a_coordinate_hyperplane():
+    """With r >= 2 a member s with s_i = 0 is a unit, so 0 is the only
+    member with a zero coordinate; the first other one is named, in
+    row-major order."""
+    with pytest.raises(
+        InconsistentSemigroup, match=re.escape("nonzero member (1, 0) has a zero coordinate")
+    ):
+        semigroup_from_low_points(2, (1, 1), [(0, 0), (1, 0), (1, 1)])
+    with pytest.raises(
+        InconsistentSemigroup,
+        match=re.escape("nonzero member (0, 2, 1) has a zero coordinate"),
+    ):
+        semigroup_from_low_points(
+            3, (2, 2, 2), [(0, 0, 0), (2, 1, 0), (0, 2, 1), (2, 2, 2)]
+        )
+    # one branch: every member has the one coordinate
+    assert semigroup_from_low_points(1, (0,), [(0,)]).multiplicity() == (1,)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
