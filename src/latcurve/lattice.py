@@ -183,11 +183,36 @@ def window(hi: Point) -> tuple:
     return tuple(slice(0, b + 1) for b in hi)
 
 
+def box_rows(hi: Point, bound: Point) -> np.ndarray:
+    """The points of R(0, hi) as int64 rows in row-major order, for a read
+    of their cubes, checked as a point query at its top corner hi."""
+    hi = require_cube(hi, bound)
+    return np.indices([x + 1 for x in hi], dtype=np.int64).reshape(len(hi), -1).T
+
+
+def level_rows(lo: int, hi: int, bound: Point) -> np.ndarray:
+    """The points with lo <= |l| <= hi as int64 rows in row-major order,
+    for a read of their cubes.  A level is read whole or refused: every
+    l + e with |l| <= hi lies in R(0, bound) iff every bound is >= hi + 1
+    (MarginTooSmall).  A level below 0 holds no point."""
+    if any(b < hi + 1 for b in bound):
+        raise MarginTooSmall(f"level {hi} needs every axis bound >= {hi + 1}, grid is {bound}")
+    norms = norm_array((max(hi + 1, 0),) * len(bound))
+    return np.argwhere((norms >= lo) & (norms <= hi))
+
+
 def corner_values(values: np.ndarray, at: np.ndarray) -> np.ndarray:
     """values[l + e_J] for each row l of the int64 array ``at`` and each
     subset J of the axes, column J with bit i for axis i: one gather
-    through flat offsets taken from the grid's shape.  Every l + e must
-    lie in the grid."""
+    through flat offsets taken from the grid's shape.  A row with a
+    negative coordinate, or whose l + e leaves the grid, is refused
+    before the gather (MarginTooSmall naming the first such row)."""
+    bound = tuple(n - 1 for n in values.shape)
+    if len(at) and (at.min() < 0 or (at - bound).max() >= 0):
+        ell = tuple(at[((at < 0) | (at >= bound)).any(axis=1).argmax()].tolist())
+        if min(ell) < 0:
+            raise MarginTooSmall(f"l={ell} has a negative coordinate")
+        raise MarginTooSmall(f"need {ell} + e inside the grid {bound}")
     steps = [math.prod(values.shape[i + 1:]) for i in range(values.ndim)]  # of each e_i
     offsets = [0]
     for step in steps:  # the subsets with bit i follow those without it

@@ -30,13 +30,13 @@ from .lattice import (
     Point,
     Record,
     WeightGrid,
+    box_rows,
     corner_values,
     leq,
+    level_rows,
     min_weight,
-    norm_array,
     require_cube,
     require_grid,
-    require_length,
     upset_minima,
     window,
 )
@@ -135,28 +135,22 @@ def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
 
 def univariate_motivic(h: HilbertGrid, d: int) -> QPoly:
     """Sum of the coefficient polynomials over |l| = d."""
-    return _levels(h, d, True)[0]
+    return _levels(h, d, d)[0]
 
 
 def univariate_levels(h: HilbertGrid, depth: int) -> list[QPoly]:
     """``univariate_motivic(h, d)`` for d = 0..depth, from one terms read."""
-    return _levels(h, depth, False)
+    return _levels(h, 0, depth)
 
 
-def _levels(h: HilbertGrid, depth: int, top_only: bool) -> list[QPoly]:
-    """The level sums over |l| = d for d = depth (``top_only``) or for
-    each d = 0..depth, from the terms of those points only."""
+def _levels(h: HilbertGrid, lo: int, hi: int) -> list[QPoly]:
+    """The level sums over |l| = d for each d = lo..hi, each level read
+    whole (``lattice.level_rows``), from the terms of those points only."""
     r = h.r
-    if any(depth + 1 > b for b in h.bound):
-        raise MarginTooSmall(
-            f"level {depth} needs every axis bound >= {depth + 1}, grid is {h.bound}"
-        )
-    norms = norm_array((depth + 1,) * r)
-    at = np.argwhere(norms == depth if top_only else norms <= depth)
-    terms = coefficient_terms(h, at)
-    span = depth + r  # every e = h(l) + i <= |l| + r - 1 is below it
+    terms = coefficient_terms(h, level_rows(lo, hi, h.bound))
+    span = hi + r  # every e = h(l) + i <= |l| + r - 1 is below it
     sums = _tally(terms[:, :r].sum(axis=1) * span + terms[:, r], terms[:, r + 1])
-    levels = {d: {} for d in range(depth if top_only else 0, depth + 1)}
+    levels = {d: {} for d in range(lo, hi + 1)}
     for key, c in sums.items():
         levels[key // span][key % span] = c
     return [QPoly.from_dict(level) for level in levels.values()]
@@ -209,15 +203,6 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
     )
 
 
-def _box_terms(h: HilbertGrid, bounds: Point) -> np.ndarray:
-    """The ``coefficient_terms`` of R(0, bounds), which needs bounds + e."""
-    require_length(bounds, h.r)
-    if any(x >= b for x, b in zip(bounds, h.bound)):
-        raise MarginTooSmall(f"need {tuple(bounds)} + e inside the grid {h.bound}")
-    at = np.indices([b + 1 for b in bounds]).reshape(h.r, -1).T
-    return coefficient_terms(h, at)
-
-
 def pe_substitution_check(
     pe: dict, h: HilbertGrid, bounds: Point, strict: bool = False
 ) -> bool:
@@ -235,7 +220,7 @@ def pe_substitution_check(
     off = ((cells[:, :r] < 0) | (cells[:, :r] > h.bound)).any(axis=1)
     if off.any():  # MarginTooSmall naming the first such l
         h.h(tuple(list(pe)[off.argmax()][0]))
-    terms = _box_terms(h, bounds)
+    terms = coefficient_terms(h, box_rows(bounds, h.bound))
     terms[:, r] -= h.values[tuple(terms[:, :r].T)]
     signed = np.array(list(pe.values()), dtype=np.int64) * (1 - 2 * (cells[:, r] % 2))
     inside = (cells[:, :r] <= bounds).all(axis=1)
@@ -332,8 +317,9 @@ def gorenstein_array_check(
 ) -> bool:
     """``gorenstein_functional_check`` on the coefficient table of
     R(0, outer), read from h as ``coefficient_terms`` without building a
-    polynomial per point; needs outer + e inside the grid."""
-    return _functional_equation(_box_terms(h, outer), conductor, delta, outer)
+    polynomial per point; the box is checked at its top corner."""
+    terms = coefficient_terms(h, box_rows(outer, h.bound))
+    return _functional_equation(terms, conductor, delta, outer)
 
 
 def _functional_equation(terms: np.ndarray, c: Point, delta: int, outer: Point) -> bool:

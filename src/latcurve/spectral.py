@@ -9,11 +9,11 @@ except l.  The relative chain complex collapses to the subset complex on
 so each query touches at most 2^r cells.
 
 That family is a down-set, held as a 2^r-bit mask (bit I for subset I).
-Every query makes one read (``_ranks``) of the rows l it needs: one
-point, a level, the points below level j*|m| and j*m, or a
-``pe_series`` box (one read per degree).  The read gathers the 2^r
-corners of every row at once (``lattice.corner_values``), within the
-grid budget, and reduces each distinct mask once.
+Every query makes one read (``_ranks``) of the rows l it needs, each
+level or box from ``lattice``: one point, a level, the levels below
+j*|m| and j*m, or a ``pe_series`` box (one read per degree).  The read
+gathers the 2^r corners of every row at once (``lattice.corner_values``),
+within the grid budget, and reduces each distinct mask once.
 
 Entries are torsion-free and vanish unless n = w(l) + k; both facts are
 enforced, not assumed, at every point a query reads.
@@ -25,9 +25,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import LatcurveError, MarginTooSmall, TorsionFound, UndefinedWeight
-from .lattice import Point, Record, WeightGrid, corner_values, norm, norm_array, scale
-from .lattice import require_cube, require_grid, require_length
+from .errors import LatcurveError, TorsionFound, UndefinedWeight
+from .lattice import Point, Record, WeightGrid, box_rows, corner_values, level_rows
+from .lattice import norm, require_cube, require_grid, scale
 from .snf import smith_invariants
 
 
@@ -112,12 +112,14 @@ def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:
     failing row in order of (|l|, l) raises, so rows of one |l| must come
     in lexicographic order."""
     r = w.r
+    if k < 0 or k > r:  # no cell of degree k, so no rank and no torsion
+        return np.zeros(len(at), dtype=np.int64)
     require_grid((len(at) - 1, (1 << r) - 1), f"the corners of {len(at)} E1 rows, as the grid")
     corners = corner_values(w.values, at)
     masks, index = _masks(corners, n, r)
     reduced = [_rank(mask, r, k) for mask in masks]
     rank = np.array([rk for rk, _ in reduced], dtype=np.int64)[index]
-    torsion = np.array([bool(t) for _, t in reduced])[index]
+    torsion = np.array([bool(t) for _, t in reduced], dtype=bool)[index]
     off = corners[:, :1] + k != n  # the support law, as a column
     bad = np.flatnonzero(torsion | (rank != 0) & off[:, 0])
     if len(bad):
@@ -143,12 +145,8 @@ def e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:
 
 
 def e1_level(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
-    """Level entry: sum of refined ranks over |l| = d."""
-    inner = tuple(b - 1 for b in w.bound)
-    if any(b < 0 for b in inner) or d > norm(inner):
-        raise MarginTooSmall(f"level {d} reaches outside the grid {w.bound}")
-    on = norm_array(tuple(max(1, min(b, d + 1)) for b in w.bound)) == d
-    rank = _ranks(w, np.argwhere(on), k, n).sum()
+    """Level entry: sum of refined ranks over |l| = d, read whole."""
+    rank = _ranks(w, level_rows(d, d, w.bound), k, n).sum()
     return E1Entry(ell=None, d=d, k=k, n=n, rank=int(rank))
 
 
@@ -157,9 +155,9 @@ def minimal_spectral_cycles(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
 
     Defined when |m| >= 3 and n = (2 - |m|) j + k for a natural j; the
     group is the refined entry at l = j*m, and the vanishing of every
-    level entry below j*|m| is assert-checked.  One read takes the points
-    of the grid below level j*|m| and then j*m, so every entry check
-    comes before the vanishing check.
+    level entry below j*|m| is assert-checked.  Once j*m and the levels
+    below j*|m| are known to fit, one read takes those levels and then
+    j*m, so every entry check comes before the vanishing check.
     """
     m = w.multiplicity
     mm = norm(m)
@@ -173,9 +171,9 @@ def minimal_spectral_cycles(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
     j = num // (mm - 2)
     ell = require_cube(scale(j, m), w.bound)
     top = j * mm
-    level = norm_array(tuple(min(b, top) for b in w.bound))
-    rank = _ranks(w, np.vstack([np.argwhere(level < top), [ell]]), k, n)
-    low = np.bincount(level[level < top], rank[:-1])
+    below = level_rows(0, top - 1, w.bound)
+    rank = _ranks(w, np.vstack([below, [ell]]), k, n)
+    low = np.bincount(below.sum(axis=1), rank[:-1])
     if low.any():
         d = int(np.flatnonzero(low)[0])
         raise LatcurveError(
@@ -199,12 +197,9 @@ def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]
 
     Maps (l, n, k) -> rank over l in R(0, bounds), k = 0..r-1, with
     n = w(l) + k (the only weight where the entry can be nonzero); zero
-    ranks are dropped.
+    ranks are dropped.  The box is checked at its top corner.
     """
-    require_length(bounds, w.r)
-    if min(bounds) < 0 or any(x >= b for x, b in zip(bounds, w.bound)):
-        raise MarginTooSmall(f"need R(0, {bounds}) + e inside the grid {w.bound}")
-    at = np.indices([b + 1 for b in bounds]).reshape(w.r, -1).T  # row-major
+    at = box_rows(bounds, w.bound)
     weights = w.values[tuple(at.T)]
     ranks = np.stack([_ranks(w, at, k, weights[:, None] + k) for k in range(w.r)], axis=-1)
     hits = np.argwhere(ranks)  # (l, k) in lexicographic order

@@ -682,12 +682,14 @@ def scalar_e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:
 
 
 def e1_level_by_points(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
-    """Level entry: sum of refined ranks over |l| = d."""
-    inner = tuple(b - 1 for b in w.bound)
-    if any(b < 0 for b in inner) or d > norm(inner):
-        raise MarginTooSmall(f"level {d} reaches outside the grid {w.bound}")
+    """Level entry: sum of refined ranks over |l| = d, the level read
+    whole: each l + e must lie in the grid."""
+    if any(b < d + 1 for b in w.bound):
+        raise MarginTooSmall(
+            f"level {d} needs every axis bound >= {d + 1}, grid is {w.bound}"
+        )
     total = 0
-    for ell in box(inner):
+    for ell in box((d,) * w.r):
         if norm(ell) == d:
             total += scalar_e1_refined(w, ell, k, n).rank
     return E1Entry(ell=None, d=d, k=k, n=n, rank=total)
@@ -695,7 +697,8 @@ def e1_level_by_points(w: WeightGrid, d: int, k: int, n: int) -> E1Entry:
 
 def minimal_spectral_cycles_by_points(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
     """The group of minimal spectral k-cycles of weight n, with the
-    vanishing below level j*|m| checked one level entry at a time."""
+    vanishing below level j*|m| checked one level entry at a time, once
+    the point j*m and those levels are known to fit the grid."""
     m = w.multiplicity
     mm = norm(m)
     if mm < 3:
@@ -707,6 +710,12 @@ def minimal_spectral_cycles_by_points(w: WeightGrid, k: int, n: int) -> MinimalC
         )
     j = num // (mm - 2)
     ell = scale(j, m)
+    if not leq(padd(ell, ones(w.r)), w.bound):
+        raise MarginTooSmall(f"need {ell} + e inside the grid {w.bound}")
+    if any(b < j * mm for b in w.bound):
+        raise MarginTooSmall(
+            f"level {j * mm - 1} needs every axis bound >= {j * mm}, grid is {w.bound}"
+        )
     entry = scalar_e1_refined(w, ell, k, n)
     for d in range(j * mm):
         low = e1_level_by_points(w, d, k, n)

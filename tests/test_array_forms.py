@@ -36,6 +36,8 @@
   every catalog germ.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +300,28 @@ def assert_reader_matches_oracles(m):
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
 def test_terms_match_the_oracles_on_catalog(spec, model_of):
     assert_reader_matches_oracles(model_of(*spec))
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ([[0, 0], [2, 8], [-1, 3]], "need (2, 8) + e inside the grid (8, 8)"),
+        ([[8, 8]], "need (8, 8) + e inside the grid (8, 8)"),
+        ([[1, 1], [-1, 3]], "l=(-1, 3) has a negative coordinate"),
+    ],
+    ids=["past-one-axis", "past-both-axes", "negative"],
+)
+def test_terms_refuse_a_row_off_the_grid(model_of, rows, message):
+    """Every l + e must lie in the grid and l in N^r: the gather names
+    the first row that is not, where it read wrong corners, crashed or
+    answered outside N^r before.  The grid grown to (12, 12) holds the
+    true terms at (2, 8)."""
+    m = model_of("D", 5)
+    with pytest.raises(MarginTooSmall, match=re.escape(message)):
+        coefficient_terms(m.hilbert, np.array(rows, dtype=np.int64))
+    grown = m.ensure_bound((12, 12)).hilbert
+    got = coefficient_terms(grown, np.array([[2, 8]], dtype=np.int64))
+    assert got.tolist() == [[2, 8, 8, 1], [2, 8, 9, -1]]
 
 
 @settings(max_examples=15, deadline=None)

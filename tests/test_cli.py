@@ -191,6 +191,54 @@ def test_a_point_past_the_grid_still_exits_3_with_the_hint(capsys):
     )
 
 
+HUGE = 10**30
+
+
+@pytest.mark.parametrize(
+    "spec,query,code",
+    [
+        ("A,4", f"--e1=0,{HUGE},0", 0),
+        ("A,4", f"--e1=0,{-HUGE},0", 0),
+        ("D,5", f"--e1=0,0,{HUGE},0", 0),
+        ("D,5", f"--e1=0,0,{-HUGE},0", 0),
+        ("D,5", f"--e1=0,0,{2**63 - 1},0", 0),
+        ("D,5", f"--e1=0,0,0,{HUGE}", 0),
+        ("A,4", f"--e1={HUGE},0,0", 1),
+        ("D,5", f"--e1={HUGE},0,0,0", 1),
+        ("D,5", f"--mincycle={HUGE},0", 1),
+        ("D,5", f"--mincycle=1,{HUGE}", 1),
+    ],
+    ids=["A4-k", "A4-minus-k", "D5-k", "D5-minus-k", "D5-k-int64", "D5-n", "A4-l",
+         "D5-l", "D5-mincycle-k", "D5-mincycle-n"],
+)
+def test_huge_query_values_give_rank_0_or_one_error_line(capsys, spec, query, code):
+    """A degree k outside 0..r has rank 0 before any int64 arithmetic, so
+    neither an overflow nor a wrapped sum is reached; a point or a j past
+    every grid is one error line."""
+    got, out, err = run_cli(["spectral", "--builtin", spec, query], capsys)
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert (out.endswith("  rank 0\n"), err) == (True, "")
+
+
+def test_mincycle_reads_the_levels_below_it_whole(capsys):
+    """M(1, -2) on D_5 has j = 3, so it checks the levels 0..8, and level
+    8 needs a grid of at least (9, 9)."""
+    query = ["spectral", "--builtin", "D,5", "--mincycle", "1,-2"]
+    code, out, err = run_cli(query, capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: level 8 needs every axis bound >= 9, grid is (8, 8)\n"
+        "hint: enlarge the grid with --bound\n"
+    )
+    code, out, err = run_cli(query + ["--bound", "9,9"], capsys)
+    assert (code, out, err) == (0, "M(k=1, n=-2)  j=3  rank 0\n", "")
+
+
 def test_exit_code_route_disagreement(monkeypatch, capsys):
     import importlib
 

@@ -154,21 +154,29 @@ def test_pe_series_reduces_each_distinct_pattern_once_per_degree(
 
 def test_failures_on_a_value_grid_name_the_first_level_and_point():
     """Values (no germ's weights) whose level entries below j*|m| = 3 do
-    not vanish.  For (k, n) = (0, -1) the support law also fails, on level
-    2: the scan, one window, reports that entry check, where the loop over
-    levels reported the vanishing on level 1 first.  On level 1 at
-    (k, n) = (1, 1) the support law fails at (0, 0, 1) and at (0, 1, 0)."""
-    values = [-1, -1, 0, -1, 0, 2, 2, 0, -1, 0, 0, -1, -2, 2, 1, 1, 0, -1,
-              -1, -1, 1, 1, -2, -2, -1, 1, -2]
-    w = WeightGrid(
-        r=3,
-        bound=(2, 2, 2),
-        values=np.array(values).reshape(3, 3, 3),
-        multiplicity=(1, 1, 1),
-        conductor=(2, 2, 2),
-    )
+    not vanish.  The grid (2, 2, 2) cannot hold level 2 whole, so both
+    engines refuse before reading an entry.  On the grid (3, 3, 3), with
+    the same values on R(0, (2, 2, 2)) and weight 9 past it, levels 0..2
+    are read whole.  For (k, n) = (0, -1) the support law also fails, on
+    level 2: the scan, one window, reports that entry check, where the
+    loop over levels reported the vanishing on level 1 first.  On level 1
+    at (k, n) = (1, 1) the support law fails at (0, 0, 1) and at
+    (0, 1, 0)."""
+    values = np.array([-1, -1, 0, -1, 0, 2, 2, 0, -1, 0, 0, -1, -2, 2, 1, 1, 0, -1,
+                       -1, -1, 1, 1, -2, -2, -1, 1, -2]).reshape(3, 3, 3)
+    engines = (spectral.minimal_spectral_cycles, minimal_spectral_cycles_by_points)
+    small = WeightGrid(r=3, bound=(2, 2, 2), values=values, multiplicity=(1, 1, 1),
+                       conductor=(2, 2, 2))
+    want = "level 2 needs every axis bound >= 3, grid is (2, 2, 2)"
+    for engine in engines:
+        with pytest.raises(MarginTooSmall, match=re.escape(want)):
+            engine(small, 2, 1)
+    grown = np.full((4, 4, 4), 9)
+    grown[:3, :3, :3] = values
+    w = WeightGrid(r=3, bound=(3, 3, 3), values=grown, multiplicity=(1, 1, 1),
+                   conductor=(3, 3, 3))
     want = "vanishing below level 3 fails at d=0 (rank 1)"
-    for engine in (spectral.minimal_spectral_cycles, minimal_spectral_cycles_by_points):
+    for engine in engines:
         with pytest.raises(LatcurveError, match=re.escape(want)):
             engine(w, 2, 1)
     with pytest.raises(LatcurveError, match=r"vanishing .* d=1 \(rank 1\)"):
@@ -179,6 +187,48 @@ def test_failures_on_a_value_grid_name_the_first_level_and_point():
     for engine in (spectral.e1_level, e1_level_by_points):
         with pytest.raises(LatcurveError, match=re.escape(want)):
             engine(w, 1, 1, 1)
+
+
+def refusal(f, *args):
+    """The message of the MarginTooSmall f raises, or None if it answers."""
+    try:
+        f(*args)
+    except MarginTooSmall as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_e1_and_motivic_levels_refuse_the_same_levels(spec, model_of):
+    """A level is one set of points in both gradings: read whole, or
+    refused with the same message (the last two levels never fit)."""
+    m = model_of(*spec)
+    top = min(m.bound) + 1
+    got = [refusal(spectral.e1_level, m.weight, d, 0, 0) for d in range(top + 1)]
+    want = [refusal(motivic.univariate_motivic, m.hilbert, d) for d in range(top + 1)]
+    assert got == want
+    assert None not in got[-2:]
+
+
+def test_a_level_past_the_grid_is_refused_not_cut(model_of):
+    """D_5's grid (8, 8) holds level 10 only in part; the whole level,
+    read on (20, 20), has rank 5, as the refined table says."""
+    m = model_of("D", 5)
+    want = "level 10 needs every axis bound >= 11, grid is (8, 8)"
+    with pytest.raises(MarginTooSmall, match=re.escape(want)):
+        spectral.e1_level(m.weight, 10, 0, 4)
+    w = m.ensure_bound((20, 20)).weight
+    table = spectral.pe_univariate(spectral.pe_series(w, (18, 18)))
+    assert spectral.e1_level(w, 10, 0, 4).rank == table[(10, 4, 0)] == 5
+
+
+@pytest.mark.parametrize(
+    "spec", [("A", 4), ("D", 5), ("T", 4, 4)], ids=lambda s: "_".join(map(str, s))
+)
+def test_a_negative_level_is_zero(spec, model_of):
+    w = model_of(*spec).weight
+    for d in (-1, -2):
+        assert spectral.e1_level(w, d, 0, 0).rank == 0
 
 
 def test_negative_points_are_outside_the_lattice(model_of):

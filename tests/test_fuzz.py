@@ -12,7 +12,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latcurve import get
@@ -105,5 +105,6 @@ def test_fuzzed_descriptors_end_with_a_documented_exit_code(tmp_path_factory, do
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SPECS), argvs())
+@example(("A", 4), ["spectral", "--e1=0,1000000000000000000000000000000,0"])
 def test_fuzzed_argv_ends_with_a_documented_exit_code(spec, argv):
     assert_documented(*run(argv + ["--builtin", ",".join(map(str, spec))]))

@@ -168,6 +168,25 @@ def _called_name(node) -> str | None:
     return getattr(func, "id", None) or getattr(func, "attr", None)
 
 
+def test_only_lattice_picks_the_rows_of_a_read():
+    """``spectral`` and ``motivic`` take the rows of a level or a box
+    from ``lattice`` (``level_rows``, ``box_rows``), so neither calls
+    ``np.indices`` or ``norm_array``."""
+    package = ROOT / "src" / "latcurve"
+    calls = []
+    for name in ("lattice.py", "spectral.py", "motivic.py"):
+        tree = ast.parse((package / name).read_text(), name)
+        calls += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _called_name(node) in ("indices", "norm_array")
+        ]
+    # the scan must see the row builders of lattice, not nothing
+    assert [call for call in calls if call.startswith("lattice.py:")]
+    assert [call for call in calls if not call.startswith("lattice.py:")] == []
+
+
 def test_only_the_cli_loops_over_points():
     """No module but ``cli`` (which renders the weight table point by
     point) iterates the points of ``box(...)`` or calls ``motivic_coeff``:
