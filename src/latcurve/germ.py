@@ -10,9 +10,11 @@ A descriptor names the germ by exactly one source:
 
 Descriptors round-trip through a small JSON schema (see README).  The
 model is an immutable value holding the semigroup table on R(0, c) and
-the Hilbert and weight grids on a common bound; growing the bound
-returns a new model on the same table, and subcurve models come from
-the projection of the table to the axes of the subcurve.
+the Hilbert and weight grids on a common bound, each held on
+R(0, max(c, m)) and read past it in closed form (``lattice``); growing
+the bound returns a new model on the same table and the same arrays, and
+subcurve models come from the projection of the table to the axes of the
+subcurve.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .lattice import (
     Record,
     SemigroupTable,
     WeightGrid,
+    conductor_grid,
     cut_at_conductor,
     delta as delta_of,
     detect_conductor_mask,
@@ -41,10 +44,10 @@ from .lattice import (
     min_weight,
     ones,
     padd,
-    past_conductor,
     pmax,
-    pmin,
     require_grid,
+    require_length,
+    same_values,
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
@@ -325,12 +328,19 @@ class GermModel(Record, eq=False):
     # -- bound management ------------------------------------------------
 
     def ensure_bound(self, requested: Point) -> "GermModel":
-        """The model on a bound that dominates ``requested``: ``self`` when
-        its bound already does, otherwise a new model on grown grids
-        (``self`` is never changed)."""
+        """The model on a bound that dominates ``requested``, a point of r
+        coordinates (DescriptorError): ``self`` when its bound already
+        does, otherwise a new model whose grids hold the same arrays on the
+        grown bound (``self`` is never changed)."""
+        require_length(requested, self.r)
         if leq(requested, self.bound):
             return self
-        return _model_on(self.descriptor, self.semigroup, pmax(self.bound, requested))
+        bound = pmax(self.bound, requested)
+        return GermModel(
+            descriptor=self.descriptor, r=self.r, semigroup=self.semigroup,
+            hilbert=self.hilbert.grown(bound), weight=self.weight.grown(bound),
+            name=self.name,
+        )
 
     # -- subcurves ---------------------------------------------------------
 
@@ -436,8 +446,7 @@ def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
         desc, table, _resolve_bound(desc, table.conductor, table.multiplicity(), b)
     )
     # the source grid must agree with the rebuilt one where both exist
-    common = window(pmin(b, model.bound))
-    if not np.array_equal(model.hilbert.values[common], h.values[common]):
+    if not same_values(model.hilbert, h):
         raise DescriptorError("hilbert grid is inconsistent with its own semigroup")
     return model
 
@@ -447,14 +456,15 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     of ``conductor_bound`` and one more layer, and read the exact
     conductor and the table there.  The bound of the model is the one the
     growing-grid loop of earlier releases accepted, replayed on that
-    table (``_replayed_bound``).  The model grid is the expansion on
-    R(0, c) written past c in closed form, and must equal the expansion
-    where both exist (InvalidSeries otherwise).  Then the grid is H(S):
-    both start at 0, step by 0 or 1, have the members S on R(0, c) and
-    step by 1 out of R(0, c).  Read the steps D(l) down from c: for axes
-    i, j below c at l, D_i(l) - D_j(l) = D_i(l + e_j) - D_j(l + e_i) is
-    read already; a nonzero one fixes D(l) in {0, 1}^r, and where all
-    are 0, whether l is a member does.  So both have the same steps."""
+    table (``_replayed_bound``).  The model grid holds the expansion on
+    R(0, max(c, m)) and reads past it in closed form, and must equal the
+    expansion where both exist (InvalidSeries otherwise).  Then the grid
+    is H(S): both start at 0, step by 0 or 1, have the members S on
+    R(0, c) and step by 1 out of R(0, c).  Read the steps D(l) down from
+    c: for axes i, j below c at l, D_i(l) - D_j(l) = D_i(l + e_j) -
+    D_j(l + e_i) is read already; a nonzero one fixes D(l) in {0, 1}^r,
+    and where all are 0, whether l is a member does.  So both have the
+    same steps."""
     from .series import conductor_bound, hilbert_from_poincare, require_polynomials
 
     series, r = desc.payload, desc.r
@@ -472,14 +482,12 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     h = hilbert_from_poincare(series, box_bound, r)
     table = _certified_table(unit_step_members(h, U))
     bound, c = _replayed_bound(desc, table, first), table.conductor
-    values = past_conductor(h.values[window(c)], c, bound)
-    common = window(pmin(bound, box_bound))
-    if not np.array_equal(values[common], h.values[common]):
+    grid = conductor_grid(h, c, bound)
+    if not same_values(grid, h):
         raise InvalidSeries(f"the series break the closed form of h past c = {c}")
-    h = HilbertGrid(r=r, bound=bound, values=values)
-    w = weight_from_hilbert(h, semigroup=table)
+    w = weight_from_hilbert(grid, semigroup=table)
     return GermModel(
-        descriptor=desc, r=r, semigroup=table, hilbert=h, weight=w, name=desc.name
+        descriptor=desc, r=r, semigroup=table, hilbert=grid, weight=w, name=desc.name
     )
 
 

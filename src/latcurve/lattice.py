@@ -10,21 +10,29 @@ A germ is represented purely by discrete data living on the lattice N^r:
 * the weight function w(l) = 2*h(l) - |l|, whose sublevel sets drive the
   homological invariants.
 
-The h and w grids are numpy int arrays indexed by lattice points (tuples),
-covering a rectangle R(0, L) with L >= c.  Past c every unit step raises
-h, so h(l) = h(min(l, c)) + |l - min(l, c)|, and w obeys the same closed
-form.  So every check runs on R(0, c) and covers every grid:
+The h and w grids are numpy int arrays indexed by lattice points (tuples).
+Each grid answers for a rectangle R(0, bound) with bound >= c, and holds
+its values on a box R(0, top) inside it.  Past c every unit step raises
+h, so h(l) = h(l') + |l - l'| with l' = min(l, c), and w obeys the same
+closed form; it holds with any top >= c in place of c.  A model's grids
+hold R(0, max(c, m)); a grid made from a whole array holds that array.
+Every read past top follows the closed form in this module, and no other
+module reads a held array: ``_read`` and ``values_at`` read points,
+``corner_values`` gathers cubes, and ``values_on`` writes out a box.  So
+every check runs on R(0, c) and covers every grid:
 ``hilbert_from_semigroup``, the one place that reads a table past c,
-integrates and checks on R(0, c) and writes the rest in closed form, and
-``WeightGrid.validate`` checks |w| <= |l| on R(0, c).  No grid may hold
-more than ``MAX_GRID_POINTS`` points (``require_grid``).  All arithmetic
-is exact; tables and grids are frozen values whose arrays are made
-read-only at construction, so they are safe to share.  They compare and
-hash by identity: an array has no single truth value.
+integrates and checks on R(0, c), and ``WeightGrid.validate`` checks
+|w| <= |l| on R(0, c).  No grid may answer for more than
+``MAX_GRID_POINTS`` points (``require_grid``), on its bound, whatever box
+it holds.  All arithmetic is exact; tables and grids are frozen values
+whose arrays are made read-only at construction, so they are safe to
+share.  They compare and hash by identity: an array has no single truth
+value.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import FrozenInstanceError
@@ -41,10 +49,11 @@ from .errors import (
 
 Point = tuple[int, ...]
 
-# The most points a grid R(0, L) may hold: 2^22, about 4.2 million.  The
-# largest grid of the catalog, the benchmark ladders and the tests is
-# D_40's 36^3 = 46656 points.  At the limit an int64 array takes 34 MB,
-# and the model, its minima and its motivic arrays hold a few per axis.
+# The most points a grid R(0, L) may answer for: 2^22, about 4.2 million.
+# The largest bound of the catalog, the benchmark ladders and the tests is
+# D_40's 36^3 = 46656 points, of which its grids hold 21 * 21 * 3 = 1323.
+# At the limit an int64 array takes 34 MB, and the model, its minima and
+# its motivic arrays hold a few per axis.
 MAX_GRID_POINTS = 1 << 22
 
 
@@ -201,23 +210,48 @@ def level_rows(lo: int, hi: int, bound: Point) -> np.ndarray:
     return np.argwhere((norms >= lo) & (norms <= hi))
 
 
-def corner_values(values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """values[l + e_J] for each row l of the int64 array ``at`` and each
-    subset J of the axes, column J with bit i for axis i: one gather
-    through flat offsets taken from the grid's shape.  A row with a
-    negative coordinate, or whose l + e leaves the grid, is refused
-    before the gather (MarginTooSmall naming the first such row)."""
-    bound = tuple(n - 1 for n in values.shape)
-    if len(at) and (at.min() < 0 or (at - bound).max() >= 0):
+def corner_values(grid, at: np.ndarray) -> np.ndarray:
+    """The grid's values at l + e_J for each row l of the int64 array
+    ``at`` and each subset J of the axes, column J with bit i for axis i:
+    one gather through flat offsets into the held array.  A row with a
+    negative coordinate, or whose l + e leaves R(0, bound), is refused
+    before the gather (MarginTooSmall naming the first such row).
+
+    Past the held box R(0, top) the gather reads in closed form, with no
+    box written out: row l is read at min(l, top), plus |l - min(l, top)|.
+    The step along an axis i of J moves the offset by e_i where
+    l_i < top_i (the bits of ``inside``), and adds 1 where l_i >= top_i."""
+    held = grid.held
+    hi = at.max(axis=0).tolist() if len(at) else [-1] * held.ndim
+    if len(at) and (at.min() < 0 or any(x >= b for x, b in zip(hi, grid.bound))):
+        bound = np.array(grid.bound)
         ell = tuple(at[((at < 0) | (at >= bound)).any(axis=1).argmax()].tolist())
         if min(ell) < 0:
             raise MarginTooSmall(f"l={ell} has a negative coordinate")
-        raise MarginTooSmall(f"need {ell} + e inside the grid {bound}")
-    steps = [math.prod(values.shape[i + 1:]) for i in range(values.ndim)]  # of each e_i
-    offsets = [0]
+        raise MarginTooSmall(f"need {ell} + e inside the grid {grid.bound}")
+    top, steps, bits, subsets, offsets, counts = _corner_tables(held.shape)
+    if all(x < t for x, t in zip(hi, grid.top)):  # every corner lies in the box
+        return held.ravel()[np.add.outer(at @ steps, offsets)]
+    inside = (at < top) @ bits
+    low = np.minimum(at, top)
+    moved = subsets & inside[:, None]  # the axes of J whose step stays inside
+    excess = (at - low).sum(axis=1)[:, None] + (counts - counts[moved])
+    return held.ravel()[(low @ steps)[:, None] + offsets[moved]] + excess
+
+
+@functools.lru_cache(maxsize=64)
+def _corner_tables(shape: tuple) -> tuple:
+    """For an array of the given shape: its top corner, the flat step of
+    each e_i, the bit of each axis, and for each subset J (in order) the
+    flat offset of e_J and |J|."""
+    steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    offsets, counts = [0], [0]
     for step in steps:  # the subsets with bit i follow those without it
         offsets += [o + step for o in offsets]
-    return values.ravel()[np.add.outer(at @ steps, offsets)]
+        counts += [n + 1 for n in counts]
+    bits = 1 << np.arange(len(shape))
+    return (np.array(shape) - 1, np.array(steps), bits, np.arange(len(offsets)),
+            np.array(offsets), np.array(counts))
 
 
 def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
@@ -442,44 +476,106 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
 # Hilbert and weight grids
 
 
-def _read(values: np.ndarray, bound: Point, p: Point) -> int:
-    """values[p] for p in R(0, bound); MarginTooSmall elsewhere."""
+class _Grid(Record, eq=False):
+    """Base of the two grids: the values on R(0, bound), held on the box
+    R(0, top) of the array ``held`` and read past it in closed form.  The
+    constructor takes that array as ``values``."""
+
+    _hidden = ("held",)
+
+    def _hold(self, values: np.ndarray) -> None:
+        """Hold ``values``, made read-only, on the box of its shape."""
+        values.flags.writeable = False
+        vars(self).update(held=values, top=tuple(n - 1 for n in values.shape))
+
+    @property
+    def values(self) -> np.ndarray:
+        """The grid on all of R(0, bound), written out on each access, for
+        tests and users; no module of the package reads it."""
+        values = values_on(self, self.bound)
+        values.flags.writeable = False
+        return values
+
+    def grown(self, bound: Point):
+        """The same grid on the larger bound ``bound``: the same arrays,
+        read past the held box in closed form, so valid for a grid that
+        holds a box past its conductor, as every model grid does.  The
+        budget applies to the new bound (GridTooLarge)."""
+        require_grid(bound)
+        grid = object.__new__(type(self))
+        vars(grid).update(vars(self), bound=tuple(bound))
+        return grid
+
+
+def _read(grid: _Grid, p: Point) -> int:
+    """The grid's value at p in R(0, bound); MarginTooSmall elsewhere."""
+    bound = grid.bound
     require_length(p, len(bound))
     if min(p) < 0:
         raise MarginTooSmall(f"l={tuple(p)} has a negative coordinate")
     if not leq(p, bound):
         raise MarginTooSmall(f"l={tuple(p)} lies outside the grid R(0, {bound})")
-    return int(values[p])
+    try:
+        return int(grid.held[p])
+    except IndexError:  # past the held box
+        low = tuple(min(x, t) for x, t in zip(p, grid.top))
+        return int(grid.held[low]) + sum(p) - sum(low)
 
 
-class HilbertGrid(Record, eq=False):
+def values_at(grid: _Grid, at: np.ndarray) -> np.ndarray:
+    """The grid's values at the rows l of the int64 array ``at``, each in
+    R(0, bound): the held value at min(l, top) plus |l - min(l, top)|."""
+    low = np.minimum(at, grid.top)
+    return grid.held[tuple(low.T)] + (at - low).sum(axis=1)
+
+
+def values_on(grid: _Grid, hi: Point) -> np.ndarray:
+    """The grid's values on R(0, hi), for hi inside R(0, bound): a view of
+    the held array where it holds R(0, hi), written out in closed form
+    past it (``past_conductor``)."""
+    top = grid.top
+    if hi == top:
+        return grid.held
+    low = pmin(hi, top)
+    if low == hi:
+        return grid.held[window(hi)]
+    return past_conductor(grid.held[window(low)], low, hi)
+
+
+def same_values(a: _Grid, b: _Grid) -> bool:
+    """True iff the two grids agree on the box both answer for."""
+    hi = pmin(a.bound, b.bound)
+    return bool(np.array_equal(values_on(a, hi), values_on(b, hi)))
+
+
+class HilbertGrid(_Grid):
     """Values of the Hilbert function h on R(0, bound)."""
 
-    _fields = ("r", "bound", "values")
-    _hidden = ("values",)
+    _fields = ("r", "bound", "held")
 
     def __init__(self, r: int, bound: Point, values: np.ndarray):
-        vars(self).update(r=r, bound=bound, values=values)
-        values.flags.writeable = False
+        vars(self).update(r=r, bound=bound)
+        self._hold(values)
 
     def h(self, p: Point) -> int:
-        return _read(self.values, self.bound, p)
+        return _read(self, p)
 
     def validate(self) -> None:
+        """h(0) = 0 and unit steps in {0, 1}, checked on the held box: past
+        it each step is 1 or a step inside it."""
         zero = (0,) * self.r
-        if int(self.values[zero]) != 0:
+        if int(self.held[zero]) != 0:
             raise PathInconsistency("h(0) must be 0")
         for i in range(self.r):
-            step = np.diff(self.values, axis=i)
+            step = np.diff(self.held, axis=i)
             if step.size and (step.min() < 0 or step.max() > 1):
                 raise PathInconsistency(f"h step along axis {i} outside {{0,1}}")
 
 
-class WeightGrid(Record, eq=False):
+class WeightGrid(_Grid):
     """Values of the weight function w(l) = 2h(l) - |l| on R(0, bound)."""
 
-    _fields = ("r", "bound", "values", "multiplicity", "conductor")
-    _hidden = ("values",)
+    _fields = ("r", "bound", "held", "multiplicity", "conductor")
 
     def __init__(
         self,
@@ -490,18 +586,17 @@ class WeightGrid(Record, eq=False):
         conductor: Point,
     ):
         vars(self).update(
-            r=r, bound=bound, values=values, multiplicity=multiplicity,
-            conductor=conductor,
+            r=r, bound=bound, multiplicity=multiplicity, conductor=conductor
         )
-        values.flags.writeable = False
+        self._hold(values)
 
     def w(self, p: Point) -> int:
-        return _read(self.values, self.bound, p)
+        return _read(self, p)
 
     def hilbert_values(self) -> np.ndarray:
-        """Recover h = (w + |l|) / 2 (exact)."""
-        total = norm_array(self.values.shape)
-        return (self.values + total) // 2
+        """Recover h = (w + |l|) / 2 (exact) on R(0, bound)."""
+        values = values_on(self, self.bound)
+        return (values + norm_array(values.shape)) // 2
 
     def validate(self) -> None:
         """w against its conductor c and multiplicity m: |w(l)| <= |l| on
@@ -516,7 +611,7 @@ class WeightGrid(Record, eq=False):
         m, c = self.multiplicity, self.conductor
         if not leq(m, self.bound):
             raise MarginTooSmall(f"grid R(0, {self.bound}) does not hold m = {m}")
-        sub = self.values[window(pmax(c, m))]
+        sub = values_on(self, pmin(pmax(c, m), self.bound))
         total = norm_array(sub.shape)
         if np.any(np.abs(sub[window(c)]) > total[window(c)]):
             raise InconsistentSemigroup("|w(l)| <= |l| violated")
@@ -527,7 +622,7 @@ class WeightGrid(Record, eq=False):
         # m_i is the last k of the axis row with w(k e_i) = 2 - k
         held = np.array(m) < self.bound
         past = np.diag(np.array(m) + 1)[held]
-        if np.any(self.values[tuple(past.T)] == 2 - past.sum(axis=1)):
+        if np.any(values_at(self, past) == 2 - past.sum(axis=1)):
             raise InconsistentSemigroup(f"w(k e_i) = 2 - k goes on past m = {m}")
 
 
@@ -536,8 +631,10 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
 
     The unit increment along axis i at l is 1 iff some member s has
     s_i = l_i and s_j >= l_j for j != i.  The increments are found,
-    integrated and checked on R(0, c) only, and h is written past c in
-    closed form, h(l) = h(l') + |l - l'| with l' = min(l, c).
+    integrated and checked on R(0, c) only.  The grid holds h on
+    R(0, max(c, e)), which is R(0, max(c, m)) for a valid table (m <= c
+    unless c = 0, and then m = e), and answers past it in closed form,
+    h(l) = h(l') + |l - l'| with l' = min(l, c).
 
     * On R(0, c) the search is complete: min(s, c) is a member and a
       witness whenever s is, so a witness lies in R(0, c).
@@ -558,7 +655,8 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     is a member.  With both passed, the members are exactly the table
     ``semigroup_from_hilbert`` reads off the grid, and h, which starts at
     h(0) = 0 and steps by 0 or 1, is a valid Hilbert grid.  GridTooLarge
-    when R(0, bound) is past ``MAX_GRID_POINTS`` (``past_conductor``).
+    when R(0, bound) is past ``MAX_GRID_POINTS``, though no array of that
+    box is made.
     """
     r, c = table.r, table.conductor
     bound = tuple(bound)
@@ -604,13 +702,24 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
             )
     if not mask[c]:
         raise InconsistentSemigroup("conductor itself must be a member")
-    return HilbertGrid(r=r, bound=bound, values=past_conductor(h, c, bound))
+    return conductor_grid(HilbertGrid(r=r, bound=c, values=h), c, bound)
+
+
+def conductor_grid(h: HilbertGrid, c: Point, bound: Point) -> HilbertGrid:
+    """The grid on R(0, bound), bound >= c, that holds a copy of h on
+    R(0, max(c, e)) (h answers there, in closed form past c) and reads
+    past it in closed form for the conductor c; GridTooLarge when
+    R(0, bound) is past the budget."""
+    require_grid(bound)
+    top = pmin(pmax(c, ones(len(c))), bound)
+    return HilbertGrid(r=h.r, bound=tuple(bound), values=values_on(h, top).copy())
 
 
 def past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
     """values[l'] + |l - l'|, l' = min(l, c), for every l in R(0, bound),
-    given ``values`` on R(0, c): the closed form of h, and of w, past c.
-    Each axis is read at min(l_i, c_i) and gains l_i - c_i past c_i.
+    given ``values`` on R(0, c), bound >= c: the closed form of h, and of
+    w, past c.  Each axis is read at min(l_i, c_i) and gains l_i - c_i
+    past c_i; with bound = c it is ``values`` itself.
     ``require_grid(bound)`` comes before anything is allocated."""
     require_grid(bound)
     r = len(c)
@@ -625,13 +734,14 @@ def past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
 
 
 def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid:
-    """Pointwise w = 2h - |l| on the grid of ``h``, which must be the
-    grid of ``semigroup``: the conductor and multiplicity come from the
-    table, and ``WeightGrid.validate`` checks w against them."""
+    """Pointwise w = 2h - |l| on the grid of ``h``, held on the same box,
+    which must be the grid of ``semigroup``: the conductor and
+    multiplicity come from the table, and ``WeightGrid.validate`` checks w
+    against them."""
     grid = WeightGrid(
         r=h.r,
         bound=h.bound,
-        values=2 * h.values - norm_array(h.values.shape),
+        values=2 * h.held - norm_array(h.held.shape),
         multiplicity=semigroup.multiplicity(),
         conductor=semigroup.conductor,
     )
@@ -661,11 +771,12 @@ def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
     """The points of R(0, inner) where all r unit steps of h are 1; the
     grid must hold R(0, inner + e)."""
     mask = np.ones(tuple(b + 1 for b in inner), dtype=bool)
+    values = values_on(h, padd(inner, ones(h.r)))
     for i in range(h.r):
         hi = tuple(
             slice(1, b + 2) if j == i else slice(0, b + 1) for j, b in enumerate(inner)
         )
-        mask &= (h.values[hi] - h.values[window(inner)]) == 1
+        mask &= (values[hi] - values[window(inner)]) == 1
     return mask
 
 
@@ -734,7 +845,7 @@ def conductor_values(w: WeightGrid) -> np.ndarray:
     """w on R(0, c)."""
     if not leq(w.conductor, w.bound):
         raise MarginTooSmall(f"conductor {w.conductor} exceeds grid {w.bound}")
-    return w.values[window(w.conductor)]
+    return values_on(w, w.conductor)
 
 
 def min_weight(w: WeightGrid) -> int:
@@ -745,7 +856,7 @@ def min_weight(w: WeightGrid) -> int:
 def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     """True iff w(l) = w(c - l) throughout R(0, c)."""
     c = conductor if conductor is not None else w.conductor
-    sub = w.values[window(c)]
+    sub = values_on(w, c)
     rev = sub[(slice(None, None, -1),) * w.r]
     return bool(np.array_equal(sub, rev))
 

@@ -31,14 +31,14 @@ from .lattice import (
     Record,
     WeightGrid,
     box_rows,
+    conductor_values,
     corner_values,
     leq,
     level_rows,
-    min_weight,
     require_cube,
     require_grid,
     upset_minima,
-    window,
+    values_at,
 )
 
 
@@ -114,7 +114,7 @@ def coefficient_terms(h: HilbertGrid, at: np.ndarray) -> np.ndarray:
     (``lattice.corner_values``), so every l + e must lie in the grid.
     Each c is a signed count over the 2^r - 1 subsets J, so int64 is exact."""
     signs = np.array([(-1) ** (bin(J).count("1") + 1) for J in range(1 << h.r)])
-    tops = corner_values(h.values, at)
+    tops = corner_values(h, at)
     rise = tops - tops[:, :1]  # D_J(l), one column per subset J
     counts = np.zeros((len(at), h.r), dtype=np.int64)
     for i in range(h.r):
@@ -162,43 +162,67 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
 
     Uses: w strictly increases along axis i from any point with
     l_i >= c_i, so omitted points dominate boundary points by at least 1.
+    The faces are read in closed form: with b_i - 1 >= c_i, the least w on
+    the face l_i = b_i - 1 of R(0, bound - e) is the least w on the face
+    l_i = c_i of R(0, c), plus b_i - 1 - c_i (l' = min(l, c) lies on that
+    face, and the least w is at l = l' where l_j <= c_j for j != i).
     """
+    c = w.conductor
     inner = tuple(b - 1 for b in w.bound)
-    if not leq(w.conductor, inner):
+    if not leq(c, inner):
         return False
-    sub = w.values[window(inner)]
-    return min(int(sub.take(-1, axis=i).min()) for i in range(w.r)) >= depth
+    sub = conductor_values(w)
+    faces = (int(sub.take(-1, axis=i).min()) + inner[i] - c[i] for i in range(w.r))
+    return min(faces) >= depth
 
 
 def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeries:
     """Coefficients of the substituted series through omega^depth.
 
     The term c q^e t^l lands at order 2e - |l| = w(l) + 2i for
-    e = h(l) + i, so the series sums by order the ``coefficient_terms`` of
-    the points with w(l) <= depth only.  Raises TruncationUnsound when the
-    grid cannot certify the tail.
+    e = h(l) + i, and a point of weight w(l) > depth has no term through
+    omega^depth.  Raises TruncationUnsound when the grid cannot certify
+    the tail; once it can, the series through omega^depth is the sum over
+    all of N^r, as every point outside R(0, bound - e) has weight > depth.
 
-    Those points lie in R(0, min(bound - e, c + max(depth - min_w, 0) e)):
-    a point l past it has l_i - c_i > depth - min_w on some axis, so with
-    l' = min(l, c) the closed form w(l) = w(l') + |l - l'| of
-    ``hilbert_from_semigroup`` gives w(l) >= min_w + |l - l'| > depth.
+    Past the conductor every point repeats one of R(0, c).  With
+    l' = min(l, c) and the closed form h(l) = h(l') + |l - l'| of
+    ``hilbert_from_semigroup``, each step D_J(l) equals D_J(l') (a step
+    along an axis with l_i >= c_i is 1 at both), so the terms of l are
+    those of l' moved |l - l'| orders up.  The points with min(l, c) = l'
+    are l' + x for x >= 0 on the a axes where l'_i = c_i, and
+    C(n + a - 1, n) of them have |x| = n (one, x = 0, when a = 0), the
+    coefficient of t^n in 1 / (1 - t)^a.  So the series sums the
+    ``coefficient_terms`` of the points of R(0, c) with w(l') <= depth
+    only: the terms of each a are summed by order, and a running sums
+    over the orders spread them as the points past c repeat them (a sum
+    of a running sums, taken from the largest a down).  A running sum
+    carries a term to higher orders only, so a term past depth is summed
+    and then cut.
     """
     if not certify_truncation(w, depth):
         raise TruncationUnsound(
             f"grid {w.bound} cannot certify the omega-series through {depth}"
         )
     r = w.r
-    reach = max(depth - min_weight(w), 0)
-    inner = tuple(min(b - 1, ci + reach) for b, ci in zip(w.bound, w.conductor))
-    terms = coefficient_terms(h, np.argwhere(w.values[window(inner)] <= depth))
+    terms = coefficient_terms(h, np.argwhere(conductor_values(w) <= depth))
     orders = 2 * terms[:, r] - terms[:, :r].sum(axis=1)
-    acc = {o: c for o, c in _tally(orders, terms[:, r + 1]).items() if o <= depth}
-    if not acc:
+    lo = min(orders.min(initial=depth), depth)
+    width = max(orders.max(initial=depth), depth) - lo + 1
+    axes = (terms[:, :r] == w.conductor).sum(axis=1)
+    spread = np.zeros((r + 1) * width, dtype=np.int64)  # by a, then by order
+    np.add.at(spread, axes * width + orders - lo, terms[:, r + 1])
+    spread = spread.reshape(r + 1, width)
+    series = spread[r]
+    for a in range(r - 1, -1, -1):
+        series = spread[a] + series.cumsum()
+    series = series[: depth - lo + 1]
+    nonzero = np.flatnonzero(series)
+    if not len(nonzero):
         raise InconsistentInput("substituted series vanished entirely")
-    lo = min(acc)
     return LaurentSeries(
-        order=lo,
-        coeffs=tuple(acc.get(o, 0) for o in range(lo, depth + 1)),
+        order=int(lo + nonzero[0]),
+        coeffs=tuple(series[nonzero[0]:].tolist()),
         truncation=depth,
     )
 
@@ -221,7 +245,7 @@ def pe_substitution_check(
     if off.any():  # MarginTooSmall naming the first such l
         h.h(tuple(list(pe)[off.argmax()][0]))
     terms = coefficient_terms(h, box_rows(bounds, h.bound))
-    terms[:, r] -= h.values[tuple(terms[:, :r].T)]
+    terms[:, r] -= values_at(h, terms[:, :r])
     signed = np.array(list(pe.values()), dtype=np.int64) * (1 - 2 * (cells[:, r] % 2))
     inside = (cells[:, :r] <= bounds).all(axis=1)
     both = np.concatenate([cells[inside], terms[:, : r + 1]])  # table, then terms

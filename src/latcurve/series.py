@@ -30,7 +30,7 @@ import itertools
 import numpy as np
 
 from .errors import InvalidSeries, MarginTooSmall
-from .lattice import HilbertGrid, Point, Record, leq
+from .lattice import HilbertGrid, Point, Record, leq, values_on
 
 Subset = tuple[int, ...]  # sorted 1-based branch indices
 
@@ -270,7 +270,7 @@ def poincare_from_hilbert(h: HilbertGrid, conductor: Point | None = None) -> Mul
             f"support may be truncated: bound {h.bound} < conductor {conductor} + e"
         )
     # p = (-1)^(r+1) * (forward difference in every axis)
-    diff = h.values.astype(np.int64)
+    diff = values_on(h, h.bound).astype(np.int64)
     for axis in range(r):
         diff = np.diff(diff, axis=axis)
     out = {}

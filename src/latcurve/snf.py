@@ -31,6 +31,15 @@ def smith_invariants(columns):
     ``torsion`` is the sorted list of invariant factors > 1.  Pivoting is
     deterministic: among entries of minimal |value| the one with minimal
     fill-in (then lowest (col, row)) wins.
+
+    After an elimination every entry is scanned for the next pivot; after
+    a remainder round only the rows of the pivot's column are, and they
+    hold the same pivot.  The pivot p had the least |entry| of the whole
+    matrix.  The row operations change only the rows of p's column, and
+    the column operations only row pi, which is one of them; every other
+    entry keeps |v| >= |p|.  Every remainder is nonzero and smaller than
+    |p|, and a round leaves at least one.  So every entry of the new least
+    |value|, and with it the least key, lies in those rows.
     """
     cols = {}
     rows = {}
@@ -59,15 +68,19 @@ def smith_invariants(columns):
         elif i in rows and j in rows[i]:
             kill(i, j)
 
+    scan = rows  # the rows that hold the next pivot
     while cols:
         best = None
-        for j, col in cols.items():
-            for i, v in col.items():
-                key = (abs(v), (len(col) - 1) * (len(rows[i]) - 1), j, i)
+        for i in scan:
+            row = rows.get(i, {})
+            fill = len(row) - 1
+            for j, v in row.items():
+                key = (abs(v), (len(cols[j]) - 1) * fill, j, i)
                 if best is None or key < best:
                     best = key
         _, _, pj, pi = best
         pv = rows[pi][pj]
+        scan = list(cols[pj])
         # clear column pj down to remainders smaller than |pv| by row
         # operations, then row pi by column operations, which on a clear
         # column change nothing else
@@ -84,6 +97,7 @@ def smith_invariants(columns):
                 add_to(pi, j, -(v // pv) * pv)
         if len(rows[pi]) > 1:
             continue
+        scan = rows
         rank += 1
         if pv != 1 and pv != -1:
             diag.append(abs(pv))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import LatcurveError, TorsionFound, UndefinedWeight
 from .lattice import Point, Record, WeightGrid, box_rows, corner_values, level_rows
-from .lattice import norm, require_cube, require_grid, scale
+from .lattice import norm, require_cube, require_grid, scale, values_at
 from .snf import smith_invariants
 
 
@@ -115,7 +115,7 @@ def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:
     if k < 0 or k > r:  # no cell of degree k, so no rank and no torsion
         return np.zeros(len(at), dtype=np.int64)
     require_grid((len(at) - 1, (1 << r) - 1), f"the corners of {len(at)} E1 rows, as the grid")
-    corners = corner_values(w.values, at)
+    corners = corner_values(w, at)
     masks, index = _masks(corners, n, r)
     reduced = [_rank(mask, r, k) for mask in masks]
     rank = np.array([rk for rk, _ in reduced], dtype=np.int64)[index]
@@ -200,7 +200,7 @@ def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]
     ranks are dropped.  The box is checked at its top corner.
     """
     at = box_rows(bounds, w.bound)
-    weights = w.values[tuple(at.T)]
+    weights = values_at(w, at)
     ranks = np.stack([_ranks(w, at, k, weights[:, None] + k) for k in range(w.r)], axis=-1)
     hits = np.argwhere(ranks)  # (l, k) in lexicographic order
     rows, ks = hits[:, 0], hits[:, 1]

@@ -60,6 +60,18 @@
   table read off the whole face of the Hilbert grid, where
   ``GermModel.subcurve`` projects the germ's table on R(0, c) to the
   axes of the subcurve.
+* ``whole_grids`` / ``whole_grid_terms`` / ``certify_on_faces`` /
+  ``omega_on_window`` / ``levels_on_whole``: a model's h and w written
+  out on all of R(0, bound), as every model held them before its grids
+  kept only R(0, max(c, m)), and the reads made straight off those
+  arrays: the motivic terms at each corner l + e_J, the truncation
+  certificate from the boundary layers of R(0, bound - e), the omega
+  series summed over the window R(0, min(bound - e, c + reach e)) it
+  read before it summed R(0, c) in closed form, and the univariate
+  levels from every point with |l| <= depth.
+* ``smith_invariants_full_scan``: the Smith loop that scans every entry
+  for each pivot, the scan ``snf.smith_invariants`` keeps only after an
+  elimination; it counts its remainder rounds.
 * ``hilbert_forced_by_members``: h on R(0, c) as the members alone force
   it, step by step down from c (the proof in
   ``germ._build_from_poincare`` that a ``poincare`` grid is H(S)).
@@ -101,6 +113,7 @@ from latcurve.errors import (
     MarginTooSmall,
     PathInconsistency,
     TorsionFound,
+    TruncationUnsound,
     UndefinedWeight,
 )
 from latcurve.germ import (
@@ -129,6 +142,7 @@ from latcurve.lattice import (
     unit,
     upset_minima,
     weight_from_hilbert,
+    window,
 )
 from latcurve.motivic import LaurentSeries, QPoly, motivic_coeff
 from latcurve.series import (
@@ -138,7 +152,7 @@ from latcurve.series import (
     expand,
     hilbert_from_poincare,
 )
-from latcurve.snf import smith_invariants
+from latcurve.snf import _invariant_factors, smith_invariants
 from latcurve.spectral import E1Entry, MinimalCycleGroup
 
 # ---------------------------------------------------------------------------
@@ -841,6 +855,165 @@ def full_grid_hilbert_from_semigroup(table, bound) -> HilbertGrid:
                 f"monotone paths disagree along axis {i}; input semigroup invalid"
             )
     return HilbertGrid(r=r, bound=bound, values=h)
+
+
+# ---------------------------------------------------------------------------
+# models with their whole grids, and the reads made off those arrays
+
+
+def whole_grids(model, bound=None) -> tuple[HilbertGrid, WeightGrid]:
+    """The model's h and w written out on all of R(0, bound), the model's
+    bound by default: h from ``full_grid_hilbert_from_semigroup`` and
+    w = 2h - |l| pointwise, each grid holding its whole array."""
+    bound = tuple(bound or model.bound)
+    h = full_grid_hilbert_from_semigroup(model.semigroup, bound)
+    norms = np.indices(h.values.shape).sum(axis=0)
+    w = WeightGrid(
+        r=model.r, bound=bound, values=2 * h.values - norms,
+        multiplicity=model.multiplicity, conductor=model.conductor,
+    )
+    return h, w
+
+
+def whole_grid_corners(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """values[l + e_J] at column J (bit i for axis i) for each row l,
+    one plain index of the whole array per subset J."""
+    r = values.ndim
+    return np.stack(
+        [values[tuple((rows + [J >> i & 1 for i in range(r)]).T)] for J in range(1 << r)],
+        axis=1,
+    )
+
+
+def whole_grid_terms(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The nonzero terms (l, e, c) of p_l(q) at each row l, by point and
+    then by exponent, read off the whole Hilbert array: C[l, i] is the
+    signed count of the subsets J with h(l + e_J) - h(l) > i."""
+    r = values.ndim
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, r)
+    tops = whole_grid_corners(values, rows)
+    counts = np.zeros((len(rows), r), dtype=np.int64)
+    for J in range(1, 1 << r):
+        sign = 1 if bin(J).count("1") % 2 else -1
+        for i in range(r):
+            counts[:, i] += sign * (tops[:, J] - tops[:, 0] > i)
+    row, i = counts.nonzero()
+    return np.column_stack([rows[row], tops[row, 0] + i, counts[row, i]])
+
+
+def certify_on_faces(w: WeightGrid, depth: int) -> bool:
+    """The truncation certificate read off the whole weight array: c
+    inside R(0, bound - e), and every boundary layer l_i = b_i - 1 of it
+    at weight >= depth."""
+    inner = tuple(b - 1 for b in w.bound)
+    if not leq(w.conductor, inner):
+        return False
+    sub = w.values[window(inner)]
+    return min(int(sub.take(-1, axis=i).min()) for i in range(w.r)) >= depth
+
+
+def omega_on_window(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeries:
+    """The omega series through omega^depth from the terms of the points
+    with w(l) <= depth of R(0, min(bound - e, c + max(depth - min_w, 0) e)),
+    read off the whole arrays; TruncationUnsound where
+    ``certify_on_faces`` fails."""
+    if not certify_on_faces(w, depth):
+        raise TruncationUnsound(
+            f"grid {w.bound} cannot certify the omega-series through {depth}"
+        )
+    r, c, values = w.r, w.conductor, w.values
+    reach = max(depth - int(values[window(c)].min()), 0)
+    inner = tuple(min(b - 1, ci + reach) for b, ci in zip(w.bound, c))
+    terms = whole_grid_terms(h.values, np.argwhere(values[window(inner)] <= depth))
+    acc: dict[int, int] = {}
+    for *ell, e, cval in terms.tolist():
+        order = 2 * e - sum(ell)
+        if order <= depth:
+            acc[order] = acc.get(order, 0) + cval
+    acc = {o: cval for o, cval in acc.items() if cval}
+    if not acc:
+        raise InconsistentInput("substituted series vanished entirely")
+    lo = min(acc)
+    coeffs = tuple(acc.get(o, 0) for o in range(lo, depth + 1))
+    return LaurentSeries(order=lo, coeffs=coeffs, truncation=depth)
+
+
+def levels_on_whole(h: HilbertGrid, depth: int) -> list[QPoly]:
+    """The univariate levels d = 0..depth from the terms of every point
+    with |l| <= depth, read off the whole Hilbert array, which must hold
+    R(0, (depth + 1) e)."""
+    r = h.r
+    norms = np.indices((depth + 1,) * r).sum(axis=0)
+    levels: list[dict] = [{} for _ in range(depth + 1)]
+    for *ell, e, cval in whole_grid_terms(h.values, np.argwhere(norms <= depth)).tolist():
+        levels[sum(ell)][e] = levels[sum(ell)].get(e, 0) + cval
+    return [QPoly.from_dict(level) for level in levels]
+
+
+def smith_invariants_full_scan(columns, rounds: list | None = None):
+    """(rank, torsion) of an integer matrix, scanning every entry for
+    each pivot; each remainder round appends 1 to ``rounds``."""
+    cols = {}
+    rows = {}
+    for j, col in enumerate(columns):
+        cleaned = {i: int(v) for i, v in col.items() if v}
+        if cleaned:
+            cols[j] = cleaned
+            for i, v in cleaned.items():
+                rows.setdefault(i, {})[j] = v
+    rank = 0
+    diag = []
+
+    def kill(i, j):
+        del rows[i][j]
+        if not rows[i]:
+            del rows[i]
+        del cols[j][i]
+        if not cols[j]:
+            del cols[j]
+
+    def add_to(i, j, v):
+        v += rows.get(i, {}).get(j, 0)
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
+        elif i in rows and j in rows[i]:
+            kill(i, j)
+
+    while cols:
+        best = None
+        for j, col in cols.items():
+            for i, v in col.items():
+                key = (abs(v), (len(col) - 1) * (len(rows[i]) - 1), j, i)
+                if best is None or key < best:
+                    best = key
+        _, _, pj, pi = best
+        pv = rows[pi][pj]
+        prow = list(rows[pi].items())
+        for i, v in list(cols[pj].items()):
+            if i != pi:
+                q = v // pv
+                for j, vj in prow:
+                    add_to(i, j, -q * vj)
+        if len(cols[pj]) > 1:
+            if rounds is not None:
+                rounds.append(1)
+            continue
+        for j, v in prow:
+            if j != pj:
+                add_to(pi, j, -(v // pv) * pv)
+        if len(rows[pi]) > 1:
+            if rounds is not None:
+                rounds.append(1)
+            continue
+        rank += 1
+        if pv != 1 and pv != -1:
+            diag.append(abs(pv))
+        kill(pi, pj)
+
+    if not diag:
+        return rank, []
+    return rank, [d for d in _invariant_factors(diag) if d > 1]
 
 
 def hilbert_forced_by_members(table) -> np.ndarray:

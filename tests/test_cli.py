@@ -86,8 +86,9 @@ def test_motivic_depth(capsys):
 
 def test_motivic_levels_read_one_terms_call(monkeypatch, capsys):
     """``motivic --depth 3`` reads the motivic terms twice: once at the
-    points with |l| <= 3 for every level, once at the points of the omega
-    window with w(l) <= 3; and the levels are those of one level a call."""
+    points with |l| <= 3 for every level, once at the points of R(0, c)
+    with w(l) <= 3 for the omega series, whose terms past c are copies of
+    those; and the levels are those of one level a call."""
     from latcurve import motivic
     from latcurve.classify import certified_omega
 
@@ -108,9 +109,8 @@ def test_motivic_levels_read_one_terms_call(monkeypatch, capsys):
     assert sorted(calls[0]) == [list(p) for p in box((3,) * 4) if sum(p) <= 3]
     model = latcurve.build_model(get("T", 4, 4))
     _, grown = certified_omega(model.ensure_bound((4,) * 4), 3)
-    inner = tuple(b - 1 for b in grown.bound)
     assert calls[1] == [
-        list(p) for p in box(inner) if grown.weight.w(p) <= 3
+        list(p) for p in box(grown.conductor) if grown.weight.w(p) <= 3
     ]
     levels = [motivic.univariate_motivic(model.hilbert, d) for d in range(4)]
     want = [{str(e): c for e, c in p.coeffs} for p in levels]

@@ -12,9 +12,16 @@ it replaced (``tests/oracles.py``).
 * A ``poincare`` grid is the expansion on R(0, c) written past c; its
   R(0, c) block is what the members alone force
   (``oracles.hilbert_forced_by_members``), and so H(S).
-* ``omega_substitution`` sums the terms of the points of
-  R(0, bound - e) with w(l) <= depth; ``oracles.omega_by_points`` sums
-  every point of R(0, bound - e).
+* ``omega_substitution`` sums the terms of the points of R(0, c) with
+  w(l) <= depth, each copied to the orders of the points past c that
+  repeat it; ``oracles.omega_by_points`` sums every point of
+  R(0, bound - e), and ``oracles.omega_on_window`` the window of whole
+  grids that the substitution read before.
+* A model's grids hold R(0, max(c, m)) and every read past it follows
+  the closed form; ``oracles.whole_grids`` writes both grids out on
+  R(0, bound), and every read of them must agree: points, corner
+  gathers, the truncation certificate, the omega series and the
+  univariate levels.
 """
 
 import itertools
@@ -36,14 +43,31 @@ from latcurve import (
 from latcurve.catalog import numerical_semigroup
 from latcurve.classify import certified_omega
 from latcurve.germ import GermDescriptor
-from latcurve.lattice import SemigroupTable, ones, padd, scale
+from latcurve.errors import TruncationUnsound
+from latcurve.lattice import (
+    SemigroupTable,
+    corner_values,
+    leq,
+    ones,
+    padd,
+    pmax,
+    scale,
+    unit,
+    values_at,
+)
+from latcurve.motivic import certify_truncation, univariate_levels
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from oracles import (
+    certify_on_faces,
     full_face_table,
     full_grid_hilbert_from_semigroup,
     hilbert_forced_by_members,
+    levels_on_whole,
     omega_by_points,
+    omega_on_window,
+    whole_grid_corners,
+    whole_grids,
 )
 from test_catalog import ALL_SPECS
 from test_identity import ladder_keys
@@ -180,3 +204,100 @@ def test_omega_window_matches_every_point_on_random_germs(germ, depth):
     series, grown = certified_omega(model, depth)
     assert series == omega_by_points(grown.hilbert, grown.weight, depth)
     assert omega_substitution(grown.hilbert, grown.weight, depth) == series
+
+
+# ---------------------------------------------------------------------------
+# conductor-box grids against whole grids
+
+
+def _series_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except LatcurveError as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_match(model):
+    """Every read of the model's grids, which hold R(0, max(c, m)), equals
+    the same read of its grids written out on R(0, bound)."""
+    r, c, bound = model.r, model.conductor, model.bound
+    e = ones(r)
+    assert model.hilbert.top == model.weight.top == pmax(c, model.multiplicity)
+    h, w = whole_grids(model)
+    assert np.array_equal(model.hilbert.values, h.values)
+    assert np.array_equal(model.weight.values, w.values)
+    # points: the corners of R(0, bound), c, its neighbours and a sample
+    rng = np.random.default_rng(sum(bound))
+    points = [tuple(b * (J >> i & 1) for i, b in enumerate(bound)) for J in range(1 << r)]
+    points += [c, padd(c, e), padd(c, unit(r, 0))]
+    points += [tuple(int(rng.integers(0, b + 1)) for b in bound) for _ in range(20)]
+    for p in points:
+        if leq(p, bound):
+            assert model.hilbert.h(p) == h.h(p) and model.weight.w(p) == w.w(p), p
+    rows = np.argwhere(np.ones([b + 1 for b in bound], dtype=bool))
+    assert np.array_equal(values_at(model.weight, rows), w.values[tuple(rows.T)])
+    # the corners of every cube of the grid
+    rows = np.argwhere(np.ones([b for b in bound], dtype=bool))
+    for grid, whole in ((model.hilbert, h), (model.weight, w)):
+        assert np.array_equal(corner_values(grid, rows), whole_grid_corners(whole.values, rows))
+    # the certificate, with the faces of R(0, b - e) below, at and past c
+    bounds = [c, padd(c, unit(r, 0)), padd(c, e), padd(padd(c, e), unit(r, 0)), bound]
+    for b in bounds:
+        _, whole_w = whole_grids(model, b)
+        for depth in range(model.min_w - 1, 4):
+            assert certify_truncation(model.weight.grown(b), depth) == certify_on_faces(
+                whole_w, depth
+            ), (b, depth)
+    # the omega series, certified as ``certified_omega`` grows the model
+    for depth in range(9):
+        grown = model
+        for _ in range(6):
+            if certify_truncation(grown.weight, depth):
+                break
+            grown = grown.ensure_bound(padd(grown.bound, scale(4, e)))
+        wh, ww = whole_grids(model, grown.bound)
+        assert _series_or_error(omega_substitution, grown.hilbert, grown.weight, depth) == (
+            _series_or_error(omega_on_window, wh, ww, depth)
+        ), depth
+    # the univariate levels
+    grown = model.ensure_bound(scale(9, e))
+    want = levels_on_whole(whole_grids(model, grown.bound)[0], 8)
+    for depth in range(9):
+        assert univariate_levels(grown.hilbert, depth) == want[: depth + 1]
+
+
+def assert_model_reads_match(model):
+    assert_reads_match(model)
+    for size in range(1, model.r):
+        for J in itertools.combinations(range(1, model.r + 1), size):
+            assert_reads_match(model.subcurve(J))
+
+
+@pytest.mark.parametrize("key", ladder_keys())
+def test_reads_match_whole_grids_on_the_ladders(key):
+    name, *params = key.split(",")
+    assert_model_reads_match(build_model(get(name, *map(int, params))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_plane_germs())
+def test_reads_match_whole_grids_on_random_plane_germs(germ):
+    assert_model_reads_match(build_model(germ[2]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(numerical_semigroups())
+def test_reads_match_whole_grids_on_random_branches(gens):
+    assert_reads_match(_semigroup_model(gens))
+
+
+def test_omega_past_c_is_a_sum_of_copies():
+    """D_5's series through omega^8 on a grid certified at 8 sums points
+    as far as (12, 9); the substitution reads R(0, c) = R(0, (4, 2))."""
+    model = build_model(get("D", 5))
+    series, grown = certified_omega(model, 8)
+    assert grown.bound == (16, 16)
+    h, w = whole_grids(model, grown.bound)
+    assert series == omega_on_window(h, w, 8) == omega_by_points(h, w, 8)
+    with pytest.raises(TruncationUnsound):
+        omega_substitution(model.hilbert, model.weight, 8)

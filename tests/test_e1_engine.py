@@ -68,7 +68,7 @@ def assert_same_points(w, points):
 def assert_same_patterns(w, ns):
     """The reader's bitmasks agree with the reference at every base."""
     points = list(box(inner_of(w)))
-    corners = corner_values(w.values, np.array(points, dtype=np.int64))
+    corners = corner_values(w, np.array(points, dtype=np.int64))
     for n in ns:
         patterns, index = spectral._masks(corners, n, w.r)
         for ell, i in zip(points, index):

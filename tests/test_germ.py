@@ -2,12 +2,13 @@
 computation changes a model it is given."""
 
 import argparse
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from latcurve import GermDescriptor, build_model, classify, germ, get
+from latcurve import DescriptorError, GermDescriptor, build_model, classify, germ, get
 from latcurve.cli import cmd_motivic, main
 
 
@@ -75,6 +76,45 @@ def test_ensure_bound_returns_a_new_model(model_of):
     assert np.array_equal(grown.weight.values[inside], m.weight.values)
 
 
+@pytest.mark.parametrize("requested", [(20,), (9, 9, 9), ()])
+def test_ensure_bound_refuses_a_point_of_the_wrong_length(model_of, requested):
+    m = model_of("D", 5)
+    want = f"l={requested} has {len(requested)} coordinates, not r = 2"
+    with pytest.raises(DescriptorError, match=re.escape(want)):
+        m.ensure_bound(requested)
+
+
+def test_ensure_bound_keeps_the_arrays(model_of, monkeypatch):
+    """A grown model holds the very arrays of its parent on the new
+    bound, and no grid is rebuilt."""
+    m = model_of("D", 5)
+    built = []
+    real = germ.hilbert_from_semigroup
+    monkeypatch.setattr(
+        germ, "hilbert_from_semigroup", lambda *a: built.append(a) or real(*a)
+    )
+    grown = m.ensure_bound((30, 20))
+    assert grown.bound == grown.hilbert.bound == grown.weight.bound == (30, 20)
+    assert grown.semigroup is m.semigroup
+    assert grown.hilbert.held is m.hilbert.held
+    assert grown.weight.held is m.weight.held
+    assert built == []
+    assert grown.hilbert.values.shape == (31, 21)
+
+
+def test_models_hold_their_conductor_box():
+    """D_40 answers for R(0, (35, 35, 35)), 46656 points, and each of its
+    grids holds R(0, c) = R(0, (20, 20, 2)), 1323 values."""
+    m = build_model(get("D", 40))
+    assert m.bound == (35, 35, 35) and m.conductor == (20, 20, 2)
+    assert m.hilbert.held.size == m.weight.held.size == 1323
+    assert m.hilbert.values.size == m.weight.values.size == 46656
+    # a smooth branch has c = 0 and m = 1: its grids hold R(0, m)
+    smooth = build_model(get("A", 0))
+    assert (smooth.conductor, smooth.multiplicity) == ((0,), (1,))
+    assert smooth.hilbert.held.tolist() == [0, 1]
+
+
 def test_motivic_command_leaves_the_model_unchanged(model_of, capsys):
     m = model_of("D", 4)
     snapshot = _snapshot(m)
@@ -85,13 +125,15 @@ def test_motivic_command_leaves_the_model_unchanged(model_of, capsys):
 
 def test_motivic_command_grows_once_for_its_levels(monkeypatch, capsys):
     bounds = []
-    model_on = germ._model_on
+    ensure_bound = germ.GermModel.ensure_bound
 
-    def recording(desc, table, bound):
-        bounds.append(bound)
-        return model_on(desc, table, bound)
+    def recording(model, requested):
+        grown = ensure_bound(model, requested)
+        if grown is not model:
+            bounds.append(grown.bound)
+        return grown
 
-    monkeypatch.setattr(germ, "_model_on", recording)
+    monkeypatch.setattr(germ.GermModel, "ensure_bound", recording)
     assert main(["motivic", "--builtin", "D,5", "--depth", "9"]) == 0
     # D_5 is a poincare source built on (8, 8): one growth to (depth + 1)e
     # for the levels, one for the certified omega series

@@ -18,7 +18,7 @@ from latcurve import (
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
-from latcurve.lattice import SemigroupTable, WeightGrid, box, corner_values
+from latcurve.lattice import HilbertGrid, SemigroupTable, WeightGrid, box, corner_values
 
 from oracles import restrict_to_subcurve
 
@@ -370,7 +370,7 @@ def test_corner_values_reads_every_corner_of_each_row(r):
         values = rng.integers(-50, 50, size=shape)
         last = [b - 2 for b in shape]
         at = np.vstack([rng.integers(0, np.array(shape) - 1, size=(20, r)), [last]])
-        got = corner_values(values, at)
+        got = corner_values(HilbertGrid(r, tuple(n - 1 for n in shape), values), at)
         for row, ell in zip(got.tolist(), at.tolist()):
             corners = [
                 values[tuple(x + (J >> i & 1) for i, x in enumerate(ell))]

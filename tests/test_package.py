@@ -187,6 +187,28 @@ def test_only_lattice_picks_the_rows_of_a_read():
     assert [call for call in calls if not call.startswith("lattice.py:")] == []
 
 
+def test_only_lattice_reads_a_held_grid():
+    """A grid holds its values on R(0, top) and answers past it in closed
+    form, so only ``lattice`` touches the held array (``held``), its box
+    (``top``) or the written-out grid (``values``); every other module
+    reads through ``lattice``.  A call ``x.values()`` (of a dict) is not
+    such a read."""
+    package = ROOT / "src" / "latcurve"
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        reads += [
+            f"{path.name}:{node.lineno}: .{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and (node.attr in ("held", "top") or node.attr == "values" and id(node) not in calls)
+        ]
+    # the scan must see the reads of lattice, not nothing
+    assert [read for read in reads if read.startswith("lattice.py:")]
+    assert [read for read in reads if not read.startswith("lattice.py:")] == []
+
+
 def test_only_the_cli_loops_over_points():
     """No module but ``cli`` (which renders the weight table point by
     point) iterates the points of ``box(...)`` or calls ``motivic_coeff``:

@@ -16,7 +16,12 @@ from latcurve.homology import filtered_reduction
 from latcurve.snf import smith_invariants
 from latcurve.spectral import pe_series
 
-from oracles import as_pairs, plain_filtered_reduction, reference_pairs
+from oracles import (
+    as_pairs,
+    plain_filtered_reduction,
+    reference_pairs,
+    smith_invariants_full_scan,
+)
 from test_catalog import ALL_SPECS
 
 
@@ -133,6 +138,43 @@ def sparse_rows(draw):
 @given(sparse_rows())
 def test_sparse_hypothesis_vs_sympy(rows):
     assert smith_invariants(to_columns(rows)) == sympy_reference(rows)
+
+
+# after a remainder round the loop scans only the rows it changed; the
+# loop that scans every entry for every pivot is the reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=8
+        )
+    )
+)
+def test_dense_matrices_match_the_full_scan(rows):
+    cols = to_columns(rows)
+    assert smith_invariants(cols) == smith_invariants_full_scan(cols)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.sampled_from([-1, 1, 2]), min_size=30 * 25, max_size=30 * 25))
+def test_30_by_25_matrices_match_the_full_scan(entries):
+    cols = to_columns([entries[25 * i : 25 * (i + 1)] for i in range(30)])
+    assert smith_invariants(cols) == smith_invariants_full_scan(cols)
+
+
+@pytest.mark.parametrize("shape, values", [((8, 8), range(-9, 10)), ((30, 25), (-1, 1, 2))])
+def test_seeded_matrices_reach_remainder_rounds(shape, values):
+    """Seeded draws of both kinds match the full scan, and reach the
+    remainder rounds after which the scan is shortened."""
+    rng = random.Random(shape[0])
+    rounds = []
+    for _ in range(10):
+        rows = [[rng.choice(values) for _ in range(shape[1])] for _ in range(shape[0])]
+        cols = to_columns(rows)
+        assert smith_invariants(cols) == smith_invariants_full_scan(cols, rounds)
+    assert rounds
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
