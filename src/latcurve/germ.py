@@ -10,11 +10,11 @@ A descriptor names the germ by exactly one source:
 
 Descriptors round-trip through a small JSON schema (see README).  The
 model is an immutable value holding the semigroup table on R(0, c) and
-the Hilbert and weight grids on a common bound, each held on
-R(0, max(c, m)) and read past it in closed form (``lattice``); growing
-the bound returns a new model on the same table and the same arrays, and
-subcurve models come from the projection of the table to the axes of the
-subcurve.
+the Hilbert and weight grids on a common bound, each held on a box with
+every cube of R(0, c) and read past it in closed form (``lattice``);
+growing the bound returns a new model on the same table and the same
+arrays, and subcurve models come from the projection of the table to the
+axes of the subcurve.
 """
 
 from __future__ import annotations
@@ -456,12 +456,12 @@ def _build_from_poincare(desc: GermDescriptor) -> GermModel:
     of ``conductor_bound`` and one more layer, and read the exact
     conductor and the table there.  The bound of the model is the one the
     growing-grid loop of earlier releases accepted, replayed on that
-    table (``_replayed_bound``).  The model grid holds the expansion on
-    R(0, max(c, m)) and reads past it in closed form, and must equal the
-    expansion where both exist (InvalidSeries otherwise).  Then the grid
-    is H(S): both start at 0, step by 0 or 1, have the members S on
-    R(0, c) and step by 1 out of R(0, c).  Read the steps D(l) down from
-    c: for axes i, j below c at l, D_i(l) - D_j(l) = D_i(l + e_j) -
+    table (``_replayed_bound``).  The model grid is the expansion on
+    R(0, c) and the closed form past c (``conductor_grid``), and must
+    equal the expansion where both exist (InvalidSeries otherwise).  Then
+    the grid is H(S): both start at 0, step by 0 or 1, have the members S
+    on R(0, c) and step by 1 out of R(0, c).  Read the steps D(l) down
+    from c: for axes i, j below c at l, D_i(l) - D_j(l) = D_i(l + e_j) -
     D_j(l + e_i) is read already; a nonzero one fixes D(l) in {0, 1}^r,
     and where all are 0, whether l is a member does.  So both have the
     same steps."""
@@ -575,16 +575,22 @@ def _replayed_bound(desc: GermDescriptor, table: SemigroupTable, first: Point) -
 def _detected(table: SemigroupTable, guess: Point) -> tuple[Point, Point]:
     """The conductor and multiplicity that ``semigroup_from_hilbert``
     detects on the grid R(0, guess) of the table's semigroup, or its
-    MarginTooSmall.  The window R(0, guess - e) is read off the table by
-    the extension rule; min-closure needs no check, as any window of a
-    min-closed set is min-closed."""
+    MarginTooSmall; min-closure needs no check, as any window of a
+    min-closed set is min-closed.  It detects on the window R(0, g),
+    g = guess - e, read at min(l, c): the window point l reads the point
+    min(l, b) of the table's own box R(0, b), b = min(g, c), which is read
+    instead (the layer check stays on g).  The window points >= l read
+    the box points >= min(l, b) (q is read by max(q, l)), so l is stable
+    iff min(l, b) is.  Each box point is a window point, and below a
+    stable l lies the stable min(l, b): both give the same least
+    conductor c' and ``least`` flag.  As c' <= b, the cut check at l is
+    the one at min(l, b), and both cut the same table on R(0, c')."""
     if min(guess) < 1:
         raise MarginTooSmall("grid too small to test any point")
     require_grid(guess)
-    r = table.r
     inner = tuple(g - 1 for g in guess)
-    members = table.members_on(inner)
-    seen = cut_at_conductor(members, detect_conductor_mask(members, inner, r))
+    members = table.mask[window(inner)]  # a slice stops at the mask's edge
+    seen = cut_at_conductor(members, detect_conductor_mask(members, inner, table.r))
     return seen.conductor, seen.multiplicity()
 
 

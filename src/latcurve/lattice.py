@@ -4,7 +4,8 @@ A germ is represented purely by discrete data living on the lattice N^r:
 
 * the semigroup of values S (min-closed, 0 in S, stable above the
   conductor c), held as a membership table on R(0, c): the conductor
-  decides the rest, since l is in S iff min(l, c) is,
+  decides the rest, since l is in S iff min(l, c) is; its multiplicity
+  and unit steps are read off the up-set minima that validate it,
 * the Hilbert function h, with h(0) = 0 and unit steps
   h(l + e_i) - h(l) in {0, 1},
 * the weight function w(l) = 2*h(l) - |l|, whose sublevel sets drive the
@@ -15,19 +16,19 @@ Each grid answers for a rectangle R(0, bound) with bound >= c, and holds
 its values on a box R(0, top) inside it.  Past c every unit step raises
 h, so h(l) = h(l') + |l - l'| with l' = min(l, c), and w obeys the same
 closed form; it holds with any top >= c in place of c.  A model's grids
-hold R(0, max(c, m)); a grid made from a whole array holds that array.
-Every read past top follows the closed form in this module, and no other
-module reads a held array: ``_read`` and ``values_at`` read points,
-``corner_values`` gathers cubes, and ``values_on`` writes out a box.  So
-every check runs on R(0, c) and covers every grid:
-``hilbert_from_semigroup``, the one place that reads a table past c,
-integrates and checks on R(0, c), and ``WeightGrid.validate`` checks
-|w| <= |l| on R(0, c).  No grid may answer for more than
-``MAX_GRID_POINTS`` points (``require_grid``), on its bound, whatever box
-it holds.  All arithmetic is exact; tables and grids are frozen values
-whose arrays are made read-only at construction, so they are safe to
-share.  They compare and hash by identity: an array has no single truth
-value.
+hold R(0, min(max(c, e) + e, bound)) (``conductor_grid``), so a grid
+whose bound passes its box holds every cube of R(0, c); a grid made from
+a whole array holds that array.  Every read past top follows the closed
+form in this module, and no other module reads a held array: ``_read``
+and ``values_at`` read points, ``corner_values`` gathers cubes, and
+``values_on`` writes out a box.  So every check runs on R(0, c) and
+covers every grid: ``hilbert_from_semigroup`` integrates and checks on
+R(0, c), and ``WeightGrid.validate`` checks |w| <= |l| on R(0, c).  No
+grid may answer for more than ``MAX_GRID_POINTS`` points
+(``require_grid``), on its bound, whatever box it holds.  All arithmetic
+is exact; tables and grids are frozen values whose arrays are made
+read-only at construction, so they are safe to share.  They compare and
+hash by identity: an array has no single truth value.
 """
 
 from __future__ import annotations
@@ -217,10 +218,11 @@ def corner_values(grid, at: np.ndarray) -> np.ndarray:
     negative coordinate, or whose l + e leaves R(0, bound), is refused
     before the gather (MarginTooSmall naming the first such row).
 
-    Past the held box R(0, top) the gather reads in closed form, with no
-    box written out: row l is read at min(l, top), plus |l - min(l, top)|.
-    The step along an axis i of J moves the offset by e_i where
-    l_i < top_i (the bits of ``inside``), and adds 1 where l_i >= top_i."""
+    When a corner leaves the held box R(0, top), each row l is read at
+    low = min(l, top - e), plus |l - low|, with no box written out.  That
+    is the closed form: a grid whose bound passes its box holds every cube
+    of R(0, c) (``conductor_grid``), so top - e >= c on every axis a row
+    passes, and each step past c adds 1."""
     held = grid.held
     hi = at.max(axis=0).tolist() if len(at) else [-1] * held.ndim
     if len(at) and (at.min() < 0 or any(x >= b for x, b in zip(hi, grid.bound))):
@@ -229,29 +231,23 @@ def corner_values(grid, at: np.ndarray) -> np.ndarray:
         if min(ell) < 0:
             raise MarginTooSmall(f"l={ell} has a negative coordinate")
         raise MarginTooSmall(f"need {ell} + e inside the grid {grid.bound}")
-    top, steps, bits, subsets, offsets, counts = _corner_tables(held.shape)
+    steps, offsets = _corner_tables(held.shape)
     if all(x < t for x, t in zip(hi, grid.top)):  # every corner lies in the box
         return held.ravel()[np.add.outer(at @ steps, offsets)]
-    inside = (at < top) @ bits
-    low = np.minimum(at, top)
-    moved = subsets & inside[:, None]  # the axes of J whose step stays inside
-    excess = (at - low).sum(axis=1)[:, None] + (counts - counts[moved])
-    return held.ravel()[(low @ steps)[:, None] + offsets[moved]] + excess
+    low = np.minimum(at, np.array(grid.top) - 1)
+    excess = (at - low).sum(axis=1)[:, None]
+    return held.ravel()[np.add.outer(low @ steps, offsets)] + excess
 
 
 @functools.lru_cache(maxsize=64)
 def _corner_tables(shape: tuple) -> tuple:
-    """For an array of the given shape: its top corner, the flat step of
-    each e_i, the bit of each axis, and for each subset J (in order) the
-    flat offset of e_J and |J|."""
+    """For an array of the given shape: the flat step of each e_i, and for
+    each subset J (in order) the flat offset of e_J."""
     steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
-    offsets, counts = [0], [0]
+    offsets = [0]
     for step in steps:  # the subsets with bit i follow those without it
         offsets += [o + step for o in offsets]
-        counts += [n + 1 for n in counts]
-    bits = 1 << np.arange(len(shape))
-    return (np.array(shape) - 1, np.array(steps), bits, np.arange(len(offsets)),
-            np.array(offsets), np.array(counts))
+    return np.array(steps), np.array(offsets)
 
 
 def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
@@ -294,8 +290,10 @@ class SemigroupTable(Record, eq=False):
     ``mask[l]`` is True iff l is a value of the germ, for l in R(0, c).
     The conductor decides every other point: l is a member iff min(l, c)
     is (the extension rule).  A table is validated once, by the function
-    that makes it.  Its multiplicity, once found, is stored outside
-    ``_fields``, so the repr and the identity do not show it.
+    that makes it.  Its multiplicity and unit steps come from the up-set
+    minima M of the validation (``_keep_minima``), or of ``upset_minima``
+    on first use for a table nobody validated, and are stored outside
+    ``_fields``, so the repr and the identity do not show them.
     """
 
     _fields = ("r", "conductor", "mask")
@@ -320,26 +318,38 @@ class SemigroupTable(Record, eq=False):
         return _clamped(self.mask, self.conductor, bound)
 
     def multiplicity(self) -> Point:
-        """Componentwise minimum m of the nonzero members (which is itself
-        a member for a valid table), found and checked on the first call
-        and stored: every later call returns the same tuple.  Read on
-        R(0, c + e): below every nonzero member s lies the nonzero member
-        min(s, c + e)."""
-        m = vars(self).get("_multiplicity")
-        if m is None:
-            members = np.argwhere(self.members_on(padd(self.conductor, ones(self.r))))
-            nonzero = members[members.any(axis=1)]
-            m = tuple(int(x) for x in nonzero.min(axis=0))
-            if not self.contains(m):
-                raise InconsistentSemigroup(
-                    f"componentwise min {m} of nonzero members is not a member"
-                )
-            vars(self)["_multiplicity"] = m
+        """Componentwise minimum m of the nonzero members, checked to be a
+        member (it is for a valid table); every call returns the same
+        stored tuple."""
+        m = self._kept()[0]
+        if not self.contains(m):
+            raise InconsistentSemigroup(
+                f"componentwise min {m} of nonzero members is not a member"
+            )
         return m
+
+    def _kept(self) -> tuple:
+        """m and the unit steps, kept by the validation or found here."""
+        if "_steps" not in vars(self):
+            self._keep_minima(upset_minima(self.mask)[0])
+        return self._multiplicity, self._steps
+
+    def _keep_minima(self, mins: np.ndarray) -> None:
+        """Keep m = M(e) and the unit steps [M(l)_i = l_i] on R(0, c), read
+        off up-set minima M that hold R(0, c).  Each nonzero member s is
+        >= e (when r >= 2 none has a zero coordinate) and above the member
+        min(s, c) >= e; the smooth table, c = 0, has m = e.  The step
+        l -> l + e_i raises h iff some member s >= l has s_i = l_i."""
+        mins = np.moveaxis(mins[window(self.conductor)], -1, 0)
+        e = ones(self.r)
+        m = tuple(mins[(slice(None), *e)].tolist()) if min(self.conductor) else e
+        steps = mins == np.indices(mins.shape[1:])
+        steps.flags.writeable = False
+        vars(self).update(_multiplicity=m, _steps=steps)
 
     def validate(self) -> None:
         """The table axioms (``_validate_members``) and additive closure."""
-        _validate_members(self.mask, self.conductor)
+        self._keep_minima(_validate_members(self.mask, self.conductor))
         self.validate_additive_closure()
 
     def validate_additive_closure(self) -> None:
@@ -364,10 +374,11 @@ class SemigroupTable(Record, eq=False):
                 )
 
 
-def _validate_members(mask: np.ndarray, c: Point) -> None:
+def _validate_members(mask: np.ndarray, c: Point) -> np.ndarray:
     """The table axioms on the box R(0, b) that ``mask`` covers: 0, c and
     every point of R(c, b) are members, when r >= 2 no c_i is 0 and no
-    nonzero member has a zero coordinate, and min-closure."""
+    nonzero member has a zero coordinate, and min-closure; returns the
+    up-set minima M of the box."""
     r = len(c)
     if not mask[(0,) * r]:
         raise InconsistentSemigroup("0 must be a member")
@@ -390,10 +401,10 @@ def _validate_members(mask: np.ndarray, c: Point) -> None:
         if planes.any():
             p = tuple(int(x) for x in np.argwhere(planes)[0])
             raise InconsistentSemigroup(f"nonzero member {p} has a zero coordinate")
-    _validate_min_closure(mask)
+    return _validate_min_closure(mask)
 
 
-def _validate_min_closure(mask: np.ndarray) -> None:
+def _validate_min_closure(mask: np.ndarray) -> np.ndarray:
     # Min-closure holds iff every up-set U(l) = {s in S : s >= l} has a
     # unique minimal element, i.e. iff its componentwise minimum M(l)
     # is a member (U(l) always holds the bound point once the
@@ -404,6 +415,7 @@ def _validate_min_closure(mask: np.ndarray) -> None:
         raise InconsistentSemigroup(
             f"up-set of {p} has no unique minimal member (min {mp} absent)"
         )
+    return mins
 
 
 def _clamped(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
@@ -497,10 +509,11 @@ class _Grid(Record, eq=False):
         return values
 
     def grown(self, bound: Point):
-        """The same grid on the larger bound ``bound``: the same arrays,
-        read past the held box in closed form, so valid for a grid that
-        holds a box past its conductor, as every model grid does.  The
-        budget applies to the new bound (GridTooLarge)."""
+        """The same grid on the bound ``bound``: the same arrays, read past
+        the held box in closed form, so valid for a grid that holds every
+        cube of R(0, c), as every model grid does (its bound is >= c + e):
+        grown, it still does.  The budget applies to the new bound
+        (GridTooLarge)."""
         require_grid(bound)
         grid = object.__new__(type(self))
         vars(grid).update(vars(self), bound=tuple(bound))
@@ -629,12 +642,12 @@ class WeightGrid(_Grid):
 def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     """Hilbert grid of the table's semigroup on R(0, bound), bound >= c.
 
-    The unit increment along axis i at l is 1 iff some member s has
-    s_i = l_i and s_j >= l_j for j != i.  The increments are found,
-    integrated and checked on R(0, c) only.  The grid holds h on
-    R(0, max(c, e)), which is R(0, max(c, m)) for a valid table (m <= c
-    unless c = 0, and then m = e), and answers past it in closed form,
-    h(l) = h(l') + |l - l'| with l' = min(l, c).
+    The unit increment along axis i at l is 1 iff some member s >= l has
+    s_i = l_i: the table's unit steps, read off its up-set minima.  The
+    increments are integrated and checked on R(0, c) only.  The grid
+    holds h on R(0, min(max(c, e) + e, bound)) (``conductor_grid``) and
+    answers past it in closed form, h(l) = h(l') + |l - l'| with
+    l' = min(l, c).
 
     * On R(0, c) the search is complete: min(s, c) is a member and a
       witness whenever s is, so a witness lies in R(0, c).
@@ -663,36 +676,15 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
     if not leq(c, bound):
         raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
     mask = table.mask
-    shape = mask.shape
-    # inc[i][l] = 1 iff the step l -> l + e_i raises h
-    inc = []
-    for i in range(r):
-        a = mask
-        for j in range(r):
-            if j == i:
-                continue
-            a = np.flip(np.logical_or.accumulate(np.flip(a, axis=j), axis=j), axis=j)
-        inc.append(a)
+    inc = table._kept()[1]  # inc[i][l]: the step l -> l + e_i raises h
     if not np.array_equal(np.logical_and.reduce(inc), mask):
         raise InconsistentSemigroup("extension failed the round-trip check")
-    # integrate increments axis by axis: axis t fills the slab
-    # {l_j = 0 for j > t} from the already-filled slab {l_t = 0 too}
-    h = np.zeros(shape, dtype=np.int64)
-    for axis in range(r):
-        if shape[axis] < 2:
-            continue
-        dst = tuple(
-            slice(1, None) if j == axis else (slice(0, 1) if j > axis else slice(None))
-            for j in range(r)
-        )
-        src = tuple(
-            slice(0, 1) if j >= axis else slice(None) for j in range(r)
-        )
-        stp = tuple(
-            slice(0, -1) if j == axis else (slice(0, 1) if j > axis else slice(None))
-            for j in range(r)
-        )
-        h[dst] = h[src] + np.cumsum(inc[axis][stp].astype(np.int64), axis=axis)
+    # integrate along axis 0 first: the path to l runs along axis t at
+    # (l_0, ..., l_{t-1}, k, 0, ..., 0), k < l_t, for t = 0, ..., r - 1
+    h = np.zeros(mask.shape, dtype=np.int64)
+    for t in range(r):
+        line = inc[t][(slice(None),) * (t + 1) + (slice(0, 1),) * (r - t - 1)]
+        h += np.cumsum(line, axis=t) - line
     # full path-independence check: every axis must reproduce its increments
     for i in range(r):
         lo = tuple(slice(0, -1) if j == i else slice(None) for j in range(r))
@@ -706,13 +698,13 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
 
 
 def conductor_grid(h: HilbertGrid, c: Point, bound: Point) -> HilbertGrid:
-    """The grid on R(0, bound), bound >= c, that holds a copy of h on
-    R(0, max(c, e)) (h answers there, in closed form past c) and reads
-    past it in closed form for the conductor c; GridTooLarge when
-    R(0, bound) is past the budget."""
+    """The grid on R(0, bound), bound >= c, of h on R(0, c) and the closed
+    form past c, held on R(0, min(max(c, e) + e, bound)): every cube of
+    R(0, c) where the bound passes it; GridTooLarge past the budget."""
     require_grid(bound)
-    top = pmin(pmax(c, ones(len(c))), bound)
-    return HilbertGrid(r=h.r, bound=tuple(bound), values=values_on(h, top).copy())
+    e = ones(len(c))
+    values = past_conductor(values_on(h, c), c, pmin(padd(pmax(c, e), e), bound))
+    return HilbertGrid(r=h.r, bound=tuple(bound), values=values)
 
 
 def past_conductor(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
@@ -763,8 +755,10 @@ def semigroup_from_hilbert(h: HilbertGrid) -> SemigroupTable:
     inner = tuple(b - 1 for b in h.bound)
     mask = unit_step_members(h, inner)
     c = detect_conductor_mask(mask, inner, h.r)
-    _validate_members(mask, c)
-    return cut_at_conductor(mask, c)
+    mins = _validate_members(mask, c)
+    table = cut_at_conductor(mask, c)
+    table._keep_minima(mins)  # on R(0, c) the window's M is the table's
+    return table
 
 
 def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:

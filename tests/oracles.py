@@ -30,6 +30,12 @@
   axis, as the largest k with w(j e_i) = 2 - j for 1 <= j <= k: the
   read that ``weight_from_hilbert`` made before it took m from the
   table.
+* ``multiplicity_by_member_scan`` / ``suffix_or_steps`` /
+  ``detected_on_window``: a table's m as the minimum of its nonzero
+  members on R(0, c + e), its unit steps from r - 1 suffix-OR passes per
+  axis, and the replay's detection on the window R(0, guess - e)
+  written out by the extension rule: the derivations that the table's
+  up-set minima and the read of its own box replaced.
 * ``admissible_subsets`` / ``scalar_e1_refined``: the scalar E1 engine
   that ``spectral`` replaced.  Each query builds a dict of the 2^r
   vertex weights and of the cube maxima, lists the admissible subsets,
@@ -131,11 +137,14 @@ from latcurve.lattice import (
     WeightGrid,
     box,
     cube_max_tables,
+    cut_at_conductor,
+    detect_conductor_mask,
     leq,
     norm,
     ones,
     padd,
     pmax,
+    require_grid,
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
@@ -613,6 +622,47 @@ def multiplicity_by_axis_rows(values: np.ndarray) -> Point:
             k += 1
         m.append(k)
     return tuple(m)
+
+
+def multiplicity_by_member_scan(table) -> Point:
+    """The componentwise minimum of the nonzero members on R(0, c + e),
+    checked to be a member: below every nonzero member s lies the nonzero
+    member min(s, c + e)."""
+    members = np.argwhere(table.members_on(padd(table.conductor, ones(table.r))))
+    nonzero = members[members.any(axis=1)]
+    m = tuple(int(x) for x in nonzero.min(axis=0))
+    if not table.contains(m):
+        raise InconsistentSemigroup(
+            f"componentwise min {m} of nonzero members is not a member"
+        )
+    return m
+
+
+def suffix_or_steps(table) -> list[np.ndarray]:
+    """inc[i][l] on R(0, c): some member s has s_i = l_i and s_j >= l_j
+    for every j != i, as a suffix OR of the mask along each axis j != i."""
+    mask, r = table.mask, table.r
+    inc = []
+    for i in range(r):
+        a = mask
+        for j in range(r):
+            if j != i:
+                a = np.flip(np.logical_or.accumulate(np.flip(a, axis=j), axis=j), axis=j)
+        inc.append(a)
+    return inc
+
+
+def detected_on_window(table, guess: Point) -> tuple[Point, Point]:
+    """The conductor and multiplicity detected on the grid R(0, guess) of
+    the table's semigroup: the window R(0, guess - e) written out by the
+    extension rule, detected and cut, and m by the member scan."""
+    if min(guess) < 1:
+        raise MarginTooSmall("grid too small to test any point")
+    require_grid(guess)
+    inner = tuple(g - 1 for g in guess)
+    members = table.members_on(inner)
+    seen = cut_at_conductor(members, detect_conductor_mask(members, inner, table.r))
+    return seen.conductor, multiplicity_by_member_scan(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@
   ``weight_from_hilbert`` made before, on the catalog, the benchmark
   ladders and random germs of one, two and three branches; the weight
   grid carries the table's tuple itself.
+* up-set minima: the m and unit steps a table keeps from its up-set
+  minima (or finds from ``upset_minima`` when nobody validated it)
+  against ``oracles.multiplicity_by_member_scan`` and
+  ``oracles.suffix_or_steps``, on every ladder germ, its proper
+  subcurves, the cut tables of ``hilbert`` sources and random plane
+  germs; and ``germ._detected``, which reads the table's own box,
+  against ``oracles.detected_on_window`` at every guess the replay
+  visits: the same (c', m') or the same MarginTooSmall text.
 * motivic: ``coefficient_terms`` (the one reader, at the points a
   caller sums) against the scalar loop over subsets,
   ``oracles.motivic_coeff_by_subsets``, and ``univariate_levels`` and
@@ -36,6 +44,7 @@
   every catalog germ.
 """
 
+import itertools
 import re
 
 import numpy as np
@@ -62,6 +71,7 @@ from latcurve import (
 )
 from latcurve.catalog import numerical_semigroup
 from latcurve.classify import certified_omega
+from latcurve import germ
 from latcurve.germ import GermDescriptor
 from latcurve.lattice import (
     SemigroupTable,
@@ -85,17 +95,21 @@ from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigr
 from line_arrangements import line_arrangement
 from oracles import (
     additive_closure_by_members,
+    detected_on_window,
     gorenstein_functional_check_by_points,
     gorenstein_motivic_check_by_points,
     hilbert_from_motivic_by_points,
     motivic_coeff_by_subsets,
     multiplicity_by_axis_rows,
+    multiplicity_by_member_scan,
     numerator_coeffs_by_points,
     omega_by_points,
     pe_substitution_check_by_points,
     reverse_sweep_min_closure,
+    suffix_or_steps,
     univariate_by_points,
 )
+from test_builds import hilbert_descriptor
 from test_catalog import ALL_SPECS
 from test_identity import ladder_keys
 
@@ -253,6 +267,99 @@ def test_multiplicity_matches_the_axis_rows_on_random_semigroups(gens):
     m = build_model(desc)
     assert_multiplicity_matches_axis_rows(m)
     assert m.multiplicity == (min(gens),)
+
+
+# ---------------------------------------------------------------------------
+# m and the unit steps from the up-set minima; the replay reads its table's box
+
+
+def _ladder_descriptor(key):
+    name, *params = key.split(",")
+    return get(name, *map(int, params))
+
+
+def _proper_subcurves(model):
+    return [
+        model.subcurve(J)
+        for size in range(1, model.r)
+        for J in itertools.combinations(range(1, model.r + 1), size)
+    ]
+
+
+def assert_table_reads_match(table, key=None):
+    """The m and unit steps the table keeps, and those a copy of its mask
+    that nobody validated finds, equal the member scan and the suffix-OR
+    increments."""
+    copy = SemigroupTable(r=table.r, conductor=table.conductor, mask=table.mask.copy())
+    want = suffix_or_steps(table)
+    for t in (table, copy):
+        assert t.multiplicity() == multiplicity_by_member_scan(table), key
+        steps = t._kept()[1]
+        assert len(steps) == len(want), key
+        assert all(np.array_equal(a, b) for a, b in zip(steps, want)), key
+
+
+def _detection(detect, table, guess):
+    try:
+        return detect(table, guess)
+    except MarginTooSmall as exc:
+        return str(exc)
+
+
+def test_table_reads_match_on_every_ladder_germ():
+    """229 ladder germs, their 342 proper subcurves, and the cut table of
+    each ladder germ rewritten as a ``hilbert`` source."""
+    keys = ladder_keys()
+    subcurves = 0
+    for key in keys:
+        model = build_model(_ladder_descriptor(key))
+        assert_table_reads_match(model.semigroup, key)
+        for sub in _proper_subcurves(model):
+            assert_table_reads_match(sub.semigroup, (key, sub.name))
+            subcurves += 1
+        assert_table_reads_match(build_model(hilbert_descriptor(model)).semigroup, key)
+    assert (len(keys), subcurves) == (229, 342)
+
+
+def test_replay_detects_on_the_tables_box(monkeypatch):
+    """Every guess the replay visits on every ``poincare`` ladder germ,
+    and the bound it accepts: the same (c', m'), or the same
+    MarginTooSmall text, as the window written out."""
+    visits = []
+    real = germ._detected
+
+    def visited(table, guess):
+        visits.append((table, guess))
+        return real(table, guess)
+
+    monkeypatch.setattr(germ, "_detected", visited)
+    for key in ladder_keys():
+        desc = _ladder_descriptor(key)
+        if desc.kind == "poincare":
+            model = build_model(desc)
+            visits.append((model.semigroup, model.bound))
+    monkeypatch.undo()
+    detects = (germ._detected, detected_on_window)
+    outcomes = [tuple(_detection(d, table, guess) for d in detects) for table, guess in visits]
+    assert [got for got, _ in outcomes] == [want for _, want in outcomes]
+    # both kinds of outcome are compared
+    assert {type(got) for got, _ in outcomes} == {tuple, str}
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_plane_germs())
+def test_table_reads_match_on_random_plane_germs(plane):
+    model = build_model(plane[2])
+    for t in (model, *_proper_subcurves(model)):
+        table = t.semigroup
+        assert_table_reads_match(table)
+        c, e = table.conductor, ones(table.r)
+        guesses = [(g,) * table.r for g in range(max(c) + 3)]
+        guesses += [c, padd(c, e), padd(padd(c, e), e)]
+        for guess in guesses:
+            assert _detection(germ._detected, table, guess) == _detection(
+                detected_on_window, table, guess
+            ), guess
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,14 @@ it replaced (``tests/oracles.py``).
   repeat it; ``oracles.omega_by_points`` sums every point of
   R(0, bound - e), and ``oracles.omega_on_window`` the window of whole
   grids that the substitution read before.
-* A model's grids hold R(0, max(c, m)) and every read past it follows
-  the closed form; ``oracles.whole_grids`` writes both grids out on
-  R(0, bound), and every read of them must agree: points, corner
-  gathers, the truncation certificate, the omega series and the
-  univariate levels.
+* A model's grids hold R(0, min(max(c, e) + e, bound)), every cube of
+  R(0, c), and every read past it follows the closed form;
+  ``oracles.whole_grids`` writes both grids out on R(0, bound), and
+  every read of them must agree: points, corner gathers (also on the
+  rows l_i = top_i - 2 .. top_i + 1 around the held box), the
+  truncation certificate, the omega series and the univariate levels.
+  The omega series and ``pe_series(w, c)`` read cubes of R(0, c) only,
+  so each of their gathers lies inside the held box.
 """
 
 import itertools
@@ -51,11 +54,14 @@ from latcurve.lattice import (
     ones,
     padd,
     pmax,
+    pmin,
     scale,
     unit,
     values_at,
 )
+from latcurve import motivic, spectral
 from latcurve.motivic import certify_truncation, univariate_levels
+from latcurve.spectral import pe_series
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from oracles import (
@@ -218,11 +224,12 @@ def _series_or_error(fn, *args):
 
 
 def assert_reads_match(model):
-    """Every read of the model's grids, which hold R(0, max(c, m)), equals
-    the same read of its grids written out on R(0, bound)."""
+    """Every read of the model's grids, which hold
+    R(0, min(max(c, e) + e, bound)), equals the same read of its grids
+    written out on R(0, bound)."""
     r, c, bound = model.r, model.conductor, model.bound
     e = ones(r)
-    assert model.hilbert.top == model.weight.top == pmax(c, model.multiplicity)
+    assert model.hilbert.top == model.weight.top == pmin(padd(pmax(c, e), e), bound)
     h, w = whole_grids(model)
     assert np.array_equal(model.hilbert.values, h.values)
     assert np.array_equal(model.weight.values, w.values)
@@ -289,6 +296,58 @@ def test_reads_match_whole_grids_on_random_plane_germs(germ):
 @given(numerical_semigroups())
 def test_reads_match_whole_grids_on_random_branches(gens):
     assert_reads_match(_semigroup_model(gens))
+
+
+def _around_the_box(top, bound):
+    """Rows with each l_i in {0, 1} or top_i - 2 .. top_i + 1, where l + e
+    lies in R(0, bound)."""
+    axes = [sorted({0, 1, *range(t - 2, t + 2)} & set(range(b))) for t, b in zip(top, bound)]
+    return np.array(list(itertools.product(*axes)), dtype=np.int64)
+
+
+@pytest.mark.parametrize("key", ladder_keys())
+def test_gathers_around_the_held_box_match_whole_grids(key):
+    """Each ladder germ and proper subcurve, on its bound and grown two
+    layers past its held box, so rows reach top_i + 1 on every axis."""
+    name, *params = key.split(",")
+    model = build_model(get(name, *map(int, params)))
+    subcurves = [
+        model.subcurve(J)
+        for size in range(1, model.r)
+        for J in itertools.combinations(range(1, model.r + 1), size)
+    ]
+    for sub in (model, *subcurves):
+        e = ones(sub.r)
+        for grown in (sub, sub.ensure_bound(padd(sub.hilbert.top, scale(2, e)))):
+            rows = _around_the_box(grown.hilbert.top, grown.bound)
+            h, w = whole_grids(grown)
+            for grid, whole in ((grown.hilbert, h), (grown.weight, w)):
+                assert np.array_equal(
+                    corner_values(grid, rows), whole_grid_corners(whole.values, rows)
+                ), (key, sub.name, grown.bound)
+
+
+def test_conductor_reads_gather_inside_the_box(monkeypatch):
+    """On every ladder germ the omega series (depths 0 and 3) and
+    ``pe_series(w, c)`` make only gathers whose corners lie in the held
+    box: they read the cubes of R(0, c)."""
+    inside = []
+    for module in (motivic, spectral):
+        real = module.corner_values
+
+        def gather(grid, at, real=real):
+            inside.append(not len(at) or bool((at.max(axis=0) < np.array(grid.top)).all()))
+            return real(grid, at)
+
+        monkeypatch.setattr(module, "corner_values", gather)
+    for key in ladder_keys():
+        name, *params = key.split(",")
+        model = build_model(get(name, *map(int, params)))
+        for depth in (0, 3):
+            certified_omega(model, depth)
+        pe_series(model.weight, model.conductor)
+    assert len(inside) >= 3 * len(ladder_keys())
+    assert all(inside)
 
 
 def test_omega_past_c_is_a_sum_of_copies():

@@ -104,15 +104,16 @@ def test_ensure_bound_keeps_the_arrays(model_of, monkeypatch):
 
 def test_models_hold_their_conductor_box():
     """D_40 answers for R(0, (35, 35, 35)), 46656 points, and each of its
-    grids holds R(0, c) = R(0, (20, 20, 2)), 1323 values."""
+    grids holds every cube of R(0, c), R(0, c + e) = R(0, (21, 21, 3)),
+    1936 values."""
     m = build_model(get("D", 40))
     assert m.bound == (35, 35, 35) and m.conductor == (20, 20, 2)
-    assert m.hilbert.held.size == m.weight.held.size == 1323
+    assert m.hilbert.held.size == m.weight.held.size == 1936
     assert m.hilbert.values.size == m.weight.values.size == 46656
-    # a smooth branch has c = 0 and m = 1: its grids hold R(0, m)
+    # a smooth branch has c = 0 and m = 1: its grids hold R(0, m + e)
     smooth = build_model(get("A", 0))
     assert (smooth.conductor, smooth.multiplicity) == ((0,), (1,))
-    assert smooth.hilbert.held.tolist() == [0, 1]
+    assert smooth.hilbert.held.tolist() == [0, 1, 2]
 
 
 def test_motivic_command_leaves_the_model_unchanged(model_of, capsys):

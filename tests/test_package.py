@@ -192,8 +192,11 @@ def test_only_lattice_reads_a_held_grid():
     form, so only ``lattice`` touches the held array (``held``), its box
     (``top``) or the written-out grid (``values``); every other module
     reads through ``lattice``.  A call ``x.values()`` (of a dict) is not
-    such a read."""
+    such a read.  Likewise a table keeps its m and unit steps from its
+    up-set minima, and only ``lattice`` reads them (``_multiplicity``,
+    ``_steps``, ``_kept``); the others call ``multiplicity()``."""
     package = ROOT / "src" / "latcurve"
+    kept = ("_multiplicity", "_steps", "_kept")
     reads = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -202,10 +205,15 @@ def test_only_lattice_reads_a_held_grid():
             f"{path.name}:{node.lineno}: .{node.attr}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and (node.attr in ("held", "top") or node.attr == "values" and id(node) not in calls)
+            and (
+                node.attr in ("held", "top", *kept)
+                or node.attr == "values" and id(node) not in calls
+            )
         ]
     # the scan must see the reads of lattice, not nothing
     assert [read for read in reads if read.startswith("lattice.py:")]
+    for name in kept:
+        assert any(read.startswith("lattice.py:") and read.endswith(name) for read in reads)
     assert [read for read in reads if not read.startswith("lattice.py:")] == []
 
 
