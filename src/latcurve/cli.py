@@ -97,7 +97,7 @@ def _load_descriptor(args) -> GermDescriptor:
         try:
             with open(args.germ, "r", encoding="utf-8") as fh:
                 desc = descriptor_from_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DescriptorError(f"cannot read {args.germ}: {exc}")
     else:
         desc = _builtin(args.builtin)

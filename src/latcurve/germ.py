@@ -14,7 +14,9 @@ the Hilbert and weight grids on a common bound, each held on a box with
 every cube of R(0, c) and read past it in closed form (``lattice``);
 growing the bound returns a new model on the same table and the same
 arrays, and subcurve models come from the projection of the table to the
-axes of the subcurve.
+axes of the subcurve.  Every table read off a window of members (a
+``hilbert`` grid, a ``poincare`` expansion, a subcurve's projection, a
+replayed guess) is read by ``lattice.table_on_window``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,9 @@ from .lattice import (
     SemigroupTable,
     WeightGrid,
     conductor_grid,
-    cut_at_conductor,
     delta as delta_of,
-    detect_conductor_mask,
     gorenstein_symmetry,
     hilbert_from_semigroup,
-    least_conductor,
     leq,
     min_weight,
     ones,
@@ -51,6 +50,7 @@ from .lattice import (
     scale,
     semigroup_from_hilbert,
     semigroup_from_low_points,
+    table_on_window,
     unit_step_members,
     weight_from_hilbert,
     window,
@@ -267,6 +267,8 @@ def descriptor_from_json(text: str) -> GermDescriptor:
         raise DescriptorError(
             f"descriptor parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise DescriptorError("descriptor nests deeper than the JSON decoder allows")
     return descriptor_from_json_dict(doc)
 
 
@@ -504,25 +506,21 @@ def _certified_table(members: np.ndarray) -> SemigroupTable:
     conductor: the points whose r unit steps are all 1 of a ``poincare``
     expansion, U from ``conductor_bound``, or a subcurve's projection.
 
-    c is the least p such that every point of the window above p is a
-    member (``least_conductor``).  That is exact once U >= c: for any p
+    ``table_on_window`` reads it as the window R(0, U + e), whose points
+    past U read min(l, U), as they do once U >= c, so its layer check
+    always passes.  Its least conductor c is exact once U >= c: for any p
     in the window with p_i < c_i, the point max(p, c - e_i) lies in the
     window above p, and it is no member, because its minimum with c is
     c - e_i (were c - e_i a member, so would every point above it be,
-    against the minimality of c).  The table is validated on R(0, c) as
-    every table is, and the window must follow the extension rule;
-    InvalidSeries otherwise.
+    against the minimality of c).  A window it refuses is an
+    InvalidSeries; the table is then checked for additive closure.
     """
     U = tuple(n - 1 for n in members.shape)
-    c, least = least_conductor(members)
-    if not least:
-        raise InvalidSeries(f"the series give no conductor inside R(0, {list(U)})")
-    table = SemigroupTable(r=members.ndim, conductor=c, mask=members[window(c)].copy())
-    table.validate()
-    if not np.array_equal(members, table.members_on(U)):
-        raise InvalidSeries(
-            f"members on R(0, {list(U)}) break the extension rule of conductor {c}"
-        )
+    try:
+        table = table_on_window(members, padd(U, ones(len(U))))
+    except MarginTooSmall as exc:
+        raise InvalidSeries(f"the members on R(0, {list(U)}) give no table: {exc}")
+    table.validate_additive_closure()
     return table
 
 
@@ -575,22 +573,16 @@ def _replayed_bound(desc: GermDescriptor, table: SemigroupTable, first: Point) -
 def _detected(table: SemigroupTable, guess: Point) -> tuple[Point, Point]:
     """The conductor and multiplicity that ``semigroup_from_hilbert``
     detects on the grid R(0, guess) of the table's semigroup, or its
-    MarginTooSmall; min-closure needs no check, as any window of a
-    min-closed set is min-closed.  It detects on the window R(0, g),
-    g = guess - e, read at min(l, c): the window point l reads the point
-    min(l, b) of the table's own box R(0, b), b = min(g, c), which is read
-    instead (the layer check stays on g).  The window points >= l read
-    the box points >= min(l, b) (q is read by max(q, l)), so l is stable
-    iff min(l, b) is.  Each box point is a window point, and below a
-    stable l lies the stable min(l, b): both give the same least
-    conductor c' and ``least`` flag.  As c' <= b, the cut check at l is
-    the one at min(l, b), and both cut the same table on R(0, c')."""
+    MarginTooSmall.  It reads the window R(0, g), g = guess - e, at
+    min(l, c), so each window point l reads the point min(l, b) of the
+    table's own box R(0, b), b = min(g, c) (the slice of the mask, which
+    stops at its edge), and ``table_on_window`` reads that box as the
+    window."""
     if min(guess) < 1:
         raise MarginTooSmall("grid too small to test any point")
     require_grid(guess)
     inner = tuple(g - 1 for g in guess)
-    members = table.mask[window(inner)]  # a slice stops at the mask's edge
-    seen = cut_at_conductor(members, detect_conductor_mask(members, inner, table.r))
+    seen = table_on_window(table.mask[window(inner)], inner)
     return seen.conductor, seen.multiplicity()
 
 

@@ -4,8 +4,11 @@ A germ is represented purely by discrete data living on the lattice N^r:
 
 * the semigroup of values S (min-closed, 0 in S, stable above the
   conductor c), held as a membership table on R(0, c): the conductor
-  decides the rest, since l is in S iff min(l, c) is; its multiplicity
-  and unit steps are read off the up-set minima that validate it,
+  decides the rest, since l is in S iff min(l, c) is.  A table is made
+  from a member list (``semigroup_from_low_points``) or read off a
+  window of members (``table_on_window``, the one conductor detection),
+  and keeps the multiplicity and unit steps of the up-set minima that
+  validate it,
 * the Hilbert function h, with h(0) = 0 and unit steps
   h(l + e_i) - h(l) in {0, 1},
 * the weight function w(l) = 2*h(l) - |l|, whose sublevel sets drive the
@@ -313,10 +316,6 @@ class SemigroupTable(Record, eq=False):
         """Members on R(0, c), in row-major (lexicographic) order."""
         return _argwhere(self.mask)
 
-    def members_on(self, bound: Point) -> np.ndarray:
-        """Membership on R(0, bound), read past c by the extension rule."""
-        return _clamped(self.mask, self.conductor, bound)
-
     def multiplicity(self) -> Point:
         """Componentwise minimum m of the nonzero members, checked to be a
         member (it is for a valid table); every call returns the same
@@ -375,21 +374,16 @@ class SemigroupTable(Record, eq=False):
 
 
 def _validate_members(mask: np.ndarray, c: Point) -> np.ndarray:
-    """The table axioms on the box R(0, b) that ``mask`` covers: 0, c and
-    every point of R(c, b) are members, when r >= 2 no c_i is 0 and no
-    nonzero member has a zero coordinate, and min-closure; returns the
-    up-set minima M of the box."""
+    """The table axioms on the box R(0, b), b >= c, that ``mask`` covers:
+    0 and every point of R(c, b), c among them, are members, when r >= 2
+    no c_i is 0 and no nonzero member has a zero coordinate, and
+    min-closure; returns the up-set minima M of the box."""
     r = len(c)
     if not mask[(0,) * r]:
         raise InconsistentSemigroup("0 must be a member")
-    bound = tuple(n - 1 for n in mask.shape)
-    if not leq(c, bound):
-        raise MarginTooSmall(f"conductor {c} outside table bound {bound}")
     upper = tuple(slice(ci, None) for ci in c)
     if not bool(mask[upper].all()):
         raise InconsistentSemigroup("a point above the conductor is missing")
-    if not mask[c]:
-        raise InconsistentSemigroup("conductor itself must be a member")
     # a member s with s_i = 0 is a unit, so with r >= 2 branches 0 is
     # the only member on the coordinate hyperplanes
     if r >= 2:
@@ -742,23 +736,13 @@ def weight_from_hilbert(h: HilbertGrid, semigroup: SemigroupTable) -> WeightGrid
 
 
 def semigroup_from_hilbert(h: HilbertGrid) -> SemigroupTable:
-    """The table read off a Hilbert grid, on R(0, c).
-
-    Members are the points where all r forward increments equal 1.  The
-    test needs l + e in-grid, so it reads the window R(0, bound - e),
-    detects the conductor there, and checks the window as a table and
-    against the extension rule before cutting it to R(0, c);
-    MarginTooSmall if the conductor does not stabilize inside the window.
-    """
+    """The table read off a Hilbert grid, on R(0, c): its members are the
+    points where all r unit steps are 1, read on the window R(0, bound - e)
+    that holds every step (``table_on_window``)."""
     if any(b < 1 for b in h.bound):
         raise MarginTooSmall("grid too small to test any point")
     inner = tuple(b - 1 for b in h.bound)
-    mask = unit_step_members(h, inner)
-    c = detect_conductor_mask(mask, inner, h.r)
-    mins = _validate_members(mask, c)
-    table = cut_at_conductor(mask, c)
-    table._keep_minima(mins)  # on R(0, c) the window's M is the table's
-    return table
+    return table_on_window(unit_step_members(h, inner), inner)
 
 
 def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
@@ -774,58 +758,51 @@ def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
     return mask
 
 
-def cut_at_conductor(mask: np.ndarray, c: Point) -> SemigroupTable:
-    """The table with conductor c cut from the members on a window
-    R(0, b) that holds c.
+def table_on_window(members: np.ndarray, inner: Point) -> SemigroupTable:
+    """The table with the least conductor c that the members of the
+    window R(0, inner) fit, cut to R(0, c).  The members are given on a
+    box R(0, b), b <= inner, and the window reads each point at min(l, b):
+    the window points >= l read the box points >= min(l, b) (q is read by
+    max(q, l)), so l is stable (every point >= l a member) iff min(l, b)
+    is, and once c <= b the extension rule at l is the rule at min(l, b).
 
-    l in S iff min(l, c) in S across the window: a genuine value
-    semigroup always passes, so a failure means the detection was fooled
-    by a too-small grid (or the input is not a value semigroup), and
-    raises MarginTooSmall.
+    c is the componentwise minimum of the stable points, a suffix AND
+    along every axis; MarginTooSmall unless there is one, c is itself
+    stable, and c + e lies in the window.  The box is then checked as a
+    table (``_validate_members``, whose up-set minima the table keeps) and
+    against the extension rule, l in S iff min(l, c) in S, which a value
+    semigroup always follows: a failure means a window too small for its
+    conductor (MarginTooSmall).
     """
-    bound = tuple(n - 1 for n in mask.shape)
-    if not np.array_equal(mask, _clamped(mask, c, bound)):
+    r = members.ndim
+    reverse = (slice(None, None, -1),) * r
+    stable = members[reverse]
+    for i in range(r):
+        stable = np.logical_and.accumulate(stable, axis=i)
+    stable = stable[reverse]
+    hits = np.argwhere(stable)
+    # the corner is stable iff any point is, so no c means a missing corner
+    if not len(hits):
+        raise MarginTooSmall("no stable region: bound does not dominate the conductor")
+    c = tuple(int(x) for x in hits.min(axis=0))
+    if not stable[c]:
+        raise MarginTooSmall(
+            f"stable region has no unique minimal point near {c}; enlarge the grid"
+        )
+    if not leq(padd(c, ones(r)), inner):
+        raise MarginTooSmall(
+            f"conductor {c} detected without a full stabilization layer inside {inner}"
+        )
+    mins = _validate_members(members, c)
+    b = tuple(n - 1 for n in members.shape)
+    if not np.array_equal(members, _clamped(members, c, b)):
         raise MarginTooSmall(
             "membership table is inconsistent with its detected conductor; "
             "the true conductor lies outside the grid"
         )
-    return SemigroupTable(r=len(c), conductor=c, mask=mask[window(c)].copy())
-
-
-def least_conductor(members: np.ndarray) -> tuple[Point | None, bool]:
-    """The componentwise minimum c of the points p of the window such
-    that every point >= p of the window is a member (None when there is
-    none), and whether c is itself such a point: then c is the least
-    conductor the window allows.  Those points are a suffix AND along
-    every axis, a prefix AND of the reversed window."""
-    reverse = (slice(None, None, -1),) * members.ndim
-    ok = members[reverse]
-    for i in range(members.ndim):
-        ok = np.logical_and.accumulate(ok, axis=i)
-    hits = np.argwhere(ok[reverse])
-    c = tuple(int(x) for x in hits.min(axis=0)) if len(hits) else None
-    return c, c is not None and bool(ok[reverse][c])
-
-
-def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
-    """Minimal c such that every in-grid point >= c is a member.
-
-    Requires one full stabilization layer above c inside the grid,
-    otherwise the detection is not trustworthy and we fail loudly.
-    """
-    # the corner is stable iff any point is, so no c means a missing corner
-    c, least = least_conductor(mask)
-    if c is None:
-        raise MarginTooSmall("no stable region: bound does not dominate the conductor")
-    if not least:
-        raise MarginTooSmall(
-            f"stable region has no unique minimal point near {c}; enlarge the grid"
-        )
-    if not leq(padd(c, ones(r)), bound):
-        raise MarginTooSmall(
-            f"conductor {c} detected without a full stabilization layer inside {bound}"
-        )
-    return c
+    table = SemigroupTable(r=r, conductor=c, mask=members[window(c)].copy())
+    table._keep_minima(mins)  # on R(0, c) the box's M is the table's
+    return table
 
 
 def delta(h: HilbertGrid, conductor: Point) -> int:

@@ -35,7 +35,10 @@
   members on R(0, c + e), its unit steps from r - 1 suffix-OR passes per
   axis, and the replay's detection on the window R(0, guess - e)
   written out by the extension rule: the derivations that the table's
-  up-set minima and the read of its own box replaced.
+  up-set minima and the read of its own box replaced.  The detection
+  (``least_conductor``, ``detect_conductor_mask``, ``cut_at_conductor``)
+  is the one that ``lattice.table_on_window`` replaced, kept here so the
+  replay is compared with a window read that shares no code with it.
 * ``admissible_subsets`` / ``scalar_e1_refined``: the scalar E1 engine
   that ``spectral`` replaced.  Each query builds a dict of the 2^r
   vertex weights and of the cube maxima, lists the admissible subsets,
@@ -134,11 +137,11 @@ from latcurve.homology import HomologyReport, max_weight_conductor_box, min_weig
 from latcurve.lattice import (
     HilbertGrid,
     Point,
+    SemigroupTable,
     WeightGrid,
+    _clamped,
     box,
     cube_max_tables,
-    cut_at_conductor,
-    detect_conductor_mask,
     leq,
     norm,
     ones,
@@ -628,7 +631,8 @@ def multiplicity_by_member_scan(table) -> Point:
     """The componentwise minimum of the nonzero members on R(0, c + e),
     checked to be a member: below every nonzero member s lies the nonzero
     member min(s, c + e)."""
-    members = np.argwhere(table.members_on(padd(table.conductor, ones(table.r))))
+    c = table.conductor
+    members = np.argwhere(_clamped(table.mask, c, padd(c, ones(table.r))))
     nonzero = members[members.any(axis=1)]
     m = tuple(int(x) for x in nonzero.min(axis=0))
     if not table.contains(m):
@@ -660,9 +664,54 @@ def detected_on_window(table, guess: Point) -> tuple[Point, Point]:
         raise MarginTooSmall("grid too small to test any point")
     require_grid(guess)
     inner = tuple(g - 1 for g in guess)
-    members = table.members_on(inner)
+    members = _clamped(table.mask, table.conductor, inner)
     seen = cut_at_conductor(members, detect_conductor_mask(members, inner, table.r))
     return seen.conductor, multiplicity_by_member_scan(seen)
+
+
+def least_conductor(members: np.ndarray) -> tuple[Point | None, bool]:
+    """The componentwise minimum c of the points p of the window such
+    that every point >= p of the window is a member (None when there is
+    none), and whether c is itself such a point: then c is the least
+    conductor the window allows.  Those points are a suffix AND along
+    every axis, a prefix AND of the reversed window."""
+    reverse = (slice(None, None, -1),) * members.ndim
+    ok = members[reverse]
+    for i in range(members.ndim):
+        ok = np.logical_and.accumulate(ok, axis=i)
+    hits = np.argwhere(ok[reverse])
+    c = tuple(int(x) for x in hits.min(axis=0)) if len(hits) else None
+    return c, c is not None and bool(ok[reverse][c])
+
+
+def detect_conductor_mask(mask: np.ndarray, bound: Point, r: int) -> Point:
+    """Minimal c such that every in-grid point >= c is a member, with one
+    full stabilization layer above c inside the grid (MarginTooSmall)."""
+    c, least = least_conductor(mask)
+    if c is None:
+        raise MarginTooSmall("no stable region: bound does not dominate the conductor")
+    if not least:
+        raise MarginTooSmall(
+            f"stable region has no unique minimal point near {c}; enlarge the grid"
+        )
+    if not leq(padd(c, ones(r)), bound):
+        raise MarginTooSmall(
+            f"conductor {c} detected without a full stabilization layer inside {bound}"
+        )
+    return c
+
+
+def cut_at_conductor(mask: np.ndarray, c: Point) -> SemigroupTable:
+    """The table with conductor c cut from the members on a window
+    R(0, b) that holds c, which must follow the extension rule across the
+    window (MarginTooSmall)."""
+    bound = tuple(n - 1 for n in mask.shape)
+    if not np.array_equal(mask, _clamped(mask, c, bound)):
+        raise MarginTooSmall(
+            "membership table is inconsistent with its detected conductor; "
+            "the true conductor lies outside the grid"
+        )
+    return SemigroupTable(r=len(c), conductor=c, mask=mask[window(c)].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -871,7 +920,7 @@ def full_grid_hilbert_from_semigroup(table, bound) -> HilbertGrid:
     bound = tuple(bound)
     if not leq(c, bound):
         raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
-    mask = table.members_on(bound)
+    mask = _clamped(table.mask, c, bound)
     shape = mask.shape
     inc = []
     for i in range(r):

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from latcurve import GermDescriptor, build_model, cli, get, lattice
+from latcurve import GermDescriptor, build_model, cli, germ, get, lattice
 from latcurve.catalog import numerical_semigroup
 from latcurve.errors import InvalidSeries
-from latcurve.lattice import box, leq
+from latcurve.lattice import box, leq, semigroup_from_low_points
 from latcurve.series import (
     MultiPoly,
     RationalSeries,
@@ -294,6 +294,32 @@ def test_min_closure_runs_once_per_table(monkeypatch):
     assert len(calls) == 3
 
 
+def test_one_table_reader_per_table(monkeypatch):
+    """Each table read off a window of members costs one
+    ``lattice.table_on_window`` call: a ``poincare`` build whose replay
+    detects nothing, a ``hilbert`` build, a subcurve, and a replayed
+    guess that detects a conductor."""
+    calls = []
+    reader = lattice.table_on_window
+
+    def counting(members, inner):
+        calls.append(inner)
+        return reader(members, inner)
+
+    monkeypatch.setattr(lattice, "table_on_window", counting)
+    monkeypatch.setattr(germ, "table_on_window", counting)
+    model = build_model(get("D", 5))  # c + 2e lies inside the first guess
+    assert get("D", 5).kind == "poincare" and len(calls) == 1
+    build_model(hilbert_descriptor(model))
+    assert len(calls) == 2
+    model.subcurve((1,))
+    assert len(calls) == 3
+    # <4, 7> has conductor 18; the grid (17,) reads 14
+    table = semigroup_from_low_points(1, (18,), numerical_semigroup([4, 7], 18))
+    assert germ._detected(table, (17,)) == ((14,), (4,))
+    assert len(calls) == 4
+
+
 _GAP = np.array([0, 1, 1, 2, 2, 2, 3, 4, 5], dtype=np.int64)  # S = {0, 2, 5, ...}
 _A1 = {(1,): geometric(1, (1,)), (2,): geometric(1, (1,))}
 _FIVE = RationalSeries(poly(2, {(0, 0): 5}))  # h(1, 1) = 5 breaks the unit steps
@@ -332,6 +358,41 @@ def test_invalid_descriptors_fail_as_before(desc, request):
         old_build(desc)
     assert type(new.value) is type(old.value)
     assert str(new.value) == str(old.value)
+
+
+def _window(r, n, *lows):
+    """The members {0} and every l >= low, for each low, on R(0, n e)."""
+    members = np.zeros((n + 1,) * r, dtype=bool)
+    members[(0,) * r] = True
+    for low in lows:
+        members[tuple(slice(x, None) for x in low)] = True
+    return members
+
+
+_NO_CORNER = np.array([True, False, True, False])
+_EDGE_GAP = _window(2, 3, (1, 1))
+# c = (1, 2), and the extension rule reads the gap (3, 1) at the member (1, 1)
+_EDGE_GAP[3, 1] = False
+
+
+@pytest.mark.parametrize(
+    "members,reason",
+    [(_NO_CORNER, "no stable region: bound does not dominate the conductor"),
+     (_window(2, 3, (1, 3), (3, 1)),
+      "stable region has no unique minimal point near (1, 1); enlarge the grid"),
+     (_EDGE_GAP, "membership table is inconsistent with its detected conductor; "
+      "the true conductor lies outside the grid")],
+    ids=["corner-not-a-member", "two-minimal-points", "extension-rule"],
+)
+def test_a_window_without_a_table_is_an_invalid_series(members, reason):
+    """``_certified_table`` reads a window R(0, U) as the window
+    R(0, U + e) of ``lattice.table_on_window`` and turns its
+    MarginTooSmall into one InvalidSeries that names R(0, U)."""
+    U = [n - 1 for n in members.shape]
+    with pytest.raises(InvalidSeries) as refused:
+        germ._certified_table(members)
+    assert type(refused.value) is InvalidSeries
+    assert str(refused.value) == f"the members on R(0, {U}) give no table: {reason}"
 
 
 def test_poincare_grid_must_follow_the_closed_form(monkeypatch, capsys):

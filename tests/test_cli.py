@@ -145,6 +145,26 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "line" in err
 
 
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(["invariants", "--germ", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+
+
+def test_a_descriptor_nested_past_the_decoder_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run_cli(["invariants", "--germ", str(deep)], capsys)
+    assert (code, out, err) == (
+        2, "", "error: descriptor nests deeper than the JSON decoder allows\n"
+    )
+
+
 def test_exit_code_missing_source(capsys):
     code, _, err = run_cli(["invariants"], capsys)
     assert code == 2
@@ -165,6 +185,31 @@ def test_exit_code_margin(tmp_path, capsys):
     code, _, err = run_cli(["invariants", "--germ", str(path)], capsys)
     assert code == 3
     assert "hint" in err
+
+
+# h on R(0, (4, 4)) whose members on R(0, (3, 3)) are
+# {0} u {l >= (1, 3)} u {l >= (3, 1)}: two minimal stable points
+_TWO_CORNERS = [[0, 1, 1, 1, 1], [1, 1, 1, 1, 2], [1, 1, 2, 2, 3],
+                [1, 1, 2, 3, 4], [1, 2, 3, 4, 5]]
+
+
+@pytest.mark.parametrize(
+    "bound,values,message",
+    [([3], [0, 1, 1, 1], "no stable region: bound does not dominate the conductor"),
+     ([4, 4], sum(_TWO_CORNERS, []),
+      "stable region has no unique minimal point near (1, 1); enlarge the grid"),
+     ([5], [0, 1, 1, 2, 2, 3],
+      "conductor (4,) detected without a full stabilization layer inside (4,)")],
+    ids=["no-stable-region", "two-minimal-points", "no-layer"],
+)
+def test_a_hilbert_source_the_window_refuses_exits_3(tmp_path, capsys, bound, values,
+                                                     message):
+    doc = {"version": 1, "germ": "window", "r": len(bound), "flags": {}, "bound": None,
+           "source": {"kind": "hilbert", "bound": bound, "values": values}}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\nhint: enlarge the grid with --bound\n"
 
 
 @pytest.mark.parametrize(

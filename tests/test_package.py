@@ -187,6 +187,23 @@ def test_only_lattice_picks_the_rows_of_a_read():
     assert [call for call in calls if not call.startswith("lattice.py:")] == []
 
 
+def test_only_lattice_makes_a_table():
+    """Every semigroup table is made, and validated, in ``lattice``: by
+    ``semigroup_from_low_points`` or by the window reader
+    ``table_on_window``; no other module calls ``SemigroupTable(...)``."""
+    package = ROOT / "src" / "latcurve"
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        calls += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Call) and _called_name(node) == "SemigroupTable"
+        ]
+    # the scan must see the two makers of lattice, not nothing
+    assert len([call for call in calls if call.startswith("lattice.py:")]) == 2
+    assert [call for call in calls if not call.startswith("lattice.py:")] == []
+
+
 def test_only_lattice_reads_a_held_grid():
     """A grid holds its values on R(0, top) and answers past it in closed
     form, so only ``lattice`` touches the held array (``held``), its box
