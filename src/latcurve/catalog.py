@@ -64,6 +64,21 @@ def _verdict(cmtype, subtype=None, growth=None, family=None):
     return {"cmtype": cmtype, "subtype": subtype, "growth": growth, "family": family}
 
 
+def _branch(g=None):
+    """The Poincare series of one branch: 1/(1 - t) for a smooth branch,
+    (1 + t^g)/(1 - t^2) for a branch of semigroup <2, g>."""
+    if g is None:
+        return geometric(1, (1,))
+    return RationalSeries(poly(1, {(0,): 1, (g,): 1}), ((2,),))
+
+
+def _two_branches(name, g1, g2, p12):
+    """A germ of two branches: P_i is ``_branch(g_i)``, and P_{1,2} is
+    the polynomial with the terms ``p12``."""
+    series = {(1,): _branch(g1), (2,): _branch(g2), (1, 2): RationalSeries(poly(2, p12))}
+    return _ps_descriptor(name, 2, series)
+
+
 # ---------------------------------------------------------------------------
 # entry builders
 
@@ -87,12 +102,7 @@ def _entry_A(n):
     else:
         k = (n + 1) // 2
         require_grid((k, k), f"the conductor box of {label}")
-        series = {
-            (1,): geometric(1, (1,)),
-            (2,): geometric(1, (1,)),
-            (1, 2): RationalSeries(poly(2, {(j, j): 1 for j in range(k)})),
-        }
-        desc = _ps_descriptor(label, 2, series)
+        desc = _two_branches(label, None, None, {(j, j): 1 for j in range(k)})
         expected = {
             "m": (1, 1),
             "c": (k, k),
@@ -108,12 +118,7 @@ def _entry_D(n):
         raise BadParams("D_n needs n >= 4")
     label = f"D_{n}"
     if n % 2 == 1:
-        series = {
-            (1,): RationalSeries(poly(1, {(0,): 1, (n - 2,): 1}), ((2,),)),
-            (2,): geometric(1, (1,)),
-            (1, 2): RationalSeries(poly(2, {(0, 0): 1, (n - 2, 1): 1})),
-        }
-        desc = _ps_descriptor(label, 2, series)
+        desc = _two_branches(label, n - 2, None, {(0, 0): 1, (n - 2, 1): 1})
         expected = {
             "m": (2, 1),
             "c": (n - 1, 2),
@@ -125,9 +130,7 @@ def _entry_D(n):
         k = n // 2
         require_grid((k, k, 2), f"the conductor box of {label}")
         series = {
-            (1,): geometric(1, (1,)),
-            (2,): geometric(1, (1,)),
-            (3,): geometric(1, (1,)),
+            **{(i,): _branch() for i in range(1, 4)},
             (1, 2): RationalSeries(poly(2, {(j, j): 1 for j in range(k - 1)})),
             (1, 3): RationalSeries(poly(2, {(0, 0): 1})),
             (2, 3): RationalSeries(poly(2, {(0, 0): 1})),
@@ -157,12 +160,7 @@ def _entry_E(n):
         desc = _sg_descriptor(label, 1, (8,), numerical_semigroup([3, 5], 8))
         expected = {"m": (3,), "c": (8,), "delta": 4, "mu": 8}
     else:
-        series = {
-            (1,): RationalSeries(poly(1, {(0,): 1, (3,): 1}), ((2,),)),
-            (2,): geometric(1, (1,)),
-            (1, 2): RationalSeries(poly(2, {(0, 0): 1, (2, 1): 1, (4, 2): 1})),
-        }
-        desc = _ps_descriptor(label, 2, series)
+        desc = _two_branches(label, 3, None, {(0, 0): 1, (2, 1): 1, (4, 2): 1})
         expected = {"m": (2, 1), "c": (5, 3), "delta": 4, "mu": 7}
     expected.update(_verdict("finite", "E-dominating"))
     return CatalogEntry("E", (n,), desc, expected)
@@ -170,7 +168,7 @@ def _entry_E(n):
 
 def _entry_T(p, q):
     if (p, q) == (4, 4):
-        series = {(i,): geometric(1, (1,)) for i in range(1, 5)}
+        series = {(i,): _branch() for i in range(1, 5)}
         for a, b in itertools.combinations(range(1, 5), 2):
             series[(a, b)] = RationalSeries(poly(2, {(0, 0): 1}))
         for a, b, c in itertools.combinations(range(1, 5), 3):
@@ -190,11 +188,7 @@ def _entry_T(p, q):
         }
         return CatalogEntry("T", (4, 4), desc, expected)
     if (p, q) == (3, 6):
-        series = {
-            (1,): geometric(1, (1,)),
-            (2,): geometric(1, (1,)),
-            (3,): geometric(1, (1,)),
-        }
+        series = {(i,): _branch() for i in range(1, 4)}
         for a, b in itertools.combinations(range(1, 4), 2):
             series[(a, b)] = RationalSeries(poly(2, {(0, 0): 1, (1, 1): 1}))
         series[(1, 2, 3)] = RationalSeries(
@@ -212,22 +206,17 @@ def _entry_T(p, q):
         return CatalogEntry("T", (3, 6), desc, expected)
     if p == 3 and q >= 7 and q % 2 == 1:
         b = (q - 3) // 2
-        series = {
-            (1,): RationalSeries(poly(1, {(0,): 1, (2 * b + 1,): 1}), ((2,),)),
-            (2,): geometric(1, (1,)),
-            (1, 2): RationalSeries(
-                poly(
-                    2,
-                    {
-                        (0, 0): 1,
-                        (2, 1): 1,
-                        (2 * b + 1, 2): 1,
-                        (2 * b + 3, 3): 1,
-                    },
-                )
-            ),
-        }
-        desc = _ps_descriptor(f"T_{{3,{q}}}", 2, series)
+        desc = _two_branches(
+            f"T_{{3,{q}}}",
+            2 * b + 1,
+            None,
+            {
+                (0, 0): 1,
+                (2, 1): 1,
+                (2 * b + 1, 2): 1,
+                (2 * b + 3, 3): 1,
+            },
+        )
         expected = {
             "m": (2, 1),
             "c": (2 * b + 4, 4),
@@ -238,22 +227,17 @@ def _entry_T(p, q):
         return CatalogEntry("T", (3, q), desc, expected)
     if p >= 5 and p % 2 == 1 and q >= p and q % 2 == 1:
         a, b = (p - 3) // 2, (q - 3) // 2
-        series = {
-            (1,): RationalSeries(poly(1, {(0,): 1, (2 * a + 1,): 1}), ((2,),)),
-            (2,): RationalSeries(poly(1, {(0,): 1, (2 * b + 1,): 1}), ((2,),)),
-            (1, 2): RationalSeries(
-                poly(
-                    2,
-                    {
-                        (0, 0): 1,
-                        (2 * a + 1, 2): 1,
-                        (2, 2 * b + 1): 1,
-                        (2 * a + 3, 2 * b + 3): 1,
-                    },
-                )
-            ),
-        }
-        desc = _ps_descriptor(f"T_{{{p},{q}}}", 2, series)
+        desc = _two_branches(
+            f"T_{{{p},{q}}}",
+            2 * a + 1,
+            2 * b + 1,
+            {
+                (0, 0): 1,
+                (2 * a + 1, 2): 1,
+                (2, 2 * b + 1): 1,
+                (2 * a + 3, 2 * b + 3): 1,
+            },
+        )
         expected = {
             "m": (2, 2),
             "c": (2 * a + 4, 2 * b + 4),
@@ -405,6 +389,14 @@ def _entry_derived(key):
 
 _ALIASES = {"E6": ("E", (6,)), "E7": ("E", (7,)), "E8": ("E", (8,))}
 
+# family -> its builder, its parameter count, and the text when the count is wrong
+_FAMILIES = {
+    "A": (_entry_A, 1, "A needs one parameter n >= 0"),
+    "D": (_entry_D, 1, "D needs one parameter n >= 4"),
+    "E": (_entry_E, 1, "E needs one parameter in {6, 7, 8}"),
+    "T": (_entry_T, 2, "T needs two parameters p <= q"),
+}
+
 
 def get_entry(name, *params) -> CatalogEntry:
     name = str(name)
@@ -415,23 +407,12 @@ def get_entry(name, *params) -> CatalogEntry:
         if params:
             raise BadParams(f"{name} takes no parameters")
         return _entry_derived(name)
-    if name == "A":
-        if len(params) != 1:
-            raise BadParams("A needs one parameter n >= 0")
-        return _entry_A(params[0])
-    if name == "D":
-        if len(params) != 1:
-            raise BadParams("D needs one parameter n >= 4")
-        return _entry_D(params[0])
-    if name == "E":
-        if len(params) != 1:
-            raise BadParams("E needs one parameter in {6, 7, 8}")
-        return _entry_E(params[0])
-    if name == "T":
-        if len(params) != 2:
-            raise BadParams("T needs two parameters p <= q")
-        return _entry_T(*params)
-    raise UnknownGerm(f"no catalog entry named {name!r}")
+    if name not in _FAMILIES:
+        raise UnknownGerm(f"no catalog entry named {name!r}")
+    build, count, usage = _FAMILIES[name]
+    if len(params) != count:
+        raise BadParams(usage)
+    return build(*params)
 
 
 def get(name, *params) -> GermDescriptor:
@@ -445,14 +426,8 @@ def list_entries():
         ("D", "D,n for n >= 4"),
         ("E", "E,n for n in {6, 7, 8} (aliases E6/E7/E8)"),
         ("T", "T,4,4 | T,3,6 | T,3,q (odd q >= 7, i.e. T_{3,2b+3}) | T,p,q (odd p,q >= 5)"),
-        ("E12", "exceptional unimodal E_12 (derived entry)"),
-        ("E13", "exceptional unimodal E_13 (derived entry)"),
-        ("E14", "exceptional unimodal E_14 (derived entry)"),
-        ("Z11", "exceptional unimodal Z_11 (derived entry)"),
-        ("Z12", "exceptional unimodal Z_12 (derived entry)"),
-        ("Z13", "exceptional unimodal Z_13 (derived entry)"),
-        ("W12", "exceptional unimodal W_12 (derived entry)"),
-        ("W13", "exceptional unimodal W_13 (derived entry)"),
-        ("W1_0", "bimodal W_{1,0} (derived entry)"),
-        ("E18", "bimodal E_18 (derived entry)"),
+    ] + [
+        (key, f"{'exceptional unimodal' if data['family'] else 'bimodal'} "
+              f"{_DERIVED_LABEL[key]} (derived entry)")
+        for key, data in _DERIVED.items()
     ]

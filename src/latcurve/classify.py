@@ -145,16 +145,13 @@ def classify_tame_homological(model: GermModel) -> tuple[bool, dict]:
     mm = norm(m)
     r = model.r
     group = minimal_spectral_cycles(w, 1, -1)
-    if mm == 4 and r > 2:
+    conds["b"] = group.rank != 0
+    if mm == 4 and r > 2 and not conds["b"]:
         # automatically satisfied here; the direct computation must agree
-        if not group.rank:
-            raise LatcurveError(
-                "shortcut says condition (b) holds for |m|=4, r>2 but the "
-                "computed group vanishes"
-            )
-        conds["b"] = True
-    else:
-        conds["b"] = group.rank != 0
+        raise LatcurveError(
+            "shortcut says condition (b) holds for |m|=4, r>2 but the "
+            "computed group vanishes"
+        )
     conds["M(1,-1) rank"] = group.rank
     ok = True
     for i in range(1, r + 1):

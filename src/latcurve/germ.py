@@ -144,10 +144,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+ECHO_CHARS = 60  # the most of an offending JSON value that an error line echoes
+
+
+def _echo(x) -> str:
+    text = json.dumps(x, default=repr)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def _int64(x, what: str) -> int:
     _expect(
         _is_int(x) and -(1 << 63) <= x < 1 << 63,
-        f"{what} must be a 64-bit integer, got {json.dumps(x, default=repr)}",
+        f"{what} must be a 64-bit integer, got {_echo(x)}",
     )
     return x
 
@@ -155,7 +163,7 @@ def _int64(x, what: str) -> int:
 def _ints(xs, what: str) -> tuple[int, ...]:
     _expect(
         isinstance(xs, list) and all(map(_is_int, xs)),
-        f"{what} must be a list of integers, got {json.dumps(xs, default=repr)}",
+        f"{what} must be a list of integers, got {_echo(xs)}",
     )
     return tuple(xs)
 
@@ -163,8 +171,8 @@ def _ints(xs, what: str) -> tuple[int, ...]:
 def _point(xs, what: str, r: int) -> tuple[int, ...]:
     """A lattice point of N^r: a list of r non-negative integers."""
     p = _ints(xs, what)
-    _expect(min(p, default=0) >= 0, f"{what} {list(p)} has a negative coordinate")
-    _expect(len(p) == r, f"{what} {list(p)} has {len(p)} coordinates, not r = {r}")
+    _expect(min(p, default=0) >= 0, f"{what} {_echo(p)} has a negative coordinate")
+    _expect(len(p) == r, f"{what} {_echo(p)} has {len(p)} coordinates, not r = {r}")
     return p
 
 
@@ -190,7 +198,7 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         _expect(
             flags.get(flag) is None or isinstance(flags.get(flag), bool),
             f"flag {flag} must be true, false or null, "
-            f"got {json.dumps(flags.get(flag), default=repr)}",
+            f"got {_echo(flags.get(flag))}",
         )
     bound = _ints(doc["bound"], "bound") if doc.get("bound") else None
     name = doc.get("germ")

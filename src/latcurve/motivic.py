@@ -12,8 +12,8 @@ a signed count.  ``coefficient_terms`` reads it at the points a caller
 sums, and only there, as exact int64 rows (l, e, c) of the nonzero
 terms c q^e t^l; no rational arithmetic ever happens.  The substitution
 t_i -> 1/omega, q -> omega^2 sends q^e t^l to omega^(2e - |l|); its
-truncations are certified through the coordinatewise growth of w beyond
-the conductor.
+truncations sum all of N^r, on a grid bound certified through the
+coordinatewise growth of w beyond the conductor.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ def _levels(h: HilbertGrid, lo: int, hi: int) -> list[QPoly]:
 
 
 def certify_truncation(w: WeightGrid, depth: int) -> bool:
-    """True when every lattice point outside R(0, bound - e) provably has
-    weight > depth, so the omega series through omega^depth is exact.
+    """True when every point outside R(0, bound - e) has weight > depth:
+    the rule that the bound of an omega series through omega^depth obeys.
 
     Uses: w strictly increases along axis i from any point with
     l_i >= c_i, so omitted points dominate boundary points by at least 1.
@@ -181,9 +181,9 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
 
     The term c q^e t^l lands at order 2e - |l| = w(l) + 2i for
     e = h(l) + i, and a point of weight w(l) > depth has no term through
-    omega^depth.  Raises TruncationUnsound when the grid cannot certify
-    the tail; once it can, the series through omega^depth is the sum over
-    all of N^r, as every point outside R(0, bound - e) has weight > depth.
+    omega^depth.  The series is the sum over all of N^r whatever the
+    bound; a bound that ``certify_truncation`` rejects raises
+    TruncationUnsound, and ``classify.certified_omega`` grows past it.
 
     Past the conductor every point repeats one of R(0, c).  With
     l' = min(l, c) and the closed form h(l) = h(l') + |l - l'| of

@@ -8,11 +8,11 @@ than |p|; with a unit pivot or one that divides its column this is the
 Schur complement, exact in integers.  Once the column is clear, column
 operations do the same to the pivot row, changing nothing else.  A
 pivot alone in its row and column is eliminated; where a remainder is
-left the loop picks again, and since the least |entry| strictly falls,
-the loop ends.  Boundary matrices of cubical complexes have entries
-+-1, so almost all pivots are units.  The rare non-unit pivots need not
-form a divisibility chain (diag(2, 3) gives [6]), so only they are
-normalized into invariant factors.
+left the loop scans every row again for the next pivot, and since the
+least |entry| strictly falls, the loop ends.  Boundary matrices of
+cubical complexes have entries +-1, so almost all pivots are units.
+The rare non-unit pivots need not form a divisibility chain (diag(2, 3)
+gives [6]), so only they are normalized into invariant factors.
 
 ``smith_invariants`` takes a matrix as a list of columns, each column a
 dict {row_index: coefficient}.  ``spectral`` reads it for every E1
@@ -31,15 +31,6 @@ def smith_invariants(columns):
     ``torsion`` is the sorted list of invariant factors > 1.  Pivoting is
     deterministic: among entries of minimal |value| the one with minimal
     fill-in (then lowest (col, row)) wins.
-
-    After an elimination every entry is scanned for the next pivot; after
-    a remainder round only the rows of the pivot's column are, and they
-    hold the same pivot.  The pivot p had the least |entry| of the whole
-    matrix.  The row operations change only the rows of p's column, and
-    the column operations only row pi, which is one of them; every other
-    entry keeps |v| >= |p|.  Every remainder is nonzero and smaller than
-    |p|, and a round leaves at least one.  So every entry of the new least
-    |value|, and with it the least key, lies in those rows.
     """
     cols = {}
     rows = {}
@@ -68,11 +59,9 @@ def smith_invariants(columns):
         elif i in rows and j in rows[i]:
             kill(i, j)
 
-    scan = rows  # the rows that hold the next pivot
     while cols:
         best = None
-        for i in scan:
-            row = rows.get(i, {})
+        for i, row in rows.items():
             fill = len(row) - 1
             for j, v in row.items():
                 key = (abs(v), (len(cols[j]) - 1) * fill, j, i)
@@ -80,7 +69,6 @@ def smith_invariants(columns):
                     best = key
         _, _, pj, pi = best
         pv = rows[pi][pj]
-        scan = list(cols[pj])
         # clear column pj down to remainders smaller than |pv| by row
         # operations, then row pi by column operations, which on a clear
         # column change nothing else
@@ -97,7 +85,6 @@ def smith_invariants(columns):
                 add_to(pi, j, -(v // pv) * pv)
         if len(rows[pi]) > 1:
             continue
-        scan = rows
         rank += 1
         if pv != 1 and pv != -1:
             diag.append(abs(pv))

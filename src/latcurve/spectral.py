@@ -59,8 +59,6 @@ def _rank(pattern: int, r: int, k: int) -> tuple[int, list]:
     """(rank, torsion) of the subset complex of a mask in degree k: the
     refined rank, and the torsion of the boundary out of degree k + 1.
     Only the boundaries of degrees k and k + 1 are reduced."""
-    if k < 0 or k > r:
-        return 0, []
     cells: dict[int, list[int]] = {}
     for sub in range(1 << r):
         if pattern >> sub & 1:

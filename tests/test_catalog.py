@@ -59,6 +59,25 @@ def test_listing():
     assert "3," in detail or "T_{3,2b+3}" in detail or "odd q" in detail
 
 
+def test_listing_pins_every_family():
+    assert list_entries() == [
+        ("A", "A,n for n >= 0 (A_0 is the smooth germ)"),
+        ("D", "D,n for n >= 4"),
+        ("E", "E,n for n in {6, 7, 8} (aliases E6/E7/E8)"),
+        ("T", "T,4,4 | T,3,6 | T,3,q (odd q >= 7, i.e. T_{3,2b+3}) | T,p,q (odd p,q >= 5)"),
+        ("E12", "exceptional unimodal E_12 (derived entry)"),
+        ("E13", "exceptional unimodal E_13 (derived entry)"),
+        ("E14", "exceptional unimodal E_14 (derived entry)"),
+        ("Z11", "exceptional unimodal Z_11 (derived entry)"),
+        ("Z12", "exceptional unimodal Z_12 (derived entry)"),
+        ("Z13", "exceptional unimodal Z_13 (derived entry)"),
+        ("W12", "exceptional unimodal W_12 (derived entry)"),
+        ("W13", "exceptional unimodal W_13 (derived entry)"),
+        ("W1_0", "bimodal W_{1,0} (derived entry)"),
+        ("E18", "bimodal E_18 (derived entry)"),
+    ]
+
+
 @pytest.mark.parametrize(
     "group",
     [

@@ -679,6 +679,29 @@ def test_descriptor_flags_must_be_booleans(tmp_path, capsys, flag):
     assert err == f'error: flag {flag} must be true, false or null, got "no"\n'
 
 
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _replaced(A0_HILBERT, ["source"], {"kind": "hilbert", "bound": [4999],
+                                           "values": [*range(2500), 0.5, *range(2501, 5000)]}),
+        _replaced(D5_SEMIGROUP, ["source", "conductor"], _nested(4, 900)),
+    ],
+    ids=["hilbert-5000-values", "conductor-900-deep"],
+)
+def test_an_error_line_echoes_a_bounded_part_of_the_value(tmp_path, capsys, doc):
+    # the echo of the offending value is cut, so the line does not grow with it
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("...\n") and err.count("\n") == 1
+    assert len(err) < 150
+
+
 SEMIGROUP_345 = {"kind": "semigroup", "conductor": [3], "elements": [[0], [3]]}
 
 

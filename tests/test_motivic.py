@@ -13,7 +13,11 @@ from latcurve import (
     pe_substitution_check,
     univariate_motivic,
 )
+from latcurve import motivic
+from latcurve.classify import certified_omega
 from latcurve.lattice import box
+
+from test_catalog import ALL_SPECS
 
 
 def coeff_grid(model, bound):
@@ -196,3 +200,21 @@ def test_model_gorenstein_gate(model_of):
     )
     with pytest.raises(InconsistentInput):
         build_model(desc).gorenstein_motivic_check()
+
+
+def test_the_certificate_sets_the_bound_not_the_series(model_of, monkeypatch):
+    # the omega series sums all of N^r, so on the grid a germ is built on,
+    # with the certificate switched off, it equals the series that
+    # certified_omega reaches, often only after growing the model
+    cases, grew = [], 0
+    for spec in ALL_SPECS:
+        model = model_of(*spec)
+        for germ in [model] + [model.branch(i) for i in range(1, model.r + 1)]:
+            for depth in (0, 6):
+                series, certified = certified_omega(germ, depth)
+                grew += certified.bound != germ.bound
+                cases.append((germ, depth, series))
+    monkeypatch.setattr(motivic, "certify_truncation", lambda w, depth: True)
+    for germ, depth, series in cases:
+        assert omega_substitution(germ.hilbert, germ.weight, depth) == series, (germ.name, depth)
+    assert grew

@@ -4,6 +4,7 @@ reading layers load when a name of theirs is first read, and each CLI
 command loads only the layers it reads."""
 
 import ast
+import importlib
 import json
 import os
 import re
@@ -395,3 +396,39 @@ def test_classify_stays_the_function_after_its_module_is_imported():
         "print(json.dumps([callable(classify), isinstance(classify, types.ModuleType)]))"
     )
     assert kinds == [True, False]
+
+
+MODULES = sorted(p.stem for p in (ROOT / "src" / "latcurve").glob("*.py") if p.stem != "__init__")
+
+
+def doc_references(text: str, quote: str) -> list:
+    """(module, dotted names, prefix) of every quoted span of ``text``
+    that starts with a latcurve module and an attribute; a trailing ``*``
+    makes the last name a prefix."""
+    found = []
+    for span in re.findall(f"{quote}([^`]+){quote}", text):
+        m = re.match(r"(\w+)((?:\.\w+)+)(\*?)", span)
+        if m and m.group(1) in MODULES:
+            found.append((m.group(1), m.group(2)[1:].split("."), bool(m.group(3))))
+    return found
+
+
+def test_every_module_reference_in_the_docs_resolves():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    readme = re.sub(r"^```.*?^```", "", readme, flags=re.S | re.M)  # code blocks
+    refs = [("README.md", ref) for ref in doc_references(readme, "`")]
+    assert len(refs) >= 16
+    for path in sorted((ROOT / "src" / "latcurve").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                refs += [(path.name, ref) for ref in doc_references(doc, "``")]
+    missing = []
+    for where, (module, names, prefix) in refs:
+        obj = importlib.import_module(f"latcurve.{module}")
+        for name in names[:-1]:
+            obj = getattr(obj, name, None)
+        last = names[-1]
+        if not (any(n.startswith(last) for n in dir(obj)) if prefix else hasattr(obj, last)):
+            missing.append(f"{where}: {module}.{'.'.join(names)}")
+    assert missing == []

@@ -140,8 +140,8 @@ def test_sparse_hypothesis_vs_sympy(rows):
     assert smith_invariants(to_columns(rows)) == sympy_reference(rows)
 
 
-# after a remainder round the loop scans only the rows it changed; the
-# loop that scans every entry for every pivot is the reference
+# the loop scans every row for every pivot, after a remainder round too;
+# the reference is a separate loop that scans the entries column by column
 
 
 @settings(max_examples=80, deadline=None)
@@ -166,8 +166,8 @@ def test_30_by_25_matrices_match_the_full_scan(entries):
 
 @pytest.mark.parametrize("shape, values", [((8, 8), range(-9, 10)), ((30, 25), (-1, 1, 2))])
 def test_seeded_matrices_reach_remainder_rounds(shape, values):
-    """Seeded draws of both kinds match the full scan, and reach the
-    remainder rounds after which the scan is shortened."""
+    """Seeded draws of both kinds match the full scan, and reach
+    remainder rounds, after which the loop picks its pivot again."""
     rng = random.Random(shape[0])
     rounds = []
     for _ in range(10):
