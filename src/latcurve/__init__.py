@@ -43,7 +43,6 @@ from .lattice import (
     min_weight,
     semigroup_from_hilbert,
     semigroup_from_low_points,
-    validate_semigroup_consistency,
     weight_from_hilbert,
 )
 
@@ -54,18 +53,13 @@ _LAZY = {
     "catalog": ("get", "get_entry", "list_entries"),
     "homology": ("HomologyReport", "euler_characteristic", "lattice_homology"),
     "motivic": (
-        "LaurentSeries", "QPoly", "gorenstein_functional_check",
-        "hilbert_from_motivic", "motivic_coeff", "omega_substitution",
-        "pe_substitution_check", "univariate_motivic",
+        "LaurentSeries", "QPoly", "motivic_coeff", "omega_substitution",
+        "univariate_motivic",
     ),
-    "series": (
-        "MultiPoly", "RationalSeries", "expand", "hilbert_from_poincare",
-        "poincare_from_hilbert",
-    ),
+    "series": ("MultiPoly", "RationalSeries", "expand", "hilbert_from_poincare"),
     "spectral": (
         "E1Entry", "MinimalCycleGroup", "e1_level", "e1_refined",
-        "has_maximal_rank", "minimal_spectral_cycles", "pe_series",
-        "pe_univariate",
+        "minimal_spectral_cycles", "pe_series",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
@@ -85,7 +79,7 @@ __all__ = [
     "HilbertGrid", "SemigroupTable", "WeightGrid", "delta",
     "gorenstein_symmetry", "hilbert_from_semigroup", "min_weight",
     "semigroup_from_hilbert", "semigroup_from_low_points",
-    "validate_semigroup_consistency", "weight_from_hilbert",
+    "weight_from_hilbert",
     # catalog, series and the reading layers
     *_LAYER_OF,
 ]

@@ -180,7 +180,7 @@ def classify_tame_homological(model: GermModel) -> tuple[bool, dict]:
 def _route_homology(model: GermModel) -> dict:
     """Finite subtype from the group M(1, 0) (A when min w = 0, else
     D-dominating iff M(1, 0) is nonzero); tame growth finite iff M(1, -1)
-    has the maximal rank C(|m| - 1, 1) = |m| - 1 of ``has_maximal_rank``."""
+    has the maximal rank C(|m| - 1, 1) = |m| - 1."""
     evidence: dict = {"min_w": model.min_w}
     if model.min_w >= -1:
         evidence["verdict"] = FINITE

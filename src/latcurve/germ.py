@@ -57,6 +57,7 @@ from .lattice import (
 )
 
 SCHEMA_VERSION = 1
+KINDS = ("semigroup", "poincare", "hilbert", "builtin")
 _MAX_REBUILDS = 3
 
 
@@ -75,6 +76,8 @@ class GermDescriptor:
     def __post_init__(self):
         if not (_is_int(self.r) and self.r >= 1):
             raise DescriptorError(f"r must be a positive integer, got {self.r!r}")
+        if self.kind not in KINDS:
+            raise DescriptorError(f"unknown source kind {_cut(repr(self.kind))}")
         # with r >= 2 branches no conductor coordinate is 0, so every grid
         # of the germ holds R(0, e) and its 2^r points
         if self.r >= MAX_GRID_POINTS.bit_length():
@@ -87,7 +90,8 @@ class GermDescriptor:
             and all(_is_int(x) and x >= 0 for x in self.bound)
         ):
             raise DescriptorError(
-                f"bound needs {self.r} non-negative integers, got {self.bound!r}"
+                f"bound needs {self.r} non-negative integers, "
+                f"got {_cut(repr(self.bound))}"
             )
 
     def to_json_dict(self) -> dict:
@@ -116,11 +120,9 @@ class GermDescriptor:
                 "bound": list(bound),
                 "values": np.asarray(values).reshape(-1).tolist(),
             }
-        elif self.kind == "builtin":
+        else:
             name, params = self.payload
             src = {"kind": "builtin", "name": name, "params": list(params)}
-        else:
-            raise DescriptorError(f"unknown source kind {self.kind!r}")
         return {
             "version": SCHEMA_VERSION,
             "germ": self.name,
@@ -147,9 +149,12 @@ def _is_int(x) -> bool:
 ECHO_CHARS = 60  # the most of an offending JSON value that an error line echoes
 
 
-def _echo(x) -> str:
-    text = json.dumps(x, default=repr)
+def _cut(text: str) -> str:
     return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
+def _echo(x) -> str:
+    return _cut(json.dumps(x, default=repr))
 
 
 def _int64(x, what: str) -> int:
@@ -202,6 +207,7 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         )
     bound = _ints(doc["bound"], "bound") if doc.get("bound") else None
     name = doc.get("germ")
+    payload = None  # an unknown kind is refused by GermDescriptor
     if kind == "semigroup":
         _expect("conductor" in src and "elements" in src, "semigroup source needs conductor and elements")
         c = _point(src["conductor"], "conductor", r)
@@ -215,25 +221,26 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         _expect(isinstance(src.get("series"), dict), "poincare source needs 'series'")
         for key, body in src["series"].items():
             J = tuple(sorted(int(x) for x in key.split(",")))
+            shown = _cut(repr(key))
             _expect(
                 len(set(J)) == len(J) and 1 <= J[0] and J[-1] <= r,
-                f"series key {key!r} must name distinct branches in 1..{r}",
+                f"series key {shown} must name distinct branches in 1..{r}",
             )
-            _expect(J not in series, f"series key {key!r} repeats the subset {J}")
+            _expect(J not in series, f"series key {shown} repeats the subset {J}")
             terms = {
-                _ints(t["exp"], f"series {key!r}: exp"): _int64(
-                    t["coeff"], f"series {key!r}: coeff"
+                _ints(t["exp"], f"series {shown}: exp"): _int64(
+                    t["coeff"], f"series {shown}: coeff"
                 )
                 for t in body.get("numerator", [])
             }
             den = tuple(
-                _ints(v, f"series {key!r}: denominator vector")
+                _ints(v, f"series {shown}: denominator vector")
                 for v in body.get("denominator", [])
             )
             for e in (*terms, *den):
                 _expect(
                     len(e) == len(J),
-                    f"series {key!r}: exponent {list(e)} has {len(e)} entries, "
+                    f"series {shown}: exponent {list(e)} has {len(e)} entries, "
                     f"not {len(J)}",
                 )
             num = MultiPoly.from_dict(len(J), terms)
@@ -255,8 +262,6 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         _expect("name" in src, "builtin source needs a name")
         params = _ints(src.get("params") or [], "builtin params")
         payload = (str(src["name"]), params)
-    else:
-        raise DescriptorError(f"unknown source kind {kind!r}")
     return GermDescriptor(
         r=r,
         kind=kind,
@@ -368,7 +373,7 @@ class GermModel(Record, eq=False):
         """
         J = tuple(sorted(set(branches)))
         if not J or J[0] < 1 or J[-1] > self.r:
-            raise ValueError(f"branch indices {list(J)} outside 1..{self.r}")
+            raise DescriptorError(f"branch indices {list(J)} outside 1..{self.r}")
         if J == tuple(range(1, self.r + 1)):
             return self
         if J in self._subcurves:
@@ -393,24 +398,6 @@ class GermModel(Record, eq=False):
     def complement(self, i: int) -> "GermModel":
         """The union of every branch except the i-th."""
         return self.subcurve(tuple(j for j in range(1, self.r + 1) if j != i))
-
-    def gorenstein_motivic_check(self) -> bool:
-        """Functional equation of the motivic numerator.
-
-        Gated: only meaningful for Gorenstein germs, so a germ whose
-        weight table is not symmetric is rejected outright.
-        """
-        from .errors import InconsistentInput
-        from .motivic import gorenstein_array_check
-
-        if not self.is_gorenstein:
-            raise InconsistentInput(
-                "precondition unmet: the germ is not Gorenstein "
-                "(weight symmetry fails)"
-            )
-        outer = padd(self.conductor, ones(self.r))
-        h = self.ensure_bound(padd(outer, ones(self.r))).hilbert
-        return gorenstein_array_check(h, outer, self.conductor, self.delta)
 
 
 def canonical_bound(c: Point, m: Point) -> Point:
@@ -610,10 +597,8 @@ def build_model(desc: GermDescriptor) -> GermModel:
         model = _build_from_semigroup(desc)
     elif desc.kind == "hilbert":
         model = _build_from_hilbert(desc)
-    elif desc.kind == "poincare":
-        model = _build_from_poincare(desc)
     else:
-        raise DescriptorError(f"unknown source kind {desc.kind!r}")
+        model = _build_from_poincare(desc)
     # a plane curve is a complete intersection, hence Gorenstein
     if desc.plane and not model.is_gorenstein:
         raise DescriptorError("flag plane is True, but the germ is not Gorenstein")

@@ -830,15 +830,3 @@ def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     sub = values_on(w, c)
     rev = sub[(slice(None, None, -1),) * w.r]
     return bool(np.array_equal(sub, rev))
-
-
-def validate_semigroup_consistency(table: SemigroupTable, h: HilbertGrid) -> bool:
-    """Round-trip guard: semigroup(hilbert(S)) must reproduce S.
-
-    Returns False when the table read off ``h`` has another conductor or
-    other members.
-    """
-    back = semigroup_from_hilbert(h)
-    return back.conductor == table.conductor and bool(
-        np.array_equal(back.mask, table.mask)
-    )

@@ -30,15 +30,11 @@ from .lattice import (
     Point,
     Record,
     WeightGrid,
-    box_rows,
     conductor_values,
     corner_values,
     leq,
     level_rows,
     require_cube,
-    require_grid,
-    upset_minima,
-    values_at,
 )
 
 
@@ -225,136 +221,3 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
         coeffs=tuple(series[nonzero[0]:].tolist()),
         truncation=depth,
     )
-
-
-def pe_substitution_check(
-    pe: dict, h: HilbertGrid, bounds: Point, strict: bool = False
-) -> bool:
-    """Monomial-by-monomial identity between the substituted rank table
-    and the motivic coefficients on R(0, bounds).
-
-    The substitution maps the rank at (l, n, k) to (-1)^k q^(h(l)+k) t^l,
-    so the table summed per (l, k) must equal the ``coefficient_terms``
-    of R(0, bounds) at k = e - h(l) (and vanish for k outside 0..r-1); l
-    past R(0, bounds) is not compared.  Returns False on the first
-    mismatching monomial, or raises InconsistentInput naming it when strict.
-    """
-    r = h.r
-    cells = np.array([(*ell, k) for ell, _, k in pe], dtype=np.int64).reshape(-1, r + 1)
-    off = ((cells[:, :r] < 0) | (cells[:, :r] > h.bound)).any(axis=1)
-    if off.any():  # MarginTooSmall naming the first such l
-        h.h(tuple(list(pe)[off.argmax()][0]))
-    terms = coefficient_terms(h, box_rows(bounds, h.bound))
-    terms[:, r] -= values_at(h, terms[:, :r])
-    signed = np.array(list(pe.values()), dtype=np.int64) * (1 - 2 * (cells[:, r] % 2))
-    inside = (cells[:, :r] <= bounds).all(axis=1)
-    both = np.concatenate([cells[inside], terms[:, : r + 1]])  # table, then terms
-    cells, index = np.unique(both, axis=0, return_inverse=True)
-    diff = np.zeros(len(cells), dtype=np.int64)
-    np.add.at(diff, index.reshape(-1), np.concatenate([signed[inside], -terms[:, r + 1]]))
-    bad = cells[diff != 0].tolist()  # sorted by (l, k)
-    if bad and strict:
-        ell = tuple(bad[0][:r])
-        raise InconsistentInput(
-            f"substitution identity fails at t^{ell} q^{h.h(ell) + bad[0][r]}"
-        )
-    return not bad
-
-
-def _terms(coeffs: dict[Point, QPoly], r: int) -> np.ndarray:
-    """The table as int64 rows (l_1, ..., l_r, exponent, coefficient)."""
-    terms = [(*p, e, c) for p, q in coeffs.items() for e, c in q.coeffs]
-    return np.array(terms, dtype=np.int64).reshape(-1, r + 2)
-
-
-def _dense(terms: np.ndarray, r: int, bound: Point, factors: int = 0):
-    """The ``_terms`` rows as A[l, e - lo] on R(0, bound), and lo, their
-    least exponent, times (1 - t_i q) for the first ``factors`` axes i:
-    each factor subtracts the array shifted by e_i and by one power of q,
-    into one more zero column on top.  Points outside R(0, bound) are not
-    read; an array past the grid budget is a GridTooLarge."""
-    terms = terms[((terms[:, :r] >= 0) & (terms[:, :r] <= bound)).all(axis=1)]
-    lo, hi = (terms[:, r].min(), terms[:, r].max()) if len(terms) else (0, -1)
-    shape = (*bound, int(hi - lo) + factors)
-    require_grid(shape, "dense coefficient table")
-    out = np.zeros([b + 1 for b in shape], dtype=np.int64)
-    out[(*terms[:, :r].T, terms[:, r] - lo)] = terms[:, r + 1]
-    for axis in range(factors):
-        up = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
-        down = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
-        out[up + (slice(1, None),)] -= out[down + (slice(0, -1),)]
-    return out, int(lo)
-
-
-def hilbert_from_motivic(
-    coeffs: dict[Point, QPoly], r: int, bound: Point
-) -> HilbertGrid:
-    """Recover the Hilbert grid from the coefficient table.
-
-    h(l) is the q-order of the coefficient at the minimal support point
-    above l; the support must therefore be min-closed with a visible
-    stable region, otherwise InconsistentInput.
-    """
-    table, lo = _dense(_terms(coeffs, r), r, bound)
-    supp = table.any(axis=-1)
-    if not supp[(0,) * r]:
-        raise InconsistentInput("support must contain 0")
-    mins, p = upset_minima(supp)
-    if p is not None:
-        raise InconsistentInput(
-            f"no unique minimal support point above {p}; support not min-closed"
-        )
-    values = (lo + (table != 0).argmax(axis=-1))[tuple(np.moveaxis(mins, -1, 0))]
-    grid = HilbertGrid(r=r, bound=tuple(bound), values=values)
-    try:
-        grid.validate()
-    except Exception as exc:
-        raise InconsistentInput(f"recovered grid invalid: {exc}")
-    return grid
-
-
-def numerator_coeffs(coeffs: dict[Point, QPoly], r: int, bound: Point) -> dict:
-    """Coefficients of P^m * prod(1 - t_i q) (the polynomial numerator)
-    as {(l, j): int} on R(0, bound)."""
-    num, lo = _dense(_terms(coeffs, r), r, bound, factors=r)
-    terms = zip(np.argwhere(num).tolist(), num[num != 0].tolist())
-    return {(tuple(p[:r]), lo + p[r]): v for p, v in terms}
-
-
-def gorenstein_functional_check(
-    coeffs: dict[Point, QPoly], conductor: Point, delta: int, outer: Point | None = None
-) -> bool:
-    """Functional equation of the numerator for Gorenstein germs:
-    coefficient at (p, j) equals coefficient at (c - p, j + delta - |p|).
-
-    ``coeffs`` must cover R(0, outer or c); when ``outer`` strictly
-    dominates c the numerator is additionally required to vanish outside
-    R(0, c), which the equation implicitly asserts.
-    """
-    c = tuple(conductor)
-    outer = tuple(outer) if outer is not None else c
-    return _functional_equation(_terms(coeffs, len(c)), c, delta, outer)
-
-
-def gorenstein_array_check(
-    h: HilbertGrid, outer: Point, conductor: Point, delta: int
-) -> bool:
-    """``gorenstein_functional_check`` on the coefficient table of
-    R(0, outer), read from h as ``coefficient_terms`` without building a
-    polynomial per point; the box is checked at its top corner."""
-    terms = coefficient_terms(h, box_rows(outer, h.bound))
-    return _functional_equation(terms, conductor, delta, outer)
-
-
-def _functional_equation(terms: np.ndarray, c: Point, delta: int, outer: Point) -> bool:
-    """The functional equation on the ``_terms`` rows of R(0, outer): one
-    gather reads the mirror of every numerator term, as 0 off the array
-    or past c."""
-    r = len(c)
-    num, _ = _dense(terms, r, outer, factors=r)
-    at = np.argwhere(num)
-    q, y = c - at[:, :r], at[:, r] + delta - at[:, :r].sum(axis=1)
-    seen = ((q >= 0) & (q < num.shape[:r])).all(axis=1) & (y >= 0) & (y < num.shape[r])
-    mirror = np.zeros(len(at), dtype=np.int64)
-    mirror[seen] = num[(*q[seen].T, y[seen])]
-    return bool(np.array_equal(mirror, num[num != 0]))

@@ -14,8 +14,7 @@ subcurves is
 Each P_J lives on the J-face: it is expanded in its own |J| variables on
 the face box R(0, bound_J - e) and added into the numerator grid at e_J,
 every coordinate outside J being 0; the division is one cumulative sum
-per axis.  The inverse direction recovers the Poincare coefficients as
-the alternating sum p(l) = sum_J (-1)^(|J|+1) h(l + e_J).
+per axis.
 
 Before any expansion the series give a bound U >= c on the conductor
 (``conductor_bound``), read off the degrees of P_J for |J| >= 2 and of
@@ -29,8 +28,8 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidSeries, MarginTooSmall
-from .lattice import HilbertGrid, Point, Record, leq, values_on
+from .errors import InvalidSeries
+from .lattice import HilbertGrid, Point, Record, leq
 
 Subset = tuple[int, ...]  # sorted 1-based branch indices
 
@@ -255,26 +254,3 @@ def hilbert_from_poincare(
     except Exception as exc:
         raise InvalidSeries(f"series inputs produce an invalid Hilbert grid: {exc}")
     return grid
-
-
-def poincare_from_hilbert(h: HilbertGrid, conductor: Point | None = None) -> MultiPoly:
-    """Poincare coefficients p(l) = sum_J (-1)^(|J|+1) h(l+e_J) on
-    R(0, bound - e)."""
-    r = h.r
-    if any(b < 1 for b in h.bound):
-        raise MarginTooSmall("need at least one unit of margin in every axis")
-    if conductor is not None and not leq(
-        tuple(c + 1 for c in conductor), h.bound
-    ):
-        raise MarginTooSmall(
-            f"support may be truncated: bound {h.bound} < conductor {conductor} + e"
-        )
-    # p = (-1)^(r+1) * (forward difference in every axis)
-    diff = values_on(h, h.bound).astype(np.int64)
-    for axis in range(r):
-        diff = np.diff(diff, axis=axis)
-    out = {}
-    for idx in np.argwhere(diff):
-        p = tuple(int(x) for x in idx)
-        out[p] = int(diff[p]) if r % 2 == 1 else -int(diff[p])
-    return MultiPoly.from_dict(r, out)

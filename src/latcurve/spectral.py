@@ -185,11 +185,6 @@ def minimal_spectral_cycles(w: WeightGrid, k: int, n: int) -> MinimalCycleGroup:
     return MinimalCycleGroup(k=k, n=n, j=j, rank=int(rank[-1]))
 
 
-def has_maximal_rank(group: MinimalCycleGroup, m: Point) -> bool:
-    """rank == C(|m| - 1, k), the combinatorial ceiling."""
-    return group.rank == comb(norm(m) - 1, group.k)
-
-
 def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]:
     """Truncated multigraded rank table of the refined E1 page.
 
@@ -204,12 +199,3 @@ def pe_series(w: WeightGrid, bounds: Point) -> dict[tuple[Point, int, int], int]
     rows, ks = hits[:, 0], hits[:, 1]
     keys = zip(map(tuple, at[rows].tolist()), (weights[rows] + ks).tolist(), ks.tolist())
     return dict(zip(keys, ranks[rows, ks].tolist()))
-
-
-def pe_univariate(pe: dict) -> dict[tuple[int, int, int], int]:
-    """Collapse a refined table to levels: (d, n, k) -> rank."""
-    out: dict[tuple[int, int, int], int] = {}
-    for (ell, n, k), rank in pe.items():
-        key = (norm(ell), n, k)
-        out[key] = out.get(key, 0) + rank
-    return out

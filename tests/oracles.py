@@ -60,8 +60,16 @@
   ``hilbert_from_motivic_by_points`` /
   ``gorenstein_motivic_check_by_points``: the motivic identities with
   one coefficient polynomial per point (one ``motivic_coeff`` call each,
-  or one dict entry per point and subset), the loops that the dense
-  coefficient and numerator arrays of ``motivic`` replaced.
+  or one dict entry per point and subset).  No command runs them, so the
+  package keeps no copy: they are the tests' checks of the E1 table
+  against the coefficients (the substitution), of the Gorenstein
+  numerator (the functional equation and its gate) and of the
+  coefficients against h (the Hilbert round trip).
+* ``poincare_from_hilbert`` / ``validate_semigroup_consistency`` /
+  ``pe_univariate``: the Poincare coefficients read off h, the round
+  trip of a table through its Hilbert grid, and a refined E1 table
+  summed to levels; no command reads them, so they live with the tests
+  that use them.
 * ``full_grid_hilbert_from_semigroup`` / ``restrict_to_subcurve`` /
   ``full_face_table``: the grid of a table found, integrated and checked
   on all of R(0, bound), the path ``hilbert_from_semigroup`` replaced by
@@ -153,6 +161,7 @@ from latcurve.lattice import (
     semigroup_from_low_points,
     unit,
     upset_minima,
+    values_on,
     weight_from_hilbert,
     window,
 )
@@ -1491,3 +1500,51 @@ def gorenstein_motivic_check_by_points(model) -> bool:
     return gorenstein_functional_check_by_points(
         coeffs, model.conductor, model.delta, outer=outer
     )
+
+
+# ---------------------------------------------------------------------------
+# readings no command makes
+
+
+def poincare_from_hilbert(h: HilbertGrid, conductor: Point | None = None) -> MultiPoly:
+    """Poincare coefficients p(l) = sum_J (-1)^(|J|+1) h(l+e_J) on
+    R(0, bound - e)."""
+    r = h.r
+    if any(b < 1 for b in h.bound):
+        raise MarginTooSmall("need at least one unit of margin in every axis")
+    if conductor is not None and not leq(
+        tuple(c + 1 for c in conductor), h.bound
+    ):
+        raise MarginTooSmall(
+            f"support may be truncated: bound {h.bound} < conductor {conductor} + e"
+        )
+    # p = (-1)^(r+1) * (forward difference in every axis)
+    diff = values_on(h, h.bound).astype(np.int64)
+    for axis in range(r):
+        diff = np.diff(diff, axis=axis)
+    out = {}
+    for idx in np.argwhere(diff):
+        p = tuple(int(x) for x in idx)
+        out[p] = int(diff[p]) if r % 2 == 1 else -int(diff[p])
+    return MultiPoly.from_dict(r, out)
+
+
+def validate_semigroup_consistency(table: SemigroupTable, h: HilbertGrid) -> bool:
+    """Round-trip guard: semigroup(hilbert(S)) must reproduce S.
+
+    Returns False when the table read off ``h`` has another conductor or
+    other members.
+    """
+    back = semigroup_from_hilbert(h)
+    return back.conductor == table.conductor and bool(
+        np.array_equal(back.mask, table.mask)
+    )
+
+
+def pe_univariate(pe: dict) -> dict[tuple[int, int, int], int]:
+    """Collapse a refined table to levels: (d, n, k) -> rank."""
+    out: dict[tuple[int, int, int], int] = {}
+    for (ell, n, k), rank in pe.items():
+        key = (norm(ell), n, k)
+        out[key] = out.get(key, 0) + rank
+    return out

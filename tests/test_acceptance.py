@@ -8,6 +8,7 @@ RouteDisagreement.
 """
 
 import itertools
+import math
 import random
 from contextlib import contextmanager
 
@@ -16,13 +17,10 @@ from latcurve import (
     e1_refined,
     euler_characteristic,
     gorenstein_symmetry,
-    has_maximal_rank,
     min_weight,
     minimal_spectral_cycles,
     motivic_coeff,
     pe_series,
-    pe_substitution_check,
-    validate_semigroup_consistency,
 )
 from latcurve.classify import certified_omega
 from latcurve.lattice import box, norm, padd, pmax, pmin, unit
@@ -45,6 +43,7 @@ from expected_tables import (
     table_A_odd,
     table_T3q,
 )
+from oracles import pe_substitution_check_by_points, validate_semigroup_consistency
 
 ALL_GERMS = [
     ("A", 0), ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
@@ -127,7 +126,8 @@ def test_criterion_3_spectral_ranks(model_of):
             group = minimal_spectral_cycles(m.weight, k, n)
             assert group.rank == rank, spec
             if maximal is not None:
-                assert has_maximal_rank(group, m.multiplicity) == maximal, spec
+                ceiling = math.comb(norm(m.multiplicity) - 1, group.k)
+                assert (group.rank == ceiling) == maximal, spec
 
 
 def test_criterion_4_lattice_homology(model_of, report_of):
@@ -214,7 +214,7 @@ def test_criterion_5_motivic(model_of, report_of):
             assert f.order == min_weight(m.weight), spec
             assert f.leading() == rep.betti(0, rep.n_min), spec
             table = pe_series(m.weight, m.conductor)
-            assert pe_substitution_check(table, m.hilbert, m.conductor), spec
+            assert pe_substitution_check_by_points(table, m.hilbert, m.conductor), spec
 
 
 def test_criterion_6_classification(model_of):

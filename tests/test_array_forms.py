@@ -33,15 +33,16 @@
   included.  The verdict and the depth-0 omega series of the 5- and
   6-fold points are pinned to the values the box reader computed
   before it was replaced.
-* motivic identities: ``pe_substitution_check``, ``numerator_coeffs``,
-  ``gorenstein_functional_check``, ``hilbert_from_motivic`` and
-  ``GermModel.gorenstein_motivic_check`` (dense arrays) against the
-  per-point loops they replaced (``oracles.*_by_points``), on the
-  catalog, on random germs and on mutated inputs: the same values, the
-  same exception types and the same messages; and
-  ``gorenstein_array_check`` (the terms read from h, no polynomial per
-  point) against the dict path of ``gorenstein_functional_check`` on
-  every catalog germ.
+* motivic identities: the package keeps no copy of them, so the
+  per-point loops (``oracles.*_by_points``) check the array readers
+  against each other: the substitution identity between ``pe_series``
+  and the motivic coefficients on every catalog germ, every ladder germ,
+  random germs and mutated tables; the functional equation of the
+  Gorenstein numerator (the true delta holds, a shifted delta and a
+  changed coefficient fail) and its gate; and the Hilbert grid read
+  back from the coefficients.  On every catalog germ the coefficient
+  table of R(0, c + e) is read by one ``coefficient_terms`` call and
+  matched with the subset loop first.
 """
 
 import itertools
@@ -53,7 +54,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latcurve import (
-    GridTooLarge,
     InconsistentInput,
     InconsistentSemigroup,
     MarginTooSmall,
@@ -61,12 +61,9 @@ from latcurve import (
     build_model,
     classify,
     get,
-    gorenstein_functional_check,
-    hilbert_from_motivic,
     motivic_coeff,
     omega_substitution,
     pe_series,
-    pe_substitution_check,
     univariate_motivic,
 )
 from latcurve.catalog import numerical_semigroup
@@ -77,19 +74,13 @@ from latcurve.lattice import (
     SemigroupTable,
     _validate_min_closure,
     box,
+    leq,
     norm,
     ones,
     padd,
     window,
 )
-from latcurve.motivic import (
-    LaurentSeries,
-    _functional_equation,
-    coefficient_terms,
-    gorenstein_array_check,
-    numerator_coeffs,
-    univariate_levels,
-)
+from latcurve.motivic import LaurentSeries, coefficient_terms, univariate_levels
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from line_arrangements import line_arrangement
@@ -567,85 +558,72 @@ def _returns(call, *args, **kwargs):
     return "ok", value
 
 
-def assert_same_substitution(pe, h, bounds):
-    """``pe_substitution_check`` against its oracle, plain and strict."""
-    for strict in (False, True):
-        got = _returns(pe_substitution_check, pe, h, bounds, strict)
-        assert got == _returns(pe_substitution_check_by_points, pe, h, bounds, strict)
-    return got
-
-
-def assert_same_identities(m):
-    """Every motivic identity against its per-point oracle on one model:
-    the substitution on R(0, c), the numerator and the functional equation
-    (true and shifted delta, with and without ``outer``) on R(0, c + e),
-    the Hilbert grid recovered from the coefficients, also with one
-    support point dropped and with every exponent raised by one, and the
-    model's Gorenstein check."""
-    assert assert_same_substitution(
-        pe_series(m.weight, m.conductor), m.hilbert, m.conductor
-    ) == ("ok", True)
+def assert_identities_hold(m):
+    """Every motivic identity through its per-point loop on one model:
+    the substitution of ``pe_series`` on R(0, c) (strict); on R(0, c + e)
+    the functional equation (the true delta holds and a shifted one
+    fails, with and without ``outer``) when m is Gorenstein, and the
+    gate when it is not; the Hilbert grid read back from the
+    coefficients, not read back with one support point dropped, and
+    refused with every exponent raised by one."""
+    pe = pe_series(m.weight, m.conductor)
+    assert pe_substitution_check_by_points(pe, m.hilbert, m.conductor, strict=True)
     outer = padd(m.conductor, ones(m.r))
     grown = m.ensure_bound(padd(outer, ones(m.r)))
     coeffs = {p: motivic_coeff(grown.hilbert, p) for p in box(outer)}
-    num = numerator_coeffs(coeffs, m.r, outer)
-    assert num == numerator_coeffs_by_points(coeffs, m.r, outer)
-    for delta in (m.delta, m.delta + 1):
+    if m.is_gorenstein:
         for region in (None, outer):
-            args = (coeffs, m.conductor, delta, region)
-            assert gorenstein_functional_check(*args) == (
-                gorenstein_functional_check_by_points(*args)
-            )
+            for delta in (m.delta, m.delta + 1):
+                args = (coeffs, m.conductor, delta, region)
+                assert gorenstein_functional_check_by_points(*args) == (delta == m.delta)
+        assert gorenstein_motivic_check_by_points(m)
+    else:
+        with pytest.raises(InconsistentInput, match="not Gorenstein"):
+            gorenstein_motivic_check_by_points(m)
+    want = ("ok", (outer, grown.hilbert.values[window(outer)].tolist()))
+    assert _returns(hilbert_from_motivic_by_points, coeffs, m.r, outer) == want
     members = [p for p, q in coeffs.items() if not q.is_zero()]
     dropped = {p: q for p, q in coeffs.items() if p != members[len(members) // 2]}
+    assert _returns(hilbert_from_motivic_by_points, dropped, m.r, outer) != want
     shifted = {
         p: QPoly.from_dict({e + 1: c for e, c in q.coeffs}) for p, q in coeffs.items()
     }
-    for table in (coeffs, dropped, shifted):
-        got = _returns(hilbert_from_motivic, table, m.r, outer)
-        assert got == _returns(hilbert_from_motivic_by_points, table, m.r, outer)
-    assert _returns(m.gorenstein_motivic_check) == _returns(
-        gorenstein_motivic_check_by_points, m
-    )
+    with pytest.raises(InconsistentInput, match=re.escape("h(0) must be 0")):
+        hilbert_from_motivic_by_points(shifted, m.r, outer)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
 def test_motivic_identities_match_the_point_loops_on_catalog(spec, model_of):
-    assert_same_identities(model_of(*spec))
+    assert_identities_hold(model_of(*spec))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
 def test_gorenstein_array_check_matches_the_dict_path(spec, model_of):
-    """Every catalog germ is plane, hence Gorenstein; the wrong delta and
-    a changed coefficient must fail on both paths alike.  The changed
-    table reaches the equation through ``_functional_equation``, the one
-    reader ``gorenstein_array_check`` feeds."""
+    """Every catalog germ is plane, hence Gorenstein.  The coefficient
+    table of R(0, c + e) is read by one ``coefficient_terms`` call, the
+    array read, and equals the subset loop's dict; on it the functional
+    equation holds, and fails with the wrong delta or with a changed
+    coefficient."""
     m = model_of(*spec)
     assert m.is_gorenstein
     outer = padd(m.conductor, ones(m.r))
     h = m.ensure_bound(padd(outer, ones(m.r))).hilbert
     coeffs = {p: motivic_coeff_by_subsets(h, p) for p in box(outer)}
+    terms = coefficient_terms(h, np.array(list(box(outer)), dtype=np.int64))
+    assert np.array_equal(terms, terms_by_subsets(h, np.array(list(box(outer)))))
     changed = dict(coeffs)
     changed[m.conductor] = coeffs[m.conductor] + QPoly.from_dict({h.h(m.conductor): 1})
     for delta in (m.delta, m.delta + 1):
-        got = gorenstein_array_check(h, outer, m.conductor, delta)
-        assert got == gorenstein_functional_check(coeffs, m.conductor, delta, outer)
-        assert got == (delta == m.delta)
-        bumped = terms_by_subsets(h, np.array(list(box(outer))))
-        row = (bumped[:, : m.r + 1] == (*m.conductor, h.h(m.conductor))).all(axis=1)
-        assert row.sum() == 1  # c is a member: its term at q^h(c) is q^h(c)
-        bumped[row, -1] += 1
-        got = _functional_equation(bumped, m.conductor, delta, outer)
-        assert got == gorenstein_functional_check(changed, m.conductor, delta, outer)
-        assert not got
-    assert m.gorenstein_motivic_check()
+        for table in (coeffs, changed):
+            got = gorenstein_functional_check_by_points(table, m.conductor, delta, outer)
+            assert got == (table is coeffs and delta == m.delta)
 
 
 def test_gorenstein_gate_message_is_unchanged():
     desc = GermDescriptor(
         r=1, kind="semigroup", payload=((3,), [(0,), (3,)]), name="t3t4t5"
     )
-    assert _returns(build_model(desc).gorenstein_motivic_check) == (
+    assert _returns(gorenstein_motivic_check_by_points, build_model(desc)) == (
         InconsistentInput,
         "precondition unmet: the germ is not Gorenstein (weight symmetry fails)",
     )
@@ -654,7 +632,7 @@ def test_gorenstein_gate_message_is_unchanged():
 @settings(max_examples=15, deadline=None)
 @given(monomial_plane_germs())
 def test_motivic_identities_match_the_point_loops_on_random_plane_germs(germ):
-    assert_same_identities(build_model(germ[2]))
+    assert_identities_hold(build_model(germ[2]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -664,7 +642,7 @@ def test_motivic_identities_match_the_point_loops_on_random_semigroups(gens):
     desc = GermDescriptor(
         r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
     )
-    assert_same_identities(build_model(desc))
+    assert_identities_hold(build_model(desc))
 
 
 # D_5: r = 2, c = (4, 2), grid (8, 8); (2, 1) is a member
@@ -685,13 +663,18 @@ def test_motivic_identities_match_the_point_loops_on_random_semigroups(gens):
 def test_substitution_on_mutated_tables(extra, want, model_of):
     m = model_of("D", 5)
     pe = {**pe_series(m.weight, m.conductor), **extra}
-    got = assert_same_substitution(pe, m.hilbert, m.conductor)
+    plain, strict = (
+        _returns(pe_substitution_check_by_points, pe, m.hilbert, m.conductor, strict)
+        for strict in (False, True)
+    )
     if want == "holds":
-        assert got == ("ok", True)
+        assert plain == strict == ("ok", True)
     elif want == "fails":
-        assert got[1].startswith("substitution identity fails at t^(2, 1) q^")
+        assert plain == ("ok", False)
+        assert strict[0] is InconsistentInput
+        assert strict[1].startswith("substitution identity fails at t^(2, 1) q^")
     else:
-        assert got[0] is want
+        assert plain[0] is strict[0] is want
 
 
 @settings(max_examples=60, deadline=None)
@@ -699,7 +682,8 @@ def test_substitution_on_mutated_tables(extra, want, model_of):
 def test_substitution_on_random_mutations(data):
     spec = data.draw(st.sampled_from([("A", 4), ("D", 5), ("E", 6), ("T", 4, 4)]))
     m = build_model(get(*spec))
-    pe = pe_series(m.weight, m.conductor)
+    base = pe_series(m.weight, m.conductor)
+    pe = dict(base)
     keys = sorted(pe)
     for _ in range(data.draw(st.integers(1, 3))):
         if keys and data.draw(st.booleans()):
@@ -709,7 +693,24 @@ def test_substitution_on_random_mutations(data):
             ell = tuple(data.draw(st.integers(-1, b + 1)) for b in m.bound)
             k = data.draw(st.integers(-2, m.r + 1))
             pe[(ell, data.draw(st.integers(-3, 3)), k)] = data.draw(st.integers(-2, 2))
-    assert_same_substitution(pe, m.hilbert, m.conductor)
+    # the unmutated table holds, so the identity holds iff the ranks summed
+    # per (l, k) are unchanged for every l in R(0, c); an l off the grid
+    # is a MarginTooSmall first
+    net = {}
+    for key in set(pe) | set(base):
+        ell, _, k = key
+        net[ell, k] = net.get((ell, k), 0) + pe.get(key, 0) - base.get(key, 0)
+    holds = all(v == 0 for (ell, k), v in net.items() if leq(ell, m.conductor))
+    off = any(min(ell) < 0 or not leq(ell, m.bound) for ell, _, _ in pe)
+    plain, strict = (
+        _returns(pe_substitution_check_by_points, pe, m.hilbert, m.conductor, strict)
+        for strict in (False, True)
+    )
+    if off:
+        assert plain[0] is strict[0] is MarginTooSmall
+    else:
+        assert plain == ("ok", holds)
+        assert strict[0] is ("ok" if holds else InconsistentInput)
 
 
 def test_substitution_identity_on_every_ladder_germ():
@@ -717,21 +718,13 @@ def test_substitution_identity_on_every_ladder_germ():
         name, *params = key.split(",")
         m = build_model(get(name, *map(int, params)))
         pe = pe_series(m.weight, m.conductor)
-        assert pe_substitution_check(pe, m.hilbert, m.conductor, strict=True), key
+        assert pe_substitution_check_by_points(pe, m.hilbert, m.conductor, True), key
 
 
 def test_identities_on_hand_tables():
     # P = 1 + q t: the numerator (1 + q t)(1 - q t) = 1 - q^2 t^2 on R(0, 2)
     coeffs = {(0,): QPoly.from_dict({0: 1}), (1,): QPoly.from_dict({1: 1})}
-    want = {((0,), 0): 1, ((2,), 2): -1}
-    assert numerator_coeffs(coeffs, 1, (2,)) == want
-    assert numerator_coeffs_by_points(coeffs, 1, (2,)) == want
-    # a numerator term at t^2, past c = 1, is its own mirror modulo the
-    # array's length (delta = |p| = 2): it fails all the same
+    assert numerator_coeffs_by_points(coeffs, 1, (2,)) == {((0,), 0): 1, ((2,), 2): -1}
+    # a numerator term at t^2, past c = 1, fails the equation
     lone = {(2,): QPoly.from_dict({0: 1})}
-    for check in (gorenstein_functional_check, gorenstein_functional_check_by_points):
-        assert not check(lone, (1,), 2, outer=(2,))
-    # a dense table 10^12 exponents wide is refused before it is allocated
-    wide = {(0,): QPoly.from_dict({0: 1, 10**12: 1})}
-    with pytest.raises(GridTooLarge, match=r"R\(0, \[2, 1000000000001\]\)"):
-        numerator_coeffs(wide, 1, (2,))
+    assert not gorenstein_functional_check_by_points(lone, (1,), 2, outer=(2,))

@@ -22,7 +22,6 @@ from latcurve.series import (
     conductor_bound,
     geometric,
     hilbert_from_poincare,
-    poincare_from_hilbert,
     poly,
 )
 
@@ -35,6 +34,7 @@ from germ_strategies import (
 )
 from oracles import (
     fixed_point_poincare_build,
+    poincare_from_hilbert,
     promoted_hilbert_build,
     rebuilt_subcurve,
     restrict_to_subcurve,

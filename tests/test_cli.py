@@ -686,20 +686,44 @@ def _nested(value, depth):
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc,want",
     [
-        _replaced(A0_HILBERT, ["source"], {"kind": "hilbert", "bound": [4999],
-                                           "values": [*range(2500), 0.5, *range(2501, 5000)]}),
-        _replaced(D5_SEMIGROUP, ["source", "conductor"], _nested(4, 900)),
+        (_replaced(A0_HILBERT, ["source"], {"kind": "hilbert", "bound": [4999],
+                                            "values": [*range(2500), 0.5, *range(2501, 5000)]}),
+         "hilbert values must be a list of integers, "
+         "got [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1..."),
+        (_replaced(D5_SEMIGROUP, ["source", "conductor"], _nested(4, 900)),
+         "conductor must be a list of integers, got " + "[" * 60 + "..."),
+        (_replaced(A1_BUILTIN, ["source", "kind"], list(range(3000))),
+         "unknown source kind "
+         "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1..."),
+        (_replaced(D5, ["source", "series"], {"1," * 1999 + "11": {}}),
+         "series key '" + "1," * 29 + "1... must name distinct branches in 1..2"),
+        (_replaced(D5_SEMIGROUP, ["bound"], list(range(5000))),
+         "bound needs 2 non-negative integers, "
+         "got (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 1..."),
     ],
-    ids=["hilbert-5000-values", "conductor-900-deep"],
+    ids=["hilbert-5000-values", "conductor-900-deep", "kind-3000-integers",
+         "series-key-4000-chars", "bound-5000-integers"],
 )
-def test_an_error_line_echoes_a_bounded_part_of_the_value(tmp_path, capsys, doc):
+def test_an_error_line_echoes_a_bounded_part_of_the_value(tmp_path, capsys, doc, want):
     # the echo of the offending value is cut, so the line does not grow with it
     code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.endswith("...\n") and err.count("\n") == 1
-    assert len(err) < 150
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize(
+    "doc,want",
+    [
+        (_replaced(A1_BUILTIN, ["source", "kind"], "bogus"), "unknown source kind 'bogus'"),
+        (_replaced(D5, ["source", "series"], {"1,1": {}}),
+         "series key '1,1' must name distinct branches in 1..2"),
+    ],
+    ids=["kind", "series-key"],
+)
+def test_a_short_value_is_echoed_whole(tmp_path, capsys, doc, want):
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out, err) == (2, "", f"error: {want}\n")
 
 
 SEMIGROUP_345 = {"kind": "semigroup", "conductor": [3], "elements": [[0], [3]]}

@@ -32,6 +32,8 @@ from oracles import (
     e1_level_by_points,
     minimal_spectral_cycles_by_points,
     pe_series_by_points,
+    pe_substitution_check_by_points,
+    pe_univariate,
     scalar_e1_refined,
 )
 from test_catalog import ALL_SPECS
@@ -218,7 +220,7 @@ def test_a_level_past_the_grid_is_refused_not_cut(model_of):
     with pytest.raises(MarginTooSmall, match=re.escape(want)):
         spectral.e1_level(m.weight, 10, 0, 4)
     w = m.ensure_bound((20, 20)).weight
-    table = spectral.pe_univariate(spectral.pe_series(w, (18, 18)))
+    table = pe_univariate(spectral.pe_series(w, (18, 18)))
     assert spectral.e1_level(w, 10, 0, 4).rank == table[(10, 4, 0)] == 5
 
 
@@ -258,7 +260,7 @@ def test_e1_matches_scalar_engine_on_the_ordinary_fold_points(r):
     assert spectral.minimal_spectral_cycles(w, 1, 3 - r).rank == r - 1
     assert spectral.pe_series(w, ones(r)) == pe_series_by_points(w, ones(r))
     table = spectral.pe_series(w, m.conductor)
-    assert motivic.pe_substitution_check(table, m.hilbert, m.conductor, strict=True)
+    assert pe_substitution_check_by_points(table, m.hilbert, m.conductor, strict=True)
 
 
 def count_calls(monkeypatch, module, name):
@@ -287,20 +289,13 @@ def test_each_query_gathers_its_corners_once(model_of, monkeypatch):
     motivic_coeff(m.hilbert, (2, 1, 1, 0))
     motivic.univariate_levels(m.hilbert, 3)
     motivic.omega_substitution(m.hilbert, w, 0)
-    motivic.pe_substitution_check({}, m.hilbert, (1, 1, 1, 1))
-    assert len(gathers) == len(terms) == 4
+    assert len(gathers) == len(terms) == 3
 
 
 D5_READERS = {
     "e1_refined": lambda m, p: spectral.e1_refined(m.weight, p, 1, 0),
     "motivic_coeff": lambda m, p: motivic_coeff(m.hilbert, p),
     "pe_series": lambda m, p: spectral.pe_series(m.weight, p),
-    "pe_substitution_check": lambda m, p: motivic.pe_substitution_check(
-        {}, m.hilbert, p
-    ),
-    "gorenstein_array_check": lambda m, p: motivic.gorenstein_array_check(
-        m.hilbert, p, m.conductor, m.delta
-    ),
     "WeightGrid.w": lambda m, p: m.weight.w(p),
     "HilbertGrid.h": lambda m, p: m.hilbert.h(p),
     "SemigroupTable.contains": lambda m, p: m.semigroup.contains(p),

@@ -11,6 +11,8 @@ import pytest
 from latcurve import DescriptorError, GermDescriptor, build_model, classify, germ, get
 from latcurve.cli import cmd_motivic, main
 
+from oracles import gorenstein_motivic_check_by_points
+
 
 def _arrays(model):
     return [model.semigroup.mask, model.hilbert.values, model.weight.values]
@@ -154,5 +156,18 @@ def test_gorenstein_check_leaves_the_model_unchanged():
     m = build_model(d5)
     snapshot = _snapshot(m)
     assert m.bound == (5, 3)
-    assert m.gorenstein_motivic_check()
+    assert gorenstein_motivic_check_by_points(m)
     _assert_unchanged(m, snapshot)
+
+
+@pytest.mark.parametrize("branches", [(0,), (), (3,)], ids=["zero", "none", "past-r"])
+def test_a_subcurve_outside_the_branches_is_a_descriptor_error(branches):
+    m = build_model(get("D", 5))
+    want = f"branch indices {list(branches)} outside 1..2"
+    with pytest.raises(DescriptorError, match=re.escape(want)):
+        m.subcurve(branches)
+
+
+def test_a_descriptor_refuses_an_unknown_kind_when_made():
+    with pytest.raises(DescriptorError, match=re.escape("unknown source kind 'bogus'")):
+        GermDescriptor(r=1, kind="bogus", payload=None)

@@ -14,13 +14,12 @@ from latcurve import (
     hilbert_from_semigroup,
     semigroup_from_hilbert,
     semigroup_from_low_points,
-    validate_semigroup_consistency,
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
 from latcurve.lattice import HilbertGrid, SemigroupTable, WeightGrid, box, corner_values
 
-from oracles import restrict_to_subcurve
+from oracles import restrict_to_subcurve, validate_semigroup_consistency
 
 
 def build_r1(gens, conductor):

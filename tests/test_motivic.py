@@ -5,18 +5,22 @@ from latcurve import (
     MarginTooSmall,
     QPoly,
     TruncationUnsound,
-    gorenstein_functional_check,
-    hilbert_from_motivic,
     motivic_coeff,
     omega_substitution,
     pe_series,
-    pe_substitution_check,
     univariate_motivic,
 )
 from latcurve import motivic
 from latcurve.classify import certified_omega
 from latcurve.lattice import box
 
+from oracles import (
+    gorenstein_functional_check_by_points,
+    gorenstein_motivic_check_by_points,
+    hilbert_from_motivic_by_points,
+    pe_substitution_check_by_points,
+    poincare_from_hilbert,
+)
 from test_catalog import ALL_SPECS
 
 
@@ -61,8 +65,6 @@ def test_support_is_semigroup(model_of):
 
 
 def test_limit_q_to_one_is_poincare(model_of):
-    from latcurve import poincare_from_hilbert
-
     for spec in [("D", 5), ("T", 4, 4), ("E13",)]:
         m = model_of(*spec)
         p = poincare_from_hilbert(m.hilbert, conductor=m.conductor).as_dict()
@@ -128,16 +130,16 @@ def test_pe_substitution_identity(model_of):
     for spec in [("D", 4), ("D", 5), ("E", 7), ("T", 3, 6)]:
         m = model_of(*spec)
         pe = pe_series(m.weight, m.conductor)
-        assert pe_substitution_check(pe, m.hilbert, m.conductor)
+        assert pe_substitution_check_by_points(pe, m.hilbert, m.conductor)
 
 
 def test_pe_substitution_detects_mismatch(model_of):
     m = model_of("D", 5)
     pe = dict(pe_series(m.weight, m.conductor))
     pe[((2, 1), 0, 1)] = 7
-    assert not pe_substitution_check(pe, m.hilbert, m.conductor)
+    assert not pe_substitution_check_by_points(pe, m.hilbert, m.conductor)
     with pytest.raises(InconsistentInput, match=r"t\^\(2, 1\)"):
-        pe_substitution_check(pe, m.hilbert, m.conductor, strict=True)
+        pe_substitution_check_by_points(pe, m.hilbert, m.conductor, strict=True)
 
 
 def test_hilbert_from_motivic_round_trip(model_of):
@@ -147,7 +149,7 @@ def test_hilbert_from_motivic_round_trip(model_of):
         m = model_of(*spec)
         inner = tuple(b - 1 for b in m.bound)
         coeffs = coeff_grid(m, inner)
-        back = hilbert_from_motivic(coeffs, m.r, inner)
+        back = hilbert_from_motivic_by_points(coeffs, m.r, inner)
         sl = tuple(slice(0, b + 1) for b in inner)
         assert np.array_equal(back.values, m.hilbert.values[sl])
         support = {p for p, q in coeffs.items() if not q.is_zero()}
@@ -162,7 +164,7 @@ def test_hilbert_from_motivic_rejects_bad_support():
     }
     # support misses 0's successor: the up-set of (1,) is empty
     with pytest.raises(InconsistentInput, match=r"above \(1,\)"):
-        hilbert_from_motivic(coeffs, 1, (1,))
+        hilbert_from_motivic_by_points(coeffs, 1, (1,))
 
 
 def test_gorenstein_functional_equation(model_of):
@@ -170,7 +172,9 @@ def test_gorenstein_functional_equation(model_of):
         m = model_of(*spec)
         outer = tuple(c + 1 for c in m.conductor)
         coeffs = coeff_grid(m, outer)
-        assert gorenstein_functional_check(coeffs, m.conductor, m.delta, outer=outer)
+        assert gorenstein_functional_check_by_points(
+            coeffs, m.conductor, m.delta, outer=outer
+        )
 
 
 def test_gorenstein_functional_fails_off_symmetry():
@@ -186,20 +190,20 @@ def test_gorenstein_functional_fails_off_symmetry():
     assert not m.is_gorenstein
     outer = (4,)
     coeffs = {(i,): motivic_coeff(m.hilbert, (i,)) for i in range(5)}
-    assert not gorenstein_functional_check(coeffs, (3,), 2, outer=outer)
+    assert not gorenstein_functional_check_by_points(coeffs, (3,), 2, outer=outer)
 
 
 def test_model_gorenstein_gate(model_of):
     from latcurve import build_model
     from latcurve.germ import GermDescriptor
 
-    assert model_of("E", 6).gorenstein_motivic_check()
-    assert model_of("D", 4).gorenstein_motivic_check()
+    assert gorenstein_motivic_check_by_points(model_of("E", 6))
+    assert gorenstein_motivic_check_by_points(model_of("D", 4))
     desc = GermDescriptor(
         r=1, kind="semigroup", payload=((3,), [(0,), (3,)]), name="t3t4t5"
     )
     with pytest.raises(InconsistentInput):
-        build_model(desc).gorenstein_motivic_check()
+        gorenstein_motivic_check_by_points(build_model(desc))
 
 
 def test_the_certificate_sets_the_bound_not_the_series(model_of, monkeypatch):

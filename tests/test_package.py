@@ -31,13 +31,10 @@ EXPORTS = (
     "Verdict", "WeightGrid", "build_model", "classify",
     "classify_unimodal_plane", "delta", "descriptor_from_json", "e1_level",
     "e1_refined", "euler_characteristic", "expand", "get", "get_entry",
-    "gorenstein_functional_check", "gorenstein_symmetry", "has_maximal_rank",
-    "hilbert_from_motivic", "hilbert_from_poincare", "hilbert_from_semigroup",
+    "gorenstein_symmetry", "hilbert_from_poincare", "hilbert_from_semigroup",
     "lattice_homology", "list_entries", "min_weight", "minimal_spectral_cycles",
-    "motivic_coeff", "omega_substitution", "pe_series", "pe_substitution_check",
-    "pe_univariate", "poincare_from_hilbert", "semigroup_from_hilbert",
-    "semigroup_from_low_points", "univariate_motivic",
-    "validate_semigroup_consistency", "weight_from_hilbert",
+    "motivic_coeff", "omega_substitution", "pe_series", "semigroup_from_hilbert",
+    "semigroup_from_low_points", "univariate_motivic", "weight_from_hilbert",
 )
 
 # the model layer and the classifier, which every process loads
@@ -378,6 +375,10 @@ def test_star_import_binds_every_export():
         "print(json.dumps(sorted(n for n in dir() if not n.startswith('_'))))"
     )
     assert set(EXPORTS) <= set(bound)
+
+
+def test_the_package_exports_the_pinned_names_only():
+    assert sorted(latcurve.__all__) == sorted(EXPORTS)
 
 
 def test_unknown_names_raise():

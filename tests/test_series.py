@@ -12,7 +12,6 @@ from latcurve import (
     expand,
     get,
     hilbert_from_poincare,
-    poincare_from_hilbert,
 )
 from latcurve.series import (
     MultiPoly,
@@ -23,7 +22,11 @@ from latcurve.series import (
     require_polynomials,
 )
 
-from oracles import embedded_hilbert_from_poincare, two_branch_expand
+from oracles import (
+    embedded_hilbert_from_poincare,
+    poincare_from_hilbert,
+    two_branch_expand,
+)
 from test_builds import LARGE, poincare_descriptor
 from test_catalog import ALL_SPECS
 

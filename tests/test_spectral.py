@@ -8,12 +8,12 @@ from latcurve import (
     UndefinedWeight,
     e1_level,
     e1_refined,
-    has_maximal_rank,
     minimal_spectral_cycles,
     pe_series,
-    pe_univariate,
 )
 from latcurve.lattice import norm
+
+from oracles import pe_univariate
 
 
 def test_refined_entry_d5(model_of):
@@ -70,14 +70,15 @@ def test_mincycle_undefined(model_of):
 
 
 def test_maximal_rank(model_of):
-    t44 = model_of("T", 4, 4)
-    assert has_maximal_rank(minimal_spectral_cycles(t44.weight, 1, -1), (1, 1, 1, 1))
-    t36 = model_of("T", 3, 6)
-    assert has_maximal_rank(minimal_spectral_cycles(t36.weight, 1, -1), (1, 1, 1))
-    t37 = model_of("T", 3, 7)
-    assert not has_maximal_rank(minimal_spectral_cycles(t37.weight, 1, -1), (2, 1))
-    t57 = model_of("T", 5, 7)
-    assert not has_maximal_rank(minimal_spectral_cycles(t57.weight, 1, -1), (2, 2))
+    # the ceiling of M(1, -1) is C(|m| - 1, 1)
+    for spec, m, maximal in [
+        (("T", 4, 4), (1, 1, 1, 1), True),
+        (("T", 3, 6), (1, 1, 1), True),
+        (("T", 3, 7), (2, 1), False),
+        (("T", 5, 7), (2, 2), False),
+    ]:
+        group = minimal_spectral_cycles(model_of(*spec).weight, 1, -1)
+        assert (group.rank == comb(norm(m) - 1, group.k)) == maximal, spec
 
 
 def test_pe_series_smooth(model_of):
