@@ -91,9 +91,10 @@ def _builtin(spec) -> GermDescriptor:
 
 
 def _load_descriptor(args) -> GermDescriptor:
-    if bool(args.germ) == bool(args.builtin):
+    # an empty value is given, not absent
+    if (args.germ is None) == (args.builtin is None):
         raise DescriptorError("exactly one of --germ FILE or --builtin NAME required")
-    if args.germ:
+    if args.germ is not None:
         try:
             with open(args.germ, "r", encoding="utf-8") as fh:
                 desc = descriptor_from_json(fh.read())
@@ -101,7 +102,7 @@ def _load_descriptor(args) -> GermDescriptor:
             raise DescriptorError(f"cannot read {args.germ}: {exc}")
     else:
         desc = _builtin(args.builtin)
-    if args.bound:
+    if args.bound is not None:
         desc = replace(desc, bound=_parse_point(args.bound))
     return desc
 
@@ -357,7 +358,7 @@ def cmd_classify(model, args):
 def cmd_catalog(args):
     from .catalog import list_entries
 
-    if args.builtin:
+    if args.builtin is not None:
         desc = _builtin(args.builtin)
         sys.stdout.write(desc.to_json())
         return
@@ -423,7 +424,7 @@ def main(argv=None) -> int:
                     raise DescriptorError(
                         f"argument {option}: the catalog command does not take it"
                     )
-            if args.builtin and args.format == "table":
+            if args.builtin is not None and args.format == "table":
                 raise DescriptorError(
                     "argument --format: catalog --builtin prints JSON only"
                 )

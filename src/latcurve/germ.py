@@ -14,9 +14,12 @@ the Hilbert and weight grids on a common bound, each held on a box with
 every cube of R(0, c) and read past it in closed form (``lattice``);
 growing the bound returns a new model on the same table and the same
 arrays, and subcurve models come from the projection of the table to the
-axes of the subcurve.  Every table read off a window of members (a
-``hilbert`` grid, a ``poincare`` expansion, a subcurve's projection, a
-replayed guess) is read by ``lattice.table_on_window``.
+axes of the subcurve.  One function makes every table,
+``lattice.table_on_window``: it reads the members of a window (a
+``semigroup`` member list, a ``hilbert`` grid, a ``poincare`` expansion,
+a subcurve's projection, a replayed guess) at their least conductor and
+checks the table there, additive closure included.  So a ``semigroup``
+source stated on any conductor c' >= c builds the model of c.
 """
 
 from __future__ import annotations
@@ -428,9 +431,10 @@ def _model_on(desc: GermDescriptor, table: SemigroupTable, bound: Point) -> Germ
 
 
 def _build_from_semigroup(desc: GermDescriptor) -> GermModel:
-    c, elements = desc.payload
-    table = semigroup_from_low_points(desc.r, c, elements)
-    return _model_on(desc, table, _resolve_bound(desc, c, table.multiplicity()))
+    table = semigroup_from_low_points(desc.r, *desc.payload)
+    return _model_on(
+        desc, table, _resolve_bound(desc, table.conductor, table.multiplicity())
+    )
 
 
 def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
@@ -438,7 +442,6 @@ def _build_from_hilbert(desc: GermDescriptor) -> GermModel:
     h = HilbertGrid(r=desc.r, bound=b, values=np.array(values, dtype=np.int64))
     h.validate()
     table = semigroup_from_hilbert(h)
-    table.validate_additive_closure()
     model = _model_on(
         desc, table, _resolve_bound(desc, table.conductor, table.multiplicity(), b)
     )
@@ -508,15 +511,13 @@ def _certified_table(members: np.ndarray) -> SemigroupTable:
     window above p, and it is no member, because its minimum with c is
     c - e_i (were c - e_i a member, so would every point above it be,
     against the minimality of c).  A window it refuses is an
-    InvalidSeries; the table is then checked for additive closure.
+    InvalidSeries.
     """
     U = tuple(n - 1 for n in members.shape)
     try:
-        table = table_on_window(members, padd(U, ones(len(U))))
+        return table_on_window(members, padd(U, ones(len(U))))
     except MarginTooSmall as exc:
         raise InvalidSeries(f"the members on R(0, {list(U)}) give no table: {exc}")
-    table.validate_additive_closure()
-    return table
 
 
 def _replayed_bound(desc: GermDescriptor, table: SemigroupTable, first: Point) -> Point:
@@ -589,6 +590,11 @@ def build_model(desc: GermDescriptor) -> GermModel:
 
         name, params = desc.payload
         entry = catalog.get_entry(name, *params).descriptor
+        if desc.r != entry.r:
+            raise DescriptorError(
+                f"builtin {entry.name} has r = {entry.r} branches, "
+                f"but the descriptor states r = {desc.r}"
+            )
         # the descriptor's bound and flags override the entry's where set
         given = dict(bound=desc.bound, plane=desc.plane, gorenstein=desc.gorenstein)
         given = {key: value for key, value in given.items() if value is not None}

@@ -69,21 +69,12 @@ class HomologyReport(Record, frozen=False):
             return self.table[n][k][1]
         return []
 
-    def total_rank(self, k: int) -> int:
-        """Rank of the direct sum over all levels (finite for k >= 1;
-        for k = 0 only the levels up to contractibility are counted)."""
-        return sum(self.table[n][k][0] for n in self.table)
-
     def u_rank(self, k: int, n: int) -> int:
         if n >= self.n_top:
             return 1 if k == 0 else 0
         if n < self.n_min:
             return 0
         return self.u_ranks.get((k, n), 0)
-
-
-def max_weight_conductor_box(w: WeightGrid) -> int:
-    return int(conductor_values(w).max())
 
 
 def _cell_order(values: np.ndarray, r: int):

@@ -4,11 +4,13 @@ A germ is represented purely by discrete data living on the lattice N^r:
 
 * the semigroup of values S (min-closed, 0 in S, stable above the
   conductor c), held as a membership table on R(0, c): the conductor
-  decides the rest, since l is in S iff min(l, c) is.  A table is made
-  from a member list (``semigroup_from_low_points``) or read off a
-  window of members (``table_on_window``, the one conductor detection),
-  and keeps the multiplicity and unit steps of the up-set minima that
-  validate it,
+  decides the rest, since l is in S iff min(l, c) is.  One function
+  makes every table, ``table_on_window``: it reads the table off a
+  window of members at their least conductor, checks it there (the
+  axioms, the extension rule, additive closure) and keeps the
+  multiplicity and unit steps of the up-set minima that validate it.  A
+  member list stated on a conductor (``semigroup_from_low_points``) is
+  one such window, so it is read at its least conductor too,
 * the Hilbert function h, with h(0) = 0 and unit steps
   h(l + e_i) - h(l) in {0, 1},
 * the weight function w(l) = 2*h(l) - |l|, whose sublevel sets drive the
@@ -292,11 +294,12 @@ class SemigroupTable(Record, eq=False):
 
     ``mask[l]`` is True iff l is a value of the germ, for l in R(0, c).
     The conductor decides every other point: l is a member iff min(l, c)
-    is (the extension rule).  A table is validated once, by the function
-    that makes it.  Its multiplicity and unit steps come from the up-set
-    minima M of the validation (``_keep_minima``), or of ``upset_minima``
-    on first use for a table nobody validated, and are stored outside
-    ``_fields``, so the repr and the identity do not show them.
+    is (the extension rule).  A table is made and validated once, by
+    ``table_on_window``.  Its multiplicity and unit steps come from the
+    up-set minima M of the validation (``_keep_minima``), or of
+    ``upset_minima`` on first use for a table nobody validated, and are
+    stored outside ``_fields``, so the repr and the identity do not show
+    them.
     """
 
     _fields = ("r", "conductor", "mask")
@@ -345,11 +348,6 @@ class SemigroupTable(Record, eq=False):
         steps = mins == np.indices(mins.shape[1:])
         steps.flags.writeable = False
         vars(self).update(_multiplicity=m, _steps=steps)
-
-    def validate(self) -> None:
-        """The table axioms (``_validate_members``) and additive closure."""
-        self._keep_minima(_validate_members(self.mask, self.conductor))
-        self.validate_additive_closure()
 
     def validate_additive_closure(self) -> None:
         """S + S inside S, checked on R(0, c) with sums clamped at c (the
@@ -452,9 +450,9 @@ def upset_minima(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
 
 
 def semigroup_from_low_points(r: int, conductor: Point, low_points) -> SemigroupTable:
-    """Build the table on R(0, conductor) from an explicit member list;
-    the conductor and each point have r coordinates (DescriptorError),
-    and the table is checked for its axioms and additive closure."""
+    """The table of an explicit member list on R(0, conductor), read by
+    ``table_on_window`` at its least conductor; the conductor and each
+    point have r coordinates (DescriptorError)."""
     c = tuple(conductor)
     require_length(c, r)
     if min(c) < 0:
@@ -473,9 +471,7 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
         raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
     mask = np.zeros(tuple(ci + 1 for ci in c), dtype=bool)
     mask[tuple(at.astype(np.int64).T)] = True
-    table = SemigroupTable(r=r, conductor=c, mask=mask)
-    table.validate()
-    return table
+    return table_on_window(mask, padd(c, ones(r)), stated=c)
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +595,6 @@ class WeightGrid(_Grid):
 
     def w(self, p: Point) -> int:
         return _read(self, p)
-
-    def hilbert_values(self) -> np.ndarray:
-        """Recover h = (w + |l|) / 2 (exact) on R(0, bound)."""
-        values = values_on(self, self.bound)
-        return (values + norm_array(values.shape)) // 2
 
     def validate(self) -> None:
         """w against its conductor c and multiplicity m: |w(l)| <= |l| on
@@ -758,13 +749,16 @@ def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
     return mask
 
 
-def table_on_window(members: np.ndarray, inner: Point) -> SemigroupTable:
+def table_on_window(
+    members: np.ndarray, inner: Point, stated: Point | None = None
+) -> SemigroupTable:
     """The table with the least conductor c that the members of the
-    window R(0, inner) fit, cut to R(0, c).  The members are given on a
-    box R(0, b), b <= inner, and the window reads each point at min(l, b):
-    the window points >= l read the box points >= min(l, b) (q is read by
-    max(q, l)), so l is stable (every point >= l a member) iff min(l, b)
-    is, and once c <= b the extension rule at l is the rule at min(l, b).
+    window R(0, inner) fit, cut to R(0, c): the one maker of a table.
+    The members are given on a box R(0, b), b <= inner, and the window
+    reads each point at min(l, b): the window points >= l read the box
+    points >= min(l, b) (q is read by max(q, l)), so l is stable (every
+    point >= l a member) iff min(l, b) is, and once c <= b the extension
+    rule at l is the rule at min(l, b).
 
     c is the componentwise minimum of the stable points, a suffix AND
     along every axis; MarginTooSmall unless there is one, c is itself
@@ -772,9 +766,20 @@ def table_on_window(members: np.ndarray, inner: Point) -> SemigroupTable:
     table (``_validate_members``, whose up-set minima the table keeps) and
     against the extension rule, l in S iff min(l, c) in S, which a value
     semigroup always follows: a failure means a window too small for its
-    conductor (MarginTooSmall).
+    conductor (MarginTooSmall).  The cut table is checked for additive
+    closure.
+
+    A member list stated on a conductor c' is its box R(0, c') read as
+    the window R(0, c' + e), with ``stated`` = c'.  The box is checked as
+    a table at c' before the search, so its errors name the first
+    failure there; c' is then stable, and the stable points of a
+    min-closed box are closed under min, so the search finds c <= c'.
+    The whole list is given, so no window mends a failure of the
+    extension rule at c: it is InconsistentSemigroup.
     """
     r = members.ndim
+    if stated is not None:
+        mins = _validate_members(members, stated)
     reverse = (slice(None, None, -1),) * r
     stable = members[reverse]
     for i in range(r):
@@ -793,15 +798,24 @@ def table_on_window(members: np.ndarray, inner: Point) -> SemigroupTable:
         raise MarginTooSmall(
             f"conductor {c} detected without a full stabilization layer inside {inner}"
         )
-    mins = _validate_members(members, c)
+    if stated is None:
+        mins = _validate_members(members, c)
     b = tuple(n - 1 for n in members.shape)
-    if not np.array_equal(members, _clamped(members, c, b)):
-        raise MarginTooSmall(
-            "membership table is inconsistent with its detected conductor; "
-            "the true conductor lies outside the grid"
+    broken = members != _clamped(members, c, b)
+    if broken.any():
+        if stated is None:
+            raise MarginTooSmall(
+                "membership table is inconsistent with its detected conductor; "
+                "the true conductor lies outside the grid"
+            )
+        p = tuple(int(x) for x in np.argwhere(broken)[0])
+        raise InconsistentSemigroup(
+            f"the extension rule fails at the least conductor {c}: {p} is no "
+            f"member, but min({p}, {c}) = {pmin(p, c)} is"
         )
     table = SemigroupTable(r=r, conductor=c, mask=members[window(c)].copy())
     table._keep_minima(mins)  # on R(0, c) the box's M is the table's
+    table.validate_additive_closure()
     return table
 
 

@@ -65,9 +65,6 @@ class QPoly(Record):
     def coeff(self, j: int) -> int:
         return dict(self.coeffs).get(j, 0)
 
-    def at_one(self) -> int:
-        return sum(c for _, c in self.coeffs)
-
     def __add__(self, other: "QPoly") -> "QPoly":
         d = dict(self.coeffs)
         for e, c in other.coeffs:

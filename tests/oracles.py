@@ -70,6 +70,10 @@
   trip of a table through its Hilbert grid, and a refined E1 table
   summed to levels; no command reads them, so they live with the tests
   that use them.
+* ``max_weight_conductor_box`` / ``total_rank`` / ``hilbert_values`` /
+  ``at_one``: the largest weight on R(0, c), the rank of H_k summed
+  over every level, h recovered from w, and a coefficient polynomial at
+  q = 1; no command reads them either.
 * ``full_grid_hilbert_from_semigroup`` / ``restrict_to_subcurve`` /
   ``full_face_table``: the grid of a table found, integrated and checked
   on all of R(0, bound), the path ``hilbert_from_semigroup`` replaced by
@@ -141,7 +145,7 @@ from latcurve.germ import (
     _resolve_bound,
     build_model,
 )
-from latcurve.homology import HomologyReport, max_weight_conductor_box, min_weight
+from latcurve.homology import HomologyReport, min_weight
 from latcurve.lattice import (
     HilbertGrid,
     Point,
@@ -149,9 +153,11 @@ from latcurve.lattice import (
     WeightGrid,
     _clamped,
     box,
+    conductor_values,
     cube_max_tables,
     leq,
     norm,
+    norm_array,
     ones,
     padd,
     pmax,
@@ -1175,7 +1181,7 @@ def restrict_to_subcurve(grid, branches) -> "HilbertGrid | WeightGrid":
     if not J or J[0] < 1 or J[-1] > r:
         raise ValueError(f"branch indices {J} outside 1..{r}")
     if isinstance(grid, WeightGrid):
-        h = restrict_to_subcurve(HilbertGrid(r, grid.bound, grid.hilbert_values()), J)
+        h = restrict_to_subcurve(HilbertGrid(r, grid.bound, hilbert_values(grid)), J)
         return weight_from_hilbert(h, semigroup=semigroup_from_hilbert(h))
     if not isinstance(grid, HilbertGrid):
         raise TypeError(f"cannot restrict {type(grid).__name__}")
@@ -1548,3 +1554,25 @@ def pe_univariate(pe: dict) -> dict[tuple[int, int, int], int]:
         key = (norm(ell), n, k)
         out[key] = out.get(key, 0) + rank
     return out
+
+
+def max_weight_conductor_box(w: WeightGrid) -> int:
+    """max w over R(0, c)."""
+    return int(conductor_values(w).max())
+
+
+def total_rank(report: HomologyReport, k: int) -> int:
+    """Rank of the direct sum over all levels (finite for k >= 1;
+    for k = 0 only the levels up to contractibility are counted)."""
+    return sum(report.table[n][k][0] for n in report.table)
+
+
+def hilbert_values(w: WeightGrid) -> np.ndarray:
+    """Recover h = (w + |l|) / 2 (exact) on R(0, bound)."""
+    values = w.values
+    return (values + norm_array(values.shape)) // 2
+
+
+def at_one(q: QPoly) -> int:
+    """The coefficient polynomial at q = 1."""
+    return sum(c for _, c in q.coeffs)

@@ -5,11 +5,13 @@ random germs rewritten as ``hilbert`` and ``poincare`` descriptors."""
 
 import importlib.util
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latcurve import GermDescriptor, build_model, cli, germ, get, lattice
 from latcurve.catalog import numerical_semigroup
@@ -170,9 +172,134 @@ def test_builds_match_on_random_branches(gens):
         assert_same_model(new, old)
 
 
-def semigroup_descriptor(model):
-    return GermDescriptor(
-        r=model.r, kind="semigroup", payload=(model.conductor, model.semigroup.points())
+def semigroup_descriptor(model, stated=None):
+    """``model``'s table as a ``semigroup`` source: its members on
+    R(0, stated), stated >= c (c when not given), filled in by the
+    extension rule."""
+    stated = stated or model.conductor
+    members = [p for p in box(stated) if model.semigroup.contains(p)]
+    return GermDescriptor(r=model.r, kind="semigroup", payload=(stated, members))
+
+
+def assert_same_build(new, old):
+    """The same germ on the same bound, held on the same boxes."""
+    assert_same_germ(new, old)
+    assert new.bound == old.bound
+    for grid in ("hilbert", "weight"):
+        assert np.array_equal(getattr(new, grid).held, getattr(old, grid).held)
+
+
+def assert_read_at_the_least_conductor(model, extra):
+    """The members of ``model`` stated on c + extra build the model that
+    they build on c, subcurves included."""
+    least = build_model(semigroup_descriptor(model))
+    stated = lattice.padd(least.conductor, extra)
+    new = build_model(semigroup_descriptor(model, stated))
+    assert new.descriptor.payload[0] == stated
+    assert_same_build(new, least)
+    for size in range(1, model.r):
+        for J in itertools.combinations(range(1, model.r + 1), size):
+            assert_same_build(new.subcurve(J), least.subcurve(J))
+
+
+SEMIGROUP_SPECS = [s for s in ALL_SPECS if get(*s).kind == "semigroup"]
+
+
+@pytest.mark.parametrize("spec", SEMIGROUP_SPECS, ids=_id)
+def test_a_semigroup_source_is_read_at_its_least_conductor(spec):
+    model = build_model(get(*spec))
+    r = model.r
+    for extra in [(0,) * r, (1,) * r, (3,) + (0,) * (r - 1), (0,) * (r - 1) + (2,)]:
+        assert_read_at_the_least_conductor(model, extra)
+
+
+@settings(max_examples=20, deadline=None)
+@given(numerical_semigroups(), st.integers(min_value=1, max_value=12))
+def test_random_branches_are_read_at_their_least_conductor(gens, extra):
+    c = conductor_of(gens)
+    model = build_model(
+        GermDescriptor(r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c)))
+    )
+    assert_read_at_the_least_conductor(model, (extra,))
+
+
+@settings(max_examples=10, deadline=None)
+@given(monomial_plane_germs(), st.data())
+def test_random_plane_germs_are_read_at_their_least_conductor(germ_data, data):
+    _, c, desc = germ_data
+    model = build_model(desc)
+    assert model.conductor == c
+    extra = data.draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * model.r))
+    assert_read_at_the_least_conductor(model, extra)
+
+
+def _semigroup_doc(name, stated, members, plane=None):
+    return {"version": 1, "germ": name, "r": len(stated), "flags": {"plane": plane},
+            "bound": None, "source": {"kind": "semigroup", "conductor": stated,
+                                      "elements": members}}
+
+
+A2_ON_6 = _semigroup_doc("A_2", [6], [[0], [2], [3], [4], [5], [6]])
+A2_ON_2 = _semigroup_doc("A_2", [2], [[0], [2]])
+_D5 = [[0, 0], [2, 1], [2, 2], [3, 1], [4, 2]]
+# the points l of R(0, (5, 3)) with min(l, (4, 2)) a member of D_5
+D5_ON_5_3 = _semigroup_doc(
+    "D_5", [5, 3], _D5[:3] + [[2, 3], [3, 1], [4, 2], [4, 3], [5, 2], [5, 3]],
+    plane=True,
+)
+D5_ON_4_2 = _semigroup_doc("D_5", [4, 2], _D5, plane=True)
+COMMANDS = [["invariants"], ["table"], ["homology"], ["spectral"],
+            ["motivic", "--depth", "4"], ["classify"]]
+
+
+def _stdout(tmp_path, capsys, command, doc):
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return _json_stdout(capsys, [*command, "--germ", str(path)])
+
+
+def _json_stdout(capsys, argv):
+    code = cli.main([*argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "stated,least", [(A2_ON_6, A2_ON_2), (D5_ON_5_3, D5_ON_4_2)], ids=["A2-on-6", "D5-on-5,3"]
+)
+def test_every_command_prints_the_least_conductors_bytes(
+    tmp_path, capsys, command, stated, least
+):
+    """A member list stated on a larger conductor prints the bytes of the
+    list on its least conductor; D_5 on (5, 3) keeps its plane flag."""
+    out = _stdout(tmp_path, capsys, command, stated)
+    assert out == _stdout(tmp_path, capsys, command, least)
+
+
+def test_a2_stated_on_6_is_the_builtin_a2(tmp_path, capsys):
+    out = _stdout(tmp_path, capsys, ["invariants"], A2_ON_6)
+    assert out == _json_stdout(capsys, ["invariants", "--builtin", "A,2"])
+    doc = json.loads(out)
+    assert (doc["invariants"]["conductor"], doc["invariants"]["gorenstein"]) == ([2], True)
+    assert doc["bound"] == [6]
+
+
+def test_a_list_that_breaks_the_extension_rule_exits_1(tmp_path, capsys):
+    """{0, (1, 1), (1, 2), (2, 2)} on (2, 2) is a table there, but its
+    least conductor is (1, 2), where (2, 1) is no member while
+    min((2, 1), (1, 2)) = (1, 1) is: an InconsistentSemigroup, not the
+    window's MarginTooSmall."""
+    doc = _semigroup_doc("edge", [2, 2], [[0, 0], [1, 1], [1, 2], [2, 2]])
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["invariants", "--germ", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: the extension rule fails at the least conductor (1, 2): (2, 1) is "
+        "no member, but min((2, 1), (1, 2)) = (1, 1) is\n"
     )
 
 
@@ -295,29 +422,35 @@ def test_min_closure_runs_once_per_table(monkeypatch):
 
 
 def test_one_table_reader_per_table(monkeypatch):
-    """Each table read off a window of members costs one
-    ``lattice.table_on_window`` call: a ``poincare`` build whose replay
-    detects nothing, a ``hilbert`` build, a subcurve, and a replayed
-    guess that detects a conductor."""
+    """Each table costs one ``lattice.table_on_window`` call, the one
+    maker: a ``semigroup`` build (its member list read as the window of
+    its stated conductor), a ``poincare`` build whose replay detects
+    nothing, a ``hilbert`` build, a subcurve, and a replayed guess that
+    detects a conductor."""
     calls = []
     reader = lattice.table_on_window
 
-    def counting(members, inner):
-        calls.append(inner)
-        return reader(members, inner)
+    def counting(members, inner, stated=None):
+        calls.append((inner, stated))
+        return reader(members, inner, stated)
 
     monkeypatch.setattr(lattice, "table_on_window", counting)
     monkeypatch.setattr(germ, "table_on_window", counting)
+    z11 = build_model(get("Z11"))
+    assert get("Z11").kind == "semigroup"
+    assert calls == [(lattice.padd(z11.conductor, (1, 1)), z11.conductor)]
     model = build_model(get("D", 5))  # c + 2e lies inside the first guess
-    assert get("D", 5).kind == "poincare" and len(calls) == 1
+    assert get("D", 5).kind == "poincare" and len(calls) == 2
     build_model(hilbert_descriptor(model))
-    assert len(calls) == 2
-    model.subcurve((1,))
     assert len(calls) == 3
+    model.subcurve((1,))
+    assert len(calls) == 4
     # <4, 7> has conductor 18; the grid (17,) reads 14
     table = semigroup_from_low_points(1, (18,), numerical_semigroup([4, 7], 18))
     assert germ._detected(table, (17,)) == ((14,), (4,))
-    assert len(calls) == 4
+    assert [stated for _, stated in calls] == [
+        z11.conductor, None, None, None, (18,), None
+    ]
 
 
 _GAP = np.array([0, 1, 1, 2, 2, 2, 3, 4, 5], dtype=np.int64)  # S = {0, 2, 5, ...}

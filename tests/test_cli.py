@@ -968,6 +968,36 @@ def test_too_many_branches_exit_1(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("r", [1, 3])
+def test_builtin_r_must_be_the_entrys(tmp_path, capsys, r):
+    # D_5 has two branches; a builtin source states r, and it must agree
+    doc = {"version": 1, "germ": "x", "r": r,
+           "source": {"kind": "builtin", "name": "D", "params": [5]}}
+    code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: builtin D_5 has r = 2 branches, but the descriptor states r = {r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["table", "--builtin", "D,5", "--bound", ""],
+         "expected a comma-separated integer tuple, got ''"),
+        (["table", "--germ", "", "--builtin", "D,5"],
+         "exactly one of --germ FILE or --builtin NAME required"),
+        (["table", "--builtin", "D,5", "--germ="],
+         "exactly one of --germ FILE or --builtin NAME required"),
+        (["catalog", "--builtin", ""], "no catalog entry named ''"),
+        (["catalog", "--builtin=", "--format", "table"],
+         "argument --format: catalog --builtin prints JSON only"),
+    ],
+    ids=["bound", "germ-first", "germ-last", "catalog-builtin", "catalog-builtin-table"],
+)
+def test_an_empty_option_value_is_given_not_absent(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "source,message",
     [

@@ -17,7 +17,14 @@ from latcurve import (
     weight_from_hilbert,
 )
 from latcurve.catalog import numerical_semigroup
-from latcurve.lattice import HilbertGrid, SemigroupTable, WeightGrid, box, corner_values
+from latcurve.lattice import (
+    HilbertGrid,
+    SemigroupTable,
+    WeightGrid,
+    box,
+    corner_values,
+    table_on_window,
+)
 
 from oracles import restrict_to_subcurve, validate_semigroup_consistency
 
@@ -89,11 +96,11 @@ def test_min_closure_reports_the_first_failure_in_row_major_order():
 
 
 def test_validate_checks_additive_closure():
-    # {0, 2} with conductor 5 is min-closed but misses 2 + 2 = 4
+    # {0, 2} with conductor 5 is min-closed but misses 2 + 2 = 4: the one
+    # maker checks closure on a window read with no stated conductor too
     mask = np.array([True, False, True, False, False, True])
-    table = SemigroupTable(r=1, conductor=(5,), mask=mask)
     with pytest.raises(InconsistentSemigroup, match=r"\(2,\) \+ \(2,\) = \(4,\)"):
-        table.validate()
+        table_on_window(mask, (6,))
 
 
 def test_additive_closure_violation_detected():

@@ -15,6 +15,7 @@ from latcurve.classify import certified_omega
 from latcurve.lattice import box
 
 from oracles import (
+    at_one,
     gorenstein_functional_check_by_points,
     gorenstein_motivic_check_by_points,
     hilbert_from_motivic_by_points,
@@ -70,7 +71,7 @@ def test_limit_q_to_one_is_poincare(model_of):
         p = poincare_from_hilbert(m.hilbert, conductor=m.conductor).as_dict()
         inner = tuple(b - 1 for b in m.bound)
         for ell in box(inner):
-            assert motivic_coeff(m.hilbert, ell).at_one() == p.get(ell, 0)
+            assert at_one(motivic_coeff(m.hilbert, ell)) == p.get(ell, 0)
 
 
 def test_univariate_motivic_d4(model_of):

@@ -186,20 +186,29 @@ def test_only_lattice_picks_the_rows_of_a_read():
 
 
 def test_only_lattice_makes_a_table():
-    """Every semigroup table is made, and validated, in ``lattice``: by
-    ``semigroup_from_low_points`` or by the window reader
-    ``table_on_window``; no other module calls ``SemigroupTable(...)``."""
+    """Every semigroup table is made, and validated, by one function,
+    ``lattice.table_on_window``: it holds the one ``SemigroupTable(...)``
+    call and the one ``validate_additive_closure()`` call of the
+    package, and a table has no ``validate`` method of its own."""
     package = ROOT / "src" / "latcurve"
-    calls = []
+    calls = {"SemigroupTable": [], "validate_additive_closure": []}
+
+    def scan(node, where):  # each call with the innermost def around it
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                scan(child, f"{where.partition(':')[0]}:{child.name}")
+                continue
+            if isinstance(child, ast.Call) and _called_name(child) in calls:
+                calls[_called_name(child)].append(where)
+            scan(child, where)
+
     for path in sorted(package.glob("*.py")):
-        calls += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(ast.parse(path.read_text(), str(path)))
-            if isinstance(node, ast.Call) and _called_name(node) == "SemigroupTable"
-        ]
-    # the scan must see the two makers of lattice, not nothing
-    assert len([call for call in calls if call.startswith("lattice.py:")]) == 2
-    assert [call for call in calls if not call.startswith("lattice.py:")] == []
+        scan(ast.parse(path.read_text(), str(path)), f"{path.name}:<module>")
+    assert calls == {
+        "SemigroupTable": ["lattice.py:table_on_window"],
+        "validate_additive_closure": ["lattice.py:table_on_window"],
+    }
+    assert not hasattr(latcurve.SemigroupTable, "validate")
 
 
 def test_only_lattice_reads_a_held_grid():
