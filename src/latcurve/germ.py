@@ -333,7 +333,11 @@ class GermModel(Record, eq=False):
 
     @property
     def min_w(self) -> int:
-        return min_weight(self.weight)
+        """min w over R(0, c), read off the weight grid on first use and
+        stored outside ``_fields``, as a table stores its m."""
+        if "_min_w" not in vars(self):
+            vars(self)["_min_w"] = min_weight(self.weight)
+        return self._min_w
 
     @property
     def is_gorenstein(self) -> bool:

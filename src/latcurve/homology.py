@@ -39,7 +39,8 @@ from math import gcd
 import numpy as np
 
 from .errors import EulerMismatch
-from .lattice import Record, WeightGrid, conductor_values, cube_max_tables, min_weight, norm
+from .lattice import Record, WeightGrid, axis_step, conductor_values, min_weight
+from .lattice import norm, require_grid
 
 
 class HomologyReport(Record, frozen=False):
@@ -77,6 +78,25 @@ class HomologyReport(Record, frozen=False):
         return self.u_ranks.get((k, n), 0)
 
 
+def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
+    """tables[mask] = max of ``values`` over the corners of the cube
+    (base, mask), indexed by base; the array shape shrinks by one along
+    each spanned axis; they serve ``lattice_homology``.  The cubes,
+    prod(2 n_i - 1) for n_i points per axis, are the points 2 base + mask
+    of the doubled box, held to the grid budget (GridTooLarge); at the
+    limit homology holds ~100 B a cube, ~400 MB."""
+    hi = [n - 1 for n in values.shape]
+    require_grid(tuple(2 * b for b in hi), f"the cubes of R(0, {hi}), as the grid")
+    tables = {0: values}
+    for mask in range(1, 1 << r):
+        low = mask & (mask - 1)
+        axis = (mask ^ low).bit_length() - 1
+        prev = tables[low]
+        lo, hi = axis_step(axis, r)
+        tables[mask] = np.maximum(prev[lo], prev[hi])
+    return tables
+
+
 def _cell_order(values: np.ndarray, r: int):
     """Every cube of the box under ``values`` in filtration order.
 
@@ -98,7 +118,7 @@ def _cell_order(values: np.ndarray, r: int):
     base = np.concatenate([flat[tuple(map(slice, t.shape))].ravel() for t in tables.values()])
     shift = values.size << r
     tags = [mask + bin(mask).count("1") * shift for mask in tables]
-    key = (base << r) + np.repeat(tags, sizes)
+    key = (base << r) + np.array(tags).repeat(sizes)
     order = np.lexsort((key, value))
     index = np.empty(order.size, dtype=np.int32)
     index[order] = np.arange(order.size, dtype=np.int32)
@@ -117,8 +137,7 @@ def _faces(position: dict, mask: int, r: int) -> np.ndarray:
     for axis in range(r):
         if mask >> axis & 1:
             rest = position[mask ^ (1 << axis)]
-            lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
-            hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
+            lo, hi = axis_step(axis, r)
             faces += [rest[hi], rest[lo]]
     return np.array(faces).reshape(len(faces), -1).T
 
@@ -211,7 +230,7 @@ def filtered_reduction(boundaries: dict):
 
         live = faces if coeffs.all() else np.where(coeffs != 0, faces, -1)
         low = live.max(axis=1)  # -1 on a zero column
-        todo = np.flatnonzero(~pivot_row[cells] & (low >= 0))
+        todo = (~pivot_row[cells] & (low >= 0)).nonzero()[0]
         claimed = low[todo]
         np.minimum.at(owner, claimed, todo)
         claims = owner[claimed] == todo

@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -150,24 +151,28 @@ class Record:
 # lattice point helpers
 
 
+# the helpers map a builtin over the coordinates: a generator costs about
+# twice as much per call, and they run thousands of times per model
+
+
 def pmin(a: Point, b: Point) -> Point:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def pmax(a: Point, b: Point) -> Point:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def padd(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def psub(a: Point, b: Point) -> Point:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def leq(a: Point, b: Point) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def norm(a: Point) -> int:
@@ -198,6 +203,14 @@ def window(hi: Point) -> tuple:
     return tuple(slice(0, b + 1) for b in hi)
 
 
+def axis_step(axis: int, r: int) -> tuple:
+    """Indices (lo, hi) of the points l and l + e_axis of an array of r
+    axes, over every l with both in it: a step is ``a[hi] - a[lo]``."""
+    lo = tuple(slice(0, -1) if j == axis else slice(None) for j in range(r))
+    hi = tuple(slice(1, None) if j == axis else slice(None) for j in range(r))
+    return lo, hi
+
+
 def box_rows(hi: Point, bound: Point) -> np.ndarray:
     """The points of R(0, hi) as int64 rows in row-major order, for a read
     of their cubes, checked as a point query at its top corner hi."""
@@ -213,7 +226,13 @@ def level_rows(lo: int, hi: int, bound: Point) -> np.ndarray:
     if any(b < hi + 1 for b in bound):
         raise MarginTooSmall(f"level {hi} needs every axis bound >= {hi + 1}, grid is {bound}")
     norms = norm_array((max(hi + 1, 0),) * len(bound))
-    return np.argwhere((norms >= lo) & (norms <= hi))
+    return rows_where((norms >= lo) & (norms <= hi))
+
+
+def rows_where(flags: np.ndarray) -> np.ndarray:
+    """The points where ``flags`` is True as int64 rows, in row-major
+    order: ``np.argwhere`` without its Python-level wrappers."""
+    return np.array(flags.nonzero(), dtype=np.int64).T
 
 
 def corner_values(grid, at: np.ndarray) -> np.ndarray:
@@ -247,32 +266,15 @@ def corner_values(grid, at: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _corner_tables(shape: tuple) -> tuple:
     """For an array of the given shape: the flat step of each e_i, and for
-    each subset J (in order) the flat offset of e_J."""
+    each subset J (in order) the flat offset of e_J; both read-only, as
+    every call for the shape shares them."""
     steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
     offsets = [0]
     for step in steps:  # the subsets with bit i follow those without it
         offsets += [o + step for o in offsets]
-    return np.array(steps), np.array(offsets)
-
-
-def cube_max_tables(values: np.ndarray, r: int) -> dict[int, np.ndarray]:
-    """tables[mask] = max of ``values`` over the corners of the cube
-    (base, mask), indexed by base; the array shape shrinks by one along
-    each spanned axis; they serve ``lattice_homology``.  The cubes,
-    prod(2 n_i - 1) for n_i points per axis, are the points 2 base + mask
-    of the doubled box, held to the grid budget (GridTooLarge); at the
-    limit homology holds ~100 B a cube, ~400 MB."""
-    hi = [n - 1 for n in values.shape]
-    require_grid(tuple(2 * b for b in hi), f"the cubes of R(0, {hi}), as the grid")
-    tables = {0: values}
-    for mask in range(1, 1 << r):
-        low = mask & (mask - 1)
-        axis = (mask ^ low).bit_length() - 1
-        prev = tables[low]
-        lo = tuple(slice(0, -1) if i == axis else slice(None) for i in range(r))
-        hi = tuple(slice(1, None) if i == axis else slice(None) for i in range(r))
-        tables[mask] = np.maximum(prev[lo], prev[hi])
-    return tables
+    steps, offsets = np.array(steps), np.array(offsets)
+    steps.flags.writeable = offsets.flags.writeable = False
+    return steps, offsets
 
 
 def norm_array(shape) -> np.ndarray:
@@ -317,7 +319,7 @@ class SemigroupTable(Record, eq=False):
 
     def points(self) -> list[Point]:
         """Members on R(0, c), in row-major (lexicographic) order."""
-        return _argwhere(self.mask)
+        return list(zip(*(x.tolist() for x in self.mask.nonzero())))
 
     def multiplicity(self) -> Point:
         """Componentwise minimum m of the nonzero members, checked to be a
@@ -342,10 +344,11 @@ class SemigroupTable(Record, eq=False):
         >= e (when r >= 2 none has a zero coordinate) and above the member
         min(s, c) >= e; the smooth table, c = 0, has m = e.  The step
         l -> l + e_i raises h iff some member s >= l has s_i = l_i."""
-        mins = np.moveaxis(mins[window(self.conductor)], -1, 0)
-        e = ones(self.r)
-        m = tuple(mins[(slice(None), *e)].tolist()) if min(self.conductor) else e
-        steps = mins == np.indices(mins.shape[1:])
+        r = self.r
+        mins = mins[window(self.conductor)]
+        e = ones(r)
+        m = tuple(mins[e].tolist()) if min(self.conductor) else e
+        steps = mins.transpose(r, *range(r)) == np.indices(mins.shape[:-1])
         steps.flags.writeable = False
         vars(self).update(_multiplicity=m, _steps=steps)
 
@@ -356,14 +359,14 @@ class SemigroupTable(Record, eq=False):
         enough to keep each block near a million entries; the first
         missing s + t in row-major order of (s, t) is reported."""
         c = self.conductor
-        members = np.argwhere(self.mask)
+        members = rows_where(self.mask)
         block = max(1, (1 << 20) // (len(members) * self.r + 1))
         for start in range(0, len(members), block):
             s = members[start : start + block]
             sums = np.minimum(s[:, None, :] + members[None, :, :], c)
-            missing = ~self.mask[tuple(np.moveaxis(sums, -1, 0))]
+            missing = ~self.mask[tuple(sums.transpose(2, 0, 1))]
             if missing.any():
-                i, j = np.argwhere(missing)[0]
+                i, j = divmod(int(missing.argmax()), len(members))
                 s, t = tuple(s[i].tolist()), tuple(members[j].tolist())
                 raise InconsistentSemigroup(
                     f"not closed under addition: {s} + {t} = {padd(s, t)} "
@@ -391,7 +394,7 @@ def _validate_members(mask: np.ndarray, c: Point) -> np.ndarray:
         planes[(slice(1, None),) * r] = False
         planes[(0,) * r] = False
         if planes.any():
-            p = tuple(int(x) for x in np.argwhere(planes)[0])
+            p = tuple(int(x) for x in np.unravel_index(planes.argmax(), planes.shape))
             raise InconsistentSemigroup(f"nonzero member {p} has a zero coordinate")
     return _validate_min_closure(mask)
 
@@ -419,34 +422,31 @@ def _clamped(values: np.ndarray, c: Point, bound: Point) -> np.ndarray:
     return values
 
 
-def _argwhere(flags: np.ndarray) -> list[Point]:
-    """Points where ``flags`` is True, in row-major order."""
-    return [tuple(p) for p in np.argwhere(flags).tolist()]
-
-
 def upset_minima(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
     """M[l] = componentwise minimum of {s : mask[s], s >= l}, and the
     first l in row-major order whose up-set is empty or whose M[l] is not
     in ``mask`` (None when every up-set has a unique minimal element).
 
-    M has shape ``mask.shape + (r,)``; where the up-set of l is empty
-    every component equals max(mask.shape).  M is a suffix minimum along
-    every axis, so each axis costs one reversed ``np.minimum.accumulate``
-    over the grid of own indices.
+    M has shape ``mask.shape + (r,)`` and is C-contiguous; where the
+    up-set of l is empty every component equals max(mask.shape).  M is a
+    suffix minimum along every axis: the grid of own indices is read
+    reversed on every axis, each axis costs one ``np.minimum.accumulate``,
+    and the result is read reversed back.
     """
+    r = mask.ndim
     big = max(mask.shape)
-    own = np.moveaxis(np.indices(mask.shape, dtype=np.int64), 0, -1)
-    mins = np.where(mask[..., None], own, big)
-    for axis in range(mask.ndim):
-        mins = np.flip(
-            np.minimum.accumulate(np.flip(mins, axis=axis), axis=axis), axis=axis
-        )
+    reverse = (slice(None, None, -1),) * r
+    own = np.indices(mask.shape, dtype=np.int64).transpose(*range(1, r + 1), 0)
+    mins = np.where(mask[reverse][..., None], own[reverse], big)
+    for axis in range(r):
+        mins = np.minimum.accumulate(mins, axis=axis)
+    mins = np.ascontiguousarray(mins[reverse])
     nonempty = mins[..., 0] < big
     held = np.zeros(mask.shape, dtype=bool)
     held[nonempty] = mask[tuple(mins[nonempty].T)]
     if held.all():
         return mins, None
-    return mins, tuple(int(x) for x in np.unravel_index(np.argmin(held), held.shape))
+    return mins, tuple(int(x) for x in np.unravel_index(held.argmin(), held.shape))
 
 
 def semigroup_from_low_points(r: int, conductor: Point, low_points) -> SemigroupTable:
@@ -465,7 +465,7 @@ def semigroup_from_low_points(r: int, conductor: Point, low_points) -> Semigroup
     # Python ints until the bounds check: a coordinate past int64 is
     # outside the box, not an overflow
     at = np.array(points, dtype=object).reshape(-1, r)
-    outside = np.any((at < 0) | (at > c), axis=1)
+    outside = ((at < 0) | (at > c)).any(axis=1)
     if outside.any():
         p = tuple(int(x) for x in at[np.argmax(outside)])
         raise InconsistentSemigroup(f"low point {p} outside R(0, {c})")
@@ -548,7 +548,7 @@ def values_on(grid: _Grid, hi: Point) -> np.ndarray:
 def same_values(a: _Grid, b: _Grid) -> bool:
     """True iff the two grids agree on the box both answer for."""
     hi = pmin(a.bound, b.bound)
-    return bool(np.array_equal(values_on(a, hi), values_on(b, hi)))
+    return bool((values_on(a, hi) == values_on(b, hi)).all())
 
 
 class HilbertGrid(_Grid):
@@ -570,7 +570,8 @@ class HilbertGrid(_Grid):
         if int(self.held[zero]) != 0:
             raise PathInconsistency("h(0) must be 0")
         for i in range(self.r):
-            step = np.diff(self.held, axis=i)
+            lo, hi = axis_step(i, self.r)
+            step = self.held[hi] - self.held[lo]
             if step.size and (step.min() < 0 or step.max() > 1):
                 raise PathInconsistency(f"h step along axis {i} outside {{0,1}}")
 
@@ -611,16 +612,16 @@ class WeightGrid(_Grid):
             raise MarginTooSmall(f"grid R(0, {self.bound}) does not hold m = {m}")
         sub = values_on(self, pmin(pmax(c, m), self.bound))
         total = norm_array(sub.shape)
-        if np.any(np.abs(sub[window(c)]) > total[window(c)]):
+        if (abs(sub[window(c)]) > total[window(c)]).any():
             raise InconsistentSemigroup("|w(l)| <= |l| violated")
         expect = 2 - total[window(m)]
         expect[(0,) * self.r] = 0
-        if not np.array_equal(sub[window(m)], expect):
+        if (sub[window(m)] != expect).any():
             raise InconsistentSemigroup("w != 2 - |l| below the multiplicity vector")
         # m_i is the last k of the axis row with w(k e_i) = 2 - k
-        held = np.array(m) < self.bound
-        past = np.diag(np.array(m) + 1)[held]
-        if np.any(values_at(self, past) == 2 - past.sum(axis=1)):
+        past = [scale(mi + 1, unit(self.r, i)) for i, mi in enumerate(m) if mi < self.bound[i]]
+        past = np.array(past, dtype=np.int64).reshape(-1, self.r)
+        if (values_at(self, past) == 2 - past.sum(axis=1)).any():
             raise InconsistentSemigroup(f"w(k e_i) = 2 - k goes on past m = {m}")
 
 
@@ -662,18 +663,18 @@ def hilbert_from_semigroup(table: SemigroupTable, bound: Point) -> HilbertGrid:
         raise MarginTooSmall(f"requested bound {bound} does not dominate c={c}")
     mask = table.mask
     inc = table._kept()[1]  # inc[i][l]: the step l -> l + e_i raises h
-    if not np.array_equal(np.logical_and.reduce(inc), mask):
+    if (inc.all(axis=0) != mask).any():
         raise InconsistentSemigroup("extension failed the round-trip check")
     # integrate along axis 0 first: the path to l runs along axis t at
     # (l_0, ..., l_{t-1}, k, 0, ..., 0), k < l_t, for t = 0, ..., r - 1
     h = np.zeros(mask.shape, dtype=np.int64)
     for t in range(r):
         line = inc[t][(slice(None),) * (t + 1) + (slice(0, 1),) * (r - t - 1)]
-        h += np.cumsum(line, axis=t) - line
+        h += line.cumsum(axis=t) - line
     # full path-independence check: every axis must reproduce its increments
     for i in range(r):
-        lo = tuple(slice(0, -1) if j == i else slice(None) for j in range(r))
-        if not np.array_equal(np.diff(h, axis=i), inc[i][lo]):
+        lo, hi = axis_step(i, r)
+        if (h[hi] - h[lo] != inc[i][lo]).any():
             raise PathInconsistency(
                 f"monotone paths disagree along axis {i}; input semigroup invalid"
             )
@@ -739,13 +740,14 @@ def semigroup_from_hilbert(h: HilbertGrid) -> SemigroupTable:
 def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
     """The points of R(0, inner) where all r unit steps of h are 1; the
     grid must hold R(0, inner + e)."""
-    mask = np.ones(tuple(b + 1 for b in inner), dtype=bool)
     values = values_on(h, padd(inner, ones(h.r)))
+    base = values[window(inner)]
+    mask = np.ones(base.shape, dtype=bool)
     for i in range(h.r):
         hi = tuple(
             slice(1, b + 2) if j == i else slice(0, b + 1) for j, b in enumerate(inner)
         )
-        mask &= (values[hi] - values[window(inner)]) == 1
+        mask &= values[hi] - base == 1
     return mask
 
 
@@ -785,11 +787,10 @@ def table_on_window(
     for i in range(r):
         stable = np.logical_and.accumulate(stable, axis=i)
     stable = stable[reverse]
-    hits = np.argwhere(stable)
     # the corner is stable iff any point is, so no c means a missing corner
-    if not len(hits):
+    if not stable[(-1,) * r]:
         raise MarginTooSmall("no stable region: bound does not dominate the conductor")
-    c = tuple(int(x) for x in hits.min(axis=0))
+    c = tuple(rows_where(stable).min(axis=0).tolist())
     if not stable[c]:
         raise MarginTooSmall(
             f"stable region has no unique minimal point near {c}; enlarge the grid"
@@ -808,7 +809,7 @@ def table_on_window(
                 "membership table is inconsistent with its detected conductor; "
                 "the true conductor lies outside the grid"
             )
-        p = tuple(int(x) for x in np.argwhere(broken)[0])
+        p = tuple(int(x) for x in np.unravel_index(broken.argmax(), broken.shape))
         raise InconsistentSemigroup(
             f"the extension rule fails at the least conductor {c}: {p} is no "
             f"member, but min({p}, {c}) = {pmin(p, c)} is"
@@ -843,4 +844,4 @@ def gorenstein_symmetry(w: WeightGrid, conductor: Point | None = None) -> bool:
     c = conductor if conductor is not None else w.conductor
     sub = values_on(w, c)
     rev = sub[(slice(None, None, -1),) * w.r]
-    return bool(np.array_equal(sub, rev))
+    return bool((sub == rev).all())

@@ -18,6 +18,8 @@ coordinatewise growth of w beyond the conductor.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -35,6 +37,7 @@ from .lattice import (
     leq,
     level_rows,
     require_cube,
+    rows_where,
 )
 
 
@@ -105,15 +108,33 @@ def coefficient_terms(h: HilbertGrid, at: np.ndarray) -> np.ndarray:
     the int64 array ``at``, as int64 rows (l_1, ..., l_r, e, c), by point
     and then by exponent.  The row of l reads h at each l + e_J
     (``lattice.corner_values``), so every l + e must lie in the grid.
-    Each c is a signed count over the 2^r - 1 subsets J, so int64 is exact."""
-    signs = np.array([(-1) ** (bin(J).count("1") + 1) for J in range(1 << h.r)])
+    Each c is a signed count over the 2^r - 1 subsets J, so int64 is exact:
+    C[l, i] is the product of [D_J(l) > i] with the subset signs, one
+    matrix product per level i for every l at once."""
+    r = h.r
+    signs = _per_r(r)[0]
     tops = corner_values(h, at)
     rise = tops - tops[:, :1]  # D_J(l), one column per subset J
-    counts = np.zeros((len(at), h.r), dtype=np.int64)
-    for i in range(h.r):
+    counts = np.empty((len(at), r), dtype=np.int64)  # C[l, i]
+    for i in range(r):
         counts[:, i] = (rise > i) @ signs
     row, i = counts.nonzero()
-    return np.column_stack([at[row], tops[row, 0] + i, counts[row, i]])
+    terms = np.empty((len(row), r + 2), dtype=np.int64)
+    terms[:, :r] = at[row]
+    terms[:, r] = tops[row, 0] + i
+    terms[:, r + 1] = counts[row, i]
+    return terms
+
+
+@functools.lru_cache(maxsize=16)
+def _per_r(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Built once for each r, read-only: the sign (-1)^(|J|+1) of each
+    subset J of r axes, in order of J, and the weights (-1, ..., -1, 2)
+    that take a term row (l, e) to its omega order 2e - |l|."""
+    signs = np.array([(-1) ** (bin(J).count("1") + 1) for J in range(1 << r)])
+    lift = np.array([-1] * r + [2])
+    signs.flags.writeable = lift.flags.writeable = False
+    return signs, lift
 
 
 def _tally(keys: np.ndarray, values: np.ndarray) -> dict[int, int]:
@@ -165,7 +186,7 @@ def certify_truncation(w: WeightGrid, depth: int) -> bool:
     if not leq(c, inner):
         return False
     sub = conductor_values(w)
-    faces = (int(sub.take(-1, axis=i).min()) + inner[i] - c[i] for i in range(w.r))
+    faces = (int(sub.take([-1], axis=i).min()) + inner[i] - c[i] for i in range(w.r))
     return min(faces) >= depth
 
 
@@ -198,10 +219,10 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
             f"grid {w.bound} cannot certify the omega-series through {depth}"
         )
     r = w.r
-    terms = coefficient_terms(h, np.argwhere(conductor_values(w) <= depth))
-    orders = 2 * terms[:, r] - terms[:, :r].sum(axis=1)
-    lo = min(orders.min(initial=depth), depth)
-    width = max(orders.max(initial=depth), depth) - lo + 1
+    terms = coefficient_terms(h, rows_where(conductor_values(w) <= depth))
+    orders = terms[:, : r + 1] @ _per_r(r)[1]
+    lo = int(orders.min(initial=depth))
+    width = int(orders.max(initial=depth)) - lo + 1
     axes = (terms[:, :r] == w.conductor).sum(axis=1)
     spread = np.zeros((r + 1) * width, dtype=np.int64)  # by a, then by order
     np.add.at(spread, axes * width + orders - lo, terms[:, r + 1])
@@ -210,7 +231,7 @@ def omega_substitution(h: HilbertGrid, w: WeightGrid, depth: int) -> LaurentSeri
     for a in range(r - 1, -1, -1):
         series = spread[a] + series.cumsum()
     series = series[: depth - lo + 1]
-    nonzero = np.flatnonzero(series)
+    nonzero = series.nonzero()[0]
     if not len(nonzero):
         raise InconsistentInput("substituted series vanished entirely")
     return LaurentSeries(

@@ -21,6 +21,7 @@ enforced, not assumed, at every point a query reads.
 
 from __future__ import annotations
 
+import functools
 from math import comb
 
 import numpy as np
@@ -87,18 +88,39 @@ def _masks(corners: np.ndarray, n, r: int) -> tuple[list[int], np.ndarray]:
     """The masks at weight n (an int, or an (N, 1) column) of the N rows
     of ``corners``, the weights at l + e_J (column J): the distinct masks,
     and each row's index among them.  A subset I is admissible if every
-    J inside it has w(l + e_J) <= n, so the vertices of weight <= n are
-    ANDed down the subsets one axis at a time."""
-    down = corners <= n
-    for i in range(r):
-        halves = down.reshape(-1, 2, 1 << i)  # J without, and with, bit i
-        halves[:, 1] &= halves[:, 0]
-    bits = np.packbits(down, axis=1, bitorder="little")
-    if len(bits) == 1:  # one row: nothing to sort
-        return [int.from_bytes(bits.tobytes(), "little")], np.zeros(1, dtype=np.intp)
-    rows = bits.view(f"V{bits.shape[1]}").ravel()  # 1-d: faster than axis=0
-    keys, index = np.unique(rows, return_inverse=True)
-    return [int.from_bytes(key.tobytes(), "little") for key in keys], index.reshape(-1)
+    J inside it has w(l + e_J) <= n, so I is refused iff a vertex of
+    weight > n lies in it: one product of the distinct sets of such
+    vertices with the inclusion table of the subsets counts them inside
+    each I."""
+    bad = corners > n
+    index = np.zeros(1, dtype=np.intp)  # one row: nothing to sort
+    if len(bad) != 1:
+        bits = np.packbits(bad, axis=1, bitorder="little")
+        rows = bits.view(f"V{bits.shape[1]}").ravel()  # 1-d: faster than axis=0
+        keys, index = np.unique(rows, return_inverse=True)
+        index = index.reshape(-1)
+        first = np.empty(len(keys), dtype=np.intp)  # a row of each set
+        first[index] = np.arange(len(index))
+        bad = bad[first]
+    bits = np.packbits(bad @ _inclusions(r) == 0, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in bits]
+    if len(masks) > 1:  # two sets can give one mask
+        slot: dict[int, int] = {}
+        index = np.array([slot.setdefault(mask, len(slot)) for mask in masks])[index]
+        masks = list(slot)
+    return masks, index
+
+
+@functools.lru_cache(maxsize=16)
+def _inclusions(r: int) -> np.ndarray:
+    """Entry (J, I) is 1 iff the subset J of r axes lies inside I: built
+    once for each r, read-only, int64 like every product of the package
+    (a numpy inner loop a process has not run faults more of numpy into
+    memory)."""
+    subsets = np.arange(1 << r)
+    table = ((subsets[:, None] & subsets) == subsets[:, None]).astype(np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:
@@ -119,7 +141,7 @@ def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:
     rank = np.array([rk for rk, _ in reduced], dtype=np.int64)[index]
     torsion = np.array([bool(t) for _, t in reduced], dtype=bool)[index]
     off = corners[:, :1] + k != n  # the support law, as a column
-    bad = np.flatnonzero(torsion | (rank != 0) & off[:, 0])
+    bad = (torsion | (rank != 0) & off[:, 0]).nonzero()[0]
     if len(bad):
         i = bad[np.argmin(at[bad].sum(axis=1))]
         ell, n = tuple(at[i].tolist()), int(np.broadcast_to(n, off.shape)[i, 0])

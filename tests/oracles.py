@@ -26,6 +26,13 @@
 * ``additive_closure_by_members``: the loop over members, one gathered
   shifted box each, that ``SemigroupTable.validate_additive_closure``
   replaced.
+* ``upset_minima_by_points`` / ``table_axioms_by_points`` /
+  ``table_on_window_by_points``: the up-set minima of a mask, one point
+  at a time, with the first point whose up-set has no member minimum;
+  the table axioms of a box checked point by point; and the conductor
+  that ``lattice.table_on_window`` reads off a window, or the error it
+  raises, from those checks and the detection below, for any mask, a
+  table or not.
 * ``multiplicity_by_axis_rows``: m read off the weights alone, axis by
   axis, as the largest k with w(j e_i) = 2 - j for 1 <= j <= k: the
   read that ``weight_from_hilbert`` made before it took m from the
@@ -145,7 +152,7 @@ from latcurve.germ import (
     _resolve_bound,
     build_model,
 )
-from latcurve.homology import HomologyReport, min_weight
+from latcurve.homology import HomologyReport, cube_max_tables, min_weight
 from latcurve.lattice import (
     HilbertGrid,
     Point,
@@ -154,13 +161,13 @@ from latcurve.lattice import (
     _clamped,
     box,
     conductor_values,
-    cube_max_tables,
     leq,
     norm,
     norm_array,
     ones,
     padd,
     pmax,
+    pmin,
     require_grid,
     scale,
     semigroup_from_hilbert,
@@ -625,6 +632,78 @@ def additive_closure_by_members(table) -> None:
                 f"not closed under addition: {s} + {t} = {padd(s, t)} "
                 "is not a member"
             )
+
+
+def upset_minima_by_points(mask: np.ndarray) -> tuple[np.ndarray, Point | None]:
+    """M[l], the componentwise minimum of the members s >= l, one point
+    at a time (every component max(mask.shape) where no member is >= l),
+    and the first l in row-major order whose up-set is empty or whose
+    M[l] is no member (None if there is none)."""
+    shape = mask.shape
+    big = max(shape)
+    members = np.argwhere(mask)
+    mins = np.full(shape + (mask.ndim,), big, dtype=np.int64)
+    first = None
+    for p in box(tuple(n - 1 for n in shape)):
+        above = members[(members >= np.array(p)).all(axis=1)]
+        if len(above):
+            mins[p] = above.min(axis=0)
+        if first is None and not (len(above) and mask[tuple(mins[p])]):
+            first = p
+    return mins, first
+
+
+def table_axioms_by_points(mask: np.ndarray, c: Point) -> None:
+    """The table axioms on the box R(0, b) of ``mask``, b >= c, point by
+    point, raising InconsistentSemigroup at the first failure: 0 is a
+    member, every point of R(c, b) is, with r >= 2 no c_i is 0 and no
+    nonzero member has a zero coordinate, and min-closure (the reverse
+    sweep)."""
+    r = len(c)
+    b = tuple(n - 1 for n in mask.shape)
+    if not mask[(0,) * r]:
+        raise InconsistentSemigroup("0 must be a member")
+    if any(leq(c, p) and not mask[p] for p in box(b)):
+        raise InconsistentSemigroup("a point above the conductor is missing")
+    if r >= 2:
+        if min(c) == 0:
+            raise InconsistentSemigroup(f"conductor {c} has a zero coordinate")
+        for p in box(b):
+            if mask[p] and any(p) and min(p) == 0:
+                raise InconsistentSemigroup(f"nonzero member {p} has a zero coordinate")
+    reverse_sweep_min_closure(SemigroupTable(r=r, conductor=b, mask=mask.copy()))
+
+
+def table_on_window_by_points(
+    members: np.ndarray, inner: Point, stated: Point | None = None
+) -> Point:
+    """The least conductor that ``lattice.table_on_window`` reads off the
+    members given on a box inside the window R(0, inner), or the error it
+    raises, from per-point checks: the axioms at a stated conductor
+    first, the detection (``detect_conductor_mask``), the axioms at the
+    detected conductor, the extension rule point by point, and additive
+    closure member by member."""
+    r = members.ndim
+    if stated is not None:
+        table_axioms_by_points(members, stated)
+    c = detect_conductor_mask(members, inner, r)
+    if stated is None:
+        table_axioms_by_points(members, c)
+    for p in box(tuple(n - 1 for n in members.shape)):
+        if members[p] != members[pmin(p, c)]:
+            if stated is None:
+                raise MarginTooSmall(
+                    "membership table is inconsistent with its detected conductor; "
+                    "the true conductor lies outside the grid"
+                )
+            raise InconsistentSemigroup(
+                f"the extension rule fails at the least conductor {c}: {p} is no "
+                f"member, but min({p}, {c}) = {pmin(p, c)} is"
+            )
+    additive_closure_by_members(
+        SemigroupTable(r=r, conductor=c, mask=members[window(c)].copy())
+    )
+    return c
 
 
 def multiplicity_by_axis_rows(values: np.ndarray) -> Point:

@@ -43,6 +43,13 @@
   back from the coefficients.  On every catalog germ the coefficient
   table of R(0, c + e) is read by one ``coefficient_terms`` call and
   matched with the subset loop first.
+* one-call table passes: ``upset_minima``, ``SemigroupTable._keep_minima``,
+  ``validate_additive_closure`` and ``table_on_window`` on random masks
+  of r = 1..4, tables or not, against ``oracles.upset_minima_by_points``,
+  ``oracles.suffix_or_steps``, ``oracles.additive_closure_by_members``
+  and ``oracles.table_on_window_by_points``: the same values, the same
+  first failure and the same error text, every text shown to occur; and
+  the stored ``GermModel.min_w`` and the read-only per-r tables.
 """
 
 import itertools
@@ -71,16 +78,23 @@ from latcurve.classify import certified_omega
 from latcurve import germ
 from latcurve.germ import GermDescriptor
 from latcurve.lattice import (
+    Point,
     SemigroupTable,
+    _clamped,
+    _corner_tables,
     _validate_min_closure,
     box,
     leq,
+    min_weight,
     norm,
     ones,
     padd,
+    table_on_window,
+    upset_minima,
     window,
 )
-from latcurve.motivic import LaurentSeries, coefficient_terms, univariate_levels
+from latcurve.motivic import LaurentSeries, _per_r, coefficient_terms, univariate_levels
+from latcurve.spectral import _inclusions
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from line_arrangements import line_arrangement
@@ -98,7 +112,9 @@ from oracles import (
     pe_substitution_check_by_points,
     reverse_sweep_min_closure,
     suffix_or_steps,
+    table_on_window_by_points,
     univariate_by_points,
+    upset_minima_by_points,
 )
 from test_builds import hilbert_descriptor
 from test_catalog import ALL_SPECS
@@ -728,3 +744,183 @@ def test_identities_on_hand_tables():
     # a numerator term at t^2, past c = 1, fails the equation
     lone = {(2,): QPoly.from_dict({0: 1})}
     assert not gorenstein_functional_check_by_points(lone, (1,), 2, outer=(2,))
+
+
+# ---------------------------------------------------------------------------
+# the one-call passes of the table maker on random masks, r = 1..4, tables
+# or not, against the per-point oracles
+
+# the longest axis per r, so that a box holds at most a few hundred points
+_SIDE = {1: 7, 2: 5, 3: 4, 4: 3}
+
+
+@st.composite
+def _masks(draw):
+    """A random boolean box of r = 1..4 axes.  Some draws fill the up-set
+    of a random point and set 0, so that tables, near-tables and masks
+    that are no table all occur."""
+    r = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, _SIDE[r]), min_size=r, max_size=r)))
+    size = int(np.prod(shape))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    mask = mask.reshape(shape)
+    if draw(st.booleans()):
+        corner = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        mask[tuple(slice(ci, None) for ci in corner)] = True
+    if draw(st.booleans()):
+        mask[(0,) * r] = True
+    return mask
+
+
+def _top(mask) -> Point:
+    return tuple(n - 1 for n in mask.shape)
+
+
+def _read(read, *args, **kwargs):
+    """The conductor a table read finds, or the type and text of its
+    error."""
+    try:
+        found = read(*args, **kwargs)
+    except (MarginTooSmall, InconsistentSemigroup) as exc:
+        return type(exc).__name__, str(exc)
+    return getattr(found, "conductor", found)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks())
+def test_upset_minima_match_the_points_on_random_masks(mask):
+    mins, first = upset_minima(mask)
+    want, want_first = upset_minima_by_points(mask)
+    assert mins.flags.c_contiguous
+    assert mins.shape == want.shape and (mins == want).all()
+    assert first == want_first
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks())
+def test_kept_minima_match_the_points_on_random_masks(mask):
+    """m = M(e) (e for a box with a zero side) and the unit steps
+    [M(l)_i = l_i], which are the suffix-OR steps, on any mask."""
+    r, c = mask.ndim, _top(mask)
+    table = SemigroupTable(r=r, conductor=c, mask=mask.copy())
+    table._keep_minima(upset_minima(mask)[0])
+    m, steps = table._kept()
+    want = upset_minima_by_points(mask)[0]
+    e = ones(r)
+    assert m == (tuple(want[e].tolist()) if min(c) else e)
+    assert steps.flags.c_contiguous
+    own = np.indices(mask.shape)
+    assert (steps == (np.moveaxis(want, -1, 0) == own)).all()
+    assert (steps == np.array(suffix_or_steps(table))).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_masks())
+def test_additive_closure_matches_the_members_on_random_masks(mask):
+    table = SemigroupTable(r=mask.ndim, conductor=_top(mask), mask=mask)
+    assert_same_additive_closure(table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_masks(), st.data())
+def test_table_on_window_matches_the_points_on_random_masks(mask, data):
+    """The conductor, or the same MarginTooSmall or InconsistentSemigroup
+    text, on a window up to two points past the box on each axis, and on
+    the box read as a member list stated on its top corner."""
+    b = _top(mask)
+    inner = tuple(x + data.draw(st.integers(0, 2)) for x in b)
+    assert _read(table_on_window, mask, inner) == _read(
+        table_on_window_by_points, mask, inner
+    )
+    stated = padd(b, ones(mask.ndim))
+    assert _read(table_on_window, mask, stated, stated=b) == _read(
+        table_on_window_by_points, mask, stated, stated=b
+    )
+
+
+# the text of every error a table read raises, up to its first varying part
+_READ_ERRORS = {
+    ("MarginTooSmall", "no stable region"),
+    ("MarginTooSmall", "stable region has no unique minimal point"),
+    ("MarginTooSmall", "conductor "),  # ... detected without a full layer
+    ("MarginTooSmall", "membership table is inconsistent"),
+    ("InconsistentSemigroup", "0 must be a member"),
+    ("InconsistentSemigroup", "a point above the conductor is missing"),
+    ("InconsistentSemigroup", "conductor "),  # ... has a zero coordinate
+    ("InconsistentSemigroup", "nonzero member "),
+    ("InconsistentSemigroup", "up-set of "),
+    ("InconsistentSemigroup", "not closed under addition"),
+    ("InconsistentSemigroup", "the extension rule fails"),
+}
+
+
+def _kind(outcome):
+    if isinstance(outcome, tuple) and isinstance(outcome[0], str):
+        name, text = outcome
+        return next(k for k in _READ_ERRORS if k[0] == name and text.startswith(k[1]))
+    return "table"
+
+
+def test_table_on_window_matches_the_points_on_every_outcome(model_of):
+    """Seeded random masks of r = 1..4, and the catalog's tables, each read
+    on windows from R(0, e) to two points past its conductor and as its
+    stated member list, whole or with one member dropped: the table
+    maker and the per-point reads agree, and every outcome occurs, a
+    table and each error text."""
+    rng = np.random.default_rng(7)
+    reads = []
+    for _ in range(400):
+        r = int(rng.integers(1, 5))
+        mask = rng.random(rng.integers(1, _SIDE[r] + 1, size=r)) < rng.random()
+        if rng.random() < 0.5:
+            mask[tuple(slice(int(rng.integers(0, n)), None) for n in mask.shape)] = True
+        mask[(0,) * r] |= rng.random() < 0.7
+        b = _top(mask)
+        reads.append((mask, tuple(x + int(rng.integers(0, 3)) for x in b), None))
+        reads.append((mask, padd(b, ones(r)), b))
+    # a min-closed box whose least conductor (2, 1) breaks the extension
+    # rule at (1, 2), as a member list on (2, 2) and as a window
+    broken = np.zeros((3, 3), dtype=bool)
+    for p in [(0, 0), (1, 1), (2, 1), (2, 2)]:
+        broken[p] = True
+    reads += [(broken, (3, 3), (2, 2)), (broken, (3, 3), None)]
+    for spec in ALL_SPECS:
+        table = model_of(*spec).semigroup
+        c, e = table.conductor, ones(table.r)
+        for drop in [None, *table.points()[:-1]]:
+            mask = _without(table, drop).mask
+            reads.append((mask.copy(), padd(c, e), c))
+            if drop is None:
+                for g in range(1, max(c) + 3):
+                    inner = tuple(min(g, ci + 2) for ci in c)
+                    reads.append((_clamped(mask, c, inner), inner, None))
+    kinds = set()
+    for mask, inner, stated in reads:
+        got = _read(table_on_window, mask, inner, stated=stated)
+        assert got == _read(table_on_window_by_points, mask, inner, stated=stated)
+        kinds.add(_kind(got))
+    assert kinds == _READ_ERRORS | {"table"}
+
+
+# ---------------------------------------------------------------------------
+# the stored minimum weight and the per-r constants
+
+
+def test_min_w_is_the_minimum_weight_on_every_germ_copy_and_subcurve(model_of):
+    for spec in ALL_SPECS:
+        model = model_of(*spec)
+        grown = model.ensure_bound(tuple(b + 3 for b in model.bound))
+        for m in (model, grown, *_proper_subcurves(model)):
+            assert m.min_w == min_weight(m.weight), (spec, m.name)
+            assert vars(m)["_min_w"] == m.min_w  # stored on first read
+        assert "_min_w" not in model._fields
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
+def test_the_per_r_constant_tables_are_read_only(r):
+    tables = [*_per_r(r), _inclusions(r), *_corner_tables((3,) * r)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
+    # each r builds its tables once
+    assert _per_r(r)[0] is tables[0] and _inclusions(r) is tables[2]

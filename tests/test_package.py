@@ -241,6 +241,42 @@ def test_only_lattice_reads_a_held_grid():
     assert [read for read in reads if not read.startswith("lattice.py:")] == []
 
 
+# numpy's Python-level wrappers, each a few us a call against a few tenths
+# of a us for the method, slice or assignment it wraps
+NUMPY_WRAPPERS = ("moveaxis", "flip", "array_equal", "column_stack", "any", "all")
+
+
+def test_no_module_calls_a_numpy_wrapper_of_a_one_call_form():
+    """The table, grid and classifier kernels (``lattice``, ``motivic``,
+    ``spectral``, ``homology``) take each array pass in one ufunc or
+    ``ndarray`` method call, and so does every other module: none calls
+    ``np.moveaxis`` (``.transpose``), ``np.flip`` (a reversed slice),
+    ``np.array_equal`` (``(a == b).all()``), ``np.column_stack`` (columns
+    assigned into one array) or ``np.any`` / ``np.all`` in function form
+    (``.any()``, ``.all()``), nor imports them from numpy.  The builtin
+    ``any`` and ``all`` over Python values are not such calls."""
+    package = ROOT / "src" / "latcurve"
+    calls, seen = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                calls += [
+                    f"{path.name}:{node.lineno}: from numpy import {alias.name}"
+                    for alias in node.names
+                    if alias.name in NUMPY_WRAPPERS
+                ]
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+                seen.add(path.stem)
+                if node.func.attr in NUMPY_WRAPPERS:
+                    calls.append(f"{path.name}:{node.lineno}: np.{node.func.attr}")
+    # the scan must see the numpy calls of the kernels, not nothing
+    assert {"lattice", "motivic", "spectral", "homology"} <= seen
+    assert calls == []
+
+
 def test_only_the_cli_loops_over_points():
     """No module but ``cli`` (which renders the weight table point by
     point) iterates the points of ``box(...)`` or calls ``motivic_coeff``:
