@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import BadParams, UnknownGerm
+from .errors import BadParams, UnknownGerm, cut
 from .germ import GermDescriptor
 from .lattice import Record, require_grid
 from .series import RationalSeries, geometric, poly
@@ -408,7 +408,7 @@ def get_entry(name, *params) -> CatalogEntry:
             raise BadParams(f"{name} takes no parameters")
         return _entry_derived(name)
     if name not in _FAMILIES:
-        raise UnknownGerm(f"no catalog entry named {name!r}")
+        raise UnknownGerm(f"no catalog entry named {cut(repr(name))}")
     build, count, usage = _FAMILIES[name]
     if len(params) != count:
         raise BadParams(usage)

@@ -20,7 +20,9 @@ data that is no germ or a grid past ``lattice.MAX_GRID_POINTS``; 2 parse
 error (a malformed descriptor or argument, a negative ``--depth`` or
 ``--e1`` point); 3 margin/bound error; 4 route disagreement.  Every
 failure prints one ``error: `` line (a margin error adds a hint line) to
-stderr and nothing to stdout.
+stderr and nothing to stdout; an outside value it echoes is cut
+(``errors.cut``).  ``table`` reads w and the semigroup table on R(0, c)
+as two arrays.
 
 Each command handler imports the reading layer it reads, so a process
 loads only what its command needs on top of the model layer (``errors``,
@@ -52,15 +54,19 @@ import json
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .classify import certified_omega, classify
 from .errors import (
+    ECHO_CHARS,
     DescriptorError,
     LatcurveError,
     MarginTooSmall,
     RouteDisagreement,
+    cut,
 )
 from .germ import GermDescriptor, build_model, descriptor_from_json
-from .lattice import box, ones, scale
+from .lattice import conductor_values, ones, scale
 
 EXIT_OK, EXIT_INVALID, EXIT_PARSE, EXIT_MARGIN, EXIT_ROUTES = 0, 1, 2, 3, 4
 
@@ -76,7 +82,7 @@ def _parse_point(text):
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise DescriptorError(f"expected a comma-separated integer tuple, got {text!r}")
+        raise DescriptorError(f"expected a comma-separated integer tuple, got {cut(repr(text))}")
 
 
 def _builtin(spec) -> GermDescriptor:
@@ -86,7 +92,7 @@ def _builtin(spec) -> GermDescriptor:
     try:
         values = [int(p) for p in params]
     except ValueError:
-        raise DescriptorError(f"builtin parameters must be integers, got {spec!r}")
+        raise DescriptorError(f"builtin parameters must be integers, got {cut(repr(spec))}")
     return get(name, *values)
 
 
@@ -99,7 +105,8 @@ def _load_descriptor(args) -> GermDescriptor:
             with open(args.germ, "r", encoding="utf-8") as fh:
                 desc = descriptor_from_json(fh.read())
         except (OSError, UnicodeDecodeError) as exc:
-            raise DescriptorError(f"cannot read {args.germ}: {exc}")
+            # the reason may name the path again: room for three echoes
+            raise DescriptorError(cut(f"cannot read {args.germ}: {exc}", 3 * ECHO_CHARS))
     else:
         desc = _builtin(args.builtin)
     if args.bound is not None:
@@ -153,50 +160,38 @@ def cmd_invariants(model, args):
     _emit(report, args, render)
 
 
-def _weight_cell(model, p):
-    w = model.weight.w(p)
-    text = str(w)
-    if model.semigroup.contains(p):
-        text += "*"
-    if p == model.conductor:
-        text = f"[{w}]"
-    return text
-
-
-def render_weight_table(model, out=print):
-    """w on R(0, c), laid out like the reference tables: rows are the
-    second coordinate descending, columns the first ascending; for three
-    or more branches one block per value of the remaining coordinates.
-    Semigroup members are starred, the conductor is bracketed."""
-    c = model.conductor
-    r = model.r
-    if r == 1:
-        cells = [_weight_cell(model, (x,)) for x in range(c[0] + 1)]
-        width = max(len(t) for t in cells)
-        out("l:  " + " ".join(str(x).rjust(width) for x in range(c[0] + 1)))
-        out("w:  " + " ".join(t.rjust(width) for t in cells))
-        return
-    blocks = [()] if r == 2 else list(box(c[2:]))
-    for rest in blocks:
+def render_weight_table(model) -> list[str]:
+    """The lines of w on R(0, c) as the reference tables lay it out, read
+    off two arrays on R(0, c) (``lattice.conductor_values`` and the
+    table's mask): rows l2 descending, columns l1 ascending, for r >= 3
+    one block per (l3, .., lr); members starred, the conductor bracketed."""
+    w = conductor_values(model.weight)
+    values = w.ravel().tolist()
+    members = model.semigroup.mask.ravel().tolist()
+    cells = [f"{v}*" if s else str(v) for v, s in zip(values, members)]
+    cells[-1] = f"[{values[-1]}]"  # c, the last point of R(0, c)
+    if model.r == 1:
+        width = max(map(len, cells))
+        return [
+            "l:  " + " ".join(str(x).rjust(width) for x in range(len(cells))),
+            "w:  " + " ".join(t.rjust(width) for t in cells),
+        ]
+    grid = np.array(cells).reshape(w.shape).transpose(*range(2, model.r), 1, 0)
+    lines = []
+    for rest in np.ndindex(grid.shape[:-2]):  # (l3, .., lr) in row-major order
         if rest:
-            label = ",".join(f"l{i + 3}={v}" for i, v in enumerate(rest))
-            out(f"[{label}]")
-        rows = []
-        for y in range(c[1], -1, -1):
-            rows.append(
-                [_weight_cell(model, (x, y) + rest) for x in range(c[0] + 1)]
-            )
+            lines.append("[" + ",".join(f"l{i + 3}={v}" for i, v in enumerate(rest)) + "]")
+        rows = grid[rest].tolist()  # rows[l2][l1]
         width = max(len(t) for row in rows for t in row)
-        for y, row in zip(range(c[1], -1, -1), rows):
-            out(f"l2={y}: " + " ".join(t.rjust(width) for t in row))
-        out("")
+        for y in reversed(range(len(rows))):
+            lines.append(f"l2={y}: " + " ".join(t.rjust(width) for t in rows[y]))
+        lines.append("")
+    return lines
 
 
 def cmd_table(model, args):
     report = _basic_header(model)
-    lines = []
-    render_weight_table(model, out=lines.append)
-    report["table"] = lines
+    report["table"] = render_weight_table(model)
 
     def render(rep):
         for line in rep["table"]:

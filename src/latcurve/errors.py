@@ -2,7 +2,17 @@
 
 Every error raised on a documented failure path derives from
 :class:`LatcurveError`; the CLI maps the subclasses to exit codes.
+An error text echoes an outside value (a descriptor field, an option
+value, a path) through ``cut``, so its line does not grow with it.
 """
+
+ECHO_CHARS = 60  # the most of an outside value that an error line echoes
+
+
+def cut(text: str, limit: int = ECHO_CHARS) -> str:
+    """``text`` whole if it has at most ``limit`` characters, else its
+    first ``limit`` characters and "..."."""
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 class LatcurveError(Exception):

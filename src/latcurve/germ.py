@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DescriptorError, GridTooLarge, InvalidSeries, MarginTooSmall
+from .errors import DescriptorError, GridTooLarge, InvalidSeries, MarginTooSmall, cut
 from .lattice import (
     MAX_GRID_POINTS,
     HilbertGrid,
@@ -80,7 +80,7 @@ class GermDescriptor:
         if not (_is_int(self.r) and self.r >= 1):
             raise DescriptorError(f"r must be a positive integer, got {self.r!r}")
         if self.kind not in KINDS:
-            raise DescriptorError(f"unknown source kind {_cut(repr(self.kind))}")
+            raise DescriptorError(f"unknown source kind {cut(repr(self.kind))}")
         # with r >= 2 branches no conductor coordinate is 0, so every grid
         # of the germ holds R(0, e) and its 2^r points
         if self.r >= MAX_GRID_POINTS.bit_length():
@@ -94,7 +94,7 @@ class GermDescriptor:
         ):
             raise DescriptorError(
                 f"bound needs {self.r} non-negative integers, "
-                f"got {_cut(repr(self.bound))}"
+                f"got {cut(repr(self.bound))}"
             )
 
     def to_json_dict(self) -> dict:
@@ -149,15 +149,8 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-ECHO_CHARS = 60  # the most of an offending JSON value that an error line echoes
-
-
-def _cut(text: str) -> str:
-    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
-
-
 def _echo(x) -> str:
-    return _cut(json.dumps(x, default=repr))
+    return cut(json.dumps(x, default=repr))
 
 
 def _int64(x, what: str) -> int:
@@ -224,7 +217,7 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         _expect(isinstance(src.get("series"), dict), "poincare source needs 'series'")
         for key, body in src["series"].items():
             J = tuple(sorted(int(x) for x in key.split(",")))
-            shown = _cut(repr(key))
+            shown = cut(repr(key))
             _expect(
                 len(set(J)) == len(J) and 1 <= J[0] and J[-1] <= r,
                 f"series key {shown} must name distinct branches in 1..{r}",

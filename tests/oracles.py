@@ -114,6 +114,11 @@
   from the subcurve series with each P_J embedded in N^r and expanded on
   the whole box R(0, bound), the path ``hilbert_from_poincare`` replaced
   by one expansion per face.
+* ``weight_table_by_points``: the lines of ``latcurve table``, each cell
+  from two checked point reads (``WeightGrid.w`` and
+  ``SemigroupTable.contains``) and the blocks of r >= 3 branches from
+  ``box``: the renderer that ``cli.render_weight_table`` replaced by a
+  read of two arrays on R(0, c).
 * ``fixed_point_poincare_build`` / ``promoted_hilbert_build`` /
   ``rebuilt_subcurve``: the germ builds as first written.  A ``poincare``
   grid is accepted only when the next pass re-detects the same
@@ -1655,3 +1660,33 @@ def hilbert_values(w: WeightGrid) -> np.ndarray:
 def at_one(q: QPoly) -> int:
     """The coefficient polynomial at q = 1."""
     return sum(c for _, c in q.coeffs)
+
+
+def weight_table_by_points(model) -> list[str]:
+    """The weight table's lines, cell by cell: w(l), starred for a
+    member and bracketed at c; rows l2 descending, columns l1 ascending,
+    one block per (l3, .., lr) in the order of ``box``."""
+    c = model.conductor
+
+    def cell(p):
+        w = model.weight.w(p)
+        text = f"{w}*" if model.semigroup.contains(p) else str(w)
+        return f"[{w}]" if p == c else text
+
+    if model.r == 1:
+        cells = [cell((x,)) for x in range(c[0] + 1)]
+        width = max(len(t) for t in cells)
+        return [
+            "l:  " + " ".join(str(x).rjust(width) for x in range(c[0] + 1)),
+            "w:  " + " ".join(t.rjust(width) for t in cells),
+        ]
+    lines = []
+    for rest in box(c[2:]):
+        if rest:
+            lines.append("[" + ",".join(f"l{i + 3}={v}" for i, v in enumerate(rest)) + "]")
+        rows = [[cell((x, y) + rest) for x in range(c[0] + 1)] for y in range(c[1], -1, -1)]
+        width = max(len(t) for row in rows for t in row)
+        for y, row in zip(range(c[1], -1, -1), rows):
+            lines.append(f"l2={y}: " + " ".join(t.rjust(width) for t in row))
+        lines.append("")
+    return lines

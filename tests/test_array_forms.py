@@ -50,10 +50,16 @@
   and ``oracles.table_on_window_by_points``: the same values, the same
   first failure and the same error text, every text shown to occur; and
   the stored ``GermModel.min_w`` and the read-only per-r tables.
+* weight table: ``cli.render_weight_table`` (two arrays on R(0, c))
+  against ``oracles.weight_table_by_points`` (two checked point reads a
+  cell) line by line, on the catalog, the 3-, 4- and 5-fold points and
+  random germs of one, two and three branches, each again on a larger
+  bound, where the lines stay the same.
 """
 
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +81,7 @@ from latcurve import (
 )
 from latcurve.catalog import numerical_semigroup
 from latcurve.classify import certified_omega
+from latcurve.cli import render_weight_table
 from latcurve import germ
 from latcurve.germ import GermDescriptor
 from latcurve.lattice import (
@@ -115,6 +122,7 @@ from oracles import (
     table_on_window_by_points,
     univariate_by_points,
     upset_minima_by_points,
+    weight_table_by_points,
 )
 from test_builds import hilbert_descriptor
 from test_catalog import ALL_SPECS
@@ -924,3 +932,44 @@ def test_the_per_r_constant_tables_are_read_only(r):
             table[(0,) * table.ndim] = 0
     # each r builds its tables once
     assert _per_r(r)[0] is tables[0] and _inclusions(r) is tables[2]
+
+
+# ---------------------------------------------------------------------------
+# the weight table
+
+
+def assert_same_weight_table(desc):
+    """The lines of the array renderer and of the cell-by-cell one agree
+    on the model of ``desc``, and again on the model of a larger bound:
+    the table reads R(0, c) only, so its lines stay the same."""
+    model = build_model(desc)
+    lines = render_weight_table(model)
+    assert lines == weight_table_by_points(model)
+    wider = build_model(replace(desc, bound=tuple(b + 2 for b in model.bound)))
+    assert all(x > y for x, y in zip(wider.bound, model.bound))
+    assert render_weight_table(wider) == weight_table_by_points(wider) == lines
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
+def test_weight_table_matches_the_cell_reads_on_catalog(spec):
+    assert_same_weight_table(get(*spec))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_weight_table_matches_the_cell_reads_on_line_arrangements(r):
+    assert_same_weight_table(line_arrangement(r))
+
+
+@settings(max_examples=25, deadline=None)
+@given(monomial_plane_germs())
+def test_weight_table_matches_the_cell_reads_on_random_plane_germs(germ):
+    assert_same_weight_table(germ[2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(numerical_semigroups())
+def test_weight_table_matches_the_cell_reads_on_random_semigroups(gens):
+    c = conductor_of(gens)
+    assert_same_weight_table(
+        GermDescriptor(r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c)))
+    )

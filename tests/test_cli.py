@@ -305,10 +305,16 @@ def test_exit_code_route_disagreement(monkeypatch, capsys):
         ("D_5", "table"),
         ("A_2", "homology"),
         ("T_4_4", "classify"),
+        # the table of one branch and the blocks of three and four
+        ("E12", "table"),
+        ("D_8", "table"),
+        ("T_4_4", "table"),
     ],
 )
 def test_golden_files_byte_stable(germ, command, capsys):
-    builtin = {"D_5": "D,5", "A_2": "A,2", "T_4_4": "T,4,4"}[germ]
+    builtin = {
+        "D_5": "D,5", "A_2": "A,2", "T_4_4": "T,4,4", "E12": "E12", "D_8": "D,8",
+    }[germ]
     code, out, _ = run_cli([command, "--builtin", builtin, "--format", "json"], capsys)
     assert code == 0
     expected = (FIXTURES / germ / f"{command}.json").read_text(encoding="utf-8")
@@ -710,6 +716,32 @@ def test_an_error_line_echoes_a_bounded_part_of_the_value(tmp_path, capsys, doc,
     # the echo of the offending value is cut, so the line does not grow with it
     code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
     assert (code, out, err) == (2, "", f"error: {want}\n")
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--builtin", LONG],
+        ["table", "--germ", _replaced(A1_BUILTIN, ["source", "name"], LONG)],
+        ["table", "--builtin", "A," + LONG],
+        ["table", "--builtin", "D,5", "--bound", LONG],
+        ["spectral", "--builtin", "D,5", "--e1", LONG],
+        ["spectral", "--builtin", "D,5", "--mincycle", LONG],
+        ["table", "--germ", LONG],
+    ],
+    ids=["builtin-name", "file-builtin-name", "builtin-params", "bound", "e1",
+         "mincycle", "germ-path"],
+)
+def test_an_outside_value_is_echoed_in_a_bounded_line(tmp_path, capsys, argv):
+    # a dict stands for a descriptor file that holds it
+    argv = [_write_descriptor(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) - 1 <= 200
 
 
 @pytest.mark.parametrize(

@@ -277,23 +277,34 @@ def test_no_module_calls_a_numpy_wrapper_of_a_one_call_form():
     assert calls == []
 
 
-def test_only_the_cli_loops_over_points():
-    """No module but ``cli`` (which renders the weight table point by
-    point) iterates the points of ``box(...)`` or calls ``motivic_coeff``:
+def point_loops(tree) -> list:
+    """The lines of every call of ``box`` or ``motivic_coeff`` in a
+    parsed module, as ``box(...)`` or ``x.motivic_coeff(...)``."""
+    return [
+        f"{node.lineno}: {_called_name(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) in ("box", "motivic_coeff")
+    ]
+
+
+def test_no_module_loops_over_points():
+    """No module iterates the points of ``box(...)`` or calls
+    ``motivic_coeff``: the weight table reads two arrays on R(0, c), and
     the motivic callers pass every point they sum to one
     ``coefficient_terms`` call."""
+    # the scan flags a planted call of each form, so it cannot pass by
+    # seeing nothing
+    planted = ast.parse(
+        "for p in box(c):\n    cells.append(lattice.motivic_coeff(h, p))\n"
+    )
+    assert point_loops(planted) == ["1: box", "2: motivic_coeff"]
     package = ROOT / "src" / "latcurve"
-    loops = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _called_name(node)
-            if name in ("box", "motivic_coeff"):
-                loops.append(f"{path.name}:{node.lineno}: {name}")
-    # the scan must see the weight table, not nothing
-    assert [loop for loop in loops if loop.startswith("cli.py:")]
-    assert [loop for loop in loops if not loop.startswith("cli.py:")] == []
+    loops = [
+        f"{path.name}:{loop}"
+        for path in sorted(package.glob("*.py"))
+        for loop in point_loops(ast.parse(path.read_text(), str(path)))
+    ]
+    assert loops == []
 
 
 @pytest.mark.parametrize("command", sorted(LAYERS_OF_COMMAND))
