@@ -211,14 +211,24 @@ def _route_homology(model: GermModel) -> dict:
 def certified_omega(model: GermModel, depth: int) -> tuple[LaurentSeries, GermModel]:
     """The omega series through omega^depth, and the model it was
     certified on: the argument, or a copy grown by 4e at a time (at most
-    six times) until the truncation is certified."""
+    six times) until the truncation is certified.  The series and that
+    bound are found once for the models that share the argument's memo
+    (the subcurve models of one window); each caller gets the argument
+    or its own grown copy."""
     from .motivic import omega_substitution
 
+    memo, key = model._memo, ("omega", depth)
+    if key in memo:
+        series, bound = memo[key]
+        return series, model.ensure_bound(bound)
     for _ in range(6):
         try:
-            return omega_substitution(model.hilbert, model.weight, depth), model
+            series = omega_substitution(model.hilbert, model.weight, depth)
         except TruncationUnsound:
             model = model.ensure_bound(padd(model.bound, scale(4, ones(model.r))))
+        else:
+            memo[key] = series, model.bound
+            return series, model
     raise TruncationUnsound(
         f"omega series through {depth} not certifiable for {model.name}"
     )
@@ -294,11 +304,9 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
         conds["b"] = False
         growth_finite = False
     ok = True
-    omega = {}  # per subcurve model; when r = 2 the complements are branches
     for i in range(1, model.r + 1):
-        sub = model.branch(i)
-        omega[sub] = certified_omega(sub, 0)
-        ok = ok and omega[sub][0].order == 0
+        f_sub = certified_omega(model.branch(i), 0)[0]
+        ok = ok and f_sub.order == 0
     conds["c"] = ok
     if model.r == 1:
         conds["d"] = True
@@ -306,7 +314,7 @@ def classify_motivic(model: GermModel) -> tuple[dict, GermModel]:
         ok = True
         for i in range(1, model.r + 1):
             hat = model.complement(i)
-            fh, hat = omega[hat] if hat in omega else certified_omega(hat, 0)
+            fh, hat = certified_omega(hat, 0)
             good = fh.order == 0
             if not good and fh.order == -1:
                 good = _level(hat, 3)[0].coeff(2) != 0

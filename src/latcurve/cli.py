@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -71,11 +72,23 @@ from .lattice import conductor_values, ones, scale
 EXIT_OK, EXIT_INVALID, EXIT_PARSE, EXIT_MARGIN, EXIT_ROUTES = 0, 1, 2, 3, 4
 
 
+# the outside text that an argparse message echoes whole: a refused value
+# (its repr, before the choices where it has them) or the arguments left
+# over; compiled on the first error, not at import (about 0.25 ms)
+_ECHOED = (
+    r"(?s)((?:invalid choice|invalid int value|unrecognized arguments): )(.*?)"
+    r"( \(choose from [^()]*\))?$"
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument error is a DescriptorError, reported like any other."""
+    """An argument error is a DescriptorError, reported like any other,
+    with the outside text it echoes cut (``errors.cut``)."""
 
     def error(self, message):
-        raise DescriptorError(message)
+        raise DescriptorError(
+            re.sub(_ECHOED, lambda m: m[1] + cut(m[2]) + (m[3] or ""), message)
+        )
 
 
 def _parse_point(text):

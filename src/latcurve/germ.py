@@ -20,6 +20,14 @@ axes of the subcurve.  One function makes every table,
 a subcurve's projection, a replayed guess) at their least conductor and
 checks the table there, additive closure included.  So a ``semigroup``
 source stated on any conductor c' >= c builds the model of c.
+
+A process builds and validates each distinct subcurve once: a subcurve
+request looks up its projected window in one process-wide map, and
+every request for a window it holds gets its own model on the stored
+table and grids, with one shared memo of the minimum weight and of the
+certified omega series.  The map holds at most ``MAX_GRID_POINTS``
+points, and the oldest entry goes first.  It only skips repeated work,
+so no output depends on it.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .lattice import (
     conductor_grid,
     delta as delta_of,
     gorenstein_symmetry,
+    held_points,
     hilbert_from_semigroup,
     leq,
     min_weight,
@@ -287,7 +296,10 @@ class GermModel(Record, eq=False):
     A model is a value: growing it returns a new model, and its grids
     are read-only.  Like its grids it compares and hashes by identity.
     The subcurve cache only memoizes models that are themselves
-    functions of the grids.
+    functions of the grids, and ``_memo`` only values that are functions
+    of the grids: the minimum weight, and the series and bound of
+    ``classify.certified_omega``.  The subcurve models of one window
+    share it (``_subcurve_on``).
     """
 
     _fields = ("descriptor", "r", "semigroup", "hilbert", "weight", "name")
@@ -303,7 +315,7 @@ class GermModel(Record, eq=False):
     ):
         vars(self).update(
             descriptor=descriptor, r=r, semigroup=semigroup, hilbert=hilbert,
-            weight=weight, name=name, _subcurves={},
+            weight=weight, name=name, _subcurves={}, _memo={},
         )
 
     # -- invariants ------------------------------------------------------
@@ -326,10 +338,14 @@ class GermModel(Record, eq=False):
 
     @property
     def min_w(self) -> int:
-        """min w over R(0, c), read off the weight grid on first use and
-        stored outside ``_fields``, as a table stores its m."""
+        """min w over R(0, c), read off the weight grid once for the models
+        that share this model's memo, and stored outside ``_fields``, as a
+        table stores its m."""
         if "_min_w" not in vars(self):
-            vars(self)["_min_w"] = min_weight(self.weight)
+            memo = self._memo
+            if "min_w" not in memo:
+                memo["min_w"] = min_weight(self.weight)
+            vars(self)["_min_w"] = memo["min_w"]
         return self._min_w
 
     @property
@@ -369,7 +385,8 @@ class GermModel(Record, eq=False):
         rule) in R(0, c) with the same J-part.  The subcurve's
         conductor is <= c_J, as each l_J >= c_J is the J-part of the member
         (l_J, c_K) >= c.  So ``_certified_table`` reads the exact table off
-        that window, as it reads the window of a ``poincare`` expansion.
+        that window, as it reads the window of a ``poincare`` expansion,
+        once per window in a process (``_subcurve_on``).
         """
         J = tuple(sorted(set(branches)))
         if not J or J[0] < 1 or J[-1] > self.r:
@@ -379,16 +396,8 @@ class GermModel(Record, eq=False):
         if J in self._subcurves:
             return self._subcurves[J]
         others = tuple(i for i in range(self.r) if i + 1 not in J)
-        table = _certified_table(self.semigroup.mask.any(axis=others))
-        desc = GermDescriptor(
-            r=len(J),
-            kind="semigroup",
-            payload=(table.conductor, table.points()),
-            name=f"{self.name or 'germ'}|{','.join(map(str, J))}",
-        )
-        sub = _model_on(
-            desc, table, canonical_bound(table.conductor, table.multiplicity())
-        )
+        name = f"{self.name or 'germ'}|{','.join(map(str, J))}"
+        sub = _subcurve_on(self.semigroup.mask.any(axis=others), name)
         self._subcurves[J] = sub
         return sub
 
@@ -398,6 +407,57 @@ class GermModel(Record, eq=False):
     def complement(self, i: int) -> "GermModel":
         """The union of every branch except the i-th."""
         return self.subcurve(tuple(j for j in range(1, self.r + 1) if j != i))
+
+
+class _WindowMap(dict):
+    """The subcurve models of a process by projected window, the key
+    (shape, bytes): the table, grids and memo the window's models share,
+    and the points the entry holds (window and grids, read through
+    ``lattice``).  At most ``MAX_GRID_POINTS`` points in all; insertion
+    order is age, and the oldest entry goes first."""
+
+    points = 0
+
+    def add(self, key: tuple, model: GermModel) -> None:
+        size = len(key[1]) + held_points(model.hilbert) + held_points(model.weight)
+        while self and self.points + size > MAX_GRID_POINTS:
+            self.points -= self.pop(next(iter(self)))[-1]
+        if size <= MAX_GRID_POINTS:
+            self[key] = (model.semigroup, model.hilbert, model.weight, model._memo, size)
+            self.points += size
+
+    def clear(self) -> None:
+        super().clear()
+        self.points = 0
+
+
+_SUBCURVES = _WindowMap()
+
+
+def _subcurve_on(members: np.ndarray, name: str) -> GermModel:
+    """The model of the subcurve whose projected window is ``members``,
+    named ``name``: on the first request for the window, the table read
+    off it and a model on its canonical bound; on a later one, a new
+    model on the stored table, grids and memo."""
+    key = (members.shape, members.tobytes())
+    if key not in _SUBCURVES:
+        table = _certified_table(members)
+        model = _model_on(
+            _subcurve_descriptor(table, name), table,
+            canonical_bound(table.conductor, table.multiplicity()),
+        )
+        _SUBCURVES.add(key, model)
+        return model
+    table, hilbert, weight, memo, _ = _SUBCURVES[key]
+    model = GermModel(_subcurve_descriptor(table, name), table.r, table, hilbert, weight, name)
+    vars(model)["_memo"] = memo
+    return model
+
+
+def _subcurve_descriptor(table: SemigroupTable, name: str) -> GermDescriptor:
+    return GermDescriptor(
+        r=table.r, kind="semigroup", payload=(table.conductor, table.points()), name=name
+    )
 
 
 def canonical_bound(c: Point, m: Point) -> Point:

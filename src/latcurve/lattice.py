@@ -25,10 +25,11 @@ hold R(0, min(max(c, e) + e, bound)) (``conductor_grid``), so a grid
 whose bound passes its box holds every cube of R(0, c); a grid made from
 a whole array holds that array.  Every read past top follows the closed
 form in this module, and no other module reads a held array: ``_read``
-and ``values_at`` read points, ``corner_values`` gathers cubes, and
-``values_on`` writes out a box.  So every check runs on R(0, c) and
-covers every grid: ``hilbert_from_semigroup`` integrates and checks on
-R(0, c), and ``WeightGrid.validate`` checks |w| <= |l| on R(0, c).  No
+and ``values_at`` read points, ``corner_values`` gathers cubes,
+``values_on`` writes out a box, and ``held_points`` counts the values
+held.  So every check runs on R(0, c) and covers every grid:
+``hilbert_from_semigroup`` integrates and checks on R(0, c), and
+``WeightGrid.validate`` checks |w| <= |l| on R(0, c).  No
 grid may answer for more than ``MAX_GRID_POINTS`` points
 (``require_grid``), on its bound, whatever box it holds.  All arithmetic
 is exact; tables and grids are frozen values whose arrays are made
@@ -58,7 +59,7 @@ Point = tuple[int, ...]
 
 # The most points a grid R(0, L) may answer for: 2^22, about 4.2 million.
 # The largest bound of the catalog, the benchmark ladders and the tests is
-# D_40's 36^3 = 46656 points, of which its grids hold 21 * 21 * 3 = 1323.
+# D_40's 36^3 = 46656 points, of which its grids hold 22 * 22 * 4 = 1936.
 # At the limit an int64 array takes 34 MB, and the model, its minima and
 # its motivic arrays hold a few per axis.
 MAX_GRID_POINTS = 1 << 22
@@ -508,6 +509,11 @@ class _Grid(Record, eq=False):
         grid = object.__new__(type(self))
         vars(grid).update(vars(self), bound=tuple(bound))
         return grid
+
+
+def held_points(grid: _Grid) -> int:
+    """The number of values the grid holds, on its box R(0, top)."""
+    return grid.held.size
 
 
 def _read(grid: _Grid, p: Point) -> int:

@@ -13,7 +13,9 @@ Every query makes one read (``_ranks``) of the rows l it needs, each
 level or box from ``lattice``: one point, a level, the levels below
 j*|m| and j*m, or a ``pe_series`` box (one read per degree).  The read
 gathers the 2^r corners of every row at once (``lattice.corner_values``),
-within the grid budget, and reduces each distinct mask once.
+within the grid budget, and reduces each distinct mask once: a process
+keeps the ranks of the last 1024 (mask, r, degree) it reduced
+(``_rank``), and no output depends on them.
 
 Entries are torsion-free and vanish unless n = w(l) + k; both facts are
 enforced, not assumed, at every point a query reads.
@@ -56,10 +58,12 @@ class MinimalCycleGroup(Record):
         return self.rank != 0
 
 
-def _rank(pattern: int, r: int, k: int) -> tuple[int, list]:
+@functools.lru_cache(maxsize=1024)
+def _rank(pattern: int, r: int, k: int) -> tuple[int, tuple]:
     """(rank, torsion) of the subset complex of a mask in degree k: the
-    refined rank, and the torsion of the boundary out of degree k + 1.
-    Only the boundaries of degrees k and k + 1 are reduced."""
+    refined rank, and the torsion of the boundary out of degree k + 1, a
+    tuple.  Only the boundaries of degrees k and k + 1 are reduced, once
+    per (mask, r, k) in a process while it stays among the last 1024."""
     cells: dict[int, list[int]] = {}
     for sub in range(1 << r):
         if pattern >> sub & 1:
@@ -81,7 +85,7 @@ def _rank(pattern: int, r: int, k: int) -> tuple[int, list]:
         return smith_invariants(cols)
 
     rank_up, torsion = boundary(k + 1)
-    return len(cells.get(k, ())) - boundary(k)[0] - rank_up, torsion
+    return len(cells.get(k, ())) - boundary(k)[0] - rank_up, tuple(torsion)
 
 
 def _masks(corners: np.ndarray, n, r: int) -> tuple[list[int], np.ndarray]:
@@ -147,7 +151,7 @@ def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:
         ell, n = tuple(at[i].tolist()), int(np.broadcast_to(n, off.shape)[i, 0])
         if torsion[i]:
             raise TorsionFound(
-                f"E1 entry at l={ell}, k={k}, n={n} has torsion {reduced[index[i]][1]}"
+                f"E1 entry at l={ell}, k={k}, n={n} has torsion {list(reduced[index[i]][1])}"
             )
         raise LatcurveError(
             f"support law violated: nonzero entry at l={ell}, k={k}, n={n} "

@@ -41,3 +41,21 @@ def report_of(model_of):
         return cache[key]
 
     return factory
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty the two process-wide memos, the subcurve map of ``germ`` and
+    the E1 ranks of ``spectral``, so that the test sees first builds and
+    first reductions whatever ran before it, and again after it, so that
+    nothing a patched test memoized outlives it; the test may call the
+    returned function to empty them in between."""
+    from latcurve import germ, spectral
+
+    def clear():
+        germ._SUBCURVES.clear()
+        spectral._rank.cache_clear()
+
+    clear()
+    yield clear
+    clear()

@@ -914,7 +914,9 @@ def test_table_on_window_matches_the_points_on_every_outcome(model_of):
 # the stored minimum weight and the per-r constants
 
 
-def test_min_w_is_the_minimum_weight_on_every_germ_copy_and_subcurve(model_of):
+def test_min_w_is_the_minimum_weight_on_every_germ_copy_and_subcurve(
+    model_of, cold_memos
+):
     for spec in ALL_SPECS:
         model = model_of(*spec)
         grown = model.ensure_bound(tuple(b + 3 for b in model.bound))

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import latcurve
 from latcurve import GermDescriptor, build_model, cli, germ, get, lattice
 from latcurve.catalog import numerical_semigroup
 from latcurve.errors import InvalidSeries
@@ -42,6 +43,8 @@ from oracles import (
     restrict_to_subcurve,
 )
 from test_catalog import ALL_SPECS
+from test_e1_engine import count_calls
+from test_identity import bench_workloads, ladder_keys, ladder_model
 
 LARGE = [("A", 61), ("D", 69), ("T", 3, 67), ("T", 9, 13)]
 POINCARE_SPECS = [s for s in ALL_SPECS + LARGE if get(*s).kind == "poincare"]
@@ -401,7 +404,7 @@ def test_every_table_holds_the_conductor_box(source):
     assert_table_on_conductor_box(grown)
 
 
-def test_min_closure_runs_once_per_table(monkeypatch):
+def test_min_closure_runs_once_per_table(monkeypatch, cold_memos):
     calls = []
     upset_minima = lattice.upset_minima
 
@@ -421,7 +424,7 @@ def test_min_closure_runs_once_per_table(monkeypatch):
     assert len(calls) == 3
 
 
-def test_one_table_reader_per_table(monkeypatch):
+def test_one_table_reader_per_table(monkeypatch, cold_memos):
     """Each table costs one ``lattice.table_on_window`` call, the one
     maker: a ``semigroup`` build (its member list read as the window of
     its stated conductor), a ``poincare`` build whose replay detects
@@ -569,3 +572,78 @@ def test_subcurve_delta_is_hironakas_sum(germ_data):
             _intersection(bi, bj) for bi, bj in itertools.combinations(picked, 2)
         )
         assert model.subcurve(J).delta == expected
+
+
+# ---------------------------------------------------------------------------
+# the process-wide subcurve map: one table and one pair of grids per window
+
+
+def test_t44_reads_two_tables_for_its_eight_subcurves(monkeypatch, cold_memos):
+    """T_{4,4} has four smooth branches and four complements of three
+    lines: two windows, so two ``table_on_window`` calls.  Each request
+    gets its own model, named after its branches, on the table and the
+    grids of its window."""
+    model = build_model(get("T", 4, 4))
+    calls = count_calls(monkeypatch, germ, "table_on_window")
+    subs = [model.branch(i) for i in range(1, 5)] + [model.complement(i) for i in range(1, 5)]
+    assert len(calls) == 2
+    assert len(set(map(id, subs))) == 8
+    assert [sub.name for sub in subs] == [
+        f"T_{{4,4}}|{J}" for J in ("1", "2", "3", "4", "2,3,4", "1,3,4", "1,2,4", "1,2,3")
+    ]
+    for group in (subs[:4], subs[4:]):
+        assert all(sub.semigroup is group[0].semigroup for sub in group)
+        assert all(sub.weight is group[0].weight for sub in group)
+    assert_same_subcurves(model, model)
+
+
+def test_every_ladder_subcurve_from_a_warm_map_equals_its_rebuild(monkeypatch, cold_memos):
+    """Once every ladder germ has asked for its proper subcurves, a fresh
+    build of each reads every subcurve from the map (no table is read
+    again), and each equals its rebuild from a ``semigroup`` descriptor:
+    descriptor JSON, name, bound and arrays."""
+    keys = ladder_keys()
+    for key in keys:
+        model = ladder_model(key)
+        for size in range(1, model.r):
+            for J in itertools.combinations(range(1, model.r + 1), size):
+                model.subcurve(J)
+    models = [ladder_model(key) for key in keys]
+    misses = count_calls(monkeypatch, germ, "_certified_table")
+    for model in models:
+        assert_same_subcurves(model, model)
+    assert misses == []
+
+
+def test_classify_ladder_verdicts_are_the_same_cold_and_warm(cold_memos):
+    """The benchmark's verdict digests of every classify-ladder job, with
+    the memos emptied before each job and then with all of them warm,
+    equal the recorded ones."""
+    workloads = bench_workloads()
+    keys = workloads.all_jobs("classify-ladder")
+    reference = workloads.load_reference("classify-ladder")
+    cold = {}
+    for key in keys:
+        cold_memos()
+        cold[key] = workloads.classify_job(latcurve, key)()
+    warm = {key: workloads.classify_job(latcurve, key)() for key in keys}
+    assert cold == warm == {key: reference[key] for key in keys}
+
+
+def test_windows_planted_past_the_point_bound_evict_the_oldest(monkeypatch, cold_memos):
+    """With the bound lowered to the points of two windows, a third window
+    evicts the oldest, and then fits; the map stays within its bound, and
+    a new request for the evicted window reads its table again."""
+    shelf = germ._SUBCURVES
+    for n in (9, 7):
+        build_model(get("D", n)).branch(1)
+    oldest, kept = shelf
+    monkeypatch.setattr(germ, "MAX_GRID_POINTS", shelf.points)
+    build_model(get("D", 5)).branch(1)
+    newest = next(key for key in shelf if key not in (oldest, kept))
+    assert list(shelf) == [kept, newest]
+    assert shelf.points == sum(entry[-1] for entry in shelf.values()) <= germ.MAX_GRID_POINTS
+    model = build_model(get("D", 9))
+    misses = count_calls(monkeypatch, germ, "_certified_table")
+    model.branch(1)
+    assert len(misses) == 1

@@ -731,9 +731,13 @@ LONG = "x" * 5000
         ["spectral", "--builtin", "D,5", "--e1", LONG],
         ["spectral", "--builtin", "D,5", "--mincycle", LONG],
         ["table", "--germ", LONG],
+        [LONG, "--builtin", "D,5"],
+        ["table", "--builtin", "D,5", "--format", LONG],
+        ["motivic", "--builtin", "D,5", "--depth", LONG],
+        ["table", "--builtin", "D,5", LONG],
     ],
     ids=["builtin-name", "file-builtin-name", "builtin-params", "bound", "e1",
-         "mincycle", "germ-path"],
+         "mincycle", "germ-path", "command", "format", "depth", "unrecognized"],
 )
 def test_an_outside_value_is_echoed_in_a_bounded_line(tmp_path, capsys, argv):
     # a dict stands for a descriptor file that holds it

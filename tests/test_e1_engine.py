@@ -129,7 +129,7 @@ def test_e1_matches_scalar_engine_on_random_value_grids(w):
 
 
 def test_pe_series_reduces_each_distinct_pattern_once_per_degree(
-    model_of, monkeypatch
+    model_of, monkeypatch, cold_memos
 ):
     """pe_series(T_{4,4}) reduces the boundaries of degrees k and k + 1
     once for each distinct admissible bitmask met in degree k."""

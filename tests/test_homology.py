@@ -316,6 +316,44 @@ def test_filtered_reduction_on_random_value_grids(w):
     assert_same_pairs(w)
 
 
+# the slow path of the filtered reduction: the columns that no apparent pair
+# settles are popped off a queue and reduced in Python
+
+
+def reduced_columns(monkeypatch, w) -> int:
+    """The columns that ``lattice_homology(w)`` reduces in Python, counted
+    as the pops of the queue of ``homology.filtered_reduction``; the
+    report must equal the per-level engine's."""
+    import importlib
+
+    hom = importlib.import_module("latcurve.homology")
+    pops = []
+    real = hom.heappop
+    monkeypatch.setattr(hom, "heappop", lambda queue: pops.append(1) or real(queue))
+    assert_same_homology(hom.lattice_homology(w), per_level_lattice_homology(w))
+    return len(pops)
+
+
+def test_the_python_loop_reduces_columns_of_d41(monkeypatch, model_of):
+    # 19 of its 80 squares, under the base tie-break of ``_cell_order``
+    assert reduced_columns(monkeypatch, model_of("D", 41).weight) > 0
+
+
+def test_the_python_loop_reduces_a_collision_of_one_base(monkeypatch):
+    """On the cube R(0, e) of r = 3, weight 0 at 0, 1 at e and -1
+    elsewhere, the squares at 0 along (e_1, e_3) and along (e_2, e_3)
+    enter at 0, and the last edge of each is the edge at 0 along e_3:
+    the three edges of weight 0 share the base 0, so their masks order
+    them, whatever the order of the bases.  The cube enters at 1 and
+    takes a square through e, so neither square is cleared, and the
+    second of them is reduced."""
+    values = np.full((2, 2, 2), -1)
+    values[0, 0, 0], values[1, 1, 1] = 0, 1
+    w = WeightGrid(r=3, bound=(1, 1, 1), values=values, multiplicity=(1, 1, 1),
+                   conductor=(1, 1, 1))
+    assert reduced_columns(monkeypatch, w) > 0
+
+
 def test_torsion_from_smith_forms_without_unit_pivot_certificate(monkeypatch, model_of):
     import importlib
 

@@ -25,11 +25,17 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "ladder_models.json"
 
 
-def ladder_keys() -> list[str]:
+def bench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def ladder_keys() -> list[str]:
+    workloads = bench_workloads()
     return sorted(
         set(workloads.all_jobs("homology-ladder"))
         | set(workloads.all_jobs("classify-ladder"))
@@ -46,11 +52,16 @@ def model_digest(model) -> str:
     return digest.hexdigest()
 
 
+def ladder_model(key: str):
+    """The model of a ladder key, catalog arguments such as ``T,3,13``."""
+    name, *params = key.split(",")
+    return build_model(get(name, *map(int, params)))
+
+
 def germ_digests(key: str) -> dict[str, str]:
     """The digest of the germ (under "") and of each proper subcurve
     (under its comma-joined branches)."""
-    name, *params = key.split(",")
-    model = build_model(get(name, *map(int, params)))
+    model = ladder_model(key)
     out = {"": model_digest(model)}
     for size in range(1, model.r):
         for J in itertools.combinations(range(1, model.r + 1), size):

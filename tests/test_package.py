@@ -241,6 +241,47 @@ def test_only_lattice_reads_a_held_grid():
     assert [read for read in reads if not read.startswith("lattice.py:")] == []
 
 
+def memo_caches(tree) -> list:
+    """(line, bounded) for each functools ``lru_cache`` or ``cache`` in
+    ``tree``: bounded when it is called with an integer ``maxsize``."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if name not in ("lru_cache", "cache") or not isinstance(node, (ast.Attribute, ast.Name)):
+            continue
+        call = calls.get(id(node))
+        sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1] if call else []
+        bounded = any(isinstance(s, ast.Constant) and type(s.value) is int for s in sizes)
+        found.append((node.lineno, bounded))
+    return found
+
+
+def test_every_memo_cache_is_bounded():
+    """Every ``functools.lru_cache`` in ``src/`` has an integer maxsize,
+    so no memo grows with the work of a process."""
+    # the scan tells the planted forms apart, so it cannot pass by seeing
+    # nothing
+    planted = ast.parse(
+        "@functools.lru_cache\ndef f(): pass\n"
+        "@lru_cache(maxsize=None)\ndef g(): pass\n"
+        "@functools.cache\ndef h(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef k(): pass\n"
+        "@lru_cache(64)\ndef n(): pass\n"
+    )
+    assert sorted(memo_caches(planted)) == [
+        (1, False), (3, False), (5, False), (7, True), (9, True)
+    ]
+    package = ROOT / "src" / "latcurve"
+    caches = [
+        (path.name, line, bounded)
+        for path in sorted(package.glob("*.py"))
+        for line, bounded in memo_caches(ast.parse(path.read_text(), str(path)))
+    ]
+    assert len(caches) >= 4
+    assert [cache for cache in caches if not cache[2]] == []
+
+
 # numpy's Python-level wrappers, each a few us a call against a few tenths
 # of a us for the method, slice or assignment it wraps
 NUMPY_WRAPPERS = ("moveaxis", "flip", "array_equal", "column_stack", "any", "all")

@@ -178,7 +178,7 @@ def test_seeded_matrices_reach_remainder_rounds(shape, values):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: "_".join(map(str, s)))
-def test_catalog_e1_traffic_has_unit_pivots_only(spec, model_of, monkeypatch):
+def test_catalog_e1_traffic_has_unit_pivots_only(spec, model_of, monkeypatch, cold_memos):
     # every Smith reduction of pe_series and classify eliminates only +-1
     # pivots, so none reaches _invariant_factors, which normalizes the rest
     calls, normalized = [], []

@@ -1,10 +1,12 @@
 import itertools
+import re
 from math import comb
 
 import pytest
 
 from latcurve import (
     MarginTooSmall,
+    TorsionFound,
     UndefinedWeight,
     e1_level,
     e1_refined,
@@ -14,6 +16,23 @@ from latcurve import (
 from latcurve.lattice import norm
 
 from oracles import pe_univariate
+
+
+def test_torsion_is_named_as_a_list_from_a_fresh_or_a_memoized_rank(
+    model_of, monkeypatch, cold_memos
+):
+    """A reduction that reports torsion raises TorsionFound naming the
+    entry and its invariant factors, on the first read of the mask and
+    again when its rank comes from the memo."""
+    from latcurve import spectral
+
+    real = spectral.smith_invariants
+    monkeypatch.setattr(spectral, "smith_invariants", lambda cols: (real(cols)[0], [2]))
+    want = "E1 entry at l=(0, 0), k=0, n=5 has torsion [2]"
+    for _ in range(2):
+        with pytest.raises(TorsionFound, match=re.escape(want)):
+            e1_refined(model_of("D", 5).weight, (0, 0), 0, 5)
+    assert spectral._rank.cache_info().hits >= 1
 
 
 def test_refined_entry_d5(model_of):
