@@ -10,17 +10,21 @@ filtered complex once (``filtered_reduction``): a k-interval
 [birth, death) adds one to b_k(S_n) for birth <= n < death, and one to
 the rank of H_k(S_n) -> H_k(S_{n+1}) for birth <= n and death > n + 1;
 both counts are running sums over n of +1/-1 marks at the interval ends.
-The cubes are ordered by one ``np.lexsort`` and each cube's faces are
-read from per-mask arrays of filtration indices, so building the columns
-needs no Python loop over the cubes.  The reduction reads those arrays
-as they are.  It pairs the edges with a union-find (the elder rule) and
-the higher cubes top dimension first, skipping the cubes that are
-already pivot rows one dimension up (clearing).  In each dimension the
-apparent pairs, a column and its lowest row when no earlier column
-claims that row, are found in numpy; a Python loop reduces only the few
-columns whose lowest rows collide.  These shortcuts keep the pairs and
-every pivot of the plain reduction of all columns, so the unit-pivot
-certificate is unchanged.
+The cubes are ordered by one ``np.lexsort``, cubes of equal value and
+dimension by descending base, and each cube's faces are read from
+per-mask arrays of filtration indices, so building the columns needs no
+Python loop over the cubes.  The reduction reads those arrays as they
+are.  It pairs the higher cubes top dimension first, skipping the cubes
+that are already pivot rows one dimension up (clearing), and then the
+edges.  In each dimension the apparent pairs, a column and its lowest
+row when no earlier column claims that row, are found in numpy; a Python
+loop reduces only the few columns whose lowest rows collide.  An edge
+that is the first to touch its younger vertex kills that vertex, and is
+paired in numpy too; a union-find (the elder rule) joins only the trees
+those edges span, over the other edges.  The descending base leaves
+few collisions: the catalog reduces 19 of its 2,933 higher cubes in
+Python.  These shortcuts keep the pairs and every pivot of the plain
+reduction of all columns, so the unit-pivot certificate is unchanged.
 When every pivot is +-1 each H_k(S_n) is torsion-free.  Otherwise the
 torsion of H_k(S_n) comes from a Smith reduction of the (k+1)-columns of
 S_n: every S_n is a prefix of the filtration order, so these columns are
@@ -39,8 +43,7 @@ from math import gcd
 import numpy as np
 
 from .errors import EulerMismatch
-from .lattice import Record, WeightGrid, axis_step, conductor_values, min_weight
-from .lattice import norm, require_grid
+from .lattice import Record, WeightGrid, axis_step, conductor_values, norm, require_grid
 
 
 class HomologyReport(Record, frozen=False):
@@ -103,17 +106,23 @@ def _cell_order(values: np.ndarray, r: int):
     Returns ``(value, dim, position)``: the max vertex weight and the
     dimension of the j-th cube, and for each direction mask an array over
     the bases of the cubes it spans holding their index j.  Cubes are
-    ordered by (value, dim, base, mask), bases compared as row-major flat
-    indices, that is lexicographically; a face never comes after its
-    cofaces, so every prefix up to a value n is the complex S_n.  The
-    last three keys are sorted as one, dim * M + base * 2^r + mask with
-    M = 2^r * (number of points).  A germ's grid holds at most 2^22
+    ordered by (value, dim, base descending, mask), bases compared as
+    row-major flat indices, that is lexicographically; a face never comes
+    after its cofaces, so every prefix up to a value n is the complex S_n.
+    Any order by (value, dim) gives the same report.  Of the four orders
+    with bases and masks each ascending or descending, the descending
+    base ties for the fewest columns left to the Python loop of
+    ``filtered_reduction``: 91 over the benchmark's homology ladder,
+    against 594 with ascending bases, as Ripser orders simplices of
+    equal value so that most pairs are apparent (U. Bauer, 2021).  The
+    last three keys are sorted as one, dim * M + (points - 1 - base) *
+    2^r + mask with M = 2^r * points.  A germ's grid holds at most 2^22
     points and at least 2^r, so that key, below (r + 1) M, fits int64;
     ``cube_max_tables`` holds the cubes to 2^22 as well, so j is int32.
     """
     tables = cube_max_tables(values, r)
     sizes = [t.size for t in tables.values()]
-    flat = np.arange(values.size).reshape(values.shape)
+    flat = np.arange(values.size - 1, -1, -1).reshape(values.shape)  # points - 1 - base
     value = np.concatenate([t.ravel() for t in tables.values()])
     base = np.concatenate([flat[tuple(map(slice, t.shape))].ravel() for t in tables.values()])
     shift = values.size << r
@@ -203,7 +212,27 @@ def filtered_reduction(boundaries: dict):
       so pairing them needs only the components.  An edge joining two
       components kills the younger one, whose oldest vertex is the
       pivot row (the elder rule of Edelsbrunner-Letscher-Zomorodian);
-      its pivot is +-1.
+      its pivot is +-1.  A kept edge j that is no loop and is the first
+      kept edge to touch its younger vertex y pairs with y in numpy.
+      These apparent edges span a forest, y a child of the older end of
+      j; pointer jumping finds its roots, and the union-find runs only
+      on the other kept edges, each end replaced by its root.  The pairs
+      stay the same:
+
+      1. A vertex is alone until its first edge: only kept edges join
+         components, since a cleared edge closes a cycle.  So when j
+         comes, y is a component of its own, the other end lies with
+         older vertices, and the elder rule pairs (y, j).
+      2. A vertex's ancestors join before it does: j touches y's parent,
+         whose own first edge so comes before j.  So at any other edge
+         e, the vertices whose apparent edge is still to come form
+         subtrees that each hang from one vertex already joined; adding
+         them early joins no two components, and e touches none of them.
+      3. The oldest vertex of a component is the oldest root it holds:
+         in a component that e touches, each vertex with a parent has
+         it in the component, and the oldest vertex has none.  So at e
+         the union-find over roots meets the components of the plain
+         one, with the same oldest vertices, and pairs the same vertex.
 
     A column of dimension >= 2 whose lowest row i is owned by an earlier
     column with pivot p is cleared by ``col_j <- p*col_j - a*col_i`` (a
@@ -279,8 +308,26 @@ def filtered_reduction(boundaries: dict):
         killer += [cells[apparent], cells[taken]]
     cells, faces, _ = boundaries[1]
     keep = ~pivot_row[cells]
-    edges = zip(cells[keep].tolist(), faces[keep, 0].tolist(), faces[keep, 1].tolist())
-    parent = {}  # vertex -> an older vertex of its component
+    cells, ends = cells[keep], faces[keep]
+    u, v = ends[:, 0], ends[:, 1]
+    young, old = np.maximum(u, v), np.minimum(u, v)
+    # apparent edges: no loop, and the first edge to touch their younger end
+    at = np.arange(cells.size)
+    first = np.full(size, cells.size)  # vertex -> position of its first edge
+    np.minimum.at(first, ends.ravel(), at.repeat(2))
+    apparent = ((first[young] == at) & (young != old)).nonzero()[0]
+    born += [young[apparent]]
+    killer += [cells[apparent]]
+    # the roots of the forest y -> old those edges span, by pointer jumping
+    root = np.arange(size)
+    root[young[apparent]] = old[apparent]
+    up = root[root]
+    while (up != root).any():
+        root, up = up, up[up]
+    rest = np.ones(cells.size, dtype=bool)
+    rest[apparent] = False
+    edges = zip(cells[rest].tolist(), *root[ends[rest]].T.tolist())
+    parent = {}  # forest root -> an older root of its component
     pairs = []
     for j, u, v in edges:
         ru = u
@@ -322,7 +369,7 @@ def lattice_homology(w: WeightGrid) -> HomologyReport:
     """Homology of every sublevel complex plus U-map ranks, from one
     filtered reduction of the conductor rectangle."""
     values = conductor_values(w)
-    n_min, n_top = min_weight(w), int(values.max())
+    n_min, n_top = int(values.min()), int(values.max())
     levels = range(n_min, n_top + 1)
     r = w.r
     value, dim, boundaries, born, killer, unit_pivots = filtered_pairs(values, r)

@@ -199,11 +199,15 @@ def box(hi: Point):
     return itertools.product(*(range(b + 1) for b in hi))
 
 
+@functools.lru_cache(maxsize=256)
 def window(hi: Point) -> tuple:
-    """Index of the box R(0, hi) in a grid array."""
+    """Index of the box R(0, hi) in a grid array.  It and ``axis_step``
+    are built once per argument: a job reads the same few slices many
+    times."""
     return tuple(slice(0, b + 1) for b in hi)
 
 
+@functools.lru_cache(maxsize=64)
 def axis_step(axis: int, r: int) -> tuple:
     """Indices (lo, hi) of the points l and l + e_axis of an array of r
     axes, over every l with both in it: a step is ``a[hi] - a[lo]``."""

@@ -10,9 +10,10 @@
   exact sequence of the pair.  It is the engine the filtered reduction
   replaced, torsion fallback included.
 * ``column_pairs``: the filtered reduction as first written, one dict
-  column per cube from ``boundary`` and a sorted list of (value, dim,
-  base, mask) tuples, reduced by the plain lowest-one reduction over Z
-  with no clearing and no union-find (``plain_filtered_reduction``).
+  column per cube from ``boundary``, the cubes sorted by (value, dim,
+  base descending, mask), bases compared as coordinate tuples, and
+  reduced by the plain lowest-one reduction over Z with no clearing, no
+  apparent pairs and no union-find (``plain_filtered_reduction``).
 * ``reference_filtered_reduction`` / ``reference_pairs``: the filtered
   reduction with clearing and union-find but one Python dict per column
   and no apparent pairs, the engine that ``homology.filtered_reduction``
@@ -157,7 +158,7 @@ from latcurve.germ import (
     _resolve_bound,
     build_model,
 )
-from latcurve.homology import HomologyReport, cube_max_tables, min_weight
+from latcurve.homology import HomologyReport, cube_max_tables
 from latcurve.lattice import (
     HilbertGrid,
     Point,
@@ -167,6 +168,7 @@ from latcurve.lattice import (
     box,
     conductor_values,
     leq,
+    min_weight,
     norm,
     norm_array,
     ones,
@@ -517,12 +519,13 @@ def as_pairs(born, killer):
 
 
 def sorted_cubes(values, r):
-    """Every cube of the box as (value, dim, base, mask), sorted."""
+    """Every cube of the box as (value, dim, base, mask), sorted by value,
+    then dim, then base in decreasing lexicographic order, then mask."""
     cubes = []
     for mask, table in cube_max_tables(values, r).items():
         k = bin(mask).count("1")
         cubes.extend((int(v), k, base, mask) for base, v in np.ndenumerate(table))
-    cubes.sort()
+    cubes.sort(key=lambda cube: (cube[0], cube[1], [-x for x in cube[2]], cube[3]))
     return cubes
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from latcurve.classify import (
     SUB_A,
     SUB_D,
     SUB_E,
+    WILD,
     _route_homology,
     classify_finite_pointwise,
     classify_motivic,
@@ -263,6 +266,61 @@ def test_finite_monomial_curves_are_greuel_knoerrer(gens):
         r=1, kind="semigroup", payload=((c,), numerical_semigroup(gens, c))
     )
     assert (classify(build_model(desc)).cmtype == FINITE) == finite, gens
+
+
+# ---------------------------------------------------------------------------
+# a census of numerical semigroups: every one up to genus 12, classified
+
+
+@lru_cache(maxsize=1)
+def semigroup_tree(max_genus: int = 15) -> list:
+    """The numerical semigroups of genus 0..max_genus, one list per
+    genus, each semigroup as its set of gaps.  They are the nodes of the
+    semigroup tree: N is the root, and the children of S are S minus each
+    minimal generator of S above its Frobenius number (Rosales and
+    Garcia-Sanchez, Numerical Semigroups, Springer 2009).  A minimal
+    generator is no sum of two nonzero members; those above the Frobenius
+    number F lie in (F, F + m + 1), m the least nonzero member."""
+    levels, level = [], [frozenset()]
+    for _ in range(max_genus + 1):
+        levels.append(level)
+        children = []
+        for gaps in level:
+            frobenius = max(gaps, default=-1)
+            m = next(x for x in count(1) if x not in gaps)
+            for x in range(max(frobenius + 1, 1), frobenius + m + 2):
+                if all(a in gaps or x - a in gaps for a in range(1, x)):
+                    children.append(gaps | {x})
+        level = children
+    return levels
+
+
+def test_the_semigroup_tree_counts_every_genus():
+    # n_g for g = 0..15 (Bras-Amoros, Semigroup Forum 2008; OEIS A007323)
+    assert [len(level) for level in semigroup_tree()] == [
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857
+    ]
+    assert all(len(gaps) == g for g, level in enumerate(semigroup_tree()) for gaps in level)
+    assert len(set(semigroup_tree()[15])) == 2857
+
+
+@pytest.mark.parametrize("genus", range(13))
+def test_every_numerical_semigroup_is_finite_or_wild(genus):
+    """k[[t^S]] for every numerical semigroup S of the genus: 1,413 of
+    them up to genus 12.  The type is finite iff m <= 2, or m = 3 with 4
+    or 5 in S (Greuel-Knoerrer, Math. Ann. 1985), and wild otherwise: a
+    tame curve dominates one of type T_pq (Drozd-Greuel, Compositio Math.
+    1993), which has at least two branches, and domination keeps the
+    normalization, so it keeps the number of branches.  Every route
+    agrees, and the Euler characteristic is delta, the genus."""
+    for gaps in semigroup_tree()[genus]:
+        c = max(gaps, default=-1) + 1
+        m = next(x for x in count(1) if x not in gaps)
+        members = [(v,) for v in range(c + 1) if v not in gaps]
+        model = build_model(GermDescriptor(r=1, kind="semigroup", payload=((c,), members)))
+        assert model.delta == genus
+        finite = m <= 2 or (m == 3 and not {4, 5} <= gaps)
+        assert classify_checked(model).cmtype == (FINITE if finite else WILD), sorted(gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -238,9 +238,9 @@ def test_relative_pair_e7(model_of):
 
 # ---------------------------------------------------------------------------
 # the filtered reduction against the per-level Smith engine it replaced, and
-# its pairs (cleared, apparent pairs in numpy, union-find for H_0) against
-# the dict-per-column engine before it and the plain reduction of every
-# boundary column
+# its pairs (cleared, apparent pairs and edges in numpy, union-find for the
+# other edges) against the dict-per-column engine before it and the plain
+# reduction of every boundary column
 
 
 def assert_same_pairs(w):
@@ -320,23 +320,47 @@ def test_filtered_reduction_on_random_value_grids(w):
 # settles are popped off a queue and reduced in Python
 
 
-def reduced_columns(monkeypatch, w) -> int:
-    """The columns that ``lattice_homology(w)`` reduces in Python, counted
-    as the pops of the queue of ``homology.filtered_reduction``; the
-    report must equal the per-level engine's."""
+def python_reductions(monkeypatch, w):
+    """``(report, count)``: ``lattice_homology(w)`` and the columns it
+    reduces in Python, counted as the pops of the queue of
+    ``homology.filtered_reduction``."""
     import importlib
 
     hom = importlib.import_module("latcurve.homology")
     pops = []
     real = hom.heappop
     monkeypatch.setattr(hom, "heappop", lambda queue: pops.append(1) or real(queue))
-    assert_same_homology(hom.lattice_homology(w), per_level_lattice_homology(w))
-    return len(pops)
+    return hom.lattice_homology(w), len(pops)
 
 
-def test_the_python_loop_reduces_columns_of_d41(monkeypatch, model_of):
-    # 19 of its 80 squares, under the base tie-break of ``_cell_order``
-    assert reduced_columns(monkeypatch, model_of("D", 41).weight) > 0
+def reduced_columns(monkeypatch, w) -> int:
+    """The columns that ``lattice_homology(w)`` reduces in Python; the
+    report must equal the per-level engine's."""
+    report, count = python_reductions(monkeypatch, w)
+    assert_same_homology(report, per_level_lattice_homology(w))
+    return count
+
+
+def test_the_python_loop_reduces_columns_of_t5_15(monkeypatch, model_of):
+    # 15 of its 96 squares, under the descending-base tie-break of
+    # ``_cell_order``
+    assert reduced_columns(monkeypatch, model_of("T", 5, 15).weight) > 0
+
+
+@pytest.mark.parametrize("spec", [("D", 41), ("T", 3, 31)], ids=lambda s: "_".join(map(str, s)))
+def test_the_descending_base_pairs_every_column_apparent(spec, monkeypatch, model_of):
+    # 19 and 27 columns under ascending bases
+    assert reduced_columns(monkeypatch, model_of(*spec).weight) == 0
+
+
+def test_the_descending_base_leaves_few_columns_of_the_six_fold_point(monkeypatch):
+    # 28 of its 1,491,625 higher cubes, against 448 under ascending bases;
+    # the per-level engine is too slow for 11^6 cubes, so the report is
+    # checked by its Euler characteristic
+    m = build_model(line_arrangement(6))
+    report, count = python_reductions(monkeypatch, m.weight)
+    assert count <= 28
+    assert euler_characteristic(report, m.weight) == m.delta == 15
 
 
 def test_the_python_loop_reduces_a_collision_of_one_base(monkeypatch):

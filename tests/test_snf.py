@@ -1,8 +1,9 @@
 """The sparse Smith reduction against sympy's dense one (on hand-built
 and sparse random matrices that need non-unit pivots; the catalog's E1
 queries need none), and the filtered reduction (clearing, apparent
-pairs, union-find for the edges) against the plain one on hand-built
-complexes."""
+pairs, apparent edges and a union-find for the others) against the
+plain one on hand-built complexes and on random complexes of edges and
+squares."""
 
 import random
 
@@ -298,3 +299,63 @@ def test_filtered_reduction_ignores_a_zero_coefficient():
     assert pairs == [(1, 3), (2, 4), (5, 7)]
     assert unit_pivots
     assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+
+
+# H_0 on generic input: the apparent edges and the union-find over the
+# roots of their forest, against the plain reduction
+
+
+@st.composite
+def edge_complexes(draw):
+    """A random filtered complex of dimension <= 2 as ``(cells, columns)``,
+    for ``reduction_of`` and ``plain_filtered_reduction``.  Cells come in
+    the order drawn: vertices, edges u -> v (boundary v - u) between
+    earlier vertices, loops and parallel edges among them, and squares on
+    four distinct earlier vertices whose sides are earlier edges or new
+    ones; a square clears the edge that is its lowest row.  A vertex
+    drawn after the last edge, or never picked, is touched by no edge."""
+    columns = [{}]  # vertex 0
+    vertices, cells = [0], {1: [], 2: []}
+    between = {}  # (u, v) -> the edges u -> v
+
+    def edge(u, v):
+        j = len(columns)
+        columns.append({v: 1, u: -1} if u != v else {})
+        cells[1].append((j, [v, u], [1, -1]))
+        between.setdefault((u, v), []).append(j)
+        return j
+
+    steps = st.sampled_from(["vertex", "edge", "edge", "square"])
+    for step in draw(st.lists(steps, max_size=40)):
+        if step == "vertex":
+            vertices.append(len(columns))
+            columns.append({})
+        elif step == "edge":
+            edge(draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+        elif len(vertices) >= 4:
+            corners = draw(st.permutations(vertices))[:4]
+            sides = {}  # edge -> its coefficient in the square a -> b -> c -> d -> a
+            for x, y in zip(corners, corners[1:] + corners[:1]):
+                old = [(j, 1) for j in between.get((x, y), [])]
+                old += [(j, -1) for j in between.get((y, x), [])]
+                if old and draw(st.booleans()):
+                    j, s = draw(st.sampled_from(old))
+                elif draw(st.booleans()):
+                    j, s = edge(x, y), 1
+                else:
+                    j, s = edge(y, x), -1
+                sides[j] = s
+            cells[2].append((len(columns), list(sides), list(sides.values())))
+            columns.append(sides)
+    if not cells[1]:
+        edge(0, 0)
+    return {k: c for k, c in cells.items() if c}, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_complexes())
+def test_filtered_reduction_pairs_generic_edges_as_the_plain_reduction(complex_):
+    cells, columns = complex_
+    pairs = reduction_of(cells)
+    assert pairs == plain_filtered_reduction(columns)
+    assert pairs == reference_pairs(boundary_arrays(cells))
