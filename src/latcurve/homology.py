@@ -13,22 +13,23 @@ both counts are running sums over n of +1/-1 marks at the interval ends.
 The cubes are ordered by one ``np.lexsort``, cubes of equal value and
 dimension by descending base, and each cube's faces are read from
 per-mask arrays of filtration indices, so building the columns needs no
-Python loop over the cubes.  The reduction reads those arrays as they
-are.  It pairs the higher cubes top dimension first, skipping the cubes
-that are already pivot rows one dimension up (clearing), and then the
-edges.  In each dimension the apparent pairs, a column and its lowest
-row when no earlier column claims that row, are found in numpy; a Python
-loop reduces only the few columns whose lowest rows collide.  An edge
-that is the first to touch its younger vertex kills that vertex, and is
-paired in numpy too; a union-find (the elder rule) joins only the trees
-those edges span, over the other edges.  The descending base leaves
-few collisions: the catalog reduces 19 of its 2,933 higher cubes in
-Python.  These shortcuts keep the pairs and every pivot of the plain
-reduction of all columns, so the unit-pivot certificate is unchanged.
-When every pivot is +-1 each H_k(S_n) is torsion-free.  Otherwise the
-torsion of H_k(S_n) comes from a Smith reduction of the (k+1)-columns of
-S_n: every S_n is a prefix of the filtration order, so these columns are
-a prefix of the same boundary columns.
+Python loop over the cubes.  The reduction reads those face rows as they
+are, and signs them by the cube's dimension, as Cubical Ripser does
+(Kaji-Sudo-Ahara 2020).  It pairs the higher cubes top dimension first,
+skipping the cubes that are already pivot rows one dimension up
+(clearing), and then the edges.  In each dimension the apparent pairs, a
+column and its lowest row when no earlier column claims that row, are
+found in numpy; a Python loop reduces only the few columns whose lowest
+rows collide.  An edge that is the first to touch its younger vertex
+kills that vertex, and is paired in numpy too; a union-find (the elder
+rule) joins only the trees those edges span, over the other edges.  The
+descending base leaves few collisions: the catalog reduces 19 of its
+2,933 higher cubes in Python.  These shortcuts keep the pairs and every
+pivot of the plain reduction of all columns, so the unit-pivot
+certificate is unchanged.  When every pivot is +-1 each H_k(S_n) is
+torsion-free.  Otherwise the torsion of H_k(S_n) comes from a Smith
+reduction of the (k+1)-columns of S_n, a prefix of the same columns,
+since S_n is a prefix of the filtration order.
 
 Everything is computed inside the conductor rectangle R(0, c): for
 n fixed, the inclusion of S_n cap R(0, c) into S_n is a homotopy
@@ -161,11 +162,10 @@ def _signs(k: int) -> np.ndarray:
 def filtered_pairs(values: np.ndarray, r: int):
     """``(value, dim, boundaries, born, killer, unit_pivots)`` of the
     filtered cubical complex of the box under ``values``: the cubes in
-    filtration order, their boundary columns, and ``filtered_reduction``
-    of those columns.  ``boundaries[k]`` is ``(cells, faces,
-    coefficients)`` for the k-cubes, one row per cube in increasing
-    filtration index, read from index arrays, one per direction mask;
-    the coefficients are one row, ``_signs(k)``, broadcast to every cube."""
+    filtration order, their faces, and ``filtered_reduction`` of those.
+    ``boundaries[k]`` is ``(cells, faces)`` for the k-cubes, one row per
+    cube in increasing filtration index, read from index arrays, one per
+    direction mask."""
     value, dim, position = _cell_order(values, r)
     groups = {k: [] for k in range(1, r + 1)}
     for mask, cells in position.items():
@@ -175,20 +175,19 @@ def filtered_pairs(values: np.ndarray, r: int):
     for k, group in groups.items():
         cells, faces = (np.concatenate(part) for part in zip(*group))
         order = np.argsort(cells)
-        faces = faces[order]
-        boundaries[k] = cells[order], faces, np.broadcast_to(_signs(k), faces.shape)
+        boundaries[k] = cells[order], faces[order]
     return (value, dim, boundaries, *filtered_reduction(boundaries))
 
 
 def filtered_reduction(boundaries: dict):
-    """Persistence pairs of a filtered cell complex over Z.
+    """Persistence pairs of a filtered cubical complex over Z.
 
     Cells are numbered in filtration order (every face before its
-    cofaces).  ``boundaries[k]``, k = 1..top, is ``(cells, faces,
-    coefficients)`` for the k-cells: ``cells`` increasing, and row m of
-    the two (n, 2k) arrays the boundary of cell ``cells[m]`` on distinct
-    (k-1)-cells, a zero coefficient meaning no entry.  An edge has
-    boundary +-(v - u) on its two faces u, v (u = v for a loop).
+    cofaces).  ``boundaries[k]``, k = 1..top, is ``(cells, faces)`` for
+    the k-cubes: ``cells`` increasing, and row m of the (n, 2k) array
+    ``faces`` the 2k distinct faces of cube ``cells[m]`` in the order of
+    ``_faces``, so that their coefficients are ``_signs(k)``.  An edge
+    (v, u) has boundary v - u.
 
     Returns ``(born, killer, unit_pivots)``, in no particular order:
     cell ``killer[m]`` kills the class born with cell ``born[m]``; a cell
@@ -212,17 +211,17 @@ def filtered_reduction(boundaries: dict):
       so pairing them needs only the components.  An edge joining two
       components kills the younger one, whose oldest vertex is the
       pivot row (the elder rule of Edelsbrunner-Letscher-Zomorodian);
-      its pivot is +-1.  A kept edge j that is no loop and is the first
-      kept edge to touch its younger vertex y pairs with y in numpy.
-      These apparent edges span a forest, y a child of the older end of
-      j; pointer jumping finds its roots, and the union-find runs only
-      on the other kept edges, each end replaced by its root.  The pairs
-      stay the same:
+      its pivot is +-1.  A kept edge j that is the first kept edge to
+      touch its younger vertex y pairs with y in numpy.  These apparent
+      edges span a forest, y a child of the older end of j; pointer
+      jumping finds its roots, and the union-find runs only on the other
+      kept edges, each end replaced by its root.  The pairs stay the
+      same:
 
       1. A vertex is alone until its first edge: only kept edges join
          components, since a cleared edge closes a cycle.  So when j
-         comes, y is a component of its own, the other end lies with
-         older vertices, and the elder rule pairs (y, j).
+         comes, y is a component of its own, the other end, older than
+         y, lies with older vertices, and the elder rule pairs (y, j).
       2. A vertex's ancestors join before it does: j touches y's parent,
          whose own first edge so comes before j.  So at any other edge
          e, the vertices whose apparent edge is still to come form
@@ -241,10 +240,10 @@ def filtered_reduction(boundaries: dict):
     also invertible over Z.  ``unit_pivots`` certifies that every pivot
     is +-1; then each prefix of the reduced matrix is echelon with unit
     pivots, and every sublevel complex has torsion-free homology.  Edge
-    pivots are always +-1, so the certificate rests on the higher
-    columns alone.
+    and apparent pivots are entries of ``_signs(k)``, so the certificate
+    rests on the columns reduced in Python alone.
     """
-    size = 1 + max((int(c[-1]) for c, _, _ in boundaries.values() if c.size), default=-1)
+    size = 1 + max((int(c[-1]) for c, _ in boundaries.values() if c.size), default=-1)
     pivot_row = np.zeros(size, dtype=bool)  # rows owned one dimension up
     # row -> position of the first column of its dimension to claim it, which
     # owns it unreduced unless an earlier reduced column takes it; size: none
@@ -252,20 +251,18 @@ def filtered_reduction(boundaries: dict):
     born, killer = [], []
     unit_pivots = True
     for k in range(max(boundaries), 1, -1):
-        cells, faces, coeffs = boundaries[k]
+        cells, faces = boundaries[k]
+        signs = _signs(k).tolist()
 
         def column(j):
-            return {i: v for i, v in zip(faces[j].tolist(), coeffs[j].tolist()) if v}
+            return dict(zip(faces[j].tolist(), signs))
 
-        live = faces if coeffs.all() else np.where(coeffs != 0, faces, -1)
-        low = live.max(axis=1)  # -1 on a zero column
-        todo = (~pivot_row[cells] & (low >= 0)).nonzero()[0]
+        low = faces.max(axis=1)
+        todo = (~pivot_row[cells]).nonzero()[0]
         claimed = low[todo]
         np.minimum.at(owner, claimed, todo)
         claims = owner[claimed] == todo
         apparent = todo[claims]
-        pivots = coeffs[apparent, live[apparent].argmax(axis=1)]
-        unit_pivots = unit_pivots and bool((np.abs(pivots) == 1).all())
         queue = todo[~claims].tolist()  # increasing, so already a heap
         reduced = {}  # lowest row -> reduced column that owns it
         taken = []  # positions of the reduced columns, in order of their rows
@@ -306,16 +303,16 @@ def filtered_reduction(boundaries: dict):
         pivot_row[rows] = True
         born.append(rows)
         killer += [cells[apparent], cells[taken]]
-    cells, faces, _ = boundaries[1]
+    cells, faces = boundaries[1]
     keep = ~pivot_row[cells]
     cells, ends = cells[keep], faces[keep]
     u, v = ends[:, 0], ends[:, 1]
     young, old = np.maximum(u, v), np.minimum(u, v)
-    # apparent edges: no loop, and the first edge to touch their younger end
+    # apparent edges: the first edge to touch their younger end
     at = np.arange(cells.size)
     first = np.full(size, cells.size)  # vertex -> position of its first edge
     np.minimum.at(first, ends.ravel(), at.repeat(2))
-    apparent = ((first[young] == at) & (young != old)).nonzero()[0]
+    apparent = (first[young] == at).nonzero()[0]
     born += [young[apparent]]
     killer += [cells[apparent]]
     # the roots of the forest y -> old those edges span, by pointer jumping
@@ -354,14 +351,16 @@ def filtered_reduction(boundaries: dict):
 def _level_torsion(boundaries: dict, cut: int) -> list:
     """Torsion of H_k(S), k = 0..r-1, for the complex S of the cells with
     filtration index below ``cut``: the Smith invariants of the
-    (k+1)-columns of S, a prefix of ``boundaries[k + 1]``."""
+    (k+1)-columns of S, a prefix of ``boundaries[k + 1]``, signed by
+    ``_signs(k + 1)``."""
     from .snf import smith_invariants
 
     torsion = []
-    for cells, faces, coeffs in boundaries.values():  # k + 1 = 1..r
+    for k, (cells, faces) in boundaries.items():  # k = 1..r
         stop = int(np.searchsorted(cells, cut))
-        rows = zip(faces[:stop].tolist(), coeffs[:stop].tolist())
-        torsion.append(smith_invariants([dict(zip(*row)) for row in rows])[1])
+        signs = _signs(k).tolist()
+        columns = [dict(zip(row, signs)) for row in faces[:stop].tolist()]
+        torsion.append(smith_invariants(columns)[1])
     return torsion
 
 

@@ -502,13 +502,17 @@ def reference_filtered_reduction(edges, columns):
 
 def reference_pairs(boundaries):
     """``reference_filtered_reduction`` of the columns that
-    ``homology.filtered_reduction`` reads as arrays."""
-    cells, faces, _ = boundaries[1]
+    ``homology.filtered_reduction`` reads as arrays: row m of
+    ``boundaries[k] = (cells, faces)`` holds the 2k faces of the k-cube
+    ``cells[m]``, per spanned axis the upper face and the lower one, with
+    the signs s and -s, s alternating from +1, as ``boundary`` gives them."""
+    cells, faces = boundaries[1]
     edges = zip(cells.tolist(), *faces.T.tolist())
-    columns = [
-        zip(*(part.tolist() for part in boundaries[k]))
-        for k in range(max(boundaries), 1, -1)
-    ]
+    columns = []
+    for k in range(max(boundaries), 1, -1):
+        signs = [s * (-1) ** axis for axis in range(k) for s in (1, -1)]
+        cells, faces = boundaries[k]
+        columns.append([(j, row, signs) for j, row in zip(cells.tolist(), faces.tolist())])
     return reference_filtered_reduction(edges, columns)
 
 

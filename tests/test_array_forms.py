@@ -48,7 +48,8 @@
   of r = 1..4, tables or not, against ``oracles.upset_minima_by_points``,
   ``oracles.suffix_or_steps``, ``oracles.additive_closure_by_members``
   and ``oracles.table_on_window_by_points``: the same values, the same
-  first failure and the same error text, every text shown to occur; and
+  first failure and the same error text, every text shown to occur, and
+  ``table_on_window`` on every mask of the 3 x 3 and 4 x 4 boxes; and
   the stored ``GermModel.min_w`` and the read-only per-r tables.
 * weight table: ``cli.render_weight_table`` (two arrays on R(0, c))
   against ``oracles.weight_table_by_points`` (two checked point reads a
@@ -908,6 +909,27 @@ def test_table_on_window_matches_the_points_on_every_outcome(model_of):
         assert got == _read(table_on_window_by_points, mask, inner, stated=stated)
         kinds.add(_kind(got))
     assert kinds == _READ_ERRORS | {"table"}
+
+
+@pytest.mark.parametrize(
+    "side, counts",
+    [(3, {"table": 5, "MarginTooSmall": 305, "InconsistentSemigroup": 202}),
+     (4, {"table": 14, "MarginTooSmall": 39_174, "InconsistentSemigroup": 26_348})],
+)
+def test_table_on_window_matches_the_points_on_every_mask_of_a_small_box(side, counts):
+    """Every mask of the r = 2 box R(0, (side - 1) e), 2^(side^2) of them,
+    read on the window one point past its corner: the table maker and the
+    per-point reads find the same conductor, or raise the same error
+    class and text, and the outcomes come in the counts pinned."""
+    inner = (side, side)
+    bits = np.arange(1 << side * side)[:, None] >> np.arange(side * side) & 1
+    found = {}
+    for mask in bits.astype(bool).reshape(-1, side, side):
+        got = _read(table_on_window, mask, inner)
+        assert got == _read(table_on_window_by_points, mask, inner)
+        kind = got[0] if isinstance(got[0], str) else "table"
+        found[kind] = found.get(kind, 0) + 1
+    assert found == counts
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from oracles import (
 )
 from test_catalog import ALL_SPECS
 from test_identity import ladder_keys
+from test_snf import TWO_TORSION, boundary_arrays
 
 
 def test_boundary_squares_to_zero(model_of):
@@ -444,13 +445,11 @@ def test_torsion_fallback_reduces_each_level_prefix(monkeypatch, model_of):
 
 
 def test_level_torsion_reads_a_prefix_of_the_columns():
-    # vertices 0, 1; edges 2, 3 from 0 to 1, so 2 - 3 is a cycle; a
-    # 2-cell 4 with boundary 2(2 - 3) makes H_1 = Z/2 once it is present
+    # the seeded closed-square complex of ``test_snf`` whose H_1 is Z/2:
+    # the torsion appears at a cut that holds every cell, and is absent
+    # at a cut before the first square, cell 8
     from latcurve.homology import _level_torsion
 
-    boundaries = {
-        1: (np.array([2, 3]), np.array([[1, 0], [1, 0]]), np.array([[1, -1], [1, -1]])),
-        2: (np.array([4]), np.array([[2, 3]]), np.array([[2, -2]])),
-    }
-    assert _level_torsion(boundaries, 4) == [[], []]
-    assert _level_torsion(boundaries, 5) == [[], [2]]
+    boundaries = boundary_arrays(TWO_TORSION)
+    assert _level_torsion(boundaries, 25) == [[], [2]]
+    assert _level_torsion(boundaries, 8) == [[], []]

@@ -2,8 +2,8 @@
 and sparse random matrices that need non-unit pivots; the catalog's E1
 queries need none), and the filtered reduction (clearing, apparent
 pairs, apparent edges and a union-find for the others) against the
-plain one on hand-built complexes and on random complexes of edges and
-squares."""
+plain one on hand-built and seeded complexes of edges and closed
+squares, and on random ones."""
 
 import random
 
@@ -26,10 +26,39 @@ from oracles import (
 from test_catalog import ALL_SPECS
 
 
+# the signs of an edge x -> y on its faces (y, x), and of a square on its
+# sides (b -> d, a -> c, c -> d, a -> b) for corners a, b, c, d at (0, 0),
+# (1, 0), (0, 1) and (1, 1): per axis +s on the upper side and -s on the
+# lower one, s alternating from +1, as ``oracles.boundary`` signs a cube
+SIGNS = {1: (1, -1), 2: (1, -1, -1, 1)}
+
+
 def boundary_arrays(cells):
-    """``filtered_reduction`` input from {k: [(j, rows, coefficients)]},
-    the cells of each dimension in increasing j."""
-    return {k: tuple(map(np.array, zip(*column))) for k, column in cells.items()}
+    """``filtered_reduction`` input from {k: [(j, faces)]}, the cells of
+    each dimension in increasing j."""
+    return {
+        k: (np.array([j for j, _ in column]), np.array([faces for _, faces in column]))
+        for k, column in cells.items()
+    }
+
+
+def plain_columns(cells):
+    """The boundary of every cell as {row: coefficient}, for
+    ``plain_filtered_reduction``; a cell that ``cells`` does not list is a
+    vertex.  Every square must be closed (its boundary a cycle), or
+    clearing is not valid."""
+    size = 1 + max(j for column in cells.values() for j, _ in column)
+    columns = [{} for _ in range(size)]
+    for k, column in cells.items():
+        for j, faces in column:
+            columns[j] = dict(zip(faces, SIGNS[k]))
+    for j, sides in cells.get(2, []):
+        cycle = {}
+        for side, s in zip(sides, SIGNS[2]):
+            for v, t in columns[side].items():
+                cycle[v] = cycle.get(v, 0) + s * t
+        assert not any(cycle.values()), f"square {j} is not closed"
+    return columns
 
 
 def reduction_of(cells):
@@ -195,110 +224,111 @@ def test_catalog_e1_traffic_has_unit_pivots_only(spec, model_of, monkeypatch, co
     assert not normalized
 
 
-def test_filtered_reduction_filled_triangle():
-    # v0 v1 v2, edges v0v1 v1v2 v0v2, then the triangle: the edge v0v2
-    # closes a loop, which the triangle kills
-    columns = [{}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {2: 1, 0: -1},
-               {3: 1, 4: 1, 5: -1}]
+def test_filtered_reduction_filled_square():
+    # corners a b c d = 0 1 2 3, sides a -> b, a -> c, b -> d, c -> d, then
+    # the square: the side c -> d closes a loop, which the square kills
     cells = {
-        1: [(3, [1, 0], [1, -1]), (4, [2, 1], [1, -1]), (5, [2, 0], [1, -1])],
-        2: [(6, [3, 4, 5], [1, 1, -1])],
+        1: [(4, [1, 0]), (5, [2, 0]), (6, [3, 1]), (7, [3, 2])],
+        2: [(8, [6, 5, 7, 4])],
     }
     pairs, unit_pivots = reduction_of(cells)
-    assert pairs == [(1, 3), (2, 4), (5, 6)]
+    assert pairs == [(1, 4), (2, 5), (3, 6), (7, 8)]
     assert unit_pivots
-    # the same pairs as the plain reduction: union-find joins v1 and v2 to
-    # v0, and clearing skips the edge v0v2 that the triangle kills
-    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+    # the same pairs as the plain reduction: the first three sides each
+    # touch their younger corner first, and clearing skips the side c -> d
+    # that the square kills
+    assert (pairs, unit_pivots) == plain_filtered_reduction(plain_columns(cells))
     assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
 
 
-def test_filtered_reduction_degree_two_cell():
-    # a vertex, a loop, a 2-cell attached by degree 2 (RP^2), and a second
-    # 2-cell attached by degree 3: over Q the loop dies at cell 2 and
-    # cell 3 is a 2-cycle; over Z, H_1 of the first three cells is Z/2
-    columns = [{}, {}, {1: 2}, {1: 3}]
-    pairs, unit_pivots = reduction_of(
-        {1: [(1, [0, 0], [1, -1])], 2: [(2, [1], [2]), (3, [1], [3])]}
-    )
-    assert pairs == [(1, 2)]
+# two closed-square complexes from a seeded search of random complexes on
+# 4-7 vertices (seeds 32245 and 106736): their reductions meet a non-unit
+# pivot, and over Z the boundary of the second has the invariant factor 2,
+# so H_1 of the whole complex is Z/2
+NON_UNIT_PIVOT = {
+    1: [(4, [1, 2]), (5, [1, 0]), (6, [3, 2]), (7, [1, 3]), (8, [0, 2]), (10, [3, 2]),
+        (11, [0, 1]), (12, [3, 0]), (13, [2, 1]), (15, [3, 1]), (16, [0, 2]), (18, [2, 1]),
+        (19, [2, 3]), (20, [2, 0]), (22, [0, 3]), (24, [3, 2]), (26, [1, 0])],
+    2: [(9, [5, 6, 7, 8]), (14, [10, 11, 12, 13]), (17, [12, 4, 15, 16]),
+        (21, [19, 11, 20, 15]), (23, [5, 19, 4, 22]), (25, [18, 22, 20, 7]),
+        (27, [22, 4, 11, 10])],
+}
+TWO_TORSION = {
+    1: [(4, [2, 3]), (5, [1, 0]), (6, [2, 1]), (7, [3, 0]), (9, [0, 1]), (10, [0, 3]),
+        (11, [2, 0]), (12, [1, 3]), (14, [2, 0]), (15, [1, 0]), (16, [3, 2]), (17, [3, 1]),
+        (19, [0, 2]), (21, [1, 2]), (24, [2, 0])],
+    2: [(8, [4, 5, 6, 7]), (13, [6, 10, 11, 12]), (18, [16, 5, 17, 11]),
+        (20, [19, 12, 9, 4]), (22, [10, 21, 9, 16]), (23, [7, 21, 17, 19])],
+}
+
+
+def assert_reduced_as_the_plain_reduction(cells):
+    """The pairs of a complex whose reduction meets a non-unit pivot:
+    clearing a column against one with pivot p needs p * col, which can
+    leave a pivot other than +-1.  They are those of the plain reduction,
+    and still give the rank over Q, the Smith rank of the whole boundary
+    matrix; returns that matrix's Smith invariants."""
+    columns = plain_columns(cells)
+    pairs, unit_pivots = reduction_of(cells)
     assert not unit_pivots
     assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
-    assert smith_invariants(columns[:3]) == (1, [2])
-    # betti numbers over Q: unpaired cells by dimension
-    dims = [0, 1, 2, 2]
-    paired = {i for pair in pairs for i in pair}
-    assert sorted(dims[j] for j in range(4) if j not in paired) == [0, 2]
+    assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
+    rank, torsion = smith_invariants(columns)
+    assert rank == len(pairs)
+    return torsion
 
 
 def test_filtered_reduction_cross_multiplication_keeps_q_rank():
-    # two loops e2 (row 1) and e1 (row 2); the 2-cells have boundaries
-    # 2 e1 and 3 e1 + e2, so clearing the second against the first needs
-    # col <- 2 col - 3 col_first = 2 e2, which is a new non-unit pivot;
-    # the first 2-cell's row 1 has coefficient 0, to fill the array
-    columns = [{}, {}, {}, {2: 2}, {2: 3, 1: 1}]
-    pairs, unit_pivots = reduction_of({
-        1: [(1, [0, 0], [1, -1]), (2, [0, 0], [1, -1])],
-        2: [(3, [2, 1], [2, 0]), (4, [2, 1], [3, 1])],
-    })
-    assert pairs == [(2, 3), (1, 4)]
-    assert not unit_pivots
-    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
-    assert len(pairs) == smith_invariants(columns)[0]
-    assert smith_invariants(columns) == (2, [2])
+    # one column is cleared against a reduced column whose pivot is 2, by
+    # col <- 2 col - col_other; H_1 of the whole complex is free
+    assert assert_reduced_as_the_plain_reduction(NON_UNIT_PIVOT) == []
+
+
+def test_filtered_reduction_degree_two_cell():
+    # a 2-chain of the squares has twice a loop as boundary, as the
+    # degree-two cell of RP^2 has: H_1 is Z/2 plus the free part, whose
+    # rank over Q counts the edges in no pair
+    assert assert_reduced_as_the_plain_reduction(TWO_TORSION) == [2]
+    pairs, _ = reduction_of(TWO_TORSION)
+    paired = {i for pair in pairs for i in pair}
+    dims = {j: k for k, column in TWO_TORSION.items() for j, _ in column}
+    unpaired = [dims.get(j, 0) for j in range(25) if j not in paired]
+    assert sorted(unpaired) == [0] + [1] * 6
 
 
 def test_filtered_reduction_lowest_row_already_owned():
-    # a square v0 v1 v2 v3 with the diagonal v0v2 (cell 8), filled by the
-    # triangles 9 = (v0, v1, v2) and 10 = (v0, v2, v3); both have the
-    # diagonal as lowest row, so 9 owns it and 10 is reduced against 9,
-    # down to the edge v0v3 (cell 7)
-    columns = [{}, {}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {3: 1, 2: -1},
-               {3: 1, 0: -1}, {2: 1, 0: -1}, {4: 1, 5: 1, 8: -1},
-               {8: 1, 6: 1, 7: -1}]
+    # the squares 13 on corners 0 1 2 3 and 14 on corners 2 3 4 5 share
+    # their latest side 2 -> 3 (cell 12) as lowest row, so 13 owns it and
+    # 14 is reduced against 13, down to the side 4 -> 5 (cell 11)
     cells = {
-        1: [(4, [1, 0], [1, -1]), (5, [2, 1], [1, -1]), (6, [3, 2], [1, -1]),
-            (7, [3, 0], [1, -1]), (8, [2, 0], [1, -1])],
-        2: [(9, [4, 5, 8], [1, 1, -1]), (10, [8, 6, 7], [1, 1, -1])],
+        1: [(6, [1, 0]), (7, [2, 0]), (8, [3, 1]), (9, [5, 3]), (10, [4, 2]), (11, [5, 4]),
+            (12, [3, 2])],
+        2: [(13, [8, 7, 12, 6]), (14, [9, 10, 11, 12])],
     }
     pairs, unit_pivots = reduction_of(cells)
-    assert pairs == [(1, 4), (2, 5), (3, 6), (8, 9), (7, 10)]
+    assert pairs == [(1, 6), (2, 7), (3, 8), (5, 9), (4, 10), (12, 13), (11, 14)]
     assert unit_pivots
-    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+    assert (pairs, unit_pivots) == plain_filtered_reduction(plain_columns(cells))
     assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
 
 
 def test_filtered_reduction_reduced_column_takes_a_later_claim():
-    # a vertex and four loops e1..e4 (cells 1..4); the 2-cells are
-    # 5 = e2 + e4, 6 = e3 + e4 and 7 = e1 + e3.  Cell 7 is the first to
-    # have e3 as lowest row, but 6 reduces to e3 - e2 first and takes it;
-    # then 7 is reduced against 6, to e1 + e2, and pairs with e2
-    columns = [{}, {}, {}, {}, {}, {2: 1, 4: 1}, {3: 1, 4: 1}, {1: 1, 3: 1}]
+    # a row of three squares, 18 on corners 0 1 2 3, 19 on 2 3 4 5 and 20
+    # on 4 5 6 7.  18 and 19 share their lowest row, the side 2 -> 3 (cell
+    # 17); cell 20 is the first to have the side 4 -> 5 (cell 16) as
+    # lowest row, but 19 reduces against 18 to that row first and takes
+    # it; then 20 is reduced against 19 and pairs with the side 6 -> 7
     cells = {
-        1: [(j, [0, 0], [1, -1]) for j in range(1, 5)],
-        2: [(5, [2, 4], [1, 1]), (6, [3, 4], [1, 1]), (7, [1, 3], [1, 1])],
+        1: [(8, [1, 0]), (9, [2, 0]), (10, [3, 1]), (11, [5, 3]), (12, [4, 2]), (13, [7, 5]),
+            (14, [6, 4]), (15, [7, 6]), (16, [5, 4]), (17, [3, 2])],
+        2: [(18, [10, 9, 17, 8]), (19, [11, 12, 16, 17]), (20, [13, 14, 15, 16])],
     }
     pairs, unit_pivots = reduction_of(cells)
-    assert pairs == [(4, 5), (3, 6), (2, 7)]
+    assert pairs == [(1, 8), (2, 9), (3, 10), (5, 11), (4, 12), (7, 13), (6, 14),
+                     (17, 18), (16, 19), (15, 20)]
     assert unit_pivots
-    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
+    assert (pairs, unit_pivots) == plain_filtered_reduction(plain_columns(cells))
     assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
-
-
-def test_filtered_reduction_ignores_a_zero_coefficient():
-    # the filled triangle with a second edge v0v2 (cell 6) that the
-    # triangle names with coefficient 0: its lowest row is the edge 5,
-    # and the edge 6 closes a loop that never dies
-    columns = [{}, {}, {}, {1: 1, 0: -1}, {2: 1, 1: -1}, {2: 1, 0: -1},
-               {2: 1, 0: -1}, {3: 1, 4: 1, 5: -1, 6: 0}]
-    pairs, unit_pivots = reduction_of({
-        1: [(3, [1, 0], [1, -1]), (4, [2, 1], [1, -1]), (5, [2, 0], [1, -1]),
-            (6, [2, 0], [1, -1])],
-        2: [(7, [3, 4, 5, 6], [1, 1, -1, 0])],
-    })
-    assert pairs == [(1, 3), (2, 4), (5, 7)]
-    assert unit_pivots
-    assert (pairs, unit_pivots) == plain_filtered_reduction(columns)
 
 
 # H_0 on generic input: the apparent edges and the union-find over the
@@ -307,55 +337,49 @@ def test_filtered_reduction_ignores_a_zero_coefficient():
 
 @st.composite
 def edge_complexes(draw):
-    """A random filtered complex of dimension <= 2 as ``(cells, columns)``,
-    for ``reduction_of`` and ``plain_filtered_reduction``.  Cells come in
-    the order drawn: vertices, edges u -> v (boundary v - u) between
-    earlier vertices, loops and parallel edges among them, and squares on
-    four distinct earlier vertices whose sides are earlier edges or new
-    ones; a square clears the edge that is its lowest row.  A vertex
-    drawn after the last edge, or never picked, is touched by no edge."""
-    columns = [{}]  # vertex 0
+    """A random filtered complex of dimension <= 2 as ``cells``, for
+    ``reduction_of`` and ``plain_columns``.  Cells come in the order
+    drawn: vertices, edges x -> y between two distinct earlier vertices,
+    parallel edges among them, and closed squares on four distinct
+    earlier corners a, b, c, d whose sides b -> d, a -> c, c -> d and
+    a -> b are earlier edges or new ones; a square clears the edge that
+    is its lowest row.  A vertex drawn after the last edge, or never
+    picked, is touched by no edge."""
     vertices, cells = [0], {1: [], 2: []}
-    between = {}  # (u, v) -> the edges u -> v
+    between = {}  # (x, y) -> the edges x -> y
 
-    def edge(u, v):
-        j = len(columns)
-        columns.append({v: 1, u: -1} if u != v else {})
-        cells[1].append((j, [v, u], [1, -1]))
-        between.setdefault((u, v), []).append(j)
+    def new_cell():
+        return len(vertices) + len(cells[1]) + len(cells[2])
+
+    def edge(x, y):
+        j = new_cell()
+        cells[1].append((j, [y, x]))
+        between.setdefault((x, y), []).append(j)
         return j
 
     steps = st.sampled_from(["vertex", "edge", "edge", "square"])
     for step in draw(st.lists(steps, max_size=40)):
         if step == "vertex":
-            vertices.append(len(columns))
-            columns.append({})
-        elif step == "edge":
-            edge(draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
-        elif len(vertices) >= 4:
-            corners = draw(st.permutations(vertices))[:4]
-            sides = {}  # edge -> its coefficient in the square a -> b -> c -> d -> a
-            for x, y in zip(corners, corners[1:] + corners[:1]):
-                old = [(j, 1) for j in between.get((x, y), [])]
-                old += [(j, -1) for j in between.get((y, x), [])]
-                if old and draw(st.booleans()):
-                    j, s = draw(st.sampled_from(old))
-                elif draw(st.booleans()):
-                    j, s = edge(x, y), 1
-                else:
-                    j, s = edge(y, x), -1
-                sides[j] = s
-            cells[2].append((len(columns), list(sides), list(sides.values())))
-            columns.append(sides)
+            vertices.append(new_cell())
+        elif step == "edge" and len(vertices) >= 2:
+            edge(*draw(st.permutations(vertices))[:2])
+        elif step == "square" and len(vertices) >= 4:
+            a, b, c, d = draw(st.permutations(vertices))[:4]
+            sides = []
+            for x, y in [(b, d), (a, c), (c, d), (a, b)]:
+                old = between.get((x, y))
+                reuse = old and draw(st.booleans())
+                sides.append(draw(st.sampled_from(old)) if reuse else edge(x, y))
+            cells[2].append((new_cell(), sides))
     if not cells[1]:
-        edge(0, 0)
-    return {k: c for k, c in cells.items() if c}, columns
+        vertices.append(new_cell())
+        edge(0, vertices[-1])
+    return {k: c for k, c in cells.items() if c}
 
 
 @settings(max_examples=300, deadline=None)
 @given(edge_complexes())
-def test_filtered_reduction_pairs_generic_edges_as_the_plain_reduction(complex_):
-    cells, columns = complex_
+def test_filtered_reduction_pairs_generic_edges_as_the_plain_reduction(cells):
     pairs = reduction_of(cells)
-    assert pairs == plain_filtered_reduction(columns)
+    assert pairs == plain_filtered_reduction(plain_columns(cells))
     assert pairs == reference_pairs(boundary_arrays(cells))
