@@ -51,12 +51,11 @@ def _ps_descriptor(name, r, series, **kw):
 
 
 def numerical_semigroup(gens, conductor):
-    """Members of <gens> up to the conductor (inclusive)."""
-    gens = sorted(gens)
-    member = [False] * (conductor + 1)
-    member[0] = True
-    for v in range(1, conductor + 1):
-        member[v] = any(v >= g and member[v - g] for g in gens)
+    """Members of <gens> up to the conductor (inclusive), sieved by each g."""
+    member = [True] + [False] * conductor
+    for g in gens:
+        for v in range(g, conductor + 1):
+            member[v] = member[v] or member[v - g]
     return [(v,) for v in range(conductor + 1) if member[v]]
 
 

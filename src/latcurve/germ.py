@@ -22,12 +22,12 @@ checks the table there, additive closure included.  So a ``semigroup``
 source stated on any conductor c' >= c builds the model of c.
 
 A process builds and validates each distinct subcurve once: a subcurve
-request looks up its projected window in one process-wide map, and
-every request for a window it holds gets its own model on the stored
-table and grids, with one shared memo of the minimum weight and of the
-certified omega series.  The map holds at most ``MAX_GRID_POINTS``
-points, and the oldest entry goes first.  It only skips repeated work,
-so no output depends on it.
+request looks up its projected window, cut at its least conductor, in
+one process-wide map, and every request for a window it holds gets its
+own model on the stored table and grids, with one shared memo of the
+minimum weight and of the certified omega series.  The map holds at most
+``MAX_GRID_POINTS`` points, and the oldest entry goes first.  It only
+skips repeated work, so no output depends on it.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .lattice import (
     gorenstein_symmetry,
     held_points,
     hilbert_from_semigroup,
+    least_conductor,
     leq,
     min_weight,
     ones,
@@ -225,7 +226,10 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
         series = {}
         _expect(isinstance(src.get("series"), dict), "poincare source needs 'series'")
         for key, body in src["series"].items():
-            J = tuple(sorted(int(x) for x in key.split(",")))
+            try:
+                J = tuple(sorted(int(x) for x in key.split(",")))
+            except ValueError:  # a part that is no integer names no branch
+                J = (0,)
             shown = cut(repr(key))
             _expect(
                 len(set(J)) == len(J) and 1 <= J[0] and J[-1] <= r,
@@ -248,6 +252,9 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
                     f"series {shown}: exponent {list(e)} has {len(e)} entries, "
                     f"not {len(J)}",
                 )
+                _expect(min(e) >= 0, f"series {shown}: exponent {_echo(e)} has a negative entry")
+            for v in den:
+                _expect(any(v), f"series {shown}: denominator vector {_echo(v)} is zero")
             num = MultiPoly.from_dict(len(J), terms)
             series[J] = RationalSeries(numerator=num, denominator=den)
         payload = series
@@ -262,6 +269,8 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
             f"entries, got {len(values)}",
         )
         require_grid(b, "hilbert grid")
+        for x in (min(values), max(values)):
+            _int64(x, "a hilbert value")
         payload = (b, np.array(values, dtype=np.int64).reshape(shape))
     elif kind == "builtin":
         _expect("name" in src, "builtin source needs a name")
@@ -385,8 +394,8 @@ class GermModel(Record, eq=False):
         rule) in R(0, c) with the same J-part.  The subcurve's
         conductor is <= c_J, as each l_J >= c_J is the J-part of the member
         (l_J, c_K) >= c.  So ``_certified_table`` reads the exact table off
-        that window, as it reads the window of a ``poincare`` expansion,
-        once per window in a process (``_subcurve_on``).
+        that window cut at its least conductor, one window per table, once
+        in a process (``_subcurve_on``).
         """
         J = tuple(sorted(set(branches)))
         if not J or J[0] < 1 or J[-1] > self.r:
@@ -397,7 +406,8 @@ class GermModel(Record, eq=False):
             return self._subcurves[J]
         others = tuple(i for i in range(self.r) if i + 1 not in J)
         name = f"{self.name or 'germ'}|{','.join(map(str, J))}"
-        sub = _subcurve_on(self.semigroup.mask.any(axis=others), name)
+        members = self.semigroup.mask.any(axis=others)
+        sub = _subcurve_on(members[window(least_conductor(members))], name)
         self._subcurves[J] = sub
         return sub
 
@@ -410,11 +420,11 @@ class GermModel(Record, eq=False):
 
 
 class _WindowMap(dict):
-    """The subcurve models of a process by projected window, the key
-    (shape, bytes): the table, grids and memo the window's models share,
-    and the points the entry holds (window and grids, read through
-    ``lattice``).  At most ``MAX_GRID_POINTS`` points in all; insertion
-    order is age, and the oldest entry goes first."""
+    """The subcurve models of a process by projected window cut at its
+    least conductor, the key (shape, bytes): the table, grids and memo
+    the window's models share, and the points the entry holds (window and
+    grids, read through ``lattice``).  At most ``MAX_GRID_POINTS`` points
+    in all; insertion order is age, and the oldest entry goes first."""
 
     points = 0
 

@@ -767,6 +767,26 @@ def unit_step_members(h: HilbertGrid, inner: Point) -> np.ndarray:
     return mask
 
 
+def least_conductor(members: np.ndarray) -> Point:
+    """The least c with every point >= c of the box a member, the minimum
+    of the stable points (suffix ANDs): MarginTooSmall unless it is stable."""
+    r = members.ndim
+    reverse = (slice(None, None, -1),) * r
+    stable = members[reverse]
+    for i in range(r):
+        stable = np.logical_and.accumulate(stable, axis=i)
+    stable = stable[reverse]
+    # the corner is stable iff any point is, so no c means a missing corner
+    if not stable[(-1,) * r]:
+        raise MarginTooSmall("no stable region: bound does not dominate the conductor")
+    c = tuple(rows_where(stable).min(axis=0).tolist())
+    if not stable[c]:
+        raise MarginTooSmall(
+            f"stable region has no unique minimal point near {c}; enlarge the grid"
+        )
+    return c
+
+
 def table_on_window(
     members: np.ndarray, inner: Point, stated: Point | None = None
 ) -> SemigroupTable:
@@ -778,10 +798,9 @@ def table_on_window(
     point >= l a member) iff min(l, b) is, and once c <= b the extension
     rule at l is the rule at min(l, b).
 
-    c is the componentwise minimum of the stable points, a suffix AND
-    along every axis; MarginTooSmall unless there is one, c is itself
-    stable, and c + e lies in the window.  The box is then checked as a
-    table (``_validate_members``, whose up-set minima the table keeps) and
+    c is ``least_conductor`` of the box; MarginTooSmall unless c + e
+    lies in the window.  The box is then checked as a table
+    (``_validate_members``, whose up-set minima the table keeps) and
     against the extension rule, l in S iff min(l, c) in S, which a value
     semigroup always follows: a failure means a window too small for its
     conductor (MarginTooSmall).  The cut table is checked for additive
@@ -798,19 +817,7 @@ def table_on_window(
     r = members.ndim
     if stated is not None:
         mins = _validate_members(members, stated)
-    reverse = (slice(None, None, -1),) * r
-    stable = members[reverse]
-    for i in range(r):
-        stable = np.logical_and.accumulate(stable, axis=i)
-    stable = stable[reverse]
-    # the corner is stable iff any point is, so no c means a missing corner
-    if not stable[(-1,) * r]:
-        raise MarginTooSmall("no stable region: bound does not dominate the conductor")
-    c = tuple(rows_where(stable).min(axis=0).tolist())
-    if not stable[c]:
-        raise MarginTooSmall(
-            f"stable region has no unique minimal point near {c}; enlarge the grid"
-        )
+    c = least_conductor(members)
     if not leq(padd(c, ones(r)), inner):
         raise MarginTooSmall(
             f"conductor {c} detected without a full stabilization layer inside {inner}"

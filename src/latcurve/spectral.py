@@ -62,69 +62,51 @@ class MinimalCycleGroup(Record):
 def _rank(pattern: int, r: int, k: int) -> tuple[int, tuple]:
     """(rank, torsion) of the subset complex of a mask in degree k: the
     refined rank, and the torsion of the boundary out of degree k + 1, a
-    tuple.  Only the boundaries of degrees k and k + 1 are reduced, once
-    per (mask, r, k) in a process while it stays among the last 1024."""
-    cells: dict[int, list[int]] = {}
-    for sub in range(1 << r):
-        if pattern >> sub & 1:
-            cells.setdefault(bin(sub).count("1"), []).append(sub)
+    tuple.  A column is a subset's faces (less one axis; a down-set holds
+    them) keyed by their own bits, with alternating signs.  Only degrees
+    k and k + 1 are reduced, once per (mask, r, k) among the last 1024."""
+    subsets = [sub for sub in range(1 << r) if pattern >> sub & 1]
 
-    def boundary(dim):
-        if dim < 1 or dim not in cells:
-            return 0, []
-        row = {sub: pos for pos, sub in enumerate(cells[dim - 1])}
+    def boundary(dim):  # the empty subset has no face
         cols = []
-        for sub in cells[dim]:
-            col, sign, m = {}, 1, sub
-            while m:
-                low = m & (m - 1)
-                col[row[sub ^ m ^ low]] = sign  # a down-set holds every face
-                sign = -sign
-                m = low
-            cols.append(col)
-        return smith_invariants(cols)
+        for sub in subsets:
+            if sub and sub.bit_count() == dim:
+                col, sign, m = {}, 1, sub
+                while m:  # drop the lowest axis left in m
+                    low = m & (m - 1)
+                    col[sub ^ m ^ low] = sign
+                    sign, m = -sign, low
+                cols.append(col)
+        return smith_invariants(cols) if cols else (0, [])
 
     rank_up, torsion = boundary(k + 1)
-    return len(cells.get(k, ())) - boundary(k)[0] - rank_up, tuple(torsion)
+    cells = sum(sub.bit_count() == k for sub in subsets)  # of degree k
+    return cells - boundary(k)[0] - rank_up, tuple(torsion)
 
 
 def _masks(corners: np.ndarray, n, r: int) -> tuple[list[int], np.ndarray]:
     """The masks at weight n (an int, or an (N, 1) column) of the N rows
-    of ``corners``, the weights at l + e_J (column J): the distinct masks,
-    and each row's index among them.  A subset I is admissible if every
-    J inside it has w(l + e_J) <= n, so I is refused iff a vertex of
-    weight > n lies in it: one product of the distinct sets of such
-    vertices with the inclusion table of the subsets counts them inside
-    each I."""
-    bad = corners > n
+    of ``corners``, the weights at l + e_J (column J): one per distinct
+    set of vertices of weight > n, and each row's index among them.  I
+    is refused iff it holds such a J.  The distinct sets, ``width`` bytes
+    a row, are one integer; per axis i one OR shifts the subsets without
+    i (runs of 2^i bits every 2^(i+1), in step with each row's 8 * width
+    bits) up 2^i, onto the same subsets with i.  Masks are complements."""
+    bits = np.packbits(corners > n, axis=1, bitorder="little")
+    rows = bits.view(f"V{bits.shape[1]}").ravel()  # 1-d: faster than axis=0
     index = np.zeros(1, dtype=np.intp)  # one row: nothing to sort
-    if len(bad) != 1:
-        bits = np.packbits(bad, axis=1, bitorder="little")
-        rows = bits.view(f"V{bits.shape[1]}").ravel()  # 1-d: faster than axis=0
-        keys, index = np.unique(rows, return_inverse=True)
+    if len(rows) != 1:
+        rows, index = np.unique(rows, return_inverse=True)
         index = index.reshape(-1)
-        first = np.empty(len(keys), dtype=np.intp)  # a row of each set
-        first[index] = np.arange(len(index))
-        bad = bad[first]
-    bits = np.packbits(bad @ _inclusions(r) == 0, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in bits]
-    if len(masks) > 1:  # two sets can give one mask
-        slot: dict[int, int] = {}
-        index = np.array([slot.setdefault(mask, len(slot)) for mask in masks])[index]
-        masks = list(slot)
-    return masks, index
-
-
-@functools.lru_cache(maxsize=16)
-def _inclusions(r: int) -> np.ndarray:
-    """Entry (J, I) is 1 iff the subset J of r axes lies inside I: built
-    once for each r, read-only, int64 like every product of the package
-    (a numpy inner loop a process has not run faults more of numpy into
-    memory)."""
-    subsets = np.arange(1 << r)
-    table = ((subsets[:, None] & subsets) == subsets[:, None]).astype(np.int64)
-    table.flags.writeable = False
-    return table
+    width, data = rows.itemsize, rows.tobytes()
+    ones = (1 << 8 * len(data)) - 1
+    refused = int.from_bytes(data, "little")
+    for i in range(r):
+        step = 1 << i
+        refused |= (refused & ones // ((1 << 2 * step) - 1) * ((1 << step) - 1)) << step
+    subsets = ones // ((1 << 8 * width) - 1) * ((1 << (1 << r)) - 1)
+    kept = (subsets & ~refused).to_bytes(len(data), "little")
+    return [int.from_bytes(kept[j:j + width], "little") for j in range(0, len(kept), width)], index
 
 
 def _ranks(w: WeightGrid, at: np.ndarray, k: int, n) -> np.ndarray:

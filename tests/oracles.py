@@ -22,6 +22,9 @@
   Hilbert function of a germ with monomial branches t -> (c_x t^a,
   c_y t^b), as the rank of the span of all monomial images in
   prod_i Q[t]/(t^(l_i)), in exact Fraction arithmetic.
+* ``numerical_semigroup_by_values``: the members of a numerical
+  semigroup one value at a time, the loop ``catalog.numerical_semigroup``
+  replaced by a sieve over the generators.
 * ``reverse_sweep_min_closure``: the point-by-point reverse sweep that
   ``SemigroupTable._validate_min_closure`` replaced.
 * ``additive_closure_by_members``: the loop over members, one gathered
@@ -47,6 +50,10 @@
   (``least_conductor``, ``detect_conductor_mask``, ``cut_at_conductor``)
   is the one that ``lattice.table_on_window`` replaced, kept here so the
   replay is compared with a window read that shares no code with it.
+* ``rank_by_row_positions`` / ``down_sets``: the subset-complex
+  reduction of one E1 mask as ``spectral._rank`` first wrote it, cells
+  listed by degree and rows looked up by position, and every down-set of
+  the subsets of r axes, the masks it is compared on.
 * ``admissible_subsets`` / ``scalar_e1_refined``: the scalar E1 engine
   that ``spectral`` replaced.  Each query builds a dict of the 2^r
   vertex weights and of the cube maxima, lists the admissible subsets,
@@ -600,6 +607,18 @@ def hilbert_by_valuations(branches, ell):
     return exact_rank(rows)
 
 
+def numerical_semigroup_by_values(gens, conductor):
+    """Members of <gens> up to the conductor (inclusive), value by value:
+    v is a member iff v - g is for some generator g <= v, the loop that
+    ``catalog.numerical_semigroup`` replaced by a sieve."""
+    gens = sorted(gens)
+    member = [False] * (conductor + 1)
+    member[0] = True
+    for v in range(1, conductor + 1):
+        member[v] = any(v >= g and member[v - g] for g in gens)
+    return [(v,) for v in range(conductor + 1) if member[v]]
+
+
 # ---------------------------------------------------------------------------
 # semigroup closure checks, one point or one member at a time
 
@@ -849,6 +868,47 @@ def admissible_subsets(w: WeightGrid, ell: Point, n: int) -> list[int]:
         if best <= n:
             good.append(mask)
     return good
+
+
+def rank_by_row_positions(pattern: int, r: int, k: int) -> tuple[int, tuple]:
+    """(rank, torsion) of the subset complex of a mask in degree k, the
+    reduction ``spectral._rank`` made before it keyed each row by the
+    face's own bits: the cells listed by degree, each column's rows
+    looked up in a map from face to position."""
+    cells: dict[int, list[int]] = {}
+    for sub in range(1 << r):
+        if pattern >> sub & 1:
+            cells.setdefault(bin(sub).count("1"), []).append(sub)
+
+    def boundary(dim):
+        if dim < 1 or dim not in cells:
+            return 0, []
+        row = {sub: pos for pos, sub in enumerate(cells[dim - 1])}
+        cols = []
+        for sub in cells[dim]:
+            col, sign, m = {}, 1, sub
+            while m:
+                low = m & (m - 1)
+                col[row[sub ^ m ^ low]] = sign  # a down-set holds every face
+                sign = -sign
+                m = low
+            cols.append(col)
+        return smith_invariants(cols)
+
+    rank_up, torsion = boundary(k + 1)
+    return len(cells.get(k, ())) - boundary(k)[0] - rank_up, tuple(torsion)
+
+
+def down_sets(r: int) -> list[int]:
+    """Every down-set of the subsets of r axes, as a 2^r-bit mask (bit I
+    for subset I), the empty one included: a down-set is a down-set A of
+    the first r - 1 axes and the sets B + {r - 1} for a down-set B inside
+    A."""
+    if r == 0:
+        return [0, 1]
+    lower = down_sets(r - 1)
+    half = 1 << (r - 1)
+    return [a | b << half for a in lower for b in lower if b & ~a == 0]
 
 
 def scalar_e1_refined(w: WeightGrid, ell: Point, k: int, n: int) -> E1Entry:

@@ -107,7 +107,6 @@ from latcurve.motivic import (
     coefficient_counts,
     univariate_levels,
 )
-from latcurve.spectral import _inclusions
 
 from germ_strategies import conductor_of, monomial_plane_germs, numerical_semigroups
 from line_arrangements import line_arrangement
@@ -957,12 +956,12 @@ def test_min_w_is_the_minimum_weight_on_every_germ_copy_and_subcurve(
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 6])
 def test_the_per_r_constant_tables_are_read_only(r):
-    tables = [_subset_signs(r), _inclusions(r), *_corner_tables((3,) * r)]
+    tables = [_subset_signs(r), *_corner_tables((3,) * r)]
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
     # each r builds its tables once
-    assert _subset_signs(r) is tables[0] and _inclusions(r) is tables[1]
+    assert _subset_signs(r) is tables[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import ast
+import inspect
+
 import pytest
+from hypothesis import given, settings
 
 from latcurve import (
     BadParams,
@@ -8,6 +12,11 @@ from latcurve import (
     lattice_homology,
     list_entries,
 )
+from latcurve import catalog
+from latcurve.catalog import numerical_semigroup
+
+from germ_strategies import conductor_of, numerical_semigroups
+from oracles import numerical_semigroup_by_values
 
 ALL_SPECS = [
     ("A", 0), ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6),
@@ -117,3 +126,23 @@ def test_descriptor_serialization_round_trip():
         import numpy as np
 
         assert np.array_equal(m1.weight.values, m2.weight.values)
+
+
+def test_the_sieve_matches_the_loop_on_every_catalog_use():
+    """Every call of ``numerical_semigroup`` in the catalog's source with
+    literal arguments, and A_n's <2, n + 1> (the one other call) for
+    n <= 200, give the members of the value-by-value loop."""
+    calls = [node.args for node in ast.walk(ast.parse(inspect.getsource(catalog)))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "numerical_semigroup"]
+    literal = [[ast.literal_eval(arg) for arg in args] for args in calls
+               if all(isinstance(arg, (ast.List, ast.Constant)) for arg in args)]
+    assert len(literal) == len(calls) - 1 == 6
+    for gens, c in literal + [([2, n + 1], n) for n in range(201)]:
+        assert numerical_semigroup(gens, c) == numerical_semigroup_by_values(gens, c), (gens, c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(numerical_semigroups())
+def test_the_sieve_matches_the_loop_on_random_generators(gens):
+    c = conductor_of(gens)
+    assert numerical_semigroup(gens, c + 5) == numerical_semigroup_by_values(gens, c + 5)

@@ -564,6 +564,33 @@ def test_exit_code_malformed_descriptor(tmp_path, capsys, r, source, bound):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _one_series(key="1", exp=(0,), denominator=((1,),)):
+    return {"kind": "poincare", "series": {key: {
+        "numerator": [{"exp": list(exp), "coeff": 1}],
+        "denominator": [list(v) for v in denominator]}}}
+
+
+@pytest.mark.parametrize(
+    "source,want",
+    [
+        ({"kind": "hilbert", "bound": [3], "values": [0, 1, 2, 1 << 63]},
+         "a hilbert value must be a 64-bit integer, got 9223372036854775808"),
+        ({"kind": "hilbert", "bound": [3], "values": [-(1 << 63) - 1, -1, 2, 3]},
+         "a hilbert value must be a 64-bit integer, got -9223372036854775809"),
+        (_one_series(exp=(-1,)), "series '1': exponent [-1] has a negative entry"),
+        (_one_series(denominator=((0,),)), "series '1': denominator vector [0] is zero"),
+        (_one_series(denominator=((-1,),)), "series '1': exponent [-1] has a negative entry"),
+        (_one_series(key="x"), "series key 'x' must name distinct branches in 1..1"),
+    ],
+    ids=["hilbert-value-2-to-the-63", "hilbert-value-below-int64", "negative-exponent",
+         "zero-denominator", "negative-denominator", "key-not-an-integer"],
+)
+def test_a_descriptor_number_out_of_range_names_its_field(tmp_path, capsys, source, want):
+    doc = {"version": 1, "germ": "bad", "r": 1, "source": source, "flags": {}, "bound": None}
+    path = _write_descriptor(tmp_path, doc)
+    assert run_cli(["invariants", "--germ", path], capsys) == (2, "", f"error: {want}\n")
+
+
 @pytest.mark.parametrize(
     "conductor,elements", [([0, 0], [[0, 0]]), ([0, 2], [[0, 0], [0, 2]])]
 )

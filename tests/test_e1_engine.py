@@ -1,9 +1,9 @@
 """The E1 engine against the scalar engine it replaced.
 
 ``spectral`` answers every query with one read of the rows it needs: it
-gathers the 2^r corners of each row (``lattice.corner_values``), ANDs
-the admissible-subset bitmasks down the subsets (``_masks``), and
-reduces each distinct bitmask once per read.  The reference is
+gathers the 2^r corners of each row (``lattice.corner_values``), ORs
+the refused subsets up to their supersets (``_masks``), and reduces
+each distinct bitmask once per read.  The reference is
 ``oracles.scalar_e1_refined``: one dict of cube maxima and
 one Smith form per dimension at every point, with ``e1_level``,
 ``pe_series`` and ``minimal_spectral_cycles`` as loops over it.  Every
@@ -15,13 +15,14 @@ corner gather (one per degree for ``pe_series``), and every point reader
 refuses a point of the wrong length as a ``DescriptorError``.
 """
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from latcurve import DescriptorError, LatcurveError, MarginTooSmall, build_model
+from latcurve import DescriptorError, LatcurveError, MarginTooSmall, TorsionFound, build_model
 from latcurve import motivic, motivic_coeff, spectral
 from latcurve.lattice import WeightGrid, box, corner_values, norm, ones, pmin
 
@@ -29,11 +30,13 @@ from germ_strategies import monomial_plane_germs
 from line_arrangements import line_arrangement
 from oracles import (
     admissible_subsets,
+    down_sets,
     e1_level_by_points,
     minimal_spectral_cycles_by_points,
     pe_series_by_points,
     pe_substitution_check_by_points,
     pe_univariate,
+    rank_by_row_positions,
     scalar_e1_refined,
 )
 from test_catalog import ALL_SPECS
@@ -126,6 +129,46 @@ def test_e1_matches_scalar_engine_on_random_value_grids(w):
     assert_same_points(w, box(inner))
     assert_same_patterns(w, range(-3, 4))
     assert_same_windows(w, range(norm(inner) + 2), inner)
+
+
+@pytest.mark.parametrize("r,count", [(1, 3), (2, 6), (3, 20), (4, 168), (5, 7581)])
+def test_rank_matches_the_position_map_on_every_down_set(r, count):
+    """The faces keyed by their own bits give the (rank, torsion) of the
+    cells listed by degree and rows looked up by position, for every
+    down-set of r <= 5 axes (the Dedekind numbers, empty set included)
+    and every degree."""
+    masks = down_sets(r)
+    assert len(masks) == len(set(masks)) == count
+    for mask in masks:
+        for k in range(r + 1):
+            assert spectral._rank.__wrapped__(mask, r, k) == rank_by_row_positions(
+                mask, r, k
+            ), (mask, k)
+
+
+# the 6-vertex real projective plane: every edge lies in two triangles
+RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+       (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+
+
+def test_a_planted_projective_plane_raises_its_torsion(cold_memos):
+    """w(e_J) = 0 on the faces J of RP^2 and 1 elsewhere on R(0, e) at
+    r = 6: at l = 0 and n = 0 the admissible subsets are its faces.  The
+    boundary out of the triangles (degree 3) has the invariant factor 2
+    of H_1(RP^2) = Z/2, and the degree-2 entry has rank 15 - 5 - 10 = 0."""
+    faces = {sum(1 << v for v in face) for t in RP2 for k in range(4)
+             for face in itertools.combinations(t, k)}
+    assert len(faces) == 1 + 6 + 15 + 10
+    values = np.ones((2,) * 6, dtype=np.int64)
+    for J in faces:
+        values[tuple(J >> i & 1 for i in range(6))] = 0
+    w = WeightGrid(r=6, bound=(1,) * 6, values=values, multiplicity=(1,) * 6,
+                   conductor=(1,) * 6)
+    mask = sum(1 << J for J in faces)
+    assert spectral._rank(mask, 6, 2) == rank_by_row_positions(mask, 6, 2) == (0, (2,))
+    want = "E1 entry at l=(0, 0, 0, 0, 0, 0), k=2, n=0 has torsion [2]"
+    with pytest.raises(TorsionFound, match=re.escape(want)):
+        spectral.e1_refined(w, (0,) * 6, 2, 0)
 
 
 def test_pe_series_reduces_each_distinct_pattern_once_per_degree(
