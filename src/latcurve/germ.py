@@ -249,7 +249,7 @@ def _parse_descriptor(doc: dict) -> GermDescriptor:
             for e in (*terms, *den):
                 _expect(
                     len(e) == len(J),
-                    f"series {shown}: exponent {list(e)} has {len(e)} entries, "
+                    f"series {shown}: exponent {_echo(e)} has {len(e)} entries, "
                     f"not {len(J)}",
                 )
                 _expect(min(e) >= 0, f"series {shown}: exponent {_echo(e)} has a negative entry")

@@ -213,10 +213,9 @@ def filtered_reduction(boundaries: dict):
       pivot row (the elder rule of Edelsbrunner-Letscher-Zomorodian);
       its pivot is +-1.  A kept edge j that is the first kept edge to
       touch its younger vertex y pairs with y in numpy.  These apparent
-      edges span a forest, y a child of the older end of j; pointer
-      jumping finds its roots, and the union-find runs only on the other
-      kept edges, each end replaced by its root.  The pairs stay the
-      same:
+      edges span a forest, y a child of the older end of j; the
+      union-find starts as that forest and runs only on the other kept
+      edges.  The pairs stay the same:
 
       1. A vertex is alone until its first edge: only kept edges join
          components, since a cleared edge closes a cycle.  So when j
@@ -227,11 +226,13 @@ def filtered_reduction(boundaries: dict):
          e, the vertices whose apparent edge is still to come form
          subtrees that each hang from one vertex already joined; adding
          them early joins no two components, and e touches none of them.
-      3. The oldest vertex of a component is the oldest root it holds:
-         in a component that e touches, each vertex with a parent has
-         it in the component, and the oldest vertex has none.  So at e
-         the union-find over roots meets the components of the plain
-         one, with the same oldest vertices, and pairs the same vertex.
+      3. Each tree's root is its oldest vertex: every link points to an
+         older vertex, a forest link from y to the older end of j, a
+         join from the younger root to the elder, and path compression
+         to a root.  At e, by 2, the component of each end is the plain
+         one's plus vertices younger than one of its members, so it has
+         the same oldest vertex, and the union-find pairs the same
+         vertex.
 
     A column of dimension >= 2 whose lowest row i is owned by an earlier
     column with pivot p is cleared by ``col_j <- p*col_j - a*col_i`` (a
@@ -312,19 +313,13 @@ def filtered_reduction(boundaries: dict):
     at = np.arange(cells.size)
     first = np.full(size, cells.size)  # vertex -> position of its first edge
     np.minimum.at(first, ends.ravel(), at.repeat(2))
-    apparent = (first[young] == at).nonzero()[0]
+    apparent = first[young] == at
     born += [young[apparent]]
     killer += [cells[apparent]]
-    # the roots of the forest y -> old those edges span, by pointer jumping
-    root = np.arange(size)
-    root[young[apparent]] = old[apparent]
-    up = root[root]
-    while (up != root).any():
-        root, up = up, up[up]
-    rest = np.ones(cells.size, dtype=bool)
-    rest[apparent] = False
-    edges = zip(cells[rest].tolist(), *root[ends[rest]].T.tolist())
-    parent = {}  # forest root -> an older root of its component
+    edges = zip(cells[~apparent].tolist(), *ends[~apparent].T.tolist())
+    # vertex -> an older vertex of its component, seeded with the forest
+    # y -> old that the apparent edges span
+    parent = dict(zip(young[apparent].tolist(), old[apparent].tolist()))
     pairs = []
     for j, u, v in edges:
         ru = u

@@ -28,7 +28,7 @@ import itertools
 
 import numpy as np
 
-from .errors import InvalidSeries
+from .errors import InvalidSeries, cut
 from .lattice import HilbertGrid, Point, Record, leq
 
 Subset = tuple[int, ...]  # sorted 1-based branch indices
@@ -124,14 +124,16 @@ def all_nonempty_subsets(r: int):
 
 
 def _by_subset(subseries: dict, r: int | None) -> tuple[dict, int]:
-    """The series keyed by sorted subset, and r; InvalidSeries when a
-    nonempty subset of 1..r has no series."""
+    """The series keyed by sorted subset, and r; InvalidSeries, naming how
+    many nonempty subsets of 1..r have no series and the first, if any."""
     table = {tuple(sorted(k)): v for k, v in subseries.items()}
     if r is None:
         r = len(max(table, key=len))
-    missing = [J for J in all_nonempty_subsets(r) if J not in table]
-    if missing:
-        raise InvalidSeries(f"missing subcurve series for branch subsets {missing}")
+    first = next((J for J in all_nonempty_subsets(r) if J not in table), None)
+    if first is not None:
+        held = sum(0 < J[0] and J[-1] <= r and len(set(J)) == len(J) for J in table if J)
+        raise InvalidSeries(f"no subcurve series for {(1 << r) - 1 - held} of the "
+                            f"{(1 << r) - 1} branch subsets, the first {cut(first)}")
     return table, r
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import latcurve
 from latcurve import get
+from latcurve.catalog import list_entries
 from latcurve.errors import cut
 from latcurve.cli import main
 from latcurve.lattice import box
@@ -122,6 +123,13 @@ def test_catalog_listing(capsys):
     code, out, _ = run_cli(["catalog"], capsys)
     assert code == 0
     assert "E12" in out and "T" in out
+
+
+def test_catalog_json_lists_the_entries_in_order(capsys):
+    code, out, err = run_cli(["catalog", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    doc = {"version": 1, "entries": [{"name": n, "params": d} for n, d in list_entries()]}
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_descriptor_round_trip(tmp_path, capsys):
@@ -581,14 +589,35 @@ def _one_series(key="1", exp=(0,), denominator=((1,),)):
         (_one_series(denominator=((0,),)), "series '1': denominator vector [0] is zero"),
         (_one_series(denominator=((-1,),)), "series '1': exponent [-1] has a negative entry"),
         (_one_series(key="x"), "series key 'x' must name distinct branches in 1..1"),
+        (_one_series(exp=(0,) * 5000),
+         "series '1': exponent [" + "0, " * 19 + "0,... has 5000 entries, not 1"),
+        (_one_series(denominator=((1,) * 5000,)),
+         "series '1': exponent [" + "1, " * 19 + "1,... has 5000 entries, not 1"),
     ],
     ids=["hilbert-value-2-to-the-63", "hilbert-value-below-int64", "negative-exponent",
-         "zero-denominator", "negative-denominator", "key-not-an-integer"],
+         "zero-denominator", "negative-denominator", "key-not-an-integer",
+         "long-exponent", "long-denominator-vector"],
 )
 def test_a_descriptor_number_out_of_range_names_its_field(tmp_path, capsys, source, want):
     doc = {"version": 1, "germ": "bad", "r": 1, "source": source, "flags": {}, "bound": None}
     path = _write_descriptor(tmp_path, doc)
     assert run_cli(["invariants", "--germ", path], capsys) == (2, "", f"error: {want}\n")
+
+
+@pytest.mark.parametrize("r", [12, 20])
+def test_missing_subcurve_series_are_counted_not_listed(tmp_path, capsys, r):
+    """A ``poincare`` source with the series '1' alone, on r branches,
+    names how many of the 2^r - 1 subsets have no series and the first,
+    without listing the rest."""
+    doc = {"version": 1, "germ": "bad", "r": r, "source": _one_series(), "flags": {},
+           "bound": None}
+    path = _write_descriptor(tmp_path, doc)
+    total = (1 << r) - 1
+    assert run_cli(["invariants", "--germ", path], capsys) == (
+        1, "",
+        f"error: no subcurve series for {total - 1} of the {total} branch subsets, "
+        "the first (2,)\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -602,6 +631,17 @@ def test_zero_conductor_coordinate_exits_1(tmp_path, capsys, conductor, elements
     code, out, err = run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys)
     c = tuple(conductor)
     assert (code, out, err) == (1, "", f"error: conductor {c} has a zero coordinate\n")
+
+
+def test_a_table_only_the_path_check_refuses_exits_1(tmp_path, capsys):
+    # the table passes min-closure, additive closure and the extension
+    # rule (tests/test_lattice.py::test_only_the_path_check_refuses_a_table)
+    doc = {"version": 1, "germ": "paths", "r": 2, "flags": {}, "bound": None,
+           "source": {"kind": "semigroup", "conductor": [4, 6],
+                      "elements": [[0, 0], [2, 3], [2, 5], [3, 3], [4, 3], [4, 6]]}}
+    assert run_cli(["invariants", "--germ", _write_descriptor(tmp_path, doc)], capsys) == (
+        1, "", "error: monotone paths disagree along axis 0; input semigroup invalid\n"
+    )
 
 
 def _z13_with_element(element):
@@ -928,6 +968,13 @@ def test_negative_e1_point_is_a_parse_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: --e1 point (-2, 3) has a negative coordinate\n"
+
+
+@pytest.mark.parametrize("point", ["1,1,0", "1,1,0,0,0"])
+def test_an_e1_query_of_the_wrong_length_is_a_parse_error(capsys, point):
+    assert run_cli(["spectral", "--builtin", "D,5", "--e1", point], capsys) == (
+        2, "", "error: --e1 needs l1..l2,k,n\n"
+    )
 
 
 def test_exit_code_bound_length(capsys):

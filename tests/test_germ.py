@@ -10,6 +10,7 @@ import pytest
 
 from latcurve import DescriptorError, GermDescriptor, build_model, classify, germ, get
 from latcurve.cli import cmd_motivic, main
+from latcurve.germ import descriptor_from_json, descriptor_from_json_dict
 
 from oracles import gorenstein_motivic_check_by_points
 
@@ -171,3 +172,12 @@ def test_a_subcurve_outside_the_branches_is_a_descriptor_error(branches):
 def test_a_descriptor_refuses_an_unknown_kind_when_made():
     with pytest.raises(DescriptorError, match=re.escape("unknown source kind 'bogus'")):
         GermDescriptor(r=1, kind="bogus", payload=None)
+
+
+def test_a_builtin_descriptor_round_trips_through_its_json():
+    desc = GermDescriptor(r=2, kind="builtin", payload=("D", (5,)), name="d5",
+                          gorenstein=True, bound=(6, 3))
+    doc = desc.to_json_dict()
+    assert doc["source"] == {"kind": "builtin", "name": "D", "params": [5]}
+    assert descriptor_from_json_dict(doc) == desc
+    assert descriptor_from_json(desc.to_json()) == desc

@@ -8,6 +8,7 @@ from latcurve import (
     GermDescriptor,
     InconsistentSemigroup,
     MarginTooSmall,
+    PathInconsistency,
     build_model,
     delta,
     gorenstein_symmetry,
@@ -189,6 +190,30 @@ def test_detect_conductor_needs_margin():
     # semigroup_from_hilbert lands on bound (4,) = c with no spare layer
     with pytest.raises(MarginTooSmall):
         semigroup_from_hilbert(h)
+
+
+@pytest.mark.parametrize("bound", [(0,), (0, 3), (3, 0)])
+def test_semigroup_from_hilbert_needs_a_step_along_every_axis(bound):
+    values = np.zeros(tuple(b + 1 for b in bound), dtype=np.int64)
+    h = HilbertGrid(r=len(bound), bound=bound, values=values)
+    with pytest.raises(MarginTooSmall, match=r"^grid too small to test any point$"):
+        semigroup_from_hilbert(h)
+
+
+# members on R(0, (4, 6)): closed under min and under addition, and the
+# extension rule holds, yet the steps of h do not integrate: summed along
+# axis 0 first, h rises from (3, 4) to (4, 4), where the step along axis
+# 0 says it stays
+PATHS_ONLY = [(0, 0), (2, 3), (2, 5), (3, 3), (4, 3), (4, 6)]
+
+
+def test_only_the_path_check_refuses_a_table():
+    table = semigroup_from_low_points(2, (4, 6), PATHS_ONLY)
+    assert table.conductor == (4, 6)
+    assert table_on_window(table.mask, (5, 7), stated=(4, 6)).conductor == (4, 6)
+    with pytest.raises(PathInconsistency) as refused:
+        hilbert_from_semigroup(table, (5, 7))
+    assert str(refused.value) == "monotone paths disagree along axis 0; input semigroup invalid"
 
 
 def test_delta(model_of):

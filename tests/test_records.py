@@ -15,6 +15,7 @@ from latcurve import (
     HilbertGrid,
     HomologyReport,
     LaurentSeries,
+    MarginTooSmall,
     MinimalCycleGroup,
     MultiPoly,
     QPoly,
@@ -181,6 +182,19 @@ def test_defaults_fill_the_trailing_fields():
     assert (verdict.agreement, verdict.model) == (True, None)
     model = GermModel(DESC, 1, A2.semigroup, A2.hilbert, A2.weight)
     assert model.name is None
+
+
+def test_a_laurent_series_reads_zero_below_its_order_and_refuses_past_its_truncation():
+    series = LaurentSeries(-2, (3, 4, 5), 0)
+    assert [series.coeff(n) for n in (-5, -3, -2, -1, 0)] == [0, 0, 3, 4, 5]
+    with pytest.raises(MarginTooSmall, match=r"^series only known through order 0$"):
+        series.coeff(1)
+
+
+def test_the_zero_polynomial_has_no_order():
+    assert QPoly(((2, 1), (5, -1))).order() == 2
+    with pytest.raises(ValueError, match=r"^the zero polynomial has no order$"):
+        QPoly().order()
 
 
 def test_each_model_keeps_its_own_subcurve_cache():

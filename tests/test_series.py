@@ -131,8 +131,11 @@ def test_hilbert_from_poincare_univariate():
 
 
 def test_hilbert_from_poincare_missing_subset():
-    with pytest.raises(InvalidSeries):
-        hilbert_from_poincare({(1,): geometric(1, (1,))}, (3, 3), r=2)
+    # a key outside 1..r is no subset of it, so it holds none of the three
+    want = "no subcurve series for 2 of the 3 branch subsets, the first (2,)"
+    for extra in [{}, {(3,): geometric(1, (1,))}, {(1, 1): geometric(2, (1, 1))}]:
+        with pytest.raises(InvalidSeries, match=re.escape(want)):
+            hilbert_from_poincare({(1,): geometric(1, (1,)), **extra}, (3, 3), r=2)
 
 
 def test_hilbert_from_poincare_invalid_inputs():

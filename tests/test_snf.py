@@ -331,8 +331,8 @@ def test_filtered_reduction_reduced_column_takes_a_later_claim():
     assert (pairs, unit_pivots) == reference_pairs(boundary_arrays(cells))
 
 
-# H_0 on generic input: the apparent edges and the union-find over the
-# roots of their forest, against the plain reduction
+# H_0 on generic input: the apparent edges and the union-find seeded with
+# their forest, against the plain reduction
 
 
 @st.composite
